@@ -50,10 +50,14 @@ build:
 # programs. They live in the root module so `make build` compiles them today,
 # but this target pins the invariant — if an example ever gains a build tag
 # or moves into its own module, CI still builds every main package instead of
-# silently drifting.
+# silently drifting. cmd/detbench, the repository's benchmark, is a module of
+# its own (`./cmd/...` skips it), so it is built and vetted from its own
+# directory; it has no dependencies outside this repository. Its binary goes
+# to /dev/null: building a lone main package would otherwise drop one there.
 build-cmds:
 	$(GO) build ./cmd/...
 	$(GO) build ./examples/...
+	cd cmd/detbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 # Cross-compile check: the hash kernel has a GOARCH-gated assembly path
 # (amd64 AVX2) with a pure-Go fallback, so both the asm-bearing and the
@@ -70,13 +74,17 @@ test:
 # What CI runs: the full suite under the race detector. The
 # worker-count-independence tests (parallel_determinism_test.go) only prove
 # the determinism contract when scheduling is adversarial, so -race is the
-# configuration that counts.
+# configuration that counts. cmd/detbench is its own module, so its tests
+# run from its directory.
 race:
 	$(GO) test -race -timeout 45m ./...
+	cd cmd/detbench && $(GO) test -race ./...
 
 # The warm-Engine determinism tables in isolation, plus the cross-path
-# equivalence tables (epoch-stamped vs scalar objectives in lowdeg, sharded
-# vs serial EvalKeys) and the request-scoped API tables (cancellation at
+# equivalence tables (sharded vs serial EvalKeys; the lowdeg incident-count
+# objective vs the full-graph scan; the sparsify stage fold vs its full-row
+# count; the fold and stamped selections and blocked kernels vs their
+# references) and the request-scoped API tables (cancellation at
 # every Parallelism level against a shared engine, per-solve override
 # equivalence, observer-stream determinism): worker-count independence of a
 # REUSED engine (dirty scratch buffers, pooled contexts) under the race
@@ -86,9 +94,9 @@ race:
 # byte-compare served responses against direct Engine solves under
 # concurrent mixed load, which is the same contract one layer up.
 race-engine:
-	$(GO) test -race -timeout 30m -run 'TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestHashKernelMatchesScalarPath|TestBlockedKernelMatchesScalarPath|TestLowDegObjectiveKernelVsScalar|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence' .
+	$(GO) test -race -timeout 30m -run 'TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence' .
 	$(GO) test -race -timeout 30m ./internal/serve/
-	$(GO) test -race -timeout 30m -run 'TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys' ./internal/core/ ./internal/hashfam/
+	$(GO) test -race -timeout 30m -run 'TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood' ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/
 
 # Full benchmark run (minutes); BENCH_PATTERN narrows it.
 bench:

@@ -87,13 +87,6 @@ type Options struct {
 	// worker-count-independence tests run under -race in CI — so this knob
 	// trades only wall-clock time, never output.
 	Parallelism int
-	// Serial disables host parallelism entirely.
-	//
-	// Deprecated: set Parallelism: 1 instead. Serial predates the
-	// Parallelism knob and is kept only so existing callers keep compiling;
-	// its precedence is unchanged (Serial wins over Parallelism when both
-	// are set, decided in core.EffectiveParallelism).
-	Serial bool
 	// PreparedCacheCap bounds the Engine's prepared-graph cache
 	// (Engine.Prepare): when an insert would exceed the cap, the
 	// least-recently-used entry (by Prepare/Prepared touch order) is
@@ -124,10 +117,7 @@ func (o *Options) params() core.Params {
 	if o.ThresholdFrac != 0 {
 		p.ThresholdFrac = o.ThresholdFrac
 	}
-	// Serial/Parallelism precedence is decided in exactly one place
-	// (core.EffectiveParallelism); everything below this call sees only
-	// Params.Parallelism.
-	p.Parallelism = core.EffectiveParallelism(o.Serial, o.Parallelism)
+	p.Parallelism = o.Parallelism
 	return p
 }
 
@@ -306,10 +296,9 @@ func WithStrategy(s Strategy) SolveOption {
 }
 
 // WithParallelism pins the host worker count for this solve (0 = one per
-// logical CPU, 1 = serial). It also clears the deprecated Serial flag so the
-// explicit per-solve value always wins over an engine-level alias.
+// logical CPU, 1 = serial).
 func WithParallelism(workers int) SolveOption {
-	return func(c *solveConfig) { c.Parallelism, c.Serial = workers, false }
+	return func(c *solveConfig) { c.Parallelism = workers }
 }
 
 // WithEpsilon sets the space exponent ε for this solve.

@@ -116,7 +116,7 @@ func TestSkipCostTracking(t *testing.T) {
 
 func TestOptionsPropagate(t *testing.T) {
 	g, _ := Generate("gnm", 512, 16, 7)
-	res, err := MaximalIndependentSet(g, &Options{Epsilon: 0.75, Serial: true})
+	res, err := MaximalIndependentSet(g, &Options{Epsilon: 0.75, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDeterministicAcrossCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MaximalIndependentSet(g, &Options{Serial: true})
+	b, err := MaximalIndependentSet(g, &Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

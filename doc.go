@@ -82,12 +82,14 @@
 // m ≤ 2^32 — with a GOARCH-gated AVX2 assembly inner loop on amd64 and a
 // pure-Go fallback elsewhere — a branchless Montgomery path for odd
 // m < 2^63, and Möller–Granlund wide reduction for the rest. Every regime
-// computes exactly the same field values as the scalar hashfam.Family.Eval
-// fallback, so derandomized outputs are bit-identical either way (proven
-// end to end by the kernel-vs-scalar and blocked-vs-scalar tables in
-// parallel_determinism_test.go and by fuzzing the blocked and fold kernels
-// against per-seed EvalKeys); see the "Hash kernel" and "Selection scan"
-// sections of ROADMAP.md.
+// computes exactly the same field values as hashfam.Family.Eval. End to
+// end, the golden corpus under testdata/golden pins the derandomized outputs
+// and seed-search trajectories, including a workload whose seed batches and
+// key blocks end in ragged tails. Layer by layer, the fuzzers pin EvalKeys
+// to Family.Eval, the blocked and fold kernels to per-seed EvalKeys, and the
+// fold selections to the epoch-stamped scans; TestStageFoldMatchesCountGood
+// and TestIncidentEdgesMatchesFullScan pin the sparsify stage fold and the
+// lowdeg objective to their full-row and full-graph references.
 //
 // The selection side of that path picks its table discipline per round, for
 // edges and nodes alike. Dense rounds — the live set covers at least a
@@ -277,8 +279,7 @@
 // the simulator's machine-step fan-out — all execute on a shared bounded
 // worker pool (internal/parallel) sized by Options.Parallelism: 0 (default)
 // means one worker per logical CPU, 1 forces serial execution, larger values
-// pin an explicit count. The legacy Options.Serial flag is an alias for
-// Parallelism: 1.
+// pin an explicit count.
 //
 // The determinism contract: every result is bit-identical at every
 // Parallelism setting. The pool guarantees it structurally — work is split

@@ -327,26 +327,6 @@ func SearchBestBatch(fam hashfam.Family, obj BatchObjective, maxSeeds int, opts 
 	return res, nil
 }
 
-// SpareWorkers returns the per-candidate worker budget available to a
-// BatchObjective that fans a batch of batchLen seeds over `workers` pool
-// slots: when the batch is at least as wide as the pool every candidate
-// evaluates serially (1), and when it is narrower — the tail batch of a
-// search, or a huge round with a tiny family — the leftover workers/batchLen
-// slots can shard the per-seed key vector instead
-// (hashfam.Evaluator.EvalKeysW). The returned count influences wall-clock
-// only, never results: EvalKeysW is byte-identical at any worker count, so
-// objectives stay inside the determinism contract.
-func SpareWorkers(workers, batchLen int) int {
-	if batchLen < 1 {
-		batchLen = 1
-	}
-	w := parallel.Workers(workers)
-	if w <= batchLen {
-		return 1
-	}
-	return w / batchLen
-}
-
 // evalBatch fills out[i] = obj(batch[i]) using up to `workers` goroutines of
 // the shared pool (0 = auto, per parallel.Workers). Each candidate writes
 // only its own slot, so the batch result is identical at any worker count.

@@ -95,6 +95,17 @@ func DetMIS(g *graph.Graph, p core.Params, batch int) *Result {
 		alive[v] = true
 	}
 	inMIS := make([]bool, n)
+	ev := hashfam.NewEvaluator(fam)
+	colourKeyOf := func(v graph.NodeID) uint64 { return uint64(col.Colors[v]) }
+	var sel core.NodeSel
+	var z []uint64
+	// localMin is I_h under one seed, over the phase's plan. Components
+	// share no edges, so one phase-start plan serves every component's
+	// election even as earlier components' winners leave the graph.
+	localMin := func(cur *graph.Graph, seed []uint64) []graph.NodeID {
+		z = ev.EvalKeys(seed, sel.Keys(), graph.Grow(z, len(sel.Keys())))
+		return core.LocalMinNodesSel(nil, cur, &sel, z)
+	}
 
 	for phase := 1; ; phase++ {
 		for v := 0; v < n; v++ {
@@ -107,6 +118,7 @@ func DetMIS(g *graph.Graph, p core.Params, batch int) *Result {
 			break
 		}
 		st := PhaseStats{Phase: phase, EdgesBefore: cur.M()}
+		sel.Init(n, alive, colourKeyOf, fam.P()-1)
 
 		// Per-component, per-seed objective: Σ_v d(v)·1{v local min}
 		// (computable from the 1-hop view: a node knows its neighbours'
@@ -116,9 +128,7 @@ func DetMIS(g *graph.Graph, p core.Params, batch int) *Result {
 			scores[c] = make([]int64, len(seeds))
 		}
 		for si, seed := range seeds {
-			z := func(v graph.NodeID) uint64 { return fam.Eval(seed, uint64(col.Colors[v])) }
-			ih := core.LocalMinNodes(cur, alive, z)
-			for _, v := range ih {
+			for _, v := range localMin(cur, seed) {
 				scores[comp[v]][si] += int64(cur.Degree(v))
 			}
 		}
@@ -141,10 +151,7 @@ func DetMIS(g *graph.Graph, p core.Params, batch int) *Result {
 
 		remove := make([]bool, n)
 		for c := 0; c < numComp; c++ {
-			seed := seeds[elected[c]]
-			z := func(v graph.NodeID) uint64 { return fam.Eval(seed, uint64(col.Colors[v])) }
-			ih := core.LocalMinNodes(cur, alive, z)
-			for _, v := range ih {
+			for _, v := range localMin(cur, seeds[elected[c]]) {
 				if comp[v] != c {
 					continue
 				}

@@ -48,14 +48,6 @@ type Params struct {
 	// values pin an explicit worker count. Results are bit-identical at any
 	// setting (the determinism contract; see internal/parallel).
 	Parallelism int
-	// ScalarObjectives routes every seed-search objective through the
-	// pre-kernel per-item closure evaluation (hashfam.Family.Eval once per
-	// key per seed) instead of the batched Evaluator kernel. The two paths
-	// are bit-identical by construction — the kernel is a speed change only
-	// — and this flag exists so the equivalence tables in
-	// parallel_determinism_test.go can prove that end to end. Never set it
-	// in production code.
-	ScalarObjectives bool
 	// Done, when non-nil, reports whether the enclosing request has been
 	// abandoned (context canceled, deadline exceeded). The round loops poll
 	// it ONLY at round boundaries and between condexp seed batches — never
@@ -142,27 +134,8 @@ type SeedBatchStat struct {
 // single polling point of the cancellation checks (nil Done means "never").
 func (p Params) Canceled() bool { return p.Done != nil && p.Done() }
 
-// Emit delivers a round event to the observer, if any.
-func (p Params) Emit(ev RoundEvent) {
-	if p.Observe != nil {
-		p.Observe(ev)
-	}
-}
-
 // Workers resolves Parallelism to a concrete worker count.
 func (p Params) Workers() int { return parallel.Workers(p.Parallelism) }
-
-// EffectiveParallelism resolves the public (Serial, Parallelism) option pair
-// to the single Parallelism value used internally: Serial wins when set.
-// This is the ONLY place that precedence is decided — the root package's
-// Options.params() and Engine both funnel through it, so the two knobs can
-// never disagree between layers.
-func EffectiveParallelism(serial bool, parallelism int) int {
-	if serial {
-		return 1
-	}
-	return parallelism
-}
 
 // DefaultParams returns the parameterisation used throughout the experiment
 // suite: ε = 0.5 (S = √n), δ = 1/16, 4-wise independence, slack 4,
@@ -282,15 +255,6 @@ func (c *DegreeClasses) GroupSize() int {
 	return int(g)
 }
 
-// NDelta returns ceil(n^δ): the per-stage subsampling denominator.
-func (c *DegreeClasses) NDelta() uint64 {
-	v := intmath.CeilPow(uint64(c.N), 1, c.K)
-	if v < 2 {
-		v = 2
-	}
-	return v
-}
-
 // StageThreshold returns the field threshold t such that h(x) < t samples x
 // with probability floor(p·n^{-δ})/p, i.e. as close to exactly n^{-δ} as the
 // field admits (the paper's h(e) <= n^{3-δ} over range n³). Using the exact
@@ -316,22 +280,13 @@ func (c *DegreeClasses) DevTerm(ex int) float64 {
 	return n01d * math.Sqrt(float64(ex))
 }
 
-// ComputeX returns the good-node indicator of Luby's matching analysis
-// (Lemma 3): v ∈ X iff at least d(v)/3 neighbours u have d(u) <= d(v).
-// deg must be the degree slice of g. It runs at the pool's automatic worker
-// count (one per CPU); use ComputeXW to pin one.
-func ComputeX(g *graph.Graph, deg []int) []bool { return ComputeXW(g, deg, 0) }
-
-// ComputeXW is ComputeX sharded over vertex ranges on up to `workers` host
-// workers; each vertex's indicator is independent, so the result is
-// identical at any worker count.
-func ComputeXW(g *graph.Graph, deg []int, workers int) []bool {
-	return ComputeXInto(make([]bool, g.N()), g, deg, workers)
-}
-
-// ComputeXInto is ComputeXW writing into dst (length N) instead of
-// allocating. Every slot is assigned, so a dirty destination cannot leak
-// into the result.
+// ComputeXInto writes the good-node indicator of Luby's matching analysis
+// (Lemma 3) into dst (length N): v ∈ X iff at least d(v)/3 neighbours u
+// have d(u) <= d(v). deg must be the degree slice of g. The scan is sharded
+// over vertex ranges on up to `workers` host workers; each vertex's
+// indicator is independent, so the result is identical at any worker
+// count. Every slot is assigned, so a dirty destination cannot leak into
+// the result.
 func ComputeXInto(dst []bool, g *graph.Graph, deg []int, workers int) []bool {
 	if len(dst) != g.N() {
 		panic("core: ComputeXInto length mismatch")
@@ -353,33 +308,12 @@ func ComputeXInto(dst []bool, g *graph.Graph, deg []int, workers int) []bool {
 	return dst
 }
 
-// XWeight returns Σ_{v∈X} d(v) (Lemma 3 lower-bounds it by |E|, summing each
-// edge from both sides; the per-class corollary divides it by 1/δ).
-func XWeight(x []bool, deg []int) int64 {
-	var w int64
-	for v, in := range x {
-		if in {
-			w += int64(deg[v])
-		}
-	}
-	return w
-}
-
-// ComputeA returns the MIS good-node indicator (Corollary 15): v ∈ A iff
-// Σ_{u∼v} 1/d(u) >= 1/3. It runs at the pool's automatic worker count; use
-// ComputeAW to pin one.
-func ComputeA(g *graph.Graph, deg []int) []bool { return ComputeAW(g, deg, 0) }
-
-// ComputeAW is ComputeA sharded over vertex ranges on up to `workers` host
-// workers. Each vertex's reciprocal-degree sum is accumulated left-to-right
-// over its own (fixed) neighbour list, so the floating-point result is
-// bit-identical at any worker count.
-func ComputeAW(g *graph.Graph, deg []int, workers int) []bool {
-	return ComputeAInto(make([]bool, g.N()), g, deg, workers)
-}
-
-// ComputeAInto is ComputeAW writing into dst (length N) instead of
-// allocating. Every slot is assigned, so a dirty destination cannot leak
+// ComputeAInto writes the MIS good-node indicator (Corollary 15) into dst
+// (length N): v ∈ A iff Σ_{u∼v} 1/d(u) >= 1/3. The scan is sharded over
+// vertex ranges on up to `workers` host workers. Each vertex's
+// reciprocal-degree sum is accumulated left-to-right over its own (fixed)
+// neighbour list, so the floating-point result is bit-identical at any
+// worker count. Every slot is assigned, so a dirty destination cannot leak
 // into the result.
 func ComputeAInto(dst []bool, g *graph.Graph, deg []int, workers int) []bool {
 	if len(dst) != g.N() {
@@ -415,9 +349,9 @@ func (a ZKey) Less(b ZKey) bool {
 	return a.ID < b.ID
 }
 
-// EdgeMinScratch is the reusable working state of the edge selections: the
-// epoch-stamped per-node minimum tables, the per-edge key buffer, a z buffer
-// for the closure wrapper, and the output buffer. Seed searches evaluate the
+// EdgeMinScratch is the reusable working state of the edge selection: the
+// epoch-stamped per-node minimum tables, the per-edge key buffer, and the
+// output buffer. Seed searches evaluate the
 // selection once per candidate seed, so pooling this state (one per worker,
 // see scratch.PerWorker) removes the dominant per-seed allocations of the
 // matching path. The zero value is ready to use.
@@ -442,8 +376,6 @@ type EdgeMinScratch struct {
 	epoch uint32
 	keys  []ZKey
 	pkeys []uint64
-	zbuf  []uint64
-	sel   EdgeSel // wrapper-owned per-call plan of LocalMinEdgesZ
 	out   []graph.Edge
 }
 
@@ -533,85 +465,16 @@ func EdgeSelInit(sel *EdgeSel, n int, edges []graph.Edge, ekeys []uint64, zMax u
 	}
 }
 
-// packedEdgeBits reports whether every z value fits above an id field of
-// idBits bits in one uint64, i.e. whether the (z, id) lexicographic order
-// can be represented as single-word order z<<idBits | id. The hash fields
-// of this repository are ~SlotMax·n², so for laptop-scale n the packed
-// comparison replaces the two-branch ZKey.Less on the selection hot path;
-// full-width z values (e.g. the randomized baselines' raw detrand draws)
-// fall back to the struct path. Kernel callers know their field and decide
-// via EdgeSelInit's zMax in O(1); this OR-reduction is the wrapper fallback
-// for callers without a bound.
-func packedEdgeBits(n int, z []uint64) (idBits uint, ok bool) {
-	if n < 2 {
-		return 0, false
-	}
-	idBits = uint(bits.Len64(uint64(n)*uint64(n) - 1))
-	var all uint64
-	for _, zv := range z {
-		all |= zv
-	}
-	return idBits, all>>(64-idBits) == 0
-}
-
-// LocalMinEdges returns the candidate matching E_h of Section 3.3: the edges
-// of estar whose (z, key) is strictly smaller than every adjacent edge's.
-// zOf supplies z values (typically a bound hash function); edges is the
-// canonical edge list of estar. The result is always a matching.
-func LocalMinEdges(estar *graph.Graph, edges []graph.Edge, zOf func(graph.Edge) uint64) []graph.Edge {
-	return LocalMinEdgesInto(new(EdgeMinScratch), estar, edges, zOf)
-}
-
-// LocalMinEdgesInto is LocalMinEdges drawing all working state from s: the
-// closure-based wrapper over LocalMinEdgesZ, kept for callers without a
-// precomputed z vector (the hot seed searches precompute one and call the Z
-// form directly). The returned slice aliases s.out and is valid until the
-// next call with the same scratch.
-func LocalMinEdgesInto(s *EdgeMinScratch, estar *graph.Graph, edges []graph.Edge, zOf func(graph.Edge) uint64) []graph.Edge {
-	s.zbuf = graph.Grow(s.zbuf, len(edges))
-	z := s.zbuf[:len(edges)]
-	for idx, e := range edges {
-		z[idx] = zOf(e)
-	}
-	return LocalMinEdgesZ(s, estar, edges, z)
-}
-
-// LocalMinEdgesZ is the kernel form of the Section 3.3 selection: z[idx] is
-// the precomputed hash value of edges[idx] (one hashfam.Evaluator.EvalKeys
-// pass over the round's SlotKeysInto vector), so the scan is two cache-
-// friendly passes with no per-edge closure call. It is LocalMinEdgesSel
-// with a per-call plan (packed decision by OR-scan, id keys recomputed) for
-// callers without per-round state — the hot seed searches build an EdgeSel
-// once per round instead. The returned slice aliases s.out and is valid
-// until the next call with the same scratch.
-func LocalMinEdgesZ(s *EdgeMinScratch, estar *graph.Graph, edges []graph.Edge, z []uint64) []graph.Edge {
-	if len(z) != len(edges) {
-		panic("core: LocalMinEdgesZ z/edges length mismatch")
-	}
-	n := estar.N()
-	s.sel.edges = edges
-	s.sel.n = n
-	ekeys := graph.Grow(s.sel.ekeys, len(edges))[:0]
-	for _, e := range edges {
-		ekeys = append(ekeys, e.Key(n))
-	}
-	s.sel.ekeys = ekeys
-	s.sel.idBits, s.sel.packed = packedEdgeBits(n, z)
-	// The wrapper never fold-selects; clear any fold eligibility a previous
-	// EdgeSelInit on this embedded plan may have recorded.
-	s.sel.foldBits, s.sel.fold = 0, false
-	return LocalMinEdgesSel(s, &s.sel, z)
-}
-
 // LocalMinEdgesSel runs one selection against a per-round EdgeSel plan:
-// z[idx] is the hash value of sel's edge idx under the candidate seed. An
-// edge is in the candidate matching iff its (z, key) is the minimum at BOTH
-// endpoints — keys are unique per edge, so "strictly smaller than every
-// adjacent edge" is exactly "argmin at each end", and a single min table
-// suffices. The per-node tables are epoch-stamped (see EdgeMinScratch), so
-// a call costs O(|edges|): only the endpoints the round's edge list touches
-// are ever (re)initialised, not the full id space. The returned slice
-// aliases s.out and is valid until the next call with the same scratch.
+// z[idx] is the hash value of sel's edge idx under the candidate seed. It
+// returns the candidate matching E_h of Section 3.3: the edges whose (z, key)
+// is strictly smaller than every adjacent edge's, i.e. the minimum at BOTH
+// endpoints — keys are unique per edge, so a single min table suffices and
+// the result is always a matching. The per-node tables are epoch-stamped
+// (see EdgeMinScratch), so a call costs O(|edges|): only the endpoints the
+// round's edge list touches are ever (re)initialised, not the full id
+// space. The returned slice aliases s.out and is valid until the next call
+// with the same scratch.
 //
 //det:hotpath
 func LocalMinEdgesSel(s *EdgeMinScratch, sel *EdgeSel, z []uint64) []graph.Edge {
@@ -725,105 +588,6 @@ func LocalMinEdgesSel(s *EdgeMinScratch, sel *EdgeSel, z []uint64) []graph.Edge 
 		}
 	}
 	s.out = out
-	return out
-}
-
-// LocalMinNodes returns the candidate independent set I_h of Section 4.3:
-// nodes of q (restricted to inQ) whose (z, id) is strictly smaller than
-// every q-neighbour's. The result is always independent in q.
-func LocalMinNodes(q *graph.Graph, inQ []bool, zOf func(graph.NodeID) uint64) []graph.NodeID {
-	return LocalMinNodesInto(nil, q, inQ, zOf)
-}
-
-// LocalMinNodesInto is LocalMinNodes appending into dst[:0] (nil allocates),
-// for per-seed buffer reuse in the objective evaluations. It is the
-// closure-based wrapper kept for callers without a precomputed z vector;
-// the hot seed searches precompute one and call LocalMinNodesZ.
-func LocalMinNodesInto(dst []graph.NodeID, q *graph.Graph, inQ []bool, zOf func(graph.NodeID) uint64) []graph.NodeID {
-	out := dst[:0]
-	for v := 0; v < q.N(); v++ {
-		if !inQ[v] {
-			continue
-		}
-		kv := ZKey{zOf(graph.NodeID(v)), uint64(v)}
-		isMin := true
-		for _, u := range q.Neighbors(graph.NodeID(v)) {
-			if !inQ[u] {
-				continue
-			}
-			ku := ZKey{zOf(u), uint64(u)}
-			if !kv.Less(ku) {
-				isMin = false
-				break
-			}
-		}
-		if isMin {
-			out = append(out, graph.NodeID(v))
-		}
-	}
-	return out
-}
-
-// LocalMinNodesZ is the kernel form of the Section 4.3 selection: z[v] is
-// the precomputed hash value of node v (one hashfam.Evaluator.EvalKeys pass
-// over a NodeSlotKeysInto vector), so each node's z is read once per
-// incidence instead of re-evaluated through a closure. Results are
-// bit-identical to LocalMinNodesInto with zOf(v) == z[v].
-func LocalMinNodesZ(dst []graph.NodeID, q *graph.Graph, inQ []bool, z []uint64) []graph.NodeID {
-	n := q.N()
-	if len(z) < n {
-		panic("core: LocalMinNodesZ z vector shorter than node count")
-	}
-	// Packed fast path, as in localMinEdgesPacked: when every z fits above
-	// an id field of Len(n-1) bits, (z, id) comparisons are single-word.
-	if n >= 2 {
-		idBits := uint(bits.Len64(uint64(n) - 1))
-		var all uint64
-		for _, zv := range z[:n] {
-			all |= zv
-		}
-		if all>>(64-idBits) == 0 {
-			out := dst[:0]
-			for v := 0; v < n; v++ {
-				if !inQ[v] {
-					continue
-				}
-				kv := z[v]<<idBits | uint64(v)
-				isMin := true
-				for _, u := range q.Neighbors(graph.NodeID(v)) {
-					if inQ[u] && kv >= z[u]<<idBits|uint64(u) {
-						isMin = false
-						break
-					}
-				}
-				if isMin {
-					out = append(out, graph.NodeID(v))
-				}
-			}
-			return out
-		}
-	}
-	out := dst[:0]
-	for v := 0; v < n; v++ {
-		if !inQ[v] {
-			continue
-		}
-		kv := ZKey{z[v], uint64(v)}
-		isMin := true
-		for _, u := range q.Neighbors(graph.NodeID(v)) {
-			if !inQ[u] {
-				continue
-			}
-			ku := ZKey{z[u], uint64(u)}
-			if !kv.Less(ku) {
-				isMin = false
-				break
-			}
-		}
-		if isMin {
-			out = append(out, graph.NodeID(v))
-		}
-	}
 	return out
 }
 
@@ -951,13 +715,14 @@ func (sel *NodeSel) Live() []graph.NodeID { return sel.live }
 // once-per-round input of the per-seed EvalKeys passes.
 func (sel *NodeSel) Keys() []uint64 { return sel.keys }
 
-// LocalMinNodesSel is the per-round-plan form of the Section 4.3 selection:
-// z[i] is the hash value of sel.Live()[i] under the candidate seed (one
-// EvalKeys pass over sel.Keys()). A candidate joins I_h iff its (z, id) is
-// strictly smaller than every live q-neighbour's; the live set and the
-// iteration order are exactly those of LocalMinNodesZ with inQ = the mask
-// Init saw, so results are bit-identical while the scan touches only
-// candidates and their incidences, never the full id space.
+// LocalMinNodesSel returns the candidate independent set I_h of Section 4.3
+// against a per-round NodeSel plan: z[i] is the hash value of sel.Live()[i]
+// under the candidate seed (one EvalKeys pass over sel.Keys()). A candidate
+// joins I_h iff its (z, id) is strictly smaller than every live
+// q-neighbour's, so the result is always independent in q. Candidates are
+// visited in ascending id order and a neighbour is live iff the plan admits
+// it, so the scan touches only candidates and their incidences, never the
+// full id space.
 //
 //det:hotpath
 func LocalMinNodesSel(dst []graph.NodeID, q *graph.Graph, sel *NodeSel, z []uint64) []graph.NodeID {

@@ -112,16 +112,24 @@ func TestGroupSizeAndNDelta(t *testing.T) {
 	if g := dc.GroupSize(); g != 16 { // (2^16)^(4/16) = 2^4
 		t.Errorf("GroupSize = %d, want 16", g)
 	}
-	if nd := dc.NDelta(); nd != 2 { // (2^16)^(1/16) = 2
-		t.Errorf("NDelta = %d, want 2", nd)
+	// The per-stage sampling rate is n^{-δ} = (2^16)^(-1/16) = 1/2 of the
+	// field, up to float rounding of the rate.
+	if th := StageThreshold(1<<20, 1<<16, 16); th < 1<<19-1 || th > 1<<19 {
+		t.Errorf("StageThreshold = %d, want 2^19 (n^δ = 2)", th)
 	}
+}
+
+// computeX is ComputeXInto on a fresh destination at the automatic worker
+// count.
+func computeX(g *graph.Graph, deg []int) []bool {
+	return ComputeXInto(make([]bool, g.N()), g, deg, 0)
 }
 
 func TestComputeXCompleteGraph(t *testing.T) {
 	// In K_n all degrees are equal, so every node has d(v) neighbours with
 	// d(u) <= d(v): X = V.
 	g := gen.Complete(10)
-	x := ComputeX(g, g.Degrees())
+	x := computeX(g, g.Degrees())
 	for v, in := range x {
 		if !in {
 			t.Errorf("node %d of K10 not in X", v)
@@ -134,7 +142,7 @@ func TestComputeXStar(t *testing.T) {
 	// degree, so leaves are NOT in X; the centre has all n-1 neighbours with
 	// smaller degree, so it is.
 	g := gen.Star(10)
-	x := ComputeX(g, g.Degrees())
+	x := computeX(g, g.Degrees())
 	if !x[0] {
 		t.Error("star centre not in X")
 	}
@@ -156,9 +164,14 @@ func TestXWeightLemma3(t *testing.T) {
 		gen.Grid2D(15, 20),
 	} {
 		deg := g.Degrees()
-		x := ComputeX(g, deg)
-		if w := XWeight(x, deg); w < int64(g.M())/2 {
-			t.Errorf("%v: XWeight %d < m/2 = %d", g, w, g.M()/2)
+		var w int64 // Σ_{v∈X} d(v)
+		for v, in := range computeX(g, deg) {
+			if in {
+				w += int64(deg[v])
+			}
+		}
+		if w < int64(g.M())/2 {
+			t.Errorf("%v: X-weight %d < m/2 = %d", g, w, g.M()/2)
 		}
 	}
 }
@@ -171,8 +184,8 @@ func TestComputeACorollary15(t *testing.T) {
 		gen.Grid2D(10, 10),
 	} {
 		deg := g.Degrees()
-		a := ComputeA(g, deg)
-		x := ComputeX(g, deg)
+		a := ComputeAInto(make([]bool, g.N()), g, deg, 0)
+		x := computeX(g, deg)
 		var w int64
 		for v, in := range a {
 			if in {
@@ -203,11 +216,37 @@ func TestZKeyOrdering(t *testing.T) {
 	}
 }
 
+// localMinEdges runs the Section 3.3 selection the way the solvers do — a
+// per-round EdgeSel plan, then LocalMinEdgesSel — for z given per edge.
+func localMinEdges(g *graph.Graph, edges []graph.Edge, zOf func(graph.Edge) uint64) []graph.Edge {
+	z := make([]uint64, len(edges))
+	var zMax uint64
+	for i, e := range edges {
+		z[i] = zOf(e)
+		zMax = max(zMax, z[i])
+	}
+	var sel EdgeSel
+	EdgeSelInit(&sel, g.N(), edges, nil, zMax)
+	return LocalMinEdgesSel(new(EdgeMinScratch), &sel, z)
+}
+
+// localMinNodes is localMinEdges for the Section 4.3 node selection: the
+// plan's hash keys are the z values themselves.
+func localMinNodes(g *graph.Graph, inQ []bool, zOf func(graph.NodeID) uint64) []graph.NodeID {
+	var zMax uint64
+	for v := range inQ {
+		zMax = max(zMax, zOf(graph.NodeID(v)))
+	}
+	var sel NodeSel
+	sel.Init(g.N(), inQ, zOf, zMax)
+	return LocalMinNodesSel(nil, g, &sel, sel.Keys())
+}
+
 func TestLocalMinEdgesIsMatching(t *testing.T) {
 	g := gen.GNM(100, 400, 7)
 	edges := g.Edges()
 	z := func(e graph.Edge) uint64 { return (uint64(e.U)*2654435761 + uint64(e.V)*40503) % 1009 }
-	mm := LocalMinEdges(g, edges, z)
+	mm := localMinEdges(g, edges, z)
 	used := map[graph.NodeID]bool{}
 	for _, e := range mm {
 		if used[e.U] || used[e.V] {
@@ -225,7 +264,7 @@ func TestLocalMinEdgesGlobalMinIncluded(t *testing.T) {
 	g := gen.Cycle(9)
 	edges := g.Edges()
 	z := func(e graph.Edge) uint64 { return e.Key(9) * 7 % 31 }
-	mm := LocalMinEdges(g, edges, z)
+	mm := localMinEdges(g, edges, z)
 	// The globally smallest (z, key) edge is always a local minimum.
 	best := 0
 	for i := 1; i < len(edges); i++ {
@@ -249,7 +288,7 @@ func TestLocalMinEdgesGlobalMinIncluded(t *testing.T) {
 func TestLocalMinEdgesConstantZUsesTieBreak(t *testing.T) {
 	g := gen.Complete(6)
 	edges := g.Edges()
-	mm := LocalMinEdges(g, edges, func(graph.Edge) uint64 { return 42 })
+	mm := localMinEdges(g, edges, func(graph.Edge) uint64 { return 42 })
 	if len(mm) != 1 {
 		t.Errorf("K6 constant-z local minima = %d, want exactly 1 (smallest key)", len(mm))
 	}
@@ -304,7 +343,7 @@ func TestLocalMinNodesIndependent(t *testing.T) {
 		inQ[v] = v%3 != 0 // restrict to a subset
 	}
 	z := func(v graph.NodeID) uint64 { return uint64(v) * 2654435761 % 997 }
-	is := LocalMinNodes(g, inQ, z)
+	is := localMinNodes(g, inQ, z)
 	inIS := make([]bool, g.N())
 	for _, v := range is {
 		if !inQ[v] {
@@ -323,7 +362,7 @@ func TestLocalMinNodesIsolatedInQJoin(t *testing.T) {
 	// A Q-node with no Q-neighbours is vacuously a local minimum.
 	g := gen.Path(3)
 	inQ := []bool{true, false, true}
-	is := LocalMinNodes(g, inQ, func(v graph.NodeID) uint64 { return uint64(v) })
+	is := localMinNodes(g, inQ, func(v graph.NodeID) uint64 { return uint64(v) })
 	if len(is) != 2 {
 		t.Errorf("isolated-in-Q nodes not all selected: %v", is)
 	}

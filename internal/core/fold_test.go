@@ -24,8 +24,8 @@ func nodeZ(live []graph.NodeID) []uint64 {
 // the per-round node plan to one answer: the dense flat-table path
 // (LocalMinNodesSelIn over a NodeFold: round-wiped tables, single-word
 // probes), the epoch-stamped packed scan (LocalMinNodesSel), the unpacked
-// ZKey fallback (z values too wide to pack), and the eager closure reference
-// (LocalMinNodesInto). The (z, id) order is identical under every variant,
+// ZKey fallback (z values too wide to pack), and the eager reference from the
+// definition (eagerLocalMinNodes). The (z, id) order is identical under every variant,
 // so the selected sets must match node for node — over a full live set and
 // over a half-density subset whose dead slots exercise the fold sentinel.
 func TestLocalMinNodesSelBranchEquivalence(t *testing.T) {
@@ -53,7 +53,7 @@ func TestLocalMinNodesSelBranchEquivalence(t *testing.T) {
 			zOf[v] = z[i]
 		}
 
-		eager := LocalMinNodesInto(nil, g, inQ, func(v graph.NodeID) uint64 { return zOf[v] })
+		eager := eagerLocalMinNodes(g, inQ, zOf)
 		stamped := append([]graph.NodeID(nil), LocalMinNodesSel(nil, g, &sel, z)...)
 		var nf NodeFold
 		dense := append([]graph.NodeID(nil), LocalMinNodesSelIn(&nf, nil, g, &sel, z)...)

@@ -1,7 +1,7 @@
 package core
 
-// Equivalence tests for the epoch-stamped selections: LocalMinEdgesZ /
-// LocalMinEdgesSel / LocalMinNodesSel must match eager-reset reference
+// Equivalence tests for the epoch-stamped selections: LocalMinEdgesSel /
+// LocalMinNodesSel must match eager-reset reference
 // implementations on DIRTY, reused scratch — across id spaces that shrink
 // and then grow again (so stale stamp segments from a larger graph sit
 // under a smaller one and resurface later), and across a forced generation
@@ -136,8 +136,6 @@ func TestLocalMinEdgesStampedMatchesEagerOnDirtyScratch(t *testing.T) {
 				zFill(z, src, zCap)
 				want := eagerLocalMinEdges(g.N(), edges, z)
 				label := fmt.Sprintf("round %d %s/n=%d zCap=%d", round, w.family, w.n, zCap)
-				edgesEqual(t, label+" (Z)", LocalMinEdgesZ(&s, g, edges, z), want)
-
 				var sel EdgeSel
 				zMax := zCap - 1
 				if zCap == 0 {
@@ -164,15 +162,17 @@ func TestLocalMinEdgesStampWrap(t *testing.T) {
 	z := make([]uint64, len(edges))
 	src := detrand.New(13)
 	var s EdgeMinScratch
+	var sel EdgeSel
+	EdgeSelInit(&sel, g.N(), edges, nil, EdgeField(g.N())-1)
 	zFill(z, src, EdgeField(g.N()))
-	edgesEqual(t, "pre-wrap warm-up", LocalMinEdgesZ(&s, g, edges, z), eagerLocalMinEdges(g.N(), edges, z))
+	edgesEqual(t, "pre-wrap warm-up", LocalMinEdgesSel(&s, &sel, z), eagerLocalMinEdges(g.N(), edges, z))
 	// Park the counter one step from wrapping; the stamp table now holds
 	// live entries at the maximal generation.
 	s.epoch = ^uint32(0) - 1
 	for i := 0; i < 4; i++ { // crosses ^uint32(0) and the hard reset to 1
 		zFill(z, src, EdgeField(g.N()))
 		want := eagerLocalMinEdges(g.N(), edges, z)
-		edgesEqual(t, fmt.Sprintf("wrap step %d (epoch %d)", i, s.epoch), LocalMinEdgesZ(&s, g, edges, z), want)
+		edgesEqual(t, fmt.Sprintf("wrap step %d (epoch %d)", i, s.epoch), LocalMinEdgesSel(&s, &sel, z), want)
 	}
 	if s.epoch == 0 || s.epoch > 3 {
 		t.Fatalf("epoch after wrap = %d, want a small positive generation", s.epoch)
@@ -212,10 +212,6 @@ func TestNodeSelStampedMatchesEagerOnDirtyScratch(t *testing.T) {
 				got := LocalMinNodesSel(nil, g, &sel, zLive)
 				want := eagerLocalMinNodes(g, inQ, zFull)
 				nodesEqual(t, fmt.Sprintf("round %d %s/n=%d zCap=%d", round, w.family, w.n, zCap), got, want)
-
-				// The mask-indexed kernel form must agree as well.
-				nodesEqual(t, fmt.Sprintf("round %d %s/n=%d zCap=%d (Z)", round, w.family, w.n, zCap),
-					LocalMinNodesZ(nil, g, inQ, zFull), want)
 			}
 		}
 	}
@@ -292,9 +288,15 @@ func FuzzSelectionStampedMatchesEager(f *testing.F) {
 		if fullWidth {
 			zCap = 0
 		}
+		zMax := zCap - 1
+		if zCap == 0 {
+			zMax = ^uint64(0)
+		}
 		z := make([]uint64, len(edges))
 		zFill(z, src, zCap)
-		edgesEqual(t, "fuzz edges", LocalMinEdgesZ(&s, g, edges, z), eagerLocalMinEdges(n, edges, z))
+		var esel EdgeSel
+		EdgeSelInit(&esel, n, edges, nil, zMax)
+		edgesEqual(t, "fuzz edges", LocalMinEdgesSel(&s, &esel, z), eagerLocalMinEdges(n, edges, z))
 
 		inQ := make([]bool, n)
 		zFull := make([]uint64, n)
@@ -302,10 +304,6 @@ func FuzzSelectionStampedMatchesEager(f *testing.F) {
 			inQ[v] = src.Uint64()%4 != 0
 		}
 		zFill(zFull, src, zCap)
-		zMax := zCap - 1
-		if zCap == 0 {
-			zMax = ^uint64(0)
-		}
 		sel.Init(n, inQ, func(v graph.NodeID) uint64 { return uint64(v) }, zMax)
 		zLive := make([]uint64, len(sel.Live()))
 		for i, v := range sel.Live() {

@@ -16,10 +16,11 @@ import (
 // instead of once per key, and (c) unrolls Horner for the ubiquitous
 // pairwise (k = 2) family of the matching/MIS selection steps.
 //
-// EvalKeys(seed, keys, out) is byte-identical to out[i] = Eval(seed, keys[i])
-// — the kernel is a speed change only, so every seed search that adopts it
-// stays inside the repository's bit-identical determinism contract (the
-// equivalence is fuzz-tested in evaluator_test.go).
+// EvalKeys(seed, keys, out) is byte-identical to out[i] =
+// Family.Eval(seed, keys[i]) — the kernel is a speed change only, so every
+// seed search that adopts it stays inside the repository's bit-identical
+// determinism contract (the equivalence is fuzz-tested in
+// evaluator_test.go).
 //
 // An Evaluator is immutable after construction and safe for concurrent use;
 // the per-worker objective states of the solvers share one per search.
@@ -41,7 +42,7 @@ func (e *Evaluator) Family() Family { return e.fam }
 
 // EvalKeys writes out[i] = h_seed(keys[i]) for every key and returns
 // out[:len(keys)]. len(seed) must equal the family's SeedLen, every key must
-// be < P (the same contract as Eval), and len(out) must be at least
+// be < P (the same contract as Family.Eval), and len(out) must be at least
 // len(keys). Output slots beyond len(keys) and any dirty prior contents of
 // out are never read, so pooled per-worker buffers can be passed as-is.
 //
@@ -112,12 +113,10 @@ func (e *Evaluator) evalReduced(c, keys, out []uint64) {
 // block (min(BlockKeyGrain, len(keys))) instead of the full key vector.
 const BlockKeyGrain = 512
 
-const blockedKeyGrain = BlockKeyGrain
-
 // EvalSeedsBlocked writes out[s][i] = h_seeds[s](keys[i]) for every seed and
 // key: the block-major multi-seed kernel of the batched seed searches. Where
 // EvalKeys is seed-major (one seed re-streams the whole key vector), this
-// walks the key vector once in cache-resident blocks of blockedKeyGrain and
+// walks the key vector once in cache-resident blocks of BlockKeyGrain and
 // evaluates all S candidate seeds against each block before advancing —
 // the memory traffic of one pass, amortised over the batch. Pairwise
 // (k = 2) families additionally run four seeds per inner loop through
@@ -133,66 +132,7 @@ const blockedKeyGrain = BlockKeyGrain
 //
 //det:hotpath
 func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]uint64) {
-	k := e.fam.k
-	S := len(seeds)
-	if len(out) < S {
-		panic("hashfam: EvalSeedsBlocked with fewer output rows than seeds")
-	}
-	for s, seed := range seeds {
-		if len(seed) != k {
-			panic(fmt.Sprintf("hashfam: seed length %d, want %d", len(seed), k))
-		}
-		if len(out[s]) < len(keys) {
-			panic("hashfam: EvalSeedsBlocked output row shorter than key vector")
-		}
-	}
-	if S == 0 || len(keys) == 0 {
-		return
-	}
-	// Reduce every seed's coefficients once up front (the per-seed analogue
-	// of EvalKeys' single reduceSeed). The stack array covers the batch
-	// shapes the objectives feed (S <= condexp.BlockSeeds, k <= 4); larger
-	// requests fall back to one allocation amortised over S full key sweeps.
-	var cstack [64]uint64
-	var cs []uint64
-	if S*k <= len(cstack) {
-		cs = cstack[:S*k]
-	} else {
-		cs = make([]uint64, S*k) //det:allow hotalloc fallback for seed batches wider than the stack array, amortised over S key sweeps
-	}
-	for s, seed := range seeds {
-		c := cs[s*k : (s+1)*k]
-		for i, v := range seed {
-			c[i] = e.red.Mod(v)
-		}
-	}
-	pairwise := k == 2
-	for lo := 0; lo < len(keys); lo += blockedKeyGrain {
-		hi := lo + blockedKeyGrain
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		kb := keys[lo:hi]
-		if pairwise {
-			s := 0
-			for ; s+4 <= S; s += 4 {
-				var c0, c1 [4]uint64
-				for j := 0; j < 4; j++ {
-					c0[j] = cs[(s+j)*2]
-					c1[j] = cs[(s+j)*2+1]
-				}
-				e.red.EvalPoly2x4(&c0, &c1, kb,
-					out[s][lo:hi], out[s+1][lo:hi], out[s+2][lo:hi], out[s+3][lo:hi])
-			}
-			for ; s < S; s++ {
-				e.red.EvalPoly2(cs[s*2], cs[s*2+1], kb, out[s][lo:hi])
-			}
-		} else {
-			for s := 0; s < S; s++ {
-				e.evalReduced(cs[s*k:(s+1)*k], kb, out[s][lo:hi])
-			}
-		}
-	}
+	e.evalBlocks(seeds, keys, out, len(keys), nil)
 }
 
 // EvalSeedsBlockedFold is the fused form of EvalSeedsBlocked: instead of
@@ -218,26 +158,40 @@ func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]ui
 //
 //det:hotpath
 func (e *Evaluator) EvalSeedsBlockedFold(seeds [][]uint64, keys []uint64, tile [][]uint64, fold func(lo, hi int)) {
+	e.evalBlocks(seeds, keys, tile, min(len(keys), BlockKeyGrain), fold)
+}
+
+// evalBlocks is the block walk behind EvalSeedsBlocked (fold == nil) and
+// EvalSeedsBlockedFold. It checks every seed against the family's SeedLen
+// and the first len(seeds) rows of out against rowLen, reduces all seeds'
+// coefficients once, and then evaluates keys block by block: pairwise
+// families four seeds at a time through intmath.Reducer.EvalPoly2x4 plus a
+// per-seed tail, wider families seed by seed. Without a fold, block
+// [lo, hi) lands in out[s][lo:hi]; with one, it lands in out[s][:hi-lo] and
+// fold(lo, hi) consumes it before the next block overwrites it.
+//
+//det:hotpath
+func (e *Evaluator) evalBlocks(seeds [][]uint64, keys []uint64, out [][]uint64, rowLen int, fold func(lo, hi int)) {
 	k := e.fam.k
 	S := len(seeds)
-	if len(tile) < S {
-		panic("hashfam: EvalSeedsBlockedFold with fewer tile rows than seeds")
-	}
-	rowLen := len(keys)
-	if rowLen > blockedKeyGrain {
-		rowLen = blockedKeyGrain
+	if len(out) < S {
+		panic("hashfam: blocked evaluation with fewer output rows than seeds")
 	}
 	for s, seed := range seeds {
 		if len(seed) != k {
 			panic(fmt.Sprintf("hashfam: seed length %d, want %d", len(seed), k))
 		}
-		if len(tile[s]) < rowLen {
-			panic("hashfam: EvalSeedsBlockedFold tile row shorter than key block")
+		if len(out[s]) < rowLen {
+			panic("hashfam: blocked evaluation output row shorter than its key span")
 		}
 	}
 	if S == 0 || len(keys) == 0 {
 		return
 	}
+	// Reduce every seed's coefficients once up front (the per-seed analogue
+	// of EvalKeys' single reduceSeed). The stack array covers the batch
+	// shapes the objectives feed (S <= condexp.BlockSeeds, k <= 4); larger
+	// requests fall back to one allocation amortised over S full key sweeps.
 	var cstack [64]uint64
 	var cs []uint64
 	if S*k <= len(cstack) {
@@ -252,13 +206,16 @@ func (e *Evaluator) EvalSeedsBlockedFold(seeds [][]uint64, keys []uint64, tile [
 		}
 	}
 	pairwise := k == 2
-	for lo := 0; lo < len(keys); lo += blockedKeyGrain {
-		hi := lo + blockedKeyGrain
+	for lo := 0; lo < len(keys); lo += BlockKeyGrain {
+		hi := lo + BlockKeyGrain
 		if hi > len(keys) {
 			hi = len(keys)
 		}
 		kb := keys[lo:hi]
-		w := hi - lo
+		d0, d1 := lo, hi // the block's span within each output row
+		if fold != nil {
+			d0, d1 = 0, hi-lo
+		}
 		if pairwise {
 			s := 0
 			for ; s+4 <= S; s += 4 {
@@ -268,17 +225,19 @@ func (e *Evaluator) EvalSeedsBlockedFold(seeds [][]uint64, keys []uint64, tile [
 					c1[j] = cs[(s+j)*2+1]
 				}
 				e.red.EvalPoly2x4(&c0, &c1, kb,
-					tile[s][:w], tile[s+1][:w], tile[s+2][:w], tile[s+3][:w])
+					out[s][d0:d1], out[s+1][d0:d1], out[s+2][d0:d1], out[s+3][d0:d1])
 			}
 			for ; s < S; s++ {
-				e.red.EvalPoly2(cs[s*2], cs[s*2+1], kb, tile[s][:w])
+				e.red.EvalPoly2(cs[s*2], cs[s*2+1], kb, out[s][d0:d1])
 			}
 		} else {
 			for s := 0; s < S; s++ {
-				e.evalReduced(cs[s*k:(s+1)*k], kb, tile[s][:w])
+				e.evalReduced(cs[s*k:(s+1)*k], kb, out[s][d0:d1])
 			}
 		}
-		fold(lo, hi)
+		if fold != nil {
+			fold(lo, hi)
+		}
 	}
 }
 
@@ -291,13 +250,11 @@ const evalKeysShardGrain = 4096
 
 // EvalKeysW is EvalKeys with the key vector sharded over up to `workers`
 // goroutines of the shared internal/parallel pool (0 = GOMAXPROCS, 1 =
-// serial). It exists for rounds whose key vectors are long while the seed
-// batch is too short to saturate the pool by itself: the apply filters and
-// final selections that evaluate ONE seed over the whole round, and batch
-// tails narrower than the worker count (see condexp.SpareWorkers). Output
-// is byte-identical to EvalKeys at any worker count: the seed's
-// coefficients are reduced once and shared read-only, and each shard writes
-// only its own out range.
+// serial). It exists for the apply filters and final selections that
+// evaluate ONE seed over a round's whole key vector, where no seed batch
+// is there to saturate the pool. Output is byte-identical to EvalKeys at
+// any worker count: the seed's coefficients are reduced once and shared
+// read-only, and each shard writes only its own out range.
 func (e *Evaluator) EvalKeysW(seed, keys, out []uint64, workers int) []uint64 {
 	if parallel.Workers(workers) <= 1 || len(keys) < 2*evalKeysShardGrain {
 		return e.EvalKeys(seed, keys, out)
@@ -317,22 +274,4 @@ func (e *Evaluator) EvalKeysW(seed, keys, out []uint64, workers int) []uint64 {
 		e.evalReduced(c, keys[lo:hi], out[lo:hi])
 	})
 	return out
-}
-
-// Eval is the scalar form of EvalKeys: h_seed(x) through the bound reducer.
-// It exists for one-off evaluations where building a key vector first would
-// not pay for itself, and as the reducer-path scalar reference the
-// equivalence tests pin against Family.Eval.
-func (e *Evaluator) Eval(seed []uint64, x uint64) uint64 {
-	k := e.fam.k
-	if len(seed) != k {
-		panic(fmt.Sprintf("hashfam: seed length %d, want %d", len(seed), k))
-	}
-	red := e.red
-	x = red.Mod(x)
-	acc := red.Mod(seed[k-1])
-	for j := k - 2; j >= 0; j-- {
-		acc = red.AddMod(red.MulMod(acc, x), red.Mod(seed[j]))
-	}
-	return acc
 }

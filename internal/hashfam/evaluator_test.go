@@ -54,9 +54,6 @@ func TestEvaluatorMatchesEval(t *testing.T) {
 				if got[i] != want {
 					t.Fatalf("p=%d k=%d: key %d: EvalKeys = %d, Eval = %d", f.P(), f.K(), x, got[i], want)
 				}
-				if s := ev.Eval(seed, x); s != want {
-					t.Fatalf("p=%d k=%d: key %d: Evaluator.Eval = %d, Family.Eval = %d", f.P(), f.K(), x, s, want)
-				}
 			}
 		}
 	}

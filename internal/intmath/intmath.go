@@ -113,19 +113,6 @@ func CeilLog2(n uint64) int {
 	return bits.Len64(n - 1)
 }
 
-// FloorLog2 returns floor(log2(n)) with FloorLog2(0) == 0.
-func FloorLog2(n uint64) int {
-	if n == 0 {
-		return 0
-	}
-	return bits.Len64(n) - 1
-}
-
-// CeilDiv returns ceil(a/b) for b > 0.
-func CeilDiv(a, b int) int {
-	return (a + b - 1) / b
-}
-
 // CeilPow returns the least integer k >= x^y for non-negative real exponent
 // expressed as a rational y = num/den, i.e. ceil(x^(num/den)), computed by
 // binary search on k^den >= x^num with exact big-integer comparison. It is
@@ -188,43 +175,4 @@ func SatPow(x uint64, e int) (uint64, bool) {
 		}
 	}
 	return result, overflow
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Max returns the larger of a and b.
-func Max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinU64 returns the smaller of a and b.
-func MinU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// ISqrt returns floor(sqrt(n)).
-func ISqrt(n uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	x := uint64(1) << ((bits.Len64(n) + 1) / 2)
-	for {
-		y := (x + n/x) / 2
-		if y >= x {
-			return x
-		}
-		x = y
-	}
 }

@@ -174,18 +174,6 @@ func TestCeilLog2(t *testing.T) {
 	}
 }
 
-func TestFloorLog2(t *testing.T) {
-	cases := []struct {
-		n    uint64
-		want int
-	}{{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {1023, 9}, {1024, 10}}
-	for _, c := range cases {
-		if got := FloorLog2(c.n); got != c.want {
-			t.Errorf("FloorLog2(%d) = %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
 func TestCeilPowMatchesFloat(t *testing.T) {
 	// CeilPow(x, num, den) should equal ceil(x^(num/den)) up to float
 	// rounding; verify on a grid where float64 is exact enough.
@@ -222,47 +210,5 @@ func TestSatPow(t *testing.T) {
 	}
 	if v, ov := SatPow(10, 0); ov || v != 1 {
 		t.Errorf("SatPow(10,0) = %d,%v", v, ov)
-	}
-}
-
-func TestISqrt(t *testing.T) {
-	f := func(n uint64) bool {
-		r := ISqrt(n)
-		if r*r > n {
-			return false
-		}
-		hi, lo := (r+1)*(r+1), n
-		// Guard overflow of (r+1)^2 near max uint64.
-		if r+1 != 0 && hi/(r+1) == r+1 && hi <= lo {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-	for n := uint64(0); n < 2000; n++ {
-		want := uint64(math.Sqrt(float64(n)))
-		for want*want > n {
-			want--
-		}
-		for (want+1)*(want+1) <= n {
-			want++
-		}
-		if got := ISqrt(n); got != want {
-			t.Fatalf("ISqrt(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	if Min(3, 5) != 3 || Min(5, 3) != 3 || Max(3, 5) != 5 || Max(5, 3) != 5 {
-		t.Error("Min/Max broken")
-	}
-	if MinU64(3, 5) != 3 || MinU64(5, 3) != 3 {
-		t.Error("MinU64 broken")
-	}
-	if CeilDiv(7, 3) != 3 || CeilDiv(6, 3) != 2 || CeilDiv(1, 3) != 1 {
-		t.Error("CeilDiv broken")
 	}
 }

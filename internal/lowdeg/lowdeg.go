@@ -123,37 +123,30 @@ func MIS(g *graph.Graph, p core.Params, model *simcost.Model) *Result {
 
 // lowdegEval is the per-worker pooled state of one candidate-seed objective
 // evaluation: the I_h buffer, the generation-stamped membership mark and
-// R-list of the incident-count objective, the per-seed z vector of the
-// kernel path, and (for the scalar reference path) the removed-node mask of
-// the retained full-scan objective plus a permanent z-closure reading the
-// current seed through the seed field. Either way an evaluation allocates
-// nothing, and only the selected path's mask is allocated. The mark/gen
+// R-list of the incident-count objective, and the z values and tables the
+// selection reads. An evaluation allocates nothing. The mark/gen
 // pair follows the repository's epoch-stamp invariant (core.NextEpoch):
 // mark[v] == gen means v ∈ I_h ∪ N(I_h) for the CURRENT evaluation only,
 // gen advances per evaluation, and a uint32 wrap hard-resets the mark
 // array, so pooled reuse across seeds and workers can never leak a stale
 // membership bit.
 type lowdegEval struct {
-	ih     []graph.NodeID
-	mark   []uint32
-	gen    uint32
-	r      []graph.NodeID // the touched set I_h ∪ N(I_h), rebuilt per eval
-	remove []bool         // scalar reference path: removedEdgesMasked's mask
-	z      []uint64       // kernel path: EvalKeys output over the live colour keys
-	tile   scratch.Tile   // blocked path: one z row per seed of a BlockSeeds group
-	nf     core.NodeFold  // dense phases: flat per-seed selection tables
-	seed   []uint64
-	zf     func(graph.NodeID) uint64
+	ih   []graph.NodeID
+	mark []uint32
+	gen  uint32
+	r    []graph.NodeID // the touched set I_h ∪ N(I_h), rebuilt per eval
+	z    []uint64       // selected seed: EvalKeys output over the live colour keys
+	tile scratch.Tile   // blocked path: one z row per seed of a BlockSeeds group
+	nf   core.NodeFold  // dense phases: flat per-seed selection tables
 }
 
 // incidentEdges counts the edges of cur incident to R = ih ∪ N(ih) — the
 // edges one Luby phase removes when I_h = ih is selected — touching only R
 // and its incidences: Σ_{w∈R} d(w) counts every incident edge once plus
 // every R-internal edge twice, so the count is the degree sum minus the
-// internal-edge correction. It is exactly removedEdgesMasked's value
-// without the O(n+m) full-graph scan; the equivalence tables in
-// parallel_determinism_test.go compare the two bit-for-bit through the
-// retained ScalarObjectives path.
+// internal-edge correction. ih must be duplicate-free. It equals a scan of
+// all of cur (TestIncidentEdgesMatchesFullScan pins the two to each other)
+// without that scan's O(n+m) cost.
 func incidentEdges(cur *graph.Graph, ih []graph.NodeID, ev *lowdegEval) int {
 	gen := core.NextEpoch(ev.mark, &ev.gen)
 	mark := ev.mark
@@ -243,37 +236,13 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 		liveList = keep
 	}
 	evaluator := hashfam.NewEvaluator(fam)
-	// The per-node hash keys are the (solve-invariant) G² colours; the
-	// kernel path builds a per-phase NodeSel over the surviving nodes, so a
+	// The per-node hash keys are the (solve-invariant) G² colours; every
+	// phase builds a NodeSel over the surviving nodes, so a
 	// candidate seed costs one EvalKeys pass of length |alive| — which
 	// shrinks with the graph — followed by a live-list selection scan.
 	colorKeyOf := func(v graph.NodeID) uint64 { return uint64(col.Colors[v]) }
 	sel := sc.NodeSel()
-	evalPool := scratch.NewPerWorker(func() *lowdegEval {
-		// Only the selected objective path's mask is ever touched, so only
-		// it is allocated — the other would be per-worker dead weight
-		// against the tightened warm-reuse budgets.
-		ev := &lowdegEval{}
-		if p.ScalarObjectives {
-			ev.remove = make([]bool, n)
-		} else {
-			ev.mark = make([]uint32, n)
-		}
-		ev.zf = func(v graph.NodeID) uint64 {
-			return fam.Eval(ev.seed, uint64(col.Colors[v]))
-		}
-		return ev
-	})
-	// localMin computes I_h for one seed into dst, through the kernel or
-	// the scalar closure reference.
-	localMin := func(ev *lowdegEval, dst []graph.NodeID, q *graph.Graph, seed []uint64, workers int) []graph.NodeID {
-		if p.ScalarObjectives {
-			ev.seed = seed
-			return core.LocalMinNodesInto(dst, q, alive, ev.zf)
-		}
-		ev.z = graph.Grow(ev.z, len(sel.Keys()))
-		return core.LocalMinNodesSelIn(&ev.nf, dst, q, sel, evaluator.EvalKeysW(seed, sel.Keys(), ev.z, workers))
-	}
+	evalPool := scratch.NewPerWorker(func() *lowdegEval { return &lowdegEval{mark: make([]uint32, n)} })
 
 	joinIsolated := func() {
 		for _, v := range liveList {
@@ -309,17 +278,6 @@ loop:
 			// removal), so the plan costs O(|alive|), not O(n).
 			sel.InitList(n, liveList, colorKeyOf, fam.P()-1)
 			objective := func(seeds [][]uint64, values []int64) {
-				if p.ScalarObjectives {
-					spare := condexp.SpareWorkers(p.Workers(), len(seeds))
-					parallel.ForEach(p.Workers(), len(seeds), func(i int) {
-						ev := evalPool.Get()
-						ev.ih = localMin(ev, ev.ih, curG, seeds[i], spare)
-						// The retained full-scan reference: walks all of cur.
-						values[i] = int64(removedEdgesMasked(curG, ev.ih, ev.remove))
-						evalPool.Put(ev)
-					})
-					return
-				}
 				// Blocked kernel path. Dense phases (live set still covering
 				// most of the id space) run the fused fold pipeline: the
 				// tile shrinks to one hashfam.BlockKeyGrain block per seed
@@ -397,7 +355,8 @@ loop:
 			st.SeedFound = search.Found
 
 			fin := evalPool.Get()
-			ih := localMin(fin, sc.NodeIDsCap(n), cur, search.Seed, p.Workers())
+			fin.z = graph.Grow(fin.z, len(sel.Keys()))
+			ih := core.LocalMinNodesSelIn(&fin.nf, sc.NodeIDsCap(n), cur, sel, evaluator.EvalKeysW(search.Seed, sel.Keys(), fin.z, p.Workers()))
 			evalPool.Put(fin)
 			st.Selected = len(ih)
 			remove := sc.Bools(n)
@@ -521,32 +480,4 @@ func maxBallWords(g *graph.Graph, r, workers int) int {
 		pool.Put(bs)
 		return max
 	})
-}
-
-// removedEdgesMasked counts edges incident to ih ∪ N(ih) in cur, using the
-// caller's mask (length >= cur.N(), all-false on entry) as working state and
-// restoring it to all-false before returning — that is what lets the seed
-// search pool one mask per worker across thousands of evaluations.
-func removedEdgesMasked(cur *graph.Graph, ih []graph.NodeID, remove []bool) int {
-	for _, v := range ih {
-		remove[v] = true
-		for _, u := range cur.Neighbors(v) {
-			remove[u] = true
-		}
-	}
-	count := 0
-	for u := 0; u < cur.N(); u++ {
-		for _, v := range cur.Neighbors(graph.NodeID(u)) {
-			if graph.NodeID(u) < v && (remove[u] || remove[v]) {
-				count++
-			}
-		}
-	}
-	for _, v := range ih {
-		remove[v] = false
-		for _, u := range cur.Neighbors(v) {
-			remove[u] = false
-		}
-	}
-	return count
 }

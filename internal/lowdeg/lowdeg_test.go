@@ -1,11 +1,13 @@
 package lowdeg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/core"
+	"repro/internal/detrand"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/simcost"
@@ -166,6 +168,118 @@ func TestEll(t *testing.T) {
 	if Ell(2, 1<<30) != 8 {
 		t.Errorf("cap at 8 broken: %d", Ell(2, 1<<30))
 	}
+}
+
+// removedEdgesMasked counts edges incident to ih ∪ N(ih) in cur by scanning
+// all of cur, using the caller's mask (length >= cur.N(), all-false on
+// entry) as working state and restoring it to all-false before returning.
+// It is the full-scan reference incidentEdges is pinned to.
+func removedEdgesMasked(cur *graph.Graph, ih []graph.NodeID, remove []bool) int {
+	for _, v := range ih {
+		remove[v] = true
+		for _, u := range cur.Neighbors(v) {
+			remove[u] = true
+		}
+	}
+	count := 0
+	for u := 0; u < cur.N(); u++ {
+		for _, v := range cur.Neighbors(graph.NodeID(u)) {
+			if graph.NodeID(u) < v && (remove[u] || remove[v]) {
+				count++
+			}
+		}
+	}
+	for _, v := range ih {
+		remove[v] = false
+		for _, u := range cur.Neighbors(v) {
+			remove[u] = false
+		}
+	}
+	return count
+}
+
+// TestIncidentEdgesMatchesFullScan pins the Section 5 seed-search objective
+// — incidentEdges, which touches only R = I_h ∪ N(I_h) — to the full-graph
+// scan. Random candidate sets, from empty to every node, run against each
+// workload's shrinking phase graphs through ONE pooled lowdegEval reused
+// dirty across every call and workload; a last sequence drives the mark
+// generation across its uint32 wrap.
+func TestIncidentEdgesMatchesFullScan(t *testing.T) {
+	workloads := []struct {
+		family string
+		n, avg int
+		seed   uint64
+	}{
+		{"regular", 384, 8, 5},
+		{"regular", 256, 12, 3},
+		{"grid", 400, 4, 2},
+		{"powerlaw", 320, 5, 7},
+	}
+	graphs := make([]*graph.Graph, len(workloads))
+	maxN := 0
+	for i, w := range workloads {
+		g, err := gen.ByName(w.family, w.n, w.avg, w.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[i] = g
+		maxN = max(maxN, g.N())
+	}
+	ev := &lowdegEval{mark: make([]uint32, maxN)}
+	remove := make([]bool, maxN)
+	src := detrand.New(31)
+	// randomSet draws an ascending, duplicate-free candidate set holding
+	// each node of g with probability 1/den.
+	randomSet := func(g *graph.Graph, den int) []graph.NodeID {
+		var ih []graph.NodeID
+		for v := 0; v < g.N(); v++ {
+			if src.Intn(den) == 0 {
+				ih = append(ih, graph.NodeID(v))
+			}
+		}
+		return ih
+	}
+	check := func(t *testing.T, cur *graph.Graph, ih []graph.NodeID, label string) {
+		t.Helper()
+		if got, want := incidentEdges(cur, ih, ev), removedEdgesMasked(cur, ih, remove); got != want {
+			t.Fatalf("%s: incidentEdges = %d, full scan %d (|I_h| = %d)", label, got, want, len(ih))
+		}
+	}
+	for i, w := range workloads {
+		t.Run(fmt.Sprintf("%s/n=%d", w.family, w.n), func(t *testing.T) {
+			cur := graphs[i]
+			for phase := 0; cur.M() > 0; phase++ {
+				for _, den := range []int{1, 2, 8, 64, 4 * cur.N()} {
+					check(t, cur, randomSet(cur, den), fmt.Sprintf("phase %d density 1/%d", phase, den))
+				}
+				// Shrink like a Luby phase: a sparse set and its
+				// neighbourhood leave the graph.
+				gone := make([]bool, cur.N())
+				for _, v := range randomSet(cur, 16) {
+					gone[v] = true
+					for _, u := range cur.Neighbors(v) {
+						gone[u] = true
+					}
+				}
+				cur = cur.WithoutNodes(gone)
+			}
+		})
+	}
+	t.Run("wrap", func(t *testing.T) {
+		// Marks written at generation 1 must not read as live when the
+		// counter wraps back to 1: mark every node at generation 1, park the
+		// counter one step from wrapping, and cross the hard reset.
+		g := graphs[0]
+		ev.gen = 0
+		check(t, g, randomSet(g, 1), "generation 1")
+		ev.gen = ^uint32(0) - 1
+		for i := 0; i < 4; i++ {
+			check(t, g, randomSet(g, 4), fmt.Sprintf("wrap step %d (gen %d)", i, ev.gen))
+		}
+		if ev.gen == 0 || ev.gen > 3 {
+			t.Fatalf("gen after wrap = %d, want a small positive generation", ev.gen)
+		}
+	})
 }
 
 func BenchmarkMISGrid(b *testing.B) {

@@ -62,6 +62,10 @@ func RandomizedMIS(g *graph.Graph, p core.Params, src *detrand.Source) *Randomiz
 	}
 	inMIS := make([]bool, n)
 	seed := make([]uint64, fam.SeedLen())
+	ev := hashfam.NewEvaluator(fam)
+	colourKeyOf := func(v graph.NodeID) uint64 { return uint64(col.Colors[v]) }
+	var sel core.NodeSel
+	var z []uint64
 
 	for phase := 1; ; phase++ {
 		for v := 0; v < n; v++ {
@@ -78,9 +82,9 @@ func RandomizedMIS(g *graph.Graph, p core.Params, src *detrand.Source) *Randomiz
 		for i := range seed {
 			seed[i] = src.Uint64() % fam.P()
 		}
-		ih := core.LocalMinNodes(cur, alive, func(v graph.NodeID) uint64 {
-			return fam.Eval(seed, uint64(col.Colors[v]))
-		})
+		sel.Init(n, alive, colourKeyOf, fam.P()-1)
+		z = ev.EvalKeys(seed, sel.Keys(), graph.Grow(z, len(sel.Keys())))
+		ih := core.LocalMinNodesSel(nil, cur, &sel, z)
 		st.Selected = len(ih)
 		remove := make([]bool, n)
 		for _, v := range ih {

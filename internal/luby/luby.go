@@ -40,21 +40,23 @@ func MIS(g *graph.Graph, src *detrand.Source) *MISResult { return MISW(g, src, 0
 // MISW is MIS with the per-round graph rebuild sharded over up to `workers`
 // host workers (0 = GOMAXPROCS, 1 = serial). The z draws stay serial in id
 // order (they consume the deterministic source) and the candidate selection
-// runs through the serial z-vector kernel (core.LocalMinNodesZ), so the
-// output is identical at any worker count. Draws come from the selection
-// kernels' hash field [p) — the same range the derandomized solvers hash
-// into — so the selection takes the packed single-word (z,id) fast path
-// instead of the compare-two-words fallback that full 64-bit draws force.
+// runs through the serial per-round plan scan (core.LocalMinNodesSel), so
+// the output is identical at any worker count. Draws come from the
+// selection kernels' hash field [p) — the same range the derandomized
+// solvers hash into — so the selection takes the packed single-word (z,id)
+// fast path instead of the compare-two-words fallback that full 64-bit
+// draws force.
 func MISW(g *graph.Graph, src *detrand.Source, workers int) *MISResult {
 	return MISIn(scratch.New(), g, src, workers, nil)
 }
 
 // MISIn is MISW drawing the per-round z table, candidate buffer and removal
 // mask from sc and ping-ponging the shrinking graph between sc's two loop
-// CSR buffers. The per-round candidate set is the z-vector local-minimum
-// selection shared with the derandomized solvers (core.LocalMinNodesZ) —
-// after the isolated-join every alive node has degree > 0 and every
-// neighbour in cur is alive, so the selection is exactly Luby's rule. The
+// CSR buffers. The per-round candidate set is the local-minimum selection
+// shared with the derandomized solvers (a core.NodeSel plan over the alive
+// nodes, scanned by core.LocalMinNodesSel) — after the isolated-join every
+// alive node has degree > 0 and every neighbour in cur is alive, so the
+// selection is exactly Luby's rule. The
 // output is identical to MISW for any prior state of sc and any worker
 // count; sc is Reset at every round boundary and left Reset on return.
 //
@@ -74,10 +76,12 @@ func MISIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source, workers int
 	inMIS := make([]bool, n)
 	// Draw z values from the pairwise selection field [p), like the
 	// derandomized solver's hashes, rather than full 64-bit words: bounded
-	// draws let LocalMinNodesZ pack (z, id) into single words and take its
-	// branch-free fast path. Dead slots stay zero (below p), which is fine —
-	// the alive mask excludes them from selection entirely.
+	// draws let LocalMinNodesSel pack (z, id) into single words and take its
+	// single-compare fast path. The plan survives sc.Reset (see
+	// scratch.Context.NodeSel); its keys are unused, z comes from src.
 	p := core.PairwiseFamily(n).P()
+	sel := sc.NodeSel()
+	idKey := func(v graph.NodeID) uint64 { return uint64(v) }
 
 	for round := 1; ; round++ {
 		if done != nil && done() {
@@ -94,13 +98,14 @@ func MISIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source, workers int
 			break
 		}
 		st := RoundStats{Round: round, EdgesBefore: cur.M()}
-		z := sc.Uint64s(n)
-		for v := 0; v < n; v++ {
-			if alive[v] {
-				z[v] = src.Uint64n(p)
-			}
+		// z[i] belongs to the i-th alive node: the draws run in ascending
+		// live-id order.
+		sel.Init(n, alive, idKey, p-1)
+		z := sc.Uint64s(len(sel.Live()))
+		for i := range z {
+			z[i] = src.Uint64n(p)
 		}
-		ih := core.LocalMinNodesZ(sc.NodeIDsCap(n), cur, alive, z)
+		ih := core.LocalMinNodesSel(sc.NodeIDsCap(n), cur, sel, z)
 		st.Selected = len(ih)
 		remove := sc.Bools(n)
 		for _, v := range ih {
@@ -148,7 +153,7 @@ func MaximalMatching(g *graph.Graph, src *detrand.Source) *MatchingResult {
 // MaximalMatchingW is MaximalMatching with the per-round graph rebuild
 // sharded over up to `workers` host workers (0 = GOMAXPROCS, 1 = serial).
 // The z draws stay serial in canonical edge order and winners come from the
-// serial two-pass z-vector kernel (core.LocalMinEdgesZ) in edge order, so
+// serial two-pass selection scan (core.LocalMinEdgesSel) in edge order, so
 // the output is identical at any worker count.
 func MaximalMatchingW(g *graph.Graph, src *detrand.Source, workers int) *MatchingResult {
 	return MaximalMatchingIn(scratch.New(), g, src, workers, nil)
@@ -159,12 +164,12 @@ func MaximalMatchingW(g *graph.Graph, src *detrand.Source, workers int) *Matchin
 // sc's two loop CSR buffers. The per-round z values live in a vector
 // parallel to the canonical edge list (drawn in edge order, exactly as the
 // old per-edge map was filled) from the pairwise selection field [p) — the
-// bounded draws let LocalMinEdgesZ pack (z, edge-key) into single words and
+// bounded draws let the selection pack (z, edge-key) into single words and
 // take its branch-free fast path, as in MISIn — and winners come from the
-// same two-pass local-minimum kernel the derandomized solvers use
-// (core.LocalMinEdgesZ),
-// which replaced a per-round hash map — the selection compares (z, edge
-// key) pairs identically, so outputs are unchanged. The output is identical
+// same per-round plan and two-pass local-minimum scan the derandomized
+// solvers use (core.EdgeSelInit + core.LocalMinEdgesSel), which replaced a
+// per-round hash map — the selection compares (z, edge key) pairs
+// identically, so outputs are unchanged. The output is identical
 // to MaximalMatchingW for any prior state of sc and any worker count; sc is
 // Reset at every round boundary and left Reset on return. done follows the
 // round-boundary cancellation convention documented on MISIn.
@@ -176,8 +181,9 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source,
 	// array and generation counter must stay paired), so it is drawn from
 	// the Context's persistent slot rather than checked out per round.
 	lm := sc.EdgeMin()
+	var sel core.EdgeSel
 	// Selection-field draws, as in MISIn: below p the packed edge path of
-	// LocalMinEdgesZ applies whenever the id width allows it.
+	// LocalMinEdgesSel applies whenever the id width allows it.
 	p := core.PairwiseFamily(n).P()
 	for round := 1; cur.M() > 0; round++ {
 		if done != nil && done() {
@@ -190,7 +196,8 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source,
 		for i := range edges {
 			z[i] = src.Uint64n(p)
 		}
-		picked := core.LocalMinEdgesZ(lm, cur, edges, z)
+		core.EdgeSelInit(&sel, n, edges, sc.Uint64sCap(len(edges)), p-1)
+		picked := core.LocalMinEdgesSel(lm, &sel, z)
 		matched := sc.Bools(n)
 		for _, e := range picked {
 			matched[e.U] = true

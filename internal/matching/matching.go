@@ -53,17 +53,14 @@ type IterStats struct {
 }
 
 // mmEval is the per-worker pooled state of one candidate-seed objective
-// evaluation: the local-minimum selection scratch, the per-seed z vector of
-// the kernel path, and (for the scalar reference path) a permanent
-// z-closure reading the current seed through the seed field.
+// evaluation: the local-minimum selection scratch and the z values and
+// tables it selects from.
 type mmEval struct {
 	lm   core.EdgeMinScratch
-	z    []uint64      // kernel path: EvalKeys output over the round's key vector
+	z    []uint64      // selected seed: EvalKeys output over the round's key vector
 	tile scratch.Tile  // blocked path: one z row per seed of a BlockSeeds group
 	ef   core.EdgeFold // fold path: flat per-seed endpoint-min tables
 	eh   []graph.Edge  // fold path: decoded matching of the seed under scoring
-	seed []uint64
-	zf   func(graph.Edge) uint64
 }
 
 // Result is the outcome of the deterministic maximal matching.
@@ -105,18 +102,8 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	evaluator := hashfam.NewEvaluator(fam)
 	// One selection scratch per worker serves every candidate-seed
 	// evaluation of every round (buffers are sized by round 1, the
-	// largest). The kernel path evaluates each seed over the round's shared
-	// key vector into the pooled z buffer (one EvalKeys pass, no per-edge
-	// closure); the scalar reference path holds its z-closure permanently
-	// and swaps the seed it reads through the seed field. Either way an
-	// evaluation allocates nothing.
-	lmPool := scratch.NewPerWorker(func() *mmEval {
-		ev := &mmEval{}
-		ev.zf = func(e graph.Edge) uint64 {
-			return fam.Eval(ev.seed, core.SlotKey(e.Key(n), 0, n))
-		}
-		return ev
-	})
+	// largest), so an evaluation allocates nothing.
+	lmPool := scratch.NewPerWorker(func() *mmEval { return new(mmEval) })
 
 	for iter := 1; cur.M() > 0; iter++ {
 		// Round boundary: the first of the solve's cancellation checkpoints.
@@ -179,25 +166,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			}
 			return v
 		}
-		evalSeed := func(seed []uint64, workers int) (*mmEval, []graph.Edge) {
-			ev := lmPool.Get()
-			if p.ScalarObjectives {
-				ev.seed = seed
-				return ev, core.LocalMinEdgesInto(&ev.lm, estar, estarEdges, ev.zf)
-			}
-			ev.z = graph.Grow(ev.z, len(keys))
-			return ev, core.LocalMinEdgesSel(&ev.lm, &sel, evaluator.EvalKeysW(seed, keys, ev.z, workers))
-		}
 		objective := func(seeds [][]uint64, values []int64) {
-			if p.ScalarObjectives {
-				spare := condexp.SpareWorkers(p.Workers(), len(seeds))
-				parallel.ForEach(p.Workers(), len(seeds), func(i int) {
-					ev, eh := evalSeed(seeds[i], spare)
-					values[i] = value(eh)
-					lmPool.Put(ev)
-				})
-				return
-			}
 			// Blocked kernel path. When the round qualifies (sel.Fold: keys
 			// pack beside a node id and E* is dense in the id space), the
 			// fused fold pipeline evaluates one hashfam.BlockKeyGrain block
@@ -278,7 +247,9 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		st.SeedFound = search.Found
 		st.ObjectiveValue = search.Value
 
-		ev, eh := evalSeed(search.Seed, p.Workers())
+		ev := lmPool.Get()
+		ev.z = graph.Grow(ev.z, len(keys))
+		eh := core.LocalMinEdgesSel(&ev.lm, &sel, evaluator.EvalKeysW(search.Seed, keys, ev.z, p.Workers()))
 		if len(eh) == 0 {
 			// Unconditional-progress fallback: match the smallest-key edge.
 			eh = []graph.Edge{smallestEdge(cur)}

@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
-	"repro/internal/parallel"
 	"repro/internal/scratch"
 	"repro/internal/simcost"
 	"repro/internal/sparsify"
@@ -72,17 +71,14 @@ func Deterministic(g *graph.Graph, p core.Params, model *simcost.Model) *Result 
 
 // misEval is the per-worker pooled state of one candidate-seed objective
 // evaluation: the I_h membership mask (touched entries are reset after each
-// use), the I_h node buffer, the per-seed z vector of the kernel path, and
-// (for the scalar reference path) a permanent z-closure reading the current
-// seed through the seed field. Either way an evaluation allocates nothing.
+// use), the I_h node buffer, and the z values and tables the selection
+// reads. An evaluation allocates nothing.
 type misEval struct {
 	inIh []bool
 	ih   []graph.NodeID
-	z    []uint64      // kernel path: EvalKeys output over the node key vector
+	z    []uint64      // selected seed: EvalKeys output over the node key vector
 	tile scratch.Tile  // blocked path: one z row per seed of a BlockSeeds group
 	nf   core.NodeFold // dense rounds: flat per-seed selection tables
-	seed []uint64
-	zf   func(graph.NodeID) uint64
 }
 
 // DeterministicIn is Deterministic drawing every per-round buffer from sc:
@@ -109,31 +105,15 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	inMIS := make([]bool, n)
 	fam := core.PairwiseFamily(n)
 	evaluator := hashfam.NewEvaluator(fam)
-	// The slot-0 node keys are seed-independent, so the kernel path builds a
-	// per-round NodeSel over the round's Q' candidates: each candidate seed
+	// The slot-0 node keys are seed-independent, so every round builds a
+	// NodeSel over the round's Q' candidates: each candidate seed
 	// then costs one EvalKeys pass of length |Q'| — the touched set — rather
 	// than the full id space, and the selection iterates the live list
 	// through the epoch-stamped position index.
 	sel := sc.NodeSel()
 	slotKeyOf := func(v graph.NodeID) uint64 { return core.SlotKey(uint64(v), 0, n) }
 	gamma := core.NewDegreeClasses(n, p.InvDelta).GroupSize()
-	evalPool := scratch.NewPerWorker(func() *misEval {
-		ev := &misEval{inIh: make([]bool, n)}
-		ev.zf = func(v graph.NodeID) uint64 {
-			return fam.Eval(ev.seed, core.SlotKey(uint64(v), 0, n))
-		}
-		return ev
-	})
-	// localMin computes I_h for one seed into dst, through the kernel (z
-	// vector shared via ev.z) or the scalar closure reference.
-	localMin := func(ev *misEval, dst []graph.NodeID, q *graph.Graph, inQ []bool, seed []uint64, workers int) []graph.NodeID {
-		if p.ScalarObjectives {
-			ev.seed = seed
-			return core.LocalMinNodesInto(dst, q, inQ, ev.zf)
-		}
-		ev.z = graph.Grow(ev.z, len(sel.Keys()))
-		return core.LocalMinNodesSelIn(&ev.nf, dst, q, sel, evaluator.EvalKeysW(seed, sel.Keys(), ev.z, workers))
-	}
+	evalPool := scratch.NewPerWorker(func() *misEval { return &misEval{inIh: make([]bool, n)} })
 
 	joinIsolated := func(st *IterStats) {
 		for v := 0; v < n; v++ {
@@ -252,17 +232,6 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			return value
 		}
 		objective := func(seeds [][]uint64, values []int64) {
-			if p.ScalarObjectives {
-				spare := condexp.SpareWorkers(p.Workers(), len(seeds))
-				parallel.ForEach(p.Workers(), len(seeds), func(i int) {
-					ev := evalPool.Get()
-					ih := localMin(ev, ev.ih, q, sp.Q, seeds[i], spare)
-					ev.ih = ih
-					values[i] = score(ev, ih)
-					evalPool.Put(ev)
-				})
-				return
-			}
 			// Blocked kernel path. Dense rounds run the fused fold pipeline:
 			// the tile shrinks to one hashfam.BlockKeyGrain block per seed,
 			// and each evaluated block is scattered into the worker's flat
@@ -341,7 +310,8 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		st.ObjectiveValue = search.Value
 
 		fin := evalPool.Get()
-		ih := localMin(fin, sc.NodeIDsCap(n), q, sp.Q, search.Seed, p.Workers())
+		fin.z = graph.Grow(fin.z, len(sel.Keys()))
+		ih := core.LocalMinNodesSelIn(&fin.nf, sc.NodeIDsCap(n), q, sel, evaluator.EvalKeysW(search.Seed, sel.Keys(), fin.z, p.Workers()))
 		evalPool.Put(fin)
 		st.Selected = len(ih)
 		remove := sc.Bools(n)

@@ -26,8 +26,9 @@ import (
 //     consistent without further communication);
 //  5. owners apply the winning seed and machine 0 assembles E_h.
 //
-// Tests validate the outcome against the in-memory core.LocalMinEdges on
-// the same seed batch: identical chosen seed, identical matching.
+// Tests validate the outcome against the in-memory selection the solvers
+// run (core.EdgeSelInit + core.LocalMinEdgesSel) on the same seed batch:
+// identical chosen seed, identical matching.
 type StepResult struct {
 	Matching   []graph.Edge
 	SeedIndex  int      // index of the elected seed within the batch

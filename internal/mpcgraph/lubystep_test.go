@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/hashfam"
 )
 
 // inMemoryReference recomputes the protocol's election and matching with
@@ -15,25 +16,24 @@ import (
 func inMemoryReference(g *graph.Graph, batch int) (int, []graph.Edge) {
 	n := g.N()
 	fam := core.PairwiseFamily(n)
+	ev := hashfam.NewEvaluator(fam)
 	edges := g.Edges()
+	keys := core.SlotKeysInto(nil, edges, 0, n)
+	var sel core.EdgeSel
+	core.EdgeSelInit(&sel, n, edges, nil, fam.P()-1)
+	var lm core.EdgeMinScratch
+	z := make([]uint64, len(keys))
 	enum := fam.Enumerate()
-	bestIdx, bestCount := 0, -1
-	var bestSeed []uint64
+	bestIdx := 0
+	var best []graph.Edge
 	for i := 0; i < batch && enum.Next(); i++ {
-		seed := append([]uint64(nil), enum.Seed()...)
-		eh := core.LocalMinEdges(g, edges, func(e graph.Edge) uint64 {
-			return fam.Eval(seed, core.SlotKey(e.Key(n), 0, n))
-		})
-		if len(eh) > bestCount {
-			bestCount = len(eh)
+		eh := core.LocalMinEdgesSel(&lm, &sel, ev.EvalKeys(enum.Seed(), keys, z))
+		if best == nil || len(eh) > len(best) {
 			bestIdx = i
-			bestSeed = seed
+			best = append([]graph.Edge{}, eh...)
 		}
 	}
-	eh := core.LocalMinEdges(g, edges, func(e graph.Edge) uint64 {
-		return fam.Eval(bestSeed, core.SlotKey(e.Key(n), 0, n))
-	})
-	return bestIdx, eh
+	return bestIdx, best
 }
 
 func TestDetLubyStepMatchesInMemory(t *testing.T) {

@@ -3,7 +3,11 @@ package sparsify
 import (
 	"math/bits"
 
+	"repro/internal/condexp"
+	"repro/internal/core"
+	"repro/internal/hashfam"
 	"repro/internal/scratch"
+	"repro/internal/simcost"
 )
 
 // groupCursor carries one seed's in-progress goodness accumulation across
@@ -11,9 +15,9 @@ import (
 // partial count / weight sums of that group, and the finished-group tally.
 // Because the flattened groups tile [0, len(keys)) contiguously in order
 // (appendGroups invariant), a left-to-right walk over key blocks visits every
-// group's keys in exactly the order the two-pass countGood does — including
-// the float additions of weighted groups — so the fold is bit-identical to
-// scoring a full z row.
+// group's keys in exactly the order a scan of the full z row does —
+// including the float additions of weighted groups — so the fold is
+// bit-identical to scoring a full z row.
 type groupCursor struct {
 	gi   int     // group currently being accumulated
 	zc   int     // sub-threshold count of the open group
@@ -87,10 +91,59 @@ func (f *stageFold) absorb(c *groupCursor, z []uint64, lo, hi int) {
 	}
 }
 
-// stageEval is the per-worker pooled state of the stage objectives: the
-// evaluation tile (full-width for the two-pass reference and apply-path
-// recount, one block per seed row under the fold) and the per-seed group
-// cursors of the fold path.
+// search is the seed search of one stage, edge and node stages alike: the
+// first seed of ev's family, in enumeration order, under which every group
+// is good, or the best seed seen within Params.MaxSeedsPerSearch. Each
+// condexp.BlockSeeds group of candidates makes one block-major pass over
+// keys (hashfam.Evaluator.EvalSeedsBlockedFold), and every evaluated block
+// is absorbed into the seeds' group cursors before the next block
+// overwrites it. Group boundaries depend only on the batch length and each
+// group writes only its own value slots, so results are worker-count
+// independent. The result's Value is the good-group count of its Seed.
+func (f *stageFold) search(ev *hashfam.Evaluator, keys []uint64, p core.Params, model *simcost.Model) condexp.Result {
+	pool := scratch.NewPerWorker(func() *stageEval { return new(stageEval) })
+	objective := func(seeds [][]uint64, values []int64) {
+		condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
+			se := pool.Get()
+			tile := se.tile.Rows(hi-lo, min(len(keys), hashfam.BlockKeyGrain))
+			cursors := se.cursorRows(hi - lo)
+			ev.EvalSeedsBlockedFold(seeds[lo:hi], keys, tile, func(blo, bhi int) {
+				for s := range cursors {
+					f.absorb(&cursors[s], tile[s], blo, bhi)
+				}
+			})
+			for s, c := range cursors {
+				values[lo+s] = c.good
+			}
+			pool.Put(se)
+		})
+	}
+	res, err := condexp.SearchAtLeastBatch(ev.Family(), objective, int64(len(f.groups)), condexp.Options{
+		Model:     model,
+		Label:     "sparsify.seed",
+		MaxSeeds:  p.MaxSeedsPerSearch,
+		Workers:   p.Workers(),
+		BatchSize: batchSize(model),
+		Done:      p.Done,
+	})
+	if err != nil {
+		// Only possible for an empty family, which cannot happen (p >= 2).
+		panic(err)
+	}
+	return res
+}
+
+// batchSize picks the per-batch seed count: the model's S when present.
+func batchSize(model *simcost.Model) int {
+	if s := model.S(); s > 0 {
+		return s
+	}
+	return 64
+}
+
+// stageEval is the per-worker pooled state of the stage search: the
+// evaluation tile (one key block per seed row) and the per-seed group
+// cursors.
 type stageEval struct {
 	tile    scratch.Tile
 	cursors []groupCursor

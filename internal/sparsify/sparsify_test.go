@@ -1,11 +1,14 @@
 package sparsify
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/detrand"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/hashfam"
 	"repro/internal/simcost"
 )
 
@@ -318,6 +321,121 @@ func TestInvariantCheckObserve(t *testing.T) {
 	}
 	if c.String() == "" {
 		t.Error("empty String()")
+	}
+}
+
+// countGood is the stage goodness count over a full z row, from the
+// definition: a group is good iff its statistic — the sub-threshold count,
+// or for weighted groups the sub-threshold weight sum — lies in
+// [lo[gi], hi[gi]]. It is the reference stageFold.absorb is pinned to.
+func countGood(f *stageFold, z []uint64) int64 {
+	var good int64
+	for gi, gr := range f.groups {
+		var stat float64
+		if f.weightsOf == nil || gr.kind == 0 {
+			zc := 0
+			for t := gr.start; t < gr.end; t++ {
+				if z[t] < f.th {
+					zc++
+				}
+			}
+			stat = float64(zc)
+		} else {
+			for t := gr.start; t < gr.end; t++ {
+				if z[t] < f.th {
+					stat += f.weightsOf[t]
+				}
+			}
+		}
+		if stat >= f.lo[gi] && stat <= f.hi[gi] {
+			good++
+		}
+	}
+	return good
+}
+
+// randomStageFold draws a stage's groups and acceptance intervals: 1..60
+// groups of 1..40 keys of both kinds. An edge stage (weighted false) judges
+// every group by a two-sided count window around the mean; a node stage
+// bounds type-Q counts from above and type-B sums of 1/d weights from below,
+// with the open side at ±Inf. Keys fall below th with probability 1/2 when
+// z is drawn from [0, 2·th).
+func randomStageFold(src *detrand.Source, weighted bool, th uint64) *stageFold {
+	f := &stageFold{th: th}
+	keys := 0
+	for g := 1 + src.Intn(60); g > 0; g-- {
+		size := 1 + src.Intn(40)
+		f.groups = append(f.groups, edgeGroup{start: keys, end: keys + size, kind: uint8(src.Intn(2))})
+		keys += size
+	}
+	if weighted {
+		f.weightsOf = make([]float64, keys)
+		for t := range f.weightsOf {
+			f.weightsOf[t] = 1 / float64(1+src.Intn(50))
+		}
+	}
+	f.lo = make([]float64, len(f.groups))
+	f.hi = make([]float64, len(f.groups))
+	for gi, gr := range f.groups {
+		size := float64(gr.end - gr.start)
+		dev := src.Float64() * math.Sqrt(size)
+		switch {
+		case !weighted:
+			f.lo[gi], f.hi[gi] = size/2-dev, size/2+dev
+		case gr.kind == 0:
+			f.lo[gi], f.hi[gi] = math.Inf(-1), size/2+dev
+		default:
+			var total float64
+			for _, w := range f.weightsOf[gr.start:gr.end] {
+				total += w
+			}
+			f.lo[gi], f.hi[gi] = total/2-dev/8, math.Inf(1)
+		}
+	}
+	return f
+}
+
+// TestStageFoldMatchesCountGood pins the block-wise fold of the stage search
+// to the full-row count: each random z row is absorbed in ragged block
+// splits — single keys, blocks ending mid-group, blocks spanning several
+// groups — and every split must close every group and reach countGood's
+// total, for edge and node stages alike.
+func TestStageFoldMatchesCountGood(t *testing.T) {
+	src := detrand.New(17)
+	const th = 1 << 40
+	for _, tc := range []struct {
+		name     string
+		weighted bool
+	}{{"edge", false}, {"node", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mixed := 0
+			for trial := 0; trial < 200; trial++ {
+				f := randomStageFold(src, tc.weighted, th)
+				z := make([]uint64, f.groups[len(f.groups)-1].end)
+				for i := range z {
+					z[i] = src.Uint64n(2 * th)
+				}
+				want := countGood(f, z)
+				if want > 0 && want < int64(len(f.groups)) {
+					mixed++
+				}
+				for _, maxBlock := range []int{1, 7, 64, hashfam.BlockKeyGrain, len(z)} {
+					var c groupCursor
+					for lo := 0; lo < len(z); {
+						hi := min(len(z), lo+1+src.Intn(maxBlock))
+						f.absorb(&c, z[lo:hi], lo, hi)
+						lo = hi
+					}
+					if c.gi != len(f.groups) || c.good != want {
+						t.Fatalf("trial %d, blocks <= %d: fold closed %d/%d groups with %d good, countGood %d",
+							trial, maxBlock, c.gi, len(f.groups), c.good, want)
+					}
+				}
+			}
+			if mixed < 50 {
+				t.Fatalf("only %d of 200 rows mixed good and bad groups", mixed)
+			}
+		})
 	}
 }
 
