@@ -96,7 +96,7 @@ race:
 race-engine:
 	$(GO) test -race -timeout 30m -run 'TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence' .
 	$(GO) test -race -timeout 30m ./internal/serve/
-	$(GO) test -race -timeout 30m -run 'TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood' ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/
+	$(GO) test -race -timeout 30m -run 'TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood' ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/
 
 # Full benchmark run (minutes); BENCH_PATTERN narrows it.
 bench:

@@ -261,7 +261,7 @@ type RoundEvent = core.RoundEvent
 
 // SeedBatchStat is one charged seed batch of a round's conditional-
 // expectations search, carried by RoundEvent.Batches in evaluation order;
-// see core.SeedBatchStat for the field semantics.
+// see condexp.BatchStat for the field semantics.
 type SeedBatchStat = core.SeedBatchStat
 
 // Observer receives one OnRound call per completed round of a solve it is

@@ -22,7 +22,6 @@ import (
 	"repro/internal/matching"
 	"repro/internal/mis"
 	"repro/internal/mpc"
-	"repro/internal/scratch"
 	"repro/internal/simcost"
 	"repro/internal/sparsify"
 )
@@ -106,13 +105,13 @@ func BenchmarkT6_CongestedClique(b *testing.B) {
 // BenchmarkT7_SeedSearch times the batched deterministic seed search in
 // isolation: evaluating 64 candidate seeds of the matching-selection
 // objective over a fixed E* (one charged O(1)-round batch), exactly as the
-// production searches do it — the slot-0 edge keys, packed selection keys
-// and packed-path decision are precomputed once per round (core.EdgeSel),
-// and the candidate seeds walk in condexp.BlockSeeds-sized groups through
-// the block-major kernel (Evaluator.EvalSeedsBlocked: S seeds per
-// cache-resident key block into a scratch tile, AVX2 inner loop where the
-// host has it) followed by one epoch-stamped local-minimum selection per
-// tile row on pooled scratch that touches only E*'s endpoints.
+// production searches do it — the edge keys and the table-discipline
+// decisions are precomputed once per round (core.EdgeSel), and the
+// candidate seeds walk in condexp.BlockSeeds-sized groups through
+// core.EdgeGroup.Eval, which on this fold-eligible E* runs the fused
+// pipeline: each cache-resident key block is hashed for all S seeds
+// (AVX2 inner loop where the host has it) and scattered into per-seed
+// endpoint-min tables, whose mutual argmins are then decoded per seed.
 func BenchmarkT7_SeedSearch(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
 	p := core.DefaultParams()
@@ -121,9 +120,11 @@ func BenchmarkT7_SeedSearch(b *testing.B) {
 	fam := core.PairwiseFamily(g.N())
 	evaluator := hashfam.NewEvaluator(fam)
 	n := g.N()
-	keys := core.SlotKeysInto(make([]uint64, 0, len(edges)), edges, 0, n)
 	var sel core.EdgeSel
 	core.EdgeSelInit(&sel, n, edges, make([]uint64, 0, len(edges)), fam.P()-1)
+	if !sel.Fold() {
+		b.Fatal("workload unexpectedly not fold-eligible")
+	}
 	// Seeds are materialized into a flat buffer per batch exactly as
 	// condexp.Search does it; the timed loop then walks BlockSeeds groups.
 	const batch = 64
@@ -136,8 +137,8 @@ func BenchmarkT7_SeedSearch(b *testing.B) {
 		copy(s, enum.Seed())
 		seeds[i] = s
 	}
-	var tile scratch.Tile
-	var lm core.EdgeMinScratch
+	var grp core.EdgeGroup
+	values := make([]int, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -146,21 +147,19 @@ func BenchmarkT7_SeedSearch(b *testing.B) {
 			if hi > batch {
 				hi = batch
 			}
-			rows := tile.Rows(hi-lo, len(keys))
-			evaluator.EvalSeedsBlocked(seeds[lo:hi], keys, rows)
-			for s := lo; s < hi; s++ {
-				core.LocalMinEdgesSel(&lm, &sel, rows[s-lo])
-			}
+			grp.Eval(evaluator, &sel, seeds[lo:hi], func(s int, eh []graph.Edge) {
+				values[lo+s] = len(eh)
+			})
 		}
 	}
 }
 
 // BenchmarkT7_SelectionScan isolates the selection term of the seed search
 // — the post-hash local-minimum scan that dominated T7 before the
-// epoch-stamped tables: 64 LocalMinEdgesSel passes over a fixed E* and z
-// vector on warm scratch. bench-compare tracks it alongside
-// BenchmarkT7_SeedSearch so a regression in the scan is attributable
-// separately from the hash kernel.
+// epoch-stamped tables: 64 LocalMinEdgesSel passes (the EdgeFold path on
+// this dense E*) over a fixed E* and z vector on warm scratch.
+// bench-compare tracks it alongside BenchmarkT7_SeedSearch so a regression
+// in the scan is attributable separately from the hash kernel.
 func BenchmarkT7_SelectionScan(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
 	p := core.DefaultParams()
@@ -168,14 +167,12 @@ func BenchmarkT7_SelectionScan(b *testing.B) {
 	edges := sp.EStar.Edges()
 	fam := core.PairwiseFamily(g.N())
 	evaluator := hashfam.NewEvaluator(fam)
-	n := g.N()
-	keys := core.SlotKeysInto(make([]uint64, 0, len(edges)), edges, 0, n)
 	var sel core.EdgeSel
-	core.EdgeSelInit(&sel, n, edges, make([]uint64, 0, len(edges)), fam.P()-1)
-	z := make([]uint64, len(keys))
+	core.EdgeSelInit(&sel, g.N(), edges, make([]uint64, 0, len(edges)), fam.P()-1)
+	z := make([]uint64, len(edges))
 	e := fam.Enumerate()
 	e.Next()
-	evaluator.EvalKeys(e.Seed(), keys, z)
+	evaluator.EvalKeys(e.Seed(), sel.Keys(), z)
 	var lm core.EdgeMinScratch
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -209,7 +206,7 @@ func BenchmarkEvalSeedsBlocked(b *testing.B) {
 		copy(s, enum.Seed())
 		seeds[i] = s
 	}
-	var tile scratch.Tile
+	var tile hashfam.Tile
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

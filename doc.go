@@ -56,15 +56,19 @@
 //
 // The Engine's arithmetic hot path is the blocked hash kernel: every seed
 // search precomputes its round's seed-independent state once — the hash-key
-// vector (core.SlotKeysInto, or a core.NodeSel live list restricted to the
-// round's candidates), the packed selection keys and the packed-path
-// decision (core.EdgeSel) — and candidate seeds are then evaluated
+// vector (the canonical edge keys of a core.EdgeSel, or a core.NodeSel live
+// list restricted to the round's candidates) and the table-discipline
+// decisions of the plan — and candidate seeds are then evaluated
 // block-major: the kernel walks the key vector in cache-resident
 // hashfam.BlockKeyGrain blocks and evaluates all S seeds of a
 // condexp.BlockSeeds-sized group against each block before moving to the
 // next, so key loads are amortized S-fold and the kernel is bounded by
-// arithmetic, not memory traffic. On rounds whose selection state qualifies
-// (the common case), the batch objectives run the FUSED form of that walk —
+// arithmetic, not memory traffic. One seed group's evaluation is written
+// once, in core beside the plans whose gates choose its discipline
+// (core.NodeGroup.Eval, core.EdgeGroup.Eval; the round loops add only
+// their score), and the seed search around it is core.Params.SeedSearch.
+// On rounds whose selection state qualifies (the common case), the group
+// evaluators run the FUSED form of that walk —
 // hashfam.Evaluator.EvalSeedsBlockedFold — which hands each evaluated
 // S×BlockKeyGrain block to a fold callback immediately, while the block is
 // still cache-resident: the callback scatters the values into flat per-seed
@@ -74,7 +78,7 @@
 // on each group's fixed size and weight, never on the seed), so the scratch
 // tile shrinks from S×len(keys) words to one block per seed and the hash
 // values never round-trip through memory before selection reads them. The two-pass shape — EvalSeedsBlocked
-// into a full-width internal/scratch.Tile, then one z-row selection per
+// into a full-width hashfam.Tile, then one z-row selection per
 // seed — is retained as the fallback for rounds outside the fold gates and
 // as the fuzz-proven equivalence reference (reassembled fold blocks are
 // byte-compared against it). The arithmetic is regime-dispatched per field
@@ -86,13 +90,18 @@
 // end, the golden corpus under testdata/golden pins the derandomized outputs
 // and seed-search trajectories, including a workload whose seed batches and
 // key blocks end in ragged tails. Layer by layer, the fuzzers pin EvalKeys
-// to Family.Eval, the blocked and fold kernels to per-seed EvalKeys, and the
-// fold selections to the epoch-stamped scans; TestStageFoldMatchesCountGood
+// to Family.Eval, the blocked and fold kernels to per-seed EvalKeys, the
+// fold selections to the epoch-stamped scans, and the core group evaluators
+// to per-seed EvalKeys + selection (TestNodeGroupMatchesSel,
+// TestEdgeGroupMatchesSel); TestStageFoldMatchesCountGood
 // and TestIncidentEdgesMatchesFullScan pin the sparsify stage fold and the
 // lowdeg objective to their full-row and full-graph references.
 //
 // The selection side of that path picks its table discipline per round, for
-// edges and nodes alike. Dense rounds — the live set covers at least a
+// edges and nodes alike; the choice lives in the core group evaluators for
+// the seed searches and in core.LocalMinEdgesSel / core.LocalMinNodesSelIn
+// for single-seed selections, one dense implementation per selection kind.
+// Dense rounds — the live set covers at least a
 // quarter of the id space and the packed (z, id) keys sit strictly below
 // the all-ones sentinel — use flat tables: one word per id, wiped to the
 // sentinel (intmath.Fill64) and fed by the fold scatter, so the selection

@@ -40,7 +40,7 @@ type Objective func(seed []uint64) int64
 // hash-kernel seed searches use — the caller hands the batch's whole seed
 // matrix over at once, so the implementation can evaluate block-major:
 // groups of BlockSeeds seeds per cache-resident key block through
-// hashfam.Evaluator.EvalSeedsBlocked into a scratch tile (see
+// hashfam.Evaluator.EvalSeedsBlocked into a hashfam.Tile (see
 // ForEachSeedBlock), amortising one pass of key-vector memory traffic over
 // the group. Results stay bit-identical at any worker count — and identical
 // to per-seed EvalKeys evaluation — because slots are independent and the
@@ -297,34 +297,6 @@ func SearchAtLeastBatch(fam hashfam.Family, obj BatchObjective, threshold int64,
 		return best, ErrEmptyFamily
 	}
 	return best, nil
-}
-
-// SearchBest scans exactly maxSeeds seeds (or the whole family if smaller)
-// and returns the one with the maximum objective, ties broken by enumeration
-// order. It is the "voting" variant used where no a-priori threshold exists
-// (e.g. picking the stage seed that maximises removed edges in Section 5).
-func SearchBest(fam hashfam.Family, obj Objective, maxSeeds int, opts Options) (Result, error) {
-	opts.defaults()
-	return SearchBestBatch(fam, func(seeds [][]uint64, values []int64) {
-		evalBatch(seeds, values, obj, opts.Workers)
-	}, maxSeeds, opts)
-}
-
-// SearchBestBatch is SearchBest through a BatchObjective (see
-// SearchAtLeastBatch).
-func SearchBestBatch(fam hashfam.Family, obj BatchObjective, maxSeeds int, opts Options) (Result, error) {
-	opts.defaults()
-	if maxSeeds > 0 {
-		opts.MaxSeeds = maxSeeds
-	}
-	// A threshold above any achievable value forces a full scan of
-	// MaxSeeds; the best seed is tracked along the way.
-	res, err := SearchAtLeastBatch(fam, obj, 1<<62, opts)
-	if err != nil {
-		return res, err
-	}
-	res.Found = res.SeedsTried > 0 && !res.Canceled
-	return res, nil
 }
 
 // evalBatch fills out[i] = obj(batch[i]) using up to `workers` goroutines of

@@ -96,28 +96,6 @@ func TestSearchAtLeastUnreachableThresholdReturnsBest(t *testing.T) {
 	}
 }
 
-func TestSearchBestMaximises(t *testing.T) {
-	fam := hashfam.New(13, 2)
-	points := testPoints(8, fam.P())
-	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
-	numSeeds, _ := fam.NumSeeds()
-	res, err := SearchBest(fam, obj, int(numSeeds), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exhaustive check.
-	e := fam.Enumerate()
-	bestVal := int64(-1)
-	for e.Next() {
-		if v := obj(e.Seed()); v > bestVal {
-			bestVal = v
-		}
-	}
-	if res.Value != bestVal {
-		t.Errorf("SearchBest value %d, exhaustive best %d", res.Value, bestVal)
-	}
-}
-
 func TestBatchAccountingAgainstModel(t *testing.T) {
 	fam := hashfam.New(1009, 2)
 	points := testPoints(100, fam.P())

@@ -10,6 +10,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"repro/internal/condexp"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
 	"repro/internal/intmath"
@@ -114,21 +115,8 @@ type RoundEvent struct {
 }
 
 // SeedBatchStat is one charged seed batch of a round's conditional-
-// expectations search, carried by RoundEvent.Batches. Its fields mirror
-// condexp.BatchStat exactly (the round loops convert directly between the
-// two).
-type SeedBatchStat struct {
-	// Batch is the 1-based batch index within the round's search.
-	Batch int
-	// Seeds is the number of candidate seeds the batch evaluated.
-	Seeds int
-	// SeedsTried is the cumulative candidate count including this batch.
-	SeedsTried int
-	// BestValue is the best objective value seen so far in the search.
-	BestValue int64
-	// Found reports that the batch contained the first qualifying seed.
-	Found bool
-}
+// expectations search, carried by RoundEvent.Batches (see Params.SeedSearch).
+type SeedBatchStat = condexp.BatchStat
 
 // Canceled reports whether the solve's request has been abandoned. It is the
 // single polling point of the cancellation checks (nil Done means "never").
@@ -350,8 +338,9 @@ func (a ZKey) Less(b ZKey) bool {
 }
 
 // EdgeMinScratch is the reusable working state of the edge selection: the
-// epoch-stamped per-node minimum tables, the per-edge key buffer, and the
-// output buffer. Seed searches evaluate the
+// flat fold tables of dense rounds, the epoch-stamped per-node minimum
+// tables of sparse ones, the per-edge key buffer, and the output buffer.
+// Seed searches evaluate the
 // selection once per candidate seed, so pooling this state (one per worker,
 // see scratch.PerWorker) removes the dominant per-seed allocations of the
 // matching path. The zero value is ready to use.
@@ -370,9 +359,10 @@ func (a ZKey) Less(b ZKey) bool {
 // property selection_equiv_test.go pins against eager-reset references,
 // including across a forced wrap.
 type EdgeMinScratch struct {
+	fold  EdgeFold // dense rounds (EdgeSel.Fold): flat endpoint-min tables
 	min1  []ZKey   // struct path: per-node minimum incident key
 	pmin1 []uint64 // packed path: same, (z, id) fused into one word
-	stamp []uint32 // shared by both paths: slot v valid iff stamp[v] == epoch
+	stamp []uint32 // shared by both stamped paths: slot v valid iff stamp[v] == epoch
 	epoch uint32
 	keys  []ZKey
 	pkeys []uint64
@@ -424,13 +414,17 @@ type EdgeSel struct {
 	fold     bool
 }
 
-// Fold reports whether this round qualifies for the fused block-fold
-// selection (EdgeFold): the packed endpoint representation must be exact
-// under the round's zMax with the all-ones sentinel unreachable, and the
-// round must be dense (n <= 4|edges|) so the per-seed flat table wipe is
-// cheaper than the epoch bookkeeping it replaces. Sparse or unpackable
-// rounds keep the two-pass epoch-stamped LocalMinEdgesSel.
+// Fold reports whether this round qualifies for the flat-table selection
+// (EdgeFold): the packed endpoint representation must be exact under the
+// round's zMax with the all-ones sentinel unreachable, and the round must be
+// dense (n <= 4|edges|) so the per-seed flat table wipe is cheaper than the
+// epoch bookkeeping it replaces. Sparse or unpackable rounds keep the
+// epoch-stamped two-pass scan of LocalMinEdgesSel.
 func (sel *EdgeSel) Fold() bool { return sel.fold }
+
+// Keys returns the canonical edge keys e.Key(n), parallel to the round's
+// edge list: the slot-0 hash-key vector of the per-seed kernel passes.
+func (sel *EdgeSel) Keys() []uint64 { return sel.ekeys }
 
 // EdgeSelInit fills sel for one round: edges is the round's canonical edge
 // list over an n-id graph, ekeys is the caller's key buffer (typically a
@@ -458,7 +452,8 @@ func EdgeSelInit(sel *EdgeSel, n int, edges []graph.Edge, ekeys []uint64, zMax u
 		// use all-ones as the "no incident edge" sentinel, so a live key must
 		// never be able to reach it: zMax must sit STRICTLY below the sentinel
 		// prefix (always true for the repository's ~SlotMax·n² hash fields).
-		// Density gates it exactly like LocalMinEdgesSel's dense branch.
+		// A density gate keeps the per-seed table wipe below the epoch
+		// bookkeeping it replaces.
 		fb := uint(bits.Len64(uint64(n) - 1))
 		sel.foldBits = fb
 		sel.fold = zMax < ^uint64(0)>>fb && n <= 4*len(edges)
@@ -470,17 +465,25 @@ func EdgeSelInit(sel *EdgeSel, n int, edges []graph.Edge, ekeys []uint64, zMax u
 // returns the candidate matching E_h of Section 3.3: the edges whose (z, key)
 // is strictly smaller than every adjacent edge's, i.e. the minimum at BOTH
 // endpoints — keys are unique per edge, so a single min table suffices and
-// the result is always a matching. The per-node tables are epoch-stamped
-// (see EdgeMinScratch), so a call costs O(|edges|): only the endpoints the
-// round's edge list touches are ever (re)initialised, not the full id
-// space. The returned slice aliases s.out and is valid until the next call
-// with the same scratch.
+// the result is always a matching. Dense rounds (sel.Fold()) merge into a
+// flat EdgeFold table and decode the mutual argmins; the others use
+// epoch-stamped per-node tables (see EdgeMinScratch), so a call costs
+// O(|edges|): only the endpoints the round's edge list touches are ever
+// (re)initialised, not the full id space. Both disciplines select the same
+// edges in the same (canonical) order. The returned slice aliases s.out and
+// is valid until the next call with the same scratch.
 //
 //det:hotpath
 func LocalMinEdgesSel(s *EdgeMinScratch, sel *EdgeSel, z []uint64) []graph.Edge {
 	edges, ekeys := sel.edges, sel.ekeys
 	if len(z) != len(edges) {
 		panic("core: LocalMinEdgesSel z/edges length mismatch")
+	}
+	if sel.fold {
+		tab := s.fold.Begin(sel, 1)[0]
+		EdgeFoldScatter(tab, sel, 0, len(edges), z)
+		s.out = EdgeFoldDecode(s.out, tab, sel)
+		return s.out
 	}
 	ep := s.nextEpoch(sel.n)
 	stamp := s.stamp
@@ -489,61 +492,33 @@ func LocalMinEdgesSel(s *EdgeMinScratch, sel *EdgeSel, z []uint64) []graph.Edge 
 		s.pmin1 = graph.Grow(s.pmin1, sel.n)
 		s.pkeys = graph.Grow(s.pkeys, len(edges))
 		min1, keys := s.pmin1, s.pkeys[:len(edges)]
-		if sel.n <= 4*len(edges) {
-			// Dense rounds (the seed-search regime that dominates T7): a
-			// flat wipe of the whole min table costs a fraction of what the
-			// per-endpoint epoch bookkeeping saves, so the merge loop drops
-			// to load–min–store per endpoint. An all-ones slot reads as
-			// "no incident key yet" exactly like a stale stamped slot, so
-			// the resulting table — and the selected edges — are
-			// bit-identical to the stamped pass below.
-			min1 := min1[:sel.n]
-			intmath.Fill64(min1, ^uint64(0))
-			for idx, e := range edges {
-				k := z[idx]<<idBits | ekeys[idx]
-				keys[idx] = k
-				u, v := e.U, e.V
-				mu := min1[u]
-				if k < mu {
-					mu = k
-				}
-				min1[u] = mu
-				mv := min1[v]
-				if k < mv {
-					mv = k
-				}
-				min1[v] = mv
+		// Only the endpoints the edge list touches are ever stamped and
+		// (re)initialised — no id-space-wide clear. The merge is
+		// branchless: whether an endpoint's slot is stale and whether the
+		// new key undercuts it both depend on the (effectively random) hash
+		// values, so branches here mispredict heavily. Instead, a stale
+		// slot's value is forced to all-ones by OR-ing a mask derived from
+		// stamp[v] ^ ep (nonzero iff stale), the min is a compare the
+		// compiler lowers to a conditional move, and the stamp and table
+		// stores are unconditional.
+		for idx, e := range edges {
+			k := z[idx]<<idBits | ekeys[idx]
+			keys[idx] = k
+			u, v := e.U, e.V
+			su := uint64(stamp[u] ^ ep)
+			mu := min1[u] | -((su | -su) >> 63)
+			if k < mu {
+				mu = k
 			}
-		} else {
-			// Sparse rounds (edge list tiny against the id space): only the
-			// endpoints the edge list touches are ever stamped and
-			// (re)initialised — no id-space-wide clear. The merge is
-			// branchless: whether an endpoint's slot is stale and whether
-			// the new key undercuts it both depend on the (effectively
-			// random) hash values, so branches here mispredict heavily.
-			// Instead, a stale slot's value is forced to all-ones by OR-ing
-			// a mask derived from stamp[v] ^ ep (nonzero iff stale), the
-			// min is a compare the compiler lowers to a conditional move,
-			// and the stamp and table stores are unconditional.
-			for idx, e := range edges {
-				k := z[idx]<<idBits | ekeys[idx]
-				keys[idx] = k
-				u, v := e.U, e.V
-				su := uint64(stamp[u] ^ ep)
-				mu := min1[u] | -((su | -su) >> 63)
-				if k < mu {
-					mu = k
-				}
-				stamp[u] = ep
-				min1[u] = mu
-				sv := uint64(stamp[v] ^ ep)
-				mv := min1[v] | -((sv | -sv) >> 63)
-				if k < mv {
-					mv = k
-				}
-				stamp[v] = ep
-				min1[v] = mv
+			stamp[u] = ep
+			min1[u] = mu
+			sv := uint64(stamp[v] ^ ep)
+			mv := min1[v] | -((sv | -sv) >> 63)
+			if k < mv {
+				mv = k
 			}
+			stamp[v] = ep
+			min1[v] = mv
 		}
 		// Output pass: an edge is selected iff its key is the minimum at
 		// both endpoints. Compaction is branchless — the edge is stored
@@ -779,8 +754,8 @@ func LocalMinNodesSel(dst []graph.NodeID, q *graph.Graph, sel *NodeSel, z []uint
 // table is reusable by construction. Tables keys the wipe on the plan's
 // (pointer, generation) pair and tracks how many rows are wiped, rewiping
 // only on a new round, a reallocation, or a wider row request. The zero
-// value is ready to use; a NodeFold belongs to one worker at a time (the
-// objectives embed one in their pooled per-worker state).
+// value is ready to use; a NodeFold belongs to one worker at a time (each
+// pooled NodeGroup holds one).
 type NodeFold struct {
 	buf   []uint64
 	rows  [][]uint64
@@ -874,9 +849,9 @@ func NodeFoldSelect(dst []graph.NodeID, q *graph.Graph, sel *NodeSel, tab []uint
 // rounds (sel.Dense()) scatter the full z vector into a flat table and run
 // the single-word-probe scan, sparse rounds fall through to the
 // epoch-stamped path. Results are bit-identical either way — the
-// dense/stamped/eager equivalence table in core's tests pins it — so the
-// objectives route every full-vector selection through here and let the
-// plan pick the discipline per round.
+// dense/stamped/eager equivalence table in core's tests pins it — so every
+// full-vector node selection (NodeGroup.Select) goes through here and lets
+// the plan pick the discipline per round.
 //
 //det:hotpath
 func LocalMinNodesSelIn(f *NodeFold, dst []graph.NodeID, q *graph.Graph, sel *NodeSel, z []uint64) []graph.NodeID {
@@ -897,14 +872,13 @@ func LocalMinNodesSelIn(f *NodeFold, dst []graph.NodeID, q *graph.Graph, sel *No
 // fixed endpoint v the canonical edge key e.Key(n) is strictly increasing in
 // the other endpoint (all three orderings of u, v1 < v2 preserve it), so
 // ordering incident edges by (z, other endpoint) IS the (z, key) order of
-// LocalMinEdgesSel — the fold representation affords an id field of
+// the stamped scan — the fold representation affords an id field of
 // Len(n-1) bits instead of Len(n²-1) while selecting identical edges.
 //
 // Unlike NodeFold's plain-overwrite tables these are MIN accumulators, so
-// Begin wipes per seed group, not per round — the same flat-wipe cost the
-// dense branch of LocalMinEdgesSel pays, which is why EdgeSel.Fold carries
-// the same density gate. The zero value is ready to use; an EdgeFold belongs
-// to one worker at a time.
+// Begin wipes per seed group, not per round — which is why EdgeSel.Fold
+// carries a density gate. The zero value is ready to use; an EdgeFold
+// belongs to one worker at a time.
 type EdgeFold struct {
 	buf  []uint64
 	rows [][]uint64
@@ -937,7 +911,7 @@ func (f *EdgeFold) Begin(sel *EdgeSel, s int) [][]uint64 {
 // value of sel's edge lo+i (one tile row of an EvalSeedsBlockedFold block),
 // and each edge updates both endpoint slots with its packed (z, other
 // endpoint) key. Merges are the load–min–store shape the compiler lowers to
-// conditional moves, mirroring the dense branch of LocalMinEdgesSel.
+// conditional moves.
 //
 //det:hotpath
 func EdgeFoldScatter(tab []uint64, sel *EdgeSel, lo, hi int, z []uint64) {
@@ -966,7 +940,7 @@ func EdgeFoldScatter(tab []uint64, sel *EdgeSel, lo, hi int, z []uint64) {
 // i.e. tab[u] points at v and tab[v] points back at u with the same z. The
 // scan walks ids ascending and emits at the smaller endpoint; selected edges
 // form a matching (distinct smaller endpoints), so the output is exactly the
-// canonical-edge-order output of LocalMinEdgesSel's compaction pass.
+// canonical-edge-order output of the stamped scan's compaction pass.
 //
 //det:hotpath
 func EdgeFoldDecode(dst []graph.Edge, tab []uint64, sel *EdgeSel) []graph.Edge {

@@ -294,12 +294,14 @@ func TestLocalMinEdgesConstantZUsesTieBreak(t *testing.T) {
 	}
 }
 
-// TestLocalMinEdgesSelBranchEquivalence pins the three insertion variants of
-// LocalMinEdgesSel to one answer: the packed dense path (n small against the
-// edge list: flat table wipe, no stamps), the packed stamped path (n > 4m:
-// epoch-stamped slots, no wipe), and the unpacked ZKey fallback (z values too
-// wide to pack). The (z, key) order is the same under every variant and every
-// id-space size, so the selected edges must be identical edge for edge.
+// TestLocalMinEdgesSelBranchEquivalence pins the variants of
+// LocalMinEdgesSel to one answer: the fold path (n small against the edge
+// list: flat EdgeFold table, no stamps), the same fold path under a zMax too
+// wide for the packed (z, edge key) word but narrow enough for the fold's
+// (z, endpoint) word, the packed stamped path (n > 4m: epoch-stamped slots,
+// no wipe), and the unpacked ZKey fallback (z values too wide to pack). The
+// (z, key) order is the same under every variant and every id-space size,
+// so the selected edges must be identical edge for edge.
 func TestLocalMinEdgesSelBranchEquivalence(t *testing.T) {
 	g := gen.GNM(200, 420, 3)
 	edges := g.Edges()
@@ -308,20 +310,24 @@ func TestLocalMinEdgesSelBranchEquivalence(t *testing.T) {
 		z[i] = (uint64(i)*2654435761 + 17) % 997 // small values + ties
 	}
 	z[0], z[1] = z[2], z[2] // deliberate tie needing the key tie-break
-	run := func(n int, zMax uint64) []graph.Edge {
+	run := func(n int, zMax uint64, wantFold, wantPacked bool) []graph.Edge {
 		var sel EdgeSel
 		EdgeSelInit(&sel, n, edges, nil, zMax)
+		if sel.Fold() != wantFold || sel.packed != wantPacked {
+			t.Fatalf("n=%d zMax=%d: fold=%v packed=%v, want %v/%v", n, zMax, sel.Fold(), sel.packed, wantFold, wantPacked)
+		}
 		var s EdgeMinScratch
 		got := LocalMinEdgesSel(&s, &sel, z)
 		return append([]graph.Edge(nil), got...)
 	}
-	dense := run(g.N(), 996) // n = 200 <= 4*420: wipe path, packed
+	dense := run(g.N(), 996, true, true) // n = 200 <= 4*420: fold path
 	if 4*len(edges) >= 1<<20 {
 		t.Fatal("workload too dense for the stamped variant")
 	}
-	stamped := run(1<<20, 996)         // n ≫ 4m: stamped path, packed
-	unpacked := run(g.N(), ^uint64(0)) // zMax forces the ZKey fallback
-	for name, got := range map[string][]graph.Edge{"stamped": stamped, "unpacked": unpacked} {
+	foldWide := run(g.N(), 1<<50, true, false)       // fold word fits, packed word does not
+	stamped := run(1<<20, 996, false, true)          // n ≫ 4m: stamped path, packed
+	unpacked := run(g.N(), ^uint64(0), false, false) // zMax forces the ZKey fallback
+	for name, got := range map[string][]graph.Edge{"foldWide": foldWide, "stamped": stamped, "unpacked": unpacked} {
 		if len(got) != len(dense) {
 			t.Fatalf("%s selected %d edges, dense path %d", name, len(got), len(dense))
 		}

@@ -131,18 +131,22 @@ func TestLocalMinEdgesStampedMatchesEagerOnDirtyScratch(t *testing.T) {
 			}
 			edges := g.Edges()
 			z := make([]uint64, len(edges))
-			// Small z exercises the packed path, full-width the ZKey path.
-			for _, zCap := range []uint64{EdgeField(g.N()), 0} {
-				zFill(z, src, zCap)
-				want := eagerLocalMinEdges(g.N(), edges, z)
-				label := fmt.Sprintf("round %d %s/n=%d zCap=%d", round, w.family, w.n, zCap)
-				var sel EdgeSel
-				zMax := zCap - 1
-				if zCap == 0 {
-					zMax = ^uint64(0)
+			// The graph's own id space selects through the flat fold tables;
+			// padding it past four ids per edge forces the stamped tables.
+			for _, n := range []int{g.N(), 4*len(edges) + 1} {
+				// Small z exercises the packed paths, full-width the ZKey path.
+				for _, zCap := range []uint64{EdgeField(g.N()), 0} {
+					zFill(z, src, zCap)
+					want := eagerLocalMinEdges(n, edges, z)
+					label := fmt.Sprintf("round %d %s/n=%d id space %d zCap=%d", round, w.family, w.n, n, zCap)
+					var sel EdgeSel
+					zMax := zCap - 1
+					if zCap == 0 {
+						zMax = ^uint64(0)
+					}
+					EdgeSelInit(&sel, n, edges, nil, zMax)
+					edgesEqual(t, label+" (Sel)", LocalMinEdgesSel(&s, &sel, z), want)
 				}
-				EdgeSelInit(&sel, g.N(), edges, nil, zMax)
-				edgesEqual(t, label+" (Sel)", LocalMinEdgesSel(&s, &sel, z), want)
 			}
 		}
 	}
@@ -163,15 +167,20 @@ func TestLocalMinEdgesStampWrap(t *testing.T) {
 	src := detrand.New(13)
 	var s EdgeMinScratch
 	var sel EdgeSel
-	EdgeSelInit(&sel, g.N(), edges, nil, EdgeField(g.N())-1)
+	// Stamps serve sparse rounds only: pad the id space past 4|edges|.
+	n := 4*len(edges) + 1
+	EdgeSelInit(&sel, n, edges, nil, EdgeField(g.N())-1)
+	if sel.Fold() {
+		t.Fatal("padded round unexpectedly fold-eligible")
+	}
 	zFill(z, src, EdgeField(g.N()))
-	edgesEqual(t, "pre-wrap warm-up", LocalMinEdgesSel(&s, &sel, z), eagerLocalMinEdges(g.N(), edges, z))
+	edgesEqual(t, "pre-wrap warm-up", LocalMinEdgesSel(&s, &sel, z), eagerLocalMinEdges(n, edges, z))
 	// Park the counter one step from wrapping; the stamp table now holds
 	// live entries at the maximal generation.
 	s.epoch = ^uint32(0) - 1
 	for i := 0; i < 4; i++ { // crosses ^uint32(0) and the hard reset to 1
 		zFill(z, src, EdgeField(g.N()))
-		want := eagerLocalMinEdges(g.N(), edges, z)
+		want := eagerLocalMinEdges(n, edges, z)
 		edgesEqual(t, fmt.Sprintf("wrap step %d (epoch %d)", i, s.epoch), LocalMinEdgesSel(&s, &sel, z), want)
 	}
 	if s.epoch == 0 || s.epoch > 3 {

@@ -113,6 +113,38 @@ func (e *Evaluator) evalReduced(c, keys, out []uint64) {
 // block (min(BlockKeyGrain, len(keys))) instead of the full key vector.
 const BlockKeyGrain = 512
 
+// Tile is the S×n output surface of the blocked multi-seed kernel: S rows of
+// n hash values, one row per candidate seed of a condexp.ForEachSeedBlock
+// group, all sharing ONE backing slab so a warm tile costs zero allocations
+// no matter how many rows the group asks for. Per-worker objective states
+// embed one and re-shape it each batch with Rows; the rows come back dirty,
+// which the kernel contract (EvalSeedsBlocked and EvalSeedsBlockedFold fully
+// overwrite what they hand out) makes free.
+type Tile struct {
+	buf  []uint64
+	rows [][]uint64
+}
+
+// Rows returns s full-capacity row slices of n elements each, growing the
+// backing slab and row headers only when the requested shape exceeds every
+// prior request. Rows are disjoint, length-n views of one allocation (each
+// capped at its own extent, so an append cannot bleed into the next row);
+// contents are whatever the last user left — callers must fully overwrite.
+func (t *Tile) Rows(s, n int) [][]uint64 {
+	if need := s * n; cap(t.buf) < need {
+		t.buf = make([]uint64, need)
+	}
+	buf := t.buf[:cap(t.buf)]
+	if cap(t.rows) < s {
+		t.rows = make([][]uint64, s)
+	}
+	rows := t.rows[:s]
+	for i := range rows {
+		rows[i] = buf[i*n : (i+1)*n : (i+1)*n]
+	}
+	return rows
+}
+
 // EvalSeedsBlocked writes out[s][i] = h_seeds[s](keys[i]) for every seed and
 // key: the block-major multi-seed kernel of the batched seed searches. Where
 // EvalKeys is seed-major (one seed re-streams the whole key vector), this
@@ -128,7 +160,7 @@ const BlockKeyGrain = 512
 // is a speed change only. Every seed must have the family's SeedLen, every
 // key must be < P, and each of the first len(seeds) rows of out must have at
 // least len(keys) entries. Dirty row contents and slots beyond len(keys) are
-// never read, so tile rows drawn from internal/scratch can be passed as-is.
+// never read, so Tile rows can be passed as-is.
 //
 //det:hotpath
 func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]uint64) {

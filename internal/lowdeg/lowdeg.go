@@ -122,22 +122,19 @@ func MIS(g *graph.Graph, p core.Params, model *simcost.Model) *Result {
 }
 
 // lowdegEval is the per-worker pooled state of one candidate-seed objective
-// evaluation: the I_h buffer, the generation-stamped membership mark and
-// R-list of the incident-count objective, and the z values and tables the
-// selection reads. An evaluation allocates nothing. The mark/gen
+// evaluation: the seed-group state and the generation-stamped membership
+// mark and R-list of the incident-count objective. An evaluation allocates
+// nothing. The mark/gen
 // pair follows the repository's epoch-stamp invariant (core.NextEpoch):
 // mark[v] == gen means v ∈ I_h ∪ N(I_h) for the CURRENT evaluation only,
 // gen advances per evaluation, and a uint32 wrap hard-resets the mark
 // array, so pooled reuse across seeds and workers can never leak a stale
 // membership bit.
 type lowdegEval struct {
-	ih   []graph.NodeID
+	core.NodeGroup
 	mark []uint32
 	gen  uint32
 	r    []graph.NodeID // the touched set I_h ∪ N(I_h), rebuilt per eval
-	z    []uint64       // selected seed: EvalKeys output over the live colour keys
-	tile scratch.Tile   // blocked path: one z row per seed of a BlockSeeds group
-	nf   core.NodeFold  // dense phases: flat per-seed selection tables
 }
 
 // incidentEdges counts the edges of cur incident to R = ih ∪ N(ih) — the
@@ -277,47 +274,17 @@ loop:
 			// live list mirrors the alive mask (compacted after every
 			// removal), so the plan costs O(|alive|), not O(n).
 			sel.InitList(n, liveList, colorKeyOf, fam.P()-1)
+			// Each group of BlockSeeds candidates makes one block-major
+			// kernel pass over the phase's live colour keys
+			// (core.NodeGroup); group boundaries depend only on the batch
+			// length and each group writes only its own value slots, so
+			// results are worker-count independent.
 			objective := func(seeds [][]uint64, values []int64) {
-				// Blocked kernel path. Dense phases (live set still covering
-				// most of the id space) run the fused fold pipeline: the
-				// tile shrinks to one hashfam.BlockKeyGrain block per seed
-				// and each evaluated block scatters into the worker's flat
-				// per-seed tables while cache-resident, then the selection
-				// probes the tables — bit-identical to the two-pass tile +
-				// LocalMinNodesSel below, which sparse phases keep. Either
-				// way each group of BlockSeeds candidates makes ONE
-				// block-major pass over the phase's live colour keys, group
-				// boundaries depend only on the batch length, and each group
-				// writes only its own value slots, so results are
-				// worker-count independent.
 				condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
 					ev := evalPool.Get()
-					if sel.Dense() {
-						S := hi - lo
-						tabs := ev.nf.Tables(sel, S)
-						blockLen := len(sel.Keys())
-						if blockLen > hashfam.BlockKeyGrain {
-							blockLen = hashfam.BlockKeyGrain
-						}
-						tile := ev.tile.Rows(S, blockLen)
-						evaluator.EvalSeedsBlockedFold(seeds[lo:hi], sel.Keys(), tile, func(blo, bhi int) {
-							for s := 0; s < S; s++ {
-								core.NodeFoldScatter(tabs[s], sel, blo, bhi, tile[s])
-							}
-						})
-						for s := 0; s < S; s++ {
-							ev.ih = core.NodeFoldSelect(ev.ih, curG, sel, tabs[s])
-							values[lo+s] = int64(incidentEdges(curG, ev.ih, ev))
-						}
-						evalPool.Put(ev)
-						return
-					}
-					tile := ev.tile.Rows(hi-lo, len(sel.Keys()))
-					evaluator.EvalSeedsBlocked(seeds[lo:hi], sel.Keys(), tile)
-					for s := lo; s < hi; s++ {
-						ev.ih = core.LocalMinNodesSel(ev.ih, curG, sel, tile[s-lo])
-						values[s] = int64(incidentEdges(curG, ev.ih, ev))
-					}
+					ev.Eval(evaluator, sel, curG, seeds[lo:hi], func(s int, ih []graph.NodeID) {
+						values[lo+s] = int64(incidentEdges(curG, ih, ev))
+					})
 					evalPool.Put(ev)
 				})
 			}
@@ -327,25 +294,7 @@ loop:
 			if threshold < 1 {
 				threshold = 1
 			}
-			copts := condexp.Options{
-				Model:    model,
-				Label:    "lowdeg.seed",
-				MaxSeeds: p.MaxSeedsPerSearch,
-				Workers:  p.Workers(),
-				Done:     p.Done,
-			}
-			// Seed-batch sub-events are observer-only work (see the
-			// matching loop): fresh slice per phase, nothing unobserved.
-			var batchStats []core.SeedBatchStat
-			if p.Observe != nil {
-				copts.OnBatch = func(bs condexp.BatchStat) {
-					batchStats = append(batchStats, core.SeedBatchStat(bs))
-				}
-			}
-			search, err := condexp.SearchAtLeastBatch(fam, objective, threshold, copts)
-			if err != nil {
-				panic(err)
-			}
+			search, batchStats := p.SeedSearch(fam, objective, threshold, "lowdeg.seed", model)
 			if search.Canceled {
 				// search.Seed may be nil; abandon the phase whole.
 				res.Canceled = true
@@ -355,25 +304,11 @@ loop:
 			st.SeedFound = search.Found
 
 			fin := evalPool.Get()
-			fin.z = graph.Grow(fin.z, len(sel.Keys()))
-			ih := core.LocalMinNodesSelIn(&fin.nf, sc.NodeIDsCap(n), cur, sel, evaluator.EvalKeysW(search.Seed, sel.Keys(), fin.z, p.Workers()))
+			ih := fin.Select(sc.NodeIDsCap(n), evaluator, sel, cur, search.Seed, p.Workers())
 			evalPool.Put(fin)
 			st.Selected = len(ih)
 			remove := sc.Bools(n)
-			for _, v := range ih {
-				inMIS[v] = true
-				alive[v] = false
-				remove[v] = true
-				res.IndependentSet = append(res.IndependentSet, v)
-			}
-			for _, v := range ih {
-				for _, u := range cur.Neighbors(v) {
-					if !remove[u] {
-						remove[u] = true
-						alive[u] = false
-					}
-				}
-			}
+			core.Peel(cur, ih, inMIS, alive, remove)
 			cur = cur.WithoutNodesInto(remove, p.Workers(), sc.Loop().Next())
 			compactLive()
 			st.EdgesAfter = cur.M()
@@ -412,8 +347,7 @@ loop:
 	res.Stages = stage
 	res.RoundsPaper = col.Rounds + ballRounds + 3*stage
 
-	// Rebuild sorted output.
-	res.IndependentSet = res.IndependentSet[:0]
+	// The output is the final membership mask, in id order.
 	for v := 0; v < n; v++ {
 		if inMIS[v] {
 			res.IndependentSet = append(res.IndependentSet, graph.NodeID(v))

@@ -87,19 +87,7 @@ func RandomizedMIS(g *graph.Graph, p core.Params, src *detrand.Source) *Randomiz
 		ih := core.LocalMinNodesSel(nil, cur, &sel, z)
 		st.Selected = len(ih)
 		remove := make([]bool, n)
-		for _, v := range ih {
-			inMIS[v] = true
-			alive[v] = false
-			remove[v] = true
-		}
-		for _, v := range ih {
-			for _, u := range cur.Neighbors(v) {
-				if !remove[u] {
-					remove[u] = true
-					alive[u] = false
-				}
-			}
-		}
+		core.Peel(cur, ih, inMIS, alive, remove)
 		cur = cur.WithoutNodes(remove)
 		st.EdgesAfter = cur.M()
 		res.Phases = append(res.Phases, st)

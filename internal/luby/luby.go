@@ -108,19 +108,7 @@ func MISIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source, workers int
 		ih := core.LocalMinNodesSel(sc.NodeIDsCap(n), cur, sel, z)
 		st.Selected = len(ih)
 		remove := sc.Bools(n)
-		for _, v := range ih {
-			inMIS[v] = true
-			alive[v] = false
-			remove[v] = true
-		}
-		for _, v := range ih {
-			for _, u := range cur.Neighbors(v) {
-				if alive[u] {
-					alive[u] = false
-					remove[u] = true
-				}
-			}
-		}
+		core.Peel(cur, ih, inMIS, alive, remove)
 		cur = cur.WithoutNodesInto(remove, workers, sc.Loop().Next())
 		st.EdgesAfter = cur.M()
 		res.Rounds = append(res.Rounds, st)

@@ -52,17 +52,6 @@ type IterStats struct {
 	Threshold        int64
 }
 
-// mmEval is the per-worker pooled state of one candidate-seed objective
-// evaluation: the local-minimum selection scratch and the z values and
-// tables it selects from.
-type mmEval struct {
-	lm   core.EdgeMinScratch
-	z    []uint64      // selected seed: EvalKeys output over the round's key vector
-	tile scratch.Tile  // blocked path: one z row per seed of a BlockSeeds group
-	ef   core.EdgeFold // fold path: flat per-seed endpoint-min tables
-	eh   []graph.Edge  // fold path: decoded matching of the seed under scoring
-}
-
 // Result is the outcome of the deterministic maximal matching.
 type Result struct {
 	Matching   []graph.Edge
@@ -100,10 +89,10 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	n := g.N()
 	fam := core.PairwiseFamily(n)
 	evaluator := hashfam.NewEvaluator(fam)
-	// One selection scratch per worker serves every candidate-seed
+	// One seed-group state per worker serves every candidate-seed
 	// evaluation of every round (buffers are sized by round 1, the
 	// largest), so an evaluation allocates nothing.
-	lmPool := scratch.NewPerWorker(func() *mmEval { return new(mmEval) })
+	pool := scratch.NewPerWorker(func() *core.EdgeGroup { return new(core.EdgeGroup) })
 
 	for iter := 1; cur.M() > 0; iter++ {
 		// Round boundary: the first of the solve's cancellation checkpoints.
@@ -144,14 +133,11 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		model.AssertMachineWords(st.MaxBallWords, "mm.2hop")
 		model.ChargeRounds(2, "mm.collect") // sort + request round (§2.2)
 
-		// Derandomized Luby step on E* (Section 3.3). The slot-0 hash keys,
-		// the packed selection keys, and the packed-path decision are all
-		// seed-independent, so they are computed once per round (EdgeSel);
-		// every candidate seed then costs one EvalKeys pass plus a selection
-		// scan that touches only E*'s endpoints — the epoch-stamped tables
-		// never pay the id-space clear.
+		// Derandomized Luby step on E* (Section 3.3). The hash keys (slot 0
+		// is the identity, so they are the plan's canonical edge keys) and
+		// the table-discipline decisions are seed-independent, so they are
+		// computed once per round (EdgeSel).
 		deg := sp.Deg
-		keys := core.SlotKeysInto(sc.Uint64sCap(len(estarEdges)), estarEdges, 0, n)
 		var sel core.EdgeSel
 		core.EdgeSelInit(&sel, n, estarEdges, sc.Uint64sCap(len(estarEdges)), fam.P()-1)
 		value := func(eh []graph.Edge) int64 {
@@ -166,49 +152,17 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			}
 			return v
 		}
+		// Each group of BlockSeeds candidates makes one block-major kernel
+		// pass over the round's keys (core.EdgeGroup); group boundaries
+		// depend only on the batch length and each group writes only its own
+		// seeds' value slots, so results are worker-count independent.
 		objective := func(seeds [][]uint64, values []int64) {
-			// Blocked kernel path. When the round qualifies (sel.Fold: keys
-			// pack beside a node id and E* is dense in the id space), the
-			// fused fold pipeline evaluates one hashfam.BlockKeyGrain block
-			// of keys per seed and scatters it into flat per-seed
-			// endpoint-min tables while cache-resident; the mutual-pointer
-			// decode then recovers the identical matching the touched-set
-			// scan would have produced (edge keys are, per endpoint,
-			// order-equivalent to (z, other-endpoint) pairs). Sparse rounds
-			// keep the two-pass tile + epoch-stamped selection. Either way
-			// each group of BlockSeeds candidates makes ONE block-major pass
-			// over the round's key vector (byte-identical to per-seed
-			// EvalKeys), group boundaries depend only on the batch length,
-			// and each group writes only its own seeds' value slots, so
-			// results are worker-count independent.
 			condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
-				ev := lmPool.Get()
-				if sel.Fold() {
-					S := hi - lo
-					tabs := ev.ef.Begin(&sel, S)
-					blockLen := len(keys)
-					if blockLen > hashfam.BlockKeyGrain {
-						blockLen = hashfam.BlockKeyGrain
-					}
-					tile := ev.tile.Rows(S, blockLen)
-					evaluator.EvalSeedsBlockedFold(seeds[lo:hi], keys, tile, func(blo, bhi int) {
-						for s := 0; s < S; s++ {
-							core.EdgeFoldScatter(tabs[s], &sel, blo, bhi, tile[s])
-						}
-					})
-					for s := 0; s < S; s++ {
-						ev.eh = core.EdgeFoldDecode(ev.eh, tabs[s], &sel)
-						values[lo+s] = value(ev.eh)
-					}
-					lmPool.Put(ev)
-					return
-				}
-				tile := ev.tile.Rows(hi-lo, len(keys))
-				evaluator.EvalSeedsBlocked(seeds[lo:hi], keys, tile)
-				for s := lo; s < hi; s++ {
-					values[s] = value(core.LocalMinEdgesSel(&ev.lm, &sel, tile[s-lo]))
-				}
-				lmPool.Put(ev)
+				grp := pool.Get()
+				grp.Eval(evaluator, &sel, seeds[lo:hi], func(s int, eh []graph.Edge) {
+					values[lo+s] = value(eh)
+				})
+				pool.Put(grp)
 			})
 		}
 		// Lemma 13 ⇒ E_h[Σ_{v∈N_h} d(v)] >= Σ_{v∈B} d(v)/109; we demand a
@@ -217,26 +171,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		if st.Threshold < 1 {
 			st.Threshold = 1
 		}
-		copts := condexp.Options{
-			Model:    model,
-			Label:    "mm.seed",
-			MaxSeeds: p.MaxSeedsPerSearch,
-			Workers:  p.Workers(),
-			Done:     p.Done,
-		}
-		// Seed-batch sub-events are observer-only work: the slice is fresh
-		// per round (events own their Batches; observers may retain them)
-		// and unobserved solves never allocate it.
-		var batchStats []core.SeedBatchStat
-		if p.Observe != nil {
-			copts.OnBatch = func(bs condexp.BatchStat) {
-				batchStats = append(batchStats, core.SeedBatchStat(bs))
-			}
-		}
-		search, err := condexp.SearchAtLeastBatch(fam, objective, st.Threshold, copts)
-		if err != nil {
-			panic(err) // family is never empty
-		}
+		search, batchStats := p.SeedSearch(fam, objective, st.Threshold, "mm.seed", model)
 		if search.Canceled {
 			// search.Seed may be nil (canceled before any batch evaluated);
 			// there is no seed to apply, so the round is abandoned whole.
@@ -247,9 +182,8 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		st.SeedFound = search.Found
 		st.ObjectiveValue = search.Value
 
-		ev := lmPool.Get()
-		ev.z = graph.Grow(ev.z, len(keys))
-		eh := core.LocalMinEdgesSel(&ev.lm, &sel, evaluator.EvalKeysW(search.Seed, keys, ev.z, p.Workers()))
+		grp := pool.Get()
+		eh := grp.Select(evaluator, &sel, search.Seed, p.Workers())
 		if len(eh) == 0 {
 			// Unconditional-progress fallback: match the smallest-key edge.
 			eh = []graph.Edge{smallestEdge(cur)}
@@ -263,7 +197,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			matched[e.U] = true
 			matched[e.V] = true
 		}
-		lmPool.Put(ev)
+		pool.Put(grp)
 		cur = cur.WithoutNodesInto(matched, p.Workers(), sc.Loop().Next())
 		model.ChargeScan("mm.apply")
 

@@ -70,15 +70,12 @@ func Deterministic(g *graph.Graph, p core.Params, model *simcost.Model) *Result 
 }
 
 // misEval is the per-worker pooled state of one candidate-seed objective
-// evaluation: the I_h membership mask (touched entries are reset after each
-// use), the I_h node buffer, and the z values and tables the selection
-// reads. An evaluation allocates nothing.
+// evaluation: the seed-group state and the I_h membership mask of the
+// score (touched entries are reset after each use). An evaluation allocates
+// nothing.
 type misEval struct {
+	core.NodeGroup
 	inIh []bool
-	ih   []graph.NodeID
-	z    []uint64      // selected seed: EvalKeys output over the node key vector
-	tile scratch.Tile  // blocked path: one z row per seed of a BlockSeeds group
-	nf   core.NodeFold // dense rounds: flat per-seed selection tables
 }
 
 // DeterministicIn is Deterministic drawing every per-round buffer from sc:
@@ -231,48 +228,16 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			}
 			return value
 		}
+		// Each group of BlockSeeds candidates makes one block-major kernel
+		// pass over the round's |Q'| node keys (core.NodeGroup); group
+		// boundaries depend only on the batch length and each group writes
+		// only its own value slots, so results are worker-count independent.
 		objective := func(seeds [][]uint64, values []int64) {
-			// Blocked kernel path. Dense rounds run the fused fold pipeline:
-			// the tile shrinks to one hashfam.BlockKeyGrain block per seed,
-			// and each evaluated block is scattered into the worker's flat
-			// per-seed tables while cache-resident (EvalSeedsBlockedFold);
-			// the selection scan then probes the tables — bit-identical to
-			// the two-pass tile + LocalMinNodesSel below, which sparse rounds
-			// keep. Either way each group of BlockSeeds candidates makes ONE
-			// block-major pass over the round's |Q'| node keys, group
-			// boundaries depend only on the batch length, and each group
-			// writes only its own value slots, so results are worker-count
-			// independent.
 			condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
 				ev := evalPool.Get()
-				if sel.Dense() {
-					S := hi - lo
-					tabs := ev.nf.Tables(sel, S)
-					blockLen := len(sel.Keys())
-					if blockLen > hashfam.BlockKeyGrain {
-						blockLen = hashfam.BlockKeyGrain
-					}
-					tile := ev.tile.Rows(S, blockLen)
-					evaluator.EvalSeedsBlockedFold(seeds[lo:hi], sel.Keys(), tile, func(blo, bhi int) {
-						for s := 0; s < S; s++ {
-							core.NodeFoldScatter(tabs[s], sel, blo, bhi, tile[s])
-						}
-					})
-					for s := 0; s < S; s++ {
-						ih := core.NodeFoldSelect(ev.ih, q, sel, tabs[s])
-						ev.ih = ih
-						values[lo+s] = score(ev, ih)
-					}
-					evalPool.Put(ev)
-					return
-				}
-				tile := ev.tile.Rows(hi-lo, len(sel.Keys()))
-				evaluator.EvalSeedsBlocked(seeds[lo:hi], sel.Keys(), tile)
-				for s := lo; s < hi; s++ {
-					ih := core.LocalMinNodesSel(ev.ih, q, sel, tile[s-lo])
-					ev.ih = ih
-					values[s] = score(ev, ih)
-				}
+				ev.Eval(evaluator, sel, q, seeds[lo:hi], func(s int, ih []graph.NodeID) {
+					values[lo+s] = score(ev, ih)
+				})
 				evalPool.Put(ev)
 			})
 		}
@@ -281,25 +246,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		if st.Threshold < 1 {
 			st.Threshold = 1
 		}
-		copts := condexp.Options{
-			Model:    model,
-			Label:    "mis.seed",
-			MaxSeeds: p.MaxSeedsPerSearch,
-			Workers:  p.Workers(),
-			Done:     p.Done,
-		}
-		// Seed-batch sub-events are observer-only work (see the matching
-		// loop): fresh slice per round, nothing allocated unobserved.
-		var batchStats []core.SeedBatchStat
-		if p.Observe != nil {
-			copts.OnBatch = func(bs condexp.BatchStat) {
-				batchStats = append(batchStats, core.SeedBatchStat(bs))
-			}
-		}
-		search, err := condexp.SearchAtLeastBatch(fam, objective, st.Threshold, copts)
-		if err != nil {
-			panic(err)
-		}
+		search, batchStats := p.SeedSearch(fam, objective, st.Threshold, "mis.seed", model)
 		if search.Canceled {
 			// search.Seed may be nil; abandon the round whole.
 			res.Canceled = true
@@ -310,27 +257,11 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		st.ObjectiveValue = search.Value
 
 		fin := evalPool.Get()
-		fin.z = graph.Grow(fin.z, len(sel.Keys()))
-		ih := core.LocalMinNodesSelIn(&fin.nf, sc.NodeIDsCap(n), q, sel, evaluator.EvalKeysW(search.Seed, sel.Keys(), fin.z, p.Workers()))
+		ih := fin.Select(sc.NodeIDsCap(n), evaluator, sel, q, search.Seed, p.Workers())
 		evalPool.Put(fin)
 		st.Selected = len(ih)
 		remove := sc.Bools(n)
-		for _, v := range ih {
-			inMIS[v] = true
-			alive[v] = false
-			remove[v] = true
-			res.IndependentSet = append(res.IndependentSet, v)
-			st.Removed++
-		}
-		for _, v := range ih {
-			for _, u := range cur.Neighbors(v) {
-				if !remove[u] {
-					remove[u] = true
-					alive[u] = false
-					st.Removed++
-				}
-			}
-		}
+		st.Removed = core.Peel(cur, ih, inMIS, alive, remove)
 		cur = cur.WithoutNodesInto(remove, p.Workers(), sc.Loop().Next())
 		model.ChargeScan("mis.apply")
 
@@ -363,8 +294,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	// context survives a canceled solve without leaking slabs.
 	sc.Reset()
 
-	// Collect the isolated joins performed before the loop exited.
-	res.IndependentSet = res.IndependentSet[:0]
+	// The output is the final membership mask, in id order.
 	for v := 0; v < n; v++ {
 		if inMIS[v] {
 			res.IndependentSet = append(res.IndependentSet, graph.NodeID(v))

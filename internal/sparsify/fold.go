@@ -118,34 +118,15 @@ func (f *stageFold) search(ev *hashfam.Evaluator, keys []uint64, p core.Params, 
 			pool.Put(se)
 		})
 	}
-	res, err := condexp.SearchAtLeastBatch(ev.Family(), objective, int64(len(f.groups)), condexp.Options{
-		Model:     model,
-		Label:     "sparsify.seed",
-		MaxSeeds:  p.MaxSeedsPerSearch,
-		Workers:   p.Workers(),
-		BatchSize: batchSize(model),
-		Done:      p.Done,
-	})
-	if err != nil {
-		// Only possible for an empty family, which cannot happen (p >= 2).
-		panic(err)
-	}
+	res, _ := p.SeedSearch(ev.Family(), objective, int64(len(f.groups)), "sparsify.seed", model)
 	return res
-}
-
-// batchSize picks the per-batch seed count: the model's S when present.
-func batchSize(model *simcost.Model) int {
-	if s := model.S(); s > 0 {
-		return s
-	}
-	return 64
 }
 
 // stageEval is the per-worker pooled state of the stage search: the
 // evaluation tile (one key block per seed row) and the per-seed group
 // cursors.
 type stageEval struct {
-	tile    scratch.Tile
+	tile    hashfam.Tile
 	cursors []groupCursor
 }
 
