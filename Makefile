@@ -22,8 +22,10 @@ latest-baseline = $(shell ls $(1) 2>/dev/null | LC_ALL=C sort | tail -1)
 BENCH_BASELINE ?= $(call latest-baseline,BENCH_2*.json)
 # Benchmarks whose ns/op regression beyond 20% draws a warning (never a
 # failure): the seed-search kernel, its isolated edge- and node-side
-# selection scans and blocked hash term, and the warm-Engine reuse pairs.
-BENCH_WARN ?= BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeSelectionScan|BenchmarkLocalMinNodesSel|BenchmarkEvalSeedsBlocked|BenchmarkEngineReuse
+# selection scans and blocked hash term, the warm-Engine reuse pairs, and
+# the sparsify stage-search pair, whose searches score each batch's first
+# candidate alone (a return to whole-batch scoring multiplies it).
+BENCH_WARN ?= BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeSelectionScan|BenchmarkLocalMinNodesSel|BenchmarkEvalSeedsBlocked|BenchmarkEngineReuse|BenchmarkSparsifySeedSearch
 # Repetitions per benchmark for bench-smoke/bench-save: benchjson -median
 # collapses the runs into per-benchmark medians, so one noisy-runner outlier
 # out of three no longer reads as a regression in bench-compare.
@@ -84,19 +86,20 @@ race:
 # equivalence tables (sharded vs serial EvalKeys; the lowdeg incident-count
 # objective vs the full-graph scan; the sparsify stage fold vs its full-row
 # count; the fold and stamped selections and blocked kernels vs their
-# references) and the request-scoped API tables (cancellation at
-# every Parallelism level against a shared engine, per-solve override
-# equivalence, observer-stream determinism): worker-count independence of a
-# REUSED engine (dirty scratch buffers, pooled contexts) under the race
-# detector. Part of `make race` too; this target mirrors the dedicated CI
-# job so an engine-reuse, equivalence or cancellation regression is
-# attributable at a glance. The serve package rides along: its tests
-# byte-compare served responses against direct Engine solves under
-# concurrent mixed load, which is the same contract one layer up.
+# references; the probe-first seed search vs whole-batch scoring, and its
+# count of the candidates it scores) and the request-scoped API tables
+# (cancellation at every Parallelism level against a shared engine,
+# per-solve override equivalence, observer-stream determinism): worker-count
+# independence of a REUSED engine (dirty scratch buffers, pooled contexts)
+# under the race detector. Part of `make race` too; this target mirrors the
+# dedicated CI job so an engine-reuse, equivalence or cancellation
+# regression is attributable at a glance. The serve package rides along:
+# its tests byte-compare served responses against direct Engine solves
+# under concurrent mixed load, which is the same contract one layer up.
 race-engine:
 	$(GO) test -race -timeout 30m -run 'TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence' .
 	$(GO) test -race -timeout 30m ./internal/serve/
-	$(GO) test -race -timeout 30m -run 'TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood' ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/
+	$(GO) test -race -timeout 30m -run 'TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily' ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/
 
 # Full benchmark run (minutes); BENCH_PATTERN narrows it.
 bench:
@@ -168,15 +171,25 @@ serve-compare:
 	@echo "serve-compare: diffing $(LOADGEN_OUT) against baseline $(LOADGEN_BASELINE)"
 	$(GO) run ./cmd/benchjson -input $(LOADGEN_OUT) -compare $(LOADGEN_BASELINE) -warn '$(LOADGEN_WARN)' -warn-pct 25
 
-# CPU profiles of the three selection-bound pipelines (T2 MIS, T5 lowdeg
-# stages, T7 seed-search terms) into the git-ignored profiles/ directory,
-# ready for `go tool pprof profiles/<name>.pprof`. CI archives the directory
-# as an artifact so a perf regression surfaced by bench-compare comes with
-# the profile that explains it. The test binary lands in profiles/ too (pprof
-# wants it for symbolization).
+# CPU profiles of three benchmarks into the git-ignored profiles/ directory,
+# ready for `go tool pprof profiles/<name>.pprof`:
+#   - t2_mis: the whole Theorem 14 MIS solve (BenchmarkT2_MISRounds). It is
+#     bound by the Section 4.2 node-sparsification stage chain: the stage
+#     seed searches, the per-stage key and group builds and the CSR
+#     rebuilds. 15 iterations keep about as many samples as 3 did before
+#     seed batches were scored probe-first and the solve got ~5x faster.
+#   - t5_lowdeg: the Section 5 stage-compressed MIS on an 8-regular graph
+#     (BenchmarkT5_LowDegreeStages), bound by the G² build (graph.Square,
+#     its BallInto sorts) and the colouring, not by its seed searches.
+#   - t7_seedsearch: the isolated seed-search kernel terms: one 64-seed
+#     batch through the fused edge group evaluation, and the edge- and
+#     node-side selection scans.
+# CI archives the directory as an artifact so a perf regression surfaced by
+# bench-compare comes with the profile that explains it. The test binary
+# lands in profiles/ too (pprof wants it for symbolization).
 profile:
 	mkdir -p profiles
-	$(GO) test -bench 'BenchmarkT2_MISRounds' -benchtime 3x -benchmem -run '^$$' -cpuprofile profiles/t2_mis.pprof -o profiles/repro.test .
+	$(GO) test -bench 'BenchmarkT2_MISRounds' -benchtime 15x -benchmem -run '^$$' -cpuprofile profiles/t2_mis.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkT5_LowDegreeStages' -benchtime 3x -benchmem -run '^$$' -cpuprofile profiles/t5_lowdeg.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeSelectionScan' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/t7_seedsearch.pprof -o profiles/repro.test .
 

@@ -67,6 +67,10 @@
 // once, in core beside the plans whose gates choose its discipline
 // (core.NodeGroup.Eval, core.EdgeGroup.Eval; the round loops add only
 // their score), and the seed search around it is core.Params.SeedSearch.
+// That search scores each charged batch probe-first
+// (condexp.SearchAtLeastBatch): the batch's first candidate alone, the
+// rest only when it misses, while the cost model and every reported seed
+// count still charge the whole batch.
 // On rounds whose selection state qualifies (the common case), the group
 // evaluators run the FUSED form of that walk —
 // hashfam.Evaluator.EvalSeedsBlockedFold — which hands each evaluated

@@ -16,9 +16,12 @@
 // tells everyone the first candidate meeting the threshold). The output is
 // deterministic — the first seed in enumeration order with q(seed) >= Q —
 // and termination is guaranteed whenever the expectation bound actually
-// holds for the finite family. DESIGN.md discusses this substitution; the
-// exact chunk-by-chunk method is also implemented (SearchConditional) and
-// tested against SearchAtLeast on small families.
+// holds for the finite family. The host scores a batch probe-first — its
+// first candidate alone, the rest only when that one misses — while the
+// model is still charged the whole batch, so the seed counts this package
+// reports are the model's, not the host's. DESIGN.md discusses this
+// substitution; the exact chunk-by-chunk method is also implemented
+// (SearchConditional) and tested against SearchAtLeast on small families.
 package condexp
 
 import (
@@ -34,17 +37,20 @@ import (
 // concurrent calls).
 type Objective func(seed []uint64) int64
 
-// BatchObjective evaluates one whole batch of candidate seeds against
-// shared per-round state: it must set values[i] = q(seeds[i]) for every i,
-// with slot i depending only on seeds[i]. This is the vectorized form the
-// hash-kernel seed searches use — the caller hands the batch's whole seed
-// matrix over at once, so the implementation can evaluate block-major:
-// groups of BlockSeeds seeds per cache-resident key block through
-// hashfam.Evaluator.EvalSeedsBlocked into a hashfam.Tile (see
-// ForEachSeedBlock), amortising one pass of key-vector memory traffic over
-// the group. Results stay bit-identical at any worker count — and identical
-// to per-seed EvalKeys evaluation — because slots are independent and the
-// blocked kernel is byte-equal to the seed-major one.
+// BatchObjective evaluates candidate seeds of a batch against shared
+// per-round state: it must set values[i] = q(seeds[i]) for every i, with
+// slot i depending only on seeds[i]. SearchAtLeastBatch may call it more
+// than once per charged batch, on contiguous sub-slices of the batch in
+// enumeration order (the first candidate alone, then the rest on a miss),
+// so an implementation must not assume seeds[0] opens a batch or that a
+// call covers all of it. This is the vectorized form the hash-kernel seed
+// searches use — the caller hands a seed matrix over at once, so the
+// implementation can evaluate block-major: groups of BlockSeeds seeds per
+// cache-resident key block through hashfam.Evaluator.EvalSeedsBlocked into
+// a hashfam.Tile (see ForEachSeedBlock), amortising one pass of key-vector
+// memory traffic over the group. Results stay bit-identical at any worker
+// count — and identical to per-seed EvalKeys evaluation — because slots are
+// independent and the blocked kernel is byte-equal to the seed-major one.
 type BatchObjective func(seeds [][]uint64, values []int64)
 
 // BlockSeeds is the seed-group width of the blocked evaluation path: how
@@ -126,9 +132,12 @@ type Options struct {
 type BatchStat struct {
 	// Batch is the 1-based index of the batch within this search.
 	Batch int
-	// Seeds is the number of candidate seeds the batch evaluated.
+	// Seeds is the number of candidate seeds the batch charged: the model's
+	// S machines evaluate all of them before one AllReduce, even when the
+	// host scored only the first (see SearchAtLeastBatch).
 	Seeds int
-	// SeedsTried is the cumulative candidate count including this batch.
+	// SeedsTried is the cumulative charged candidate count including this
+	// batch.
 	SeedsTried int
 	// BestValue is the best objective value seen so far in the scan.
 	BestValue int64
@@ -148,8 +157,8 @@ type Result struct {
 	Seed       []uint64
 	Value      int64
 	Found      bool // Value >= the requested threshold
-	SeedsTried int
-	Batches    int
+	SeedsTried int  // charged candidates: the model's count, not the host's
+	Batches    int  // charged batches
 	// Canceled is set when Options.Done stopped the scan at a batch
 	// boundary. Seed then holds the best candidate of the batches that DID
 	// evaluate — or nil when cancellation hit before the first batch — so
@@ -194,11 +203,16 @@ func SearchAtLeast(fam hashfam.Family, obj Objective, threshold int64, opts Opti
 	}, threshold, opts)
 }
 
-// SearchAtLeastBatch is SearchAtLeast evaluating candidates a whole batch
-// at a time through obj. The selection rule is unchanged — the first seed
-// in enumeration order whose value meets the threshold — so a
-// BatchObjective that matches a scalar objective slot-for-slot yields
-// bit-identical results.
+// SearchAtLeastBatch is SearchAtLeast evaluating candidates a batch at a
+// time through obj. The selection rule is unchanged — the first seed in
+// enumeration order whose value meets the threshold — so a BatchObjective
+// that matches a scalar objective slot-for-slot yields bit-identical
+// results. Each charged batch is scored lazily: obj sees the batch's first
+// candidate alone, and the rest in one call only when that candidate
+// misses. No candidate after the first qualifying one can change the
+// result, so the Result, the OnBatch stream and the model's charges are
+// those of scoring every batch whole; a miss costs one extra single-seed
+// call.
 func SearchAtLeastBatch(fam hashfam.Family, obj BatchObjective, threshold int64, opts Options) (Result, error) {
 	opts.defaults()
 	enum := fam.Enumerate()
@@ -223,7 +237,12 @@ func SearchAtLeastBatch(fam hashfam.Family, obj BatchObjective, threshold int64,
 			opts.Model.ChargeSeedBatch(len(batch), opts.Label)
 		}
 		best.Batches++
-		obj(batch, values[:len(batch)])
+		// Probe first: when the first candidate qualifies, the scan below
+		// stops at it and never reads the rest, so they go unscored.
+		obj(batch[:1], values[:1])
+		if values[0] < threshold && len(batch) > 1 {
+			obj(batch[1:], values[1:len(batch)])
+		}
 		for i, seed := range batch {
 			v := values[i]
 			if v > best.Value {
@@ -239,9 +258,9 @@ func SearchAtLeastBatch(fam hashfam.Family, obj BatchObjective, threshold int64,
 			}
 		}
 		if opts.OnBatch != nil {
-			// tried already counts this batch's seeds; all of them evaluated
-			// even when the qualifying seed sits mid-batch (one AllReduce per
-			// batch), so the cumulative count is exact.
+			// tried already counts this batch's seeds: the model charges all
+			// of them (one AllReduce per batch), whether or not the host
+			// scored them.
 			opts.OnBatch(BatchStat{
 				Batch:      best.Batches,
 				Seeds:      len(batch),

@@ -1,6 +1,8 @@
 package condexp
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/hashfam"
@@ -213,6 +215,268 @@ func BenchmarkSearchAtLeast(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := SearchAtLeast(fam, obj, 480, Options{BatchSize: 64, Workers: 8}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSearchAtLeastMiss is BenchmarkSearchAtLeast on the miss path:
+// the threshold is unreachable, so every batch's first candidate misses and
+// the scan scores all MaxSeeds candidates, the probe plus the rest of each
+// batch. No production search misses often, so this row is where the
+// probe's extra single-seed call per batch shows.
+func BenchmarkSearchAtLeastMiss(b *testing.B) {
+	fam := hashfam.New(1<<20, 2)
+	points := testPoints(1000, fam.P())
+	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
+	for i := 0; i < b.N; i++ {
+		if _, err := SearchAtLeast(fam, obj, 1<<40, Options{BatchSize: 64, MaxSeeds: 512, Workers: 8}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// wholeBatchSearch is the reference SearchAtLeastBatch is pinned to: the
+// same scan, but every charged batch is scored whole, in one objective call,
+// before the first qualifying candidate is looked for.
+func wholeBatchSearch(fam hashfam.Family, obj BatchObjective, threshold int64, opts Options) (Result, error) {
+	opts.defaults()
+	enum := fam.Enumerate()
+	best := Result{Value: -1 << 62}
+	var batch [][]uint64
+	values := make([]int64, opts.BatchSize)
+	tried := 0
+
+	flush := func() (done bool) {
+		if len(batch) == 0 {
+			return false
+		}
+		if opts.Model != nil {
+			opts.Model.ChargeSeedBatch(len(batch), opts.Label)
+		}
+		best.Batches++
+		obj(batch, values[:len(batch)])
+		for i, seed := range batch {
+			v := values[i]
+			if v > best.Value {
+				best.Value = v
+				best.Seed = append(best.Seed[:0], seed...)
+			}
+			if v >= threshold {
+				best.Value = v
+				best.Seed = append(best.Seed[:0], seed...)
+				best.Found = true
+				break
+			}
+		}
+		if opts.OnBatch != nil {
+			opts.OnBatch(BatchStat{
+				Batch:      best.Batches,
+				Seeds:      len(batch),
+				SeedsTried: tried,
+				BestValue:  best.Value,
+				Found:      best.Found,
+			})
+		}
+		if best.Found {
+			return true
+		}
+		batch = batch[:0]
+		return false
+	}
+	canceled := func() bool {
+		if opts.Done != nil && opts.Done() {
+			best.Canceled = true
+			best.SeedsTried = tried - len(batch)
+			return true
+		}
+		return false
+	}
+
+	for tried < opts.MaxSeeds && enum.Next() {
+		batch = append(batch, append([]uint64(nil), enum.Seed()...))
+		tried++
+		if len(batch) == opts.BatchSize {
+			if canceled() {
+				return best, nil
+			}
+			if flush() {
+				best.SeedsTried = tried
+				return best, nil
+			}
+		}
+	}
+	if canceled() {
+		return best, nil
+	}
+	if flush() {
+		best.SeedsTried = tried
+		return best, nil
+	}
+	best.SeedsTried = tried
+	if tried == 0 {
+		return best, ErrEmptyFamily
+	}
+	return best, nil
+}
+
+// positionThreshold is the threshold of every positionScan search.
+const positionThreshold = 100
+
+// seedPositions maps each of the first n seeds of fam's enumeration (a
+// pairwise family) to its position in that order.
+func seedPositions(fam hashfam.Family, n int) map[[2]uint64]int {
+	pos := make(map[[2]uint64]int, n)
+	e := fam.Enumerate()
+	for i := 0; i < n && e.Next(); i++ {
+		pos[[2]uint64{e.Seed()[0], e.Seed()[1]}] = i
+	}
+	return pos
+}
+
+// positionScan is a synthetic objective over enumeration positions, so a
+// test can place the first qualifying candidate exactly and count how often
+// every position is scored.
+type positionScan struct {
+	pos   map[[2]uint64]int
+	first int // first qualifying position; -1 for none
+}
+
+// value scores position i: below the threshold before the first
+// qualifying position, a qualifying value there, and further qualifying
+// values — larger and smaller — right after it, so a search that picks any
+// candidate but the first qualifying one reports a different Value.
+func (ps positionScan) value(i int) int64 {
+	if ps.first >= 0 {
+		switch i - ps.first {
+		case 0:
+			return positionThreshold
+		case 1:
+			return positionThreshold + 50
+		case 3:
+			return positionThreshold + 20
+		}
+	}
+	return int64(i*37) % positionThreshold
+}
+
+// objective scores seeds by position and records each scoring in counts
+// (indexed by position) and each call in calls, when non-nil.
+func (ps positionScan) objective(counts []int, calls *int) BatchObjective {
+	return func(seeds [][]uint64, values []int64) {
+		if calls != nil {
+			*calls++
+		}
+		for i, s := range seeds {
+			p := ps.pos[[2]uint64{s[0], s[1]}]
+			if counts != nil {
+				counts[p]++
+			}
+			values[i] = ps.value(p)
+		}
+	}
+}
+
+// searchRun is everything one search reports: its result and error, the
+// OnBatch stream, and the cost model's charges.
+type searchRun struct {
+	res   Result
+	err   error
+	stats []BatchStat
+	model simcost.Stats
+}
+
+// runSearch runs search over scan with an S = 64 cost model and OnBatch
+// attached; cancelAtPoll > 0 makes Done fire from that poll on.
+func runSearch(search func(hashfam.Family, BatchObjective, int64, Options) (Result, error),
+	fam hashfam.Family, scan positionScan, batchSize, maxSeeds, cancelAtPoll int) searchRun {
+	var run searchRun
+	model := simcost.New(1<<12, 1<<13, 0.5)
+	opts := Options{
+		BatchSize: batchSize,
+		MaxSeeds:  maxSeeds,
+		Model:     model,
+		Label:     "probe",
+		OnBatch:   func(bs BatchStat) { run.stats = append(run.stats, bs) },
+	}
+	if cancelAtPoll > 0 {
+		polls := 0
+		opts.Done = func() bool {
+			polls++
+			return polls >= cancelAtPoll
+		}
+	}
+	run.res, run.err = search(fam, scan.objective(nil, nil), positionThreshold, opts)
+	run.model = model.Stats()
+	return run
+}
+
+// TestSearchAtLeastBatchMatchesWholeBatch pins the probe-first scan to the
+// whole-batch reference: with the first qualifying candidate at the first,
+// second, block-edge and last positions of a batch, or nowhere, and batch
+// sizes around BlockSeeds, a MaxSeeds that cuts the last batch short and a
+// Done that cancels at the second or third batch boundary, the Result, the
+// OnBatch stream, the charged batches and the model's SeedsEvaluated are
+// all those of scoring every batch whole.
+func TestSearchAtLeastBatchMatchesWholeBatch(t *testing.T) {
+	fam := hashfam.New(101, 2)
+	pos := seedPositions(fam, 504)
+	for _, maxSeeds := range []int{150, 504} {
+		for _, bs := range []int{1, 7, 8, 9, 64} {
+			for _, first := range []int{0, 1, 7, 8, 9, maxSeeds - 1, -1} {
+				for _, cancelAt := range []int{0, 2, 3} {
+					scan := positionScan{pos: pos, first: first}
+					want := runSearch(wholeBatchSearch, fam, scan, bs, maxSeeds, cancelAt)
+					got := runSearch(SearchAtLeastBatch, fam, scan, bs, maxSeeds, cancelAt)
+					name := fmt.Sprintf("max=%d/bs=%d/first=%d/cancel=%d", maxSeeds, bs, first, cancelAt)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: probe-first search\n got %+v\nwant %+v", name, got, want)
+					}
+					if cancelAt == 0 && got.res.Found != (first >= 0) {
+						t.Fatalf("%s: Found = %v", name, got.res.Found)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchAtLeastBatchScoresLazily counts the host's work: a batch whose
+// first candidate qualifies has exactly that one candidate scored, in one
+// objective call; any other batch has every candidate scored exactly once,
+// in two calls (one for a single-candidate batch). Nothing after the
+// deciding batch is scored.
+func TestSearchAtLeastBatchScoresLazily(t *testing.T) {
+	fam := hashfam.New(101, 2)
+	const maxSeeds = 150
+	pos := seedPositions(fam, maxSeeds)
+	for _, bs := range []int{1, 7, 8, 9, 64} {
+		for _, first := range []int{0, 1, 7, 8, 9, maxSeeds - 1, -1} {
+			scan := positionScan{pos: pos, first: first}
+			counts := make([]int, maxSeeds)
+			calls := 0
+			res, err := SearchAtLeastBatch(fam, scan.objective(counts, &calls), positionThreshold,
+				Options{BatchSize: bs, MaxSeeds: maxSeeds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCounts := make([]int, maxSeeds)
+			wantCalls := 0
+			for b := 0; b < res.Batches; b++ {
+				lo, hi := b*bs, min((b+1)*bs, maxSeeds)
+				wantCalls++
+				if scan.value(lo) >= positionThreshold || hi-lo == 1 {
+					wantCounts[lo] = 1
+					continue
+				}
+				wantCalls++
+				for i := lo; i < hi; i++ {
+					wantCounts[i] = 1
+				}
+			}
+			if !reflect.DeepEqual(counts, wantCounts) || calls != wantCalls {
+				t.Fatalf("bs=%d first=%d: scored per position %v in %d calls,\nwant %v in %d calls",
+					bs, first, counts, calls, wantCounts, wantCalls)
+			}
 		}
 	}
 }

@@ -89,7 +89,9 @@ type RoundEvent struct {
 	LiveEdges int
 	// SeedsTried / SeedFound report the round's conditional-expectations
 	// search; Selected is the number of edges (matching) or nodes (MIS) the
-	// selected seed committed this round.
+	// selected seed committed this round. SeedsTried counts the model's
+	// charged candidates — S machines and one AllReduce per batch — not
+	// how many the host scored (see condexp.SearchAtLeastBatch).
 	SeedsTried int
 	SeedFound  bool
 	Selected   int
@@ -177,6 +179,7 @@ type DegreeClasses struct {
 	N      int
 	K      int
 	Bounds []uint64 // Bounds[i] = ceil(n^{i/K}) for i = 0..K; Bounds[0] = 1
+	n01d   float64  // n^{0.1δ}, DevTerm's seed- and group-independent factor
 }
 
 // dcCache memoises the most recent DegreeClasses. The boundaries are a pure
@@ -205,7 +208,7 @@ func NewDegreeClasses(n, k int) *DegreeClasses {
 			bounds[i] = bounds[i-1] + 1 // keep bands non-degenerate at tiny n
 		}
 	}
-	dc := &DegreeClasses{N: n, K: k, Bounds: bounds}
+	dc := &DegreeClasses{N: n, K: k, Bounds: bounds, n01d: math.Pow(float64(n), 0.1/float64(k))}
 	dcCache.Store(dc)
 	return dc
 }
@@ -262,10 +265,9 @@ func StageThreshold(p uint64, n, k int) uint64 {
 
 // DevTerm returns the concentration deviation n^{0.1δ}·√ex used by the
 // goodness predicates of Sections 3.2 and 4.2 (as a float; callers multiply
-// by Params.Slack).
+// by Params.Slack). n^{0.1δ} is computed once, in NewDegreeClasses.
 func (c *DegreeClasses) DevTerm(ex int) float64 {
-	n01d := math.Pow(float64(c.N), 0.1/float64(c.K))
-	return n01d * math.Sqrt(float64(ex))
+	return c.n01d * math.Sqrt(float64(ex))
 }
 
 // ComputeXInto writes the good-node indicator of Luby's matching analysis

@@ -101,7 +101,7 @@ type Stats struct {
 	PeakMachineWords int
 	PeakTotalWords   int64
 	SeedBatches      int
-	SeedsEvaluated   int64
+	SeedsEvaluated   int64 // charged candidates (see ChargeSeedBatch), scored by the host or not
 	S                int
 	Machines         int
 }

@@ -227,8 +227,9 @@ func runEdgeStage(sc *scratch.Context, g, curG *graph.Graph, cur []graph.Edge, b
 	// Goodness objective: number of good groups under the seed, scored by
 	// the stage fold (stageFold.search). Acceptance intervals are hoisted
 	// out of the per-seed path: the Chernoff window μ±dev depends only on
-	// the group's size, so DevTerm's math.Pow runs once per group per stage
-	// instead of once per group per seed.
+	// the group's size, so DevTerm's √ex scaling runs once per group per
+	// stage instead of once per group per seed (its n^{0.1δ} factor once
+	// per degree-class table).
 	gLo := sc.Float64s(len(groups))
 	gHi := sc.Float64s(len(groups))
 	for gi, gr := range groups {

@@ -228,9 +228,10 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, deg []int,
 	// depends only on the group's fixed size — and for type-B groups its
 	// fixed total weight, accumulated here in the same left-to-right order
 	// every per-seed scan used, so the float result is bit-identical — which
-	// moves DevTerm's math.Pow and the √ex scaling from once per group per
-	// seed to once per group per stage. Type-Q groups bound the count from
-	// above only, type-B the weight from below only; the open side is ±Inf.
+	// moves DevTerm's √ex scaling from once per group per seed to once per
+	// group per stage (its n^{0.1δ} factor is computed once per degree-class
+	// table). Type-Q groups bound the count from above only, type-B the
+	// weight from below only; the open side is ±Inf.
 	gLo := sc.Float64s(len(groups))
 	gHi := sc.Float64s(len(groups))
 	for gi, gr := range groups {
@@ -302,6 +303,7 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, deg []int,
 		return part
 	}, mergeChecks))
 	delta := p.Delta()
+	boundII := delta / (3 * math.Pow(float64(n), float64(j)/float64(dc.K)) * p.Slack)
 	invII := InvariantCheck{Name: "Lemma18: Σ_{u∈Qj∼v}1/d(u) >= (δ-o(1))/(3n^{δj})"}
 	invII.merge(parallel.MapReduce(workers, n, InvariantCheck{}, func(lo, hi int) InvariantCheck {
 		var part InvariantCheck
@@ -315,9 +317,8 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, deg []int,
 					sum += 1 / float64(deg[u])
 				}
 			}
-			bound := delta / (3 * math.Pow(float64(n), float64(j)/float64(dc.K)) * p.Slack)
 			// +1/n absorbs integrality at laptop scale.
-			part.observe(bound / (sum + 1/float64(n)))
+			part.observe(boundII / (sum + 1/float64(n)))
 		}
 		return part
 	}, mergeChecks))

@@ -43,6 +43,8 @@ type StageReport struct {
 	ItemsAfter  int // |E_j| or |Q_j|
 	Groups      int // logical machines (type A/Q + type B)
 	GoodGroups  int // groups good under the selected seed
+	// SeedsTried counts the model's charged candidates, not the host's
+	// (condexp.Result.SeedsTried).
 	SeedsTried  int
 	SeedFound   bool // all-groups-good threshold met
 	InvariantI  InvariantCheck
