@@ -85,9 +85,11 @@ race:
 # The warm-Engine determinism tables in isolation, plus the cross-path
 # equivalence tables (sharded vs serial EvalKeys; the lowdeg incident-count
 # objective vs the full-graph scan; the sparsify stage fold vs its full-row
-# count; the fold and stamped selections and blocked kernels vs their
-# references; the probe-first seed search vs whole-batch scoring, and its
-# count of the candidates it scores) and the request-scoped API tables
+# count; the fold and stamped selections and the blocked kernel vs their
+# references; the core selections every candidate seed is scored through vs
+# per-seed EvalKeys + selection, and the seed search's miss-path fan-out at
+# Parallelism 1/2/8; the probe-first seed search vs whole-batch scoring, and
+# its count of the candidates it scores) and the request-scoped API tables
 # (cancellation at every Parallelism level against a shared engine,
 # per-solve override equivalence, observer-stream determinism): worker-count
 # independence of a REUSED engine (dirty scratch buffers, pooled contexts)
@@ -96,10 +98,27 @@ race:
 # regression is attributable at a glance. The serve package rides along:
 # its tests byte-compare served responses against direct Engine solves
 # under concurrent mixed load, which is the same contract one layer up.
+#
+# `go test -run` silently skips a name that matches nothing, so a renamed
+# or deleted table would quietly drop out of the job: the target first
+# checks, through `go test -list`, that every listed name is a test, fuzz
+# target or benchmark of its packages, and fails otherwise.
+ENGINE_TABLES := TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence
+EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissFanOut|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily
+EQUIV_PKGS := ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/
+# check-tests fails unless every name of the |-separated list $(1) is a
+# top-level test, fuzz target or benchmark of the packages $(2).
+check-tests = listed="$$($(GO) test -list '^($(1))$$' $(2))" || exit 1; \
+	for name in $$(echo '$(1)' | tr '|' ' '); do \
+		echo "$$listed" | grep -qx "$$name" || { echo "race-engine: $$name matches no test in $(2)"; exit 1; }; \
+	done
+
 race-engine:
-	$(GO) test -race -timeout 30m -run 'TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence' .
+	@$(call check-tests,$(ENGINE_TABLES),.)
+	@$(call check-tests,$(EQUIV_TABLES),$(EQUIV_PKGS))
+	$(GO) test -race -timeout 30m -run '^($(ENGINE_TABLES))$$' .
 	$(GO) test -race -timeout 30m ./internal/serve/
-	$(GO) test -race -timeout 30m -run 'TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedFoldMatchesBlocked|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedFoldMatchesBlocked|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily' ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/
+	$(GO) test -race -timeout 30m -run '^($(EQUIV_TABLES))$$' $(EQUIV_PKGS)
 
 # Full benchmark run (minutes); BENCH_PATTERN narrows it.
 bench:
@@ -181,9 +200,9 @@ serve-compare:
 #   - t5_lowdeg: the Section 5 stage-compressed MIS on an 8-regular graph
 #     (BenchmarkT5_LowDegreeStages), bound by the G² build (graph.Square,
 #     its BallInto sorts) and the colouring, not by its seed searches.
-#   - t7_seedsearch: the isolated seed-search kernel terms: one 64-seed
-#     batch through the fused edge group evaluation, and the edge- and
-#     node-side selection scans.
+#   - t7_seedsearch: the isolated seed-search terms: one missed 64-seed
+#     batch, every candidate through core.EdgeGroup.Select at one worker,
+#     and the edge- and node-side selection scans.
 # CI archives the directory as an artifact so a perf regression surfaced by
 # bench-compare comes with the profile that explains it. The test binary
 # lands in profiles/ too (pprof wants it for symbolization).

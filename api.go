@@ -66,8 +66,8 @@ const (
 type Options struct {
 	// Epsilon is the per-machine space exponent (S = Θ(n^ε)), in (0, 1].
 	Epsilon float64
-	// Slack relaxes the asymptotic concentration constants (DESIGN.md
-	// substitution 4). Must be positive.
+	// Slack relaxes the asymptotic concentration constants (substitution 4
+	// of the package documentation). Must be positive.
 	Slack float64
 	// ThresholdFrac is the fraction of each proven expectation bound the
 	// deterministic seed search must reach, in (0, 1].
@@ -133,7 +133,8 @@ func (o *Options) trackCosts() bool {
 }
 
 // CostReport summarises the MPC execution costs of a run under the paper's
-// accounting (see internal/simcost and DESIGN.md).
+// accounting (see internal/simcost and the Substitutions section of the
+// package documentation).
 type CostReport struct {
 	Rounds           int
 	Machines         int

@@ -1,7 +1,8 @@
 package repro
 
 // The benchmark harness: one benchmark per reproduction table/figure (see
-// DESIGN.md's per-experiment index and EXPERIMENTS.md). Each benchmark
+// the per-experiment index in the internal/experiments package
+// documentation). Each benchmark
 // times the end-to-end computation behind its experiment at quick scale;
 // `go run ./cmd/experiments` regenerates the actual tables.
 
@@ -10,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/cclique"
-	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/detrand"
 	"repro/internal/experiments"
@@ -102,16 +102,15 @@ func BenchmarkT6_CongestedClique(b *testing.B) {
 	}
 }
 
-// BenchmarkT7_SeedSearch times the batched deterministic seed search in
-// isolation: evaluating 64 candidate seeds of the matching-selection
-// objective over a fixed E* (one charged O(1)-round batch), exactly as the
-// production searches do it — the edge keys and the table-discipline
-// decisions are precomputed once per round (core.EdgeSel), and the
-// candidate seeds walk in condexp.BlockSeeds-sized groups through
-// core.EdgeGroup.Eval, which on this fold-eligible E* runs the fused
-// pipeline: each cache-resident key block is hashed for all S seeds
-// (AVX2 inner loop where the host has it) and scattered into per-seed
-// endpoint-min tables, whose mutual argmins are then decoded per seed.
+// BenchmarkT7_SeedSearch times the deterministic seed search in isolation:
+// scoring all 64 candidate seeds of one charged O(1)-round batch of the
+// matching-selection objective over a fixed E*, which is what a batch whose
+// first candidate misses costs the host. The edge keys and the
+// table-discipline decisions are precomputed once per round (core.EdgeSel),
+// and every candidate goes through core.EdgeGroup.Select at one worker, as
+// the production searches score it: one EvalKeys pass over the keys, then,
+// on this fold-eligible E*, a scatter into the endpoint-min table and the
+// decode of its mutual argmins.
 func BenchmarkT7_SeedSearch(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
 	p := core.DefaultParams()
@@ -126,7 +125,7 @@ func BenchmarkT7_SeedSearch(b *testing.B) {
 		b.Fatal("workload unexpectedly not fold-eligible")
 	}
 	// Seeds are materialized into a flat buffer per batch exactly as
-	// condexp.Search does it; the timed loop then walks BlockSeeds groups.
+	// condexp.SearchAtLeast does it.
 	const batch = 64
 	seedLen := fam.SeedLen()
 	seedBuf := make([]uint64, batch*seedLen)
@@ -142,14 +141,8 @@ func BenchmarkT7_SeedSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < batch; lo += condexp.BlockSeeds {
-			hi := lo + condexp.BlockSeeds
-			if hi > batch {
-				hi = batch
-			}
-			grp.Eval(evaluator, &sel, seeds[lo:hi], func(s int, eh []graph.Edge) {
-				values[lo+s] = len(eh)
-			})
+		for s, seed := range seeds {
+			values[s] = len(grp.Select(evaluator, &sel, seed, 1))
 		}
 	}
 }
@@ -183,11 +176,11 @@ func BenchmarkT7_SelectionScan(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalSeedsBlocked isolates the hash term of the seed search — the
-// block-major kernel alone at the T7 shape (64 pairwise seeds over E*'s slot
-// keys in condexp.BlockSeeds groups, scratch tile reused). bench-compare
-// tracks it alongside BenchmarkT7_SelectionScan so the two halves of
-// BenchmarkT7_SeedSearch are attributable separately.
+// BenchmarkEvalSeedsBlocked times the block-major multi-seed kernel at the
+// T7 shape: 64 pairwise seeds over E*'s slot keys in groups of eight, into
+// reused scratch rows. The seed searches hash one seed at a time through
+// EvalKeys, so this row tracks the kernel that detbench's hashfam rows time,
+// not a production path.
 func BenchmarkEvalSeedsBlocked(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
 	p := core.DefaultParams()
@@ -206,17 +199,16 @@ func BenchmarkEvalSeedsBlocked(b *testing.B) {
 		copy(s, enum.Seed())
 		seeds[i] = s
 	}
-	var tile hashfam.Tile
+	const group = 8
+	rows := make([][]uint64, group)
+	for s := range rows {
+		rows[s] = make([]uint64, len(keys))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for lo := 0; lo < batch; lo += condexp.BlockSeeds {
-			hi := lo + condexp.BlockSeeds
-			if hi > batch {
-				hi = batch
-			}
-			rows := tile.Rows(hi-lo, len(keys))
-			evaluator.EvalSeedsBlocked(seeds[lo:hi], keys, rows)
+		for lo := 0; lo < batch; lo += group {
+			evaluator.EvalSeedsBlocked(seeds[lo:lo+group], keys, rows)
 		}
 	}
 }

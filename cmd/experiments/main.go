@@ -1,5 +1,6 @@
-// Command experiments regenerates the reproduction tables and figures
-// indexed in DESIGN.md (T1..T9, F1, F2) and described in EXPERIMENTS.md.
+// Command experiments regenerates the reproduction tables, figures and
+// ablations (T1..T9, F1, F2, A1..A5) indexed in the internal/experiments
+// package documentation.
 //
 // Usage:
 //

@@ -78,9 +78,8 @@ var goldenWorkloads = []struct {
 	{"powerlaw", "powerlaw", 256, 6, 3},
 	{"regular", "regular", 192, 6, 5},
 	{"grid", "grid", 196, 4, 2},
-	// Ragged tails: seed batches that are not a multiple of
-	// condexp.BlockSeeds and key vectors that straddle
-	// hashfam.BlockKeyGrain blocks.
+	// Ragged tails: key vectors that straddle hashfam.BlockKeyGrain
+	// blocks, which the sparsify stage search hashes one block at a time.
 	{"gnm-n600", "gnm", 600, 9, 11},
 }
 

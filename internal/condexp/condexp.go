@@ -19,9 +19,10 @@
 // holds for the finite family. The host scores a batch probe-first — its
 // first candidate alone, the rest only when that one misses — while the
 // model is still charged the whole batch, so the seed counts this package
-// reports are the model's, not the host's. DESIGN.md discusses this
-// substitution; the exact chunk-by-chunk method is also implemented
-// (SearchConditional) and tested against SearchAtLeast on small families.
+// reports are the model's, not the host's. This is substitution 1 of the
+// repro package documentation (doc.go); the exact chunk-by-chunk method is
+// also implemented (SearchConditional) and tested against SearchAtLeast on
+// small families.
 package condexp
 
 import (
@@ -36,56 +37,6 @@ import (
 // must be safe for concurrent calls (seed slices are never shared between
 // concurrent calls).
 type Objective func(seed []uint64) int64
-
-// BatchObjective evaluates candidate seeds of a batch against shared
-// per-round state: it must set values[i] = q(seeds[i]) for every i, with
-// slot i depending only on seeds[i]. SearchAtLeastBatch may call it more
-// than once per charged batch, on contiguous sub-slices of the batch in
-// enumeration order (the first candidate alone, then the rest on a miss),
-// so an implementation must not assume seeds[0] opens a batch or that a
-// call covers all of it. This is the vectorized form the hash-kernel seed
-// searches use — the caller hands a seed matrix over at once, so the
-// implementation can evaluate block-major: groups of BlockSeeds seeds per
-// cache-resident key block through hashfam.Evaluator.EvalSeedsBlocked into
-// a hashfam.Tile (see ForEachSeedBlock), amortising one pass of key-vector
-// memory traffic over the group. Results stay bit-identical at any worker
-// count — and identical to per-seed EvalKeys evaluation — because slots are
-// independent and the blocked kernel is byte-equal to the seed-major one.
-type BatchObjective func(seeds [][]uint64, values []int64)
-
-// BlockSeeds is the seed-group width of the blocked evaluation path: how
-// many candidate seeds a BatchObjective evaluates per cache-resident key
-// block in one EvalSeedsBlocked call. Eight pairwise seeds keep the S×block
-// output tile at 8·4KB alongside the key block, inside L2 with room to
-// spare, while amortising the key-vector read traffic 8 ways. It also sets
-// the granularity ForEachSeedBlock fans groups out at, so batch sizes (the
-// default Options.BatchSize is 64) should be multiples of it for even
-// worker utilisation — but any batch length works, the last group just runs
-// short.
-const BlockSeeds = 8
-
-// ForEachSeedBlock partitions a batch of batchLen seeds into contiguous
-// groups of BlockSeeds (the last group may be shorter) and invokes
-// fn(lo, hi) for each group [lo, hi) on up to `workers` goroutines of the
-// shared internal/parallel pool. Group boundaries derive from batchLen and
-// BlockSeeds alone — never from the worker count — and every group touches
-// only its own seeds' value slots and per-worker scratch, so the repo's
-// determinism contract holds at any parallelism level. This is the fan-out
-// scaffold of the blocked BatchObjectives in matching/mis/lowdeg/sparsify.
-func ForEachSeedBlock(workers, batchLen int, fn func(lo, hi int)) {
-	if batchLen <= 0 {
-		return
-	}
-	groups := (batchLen + BlockSeeds - 1) / BlockSeeds
-	parallel.RunShards(workers, groups, func(g int) {
-		lo := g * BlockSeeds
-		hi := lo + BlockSeeds
-		if hi > batchLen {
-			hi = batchLen
-		}
-		fn(lo, hi)
-	})
-}
 
 // Options configure a search.
 type Options struct {
@@ -134,7 +85,7 @@ type BatchStat struct {
 	Batch int
 	// Seeds is the number of candidate seeds the batch charged: the model's
 	// S machines evaluate all of them before one AllReduce, even when the
-	// host scored only the first (see SearchAtLeastBatch).
+	// host scored only the first (see SearchAtLeast).
 	Seeds int
 	// SeedsTried is the cumulative charged candidate count including this
 	// batch.
@@ -193,27 +144,13 @@ func (o *Options) defaults() {
 // returns the first seed whose objective is at least threshold. If no seed
 // qualifies within MaxSeeds, the best seed seen is returned with
 // Found == false (callers treat that as "take the progress you got", which
-// keeps the outer algorithms unconditionally correct). It is
-// SearchAtLeastBatch with the per-seed objective fanned out over
-// Options.Workers; kernel callers pass their own BatchObjective instead.
+// keeps the outer algorithms unconditionally correct). Each charged batch
+// is scored probe-first: its first candidate alone, and the rest, fanned
+// out over Options.Workers, only when that candidate misses. No candidate
+// after the first qualifying one can change the result, so the Result, the
+// OnBatch stream and the model's charges are those of scoring every batch
+// whole.
 func SearchAtLeast(fam hashfam.Family, obj Objective, threshold int64, opts Options) (Result, error) {
-	opts.defaults()
-	return SearchAtLeastBatch(fam, func(seeds [][]uint64, values []int64) {
-		evalBatch(seeds, values, obj, opts.Workers)
-	}, threshold, opts)
-}
-
-// SearchAtLeastBatch is SearchAtLeast evaluating candidates a batch at a
-// time through obj. The selection rule is unchanged — the first seed in
-// enumeration order whose value meets the threshold — so a BatchObjective
-// that matches a scalar objective slot-for-slot yields bit-identical
-// results. Each charged batch is scored lazily: obj sees the batch's first
-// candidate alone, and the rest in one call only when that candidate
-// misses. No candidate after the first qualifying one can change the
-// result, so the Result, the OnBatch stream and the model's charges are
-// those of scoring every batch whole; a miss costs one extra single-seed
-// call.
-func SearchAtLeastBatch(fam hashfam.Family, obj BatchObjective, threshold int64, opts Options) (Result, error) {
 	opts.defaults()
 	enum := fam.Enumerate()
 	best := Result{Value: -1 << 62}
@@ -239,9 +176,9 @@ func SearchAtLeastBatch(fam hashfam.Family, obj BatchObjective, threshold int64,
 		best.Batches++
 		// Probe first: when the first candidate qualifies, the scan below
 		// stops at it and never reads the rest, so they go unscored.
-		obj(batch[:1], values[:1])
-		if values[0] < threshold && len(batch) > 1 {
-			obj(batch[1:], values[1:len(batch)])
+		values[0] = obj(batch[0])
+		if values[0] < threshold {
+			evalBatch(batch[1:], values[1:len(batch)], obj, opts.Workers)
 		}
 		for i, seed := range batch {
 			v := values[i]

@@ -235,10 +235,10 @@ func BenchmarkSearchAtLeastMiss(b *testing.B) {
 	}
 }
 
-// wholeBatchSearch is the reference SearchAtLeastBatch is pinned to: the
-// same scan, but every charged batch is scored whole, in one objective call,
-// before the first qualifying candidate is looked for.
-func wholeBatchSearch(fam hashfam.Family, obj BatchObjective, threshold int64, opts Options) (Result, error) {
+// wholeBatchSearch is the reference SearchAtLeast is pinned to: the same
+// scan, but every candidate of a charged batch is scored, serially, before
+// the first qualifying one is looked for.
+func wholeBatchSearch(fam hashfam.Family, obj Objective, threshold int64, opts Options) (Result, error) {
 	opts.defaults()
 	enum := fam.Enumerate()
 	best := Result{Value: -1 << 62}
@@ -254,7 +254,9 @@ func wholeBatchSearch(fam hashfam.Family, obj BatchObjective, threshold int64, o
 			opts.Model.ChargeSeedBatch(len(batch), opts.Label)
 		}
 		best.Batches++
-		obj(batch, values[:len(batch)])
+		for i, seed := range batch {
+			values[i] = obj(seed)
+		}
 		for i, seed := range batch {
 			v := values[i]
 			if v > best.Value {
@@ -359,20 +361,16 @@ func (ps positionScan) value(i int) int64 {
 	return int64(i*37) % positionThreshold
 }
 
-// objective scores seeds by position and records each scoring in counts
-// (indexed by position) and each call in calls, when non-nil.
-func (ps positionScan) objective(counts []int, calls *int) BatchObjective {
-	return func(seeds [][]uint64, values []int64) {
-		if calls != nil {
-			*calls++
+// objective scores a seed by its position and records each scoring in
+// counts (indexed by position), when non-nil. Concurrent calls score
+// distinct seeds, so they touch distinct counts.
+func (ps positionScan) objective(counts []int) Objective {
+	return func(s []uint64) int64 {
+		p := ps.pos[[2]uint64{s[0], s[1]}]
+		if counts != nil {
+			counts[p]++
 		}
-		for i, s := range seeds {
-			p := ps.pos[[2]uint64{s[0], s[1]}]
-			if counts != nil {
-				counts[p]++
-			}
-			values[i] = ps.value(p)
-		}
+		return ps.value(p)
 	}
 }
 
@@ -386,9 +384,10 @@ type searchRun struct {
 }
 
 // runSearch runs search over scan with an S = 64 cost model and OnBatch
-// attached; cancelAtPoll > 0 makes Done fire from that poll on.
-func runSearch(search func(hashfam.Family, BatchObjective, int64, Options) (Result, error),
-	fam hashfam.Family, scan positionScan, batchSize, maxSeeds, cancelAtPoll int) searchRun {
+// attached, on `workers` workers; cancelAtPoll > 0 makes Done fire from that
+// poll on.
+func runSearch(search func(hashfam.Family, Objective, int64, Options) (Result, error),
+	fam hashfam.Family, scan positionScan, batchSize, maxSeeds, workers, cancelAtPoll int) searchRun {
 	var run searchRun
 	model := simcost.New(1<<12, 1<<13, 0.5)
 	opts := Options{
@@ -396,6 +395,7 @@ func runSearch(search func(hashfam.Family, BatchObjective, int64, Options) (Resu
 		MaxSeeds:  maxSeeds,
 		Model:     model,
 		Label:     "probe",
+		Workers:   workers,
 		OnBatch:   func(bs BatchStat) { run.stats = append(run.stats, bs) },
 	}
 	if cancelAtPoll > 0 {
@@ -405,34 +405,37 @@ func runSearch(search func(hashfam.Family, BatchObjective, int64, Options) (Resu
 			return polls >= cancelAtPoll
 		}
 	}
-	run.res, run.err = search(fam, scan.objective(nil, nil), positionThreshold, opts)
+	run.res, run.err = search(fam, scan.objective(nil), positionThreshold, opts)
 	run.model = model.Stats()
 	return run
 }
 
-// TestSearchAtLeastBatchMatchesWholeBatch pins the probe-first scan to the
-// whole-batch reference: with the first qualifying candidate at the first,
-// second, block-edge and last positions of a batch, or nowhere, and batch
-// sizes around BlockSeeds, a MaxSeeds that cuts the last batch short and a
-// Done that cancels at the second or third batch boundary, the Result, the
-// OnBatch stream, the charged batches and the model's SeedsEvaluated are
-// all those of scoring every batch whole.
+// TestSearchAtLeastBatchMatchesWholeBatch pins SearchAtLeast's probe-first
+// batches to the whole-batch reference: with the first qualifying candidate
+// at the first, second, middle and last positions of a batch, or nowhere,
+// and batch sizes around the fan-out's serial cut-off, a MaxSeeds that cuts
+// the last batch short, a Done that cancels at the second or third batch
+// boundary, and 1 or 8 workers, the Result, the OnBatch stream, the charged
+// batches and the model's SeedsEvaluated are all those of scoring every
+// batch whole.
 func TestSearchAtLeastBatchMatchesWholeBatch(t *testing.T) {
 	fam := hashfam.New(101, 2)
 	pos := seedPositions(fam, 504)
 	for _, maxSeeds := range []int{150, 504} {
-		for _, bs := range []int{1, 7, 8, 9, 64} {
+		for _, bs := range []int{1, 4, 5, 8, 9, 64} {
 			for _, first := range []int{0, 1, 7, 8, 9, maxSeeds - 1, -1} {
 				for _, cancelAt := range []int{0, 2, 3} {
 					scan := positionScan{pos: pos, first: first}
-					want := runSearch(wholeBatchSearch, fam, scan, bs, maxSeeds, cancelAt)
-					got := runSearch(SearchAtLeastBatch, fam, scan, bs, maxSeeds, cancelAt)
-					name := fmt.Sprintf("max=%d/bs=%d/first=%d/cancel=%d", maxSeeds, bs, first, cancelAt)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: probe-first search\n got %+v\nwant %+v", name, got, want)
-					}
-					if cancelAt == 0 && got.res.Found != (first >= 0) {
-						t.Fatalf("%s: Found = %v", name, got.res.Found)
+					want := runSearch(wholeBatchSearch, fam, scan, bs, maxSeeds, 1, cancelAt)
+					for _, workers := range []int{1, 8} {
+						got := runSearch(SearchAtLeast, fam, scan, bs, maxSeeds, workers, cancelAt)
+						name := fmt.Sprintf("max=%d/bs=%d/first=%d/cancel=%d/workers=%d", maxSeeds, bs, first, cancelAt, workers)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: probe-first search\n got %+v\nwant %+v", name, got, want)
+						}
+						if cancelAt == 0 && got.res.Found != (first >= 0) {
+							t.Fatalf("%s: Found = %v", name, got.res.Found)
+						}
 					}
 				}
 			}
@@ -440,42 +443,38 @@ func TestSearchAtLeastBatchMatchesWholeBatch(t *testing.T) {
 	}
 }
 
-// TestSearchAtLeastBatchScoresLazily counts the host's work: a batch whose
-// first candidate qualifies has exactly that one candidate scored, in one
-// objective call; any other batch has every candidate scored exactly once,
-// in two calls (one for a single-candidate batch). Nothing after the
-// deciding batch is scored.
+// TestSearchAtLeastBatchScoresLazily counts the host's work per candidate:
+// a batch whose first candidate qualifies has exactly that one candidate
+// scored; any other batch has every candidate scored exactly once, at 1 and
+// 8 workers. Nothing after the deciding batch is scored.
 func TestSearchAtLeastBatchScoresLazily(t *testing.T) {
 	fam := hashfam.New(101, 2)
 	const maxSeeds = 150
 	pos := seedPositions(fam, maxSeeds)
-	for _, bs := range []int{1, 7, 8, 9, 64} {
-		for _, first := range []int{0, 1, 7, 8, 9, maxSeeds - 1, -1} {
-			scan := positionScan{pos: pos, first: first}
-			counts := make([]int, maxSeeds)
-			calls := 0
-			res, err := SearchAtLeastBatch(fam, scan.objective(counts, &calls), positionThreshold,
-				Options{BatchSize: bs, MaxSeeds: maxSeeds})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantCounts := make([]int, maxSeeds)
-			wantCalls := 0
-			for b := 0; b < res.Batches; b++ {
-				lo, hi := b*bs, min((b+1)*bs, maxSeeds)
-				wantCalls++
-				if scan.value(lo) >= positionThreshold || hi-lo == 1 {
-					wantCounts[lo] = 1
-					continue
+	for _, workers := range []int{1, 8} {
+		for _, bs := range []int{1, 4, 5, 8, 9, 64} {
+			for _, first := range []int{0, 1, 7, 8, 9, maxSeeds - 1, -1} {
+				scan := positionScan{pos: pos, first: first}
+				counts := make([]int, maxSeeds)
+				res, err := SearchAtLeast(fam, scan.objective(counts), positionThreshold,
+					Options{BatchSize: bs, MaxSeeds: maxSeeds, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
 				}
-				wantCalls++
-				for i := lo; i < hi; i++ {
-					wantCounts[i] = 1
+				want := make([]int, maxSeeds)
+				for b := 0; b < res.Batches; b++ {
+					lo, hi := b*bs, min((b+1)*bs, maxSeeds)
+					if scan.value(lo) >= positionThreshold {
+						hi = lo + 1
+					}
+					for i := lo; i < hi; i++ {
+						want[i] = 1
+					}
 				}
-			}
-			if !reflect.DeepEqual(counts, wantCounts) || calls != wantCalls {
-				t.Fatalf("bs=%d first=%d: scored per position %v in %d calls,\nwant %v in %d calls",
-					bs, first, counts, calls, wantCounts, wantCalls)
+				if !reflect.DeepEqual(counts, want) {
+					t.Fatalf("workers=%d bs=%d first=%d: scored per position %v,\nwant %v",
+						workers, bs, first, counts, want)
+				}
 			}
 		}
 	}

@@ -32,7 +32,7 @@ type Params struct {
 	// Slack multiplies the concentration deviation terms in the machine
 	// goodness predicates and invariant checks. The paper's constants only
 	// bind asymptotically; Slack = 4 keeps the predicates meaningful at
-	// laptop scale (see DESIGN.md, substitution 4).
+	// laptop scale (substitution 4 of the repro package documentation).
 	Slack float64
 	// ThresholdFrac is the fraction of the proven expectation bound used as
 	// the seed-search threshold. 1.0 demands the full probabilistic-method
@@ -91,7 +91,7 @@ type RoundEvent struct {
 	// search; Selected is the number of edges (matching) or nodes (MIS) the
 	// selected seed committed this round. SeedsTried counts the model's
 	// charged candidates — S machines and one AllReduce per batch — not
-	// how many the host scored (see condexp.SearchAtLeastBatch).
+	// how many the host scored (see condexp.SearchAtLeast).
 	SeedsTried int
 	SeedFound  bool
 	Selected   int
@@ -742,76 +742,51 @@ func LocalMinNodesSel(dst []graph.NodeID, q *graph.Graph, sel *NodeSel, z []uint
 }
 
 // NodeFold is the per-worker flat-table scratch of the dense node selection:
-// one n-word table per in-flight seed, tab[v] = z_v<<idBits | v for live v
-// and the all-ones sentinel for dead v. The selection scan then probes ONE
-// word per neighbour — where the stamped path loads stamp[u], pos[u] and
-// z[pos[u]] and reassembles the packed key per probe — while keeping the
-// same early-exit loop shape (a dead neighbour's sentinel can never
-// disqualify a live key, because Dense guarantees live keys sit strictly
-// below it).
+// one n-word table, tab[v] = z_v<<idBits | v for live v and the all-ones
+// sentinel for dead v. The selection scan then probes ONE word per neighbour
+// — where the stamped path loads stamp[u], pos[u] and z[pos[u]] and
+// reassembles the packed key per probe — while keeping the same early-exit
+// loop shape (a dead neighbour's sentinel can never disqualify a live key,
+// because Dense guarantees live keys sit strictly below it).
 //
-// Tables are wiped to the sentinel once per ROUND, not once per seed: within
-// a round the live set is fixed, every seed's scatter plainly overwrites all
-// live slots, and dead slots keep the sentinel — so after the first wipe a
-// table is reusable by construction. Tables keys the wipe on the plan's
-// (pointer, generation) pair and tracks how many rows are wiped, rewiping
-// only on a new round, a reallocation, or a wider row request. The zero
-// value is ready to use; a NodeFold belongs to one worker at a time (each
-// pooled NodeGroup holds one).
+// The table is wiped to the sentinel once per ROUND, not once per seed:
+// within a round the live set is fixed, every seed's scatter plainly
+// overwrites all live slots, and dead slots keep the sentinel — so after the
+// first wipe the table is reusable by construction. table keys the wipe on
+// the plan's (pointer, generation) pair. The zero value is ready to use; a
+// NodeFold belongs to one worker at a time (each pooled NodeGroup holds
+// one).
 type NodeFold struct {
-	buf   []uint64
-	rows  [][]uint64
+	tab   []uint64
 	owner *NodeSel
 	gen   uint64
-	n     int
-	wiped int
 }
 
-// Tables returns s per-seed selection tables of n = sel's id-space words
-// each, every returned row sentinel-filled at all slots no scatter of the
-// current round has overwritten. Rows are reused across calls within one
-// round (see the type comment); s is the seed-group width, so the tables
-// for a whole condexp.BlockSeeds group fit one call.
+// table returns the selection table of sel's id space, sentinel-filled at
+// every slot no scatter of the current round has overwritten: it is rewiped
+// only on a new round (plan pointer or generation change) or a different id
+// space.
 //
 //det:hotpath
-func (f *NodeFold) Tables(sel *NodeSel, s int) [][]uint64 {
+func (f *NodeFold) table(sel *NodeSel) []uint64 {
 	n := sel.n
-	if need := s * n; cap(f.buf) < need {
-		f.buf = make([]uint64, need) //det:allow hotalloc table realloc on first use or growth, wiped and reused across rounds
-		f.wiped = 0
+	if f.owner != sel || f.gen != sel.gen || len(f.tab) != n {
+		f.tab = graph.Grow(f.tab, n)
+		intmath.Fill64(f.tab, ^uint64(0))
+		f.owner, f.gen = sel, sel.gen
 	}
-	if f.owner != sel || f.gen != sel.gen || f.n != n {
-		f.owner, f.gen, f.n, f.wiped = sel, sel.gen, n, 0
-	}
-	if cap(f.rows) < s {
-		f.rows = make([][]uint64, s) //det:allow hotalloc table realloc on first use or growth, wiped and reused across rounds
-	}
-	rows := f.rows[:s]
-	for i := range rows {
-		rows[i] = f.buf[i*n : (i+1)*n : (i+1)*n]
-	}
-	for i := f.wiped; i < s; i++ {
-		intmath.Fill64(rows[i], ^uint64(0))
-	}
-	if s > f.wiped {
-		f.wiped = s
-	}
-	return rows
+	return f.tab
 }
 
-// NodeFoldScatter writes the packed keys of live candidates lo..hi-1 into a
-// NodeFold table: tab[v] = z[i]<<idBits | v for v = sel.Live()[lo+i]. It is
-// the per-block absorb step of the fused kernel pipeline — called from
-// inside an EvalSeedsBlockedFold callback with the block's tile row, so the
-// scatter runs while the z values are cache-resident. Scattering every block
-// of a seed in ascending order leaves the table identical to a full-vector
-// scatter; the store is a plain overwrite (each live slot is written exactly
-// once per seed), which is what makes the once-per-round wipe sound.
+// NodeFoldScatter writes the packed key of every live candidate into a
+// NodeFold table: tab[v] = z[i]<<idBits | v for v = sel.Live()[i]. The store
+// is a plain overwrite (each live slot is written exactly once per seed),
+// which is what makes the once-per-round wipe sound.
 //
 //det:hotpath
-func NodeFoldScatter(tab []uint64, sel *NodeSel, lo, hi int, z []uint64) {
+func NodeFoldScatter(tab []uint64, sel *NodeSel, z []uint64) {
 	b := sel.idBits
-	for i, v := range sel.live[lo:hi] {
+	for i, v := range sel.live {
 		tab[v] = z[i]<<b | uint64(v)
 	}
 }
@@ -863,8 +838,8 @@ func LocalMinNodesSelIn(f *NodeFold, dst []graph.NodeID, q *graph.Graph, sel *No
 	if len(z) < len(sel.live) {
 		panic("core: LocalMinNodesSelIn z vector shorter than live set")
 	}
-	tab := f.Tables(sel, 1)[0]
-	NodeFoldScatter(tab, sel, 0, len(sel.live), z)
+	tab := f.table(sel)
+	NodeFoldScatter(tab, sel, z)
 	return NodeFoldSelect(dst, q, sel, tab)
 }
 
@@ -877,8 +852,8 @@ func LocalMinNodesSelIn(f *NodeFold, dst []graph.NodeID, q *graph.Graph, sel *No
 // the stamped scan — the fold representation affords an id field of
 // Len(n-1) bits instead of Len(n²-1) while selecting identical edges.
 //
-// Unlike NodeFold's plain-overwrite tables these are MIN accumulators, so
-// Begin wipes per seed group, not per round — which is why EdgeSel.Fold
+// Unlike NodeFold's plain-overwrite table these are MIN accumulators, so
+// Begin wipes them per seed, not per round — which is why EdgeSel.Fold
 // carries a density gate. The zero value is ready to use; an EdgeFold
 // belongs to one worker at a time.
 type EdgeFold struct {
@@ -886,10 +861,9 @@ type EdgeFold struct {
 	rows [][]uint64
 }
 
-// Begin returns s sentinel-wiped per-seed tables of sel.n words each — one
-// per seed of a condexp.BlockSeeds group, wiped eagerly because the fold
-// merges with min (a stale smaller key from a previous group would
-// corrupt).
+// Begin returns s sentinel-wiped per-seed tables of sel.n words each (the
+// selection asks for one), wiped eagerly because the fold merges with min:
+// a stale smaller key from a previous seed would corrupt.
 //
 //det:hotpath
 func (f *EdgeFold) Begin(sel *EdgeSel, s int) [][]uint64 {
@@ -910,10 +884,10 @@ func (f *EdgeFold) Begin(sel *EdgeSel, s int) [][]uint64 {
 }
 
 // EdgeFoldScatter min-merges edges lo..hi-1 into a table: z[i] is the hash
-// value of sel's edge lo+i (one tile row of an EvalSeedsBlockedFold block),
-// and each edge updates both endpoint slots with its packed (z, other
-// endpoint) key. Merges are the load–min–store shape the compiler lowers to
-// conditional moves.
+// value of sel's edge lo+i, and each edge updates both endpoint slots with
+// its packed (z, other endpoint) key. Scattering a key vector in blocks, in
+// any order, leaves the same table as one full scatter. Merges are the
+// load–min–store shape the compiler lowers to conditional moves.
 //
 //det:hotpath
 func EdgeFoldScatter(tab []uint64, sel *EdgeSel, lo, hi int, z []uint64) {
@@ -969,13 +943,14 @@ func EdgeFoldDecode(dst []graph.Edge, tab []uint64, sel *EdgeSel) []graph.Edge {
 // (see SlotKey).
 const SlotMax = 64
 
-// EdgeField returns the hash family field used for a graph with n nodes:
-// the least prime at least max(SlotMax·n², 1024). The n² covers node ids
-// and canonical edge keys; the SlotMax factor leaves room for the
-// domain-separation slots that give every subsampling stage fresh
-// independent values even when the seed search lands on the same seed (the
-// paper's [n³] range plays the same role: it decouples the per-stage hash
-// values). Ties are broken by id, see DESIGN.md.
+// EdgeField returns the minimum field size of the hash families used for a
+// graph with n nodes, max(SlotMax·n², 1024); hashfam.New picks the least
+// prime at least that large. The n² covers node ids and canonical edge
+// keys; the SlotMax factor leaves room for the domain-separation slots that
+// give every subsampling stage fresh independent values even when the seed
+// search lands on the same seed (the paper's [n³] range plays the same
+// role: it decouples the per-stage hash values). Ties are broken by id
+// (substitution 6 of the repro package documentation).
 func EdgeField(n int) uint64 {
 	min := SlotMax * uint64(n) * uint64(n)
 	if min < 1024 {

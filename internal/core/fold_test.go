@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -101,11 +102,12 @@ func TestLocalMinNodesSelBranchEquivalence(t *testing.T) {
 	}
 }
 
-// TestNodeFoldBlockedScatter drives NodeFold exactly the way the fused
-// objectives do — Tables for a group of seeds, per-block scatters, then the
-// table probe — including a mid-round row-count growth (which must wipe only
-// the new rows) and a follow-up round (new plan generation, full rewipe over
-// a dirty buffer). Every result is pinned to the stamped scan.
+// TestNodeFoldBlockedScatter drives one NodeFold the way a round's seed
+// searches do — table, scatter, probe, once per seed — over three seeds of
+// one round, where the table is reused without a rewipe and each scatter
+// must plainly overwrite the previous seed's live slots, and then over a
+// follow-up round with a smaller live set (new plan generation), where the
+// dirty table must be rewiped. Every result is pinned to the stamped scan.
 func TestNodeFoldBlockedScatter(t *testing.T) {
 	g := gen.GNM(300, 900, 7)
 	n := g.N()
@@ -118,56 +120,29 @@ func TestNodeFoldBlockedScatter(t *testing.T) {
 	if !sel.Dense() {
 		t.Fatal("round unexpectedly not dense")
 	}
-	live := sel.Live()
-	seedsZ := make([][]uint64, 3)
-	for s := range seedsZ {
-		z := make([]uint64, len(live))
-		for i := range z {
-			z[i] = (uint64(i)*2654435761 + uint64(s)*97 + 3) % (1 << 20)
-		}
-		seedsZ[s] = z
-	}
 	var nf NodeFold
-	check := func(s int, tab []uint64, label string) {
+	check := func(z []uint64, label string) {
 		t.Helper()
+		tab := nf.table(&sel)
+		NodeFoldScatter(tab, &sel, z)
 		got := NodeFoldSelect(nil, g, &sel, tab)
-		want := LocalMinNodesSel(nil, g, &sel, seedsZ[s])
+		want := LocalMinNodesSel(nil, g, &sel, z)
 		if len(got) != len(want) {
-			t.Fatalf("%s seed %d: fold selected %d nodes, stamped %d", label, s, len(got), len(want))
+			t.Fatalf("%s: fold selected %d nodes, stamped %d", label, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("%s seed %d: node %d is %v, stamped %v", label, s, i, got[i], want[i])
+				t.Fatalf("%s: node %d is %v, stamped %v", label, i, got[i], want[i])
 			}
 		}
 	}
-	// Two seeds, blocked scatter in ragged chunks.
-	tabs := nf.Tables(&sel, 2)
-	for s := 0; s < 2; s++ {
-		for lo := 0; lo < len(live); lo += 100 {
-			hi := lo + 100
-			if hi > len(live) {
-				hi = len(live)
-			}
-			NodeFoldScatter(tabs[s], &sel, lo, hi, seedsZ[s][lo:hi])
-		}
-		check(s, tabs[s], "blocked")
-	}
-	// Grow to three rows mid-round: the wider request reallocates the
-	// backing buffer, so ALL rows must come back freshly wiped (stale wiped
-	// counts over a new allocation would leak garbage into the probes).
-	// Every seed re-scatters, as the objectives do per seed group.
-	tabs = nf.Tables(&sel, 3)
 	for s := 0; s < 3; s++ {
-		NodeFoldScatter(tabs[s], &sel, 0, len(live), seedsZ[s])
-		check(s, tabs[s], "grown")
+		z := make([]uint64, len(sel.Live()))
+		for i := range z {
+			z[i] = (uint64(i)*2654435761 + uint64(s)*97 + 3) % (1 << 20)
+		}
+		check(z, fmt.Sprintf("round 1 seed %d", s))
 	}
-	// Shrink back to two rows, same round: no realloc, no generation bump —
-	// rows keep the previous scatters and a fresh scatter must plainly
-	// overwrite them.
-	tabs = nf.Tables(&sel, 2)
-	NodeFoldScatter(tabs[1], &sel, 0, len(live), seedsZ[0])
-	check(0, tabs[1], "shrunk")
 	// New round over a smaller live set: the generation bump must trigger a
 	// rewipe, or stale keys of now-dead nodes would leak into the probes.
 	for v := 0; v < n; v++ {
@@ -181,10 +156,7 @@ func TestNodeFoldBlockedScatter(t *testing.T) {
 	for i := range z {
 		z[i] = (uint64(i)*7919 + 1) % (1 << 20)
 	}
-	seedsZ[0] = z
-	tabs = nf.Tables(&sel, 1)
-	NodeFoldScatter(tabs[0], &sel, 0, len(sel.Live()), z)
-	check(0, tabs[0], "round2")
+	check(z, "round 2")
 }
 
 // TestEdgeFoldMatchesLocalMinEdgesSel pins the fold-path edge selection

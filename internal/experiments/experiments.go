@@ -1,8 +1,34 @@
-// Package experiments implements the reproduction suite indexed in
-// DESIGN.md: the paper has no empirical tables or figures (it is a theory
-// paper), so each experiment measures one of its theorem-level claims and
-// renders a table (T1..T9) or figure (F1, F2) via internal/tablefmt.
-// EXPERIMENTS.md records paper-claim vs measured for every entry.
+// Package experiments implements the reproduction suite. The paper has no
+// empirical tables or figures (it is a theory paper), so each experiment
+// measures one of its theorem-level claims and renders a table (T1..T9),
+// figure (F1, F2) or ablation (A1..A5) via internal/tablefmt; each table's
+// notes state the paper claim next to what was measured. Run them with
+// cmd/experiments. The index:
+//
+//   - T1: Theorem 7, maximal matching in O(log n) MPC rounds at S = n^ε.
+//   - T2: Theorem 14, MIS in O(log n) MPC rounds, mirroring T1.
+//   - T3: the per-iteration progress bounds of Sections 3.3 and 4.3.
+//   - T4: the sparsification invariants, Lemmas 10/11 (edges) and 17/18
+//     (nodes), stage by stage.
+//   - T5: Theorem 1's low-degree regime (Section 5): O(log Δ) stages,
+//     O(log n) phases, O(Δ⁴) colours, with both round accountings
+//     (substitutions 2-3 of the repro package documentation).
+//   - T6: Corollary 2, O(log Δ) CONGESTED CLIQUE rounds against the
+//     round-accounting baseline of [15] (substitution 5).
+//   - T7: the cost of the derandomization itself (Section 2.4): seeds
+//     scanned, batches charged, thresholds met.
+//   - T8: Lemma 4, sorting and prefix sums in O(1) rounds within S words
+//     per machine.
+//   - T9: the space ablation (§1.1.1): 2-hop neighbourhood words before and
+//     after sparsification.
+//   - F1: edge decay per iteration, deterministic vs randomized Luby.
+//   - F2: round scaling, iterations vs n and stages vs Δ.
+//   - A1: the seed-search threshold fraction (substitution 1).
+//   - A2: the space exponent ε.
+//   - A3: the independence order c of the stage hash family.
+//   - A4: the concentration slack (substitution 4).
+//   - A5: exact conditional expectations against the batched scan
+//     (substitution 1).
 package experiments
 
 import (

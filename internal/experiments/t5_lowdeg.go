@@ -44,6 +44,6 @@ func RunT5(cfg Config) []*tablefmt.Table {
 	t.Notes = append(t.Notes,
 		"paper claim: O(log Δ + log log n) rounds; shape checks: stages/log2Δ bounded, stages flat in n at fixed Δ",
 		"rounds(paper acc.) charges O(1)/stage (local seed-sequence enumeration is free in MPC);",
-		fmt.Sprintf("rounds(executed) charges the greedy per-phase selection this host performs — see DESIGN.md; colors = O(Δ⁴) via Linial on G² (ε=%.2f)", p.Epsilon))
+		fmt.Sprintf("rounds(executed) charges the greedy per-phase selection this host performs — see substitutions 2-3 in the repro package doc; colors = O(Δ⁴) via Linial on G² (ε=%.2f)", p.Epsilon))
 	return []*tablefmt.Table{t}
 }

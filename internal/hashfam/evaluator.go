@@ -103,107 +103,33 @@ func (e *Evaluator) evalReduced(c, keys, out []uint64) {
 	}
 }
 
-// BlockKeyGrain is the key-block size of EvalSeedsBlocked and
-// EvalSeedsBlockedFold: 512 keys = 4KB, comfortably inside L1 alongside one
-// output row, so every seed after the first reads the block from cache
-// instead of re-streaming the key vector from memory. Block boundaries
-// derive from len(keys) and this constant alone, and each output element
-// depends only on its own key and seed, so blocking is unobservable in the
-// results. It is exported so fold callers can size their tile rows to one
-// block (min(BlockKeyGrain, len(keys))) instead of the full key vector.
+// BlockKeyGrain is the key-block size of EvalSeedsBlocked and of the
+// sparsify stage search, which hashes its keys one block at a time: 512 keys
+// = 4KB, comfortably inside L1 alongside one output row, so every seed after
+// the first reads the block from cache instead of re-streaming the key
+// vector from memory. Block boundaries derive from len(keys) and this
+// constant alone, and each output element depends only on its own key and
+// seed, so blocking is unobservable in the results.
 const BlockKeyGrain = 512
 
-// Tile is the S×n output surface of the blocked multi-seed kernel: S rows of
-// n hash values, one row per candidate seed of a condexp.ForEachSeedBlock
-// group, all sharing ONE backing slab so a warm tile costs zero allocations
-// no matter how many rows the group asks for. Per-worker objective states
-// embed one and re-shape it each batch with Rows; the rows come back dirty,
-// which the kernel contract (EvalSeedsBlocked and EvalSeedsBlockedFold fully
-// overwrite what they hand out) makes free.
-type Tile struct {
-	buf  []uint64
-	rows [][]uint64
-}
-
-// Rows returns s full-capacity row slices of n elements each, growing the
-// backing slab and row headers only when the requested shape exceeds every
-// prior request. Rows are disjoint, length-n views of one allocation (each
-// capped at its own extent, so an append cannot bleed into the next row);
-// contents are whatever the last user left — callers must fully overwrite.
-func (t *Tile) Rows(s, n int) [][]uint64 {
-	if need := s * n; cap(t.buf) < need {
-		t.buf = make([]uint64, need)
-	}
-	buf := t.buf[:cap(t.buf)]
-	if cap(t.rows) < s {
-		t.rows = make([][]uint64, s)
-	}
-	rows := t.rows[:s]
-	for i := range rows {
-		rows[i] = buf[i*n : (i+1)*n : (i+1)*n]
-	}
-	return rows
-}
-
 // EvalSeedsBlocked writes out[s][i] = h_seeds[s](keys[i]) for every seed and
-// key: the block-major multi-seed kernel of the batched seed searches. Where
-// EvalKeys is seed-major (one seed re-streams the whole key vector), this
-// walks the key vector once in cache-resident blocks of BlockKeyGrain and
-// evaluates all S candidate seeds against each block before advancing —
-// the memory traffic of one pass, amortised over the batch. Pairwise
-// (k = 2) families additionally run four seeds per inner loop through
-// intmath.Reducer.EvalPoly2x4, which keeps four independent Barrett chains
-// (or, on AVX2 hardware, four-key vector sweeps) in flight per block.
+// key: the block-major multi-seed kernel. Where EvalKeys is seed-major (one
+// seed re-streams the whole key vector), this walks the key vector once in
+// cache-resident blocks of BlockKeyGrain and evaluates all S seeds against
+// each block before advancing — the memory traffic of one pass, amortised
+// over the batch. Pairwise (k = 2) families additionally run four seeds per
+// inner loop through intmath.Reducer.EvalPoly2x4, which keeps four
+// independent Barrett chains (or, on AVX2 hardware, four-key vector sweeps)
+// in flight per block; wider families go seed by seed.
 //
 // Results are byte-identical to calling EvalKeys(seeds[s], keys, out[s]) for
-// each s in order — fuzz-proven in evaluator_test.go — so the blocked path
-// is a speed change only. Every seed must have the family's SeedLen, every
-// key must be < P, and each of the first len(seeds) rows of out must have at
-// least len(keys) entries. Dirty row contents and slots beyond len(keys) are
-// never read, so Tile rows can be passed as-is.
+// each s in order — fuzz-proven in evaluator_test.go. Every seed must have
+// the family's SeedLen, every key must be < P, and each of the first
+// len(seeds) rows of out must have at least len(keys) entries. Dirty row
+// contents and slots beyond len(keys) are never read.
 //
 //det:hotpath
 func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]uint64) {
-	e.evalBlocks(seeds, keys, out, len(keys), nil)
-}
-
-// EvalSeedsBlockedFold is the fused form of EvalSeedsBlocked: instead of
-// filling S full-length output rows, it evaluates each BlockKeyGrain key
-// block into the first hi-lo slots of the S tile rows and immediately hands
-// the block to the caller's fold callback — so the selection's min-table
-// updates run while the block's z values are still cache-resident, and the
-// S×len(keys) tile of the two-pass path shrinks to S×BlockKeyGrain. Inside
-// fold(lo, hi), tile[s][i] holds h_seeds[s](keys[lo+i]) for i < hi-lo; the
-// rows are overwritten by the next block, so the callback must consume them
-// before returning.
-//
-// The fold sequence is deterministic by construction: blocks are visited in
-// ascending key order with boundaries derived from len(keys) and
-// BlockKeyGrain alone, every tile value is byte-identical to the
-// corresponding EvalSeedsBlocked slot (same per-block inner kernels,
-// fuzz-proven in evaluator_test.go), and the callback runs on the calling
-// goroutine. A caller whose fold is a per-block min/sum absorption therefore
-// computes exactly what the two-pass pipeline computes. Each of the first
-// len(seeds) tile rows must have at least min(BlockKeyGrain, len(keys))
-// entries; dirty row contents are never read. With no seeds or no keys the
-// callback is never invoked.
-//
-//det:hotpath
-func (e *Evaluator) EvalSeedsBlockedFold(seeds [][]uint64, keys []uint64, tile [][]uint64, fold func(lo, hi int)) {
-	e.evalBlocks(seeds, keys, tile, min(len(keys), BlockKeyGrain), fold)
-}
-
-// evalBlocks is the block walk behind EvalSeedsBlocked (fold == nil) and
-// EvalSeedsBlockedFold. It checks every seed against the family's SeedLen
-// and the first len(seeds) rows of out against rowLen, reduces all seeds'
-// coefficients once, and then evaluates keys block by block: pairwise
-// families four seeds at a time through intmath.Reducer.EvalPoly2x4 plus a
-// per-seed tail, wider families seed by seed. Without a fold, block
-// [lo, hi) lands in out[s][lo:hi]; with one, it lands in out[s][:hi-lo] and
-// fold(lo, hi) consumes it before the next block overwrites it.
-//
-//det:hotpath
-func (e *Evaluator) evalBlocks(seeds [][]uint64, keys []uint64, out [][]uint64, rowLen int, fold func(lo, hi int)) {
 	k := e.fam.k
 	S := len(seeds)
 	if len(out) < S {
@@ -213,7 +139,7 @@ func (e *Evaluator) evalBlocks(seeds [][]uint64, keys []uint64, out [][]uint64, 
 		if len(seed) != k {
 			panic(fmt.Sprintf("hashfam: seed length %d, want %d", len(seed), k))
 		}
-		if len(out[s]) < rowLen {
+		if len(out[s]) < len(keys) {
 			panic("hashfam: blocked evaluation output row shorter than its key span")
 		}
 	}
@@ -221,9 +147,9 @@ func (e *Evaluator) evalBlocks(seeds [][]uint64, keys []uint64, out [][]uint64, 
 		return
 	}
 	// Reduce every seed's coefficients once up front (the per-seed analogue
-	// of EvalKeys' single reduceSeed). The stack array covers the batch
-	// shapes the objectives feed (S <= condexp.BlockSeeds, k <= 4); larger
-	// requests fall back to one allocation amortised over S full key sweeps.
+	// of EvalKeys' single reduceSeed). The stack array covers up to 32
+	// pairwise or 16 4-wise seeds; larger requests fall back to one
+	// allocation amortised over S full key sweeps.
 	var cstack [64]uint64
 	var cs []uint64
 	if S*k <= len(cstack) {
@@ -244,10 +170,6 @@ func (e *Evaluator) evalBlocks(seeds [][]uint64, keys []uint64, out [][]uint64, 
 			hi = len(keys)
 		}
 		kb := keys[lo:hi]
-		d0, d1 := lo, hi // the block's span within each output row
-		if fold != nil {
-			d0, d1 = 0, hi-lo
-		}
 		if pairwise {
 			s := 0
 			for ; s+4 <= S; s += 4 {
@@ -257,18 +179,15 @@ func (e *Evaluator) evalBlocks(seeds [][]uint64, keys []uint64, out [][]uint64, 
 					c1[j] = cs[(s+j)*2+1]
 				}
 				e.red.EvalPoly2x4(&c0, &c1, kb,
-					out[s][d0:d1], out[s+1][d0:d1], out[s+2][d0:d1], out[s+3][d0:d1])
+					out[s][lo:hi], out[s+1][lo:hi], out[s+2][lo:hi], out[s+3][lo:hi])
 			}
 			for ; s < S; s++ {
-				e.red.EvalPoly2(cs[s*2], cs[s*2+1], kb, out[s][d0:d1])
+				e.red.EvalPoly2(cs[s*2], cs[s*2+1], kb, out[s][lo:hi])
 			}
 		} else {
 			for s := 0; s < S; s++ {
-				e.evalReduced(cs[s*k:(s+1)*k], kb, out[s][d0:d1])
+				e.evalReduced(cs[s*k:(s+1)*k], kb, out[s][lo:hi])
 			}
-		}
-		if fold != nil {
-			fold(lo, hi)
 		}
 	}
 }

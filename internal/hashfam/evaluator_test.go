@@ -132,7 +132,7 @@ func FuzzEvalKeysMatchesEval(f *testing.F) {
 }
 
 // TestEvalSeedsBlockedMatchesEvalKeys is the blocked kernel's contract:
-// evaluating the whole seed matrix block-major over dirty tile rows is
+// evaluating the whole seed matrix block-major over dirty output rows is
 // byte-identical to S independent seed-major EvalKeys sweeps. Key counts
 // straddle the block grain (empty, below, exact multiple, ragged tail) and
 // S covers the EvalPoly2x4 groups plus remainders.
@@ -306,9 +306,9 @@ func BenchmarkEvalKeysKernel(b *testing.B) {
 	sink = out[0]
 }
 
-// BenchmarkEvalSeedsBlocked is the blocked kernel under the production
-// shape: condexp.BlockSeeds pairwise seeds over a T7-sized key vector.
-// Compare against 8x BenchmarkEvalKeysKernel for the seed-major baseline.
+// BenchmarkEvalSeedsBlocked is the blocked kernel at eight pairwise seeds
+// over a T7-sized key vector. Compare against 8x BenchmarkEvalKeysKernel for
+// the seed-major baseline.
 func BenchmarkEvalSeedsBlocked(b *testing.B) {
 	f := New(1<<28, 2)
 	ev := NewEvaluator(f)

@@ -9,7 +9,8 @@
 // the coefficient vector c. The paper chooses p ≈ n³ so that the z-values it
 // assigns to nodes and edges rarely collide; we keep the same construction
 // with p the least prime at least the caller's requested size, and the
-// algorithms break the rare remaining ties by id (documented in DESIGN.md).
+// algorithms break the rare remaining ties by id (substitution 6 of the repro
+// package documentation).
 //
 // Derandomization needs a fixed deterministic enumeration order of the
 // family. Enumerating coefficient vectors in plain counting order would

@@ -20,15 +20,14 @@
 // edge-removal maximiser given the current graph — which achieves at least
 // the per-phase expected progress and hence the same O(log n) total phase
 // bound; stage counts (the paper's round proxy) are reported alongside
-// both round accountings (see DESIGN.md substitutions 2-3 and experiment
-// T5).
+// both round accountings (substitutions 2-3 of the repro package
+// documentation, and experiment T5).
 package lowdeg
 
 import (
 	"math"
 
 	"repro/internal/coloring"
-	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
@@ -122,9 +121,9 @@ func MIS(g *graph.Graph, p core.Params, model *simcost.Model) *Result {
 }
 
 // lowdegEval is the per-worker pooled state of one candidate-seed objective
-// evaluation: the seed-group state and the generation-stamped membership
-// mark and R-list of the incident-count objective. An evaluation allocates
-// nothing. The mark/gen
+// evaluation: the selection state, the selected I_h, and the
+// generation-stamped membership mark and R-list of the incident-count
+// objective. An evaluation allocates nothing. The mark/gen
 // pair follows the repository's epoch-stamp invariant (core.NextEpoch):
 // mark[v] == gen means v ∈ I_h ∪ N(I_h) for the CURRENT evaluation only,
 // gen advances per evaluation, and a uint32 wrap hard-resets the mark
@@ -132,6 +131,7 @@ func MIS(g *graph.Graph, p core.Params, model *simcost.Model) *Result {
 // membership bit.
 type lowdegEval struct {
 	core.NodeGroup
+	ih   []graph.NodeID
 	mark []uint32
 	gen  uint32
 	r    []graph.NodeID // the touched set I_h ∪ N(I_h), rebuilt per eval
@@ -274,19 +274,15 @@ loop:
 			// live list mirrors the alive mask (compacted after every
 			// removal), so the plan costs O(|alive|), not O(n).
 			sel.InitList(n, liveList, colorKeyOf, fam.P()-1)
-			// Each group of BlockSeeds candidates makes one block-major
-			// kernel pass over the phase's live colour keys
-			// (core.NodeGroup); group boundaries depend only on the batch
-			// length and each group writes only its own value slots, so
-			// results are worker-count independent.
-			objective := func(seeds [][]uint64, values []int64) {
-				condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
-					ev := evalPool.Get()
-					ev.Eval(evaluator, sel, curG, seeds[lo:hi], func(s int, ih []graph.NodeID) {
-						values[lo+s] = int64(incidentEdges(curG, ih, ev))
-					})
-					evalPool.Put(ev)
-				})
+			// Each candidate is scored through the same selection that
+			// applies the winner below, at one worker on a pooled state of
+			// its own.
+			objective := func(seed []uint64) int64 {
+				ev := evalPool.Get()
+				ev.ih = ev.Select(ev.ih, evaluator, sel, curG, seed, 1)
+				v := int64(incidentEdges(curG, ev.ih, ev))
+				evalPool.Put(ev)
+				return v
 			}
 			// Luby's pairwise analysis guarantees E[removed] >= |E|/108
 			// (the Lemma 13 constant); demand the configured fraction.

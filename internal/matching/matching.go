@@ -23,7 +23,6 @@
 package matching
 
 import (
-	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
@@ -89,7 +88,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	n := g.N()
 	fam := core.PairwiseFamily(n)
 	evaluator := hashfam.NewEvaluator(fam)
-	// One seed-group state per worker serves every candidate-seed
+	// One selection state per worker serves every candidate-seed
 	// evaluation of every round (buffers are sized by round 1, the
 	// largest), so an evaluation allocates nothing.
 	pool := scratch.NewPerWorker(func() *core.EdgeGroup { return new(core.EdgeGroup) })
@@ -152,18 +151,13 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			}
 			return v
 		}
-		// Each group of BlockSeeds candidates makes one block-major kernel
-		// pass over the round's keys (core.EdgeGroup); group boundaries
-		// depend only on the batch length and each group writes only its own
-		// seeds' value slots, so results are worker-count independent.
-		objective := func(seeds [][]uint64, values []int64) {
-			condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
-				grp := pool.Get()
-				grp.Eval(evaluator, &sel, seeds[lo:hi], func(s int, eh []graph.Edge) {
-					values[lo+s] = value(eh)
-				})
-				pool.Put(grp)
-			})
+		// Each candidate is scored through the same selection that applies
+		// the winner below, at one worker on a pooled group of its own.
+		objective := func(seed []uint64) int64 {
+			grp := pool.Get()
+			v := value(grp.Select(evaluator, &sel, seed, 1))
+			pool.Put(grp)
+			return v
 		}
 		// Lemma 13 ⇒ E_h[Σ_{v∈N_h} d(v)] >= Σ_{v∈B} d(v)/109; we demand a
 		// ThresholdFrac fraction of that.

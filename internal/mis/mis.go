@@ -22,7 +22,6 @@
 package mis
 
 import (
-	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
@@ -70,11 +69,12 @@ func Deterministic(g *graph.Graph, p core.Params, model *simcost.Model) *Result 
 }
 
 // misEval is the per-worker pooled state of one candidate-seed objective
-// evaluation: the seed-group state and the I_h membership mask of the
-// score (touched entries are reset after each use). An evaluation allocates
-// nothing.
+// evaluation: the selection state, the selected I_h and its membership mask
+// in the score (touched entries are reset after each use). An evaluation
+// allocates nothing.
 type misEval struct {
 	core.NodeGroup
+	ih   []graph.NodeID
 	inIh []bool
 }
 
@@ -228,18 +228,14 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			}
 			return value
 		}
-		// Each group of BlockSeeds candidates makes one block-major kernel
-		// pass over the round's |Q'| node keys (core.NodeGroup); group
-		// boundaries depend only on the batch length and each group writes
-		// only its own value slots, so results are worker-count independent.
-		objective := func(seeds [][]uint64, values []int64) {
-			condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
-				ev := evalPool.Get()
-				ev.Eval(evaluator, sel, q, seeds[lo:hi], func(s int, ih []graph.NodeID) {
-					values[lo+s] = score(ev, ih)
-				})
-				evalPool.Put(ev)
-			})
+		// Each candidate is scored through the same selection that applies
+		// the winner below, at one worker on a pooled state of its own.
+		objective := func(seed []uint64) int64 {
+			ev := evalPool.Get()
+			ev.ih = ev.Select(ev.ih, evaluator, sel, q, seed, 1)
+			v := score(ev, ev.ih)
+			evalPool.Put(ev)
+			return v
 		}
 		// Lemma 21 ⇒ E[Σ_{v∈N_h} d(v)] >= 0.01δ·Σ_{v∈B} d(v).
 		st.Threshold = int64(p.ThresholdFrac * 0.01 * p.Delta() * float64(sp.BWeight))

@@ -6,7 +6,6 @@ import (
 	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/hashfam"
-	"repro/internal/scratch"
 	"repro/internal/simcost"
 )
 
@@ -44,8 +43,8 @@ type stageFold struct {
 }
 
 // absorb folds the evaluated values z of keys[lo:hi] (z[t-lo] is key t's
-// value) into c. Blocks must arrive left to right per cursor, which
-// EvalSeedsBlockedFold guarantees. Whether a key clears the threshold is
+// value) into c. Blocks must arrive left to right per cursor, which the
+// stage search's block walk guarantees. Whether a key clears the threshold is
 // data-random, so both accumulations are branchless: the count adds the
 // unsigned-compare borrow bit, the weighted sum multiplies the weight by it
 // (w·1 = w and zw + w·0 = zw exactly — the weights are finite and the sum
@@ -93,51 +92,23 @@ func (f *stageFold) absorb(c *groupCursor, z []uint64, lo, hi int) {
 
 // search is the seed search of one stage, edge and node stages alike: the
 // first seed of ev's family, in enumeration order, under which every group
-// is good, or the best seed seen within Params.MaxSeedsPerSearch. Each
-// condexp.BlockSeeds group of candidates makes one block-major pass over
-// keys (hashfam.Evaluator.EvalSeedsBlockedFold), and every evaluated block
-// is absorbed into the seeds' group cursors before the next block
-// overwrites it. Group boundaries depend only on the batch length and each
-// group writes only its own value slots, so results are worker-count
-// independent. The result's Value is the good-group count of its Seed.
+// is good, or the best seed seen within Params.MaxSeedsPerSearch. A
+// candidate is scored by hashing keys one hashfam.BlockKeyGrain block at a
+// time (Evaluator.EvalKeys) into a stack buffer and absorbing each block into
+// one group cursor before the next overwrites it, so no full z row is ever
+// materialised. Each candidate touches only its own cursor and buffer, so
+// results are worker-count independent. The result's Value is the
+// good-group count of its Seed.
 func (f *stageFold) search(ev *hashfam.Evaluator, keys []uint64, p core.Params, model *simcost.Model) condexp.Result {
-	pool := scratch.NewPerWorker(func() *stageEval { return new(stageEval) })
-	objective := func(seeds [][]uint64, values []int64) {
-		condexp.ForEachSeedBlock(p.Workers(), len(seeds), func(lo, hi int) {
-			se := pool.Get()
-			tile := se.tile.Rows(hi-lo, min(len(keys), hashfam.BlockKeyGrain))
-			cursors := se.cursorRows(hi - lo)
-			ev.EvalSeedsBlockedFold(seeds[lo:hi], keys, tile, func(blo, bhi int) {
-				for s := range cursors {
-					f.absorb(&cursors[s], tile[s], blo, bhi)
-				}
-			})
-			for s, c := range cursors {
-				values[lo+s] = c.good
-			}
-			pool.Put(se)
-		})
+	objective := func(seed []uint64) int64 {
+		var c groupCursor
+		var z [hashfam.BlockKeyGrain]uint64
+		for lo := 0; lo < len(keys); lo += hashfam.BlockKeyGrain {
+			hi := min(lo+hashfam.BlockKeyGrain, len(keys))
+			f.absorb(&c, ev.EvalKeys(seed, keys[lo:hi], z[:]), lo, hi)
+		}
+		return c.good
 	}
 	res, _ := p.SeedSearch(ev.Family(), objective, int64(len(f.groups)), "sparsify.seed", model)
 	return res
-}
-
-// stageEval is the per-worker pooled state of the stage search: the
-// evaluation tile (one key block per seed row) and the per-seed group
-// cursors.
-type stageEval struct {
-	tile    hashfam.Tile
-	cursors []groupCursor
-}
-
-// cursorRows returns s zeroed cursors, reusing the backing array.
-func (se *stageEval) cursorRows(s int) []groupCursor {
-	if cap(se.cursors) < s {
-		se.cursors = make([]groupCursor, s)
-	}
-	cs := se.cursors[:s]
-	for i := range cs {
-		cs[i] = groupCursor{}
-	}
-	return cs
 }
