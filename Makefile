@@ -89,7 +89,9 @@ race:
 # references; the core selections every candidate seed is scored through vs
 # per-seed EvalKeys + selection, and the seed search's miss-path fan-out at
 # Parallelism 1/2/8; the probe-first seed search vs whole-batch scoring, and
-# its count of the candidates it scores) and the request-scoped API tables
+# its count of the candidates it scores; the implicit G² colouring vs Linial
+# on the materialised square at Parallelism 1/2/8, and the CSR-slot line
+# graph vs its map-indexed build) and the request-scoped API tables
 # (cancellation at every Parallelism level against a shared engine,
 # per-solve override equivalence, observer-stream determinism): worker-count
 # independence of a REUSED engine (dirty scratch buffers, pooled contexts)
@@ -104,8 +106,8 @@ race:
 # checks, through `go test -list`, that every listed name is a test, fuzz
 # target or benchmark of its packages, and fails otherwise.
 ENGINE_TABLES := TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence
-EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissFanOut|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily
-EQUIV_PKGS := ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/
+EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissFanOut|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLineGraphMatchesMapReference
+EQUIV_PKGS := ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/ ./internal/coloring/ ./internal/graph/
 # check-tests fails unless every name of the |-separated list $(1) is a
 # top-level test, fuzz target or benchmark of the packages $(2).
 check-tests = listed="$$($(GO) test -list '^($(1))$$' $(2))" || exit 1; \
@@ -198,8 +200,13 @@ serve-compare:
 #     rebuilds. 15 iterations keep about as many samples as 3 did before
 #     seed batches were scored probe-first and the solve got ~5x faster.
 #   - t5_lowdeg: the Section 5 stage-compressed MIS on an 8-regular graph
-#     (BenchmarkT5_LowDegreeStages), bound by the G² build (graph.Square,
-#     its BallInto sorts) and the colouring, not by its seed searches.
+#     (BenchmarkT5_LowDegreeStages). It is bound by the 2-hop walks of its
+#     preprocessing (graph.BallUnsortedInto, ~55% of samples): the r-ball
+#     word sums in lowdeg.maxBallWords, the Δ(G²) pass of
+#     coloring.LinialG2 and its VerifyDistance2 pass. Its Linial colouring
+#     needs no reduction round on this graph, and the phases' CSR filters
+#     and seed searches take ~15%. At ~7 ms per solve, 60 iterations give
+#     ~0.4 s of samples.
 #   - t7_seedsearch: the isolated seed-search terms: one missed 64-seed
 #     batch, every candidate through core.EdgeGroup.Select at one worker,
 #     and the edge- and node-side selection scans.
@@ -209,7 +216,7 @@ serve-compare:
 profile:
 	mkdir -p profiles
 	$(GO) test -bench 'BenchmarkT2_MISRounds' -benchtime 15x -benchmem -run '^$$' -cpuprofile profiles/t2_mis.pprof -o profiles/repro.test .
-	$(GO) test -bench 'BenchmarkT5_LowDegreeStages' -benchtime 3x -benchmem -run '^$$' -cpuprofile profiles/t5_lowdeg.pprof -o profiles/repro.test .
+	$(GO) test -bench 'BenchmarkT5_LowDegreeStages' -benchtime 60x -benchmem -run '^$$' -cpuprofile profiles/t5_lowdeg.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeSelectionScan' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/t7_seedsearch.pprof -o profiles/repro.test .
 
 # Remove build and smoke leftovers: stray compiled test binaries (go test -c

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/check"
@@ -103,6 +104,24 @@ type Options struct {
 // upload storm cannot grow the engine without limit.
 const DefaultPreparedCacheCap = 256
 
+// validate checks the numeric options that params() hands to core, where
+// an out-of-range value is a programmer-error panic: each set field must
+// lie in its range, and ε must keep the paper's 1/δ = ⌈8/ε⌉ (the coupling
+// core.Params.WithEpsilon applies) below core.SlotMax. Zero fields mean
+// "default" and always pass.
+func (o *Options) validate() error {
+	if eps := o.Epsilon; eps != 0 && !(eps > 0 && eps <= 1 && math.Ceil(8/eps) < core.SlotMax) {
+		return fmt.Errorf("%w: epsilon %v, want 0 < ε <= 1 with ⌈8/ε⌉ < %d", ErrInvalidOption, eps, core.SlotMax)
+	}
+	if s := o.Slack; s != 0 && !(s > 0) {
+		return fmt.Errorf("%w: slack %v, want > 0", ErrInvalidOption, s)
+	}
+	if f := o.ThresholdFrac; f != 0 && !(f > 0 && f <= 1) {
+		return fmt.Errorf("%w: threshold fraction %v, want in (0, 1]", ErrInvalidOption, f)
+	}
+	return nil
+}
+
 func (o *Options) params() core.Params {
 	p := core.DefaultParams()
 	if o == nil {
@@ -201,6 +220,11 @@ var (
 	// that names none of the defined strategies; errors.As with
 	// *UnknownStrategyError recovers the offending value.
 	ErrUnknownStrategy = errors.New("repro: unknown strategy")
+	// ErrInvalidOption marks an Epsilon, Slack or ThresholdFrac outside its
+	// range, in the engine's base Options or a per-solve override. It is
+	// returned before any solve work starts; ValidateOptions reports it
+	// without solving.
+	ErrInvalidOption = errors.New("repro: invalid option")
 	// ErrNotMaximal marks an internal failure: the solver produced output
 	// that did not verify maximal. It should never be observed; errors.As
 	// with *NotMaximalError recovers the verifier's reason.
@@ -386,13 +410,27 @@ func (e *Engine) ctx() *scratch.Context {
 // config layers per-solve options over the engine's base Options. The base
 // is copied by value, so a SolveOption can never mutate the engine.
 func (e *Engine) config(opts []SolveOption) *solveConfig {
-	cfg := &solveConfig{Options: e.opts}
+	return layer(e.opts, opts)
+}
+
+// layer applies opts in order over a copy of base.
+func layer(base Options, opts []SolveOption) *solveConfig {
+	cfg := &solveConfig{Options: base}
 	for _, o := range opts {
 		if o != nil {
 			o(cfg)
 		}
 	}
 	return cfg
+}
+
+// ValidateOptions reports whether opts, layered over the default Options,
+// hold every value a solve accepts: nil, or an error matching
+// ErrInvalidOption that names the field and its range. A solve runs the
+// same check, so a server that must answer before its solve starts (a
+// streamed response commits its status first) can reject at admission.
+func ValidateOptions(opts ...SolveOption) error {
+	return layer(Options{}, opts).validate()
 }
 
 // MaximalMatchingCtx computes a maximal matching of g deterministically
@@ -497,6 +535,9 @@ func oneShotConfig(opts *Options) *solveConfig {
 // concrete strategy for g.
 func resolve(ctx context.Context, g *Graph, cfg *solveConfig) (core.Params, *simcost.Model, Strategy, error) {
 	opts := &cfg.Options
+	if err := opts.validate(); err != nil {
+		return core.Params{}, nil, "", err
+	}
 	p := opts.params()
 	if done := ctx.Done(); done != nil {
 		p.Done = func() bool {

@@ -165,9 +165,12 @@
 // sentinels, arranged so a server can switch on the coarse class and
 // refine when it cares:
 //
-//   - ErrNilGraph, ErrUnknownStrategy — request construction errors,
-//     reported before any solving starts. *UnknownStrategyError carries
-//     the offending strategy through errors.As.
+//   - ErrNilGraph, ErrInvalidOption, ErrUnknownStrategy — request
+//     construction errors, reported before any solving starts.
+//     ErrInvalidOption names the out-of-range Epsilon, Slack or
+//     ThresholdFrac, and ValidateOptions reports it without solving.
+//     *UnknownStrategyError carries the offending strategy through
+//     errors.As.
 //   - ErrCanceled — the solve was abandoned at a round or seed-batch
 //     boundary because its context ended. The chain also matches the
 //     context's cause (context.Canceled or context.DeadlineExceeded).

@@ -26,14 +26,13 @@ func engineOpts(strat Strategy) *Options {
 // slices, per-search seed-batch state and shard descriptors. The budgets
 // sit ~1.5x over the values measured WITH the epoch-stamped selection
 // scratch in place (sparsify: ~1.4k/0.31k at both sizes; lowdeg:
-// ~1.4k/0.5k at n=2048 and ~2.4k/0.78k at n=4096, dominated by the
-// per-solve line-graph construction) — deliberately tight so that epoch
-// state leaking out of the Reset-surviving Context slots (or any new
+// ~0.20k/0.17k at both sizes) — deliberately tight so that
+// epoch state leaking out of the Reset-surviving Context slots (or any new
 // per-round allocation) trips the assertion, while staying far below
 // O(n+m) growth.
 var warmAllocBudget = map[Strategy]struct{ mm, mis float64 }{
 	StrategySparsify:  {mm: 2200, mis: 700},
-	StrategyLowDegree: {mm: 3600, mis: 1200},
+	StrategyLowDegree: {mm: 300, mis: 260},
 }
 
 func TestEngineWarmReuseAllocsConstant(t *testing.T) {

@@ -70,7 +70,7 @@ func DetMIS(g *graph.Graph, p core.Params, batch int) *Result {
 
 	// Preprocessing: distance-2 colouring (O(log* n) rounds; each Linial
 	// iteration exchanges colours over edges) and BFS trees per component.
-	col := coloring.LinialG2(g, nil)
+	col := coloring.LinialG2(g, p.Workers(), nil)
 	res.Colors = col.NumColors
 	res.Rounds += col.Rounds + 1
 

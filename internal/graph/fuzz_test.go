@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // Native fuzz targets. `go test` runs the seed corpus; `go test -fuzz=...`
 // explores further. They assert the structural invariants that every
@@ -59,6 +62,9 @@ func FuzzLineGraphDegreeIdentity(f *testing.F) {
 		}
 		g := b.Build()
 		lg, edges := g.LineGraph()
+		if want, _ := lineGraphMapIndexed(g); !lg.Same(want) {
+			t.Fatal("LineGraph differs from the map-indexed reference")
+		}
 		if lg.N() != len(edges) || len(edges) != g.M() {
 			t.Fatalf("line graph node count %d != m %d", lg.N(), g.M())
 		}
@@ -174,8 +180,18 @@ func FuzzBallWithinBounds(f *testing.F) {
 		}
 		g := b.Build()
 		radius := int(r % 5)
+		var bs BallScratch
 		for v := 0; v < n; v++ {
+			// The unsorted walk holds the same set, centre first.
+			walk := g.BallUnsortedInto(&bs, NodeID(v), radius)
+			if walk[0] != NodeID(v) {
+				t.Fatal("unsorted ball does not start at its centre")
+			}
+			sorted := slices.Sorted(slices.Values(walk))
 			ball := g.Ball(NodeID(v), radius)
+			if !slices.Equal(sorted, ball) {
+				t.Fatalf("unsorted ball %v is not the set of Ball %v", walk, ball)
+			}
 			if len(ball) < 1 || len(ball) > n {
 				t.Fatalf("ball size %d out of range", len(ball))
 			}

@@ -1,8 +1,9 @@
 // Package graph provides the in-memory graph substrate shared by every
 // algorithm in this repository: compressed-sparse-row (CSR) undirected
 // graphs, builders, and the structural operations the paper needs (induced
-// subgraphs, node removal, line graphs for maximal matching via MIS, the
-// square graph G² for Linial colouring, and r-hop balls for Section 5).
+// subgraphs, node removal, line graphs for maximal matching via MIS, and
+// r-hop balls for Section 5, whose 2-hop walks stand in for the square
+// graph G² when colouring it).
 //
 // Graphs are immutable once built. Node ids are dense int32 values in
 // [0, N); algorithms that remove nodes produce a new Graph with the same id

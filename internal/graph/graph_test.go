@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -175,6 +177,81 @@ func TestLineGraphOfPath(t *testing.T) {
 	}
 }
 
+// lineGraphMapIndexed is the map-indexed line graph that LineGraph's CSR
+// slot labeling replaced, kept as its reference: a map from canonical edge
+// to id, then every pair of edges at each node through a Builder (whose
+// FromEdges sorts and deduplicates).
+func lineGraphMapIndexed(g *Graph) (*Graph, []Edge) {
+	edges := g.Edges()
+	index := make(map[Edge]int32, len(edges))
+	for i, e := range edges {
+		index[e] = int32(i)
+	}
+	b := NewBuilder(len(edges))
+	var ids []int32
+	for v := 0; v < g.N(); v++ {
+		nbrs := g.Neighbors(NodeID(v))
+		ids = Grow(ids, len(nbrs))
+		for i, u := range nbrs {
+			ids[i] = index[Edge{NodeID(v), u}.Canon()]
+		}
+		for i := 0; i < len(ids); i++ {
+			for j := i + 1; j < len(ids); j++ {
+				b.AddEdge(ids[i], ids[j])
+			}
+		}
+	}
+	return b.Build(), edges
+}
+
+// completeGraph returns K_n.
+func completeGraph(n int) *Graph {
+	b := NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			b.AddEdge(NodeID(u), NodeID(v))
+		}
+	}
+	return b.Build()
+}
+
+// TestLineGraphMatchesMapReference pins the CSR-slot LineGraph to the
+// map-indexed reference, graph and edge list alike, on empty, sparse,
+// dense, structured and isolated-node graphs.
+func TestLineGraphMatchesMapReference(t *testing.T) {
+	graphs := map[string]*Graph{
+		"zero":     FromEdges(0, nil),
+		"isolated": Empty(9),
+		"triangle": triangle(),
+		"path":     Path(50),
+		"star":     FromEdges(40, starEdges(40)),
+		"k24":      completeGraph(24),
+	}
+	for _, tc := range []struct{ n, m int }{{2, 1}, {7, 9}, {64, 256}, {200, 1500}, {333, 40}, {500, 4000}, {60, 1700}} {
+		graphs[fmt.Sprintf("pseudo-n%d-m%d", tc.n, tc.m)] = pseudoGraph(tc.n, tc.m, uint64(tc.n*131+tc.m))
+	}
+	for name, g := range graphs {
+		lg, edges := g.LineGraph()
+		want, wantEdges := lineGraphMapIndexed(g)
+		if !lg.Same(want) {
+			t.Errorf("%s: LineGraph differs from the map-indexed reference (n=%d m=%d, want n=%d m=%d)",
+				name, lg.N(), lg.M(), want.N(), want.M())
+		}
+		if !reflect.DeepEqual(edges, wantEdges) {
+			t.Errorf("%s: LineGraph edge list differs from the canonical edge list", name)
+		}
+	}
+}
+
+// starEdges lists the edges of the star on n nodes centred at 0.
+func starEdges(n int) []Edge {
+	edges := make([]Edge, 0, n)
+	for v := 1; v < n; v++ {
+		edges = append(edges, Edge{0, NodeID(v)})
+	}
+	return edges
+}
+
 func TestLineGraphDegreeIdentity(t *testing.T) {
 	// d_L(e) = d(u) + d(v) - 2 for e = {u,v}.
 	b := NewBuilder(7)
@@ -187,27 +264,6 @@ func TestLineGraphDegreeIdentity(t *testing.T) {
 		want := g.Degree(e.U) + g.Degree(e.V) - 2
 		if got := lg.Degree(NodeID(i)); got != want {
 			t.Errorf("d_L(%v) = %d, want %d", e, got, want)
-		}
-	}
-}
-
-func TestSquareOfPath(t *testing.T) {
-	// P5 squared: node 2 additionally sees 0 and 4.
-	g := Path(5).Square()
-	if !g.HasEdge(0, 2) || !g.HasEdge(2, 4) || g.HasEdge(0, 3) {
-		t.Error("Square of P5 wrong")
-	}
-	if g.Degree(2) != 4 {
-		t.Errorf("deg_G2(2) = %d, want 4", g.Degree(2))
-	}
-}
-
-func TestSquareContainsOriginal(t *testing.T) {
-	g := triangle()
-	sq := g.Square()
-	for _, e := range g.Edges() {
-		if !sq.HasEdge(e.U, e.V) {
-			t.Errorf("G² missing original edge %v", e)
 		}
 	}
 }

@@ -169,68 +169,65 @@ func (g *Graph) InducedNodesInto(keep []bool, workers int, dst *CSR) *Graph {
 // adjacent iff the corresponding g-edges share an endpoint. A maximal
 // matching of g is exactly an MIS of L(G) (Section 5 of the paper uses this
 // reduction for small Δ).
+//
+// L(G) is read straight off g's CSR. One pass numbers the edges in
+// canonical (U, V) order and labels both adjacency slots of each edge with
+// its id, through one write cursor per node; since the edges arrive in
+// (U, V) order, the ids at every node come out ascending in slot order.
+// The row of edge {u, v} is then a two-way merge of u's and v's id runs
+// minus the edge itself (the only id the two runs share), so every row is
+// sorted and duplicate-free with no index map and no sort.
 func (g *Graph) LineGraph() (*Graph, []Edge) {
-	edges := g.Edges()
-	index := make(map[Edge]int32, len(edges))
+	n, m := g.N(), g.m
+	edges := make([]Edge, m)
+	eid := make([]int32, len(g.adj))
+	// cursor[v] is v's next unlabeled slot. When the pass reaches u, every
+	// edge to a lower neighbour has been labeled, so cursor[u] sits on the
+	// first slot of u's higher neighbours.
+	cursor := make([]int32, n)
+	copy(cursor, g.offsets)
+	id := int32(0)
+	for u := 0; u < n; u++ {
+		for s := cursor[u]; s < g.offsets[u+1]; s++ {
+			v := g.adj[s]
+			edges[id] = Edge{NodeID(u), v}
+			eid[s] = id
+			eid[cursor[v]] = id
+			cursor[v]++
+			id++
+		}
+	}
+	offsets := make([]int32, m+1)
 	for i, e := range edges {
-		index[e] = int32(i)
+		offsets[i+1] = offsets[i] + int32(g.Degree(e.U)+g.Degree(e.V)-2)
 	}
-	b := NewBuilder(len(edges))
-	// Edges incident to the same node are pairwise adjacent in L(G).
-	var ids []int32
-	for v := 0; v < g.N(); v++ {
-		nbrs := g.Neighbors(NodeID(v))
-		ids = Grow(ids, len(nbrs))
-		for i, u := range nbrs {
-			ids[i] = index[Edge{NodeID(v), u}.Canon()]
-		}
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				b.AddEdge(ids[i], ids[j])
+	adj := make([]NodeID, offsets[m])
+	for i, e := range edges {
+		a := eid[g.offsets[e.U]:g.offsets[e.U+1]]
+		b := eid[g.offsets[e.V]:g.offsets[e.V+1]]
+		w := offsets[i]
+		for len(a) > 0 || len(b) > 0 {
+			var next int32
+			if len(b) == 0 || (len(a) > 0 && a[0] < b[0]) {
+				next, a = a[0], a[1:]
+			} else {
+				next, b = b[0], b[1:]
+			}
+			if next != int32(i) {
+				adj[w] = next
+				w++
 			}
 		}
 	}
-	return b.Build(), edges
+	return &Graph{offsets: offsets, adj: adj, m: int(offsets[m]) / 2}, edges
 }
 
-// Square returns G², the graph on the same nodes where u ~ v iff their
-// distance in g is 1 or 2. Section 5 colours G² so that 2-hop neighbours get
-// distinct colours.
-func (g *Graph) Square() *Graph {
-	b := NewBuilder(g.N())
-	seen := make(map[int64]struct{})
-	addOnce := func(u, v NodeID) {
-		if u == v {
-			return
-		}
-		a, c := u, v
-		if a > c {
-			a, c = c, a
-		}
-		k := int64(a)<<32 | int64(c)
-		if _, ok := seen[k]; ok {
-			return
-		}
-		seen[k] = struct{}{}
-		b.AddEdge(u, v)
-	}
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(NodeID(u)) {
-			addOnce(NodeID(u), v)
-			for _, w := range g.Neighbors(v) {
-				addOnce(NodeID(u), w)
-			}
-		}
-	}
-	return b.Build()
-}
-
-// BallScratch is the reusable working state of BallInto: a visited table
-// (touched entries are restored after each call) and the ball buffer.
-// Per-node ball enumeration is the dominant preprocessing cost of the
-// Section 5 path, so callers scanning many centres keep one scratch per
-// worker instead of paying a map allocation per centre. The zero value is
-// ready to use.
+// BallScratch is the reusable working state of BallInto and
+// BallUnsortedInto: a visited table (touched entries are restored after
+// each call) and the ball buffer. The Section 5 preprocessing walks one
+// ball per node in each of its passes, so callers scanning many centres
+// keep one scratch per worker instead of allocating per centre. The zero
+// value is ready to use.
 type BallScratch struct {
 	dist []int32 // -1 = unvisited; sized lazily to the graph
 	ball []NodeID
@@ -246,6 +243,17 @@ func (g *Graph) Ball(v NodeID, r int) []NodeID {
 // BallInto is Ball drawing all working state from s. The returned slice
 // aliases s.ball and is valid until the next call with the same scratch.
 func (g *Graph) BallInto(s *BallScratch, v NodeID, r int) []NodeID {
+	ball := g.BallUnsortedInto(s, v, r)
+	slices.Sort(ball)
+	return ball
+}
+
+// BallUnsortedInto is BallInto without the sort: the same node set in
+// breadth-first order, so ball[0] is v and ball[1:] the nodes at distance
+// 1..r. Callers that need only the set (its size, a sum or a scan over
+// it) skip the O(b log b) sort. The returned slice aliases s.ball and is
+// valid until the next call with the same scratch.
+func (g *Graph) BallUnsortedInto(s *BallScratch, v NodeID, r int) []NodeID {
 	n := g.N()
 	if len(s.dist) < n {
 		s.dist = make([]int32, n)
@@ -275,19 +283,18 @@ func (g *Graph) BallInto(s *BallScratch, v NodeID, r int) []NodeID {
 	for _, u := range ball {
 		s.dist[u] = -1
 	}
-	slices.Sort(ball)
 	s.ball = ball
 	return ball
 }
 
-// BallSizeMax returns the largest |Ball(v, r)| over all nodes; experiment T9
-// uses it to demonstrate that 2-hop balls overflow machine space before
-// sparsification and fit after.
+// BallSizeMax returns the largest |Ball(v, r)| over all nodes. It backs
+// BenchmarkT9_SpaceAblation's check that 2-hop balls overflow machine
+// space before sparsification and fit after.
 func (g *Graph) BallSizeMax(r int) int {
 	s := new(BallScratch)
 	max := 0
 	for v := 0; v < g.N(); v++ {
-		if l := len(g.BallInto(s, NodeID(v), r)); l > max {
+		if l := len(g.BallUnsortedInto(s, NodeID(v), r)); l > max {
 			max = l
 		}
 	}

@@ -185,7 +185,7 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 	res := &Result{}
 
 	// Preprocessing: colouring and r-hop collection.
-	col := coloring.LinialG2(g, model)
+	col := coloring.LinialG2(g, p.Workers(), model)
 	res.Colors = col.NumColors
 	res.ColoringRounds = col.Rounds
 
@@ -389,10 +389,11 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, p core.Params, model
 }
 
 // maxBallWords returns the largest r-hop ball size in words (2 per edge
-// endpoint entry), the quantity a machine must hold after collection. Each
-// ball enumeration is independent, so the scan map-reduces over vertex
-// shards (this is the dominant preprocessing cost of the Section 5 path);
-// each worker reuses one BFS scratch across its centres.
+// endpoint entry), the quantity a machine must hold after collection: the
+// maximum over v of Σ (1 + deg u) over Ball(v, r). The sum needs the ball's
+// set, not its order, so it reads the unsorted walk. Each ball is
+// independent, so the scan map-reduces over vertex shards; each worker
+// reuses one walk scratch across its centres.
 func maxBallWords(g *graph.Graph, r, workers int) int {
 	pool := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
 	return parallel.MaxInt(workers, g.N(), func(lo, hi int) int {
@@ -400,7 +401,7 @@ func maxBallWords(g *graph.Graph, r, workers int) int {
 		max := 0
 		for v := lo; v < hi; v++ {
 			words := 0
-			for _, u := range g.BallInto(bs, graph.NodeID(v), r) {
+			for _, u := range g.BallUnsortedInto(bs, graph.NodeID(v), r) {
 				words += 1 + g.Degree(u)
 			}
 			if words > max {

@@ -45,7 +45,7 @@ func RandomizedMIS(g *graph.Graph, p core.Params, src *detrand.Source) *Randomiz
 	if n == 0 {
 		return res
 	}
-	col := coloring.LinialG2(g, nil)
+	col := coloring.LinialG2(g, p.Workers(), nil)
 	res.Colors = col.NumColors
 
 	minField := uint64(col.NumColors)

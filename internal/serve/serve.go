@@ -401,8 +401,9 @@ type SolveOptions struct {
 	CostTracking  *bool   `json:"cost_tracking,omitempty"`
 }
 
-// solveOptions converts to repro.SolveOption, validating ranges that the
-// core layer treats as programmer error (panics) into 400s.
+// solveOptions converts to repro.SolveOption. The numeric ranges (epsilon,
+// slack, threshold_frac) are repro.ValidateOptions' to check, which
+// validate runs on the result.
 func (o *SolveOptions) solveOptions() ([]repro.SolveOption, error) {
 	if o == nil {
 		return nil, nil
@@ -419,21 +420,12 @@ func (o *SolveOptions) solveOptions() ([]repro.SolveOption, error) {
 		opts = append(opts, repro.WithParallelism(*o.Parallelism))
 	}
 	if o.Epsilon != 0 {
-		if o.Epsilon < 0 || o.Epsilon > 1 {
-			return nil, fmt.Errorf("%w: epsilon %v outside (0,1]", ErrBadRequest, o.Epsilon)
-		}
 		opts = append(opts, repro.WithEpsilon(o.Epsilon))
 	}
 	if o.Slack != 0 {
-		if o.Slack < 0 {
-			return nil, fmt.Errorf("%w: slack %v must be positive", ErrBadRequest, o.Slack)
-		}
 		opts = append(opts, repro.WithSlack(o.Slack))
 	}
 	if o.ThresholdFrac != 0 {
-		if o.ThresholdFrac < 0 || o.ThresholdFrac > 1 {
-			return nil, fmt.Errorf("%w: threshold_frac %v outside (0,1]", ErrBadRequest, o.ThresholdFrac)
-		}
 		opts = append(opts, repro.WithThresholdFrac(o.ThresholdFrac))
 	}
 	if o.CostTracking != nil {
@@ -549,7 +541,9 @@ func (s *Server) runSolve(ctx context.Context, pg *repro.PreparedGraph, problem 
 }
 
 // validate front-loads the request checks shared by both solve paths, so
-// admission control only ever queues runnable work.
+// admission control only ever queues runnable work. Option ranges are
+// checked here rather than left to the solve: a streamed response commits
+// its 200 before the solve runs.
 func (s *Server) validate(req *SolveRequest) (*repro.PreparedGraph, []repro.SolveOption, error) {
 	if req.Problem != ProblemMatching && req.Problem != ProblemMIS {
 		return nil, nil, fmt.Errorf("%w: unknown problem %q", ErrBadRequest, req.Problem)
@@ -560,6 +554,9 @@ func (s *Server) validate(req *SolveRequest) (*repro.PreparedGraph, []repro.Solv
 	}
 	opts, err := req.Options.solveOptions()
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := repro.ValidateOptions(opts...); err != nil {
 		return nil, nil, err
 	}
 	return pg, opts, nil
@@ -682,8 +679,8 @@ func (s *Server) Stats() Stats {
 
 // HTTPStatus maps the serving error taxonomy onto status codes: 429
 // overloaded, 504 deadline expired, 499 (nginx convention) client
-// cancellation, 400 bad request / unknown strategy, 404 unknown
-// fingerprint, 503 shutdown, 500 anything else.
+// cancellation, 400 bad request / invalid option / unknown strategy, 404
+// unknown fingerprint, 503 shutdown, 500 anything else.
 func HTTPStatus(err error) int {
 	switch {
 	case err == nil:
@@ -694,7 +691,7 @@ func HTTPStatus(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, repro.ErrCanceled):
 		return 499 // client closed request
-	case errors.Is(err, ErrBadRequest), errors.Is(err, repro.ErrUnknownStrategy), errors.Is(err, repro.ErrNilGraph):
+	case errors.Is(err, ErrBadRequest), errors.Is(err, repro.ErrInvalidOption), errors.Is(err, repro.ErrUnknownStrategy), errors.Is(err, repro.ErrNilGraph):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrUnknownFingerprint):
 		return http.StatusNotFound

@@ -484,6 +484,62 @@ func TestServeStreaming(t *testing.T) {
 	}
 }
 
+// TestServeInvalidOptions is the served regression test for the ε crash:
+// "epsilon":0.01 passes a plain (0,1] range check but gives 1/δ = 800 ≥
+// core.SlotMax, which used to panic on a worker goroutine and kill the
+// process. It must be a 400 at admission, streamed or not, and the server
+// must go on serving.
+func TestServeInvalidOptions(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const graphJSON = `"graph":{"n":4,"edges":[[0,1],[1,2],[2,3]]}`
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out bytes.Buffer
+		if _, err := out.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out.String()
+	}
+	for _, body := range []string{
+		`{"problem":"matching",` + graphJSON + `,"options":{"epsilon":0.01}}`,
+		`{"problem":"matching",` + graphJSON + `,"options":{"epsilon":0.01},"stream":true}`,
+		`{"problem":"mis",` + graphJSON + `,"options":{"epsilon":0.12},"stream":true}`,
+		`{"problem":"mis",` + graphJSON + `,"options":{"slack":-1}}`,
+		`{"problem":"mis",` + graphJSON + `,"options":{"threshold_frac":2}}`,
+	} {
+		if status, out := post(body); status != http.StatusBadRequest || !strings.Contains(out, "invalid option") {
+			t.Errorf("%s: status %d (%s), want 400 invalid option", body, status, out)
+		}
+	}
+	status, out := post(`{"problem":"matching",` + graphJSON + `}`)
+	if status != http.StatusOK {
+		t.Fatalf("valid request after rejected ones: status %d (%s)", status, out)
+	}
+	var resp SolveResponse
+	if err := json.Unmarshal([]byte(out), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Edges) != 2 {
+		t.Fatalf("P4 matching %v, want 2 edges", resp.Edges)
+	}
+	// The in-process Server.Solve rejects the same way.
+	var req SolveRequest
+	if err := json.Unmarshal([]byte(`{"problem":"matching",`+graphJSON+`,"options":{"epsilon":0.01}}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve(context.Background(), &req); !errors.Is(err, repro.ErrInvalidOption) {
+		t.Fatalf("Server.Solve err = %v, want repro.ErrInvalidOption", err)
+	}
+}
+
 // TestHTTPStatusMapping pins the error taxonomy → status code table.
 func TestHTTPStatusMapping(t *testing.T) {
 	cases := []struct {
@@ -495,6 +551,7 @@ func TestHTTPStatusMapping(t *testing.T) {
 		{fmt.Errorf("%w: %w: %w", repro.ErrCanceled, repro.ErrDeadlineExceeded, context.DeadlineExceeded), http.StatusGatewayTimeout},
 		{fmt.Errorf("%w: %w", repro.ErrCanceled, context.Canceled), 499},
 		{fmt.Errorf("%w: junk", ErrBadRequest), http.StatusBadRequest},
+		{fmt.Errorf("%w: epsilon 0.01", repro.ErrInvalidOption), http.StatusBadRequest},
 		{repro.ErrUnknownStrategy, http.StatusBadRequest},
 		{repro.ErrNilGraph, http.StatusBadRequest},
 		{fmt.Errorf("%w: abc", ErrUnknownFingerprint), http.StatusNotFound},

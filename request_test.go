@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -403,6 +404,59 @@ func TestTypedErrors(t *testing.T) {
 	var asNME *NotMaximalError
 	if !errors.As(nme, &asNME) || asNME.Reason == "" {
 		t.Fatal("errors.As(*NotMaximalError) failed")
+	}
+}
+
+// TestInvalidOptionsRejected is the regression test for the ε crash: an ε
+// whose 1/δ = ⌈8/ε⌉ reaches core.SlotMax (every ε < 8/63 ≈ 0.127), or one
+// outside (0, 1], used to panic inside core. Every entry point now returns
+// ErrInvalidOption before solving, and the engine stays usable afterwards.
+func TestInvalidOptionsRejected(t *testing.T) {
+	g, err := Generate("gnm", 64, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(nil)
+	for _, c := range []struct {
+		name string
+		opt  SolveOption
+	}{
+		{"epsilon 0.12", WithEpsilon(0.12)},
+		{"epsilon -1", WithEpsilon(-1)},
+		{"epsilon 1.5", WithEpsilon(1.5)},
+		{"epsilon NaN", WithEpsilon(math.NaN())},
+		{"epsilon tiny", WithEpsilon(math.SmallestNonzeroFloat64)},
+		{"slack -2", WithSlack(-2)},
+		{"threshold 1.5", WithThresholdFrac(1.5)},
+		{"threshold -0.5", WithThresholdFrac(-0.5)},
+	} {
+		if err := ValidateOptions(c.opt); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("%s: ValidateOptions = %v, want ErrInvalidOption", c.name, err)
+		}
+		if _, err := eng.MaximalMatchingCtx(context.Background(), g, c.opt); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("%s: MaximalMatchingCtx err = %v, want ErrInvalidOption", c.name, err)
+		}
+		if _, err := eng.MaximalIndependentSetCtx(context.Background(), g, c.opt); !errors.Is(err, ErrInvalidOption) {
+			t.Errorf("%s: MaximalIndependentSetCtx err = %v, want ErrInvalidOption", c.name, err)
+		}
+	}
+	if _, err := MaximalMatching(g, &Options{Epsilon: 0.12}); !errors.Is(err, ErrInvalidOption) {
+		t.Errorf("free function, epsilon 0.12: err = %v, want ErrInvalidOption", err)
+	}
+	if _, err := NewEngine(&Options{Epsilon: -1}).MaximalIndependentSet(g); !errors.Is(err, ErrInvalidOption) {
+		t.Errorf("engine base epsilon -1: err = %v, want ErrInvalidOption", err)
+	}
+	// The smallest accepted ε just above the cut, and the defaults, solve.
+	if err := ValidateOptions(WithEpsilon(0.13), WithSlack(1), WithThresholdFrac(1)); err != nil {
+		t.Fatalf("valid options rejected: %v", err)
+	}
+	for _, strat := range []Strategy{StrategySparsify, StrategyLowDegree} {
+		if _, err := eng.MaximalMatchingCtx(context.Background(), g, WithEpsilon(0.13), WithStrategy(strat)); err != nil {
+			t.Errorf("%s, epsilon 0.13: %v", strat, err)
+		}
+		if _, err := eng.MaximalIndependentSetCtx(context.Background(), g, WithEpsilon(0.13), WithStrategy(strat)); err != nil {
+			t.Errorf("%s, epsilon 0.13: %v", strat, err)
+		}
 	}
 }
 
