@@ -85,7 +85,8 @@ race:
 # The warm-Engine determinism tables in isolation, plus the cross-path
 # equivalence tables (sharded vs serial EvalKeys; the lowdeg incident-count
 # objective vs the full-graph scan; the sparsify stage fold vs its full-row
-# count; the fold and stamped selections and the blocked kernel vs their
+# count, and the hashed-once stage items vs the expanded-key scoring at
+# Parallelism 1/2/8; the fold and stamped selections and the blocked kernel vs their
 # references; the core selections every candidate seed is scored through vs
 # per-seed EvalKeys + selection, and the seed search's miss-path fan-out at
 # Parallelism 1/2/8; the probe-first seed search vs whole-batch scoring, and
@@ -106,7 +107,7 @@ race:
 # checks, through `go test -list`, that every listed name is a test, fuzz
 # target or benchmark of its packages, and fails otherwise.
 ENGINE_TABLES := TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence
-EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissFanOut|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLineGraphMatchesMapReference
+EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissFanOut|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLineGraphMatchesMapReference
 EQUIV_PKGS := ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/ ./internal/coloring/ ./internal/graph/
 # check-tests fails unless every name of the |-separated list $(1) is a
 # top-level test, fuzz target or benchmark of the packages $(2).
@@ -192,13 +193,23 @@ serve-compare:
 	@echo "serve-compare: diffing $(LOADGEN_OUT) against baseline $(LOADGEN_BASELINE)"
 	$(GO) run ./cmd/benchjson -input $(LOADGEN_OUT) -compare $(LOADGEN_BASELINE) -warn '$(LOADGEN_WARN)' -warn-pct 25
 
-# CPU profiles of three benchmarks into the git-ignored profiles/ directory,
+# CPU profiles of four benchmarks into the git-ignored profiles/ directory,
 # ready for `go tool pprof profiles/<name>.pprof`:
-#   - t2_mis: the whole Theorem 14 MIS solve (BenchmarkT2_MISRounds). It is
-#     bound by the Section 4.2 node-sparsification stage chain: the stage
-#     seed searches, the per-stage key and group builds and the CSR
-#     rebuilds. 15 iterations keep about as many samples as 3 did before
-#     seed batches were scored probe-first and the solve got ~5x faster.
+#   - t2_mis: the whole Theorem 14 MIS solve (BenchmarkT2_MISRounds, G(n,m)
+#     n=4096 m=32768) on a fresh scratch context per solve. The Section 4.2
+#     node-sparsification chain is ~40% of samples: the per-stage run
+#     layouts (sparsify.nodeStageItems) ~15-20%, the stage seed searches
+#     ~7-10%, the Lemma 17/18 audits ~5-12%. Allocating and zeroing the
+#     fresh scratch context is another ~10%. At ~9 ms per solve, 100
+#     iterations give ~1 s of samples.
+#   - mm_sparsify: the Theorem 2 matching solve on the same graph
+#     (BenchmarkMatchingDeterministicParallel), the in-process shape of
+#     detbench's inproc-sparsify matching solves. The Section 3.2
+#     edge-sparsification chain is ~50% of samples: the stage runs
+#     (sparsify.edgeStageItems) ~10%, the stage seed searches ~10-14%
+#     (intmath.Reducer.EvalPoly, the 4-wise hash, ~8%), the E0 and E_j CSR
+#     builds (graph.FromEdgesInto) ~13%. At ~15 ms per solve, 100
+#     iterations give ~1.5 s of samples.
 #   - t5_lowdeg: the Section 5 stage-compressed MIS on an 8-regular graph
 #     (BenchmarkT5_LowDegreeStages). It is bound by the 2-hop walks of its
 #     preprocessing (graph.BallUnsortedInto, ~55% of samples): the r-ball
@@ -215,7 +226,8 @@ serve-compare:
 # lands in profiles/ too (pprof wants it for symbolization).
 profile:
 	mkdir -p profiles
-	$(GO) test -bench 'BenchmarkT2_MISRounds' -benchtime 15x -benchmem -run '^$$' -cpuprofile profiles/t2_mis.pprof -o profiles/repro.test .
+	$(GO) test -bench 'BenchmarkT2_MISRounds' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/t2_mis.pprof -o profiles/repro.test .
+	$(GO) test -bench 'BenchmarkMatchingDeterministicParallel' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/mm_sparsify.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkT5_LowDegreeStages' -benchtime 60x -benchmem -run '^$$' -cpuprofile profiles/t5_lowdeg.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeSelectionScan' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/t7_seedsearch.pprof -o profiles/repro.test .
 

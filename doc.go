@@ -67,29 +67,33 @@
 // which scores each charged batch probe-first: the batch's first candidate
 // alone, and the rest, fanned out over the workers, only when it misses,
 // while the cost model and every reported seed count still charge the whole
-// batch. The sparsify stage searches score a candidate by walking the
-// stage's key vector in cache-resident hashfam.BlockKeyGrain blocks, each
-// hashed into one stack buffer and absorbed at once into the candidate's
-// goodness cursor (branchless scans judged against acceptance intervals
-// precomputed once per stage — the deviation bounds depend only on each
-// group's fixed size and weight, never on the seed), so no full hash row is
-// materialised. The arithmetic is regime-dispatched per field prime
-// (internal/intmath.Reducer): a single high-multiply Barrett path for
-// m ≤ 2^32 — with a GOARCH-gated AVX2 assembly inner loop on amd64 and a
-// pure-Go fallback elsewhere — a branchless Montgomery path for odd
+// batch. The sparsify stage searches hash each of a stage's items — the
+// edges of E_{j-1} or the nodes of Q_{j-1} — once per candidate, into one
+// row per worker that the scratch context keeps across rounds, and every
+// logical machine is a γ-chunk of a run of item indices into that row: a
+// node's incident edges (its CSR row labeled with edge ids), its X(v)
+// edges, or its neighbours in Q_{j-1}. The fold gathers each chunk's values
+// in branchless scans judged against acceptance windows precomputed once
+// per stage (the deviation bounds depend only on each group's fixed size
+// and weight, never on the seed). The arithmetic is regime-dispatched per
+// field prime (internal/intmath.Reducer): a single high-multiply Barrett
+// path for m ≤ 2^32 — with a GOARCH-gated AVX2 assembly inner loop on amd64
+// and a pure-Go fallback elsewhere — a branchless Montgomery path for odd
 // m < 2^63, and Möller–Granlund wide reduction for the rest. Every regime
 // computes exactly the same field values as hashfam.Family.Eval. End to
 // end, the golden corpus under testdata/golden pins the derandomized outputs
-// and seed-search trajectories, including a workload whose key vectors end
-// in ragged blocks. Layer by layer, the fuzzers pin EvalKeys to
+// and seed-search trajectories. Layer by layer, the fuzzers pin EvalKeys to
 // Family.Eval, the blocked multi-seed kernel (which only benchmarks call) to
 // per-seed EvalKeys, and the fold selections to the epoch-stamped scans;
 // the core selections are pinned to per-seed EvalKeys + selection
 // (TestNodeGroupMatchesSel, TestEdgeGroupMatchesSel), the search's miss-path
 // fan-out to a serial reference at Parallelism 1, 2 and 8
-// (TestSeedSearchMissFanOut), and TestStageFoldMatchesCountGood and
-// TestIncidentEdgesMatchesFullScan pin the sparsify stage fold and the
-// lowdeg objective to their full-row and full-graph references.
+// (TestSeedSearchMissFanOut), TestStageFoldMatchesCountGood and
+// TestStageItemsMatchExpandedKeys pin the sparsify stage fold and its
+// hashed-once items to the expanded-key scoring (every group hashing its own
+// copy of its keys) at Parallelism 1, 2 and 8, and
+// TestIncidentEdgesMatchesFullScan pins the lowdeg objective to its
+// full-graph reference.
 //
 // The selection side of that path picks its table discipline per round, for
 // edges and nodes alike; the choice lives in core.LocalMinEdgesSel and

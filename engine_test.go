@@ -7,6 +7,8 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 )
@@ -23,16 +25,110 @@ func engineOpts(strat Strategy) *Options {
 // Allocation budgets for one warm re-solve. The cold working set of these
 // workloads is tens of thousands of objects (n+m >= 8184); a warm engine
 // re-solve measures in the hundreds — the remaining constant is result
-// slices, per-search seed-batch state and shard descriptors. The budgets
-// sit ~1.5x over the values measured WITH the epoch-stamped selection
-// scratch in place (sparsify: ~1.4k/0.31k at both sizes; lowdeg:
-// ~0.20k/0.17k at both sizes) — deliberately tight so that
-// epoch state leaking out of the Reset-surviving Context slots (or any new
-// per-round allocation) trips the assertion, while staying far below
-// O(n+m) growth.
+// slices, per-search seed-batch state and shard descriptors. The object
+// budgets are one constant per strategy at every size and density; they
+// sit ~1.5x over the values measured with every sparsify stage hashing its
+// items once into Reset-surviving rows (sparsify: mm 417–542, mis 183–247
+// objects) and with the Section 5 preprocessing on the CSR (lowdeg: mm
+// ~0.18k, mis ~0.16k) — deliberately tight so that epoch state leaking out
+// of the Reset-surviving Context slots (or any new per-round allocation)
+// trips the assertion, while staying far below O(n+m) growth.
 var warmAllocBudget = map[Strategy]struct{ mm, mis float64 }{
-	StrategySparsify:  {mm: 2200, mis: 700},
+	StrategySparsify:  {mm: 820, mis: 380},
 	StrategyLowDegree: {mm: 300, mis: 260},
+}
+
+// warmWorkload is one graph a strategy's warm re-solves are measured on,
+// with its bytes budget in KB per solve at each node count. Bytes grow
+// with the graph where objects do not: per-solve seed-search state and
+// result slices scale with n, and the lowdeg matching path builds a line
+// graph per solve. The budgets sit ~1.5x over the measured values (KB,
+// mm/mis at n = 2048 and 4096: sparsify gnm avg 8 229/99 and 356/137,
+// avg 16 289/103 and 389/120; lowdeg 882/187 and 1736/332), so the stage
+// chains' old per-group appends — 2.3 MB of a 3.0 MB matching solve at
+// avg 16 — cannot return unnoticed.
+type warmWorkload struct {
+	family string
+	avg    int
+	kb     map[int]struct{ mm, mis float64 }
+}
+
+var warmWorkloads = map[Strategy][]warmWorkload{
+	// G(n,m) at two densities: the stage chains' group layouts grow with
+	// the degree.
+	StrategySparsify: {
+		{"gnm", 8, map[int]struct{ mm, mis float64 }{2048: {345, 150}, 4096: {535, 205}}},
+		{"gnm", 16, map[int]struct{ mm, mis float64 }{2048: {435, 155}, 4096: {585, 180}}},
+	},
+	// A bounded-degree graph (the regime), whose line graph stays
+	// affordable for the per-solve construction.
+	StrategyLowDegree: {
+		{"regular", 6, map[int]struct{ mm, mis float64 }{2048: {1320, 280}, 4096: {2600, 500}}},
+	},
+}
+
+// warmCost returns the objects and bytes one warm re-solve of a fresh
+// engine allocates, averaged over two runs, as in testing.AllocsPerRun.
+// Three solves come first: the cold one, and two more because the scratch
+// arenas' best-fit free lists settle only on an engine's third solve. Every
+// solve runs at GOMAXPROCS 1, because the engine pools its scratch context
+// in a sync.Pool, whose per-P private slot a solve on another P cannot
+// see, and with the collector off, so no collection drains a pool
+// mid-solve.
+func warmCost(solve func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 3; i++ {
+		solve()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 2
+	for i := 0; i < runs; i++ {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// checkWarmBudgets solves every workload of strat at n nodes on two fresh
+// engines, one per problem, and holds each warm re-solve to the strategy's
+// object budget and the workload's bytes budget.
+func checkWarmBudgets(t *testing.T, strat Strategy, n int) {
+	budget := warmAllocBudget[strat]
+	for _, w := range warmWorkloads[strat] {
+		g, err := Generate(w.family, n, w.avg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if float64(g.N()+g.M()) <= budget.mm {
+			t.Fatalf("workload too small for the budget to mean anything: n+m=%d", g.N()+g.M())
+		}
+		kb := w.kb[n]
+		for _, c := range []struct {
+			problem           string
+			solve             func(*Engine) error
+			objects, bytesMax float64
+		}{
+			{"MaximalMatching", func(e *Engine) error { _, err := e.MaximalMatching(g); return err }, budget.mm, kb.mm * 1024},
+			{"MaximalIndependentSet", func(e *Engine) error { _, err := e.MaximalIndependentSet(g); return err }, budget.mis, kb.mis * 1024},
+		} {
+			eng := NewEngine(engineOpts(strat))
+			objects, bytes := warmCost(func() {
+				if err := c.solve(eng); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if objects > c.objects {
+				t.Errorf("%s n=%d avg=%d: warm %s re-solve allocated %.0f objects, budget %.0f (n+m=%d)",
+					w.family, n, w.avg, c.problem, objects, c.objects, g.N()+g.M())
+			}
+			if bytes > c.bytesMax {
+				t.Errorf("%s n=%d avg=%d: warm %s re-solve allocated %.0f KB, budget %.0f KB",
+					w.family, n, w.avg, c.problem, bytes/1024, c.bytesMax/1024)
+			}
+		}
+	}
 }
 
 func TestEngineWarmReuseAllocsConstant(t *testing.T) {
@@ -43,56 +139,12 @@ func TestEngineWarmReuseAllocsConstant(t *testing.T) {
 		t.Skip("race-detector instrumentation inflates allocation counts; budgets are enforced by the non-race run")
 	}
 	for _, strat := range []Strategy{StrategySparsify, StrategyLowDegree} {
-		t.Run(string(strat), func(t *testing.T) {
-			// The sparsify path gets a G(n,m) workload; the low-degree path
-			// a bounded-degree one (its regime), whose line graph stays
-			// affordable for the per-solve construction.
-			family, avg := "gnm", 8
-			if strat == StrategyLowDegree {
-				family, avg = "regular", 6
-			}
-			g, err := Generate(family, 2048, avg, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			budget := warmAllocBudget[strat]
-			if float64(g.N()+g.M()) <= budget.mm {
-				t.Fatalf("workload too small for the budget to mean anything: n+m=%d", g.N()+g.M())
-			}
-
-			eng := NewEngine(engineOpts(strat))
-			if _, err := eng.MaximalMatching(g); err != nil {
-				t.Fatal(err)
-			}
-			warm := testing.AllocsPerRun(2, func() {
-				if _, err := eng.MaximalMatching(g); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if warm > budget.mm {
-				t.Errorf("warm MaximalMatching re-solve allocated %.0f objects, budget %.0f (n+m=%d)",
-					warm, budget.mm, g.N()+g.M())
-			}
-
-			eng2 := NewEngine(engineOpts(strat))
-			if _, err := eng2.MaximalIndependentSet(g); err != nil {
-				t.Fatal(err)
-			}
-			warmIS := testing.AllocsPerRun(2, func() {
-				if _, err := eng2.MaximalIndependentSet(g); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if warmIS > budget.mis {
-				t.Errorf("warm MaximalIndependentSet re-solve allocated %.0f objects, budget %.0f (n+m=%d)",
-					warmIS, budget.mis, g.N()+g.M())
-			}
-		})
+		t.Run(string(strat), func(t *testing.T) { checkWarmBudgets(t, strat, 2048) })
 	}
 }
 
 // TestEngineWarmReuseAllocsFlatAcrossSizes doubles the workload and asserts
-// the SAME fixed budgets still hold for every strategy × algorithm
+// the SAME fixed object budgets still hold for every strategy × algorithm
 // combination: the warm allocation count is a constant, not a fraction of
 // n+m. At this size the budgets sit at 10-30% of n+m, so a regression that
 // reintroduces even a fraction of an allocation per edge trips it.
@@ -104,45 +156,7 @@ func TestEngineWarmReuseAllocsFlatAcrossSizes(t *testing.T) {
 		t.Skip("race-detector instrumentation inflates allocation counts; budgets are enforced by the non-race run")
 	}
 	for _, strat := range []Strategy{StrategySparsify, StrategyLowDegree} {
-		t.Run(string(strat), func(t *testing.T) {
-			family, avg := "gnm", 8
-			if strat == StrategyLowDegree {
-				family, avg = "regular", 6
-			}
-			g, err := Generate(family, 4096, avg, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			budget := warmAllocBudget[strat]
-
-			eng := NewEngine(engineOpts(strat))
-			if _, err := eng.MaximalMatching(g); err != nil {
-				t.Fatal(err)
-			}
-			warm := testing.AllocsPerRun(2, func() {
-				if _, err := eng.MaximalMatching(g); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if warm > budget.mm {
-				t.Errorf("doubled workload: warm MaximalMatching re-solve allocated %.0f objects, budget %.0f (n+m=%d)",
-					warm, budget.mm, g.N()+g.M())
-			}
-
-			eng2 := NewEngine(engineOpts(strat))
-			if _, err := eng2.MaximalIndependentSet(g); err != nil {
-				t.Fatal(err)
-			}
-			warmIS := testing.AllocsPerRun(2, func() {
-				if _, err := eng2.MaximalIndependentSet(g); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if warmIS > budget.mis {
-				t.Errorf("doubled workload: warm MaximalIndependentSet re-solve allocated %.0f objects, budget %.0f (n+m=%d)",
-					warmIS, budget.mis, g.N()+g.M())
-			}
-		})
+		t.Run(string(strat), func(t *testing.T) { checkWarmBudgets(t, strat, 4096) })
 	}
 }
 

@@ -78,8 +78,8 @@ var goldenWorkloads = []struct {
 	{"powerlaw", "powerlaw", 256, 6, 3},
 	{"regular", "regular", 192, 6, 5},
 	{"grid", "grid", 196, 4, 2},
-	// Ragged tails: key vectors that straddle hashfam.BlockKeyGrain
-	// blocks, which the sparsify stage search hashes one block at a time.
+	// Ragged tails: at n = 600, γ = 5, so most sparsify stage runs
+	// (degrees around 9) end in a partial γ-chunk.
 	{"gnm-n600", "gnm", 600, 9, 11},
 }
 

@@ -180,6 +180,7 @@ type DegreeClasses struct {
 	K      int
 	Bounds []uint64 // Bounds[i] = ceil(n^{i/K}) for i = 0..K; Bounds[0] = 1
 	n01d   float64  // n^{0.1δ}, DevTerm's seed- and group-independent factor
+	gamma  int      // γ = max(2, ceil(n^{4δ})), see GroupSize
 }
 
 // dcCache memoises the most recent DegreeClasses. The boundaries are a pure
@@ -209,6 +210,7 @@ func NewDegreeClasses(n, k int) *DegreeClasses {
 		}
 	}
 	dc := &DegreeClasses{N: n, K: k, Bounds: bounds, n01d: math.Pow(float64(n), 0.1/float64(k))}
+	dc.gamma = max(2, int(intmath.CeilPow(uint64(n), 4, k)))
 	dcCache.Store(dc)
 	return dc
 }
@@ -236,15 +238,10 @@ func StageCount(i int) int {
 	return i - 4
 }
 
-// GroupSize returns the machine-group size γ = ceil(n^{4δ}) used when a
-// node's incident edges (or neighbours) are spread over type-A/B machines.
-func (c *DegreeClasses) GroupSize() int {
-	g := intmath.CeilPow(uint64(c.N), 4, c.K)
-	if g < 2 {
-		g = 2
-	}
-	return int(g)
-}
+// GroupSize returns the machine-group size γ = ceil(n^{4δ}) (at least 2)
+// used when a node's incident edges (or neighbours) are spread over
+// type-A/B machines. It is computed once, in NewDegreeClasses.
+func (c *DegreeClasses) GroupSize() int { return c.gamma }
 
 // StageThreshold returns the field threshold t such that h(x) < t samples x
 // with probability floor(p·n^{-δ})/p, i.e. as close to exactly n^{-δ} as the
@@ -983,20 +980,6 @@ func SlotKeysInto(dst []uint64, edges []graph.Edge, slot, n int) []uint64 {
 	dst = dst[:0]
 	for _, e := range edges {
 		dst = append(dst, e.Key(n)+off)
-	}
-	return dst
-}
-
-// NodeSlotKeysInto is SlotKeysInto for the vertex key space: it appends the
-// slot-separated key of every node id 0..n-1 to dst[:0] and returns it.
-func NodeSlotKeysInto(dst []uint64, slot, n int) []uint64 {
-	if slot < 0 || slot >= SlotMax {
-		panic("core: slot out of range")
-	}
-	off := uint64(slot) * uint64(n) * uint64(n)
-	dst = dst[:0]
-	for v := 0; v < n; v++ {
-		dst = append(dst, uint64(v)+off)
 	}
 	return dst
 }

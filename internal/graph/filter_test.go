@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 // pseudoGraph builds a deterministic scrambled graph for property tests.
 func pseudoGraph(n, m int, seed uint64) *Graph {
@@ -39,12 +36,13 @@ func referenceFilter(g *Graph, keep func(u, v NodeID) bool) *Graph {
 	return FromEdges(g.N(), edges)
 }
 
-// TestFilterCSRMatchesReference pins the direct CSR filter against the
-// edge-list reference on a grid of graphs, masks and worker counts.
+// TestFilterCSRMatchesReference pins the CSR mask filter behind
+// WithoutNodes and InducedNodes (maskFilterInto) against the edge-list
+// reference, byte for byte, on a grid of graphs, masks and worker counts.
 func TestFilterCSRMatchesReference(t *testing.T) {
 	for _, tc := range []struct{ n, m int }{{1, 0}, {7, 9}, {64, 256}, {200, 1500}, {333, 40}} {
 		g := pseudoGraph(tc.n, tc.m, uint64(tc.n*31+tc.m))
-		for maskKind := 0; maskKind < 3; maskKind++ {
+		for maskKind := 0; maskKind < 4; maskKind++ {
 			mask := make([]bool, g.N())
 			for v := range mask {
 				switch maskKind {
@@ -54,29 +52,24 @@ func TestFilterCSRMatchesReference(t *testing.T) {
 					mask[v] = false
 				case 2:
 					mask[v] = true
+				case 3:
+					mask[v] = (uint64(v)*0x9e3779b97f4a7c15)>>63 == 1
 				}
 			}
 			wantW := referenceFilter(g, func(u, v NodeID) bool { return !mask[u] && !mask[v] })
 			wantI := referenceFilter(g, func(u, v NodeID) bool { return mask[u] && mask[v] })
 			for _, workers := range []int{1, 2, 8} {
 				gotW := g.WithoutNodesW(mask, workers)
-				if !sameGraph(gotW, wantW) {
+				if !gotW.Same(wantW) {
 					t.Fatalf("n=%d m=%d mask=%d workers=%d: WithoutNodesW mismatch", tc.n, tc.m, maskKind, workers)
 				}
 				gotI := g.InducedNodesW(mask, workers)
-				if !sameGraph(gotI, wantI) {
+				if !gotI.Same(wantI) {
 					t.Fatalf("n=%d m=%d mask=%d workers=%d: InducedNodesW mismatch", tc.n, tc.m, maskKind, workers)
 				}
 			}
 		}
 	}
-}
-
-func sameGraph(a, b *Graph) bool {
-	if a.N() != b.N() || a.M() != b.M() {
-		return false
-	}
-	return reflect.DeepEqual(a.Edges(), b.Edges())
 }
 
 // TestFilterCSRKeepsNeighborListsSorted guards the sortedness invariant that

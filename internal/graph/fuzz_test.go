@@ -14,6 +14,12 @@ func FuzzBuilderInvariants(f *testing.F) {
 	f.Add([]byte{5, 5, 5, 5})
 	f.Add([]byte{})
 	f.Add([]byte{255, 254, 253, 252, 1, 1})
+	// FromEdgesInto skips its sort when the edges arrive in (U, V) order:
+	// sorted, reversed and duplicated lists reach both branches.
+	f.Add([]byte{0, 1, 0, 2, 1, 2, 1, 5, 3, 4, 7, 9})
+	f.Add([]byte{7, 9, 3, 4, 1, 5, 1, 2, 0, 2, 0, 1})
+	f.Add([]byte{0, 1, 0, 1, 2, 3, 2, 3, 2, 3, 4, 6})
+	f.Add([]byte{1, 0, 2, 0, 2, 1, 5, 1})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		const n = 64
 		b := NewBuilder(n)
@@ -44,9 +50,15 @@ func FuzzBuilderInvariants(f *testing.F) {
 				}
 			}
 		}
-		// Edge list round trip.
-		if h := FromEdges(n, g.Edges()); h.M() != g.M() {
-			t.Fatalf("edge-list round trip lost edges: %d -> %d", g.M(), h.M())
+		// Edge list round trip, in canonical order (no sort) and reversed
+		// (sorted): both must rebuild g exactly.
+		edges := g.Edges()
+		if h := FromEdges(n, edges); !h.Same(g) {
+			t.Fatalf("edge-list round trip changed the graph: %v -> %v", g, h)
+		}
+		slices.Reverse(edges)
+		if h := FromEdges(n, edges); !h.Same(g) {
+			t.Fatalf("reversed edge-list round trip changed the graph: %v -> %v", g, h)
 		}
 	})
 }

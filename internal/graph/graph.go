@@ -248,8 +248,15 @@ func FromEdges(n int, edges []Edge) *Graph {
 // returned graph aliases dst's storage (see CSR); the input slice is not
 // modified and must not alias dst's internal scratch. The result is
 // byte-identical to FromEdges for any prior contents of dst.
+//
+// The canonicalised list is sorted by (U, V) only when it is not in that
+// order already: edge lists read off a CSR (Edges, EdgesAppend) and their
+// order-preserving subsets, such as the sparsify stage chain's E0 and E_j,
+// skip the sort. Every row then comes out sorted by construction (see the
+// placement loop), so no row is sorted either.
 func FromEdgesInto(n int, edges []Edge, dst *CSR) *Graph {
 	canon := Grow(dst.edges, len(edges))[:0]
+	sorted := true
 	for _, e := range edges {
 		if e.U == e.V {
 			continue
@@ -257,18 +264,19 @@ func FromEdgesInto(n int, edges []Edge, dst *CSR) *Graph {
 		if int(e.U) >= n || int(e.V) >= n || e.U < 0 || e.V < 0 {
 			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n))
 		}
-		canon = append(canon, e.Canon())
+		e = e.Canon()
+		if k := len(canon); k > 0 && edgeCmp(canon[k-1], e) > 0 {
+			sorted = false
+		}
+		canon = append(canon, e)
 	}
 	dst.edges = canon
-	// slices.SortFunc rather than sort.Slice: the generic sort allocates
-	// nothing, where the reflective one costs two heap objects per call —
-	// material here because the round loops rebuild graphs every iteration.
-	slices.SortFunc(canon, func(a, b Edge) int {
-		if a.U != b.U {
-			return int(a.U) - int(b.U)
-		}
-		return int(a.V) - int(b.V)
-	})
+	if !sorted {
+		// slices.SortFunc rather than sort.Slice: the generic sort
+		// allocates nothing, where the reflective one costs two heap
+		// objects per call.
+		slices.SortFunc(canon, edgeCmp)
+	}
 	// Deduplicate in place.
 	uniq := canon[:0]
 	for i, e := range canon {
@@ -289,22 +297,27 @@ func FromEdgesInto(n int, edges []Edge, dst *CSR) *Graph {
 	adj := Grow(dst.adj, int(offsets[n]))
 	cursor := Grow(dst.cursor, n)
 	clear(cursor)
+	// Edges arrive in (U, V) order with U < V, so node x first receives its
+	// lower neighbours (as the V of edges whose U ascends) and then its
+	// higher ones (as the U of edges whose V ascends): every row is written
+	// in ascending order.
 	for _, e := range uniq {
 		adj[offsets[e.U]+cursor[e.U]] = e.V
 		cursor[e.U]++
 		adj[offsets[e.V]+cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	// Neighbour lists are already sorted because edges were sorted by (U,V)
-	// for the U side, but the V side receives entries ordered by U, which is
-	// sorted too. Sort defensively anyway (allocation-free slices.Sort):
-	// correctness beats micro-cost.
-	for v := 0; v < n; v++ {
-		slices.Sort(adj[offsets[v]:offsets[v+1]])
-	}
 	dst.offsets, dst.adj, dst.cursor = offsets, adj, cursor
 	dst.g = Graph{offsets: offsets, adj: adj, m: len(uniq)}
 	return &dst.g
+}
+
+// edgeCmp orders canonical edges by (U, V).
+func edgeCmp(a, b Edge) int {
+	if a.U != b.U {
+		return int(a.U) - int(b.U)
+	}
+	return int(a.V) - int(b.V)
 }
 
 // Empty returns the graph with n nodes and no edges.

@@ -243,6 +243,36 @@ func TestLineGraphMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestEdgeIDsIntoLabelsCanonicalIDs checks every adjacency slot's label
+// against the position of its edge in the canonical edge list, on dirty
+// buffers.
+func TestEdgeIDsIntoLabelsCanonicalIDs(t *testing.T) {
+	for _, tc := range []struct{ n, m int }{{1, 0}, {7, 9}, {64, 256}, {200, 1500}, {333, 40}} {
+		g := pseudoGraph(tc.n, tc.m, uint64(tc.n*17+tc.m))
+		id := make(map[Edge]int32, g.M())
+		for i, e := range g.Edges() {
+			id[e] = int32(i)
+		}
+		eid := make([]int32, 2*g.M())
+		cursor := make([]int32, g.N())
+		for i := range eid {
+			eid[i] = -7
+		}
+		for i := range cursor {
+			cursor[i] = 99
+		}
+		g.EdgeIDsInto(eid, cursor)
+		for u := 0; u < g.N(); u++ {
+			for k, v := range g.Neighbors(NodeID(u)) {
+				want := id[Edge{NodeID(u), v}.Canon()]
+				if got := eid[g.offsets[u]+int32(k)]; got != want {
+					t.Fatalf("n=%d m=%d: slot %d->%d labeled %d, edge id %d", tc.n, tc.m, u, v, got, want)
+				}
+			}
+		}
+	}
+}
+
 // starEdges lists the edges of the star on n nodes centred at 0.
 func starEdges(n int) []Edge {
 	edges := make([]Edge, 0, n)

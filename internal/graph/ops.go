@@ -7,11 +7,16 @@ import (
 )
 
 // CSR is a reusable destination buffer for the Into variants of the graph
-// rebuild operations (WithoutNodesInto, InducedNodesInto, SubgraphEdgesInto,
-// FromEdgesInto). Round loops keep two of them and ping-pong (see
+// rebuild operations. Round loops keep two of them and ping-pong (see
 // internal/scratch.BufPair) so each rebuild reads the previous round's graph
 // while overwriting the buffer of the round before it, with zero
 // steady-state allocation. The zero value is ready to use.
+//
+// Two builds fill it. The node-mask filters (WithoutNodesInto,
+// InducedNodesInto) copy the surviving slots of the source CSR, so they
+// never sort. The edge-list builds (FromEdgesInto, SubgraphEdgesInto) use
+// the buffer's edge scratch and per-node write cursors, and sort the edge
+// list only when it is not already in (U, V) order.
 //
 // The *Graph returned by an Into call aliases the buffer's storage and is
 // valid only until the next Into call on the same buffer; callers that need
@@ -70,52 +75,67 @@ func (g *Graph) WithoutNodesInto(remove []bool, workers int, dst *CSR) *Graph {
 	if len(remove) != g.N() {
 		panic("graph: WithoutNodes mask length mismatch")
 	}
-	return g.filterCSRInto(dst, workers, func(u, v NodeID) bool { return !remove[u] && !remove[v] })
+	return g.maskFilterInto(dst, workers, remove, false)
 }
 
-// filterCSRInto builds into dst the subgraph keeping exactly the edges {u,v}
-// with keep(u, v) == true, where keep must be symmetric. It filters the CSR
-// arrays directly — two O(n+m) passes over cache-friendly contiguous slices,
-// no sorting — instead of round-tripping through an edge list the way
-// FromEdges does. Pass 1 counts surviving neighbours per node (sharded), a
-// serial prefix sum lays out the new offsets, and pass 2 copies surviving
-// neighbours into place (sharded, each node writing only its own range), so
-// the result is deterministic at any worker count and neighbour lists stay
-// sorted because the source lists are. Every destination slot is written, so
+// maskFilterInto builds into dst the subgraph keeping exactly the edges
+// {u,v} with mask[u] == want and mask[v] == want. It filters the CSR arrays
+// directly, in two O(n+m) passes with no sort and no per-edge call. Pass 1
+// counts each node's surviving neighbours, a serial prefix sum lays out
+// the new offsets, and pass 2 copies them into place. The rows of dropped
+// nodes are skipped, and kept rows are counted and compacted branch-free.
+// Both passes shard over vertex ranges and each node writes only its own
+// range, so the result is deterministic at any worker count, and rows stay
+// sorted because the source rows are. Every destination slot is written, so
 // a dirty dst (even one from a previous, larger graph) cannot leak into the
 // result.
-func (g *Graph) filterCSRInto(dst *CSR, workers int, keep func(u, v NodeID) bool) *Graph {
+func (g *Graph) maskFilterInto(dst *CSR, workers int, mask []bool, want bool) *Graph {
 	if g == &dst.g {
 		panic("graph: Into destination buffer backs the source graph")
 	}
 	n := g.N()
 	offsets := Grow(dst.offsets, n+1)
 	offsets[0] = 0
-	parallel.ForEach(workers, n, func(v int) {
-		cnt := int32(0)
-		for _, u := range g.Neighbors(NodeID(v)) {
-			if keep(NodeID(v), u) {
-				cnt++
+	parallel.For(workers, n, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			cnt := int32(0)
+			if mask[v] == want {
+				for _, u := range g.Neighbors(NodeID(v)) {
+					cnt += b2i(mask[u] == want)
+				}
 			}
+			offsets[v+1] = cnt
 		}
-		offsets[v+1] = cnt
 	})
 	for v := 0; v < n; v++ {
 		offsets[v+1] += offsets[v]
 	}
 	adj := Grow(dst.adj, int(offsets[n]))
-	parallel.ForEach(workers, n, func(v int) {
-		w := offsets[v]
-		for _, u := range g.Neighbors(NodeID(v)) {
-			if keep(NodeID(v), u) {
+	parallel.For(workers, n, func(_, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			// Every slot is written and the cursor advances past survivors
+			// only. The loop stops once the row's survivors are all placed,
+			// so no write leaves the row's own range.
+			row := g.Neighbors(NodeID(v))
+			for i, w, end := 0, offsets[v], offsets[v+1]; w < end; i++ {
+				u := row[i]
 				adj[w] = u
-				w++
+				w += b2i(mask[u] == want)
 			}
 		}
 	})
 	dst.offsets, dst.adj = offsets, adj
 	dst.g = Graph{offsets: offsets, adj: adj, m: int(offsets[n]) / 2}
 	return &dst.g
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SubgraphEdges returns the graph on the same id space containing exactly
@@ -161,7 +181,7 @@ func (g *Graph) InducedNodesInto(keep []bool, workers int, dst *CSR) *Graph {
 	if len(keep) != g.N() {
 		panic("graph: InducedNodes mask length mismatch")
 	}
-	return g.filterCSRInto(dst, workers, func(u, v NodeID) bool { return keep[u] && keep[v] })
+	return g.maskFilterInto(dst, workers, keep, true)
 }
 
 // LineGraph returns the line graph L(G) together with the canonical edge
@@ -170,33 +190,16 @@ func (g *Graph) InducedNodesInto(keep []bool, workers int, dst *CSR) *Graph {
 // matching of g is exactly an MIS of L(G) (Section 5 of the paper uses this
 // reduction for small Δ).
 //
-// L(G) is read straight off g's CSR. One pass numbers the edges in
-// canonical (U, V) order and labels both adjacency slots of each edge with
-// its id, through one write cursor per node; since the edges arrive in
-// (U, V) order, the ids at every node come out ascending in slot order.
-// The row of edge {u, v} is then a two-way merge of u's and v's id runs
-// minus the edge itself (the only id the two runs share), so every row is
-// sorted and duplicate-free with no index map and no sort.
+// L(G) is read straight off g's CSR. EdgeIDsInto labels both adjacency
+// slots of each edge with its canonical id, and the ids at every node come
+// out ascending in slot order. The row of edge {u, v} is then a two-way
+// merge of u's and v's id runs minus the edge itself (the only id the two
+// runs share), so every row is sorted and duplicate-free with no index map
+// and no sort.
 func (g *Graph) LineGraph() (*Graph, []Edge) {
-	n, m := g.N(), g.m
-	edges := make([]Edge, m)
-	eid := make([]int32, len(g.adj))
-	// cursor[v] is v's next unlabeled slot. When the pass reaches u, every
-	// edge to a lower neighbour has been labeled, so cursor[u] sits on the
-	// first slot of u's higher neighbours.
-	cursor := make([]int32, n)
-	copy(cursor, g.offsets)
-	id := int32(0)
-	for u := 0; u < n; u++ {
-		for s := cursor[u]; s < g.offsets[u+1]; s++ {
-			v := g.adj[s]
-			edges[id] = Edge{NodeID(u), v}
-			eid[s] = id
-			eid[cursor[v]] = id
-			cursor[v]++
-			id++
-		}
-	}
+	m := g.m
+	edges := g.Edges()
+	eid := g.EdgeIDsInto(make([]int32, len(g.adj)), make([]int32, g.N()))
 	offsets := make([]int32, m+1)
 	for i, e := range edges {
 		offsets[i+1] = offsets[i] + int32(g.Degree(e.U)+g.Degree(e.V)-2)
@@ -220,6 +223,35 @@ func (g *Graph) LineGraph() (*Graph, []Edge) {
 		}
 	}
 	return &Graph{offsets: offsets, adj: adj, m: int(offsets[m]) / 2}, edges
+}
+
+// EdgeIDsInto labels every adjacency slot of g with the id of its edge,
+// where ids number the edges in canonical (U, V) order, the order of
+// Edges. dst must have length 2M and cursor length N; cursor is working
+// state whose prior contents are ignored. dst is returned.
+//
+// One pass walks the edges in canonical order through one write cursor per
+// node. cursor[v] is v's next unlabeled slot: when the pass reaches u,
+// every edge to a lower neighbour has been labeled, so cursor[u] sits on
+// the first slot of u's higher neighbours. Both slots of edge i carry i,
+// and the ids at every node come out ascending in slot order.
+func (g *Graph) EdgeIDsInto(dst, cursor []int32) []int32 {
+	n := g.N()
+	if len(dst) != len(g.adj) || len(cursor) != n {
+		panic("graph: EdgeIDsInto length mismatch")
+	}
+	copy(cursor, g.offsets)
+	id := int32(0)
+	for u := 0; u < n; u++ {
+		for s := cursor[u]; s < g.offsets[u+1]; s++ {
+			v := g.adj[s]
+			dst[s] = id
+			dst[cursor[v]] = id
+			cursor[v]++
+			id++
+		}
+	}
+	return dst
 }
 
 // BallScratch is the reusable working state of BallInto and

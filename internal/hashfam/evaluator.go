@@ -103,13 +103,12 @@ func (e *Evaluator) evalReduced(c, keys, out []uint64) {
 	}
 }
 
-// BlockKeyGrain is the key-block size of EvalSeedsBlocked and of the
-// sparsify stage search, which hashes its keys one block at a time: 512 keys
-// = 4KB, comfortably inside L1 alongside one output row, so every seed after
-// the first reads the block from cache instead of re-streaming the key
-// vector from memory. Block boundaries derive from len(keys) and this
-// constant alone, and each output element depends only on its own key and
-// seed, so blocking is unobservable in the results.
+// BlockKeyGrain is the key-block size of EvalSeedsBlocked: 512 keys = 4KB,
+// comfortably inside L1 alongside one output row, so every seed after the
+// first reads the block from cache instead of re-streaming the key vector
+// from memory. Block boundaries derive from len(keys) and this constant
+// alone, and each output element depends only on its own key and seed, so
+// blocking is unobservable in the results.
 const BlockKeyGrain = 512
 
 // EvalSeedsBlocked writes out[s][i] = h_seeds[s](keys[i]) for every seed and

@@ -84,8 +84,8 @@ func Shards(n, parts int) []Range {
 // shard) everything runs on the calling goroutine.
 //
 // Shard boundaries are those of Shards(n, defaultShards) — a function of n
-// alone, NOT of the worker count, so that shard-ordered folds (MapReduce,
-// Collect) produce bit-identical results at any parallelism level. Shards
+// alone, NOT of the worker count, so that shard-ordered folds (MapReduce)
+// produce bit-identical results at any parallelism level. Shards
 // are handed out dynamically so uneven shard costs balance across the pool.
 func For(workers, n int, body func(shard, lo, hi int)) {
 	shards := Shards(n, defaultShards)
@@ -94,7 +94,7 @@ func For(workers, n int, body func(shard, lo, hi int)) {
 	})
 }
 
-// defaultShards is the fixed shard count used by For/MapReduce/Collect. It
+// defaultShards is the fixed shard count used by For and MapReduce. It
 // must not depend on the worker count (shard boundaries define fold order,
 // and fold order defines the bits of floating-point reductions); it is set
 // comfortably above common core counts so dynamic hand-out still load
@@ -178,32 +178,4 @@ func MaxInt(workers, n int, mapShard func(lo, hi int) int) int {
 		}
 		return a
 	})
-}
-
-// Collect evaluates mapShard over the shards of [0, n) in parallel, each
-// shard producing an ordered slice, and concatenates the per-shard slices in
-// ascending shard order. Output order is therefore identical to the serial
-// loop's, at any worker count. It replaces the append-under-iteration
-// pattern in filters like "edges surviving a subsampling stage".
-func Collect[T any](workers, n int, mapShard func(lo, hi int) []T) []T {
-	shards := Shards(n, defaultShards)
-	if len(shards) == 0 {
-		return nil
-	}
-	parts := make([][]T, len(shards))
-	RunShards(workers, len(shards), func(s int) {
-		parts[s] = mapShard(shards[s].Lo, shards[s].Hi)
-	})
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]T, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
 }

@@ -142,34 +142,6 @@ func TestMaxInt(t *testing.T) {
 	}
 }
 
-func TestCollectPreservesSerialOrder(t *testing.T) {
-	const n = 500
-	keep := func(i int) bool { return i%3 == 0 || i%7 == 0 }
-	var want []int
-	for i := 0; i < n; i++ {
-		if keep(i) {
-			want = append(want, i)
-		}
-	}
-	for _, workers := range []int{1, 2, 8} {
-		got := Collect(workers, n, func(lo, hi int) []int {
-			var part []int
-			for i := lo; i < hi; i++ {
-				if keep(i) {
-					part = append(part, i)
-				}
-			}
-			return part
-		})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: Collect order mismatch", workers)
-		}
-	}
-	if got := Collect(4, 10, func(lo, hi int) []int { return nil }); got != nil {
-		t.Fatalf("Collect with empty shards = %v, want nil", got)
-	}
-}
-
 func TestRunShardsBoundsConcurrency(t *testing.T) {
 	const shards = 64
 	var cur, peak atomic.Int32

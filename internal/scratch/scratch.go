@@ -108,6 +108,7 @@ type Context struct {
 
 	edgeMin core.EdgeMinScratch
 	nodeSel core.NodeSel
+	zRows   Rows
 }
 
 // New returns an empty Context.
@@ -118,6 +119,9 @@ func (c *Context) Ints(n int) []int { return c.ints.get(n) }
 
 // IntsCap checks out a zero-length []int with capacity at least n.
 func (c *Context) IntsCap(n int) []int { return c.ints.getCap(n) }
+
+// Int32s checks out a zeroed []int32 of length n.
+func (c *Context) Int32s(n int) []int32 { return c.int32s.get(n) }
 
 // Int64s checks out a zeroed []int64 of length n.
 func (c *Context) Int64s(n int) []int64 { return c.int64s.get(n) }
@@ -130,9 +134,6 @@ func (c *Context) Uint64sCap(n int) []uint64 { return c.uint64s.getCap(n) }
 
 // Float64s checks out a zeroed []float64 of length n.
 func (c *Context) Float64s(n int) []float64 { return c.floats.get(n) }
-
-// Float64sCap checks out a zero-length []float64 with capacity at least n.
-func (c *Context) Float64sCap(n int) []float64 { return c.floats.getCap(n) }
 
 // Bools checks out a zeroed []bool of length n.
 func (c *Context) Bools(n int) []bool { return c.bools.get(n) }
@@ -182,6 +183,43 @@ func (c *Context) EdgeMin() *core.EdgeMinScratch { return &c.edgeMin }
 // loops re-Init it every round (advancing its generation) and share it
 // read-only across concurrent per-seed evaluations.
 func (c *Context) NodeSel() *core.NodeSel { return &c.nodeSel }
+
+// ZRows returns the Context's rows for the sparsify stage searches, which
+// hash every item of a stage once per candidate seed into one row per
+// worker. Like EdgeMin and NodeSel the rows survive Reset, so warm solves
+// reuse them allocation-free.
+func (c *Context) ZRows() *Rows { return &c.zRows }
+
+// Rows is a free list of []uint64 rows for state needed inside concurrent
+// objective evaluations, where a single arena would race. Get and Put are
+// safe for concurrent use. A row's prior contents are arbitrary, so users
+// overwrite every slot they read, which keeps pooled evaluation inside the
+// determinism contract. The zero value is ready to use.
+type Rows struct {
+	mu   sync.Mutex
+	free [][]uint64
+}
+
+// Get checks out a row of length n: the most recently returned row, grown
+// when it is too short, or a fresh one.
+func (r *Rows) Get(n int) []uint64 {
+	var row []uint64
+	r.mu.Lock()
+	if k := len(r.free); k > 0 {
+		row = r.free[k-1]
+		r.free[k-1] = nil
+		r.free = r.free[:k-1]
+	}
+	r.mu.Unlock()
+	return graph.Grow(row, n)
+}
+
+// Put returns a row for reuse.
+func (r *Rows) Put(row []uint64) {
+	r.mu.Lock()
+	r.free = append(r.free, row)
+	r.mu.Unlock()
+}
 
 // BufPair is a pair of graph.CSR destination buffers used in alternation:
 // each Next call returns the buffer NOT written by the previous call, so a

@@ -41,13 +41,8 @@ func MaxDegreeBound(n, invDelta int) int {
 	return 2 * dc.GroupSize()
 }
 
-// inE0 reports whether the edge {a,b} belongs to E0 = ∪_{v∈B} X(v), where
-// X(v) = {{u,v} ∈ E : d(u) <= d(v)}.
-func inE0(b []bool, deg []int, e graph.Edge) bool {
-	return (b[e.U] && deg[e.V] <= deg[e.U]) || (b[e.V] && deg[e.U] <= deg[e.V])
-}
-
-// inXof reports whether edge {v,u} (from v's perspective) lies in X(v).
+// inXof reports whether edge {v,u} (from v's perspective) lies in X(v) =
+// {{u,v} ∈ E : d(u) <= d(v)}.
 func inXof(deg []int, v, u graph.NodeID) bool { return deg[u] <= deg[v] }
 
 // SparsifyEdges runs the deterministic edge sparsification of Section 3.2 on
@@ -99,16 +94,23 @@ func SparsifyEdgesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	}
 
 	// E0 = ∪_{v∈B} X(v), collected straight off the CSR arrays in canonical
-	// order (no intermediate full edge list).
+	// order (no intermediate full edge list). The same pass counts |X(v)|
+	// for v ∈ B, the Lemma 11 reference: every X(v) edge of a B-node lies
+	// in E0, so the audits never re-walk g for it.
 	e0 := sc.EdgesCap(g.M())
+	xCount := sc.Ints(n)
 	for u := 0; u < n; u++ {
 		for _, v := range g.Neighbors(graph.NodeID(u)) {
-			if graph.NodeID(u) < v {
-				e := graph.Edge{U: graph.NodeID(u), V: v}
-				if inE0(b, deg, e) {
-					e0 = append(e0, e)
-				}
+			if graph.NodeID(u) > v {
+				continue
 			}
+			inXu := b[u] && inXof(deg, graph.NodeID(u), v)
+			inXv := b[v] && inXof(deg, v, graph.NodeID(u))
+			if inXu || inXv {
+				e0 = append(e0, graph.Edge{U: graph.NodeID(u), V: v})
+			}
+			xCount[u] += int(b2i(inXu))
+			xCount[v] += int(b2i(inXv))
 		}
 	}
 	res := &EdgeResult{
@@ -128,7 +130,7 @@ func SparsifyEdgesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	// stops subsampling here and the (partial) result is discarded by the
 	// canceled outer round loop, so the early exit can never reach output.
 	for j := 1; j <= stages && len(cur) > 0 && !p.Canceled(); j++ {
-		report := runEdgeStage(sc, g, curG, cur, b, deg, dE0, dc, p, j, model)
+		report := runEdgeStage(sc, curG, cur, b, deg, dE0, xCount, dc, p, j, model)
 		if report.canceled {
 			break
 		}
@@ -159,88 +161,14 @@ type edgeStageOutcome struct {
 	canceled bool
 }
 
-// edgeGroup is one logical machine: a contiguous run of the flattened
-// incidence arrays. kind 0 = type A (two-sided concentration of the count),
-// kind 1 = type B (two-sided as well, per §3.2's goodness definition).
-type edgeGroup struct {
-	start, end int
-	kind       uint8
-}
-
-func runEdgeStage(sc *scratch.Context, g, curG *graph.Graph, cur []graph.Edge, b []bool, deg, dE0 []int,
+func runEdgeStage(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b []bool, deg, dE0, xCount []int,
 	dc *core.DegreeClasses, p core.Params, j int, model *simcost.Model) edgeStageOutcome {
 
-	n := g.N()
-	gamma := dc.GroupSize()
-	fam := core.KWiseFamily(n, p.KWise)
-	th := core.StageThreshold(fam.P(), n, dc.K)
-	sampleProb := float64(th) / float64(fam.P())
-
-	// Flatten type-A groups (each node's incident cur-edges in chunks of γ)
-	// and type-B groups (for v ∈ B, the X(v)∩cur edges in chunks of γ).
-	// Type A contributes 2|cur| keys and type B at most that again.
-	keys := sc.Uint64sCap(4 * len(cur))
-	var groups []edgeGroup
-	appendGroups := func(list []uint64, kind uint8) {
-		for lo := 0; lo < len(list); lo += gamma {
-			hi := lo + gamma
-			if hi > len(list) {
-				hi = len(list)
-			}
-			groups = append(groups, edgeGroup{start: len(keys) + lo, end: len(keys) + hi, kind: kind})
-		}
-		keys = append(keys, list...)
-	}
-	// Stage j hashes edges in domain-separation slot j so that every stage
-	// sees fresh independent values (see core.SlotKey).
-	edgeKey := func(v graph.NodeID, u graph.NodeID) uint64 {
-		return core.SlotKey(graph.Edge{U: v, V: u}.Key(n), j, n)
-	}
-	var flat []uint64
-	for v := 0; v < n; v++ {
-		nbrs := curG.Neighbors(graph.NodeID(v))
-		if len(nbrs) == 0 {
-			continue
-		}
-		flat = flat[:0]
-		for _, u := range nbrs {
-			flat = append(flat, edgeKey(graph.NodeID(v), u))
-		}
-		appendGroups(flat, 0)
-	}
-	for v := 0; v < n; v++ {
-		if !b[v] {
-			continue
-		}
-		flat = flat[:0]
-		for _, u := range curG.Neighbors(graph.NodeID(v)) {
-			if inXof(deg, graph.NodeID(v), u) {
-				flat = append(flat, edgeKey(graph.NodeID(v), u))
-			}
-		}
-		if len(flat) > 0 {
-			appendGroups(flat, 1)
-		}
-	}
+	n := curG.N()
+	m := len(cur)
+	items := edgeStageItems(sc, curG, cur, b, deg, dc, p, j)
 	model.ChargeSort("sparsify.distribute") // spread incident edges over machines
-
-	// Goodness objective: number of good groups under the seed, scored by
-	// the stage fold (stageFold.search). Acceptance intervals are hoisted
-	// out of the per-seed path: the Chernoff window μ±dev depends only on
-	// the group's size, so DevTerm's √ex scaling runs once per group per
-	// stage instead of once per group per seed (its n^{0.1δ} factor once
-	// per degree-class table).
-	gLo := sc.Float64s(len(groups))
-	gHi := sc.Float64s(len(groups))
-	for gi, gr := range groups {
-		ex := gr.end - gr.start
-		mu := float64(ex) * sampleProb
-		dev := p.Slack * dc.DevTerm(ex)
-		gLo[gi], gHi[gi] = mu-dev, mu+dev
-	}
-	fold := &stageFold{groups: groups, th: th, lo: gLo, hi: gHi}
-	evaluator := hashfam.NewEvaluator(fam)
-	res := fold.search(evaluator, keys, p, model)
+	res := items.search(sc.ZRows(), p, model)
 	if res.Canceled {
 		// Abandoned mid-search: res.Seed may be nil (no batch evaluated), so
 		// there is nothing safe to apply — hand the cancellation up instead.
@@ -248,28 +176,24 @@ func runEdgeStage(sc *scratch.Context, g, curG *graph.Graph, cur []graph.Edge, b
 	}
 
 	// Apply the selected seed: E_j = {e ∈ E_{j-1} : h(e) < th}, one sharded
-	// EvalKeys pass over this stage's per-edge keys (a single seed over the
-	// whole round — exactly the shape EvalKeysW exists for). Shards filter
-	// independent edge ranges; concatenation in shard order keeps the
-	// canonical edge order of the serial scan.
-	curKeys := core.SlotKeysInto(sc.Uint64sCap(len(cur)), cur, j, n)
-	curZ := evaluator.EvalKeysW(res.Seed, curKeys, sc.Uint64s(len(cur)), p.Workers())
-	next := parallel.Collect(p.Workers(), len(cur), func(lo, hi int) []graph.Edge {
-		var part []graph.Edge
-		for idx := lo; idx < hi; idx++ {
-			if curZ[idx] < th {
-				part = append(part, cur[idx])
-			}
-		}
-		return part
-	})
+	// EvalKeysW pass over the stage's keys, then a branch-free serial
+	// filter into a scratch edge buffer (one spare slot for the last
+	// write), which keeps the canonical edge order.
+	z := items.ev.EvalKeysW(res.Seed, items.keys, sc.Uint64s(m), p.Workers())
+	next := sc.EdgesCap(m + 1)[:m+1]
+	size := 0
+	for t, e := range cur {
+		next[size] = e
+		size += int(b2i(z[t] < items.th))
+	}
+	next = next[:size]
 	model.ChargeScan("sparsify.apply")
 
 	out := edgeStageOutcome{next: next}
 	out.Stage = j
-	out.ItemsBefore = len(cur)
-	out.ItemsAfter = len(next)
-	out.Groups = len(groups)
+	out.ItemsBefore = m
+	out.ItemsAfter = size
+	out.Groups = items.groups
 	out.GoodGroups = int(res.Value)
 	out.SeedsTried = res.SeedsTried
 	out.SeedFound = res.Found
@@ -300,27 +224,16 @@ func runEdgeStage(sc *scratch.Context, g, curG *graph.Graph, cur []graph.Edge, b
 	invII.merge(parallel.MapReduce(workers, n, InvariantCheck{}, func(lo, hi int) InvariantCheck {
 		var part InvariantCheck
 		for v := lo; v < hi; v++ {
-			if !b[v] {
-				continue
-			}
-			xv := 0
-			for _, u := range g.Neighbors(graph.NodeID(v)) {
-				if inXof(deg, graph.NodeID(v), u) && inE0(b, deg, graph.Edge{U: graph.NodeID(v), V: u}.Canon()) {
-					xv++
-				}
-			}
-			if xv == 0 {
+			if !b[v] || xCount[v] == 0 {
 				continue
 			}
 			kept := 0
 			for _, u := range nextG.Neighbors(graph.NodeID(v)) {
-				if inXof(deg, graph.NodeID(v), u) {
-					kept++
-				}
+				kept += int(b2i(inXof(deg, graph.NodeID(v), u)))
 			}
 			// Lower-bound invariant: ratio = bound / measured, with the slack
 			// dividing the bound and an additive +1 absorbing integrality.
-			bound := nJD * float64(xv) / p.Slack
+			bound := nJD * float64(xCount[v]) / p.Slack
 			part.observe(bound / (float64(kept) + 1))
 		}
 		return part
@@ -329,4 +242,63 @@ func runEdgeStage(sc *scratch.Context, g, curG *graph.Graph, cur []graph.Edge, b
 	out.InvariantII = invII
 	out.nextG = nextG
 	return out
+}
+
+// edgeStageItems lays out stage j of the edge chain: the items are the
+// edges of E_{j-1}, which cur lists in canonical order, so edge t is
+// curG's t-th edge too. Stage j hashes them in domain-separation slot j so
+// that every stage sees fresh independent values (see core.SlotKey).
+func edgeStageItems(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b []bool, deg []int,
+	dc *core.DegreeClasses, p core.Params, j int) *stageItems {
+
+	n := curG.N()
+	m := len(cur)
+	gamma := dc.GroupSize()
+	fam := core.KWiseFamily(n, p.KWise)
+	th := core.StageThreshold(fam.P(), n, dc.K)
+	sampleProb := float64(th) / float64(fam.P())
+	items := &stageItems{ev: hashfam.NewEvaluator(fam), th: th, gamma: gamma, keys: core.SlotKeysInto(sc.Uint64sCap(m), cur, j, n)}
+	// Type-A runs: each node's incident E_{j-1} edges, which are its curG
+	// row with every slot labeled by its edge id. Type-B runs: for v ∈ B,
+	// the X(v) ∩ E_{j-1} edges, picked out of v's labeled row branch-free.
+	// The last pick may write one slot past the runs, hence the spare.
+	idx := sc.Int32s(4*m + 1)
+	eid := curG.EdgeIDsInto(idx[:2*m], sc.Int32s(n))
+	ends := sc.Int32s(2 * n)
+	w := int32(0)
+	for v := 0; v < n; v++ {
+		w += int32(curG.Degree(graph.NodeID(v)))
+		ends[v] = w
+		items.groups += chunks(curG.Degree(graph.NodeID(v)), gamma)
+	}
+	runs := n
+	for v := 0; v < n; v++ {
+		if !b[v] {
+			continue
+		}
+		start := w
+		s := ends[v] - int32(curG.Degree(graph.NodeID(v)))
+		for _, u := range curG.Neighbors(graph.NodeID(v)) {
+			idx[w] = eid[s]
+			w += b2i(inXof(deg, graph.NodeID(v), u))
+			s++
+		}
+		if w > start {
+			ends[runs] = w
+			runs++
+			items.groups += chunks(int(w-start), gamma)
+		}
+	}
+	items.idx, items.ends = idx[:w], ends[:runs]
+
+	// Both group types are judged by the two-sided Chernoff window μ±dev
+	// on their count, which depends only on the chunk's size.
+	items.lo = sc.Float64s(gamma + 1)
+	items.hi = sc.Float64s(gamma + 1)
+	for ex := 1; ex <= gamma; ex++ {
+		mu := float64(ex) * sampleProb
+		dev := p.Slack * dc.DevTerm(ex)
+		items.lo[ex], items.hi[ex] = mu-dev, mu+dev
+	}
+	return items
 }

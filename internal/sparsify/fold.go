@@ -6,109 +6,114 @@ import (
 	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/hashfam"
+	"repro/internal/scratch"
 	"repro/internal/simcost"
 )
 
-// groupCursor carries one seed's in-progress goodness accumulation across
-// evaluated key blocks: the index of the group the scan is inside, the
-// partial count / weight sums of that group, and the finished-group tally.
-// Because the flattened groups tile [0, len(keys)) contiguously in order
-// (appendGroups invariant), a left-to-right walk over key blocks visits every
-// group's keys in exactly the order a scan of the full z row does —
-// including the float additions of weighted groups — so the fold is
-// bit-identical to scoring a full z row.
-type groupCursor struct {
-	gi   int     // group currently being accumulated
-	zc   int     // sub-threshold count of the open group
-	zw   float64 // sub-threshold weight sum (weighted groups)
-	good int64   // finished groups that passed the stage's goodness test
+// stageItems is one subsampling stage in the shape its seed search scores.
+// The stage's items — the edges of E_{j-1} or the nodes of Q_{j-1} — are
+// hashed once per candidate seed into a z row (keys[t] is item t's key),
+// and every logical machine is a γ-chunk of a run of item indices into
+// that row. The runs lie back to back in idx, and run r ends at ends[r]
+// (it starts where run r-1 ends, run 0 at 0).
+//
+// A run carries up to two sets of groups over the same chunks:
+//   - count groups (every edge-stage run, and node-stage runs of v ∈ Q_{j-1}):
+//     the statistic is the number of sub-threshold items, accepted when it
+//     lies in [lo[ex], hi[ex]] for the chunk's size ex;
+//   - weighted groups (node-stage runs of v ∈ B): the statistic is the sum
+//     of the sub-threshold items' weights w, accepted when it reaches the
+//     group's own bound wLo[g], where g numbers the weighted groups in run
+//     order (their upper bound is +Inf).
+//
+// count == nil marks every run as a count run and weighted == nil none as
+// weighted. The windows are precomputed once per stage: every bound
+// depends only on the group's fixed size and, for weighted groups, its
+// fixed total weight, never on the seed.
+type stageItems struct {
+	ev       *hashfam.Evaluator
+	th       uint64
+	gamma    int
+	keys     []uint64
+	idx      []int32
+	ends     []int32
+	count    []bool
+	weighted []bool
+	lo, hi   []float64 // count window by chunk size, indexed 1..γ
+	w        []float64 // per-item weight of the weighted groups
+	wLo      []float64 // per weighted group, in run order
+	groups   int       // count groups + weighted groups
 }
 
-// stageFold scores evaluated key blocks against a stage's flattened groups
-// without materialising a full z row per seed: absorb consumes one evaluated
-// block at a time, closing (and judging) every group that ends inside it and
-// carrying the partial sums of the group that straddles the boundary. A group
-// passes when its statistic — the sub-threshold count, or for weighted groups
-// the sub-threshold weight sum — lands in [lo[gi], hi[gi]]. The intervals are
-// precomputed once per stage: every stage bound depends only on the group's
-// fixed size (and, for weighted groups, its fixed total weight), so the
-// math.Pow-heavy deviation terms are paid per group, not per group per seed.
-// weightsOf is nil for stages whose type-B groups are also count-based (the
-// edge stage).
-type stageFold struct {
-	groups    []edgeGroup
-	th        uint64
-	weightsOf []float64 // aligned with the key vector; nil = count all kinds
-	lo, hi    []float64 // per-group acceptance interval on the statistic
-}
-
-// absorb folds the evaluated values z of keys[lo:hi] (z[t-lo] is key t's
-// value) into c. Blocks must arrive left to right per cursor, which the
-// stage search's block walk guarantees. Whether a key clears the threshold is
-// data-random, so both accumulations are branchless: the count adds the
-// unsigned-compare borrow bit, the weighted sum multiplies the weight by it
-// (w·1 = w and zw + w·0 = zw exactly — the weights are finite and the sum
-// starts at +0 — so the float result is bit-identical to the branchy form).
-func (f *stageFold) absorb(c *groupCursor, z []uint64, lo, hi int) {
-	t := lo
-	for t < hi {
-		gr := f.groups[c.gi]
-		end := gr.end
-		if end > hi {
-			end = hi
+// good returns the number of groups that pass under the values z of the
+// stage's items (z[t] = h(keys[t])). It reads every chunk left to right,
+// so each weighted sum adds its items in run order. Whether an item clears
+// the threshold is data-random, so both accumulations are branchless: the
+// count adds the unsigned-compare borrow bit and the weighted sum
+// multiplies the weight by it (w·1 = w and s + w·0 = s exactly — the
+// weights are finite and the sum starts at +0 — so the float result is
+// bit-identical to the branchy form).
+func (s *stageItems) good(z []uint64) int64 {
+	var good int64
+	th, gamma := s.th, int32(s.gamma)
+	start, wg := int32(0), 0
+	for r, end := range s.ends {
+		countRun := s.count == nil || s.count[r]
+		weightRun := s.weighted != nil && s.weighted[r]
+		for lo := start; lo < end; lo += gamma {
+			chunk := s.idx[lo:min(lo+gamma, end)]
+			if countRun {
+				c := 0
+				for _, t := range chunk {
+					_, below := bits.Sub64(z[t], th, 0)
+					c += int(below)
+				}
+				if v := float64(c); v >= s.lo[len(chunk)] && v <= s.hi[len(chunk)] {
+					good++
+				}
+			}
+			if weightRun {
+				var sum float64
+				for _, t := range chunk {
+					_, below := bits.Sub64(z[t], th, 0)
+					sum += s.w[t] * float64(below)
+				}
+				if sum >= s.wLo[wg] {
+					good++
+				}
+				wg++
+			}
 		}
-		counted := f.weightsOf == nil || gr.kind == 0
-		seg := z[t-lo : end-lo]
-		if counted {
-			zc := c.zc
-			for _, v := range seg {
-				_, below := bits.Sub64(v, f.th, 0)
-				zc += int(below)
-			}
-			c.zc = zc
-		} else {
-			w := f.weightsOf[t:end]
-			zw := c.zw
-			for i, v := range seg {
-				_, below := bits.Sub64(v, f.th, 0)
-				zw += w[i] * float64(below)
-			}
-			c.zw = zw
-		}
-		t = end
-		if t == gr.end {
-			v := c.zw
-			if counted {
-				v = float64(c.zc)
-			}
-			if v >= f.lo[c.gi] && v <= f.hi[c.gi] {
-				c.good++
-			}
-			c.gi++
-			c.zc, c.zw = 0, 0
-		}
+		start = end
 	}
+	return good
 }
 
 // search is the seed search of one stage, edge and node stages alike: the
-// first seed of ev's family, in enumeration order, under which every group
-// is good, or the best seed seen within Params.MaxSeedsPerSearch. A
-// candidate is scored by hashing keys one hashfam.BlockKeyGrain block at a
-// time (Evaluator.EvalKeys) into a stack buffer and absorbing each block into
-// one group cursor before the next overwrites it, so no full z row is ever
-// materialised. Each candidate touches only its own cursor and buffer, so
-// results are worker-count independent. The result's Value is the
-// good-group count of its Seed.
-func (f *stageFold) search(ev *hashfam.Evaluator, keys []uint64, p core.Params, model *simcost.Model) condexp.Result {
+// first seed of the stage's family, in enumeration order, under which every
+// group is good, or the best seed seen within Params.MaxSeedsPerSearch. A
+// candidate hashes each item once (Evaluator.EvalKeys) into a row checked
+// out of rows, so concurrent candidates never share one, and is scored by
+// good. The result's Value is the good-group count of its Seed.
+func (s *stageItems) search(rows *scratch.Rows, p core.Params, model *simcost.Model) condexp.Result {
 	objective := func(seed []uint64) int64 {
-		var c groupCursor
-		var z [hashfam.BlockKeyGrain]uint64
-		for lo := 0; lo < len(keys); lo += hashfam.BlockKeyGrain {
-			hi := min(lo+hashfam.BlockKeyGrain, len(keys))
-			f.absorb(&c, ev.EvalKeys(seed, keys[lo:hi], z[:]), lo, hi)
-		}
-		return c.good
+		z := rows.Get(len(s.keys))
+		good := s.good(s.ev.EvalKeys(seed, s.keys, z))
+		rows.Put(z)
+		return good
 	}
-	res, _ := p.SeedSearch(ev.Family(), objective, int64(len(f.groups)), "sparsify.seed", model)
+	res, _ := p.SeedSearch(s.ev.Family(), objective, int64(s.groups), "sparsify.seed", model)
 	return res
+}
+
+// chunks returns the number of γ-chunks of a run of length l.
+func chunks(l, gamma int) int { return (l + gamma - 1) / gamma }
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -62,25 +62,37 @@ func SparsifyNodesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		classOf[v] = dc.Class(deg[v])
 	})
 
+	// 1/d(u), read by the class sums, every stage's type-B groups and the
+	// Lemma 18 audit (+Inf at isolated nodes, which no neighbour sum reads).
+	invDeg := sc.Float64s(n)
+	for v := range invDeg {
+		invDeg[v] = 1 / float64(deg[v])
+	}
+
 	// B_i = {v : Σ_{u∈C_i∼v} 1/d(u) >= δ/3}; one pass accumulates all the
 	// per-class reciprocal sums of every node. Each vertex owns its row and
 	// folds its (fixed, sorted) neighbour list left to right, so the float
 	// sums are bit-identical at any worker count.
-	delta := p.Delta()
+	inB := p.Delta()/3 - 1e-12
 	sums := sc.Float64s(n * (dc.K + 1))
 	parallel.ForEach(workers, n, func(v int) {
 		row := sums[v*(dc.K+1):]
 		for _, u := range g.Neighbors(graph.NodeID(v)) {
-			row[classOf[u]] += 1 / float64(deg[u])
+			row[classOf[u]] += invDeg[u]
 		}
 	})
 	model.ChargeSort("sparsify.classSums")
 
+	// An isolated node would add d(v) = 0 to any class, so its row is
+	// skipped; late rounds are mostly isolated nodes.
 	weights := sc.Int64s(dc.K + 1)
 	for v := 0; v < n; v++ {
+		if deg[v] == 0 {
+			continue
+		}
 		row := sums[v*(dc.K+1):]
 		for c := 1; c <= dc.K; c++ {
-			if row[c] >= delta/3-1e-12 {
+			if row[c] >= inB {
 				weights[c] += int64(deg[v])
 			}
 		}
@@ -95,7 +107,7 @@ func SparsifyNodesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	b := sc.Bools(n)
 	q0 := sc.Bools(n)
 	for v := 0; v < n; v++ {
-		b[v] = sums[v*(dc.K+1)+i] >= delta/3-1e-12
+		b[v] = sums[v*(dc.K+1)+i] >= inB
 		q0[v] = classOf[v] == i
 	}
 
@@ -121,7 +133,7 @@ func SparsifyNodesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			res.Q = cur
 			return res
 		}
-		report, next, canceled := runNodeStage(sc, g, cur, b, deg, dc, p, i, j, model)
+		report, next, canceled := runNodeStage(sc, g, cur, b, invDeg, dc, p, i, j, model)
 		if canceled {
 			res.Q = cur
 			return res
@@ -161,118 +173,33 @@ func CountMask(mask []bool) int {
 	return c
 }
 
-func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, deg []int,
+func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg []float64,
 	dc *core.DegreeClasses, p core.Params, i, j int, model *simcost.Model) (StageReport, []bool, bool) {
 
 	n := g.N()
-	gamma := dc.GroupSize()
-	fam := core.KWiseFamily(n, p.KWise)
-	th := core.StageThreshold(fam.P(), n, dc.K)
-	sampleProb := float64(th) / float64(fam.P())
-
-	// Flattened groups over node keys. kind 0 = type Q (count upper bound),
-	// kind 1 = type B (reciprocal-degree lower bound). Each of the two
-	// passes contributes at most one key per half-edge of g.
-	keys := sc.Uint64sCap(4 * g.M())
-	weightsOf := sc.Float64sCap(4 * g.M()) // 1/d(u), used by type B groups
-	var groups []edgeGroup
-	appendGroups := func(ids []graph.NodeID, kind uint8) {
-		for lo := 0; lo < len(ids); lo += gamma {
-			hi := lo + gamma
-			if hi > len(ids) {
-				hi = len(ids)
-			}
-			groups = append(groups, edgeGroup{start: len(keys) + lo, end: len(keys) + hi, kind: kind})
-		}
-		for _, u := range ids {
-			keys = append(keys, core.SlotKey(uint64(u), j, n))
-			weightsOf = append(weightsOf, 1/float64(deg[u]))
-		}
-	}
-	var flat []graph.NodeID
-	curNeighbors := func(v int) []graph.NodeID {
-		flat = flat[:0]
-		for _, u := range g.Neighbors(graph.NodeID(v)) {
-			if cur[u] {
-				flat = append(flat, u)
-			}
-		}
-		return flat
-	}
-	for v := 0; v < n; v++ {
-		if !cur[v] {
-			continue
-		}
-		if ids := curNeighbors(v); len(ids) > 0 {
-			appendGroups(ids, 0)
-		}
-	}
-	for v := 0; v < n; v++ {
-		if !b[v] {
-			continue
-		}
-		if ids := curNeighbors(v); len(ids) > 0 {
-			appendGroups(ids, 1)
-		}
-	}
+	items, rank := nodeStageItems(sc, g, cur, b, invDeg, dc, p, i, j)
 	model.ChargeSort("sparsify.distribute")
-
-	// Type-B deviation scale: the paper's n^{(0.9-i)δ}·√vx from the scaled
-	// Bellare-Rompel application (variables Z_u = n^{(i-1)δ}/d(u)).
-	devB := math.Pow(float64(n), (0.9-float64(i))/float64(dc.K))
-
-	// Goodness objective: number of good groups under the seed, scored by
-	// the stage fold (stageFold.search), whose carry preserves the weighted
-	// groups' float-accumulation order exactly. Acceptance intervals are
-	// hoisted out of the per-seed path: each bound
-	// depends only on the group's fixed size — and for type-B groups its
-	// fixed total weight, accumulated here in the same left-to-right order
-	// every per-seed scan used, so the float result is bit-identical — which
-	// moves DevTerm's √ex scaling from once per group per seed to once per
-	// group per stage (its n^{0.1δ} factor is computed once per degree-class
-	// table). Type-Q groups bound the count from above only, type-B the
-	// weight from below only; the open side is ±Inf.
-	gLo := sc.Float64s(len(groups))
-	gHi := sc.Float64s(len(groups))
-	for gi, gr := range groups {
-		ex := gr.end - gr.start
-		if gr.kind == 0 {
-			mu := float64(ex) * sampleProb
-			dev := p.Slack * dc.DevTerm(ex)
-			gLo[gi], gHi[gi] = math.Inf(-1), mu+dev
-			continue
-		}
-		var total float64
-		for t := gr.start; t < gr.end; t++ {
-			total += weightsOf[t]
-		}
-		dev := p.Slack * devB * math.Sqrt(float64(ex))
-		gLo[gi], gHi[gi] = sampleProb*total-dev, math.Inf(1)
-	}
-	fold := &stageFold{groups: groups, th: th, weightsOf: weightsOf, lo: gLo, hi: gHi}
-	evaluator := hashfam.NewEvaluator(fam)
-	res := fold.search(evaluator, keys, p, model)
+	res := items.search(sc.ZRows(), p, model)
 	if res.Canceled {
 		// res.Seed may be nil; abandon the stage, the caller discards.
 		return StageReport{}, nil, true
 	}
 
-	// Apply the selected seed: one EvalKeys pass over this stage's node
+	// Apply the selected seed: one sharded EvalKeysW pass over the stage's
 	// keys, then a sharded mask update.
 	workers := p.Workers()
-	applyKeys := core.NodeSlotKeysInto(sc.Uint64sCap(n), j, n)
-	applyZ := evaluator.EvalKeysW(res.Seed, applyKeys, sc.Uint64s(n), workers)
+	z := items.ev.EvalKeysW(res.Seed, items.keys, sc.Uint64s(len(items.keys)), workers)
 	next := sc.Bools(n)
 	parallel.ForEach(workers, n, func(v int) {
-		next[v] = cur[v] && applyZ[v] < th
+		next[v] = cur[v] && z[rank[v]] < items.th
 	})
 	model.ChargeScan("sparsify.apply")
 
 	report := StageReport{
 		Stage:       j,
-		ItemsBefore: CountMask(cur),
+		ItemsBefore: len(items.keys),
 		ItemsAfter:  CountMask(next),
-		Groups:      len(groups),
+		Groups:      items.groups,
 		GoodGroups:  int(res.Value),
 		SeedsTried:  res.SeedsTried,
 		SeedFound:   res.Found,
@@ -291,13 +218,11 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, deg []int,
 			}
 			dQ := 0
 			for _, u := range g.Neighbors(graph.NodeID(v)) {
-				if next[u] {
-					dQ++
-				}
+				dQ += int(b2i(next[u]))
 			}
 			// The additive n^{3δ} mirrors Lemma 10's small-degree regime (the
 			// proof of Lemma 17 stops shrinking once degrees fall below n^{3δ}).
-			bound := p.Slack * (nJD*float64(deg[v]) + n3d)
+			bound := p.Slack * (nJD*float64(g.Degree(graph.NodeID(v))) + n3d)
 			part.observe(float64(dQ) / bound)
 		}
 		return part
@@ -311,11 +236,11 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, deg []int,
 			if !b[v] {
 				continue
 			}
+			// Branchless, as in stageItems.good: adding invDeg[u]·0 leaves
+			// the sum unchanged, bit for bit.
 			var sum float64
 			for _, u := range g.Neighbors(graph.NodeID(v)) {
-				if next[u] {
-					sum += 1 / float64(deg[u])
-				}
+				sum += invDeg[u] * float64(b2i(next[u]))
 			}
 			// +1/n absorbs integrality at laptop scale.
 			part.observe(boundII / (sum + 1/float64(n)))
@@ -325,4 +250,102 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, deg []int,
 	report.InvariantI = invI
 	report.InvariantII = invII
 	return report, next, false
+}
+
+// nodeStageItems lays out stage j of the node chain (class i): the items
+// are the nodes of Q_{j-1} = cur, in id order, and rank[v] is node v's item
+// index (meaningful for v ∈ Q_{j-1} only).
+func nodeStageItems(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg []float64,
+	dc *core.DegreeClasses, p core.Params, i, j int) (items *stageItems, rank []int32) {
+
+	n := g.N()
+	gamma := dc.GroupSize()
+	fam := core.KWiseFamily(n, p.KWise)
+	th := core.StageThreshold(fam.P(), n, dc.K)
+	sampleProb := float64(th) / float64(fam.P())
+
+	// The items are the nodes of Q_{j-1}, in id order: rank[v] is v's item
+	// index, keys its stage-j slot key and w its weight 1/d(v) for type-B
+	// groups.
+	rank = sc.Int32s(n)
+	keys := sc.Uint64s(n)
+	w := sc.Float64s(n)
+	q := 0
+	for v := 0; v < n; v++ {
+		if cur[v] {
+			rank[v] = int32(q)
+			keys[q] = core.SlotKey(uint64(v), j, n)
+			w[q] = invDeg[v]
+			q++
+		}
+	}
+	items = &stageItems{ev: hashfam.NewEvaluator(fam), th: th, gamma: gamma, keys: keys[:q], w: w[:q]}
+	// One run per node v ∈ Q_{j-1} ∪ B with a neighbour in Q_{j-1}: the
+	// item indices of N(v) ∩ Q_{j-1}, in neighbour order, filled branch-free
+	// (the last write may land one slot past the runs, hence the spare).
+	// v's type-Q groups (v ∈ Q_{j-1}) and type-B groups (v ∈ B) are both
+	// γ-chunks of it. Each run reads g's row once, so the runs fit in 2|E|.
+	idx := sc.Int32s(2*g.M() + 1)
+	ends := sc.Int32s(n)
+	count := sc.Bools(n)
+	weighted := sc.Bools(n)
+	at, runs, weightedGroups := int32(0), 0, 0
+	for v := 0; v < n; v++ {
+		if !cur[v] && !b[v] {
+			continue
+		}
+		start := at
+		for _, u := range g.Neighbors(graph.NodeID(v)) {
+			idx[at] = rank[u]
+			at += b2i(cur[u])
+		}
+		if at == start {
+			continue
+		}
+		c := chunks(int(at-start), gamma)
+		ends[runs], count[runs], weighted[runs] = at, cur[v], b[v]
+		runs++
+		if cur[v] {
+			items.groups += c
+		}
+		if b[v] {
+			weightedGroups += c
+		}
+	}
+	items.groups += weightedGroups
+	items.idx, items.ends = idx[:at], ends[:runs]
+	items.count, items.weighted = count[:runs], weighted[:runs]
+
+	// Acceptance windows, precomputed once per stage. Type-Q groups bound
+	// their count from above only, by a window that depends on the chunk's
+	// size alone. Type-B groups bound their weight from below only: the
+	// paper's n^{(0.9-i)δ}·√vx deviation from the scaled Bellare-Rompel
+	// application (variables Z_u = n^{(i-1)δ}/d(u)) below the expected
+	// weight, whose total is summed left to right over the chunk, the order
+	// good adds the sampled weights in.
+	items.lo = sc.Float64s(gamma + 1)
+	items.hi = sc.Float64s(gamma + 1)
+	for ex := 1; ex <= gamma; ex++ {
+		mu := float64(ex) * sampleProb
+		dev := p.Slack * dc.DevTerm(ex)
+		items.lo[ex], items.hi[ex] = math.Inf(-1), mu+dev
+	}
+	devB := math.Pow(float64(n), (0.9-float64(i))/float64(dc.K))
+	items.wLo = sc.Float64s(weightedGroups)
+	wg := 0
+	start := int32(0)
+	for r, end := range items.ends {
+		for lo := start; items.weighted[r] && lo < end; lo += int32(gamma) {
+			chunk := items.idx[lo:min(lo+int32(gamma), end)]
+			var total float64
+			for _, t := range chunk {
+				total += items.w[t]
+			}
+			dev := p.Slack * devB * math.Sqrt(float64(len(chunk)))
+			items.wLo[wg] = sampleProb*total - dev
+			wg++
+		}
+		start = end
+	}
+	return items, rank
 }
