@@ -31,7 +31,7 @@ BENCH_WARN ?= BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeS
 # out of three no longer reads as a regression in bench-compare.
 BENCH_COUNT ?= 3
 
-.PHONY: build build-cmds build-cross test race race-engine bench bench-smoke bench-save bench-compare serve-smoke serve-compare profile clean fmt fmt-check vet lint audit ci
+.PHONY: build build-cmds build-cross test race race-engine fuzz-smoke bench bench-smoke bench-save bench-compare serve-smoke serve-compare profile clean fmt fmt-check vet lint audit ci
 
 # serve-smoke knobs: where detservd listens and where loadgen writes its
 # latency quantiles (archived as a CI artifact next to $(BENCH_OUT)).
@@ -113,7 +113,7 @@ EQUIV_PKGS := ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal
 # top-level test, fuzz target or benchmark of the packages $(2).
 check-tests = listed="$$($(GO) test -list '^($(1))$$' $(2))" || exit 1; \
 	for name in $$(echo '$(1)' | tr '|' ' '); do \
-		echo "$$listed" | grep -qx "$$name" || { echo "race-engine: $$name matches no test in $(2)"; exit 1; }; \
+		echo "$$listed" | grep -qx "$$name" || { echo "$@: $$name matches no test in $(2)"; exit 1; }; \
 	done
 
 race-engine:
@@ -122,6 +122,24 @@ race-engine:
 	$(GO) test -race -timeout 30m -run '^($(ENGINE_TABLES))$$' .
 	$(GO) test -race -timeout 30m ./internal/serve/
 	$(GO) test -race -timeout 30m -run '^($(EQUIV_TABLES))$$' $(EQUIV_PKGS)
+
+# The internal/serve fuzz targets, each fuzzed for FUZZ_TIME:
+# FuzzDecodeMatchesUnmarshal, the differential fuzzer that pins the
+# one-pass request-body reader to json.Unmarshal, and FuzzServeHandlers,
+# which sends raw bodies through Handler(). `go test ./...` only replays
+# their seeds; this target makes them search. -fuzzminimizetime caps the
+# time a worker spends shrinking each new-coverage input (60 s by default,
+# long enough to stall a short run). As in race-engine, every listed name
+# must be a fuzz target of the package: `go test -fuzz` with a pattern
+# that matches nothing passes.
+FUZZ_TARGETS := FuzzDecodeMatchesUnmarshal|FuzzServeHandlers
+FUZZ_TIME ?= 30s
+
+fuzz-smoke:
+	@$(call check-tests,$(FUZZ_TARGETS),./internal/serve/)
+	for t in $$(echo '$(FUZZ_TARGETS)' | tr '|' ' '); do \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZ_TIME) -fuzzminimizetime 5s ./internal/serve/ || exit 1; \
+	done
 
 # Full benchmark run (minutes); BENCH_PATTERN narrows it.
 bench:
@@ -160,7 +178,11 @@ bench-save:
 # benchjson schema (diff with `make serve-compare`). The server is always
 # torn down, and the loadgen exit status (nonzero when any (cell,
 # concurrency) bucket had zero successes) is propagated. Binaries are
-# built inside the repo and removed afterwards.
+# built inside the repo and removed afterwards. Loadgen names its graphs
+# by fingerprint, so the target then runs a 5 s detbench serve-inline
+# window: inline graph bodies over real HTTP, every response checked
+# against a reference solve, failing the target on any wrong or failed
+# response (detbench builds into the git-ignored .bench_build/).
 serve-smoke:
 	$(GO) build -o .tmp-detservd ./cmd/detservd
 	$(GO) build -o .tmp-loadgen ./cmd/loadgen
@@ -172,6 +194,7 @@ serve-smoke:
 	kill $$(cat .tmp-detservd.pid) 2>/dev/null; \
 	rm -f .tmp-detservd .tmp-loadgen .tmp-detservd.pid; \
 	exit $$status
+	bash cmd/detbench/run.sh --workload serve-inline --seed 1 --seconds 5 --trace 0
 
 # Diff a bench-smoke result ($(BENCH_OUT)) against the committed baseline,
 # warning — never failing — on >20% ns/op regressions in $(BENCH_WARN).
@@ -278,4 +301,4 @@ audit:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
-ci: build build-cmds build-cross vet fmt-check lint race race-engine bench-smoke serve-smoke clean
+ci: build build-cmds build-cross vet fmt-check lint race race-engine fuzz-smoke bench-smoke serve-smoke clean

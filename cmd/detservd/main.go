@@ -56,7 +56,7 @@ func main() {
 		queue      = flag.Int("queue", 64, "per-engine admission queue depth; a request whose home queue is full is rejected with 429")
 		defTimeout = flag.Duration("default-timeout", 0, "deadline applied to requests that set none (0 = none)")
 		maxTimeout = flag.Duration("max-timeout", 0, "upper clamp on any per-request timeout_ms (0 = unclamped)")
-		maxBody    = flag.Int64("max-body", 0, "request body limit in bytes (0 = 64 MiB default)")
+		maxBody    = flag.Int64("max-body", 0, "request body limit in bytes; also caps a graph's node count below limit/4 (0 = 64 MiB default)")
 		eps        = flag.Float64("eps", 0, "default space exponent ε (0 = library default)")
 		strategy   = flag.String("strategy", "auto", "default strategy: auto | sparsify | lowdeg")
 		par        = flag.Int("par", 0, "default host parallelism per solve (0 = one per CPU); results identical at any setting")

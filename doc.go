@@ -257,12 +257,21 @@
 // NDJSON streaming forwards the deterministic per-round observer events as
 // they happen; a client that disconnects mid-stream cancels its solve at
 // the next round boundary, and the abandoned solve's scratch goes back to
-// the pool Reset. GET /v1/status reports the aggregate counters plus
-// per-engine depth/queued/accepted/rejected/served. The serving layer adds
-// no solving code of its own — a served response is byte-identical to a
-// direct Engine solve with the same graph and options, which the
-// internal/serve tests enforce under concurrent mixed load, including one
-// engine's queue saturated while another serves cold traffic. cmd/loadgen
+// the pool Reset. Request bodies are bounded by Config.MaxBodyBytes, which
+// bounds a graph's node count as well: a body over the limit, or a graph
+// whose CSR offset array (4·(n+1) bytes) would be larger than it, gets
+// ErrTooLarge / HTTP 413 before anything is allocated for the graph. A
+// body is exactly one JSON value (trailing bytes are a 400); the usual
+// shape — plain strings, an inline edge list of integer pairs, no options —
+// is read in one pass straight into the edge list, and every other body
+// goes to encoding/json, which the one-pass reader matches exactly (a
+// differential fuzzer pins this). GET /v1/status reports the aggregate
+// counters plus per-engine depth/queued/accepted/rejected/served. The
+// serving layer adds no solving code of its own — a served response is
+// byte-identical to a direct Engine solve with the same graph and
+// options, which the internal/serve tests enforce under concurrent mixed
+// load, including one engine's queue saturated while another serves cold
+// traffic. cmd/loadgen
 // drives a running server at varying concurrency with a deterministic
 // mixed plan (-mix matching/MIS split, -sparsify strategy fraction,
 // -stream NDJSON fraction) and archives p50/p99 latency quantiles — plus

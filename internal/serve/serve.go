@@ -75,6 +75,10 @@ var (
 	// ErrBadRequest marks a malformed or invalid request (unknown problem,
 	// out-of-range option, bad edge list); HTTP 400.
 	ErrBadRequest = errors.New("serve: bad request")
+	// ErrTooLarge marks a request over Config.MaxBodyBytes: a body longer
+	// than the limit, or a graph whose CSR offset array (4·(n+1) bytes)
+	// would be larger than the limit; HTTP 413.
+	ErrTooLarge = errors.New("serve: request too large")
 	// ErrUnknownFingerprint marks a solve-by-fingerprint request naming a
 	// graph that was never uploaded (or was evicted); HTTP 404.
 	ErrUnknownFingerprint = errors.New("serve: unknown graph fingerprint")
@@ -109,7 +113,10 @@ type Config struct {
 	// timeout at all, which makes it a hard per-request ceiling); 0 means
 	// no clamp.
 	MaxTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 64 MiB).
+	// MaxBodyBytes bounds request bodies (default 64 MiB), and with them
+	// the node count of a graph: one whose CSR offset array, 4·(n+1)
+	// bytes, would be larger than the limit is rejected with ErrTooLarge
+	// before anything is allocated for it.
 	MaxBodyBytes int64
 }
 
@@ -337,9 +344,16 @@ type GraphUpload struct {
 	Edges [][2]int32 `json:"edges"`
 }
 
-func (u *GraphUpload) build() (*repro.Graph, error) {
+// build validates the upload and builds its CSR. A node count whose offset
+// array, 4·(n+1) bytes, would be larger than maxBody is rejected before
+// any O(n) allocation: otherwise a 30-byte body could make FromEdges
+// allocate gigabytes.
+func (u *GraphUpload) build(maxBody int64) (*repro.Graph, error) {
 	if u.N < 0 {
 		return nil, fmt.Errorf("%w: negative node count %d", ErrBadRequest, u.N)
+	}
+	if int64(u.N) >= maxBody/4 {
+		return nil, fmt.Errorf("%w: %d nodes; a %d-byte body limit allows at most %d", ErrTooLarge, u.N, maxBody, maxBody/4-1)
 	}
 	edges := make([]repro.Edge, len(u.Edges))
 	for i, e := range u.Edges {
@@ -367,7 +381,7 @@ func (s *Server) Upload(u *GraphUpload) (*UploadResponse, error) {
 	if u == nil {
 		return nil, fmt.Errorf("%w: missing graph", ErrBadRequest)
 	}
-	g, err := u.build()
+	g, err := u.build(s.cfg.MaxBodyBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -465,7 +479,7 @@ type SolveResponse struct {
 func (s *Server) prepared(req *SolveRequest) (*repro.PreparedGraph, error) {
 	switch {
 	case req.Graph != nil:
-		g, err := req.Graph.build()
+		g, err := req.Graph.build(s.cfg.MaxBodyBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -679,8 +693,8 @@ func (s *Server) Stats() Stats {
 
 // HTTPStatus maps the serving error taxonomy onto status codes: 429
 // overloaded, 504 deadline expired, 499 (nginx convention) client
-// cancellation, 400 bad request / invalid option / unknown strategy, 404
-// unknown fingerprint, 503 shutdown, 500 anything else.
+// cancellation, 413 too large, 400 bad request / invalid option / unknown
+// strategy, 404 unknown fingerprint, 503 shutdown, 500 anything else.
 func HTTPStatus(err error) int {
 	switch {
 	case err == nil:
@@ -691,6 +705,8 @@ func HTTPStatus(err error) int {
 		return http.StatusGatewayTimeout
 	case errors.Is(err, repro.ErrCanceled):
 		return 499 // client closed request
+	case errors.Is(err, ErrTooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrBadRequest), errors.Is(err, repro.ErrInvalidOption), errors.Is(err, repro.ErrUnknownStrategy), errors.Is(err, repro.ErrNilGraph):
 		return http.StatusBadRequest
 	case errors.Is(err, ErrUnknownFingerprint):
@@ -743,19 +759,24 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// decode reads the whole body and decodes it into v (decodeBody). The body
+// is read to EOF, which matters beyond decoding: net/http only starts the
+// connection's background read — the mechanism that cancels r.Context()
+// when the client disconnects — once the request body has been consumed.
+// Without it an abandoned streaming solve would never see its context
+// canceled and would burn a worker until the solve finished on its own.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("%w: body over the %d-byte limit", ErrTooLarge, tooLarge.Limit)
+		}
+		return fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
+	}
+	if err := decodeBody(body, v); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	// Drain the body to EOF. json.Decoder stops at the end of the JSON
-	// value, and net/http only starts the connection's background read —
-	// the mechanism that cancels r.Context() when the client disconnects —
-	// once the request body has been consumed. Without this drain an
-	// abandoned streaming solve would never see its context canceled and
-	// would burn a worker until the solve finished on its own. Bounded by
-	// MaxBytesReader above.
-	_, _ = io.Copy(io.Discard, body)
 	return nil
 }
 

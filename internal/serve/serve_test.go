@@ -551,6 +551,7 @@ func TestHTTPStatusMapping(t *testing.T) {
 		{fmt.Errorf("%w: %w: %w", repro.ErrCanceled, repro.ErrDeadlineExceeded, context.DeadlineExceeded), http.StatusGatewayTimeout},
 		{fmt.Errorf("%w: %w", repro.ErrCanceled, context.Canceled), 499},
 		{fmt.Errorf("%w: junk", ErrBadRequest), http.StatusBadRequest},
+		{fmt.Errorf("%w: body over the 4096-byte limit", ErrTooLarge), http.StatusRequestEntityTooLarge},
 		{fmt.Errorf("%w: epsilon 0.01", repro.ErrInvalidOption), http.StatusBadRequest},
 		{repro.ErrUnknownStrategy, http.StatusBadRequest},
 		{repro.ErrNilGraph, http.StatusBadRequest},
