@@ -123,7 +123,7 @@ race-engine:
 	$(GO) test -race -timeout 30m ./internal/serve/
 	$(GO) test -race -timeout 30m -run '^($(EQUIV_TABLES))$$' $(EQUIV_PKGS)
 
-# The internal/serve fuzz targets, each fuzzed for FUZZ_TIME:
+# The internal/serve fuzz targets, each fuzzed for 30 s:
 # FuzzDecodeMatchesUnmarshal, the differential fuzzer that pins the
 # one-pass request-body reader to json.Unmarshal, and FuzzServeHandlers,
 # which sends raw bodies through Handler(). `go test ./...` only replays
@@ -133,12 +133,11 @@ race-engine:
 # must be a fuzz target of the package: `go test -fuzz` with a pattern
 # that matches nothing passes.
 FUZZ_TARGETS := FuzzDecodeMatchesUnmarshal|FuzzServeHandlers
-FUZZ_TIME ?= 30s
 
 fuzz-smoke:
 	@$(call check-tests,$(FUZZ_TARGETS),./internal/serve/)
 	for t in $$(echo '$(FUZZ_TARGETS)' | tr '|' ' '); do \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZ_TIME) -fuzzminimizetime 5s ./internal/serve/ || exit 1; \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 30s -fuzzminimizetime 5s ./internal/serve/ || exit 1; \
 	done
 
 # Full benchmark run (minutes); BENCH_PATTERN narrows it.

@@ -260,7 +260,9 @@
 // the pool Reset. Request bodies are bounded by Config.MaxBodyBytes, which
 // bounds a graph's node count as well: a body over the limit, or a graph
 // whose CSR offset array (4·(n+1) bytes) would be larger than it, gets
-// ErrTooLarge / HTTP 413 before anything is allocated for the graph. A
+// ErrTooLarge / HTTP 413 before anything is allocated for the graph. That
+// bounds one request, not the prepared cache, which counts graphs rather
+// than bytes: many small bodies with a large n can still fill memory. A
 // body is exactly one JSON value (trailing bytes are a 400); the usual
 // shape — plain strings, an inline edge list of integer pairs, no options —
 // is read in one pass straight into the edge list, and every other body

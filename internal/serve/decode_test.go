@@ -147,25 +147,14 @@ func TestDecodeEdgesCapacity(t *testing.T) {
 
 // FuzzDecodeMatchesUnmarshal is the differential fuzzer: on any body, for
 // both request types, decodeBody agrees with json.Unmarshal into a fresh
-// value, and whatever the one-pass reader accepts json.Unmarshal accepts
-// too.
+// value. A body the one-pass reader accepts makes decodeBody return nil, so
+// checkDecode also fails if json.Unmarshal rejects it.
 func FuzzDecodeMatchesUnmarshal(f *testing.F) {
 	for _, c := range decodeCases {
 		f.Add([]byte(c.body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, upload := range []bool{false, true} {
-			if readerAccepts(body, upload) {
-				var err error
-				if upload {
-					err = json.Unmarshal(body, new(GraphUpload))
-				} else {
-					err = json.Unmarshal(body, new(SolveRequest))
-				}
-				if err != nil {
-					t.Fatalf("%q: one-pass reader accepts a body json.Unmarshal rejects: %v", body, err)
-				}
-			}
 			checkDecode(t, body, upload)
 		}
 	})

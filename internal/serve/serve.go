@@ -376,7 +376,8 @@ type UploadResponse struct {
 }
 
 // Upload registers a graph and returns its fingerprint; the in-process form
-// of POST /v1/graphs.
+// of POST /v1/graphs. Errors: ErrBadRequest, or ErrTooLarge for a graph
+// with 4·(n+1) > Config.MaxBodyBytes, rejected before any O(n) allocation.
 func (s *Server) Upload(u *GraphUpload) (*UploadResponse, error) {
 	if u == nil {
 		return nil, fmt.Errorf("%w: missing graph", ErrBadRequest)
@@ -595,7 +596,9 @@ func (s *Server) record(err error) {
 // streaming). Errors: repro.ErrOverloaded (queue full),
 // repro.ErrDeadlineExceeded / repro.ErrCanceled (deadline or caller
 // cancellation, at round/seed-batch boundaries), ErrBadRequest,
-// ErrUnknownFingerprint, ErrServerClosed, or solve-path errors verbatim.
+// ErrTooLarge (an inline graph with 4·(n+1) > Config.MaxBodyBytes, rejected
+// before any O(n) allocation), ErrUnknownFingerprint, ErrServerClosed, or
+// solve-path errors verbatim.
 func (s *Server) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
 	pg, opts, err := s.validate(req)
 	if err != nil {
