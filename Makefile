@@ -11,15 +11,11 @@ BENCH_OUT ?= BENCH_results.json
 # numbers on a dedicated box (e.g. make bench-save BENCH_TIME=2s).
 BENCH_TIME ?= 1x
 BENCH_DATE := $(shell date +%F)
-# latest-baseline picks the newest committed baseline matching a glob:
-# names sort chronologically under LC_ALL=C (locale collation would order
-# same-day letter suffixes before the bare date and silently pick a stale
-# baseline). Shared by BENCH_BASELINE and LOADGEN_BASELINE so the two
-# compare paths cannot drift apart.
-latest-baseline = $(shell ls $(1) 2>/dev/null | LC_ALL=C sort | tail -1)
 # The committed baseline the compare step diffs against: the latest
-# BENCH_<date>*.json at the repo root.
-BENCH_BASELINE ?= $(call latest-baseline,BENCH_2*.json)
+# BENCH_<date>*.json at the repo root. Names sort chronologically under
+# LC_ALL=C (locale collation would order same-day letter suffixes before the
+# bare date and silently pick a stale baseline).
+BENCH_BASELINE ?= $(shell ls BENCH_2*.json 2>/dev/null | LC_ALL=C sort | tail -1)
 # Benchmarks whose ns/op regression beyond 20% draws a warning (never a
 # failure): the seed-search kernel, its isolated edge- and node-side
 # selection scans and blocked hash term, the warm-Engine reuse pairs, and
@@ -31,19 +27,7 @@ BENCH_WARN ?= BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeS
 # out of three no longer reads as a regression in bench-compare.
 BENCH_COUNT ?= 3
 
-.PHONY: build build-cmds build-cross test race race-engine fuzz-smoke bench bench-smoke bench-save bench-compare serve-smoke serve-compare profile clean fmt fmt-check vet lint audit ci
-
-# serve-smoke knobs: where detservd listens and where loadgen writes its
-# latency quantiles (archived as a CI artifact next to $(BENCH_OUT)).
-SERVE_ADDR ?= 127.0.0.1:17317
-LOADGEN_OUT ?= LOADGEN_results.json
-# The committed serving baseline serve-compare diffs against: the latest
-# LOADGEN_<date>*.json at the repo root (via the same latest-baseline
-# helper as BENCH_BASELINE).
-LOADGEN_BASELINE ?= $(call latest-baseline,LOADGEN_2*.json)
-# Every loadgen quantile warns on regression — total-latency p50/p99 and
-# the streaming time-to-first-round (ttfr) cells alike.
-LOADGEN_WARN ?= ^Loadgen
+.PHONY: build build-cmds build-cross test race race-engine fuzz-smoke bench bench-smoke bench-save bench-compare serve-smoke profile clean fmt fmt-check vet lint audit ci
 
 build:
 	$(GO) build ./...
@@ -123,21 +107,24 @@ race-engine:
 	$(GO) test -race -timeout 30m ./internal/serve/
 	$(GO) test -race -timeout 30m -run '^($(EQUIV_TABLES))$$' $(EQUIV_PKGS)
 
-# The internal/serve fuzz targets, each fuzzed for 30 s:
-# FuzzDecodeMatchesUnmarshal, the differential fuzzer that pins the
-# one-pass request-body reader to json.Unmarshal, and FuzzServeHandlers,
-# which sends raw bodies through Handler(). `go test ./...` only replays
-# their seeds; this target makes them search. -fuzzminimizetime caps the
-# time a worker spends shrinking each new-coverage input (60 s by default,
-# long enough to stall a short run). As in race-engine, every listed name
-# must be a fuzz target of the package: `go test -fuzz` with a pattern
-# that matches nothing passes.
-FUZZ_TARGETS := FuzzDecodeMatchesUnmarshal|FuzzServeHandlers
+# Fuzz targets, each fuzzed for 30 s and named as package:target:
+# internal/serve's FuzzDecodeMatchesUnmarshal, the differential fuzzer that
+# pins the one-pass request-body reader to json.Unmarshal, and
+# FuzzServeHandlers, which sends raw bodies through Handler(); and the root
+# package's FuzzSolveValid, which solves arbitrary small graphs with both
+# strategies and fuzzed option values, checks every output with
+# internal/check and compares Parallelism 1 against 8. `go test ./...` only
+# replays their seeds; this target makes them search. -fuzzminimizetime
+# caps the time a worker spends shrinking each new-coverage input (60 s by
+# default, long enough to stall a short run). As in race-engine, every
+# listed name must be a fuzz target of its package: `go test -fuzz` with a
+# pattern that matches nothing passes.
+FUZZ_TARGETS := ./internal/serve/:FuzzDecodeMatchesUnmarshal ./internal/serve/:FuzzServeHandlers .:FuzzSolveValid
 
 fuzz-smoke:
-	@$(call check-tests,$(FUZZ_TARGETS),./internal/serve/)
-	for t in $$(echo '$(FUZZ_TARGETS)' | tr '|' ' '); do \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 30s -fuzzminimizetime 5s ./internal/serve/ || exit 1; \
+	@$(foreach e,$(FUZZ_TARGETS),$(call check-tests,$(lastword $(subst :, ,$(e))),$(firstword $(subst :, ,$(e))));)
+	for e in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${e#*:}$$" -fuzztime 30s -fuzzminimizetime 5s "$${e%%:*}" || exit 1; \
 	done
 
 # Full benchmark run (minutes); BENCH_PATTERN narrows it.
@@ -168,31 +155,17 @@ bench-save:
 	fi
 	$(GO) test -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -median -o BENCH_$(BENCH_DATE).json
 
-# End-to-end serving smoke: build detservd and loadgen, start the server
-# (log to .tmp-detservd.log), drive a short mixed profile at two
-# concurrency levels — matching and MIS, a quarter of each problem forced
-# onto the sparsify strategy (the long solves), and half of every cell
-# through the NDJSON streaming path, which adds time-to-first-round
-# (ttfr_p50/ttfr_p99) quantiles — and write $(LOADGEN_OUT) in the
-# benchjson schema (diff with `make serve-compare`). The server is always
-# torn down, and the loadgen exit status (nonzero when any (cell,
-# concurrency) bucket had zero successes) is propagated. Binaries are
-# built inside the repo and removed afterwards. Loadgen names its graphs
-# by fingerprint, so the target then runs a 5 s detbench serve-inline
-# window: inline graph bodies over real HTTP, every response checked
-# against a reference solve, failing the target on any wrong or failed
-# response (detbench builds into the git-ignored .bench_build/).
+# End-to-end serving smoke: two 5 s detbench windows over real HTTP, each
+# against its own `detservd -engines 2 -workers 2` that detbench starts on a
+# free port and stops. serve-fp solves uploaded graphs by fingerprint and
+# streams every fourth request; serve-inline sends every graph inline. Every
+# response is checked: bit for bit against a direct Engine solve, except
+# serve-inline's non-streamed one-off graphs, which are checked for
+# maximality. A wrong, failed or rejected response fails the run, and with
+# it the target. detbench and detservd build into the git-ignored
+# .bench_build/.
 serve-smoke:
-	$(GO) build -o .tmp-detservd ./cmd/detservd
-	$(GO) build -o .tmp-loadgen ./cmd/loadgen
-	@./.tmp-detservd -addr $(SERVE_ADDR) -engines 2 > .tmp-detservd.log 2>&1 & echo $$! > .tmp-detservd.pid; \
-	./.tmp-loadgen -addr http://$(SERVE_ADDR) -wait 30s \
-		-requests 32 -concurrency 1,4 -mix 0.5 -sparsify 0.25 -stream 0.5 \
-		-n 1024 -graphs 2 -out $(LOADGEN_OUT); \
-	status=$$?; \
-	kill $$(cat .tmp-detservd.pid) 2>/dev/null; \
-	rm -f .tmp-detservd .tmp-loadgen .tmp-detservd.pid; \
-	exit $$status
+	bash cmd/detbench/run.sh --workload serve-fp --seed 1 --seconds 5 --trace 0
 	bash cmd/detbench/run.sh --workload serve-inline --seed 1 --seconds 5 --trace 0
 
 # Diff a bench-smoke result ($(BENCH_OUT)) against the committed baseline,
@@ -202,18 +175,6 @@ bench-compare:
 	@if [ -z "$(BENCH_BASELINE)" ]; then echo "bench-compare: no committed BENCH_*.json baseline"; exit 1; fi
 	@echo "bench-compare: diffing $(BENCH_OUT) against baseline $(BENCH_BASELINE)"
 	$(GO) run ./cmd/benchjson -input $(BENCH_OUT) -compare $(BENCH_BASELINE) -warn '$(BENCH_WARN)' -warn-pct 20
-
-# Diff a serve-smoke result ($(LOADGEN_OUT)) against the committed
-# LOADGEN_<date>.json baseline, warning — never failing — on >25% latency
-# regressions in any loadgen quantile: total p50/p99 and the streaming
-# ttfr cells get the same treatment ns/op gets in bench-compare. The
-# threshold is looser than bench-compare's because end-to-end HTTP
-# latencies on shared runners are noisier than in-process benchmarks.
-# Run `make serve-smoke` first.
-serve-compare:
-	@if [ -z "$(LOADGEN_BASELINE)" ]; then echo "serve-compare: no committed LOADGEN_*.json baseline"; exit 1; fi
-	@echo "serve-compare: diffing $(LOADGEN_OUT) against baseline $(LOADGEN_BASELINE)"
-	$(GO) run ./cmd/benchjson -input $(LOADGEN_OUT) -compare $(LOADGEN_BASELINE) -warn '$(LOADGEN_WARN)' -warn-pct 25
 
 # CPU profiles of four benchmarks into the git-ignored profiles/ directory,
 # ready for `go tool pprof profiles/<name>.pprof`:
@@ -253,15 +214,14 @@ profile:
 	$(GO) test -bench 'BenchmarkT5_LowDegreeStages' -benchtime 60x -benchmem -run '^$$' -cpuprofile profiles/t5_lowdeg.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeSelectionScan' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/t7_seedsearch.pprof -o profiles/repro.test .
 
-# Remove build and smoke leftovers: stray compiled test binaries (go test -c
-# and aborted -cpuprofile runs drop *.test at the repo root), the serve-smoke
-# scratch binaries, pidfile, and server log, the uncommitted bench/loadgen
-# result JSONs,
-# and the profiles/ directory. Committed BENCH_<date>.json baselines are
-# untouched. Runs as the `make ci` teardown; CI jobs upload their artifacts
-# from their own steps before this would matter.
+# Remove build leftovers: stray compiled test binaries (go test -c and
+# aborted -cpuprofile runs drop *.test at the repo root), the detlint binary,
+# the uncommitted bench result JSON and the profiles/ directory. Committed
+# BENCH_<date>.json baselines are untouched. Runs as the `make ci` teardown;
+# CI jobs upload their artifacts from their own steps before this would
+# matter.
 clean:
-	rm -f *.test .tmp-detservd .tmp-loadgen .tmp-detservd.pid .tmp-detservd.log .tmp-detlint $(BENCH_OUT) $(LOADGEN_OUT)
+	rm -f *.test .tmp-detlint $(BENCH_OUT)
 	rm -rf profiles
 
 fmt:

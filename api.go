@@ -104,11 +104,14 @@ type Options struct {
 // upload storm cannot grow the engine without limit.
 const DefaultPreparedCacheCap = 256
 
-// validate checks the numeric options that params() hands to core, where
-// an out-of-range value is a programmer-error panic: each set field must
-// lie in its range, and ε must keep the paper's 1/δ = ⌈8/ε⌉ (the coupling
-// core.Params.WithEpsilon applies) below core.SlotMax. Zero fields mean
-// "default" and always pass.
+// validate is the one option check: every solve runs it, and
+// ValidateOptions exports it. The numeric options go to core through
+// params(), where an out-of-range value is a programmer-error panic: each
+// set field must lie in its range, and ε must keep the paper's
+// 1/δ = ⌈8/ε⌉ (the coupling core.Params.WithEpsilon applies) below
+// core.SlotMax. Zero fields mean "default" and always pass. Strategy must
+// name a defined strategy (empty means StrategyAuto): solveMatching and
+// solveMIS dispatch on it with no default case.
 func (o *Options) validate() error {
 	if eps := o.Epsilon; eps != 0 && !(eps > 0 && eps <= 1 && math.Ceil(8/eps) < core.SlotMax) {
 		return fmt.Errorf("%w: epsilon %v, want 0 < ε <= 1 with ⌈8/ε⌉ < %d", ErrInvalidOption, eps, core.SlotMax)
@@ -118,6 +121,11 @@ func (o *Options) validate() error {
 	}
 	if f := o.ThresholdFrac; f != 0 && !(f > 0 && f <= 1) {
 		return fmt.Errorf("%w: threshold fraction %v, want in (0, 1]", ErrInvalidOption, f)
+	}
+	switch o.strategy() {
+	case StrategyAuto, StrategySparsify, StrategyLowDegree:
+	default:
+		return &UnknownStrategyError{Strategy: o.Strategy}
 	}
 	return nil
 }
@@ -218,7 +226,9 @@ var (
 	ErrOverloaded = errors.New("repro: server overloaded")
 	// ErrUnknownStrategy marks an Options.Strategy (or WithStrategy value)
 	// that names none of the defined strategies; errors.As with
-	// *UnknownStrategyError recovers the offending value.
+	// *UnknownStrategyError recovers the offending value. Like
+	// ErrInvalidOption it is returned before any solve work starts, and
+	// ValidateOptions reports it without solving.
 	ErrUnknownStrategy = errors.New("repro: unknown strategy")
 	// ErrInvalidOption marks an Epsilon, Slack or ThresholdFrac outside its
 	// range, in the engine's base Options or a per-solve override. It is
@@ -231,8 +241,8 @@ var (
 	ErrNotMaximal = errors.New("repro: output not maximal")
 )
 
-// UnknownStrategyError reports the strategy value that failed to resolve.
-// It matches ErrUnknownStrategy under errors.Is.
+// UnknownStrategyError reports a strategy value that names none of the
+// defined strategies. It matches ErrUnknownStrategy under errors.Is.
 type UnknownStrategyError struct {
 	Strategy Strategy
 }
@@ -425,10 +435,13 @@ func layer(base Options, opts []SolveOption) *solveConfig {
 }
 
 // ValidateOptions reports whether opts, layered over the default Options,
-// hold every value a solve accepts: nil, or an error matching
-// ErrInvalidOption that names the field and its range. A solve runs the
-// same check, so a server that must answer before its solve starts (a
-// streamed response commits its status first) can reject at admission.
+// hold every value a solve accepts: nil, an error matching
+// ErrInvalidOption that names the numeric field and its range, or an
+// *UnknownStrategyError (matching ErrUnknownStrategy) that carries an
+// undefined strategy. A solve runs the same check, so a server that must
+// answer before its solve starts (a streamed response commits its status
+// first) can reject at admission, and a process can check the base
+// Options it is configured with before it serves anything.
 func ValidateOptions(opts ...SolveOption) error {
 	return layer(Options{}, opts).validate()
 }
@@ -564,12 +577,7 @@ func resolve(ctx context.Context, g *Graph, cfg *solveConfig) (core.Params, *sim
 			strat = StrategySparsify
 		}
 	}
-	switch strat {
-	case StrategyLowDegree, StrategySparsify:
-		return p, model, strat, nil
-	default:
-		return p, model, strat, &UnknownStrategyError{Strategy: strat}
-	}
+	return p, model, strat, nil
 }
 
 func solveMatching(ctx context.Context, sc *scratch.Context, g *Graph, cfg *solveConfig) (*MatchingResult, error) {

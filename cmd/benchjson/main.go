@@ -123,10 +123,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: wrote %d results to %s\n", len(results), *out)
 		}
 	}
-	// Only freshly parsed go-test output warrants the -benchmem nag: JSON
-	// loaded back via -input may legitimately be latency-only (loadgen
-	// emits has_mem: false on every row), and re-warning on each compare
-	// would be noise.
+	// Only freshly parsed go-test output gets the -benchmem nag: JSON loaded
+	// back via -input was checked when benchjson first parsed it.
 	if *input == "" {
 		if noMem := countWithoutMem(results); noMem > 0 {
 			fmt.Fprintf(os.Stderr, "benchjson: warning: %d result(s) lack B/op+allocs/op — was the run missing -benchmem?\n", noMem)

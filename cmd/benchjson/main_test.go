@@ -139,21 +139,21 @@ func TestCompareResultsNoWarnBelowThreshold(t *testing.T) {
 	}
 }
 
-// TestCompareSkipsMemColumnsWithoutMem is the loadgen regression: rows
-// that measure latency only (has_mem: false, e.g. every Loadgen* quantile)
-// — or a phantom has_mem: true row whose allocs/op is 0, which the old
-// loadgen emitted — must never produce an allocation delta. The Δallocs
-// column stays "-" whenever either side lacks real memory stats, while the
-// ns/op delta is still computed.
+// TestCompareSkipsMemColumnsWithoutMem: rows without memory stats
+// (has_mem: false, as a `go test -bench` line without B/op and allocs/op
+// parses) — or a phantom has_mem: true row whose allocs/op is 0 — must
+// never produce an allocation delta. The Δallocs column stays "-" whenever
+// either side lacks real memory stats, while the ns/op delta is still
+// computed.
 func TestCompareSkipsMemColumnsWithoutMem(t *testing.T) {
 	baseline := []Result{
-		{Name: "LoadgenMatching_c4_p99", NsPerOp: 1000, HasMem: false},
-		{Name: "LoadgenMIS_c4_ttfr_p50", NsPerOp: 500, HasMem: true}, // phantom: HasMem set, no real allocs
+		{Name: "BenchmarkNoMem", NsPerOp: 1000, HasMem: false},
+		{Name: "BenchmarkPhantomMem", NsPerOp: 500, HasMem: true}, // phantom: HasMem set, no real allocs
 		{Name: "BenchmarkReal", NsPerOp: 100, AllocsPerOp: 10, HasMem: true},
 	}
 	current := []Result{
-		{Name: "LoadgenMatching_c4_p99", NsPerOp: 1100, HasMem: false},
-		{Name: "LoadgenMIS_c4_ttfr_p50", NsPerOp: 510, HasMem: false},
+		{Name: "BenchmarkNoMem", NsPerOp: 1100, HasMem: false},
+		{Name: "BenchmarkPhantomMem", NsPerOp: 510, HasMem: false},
 		{Name: "BenchmarkReal", NsPerOp: 100, AllocsPerOp: 12, HasMem: true},
 	}
 	var buf strings.Builder
@@ -167,7 +167,7 @@ func TestCompareSkipsMemColumnsWithoutMem(t *testing.T) {
 		}
 		alloc := cols[len(cols)-1]
 		switch cols[0] {
-		case "LoadgenMatching_c4_p99", "LoadgenMIS_c4_ttfr_p50":
+		case "BenchmarkNoMem", "BenchmarkPhantomMem":
 			if alloc != "-%" {
 				t.Errorf("%s: Δallocs column = %q, want %q (no real mem stats on both sides)", cols[0], alloc, "-%")
 			}

@@ -22,7 +22,6 @@
 //
 //	GET  /healthz    liveness probe
 //	GET  /v1/status  aggregate + per-engine admission/solve counters
-//	GET  /v1/stats   alias of /v1/status
 //	POST /v1/graphs  upload a graph, get its content fingerprint
 //	POST /v1/solve   solve matching or MIS; "stream": true for NDJSON
 //	                 per-round progress (disconnecting cancels the solve
@@ -65,6 +64,11 @@ func main() {
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("detservd: ")
+	// A bad base option would fail every request with a 400 that blames the
+	// client, so it stops the server at start instead.
+	if err := repro.ValidateOptions(repro.WithEpsilon(*eps), repro.WithStrategy(repro.Strategy(*strategy))); err != nil {
+		log.Fatalf("invalid -eps or -strategy: %v", err)
+	}
 
 	s := serve.New(serve.Config{
 		Options: &repro.Options{

@@ -172,9 +172,9 @@
 //   - ErrNilGraph, ErrInvalidOption, ErrUnknownStrategy — request
 //     construction errors, reported before any solving starts.
 //     ErrInvalidOption names the out-of-range Epsilon, Slack or
-//     ThresholdFrac, and ValidateOptions reports it without solving.
-//     *UnknownStrategyError carries the offending strategy through
-//     errors.As.
+//     ThresholdFrac, and *UnknownStrategyError carries the offending
+//     strategy through errors.As. ValidateOptions reports both without
+//     solving.
 //   - ErrCanceled — the solve was abandoned at a round or seed-batch
 //     boundary because its context ended. The chain also matches the
 //     context's cause (context.Canceled or context.DeadlineExceeded).
@@ -267,18 +267,20 @@
 // shape — plain strings, an inline edge list of integer pairs, no options —
 // is read in one pass straight into the edge list, and every other body
 // goes to encoding/json, which the one-pass reader matches exactly (a
-// differential fuzzer pins this). GET /v1/status reports the aggregate
-// counters plus per-engine depth/queued/accepted/rejected/served. The
-// serving layer adds no solving code of its own — a served response is
-// byte-identical to a direct Engine solve with the same graph and
-// options, which the internal/serve tests enforce under concurrent mixed
-// load, including one engine's queue saturated while another serves cold
-// traffic. cmd/loadgen
-// drives a running server at varying concurrency with a deterministic
-// mixed plan (-mix matching/MIS split, -sparsify strategy fraction,
-// -stream NDJSON fraction) and archives p50/p99 latency quantiles — plus
-// time-to-first-round quantiles for the streamed cells — in the
-// cmd/benchjson schema (make serve-smoke, diffed by make serve-compare).
+// differential fuzzer pins this). A request's options, strategy name
+// included, go through ValidateOptions at admission, before an inline
+// graph is prepared, so an invalid one is a 400 that never reaches a queue
+// or the prepared cache, streamed or not; detservd checks its own -eps and
+// -strategy the same way and refuses to start on a bad one. GET /v1/status
+// reports the aggregate counters plus per-engine
+// depth/queued/accepted/rejected/served. The serving layer adds no solving
+// code of its own — a served response is byte-identical to a direct Engine
+// solve with the same graph and options, which the internal/serve tests
+// enforce under concurrent mixed load, including one engine's queue
+// saturated while another serves cold traffic. End to end, the served path
+// is measured and checked by cmd/detbench's serve-fp and serve-inline
+// workloads, which start their own detservd and hold its responses to
+// direct solves; make serve-smoke runs both for 5 s each.
 //
 // Everything the algorithms rely on is implemented in this module under
 // internal/: the MPC cluster simulator with Lemma 4's constant-round

@@ -416,16 +416,15 @@ type SolveOptions struct {
 	CostTracking  *bool   `json:"cost_tracking,omitempty"`
 }
 
-// solveOptions converts to repro.SolveOption. The numeric ranges (epsilon,
-// slack, threshold_frac) are repro.ValidateOptions' to check, which
-// validate runs on the result.
+// solveOptions converts to repro.SolveOption. The strategy name and the
+// numeric ranges (epsilon, slack, threshold_frac) are
+// repro.ValidateOptions' to check, which validate runs on the result.
 func (o *SolveOptions) solveOptions() ([]repro.SolveOption, error) {
 	if o == nil {
 		return nil, nil
 	}
 	var opts []repro.SolveOption
 	if o.Strategy != "" {
-		// Unknown names surface as repro.ErrUnknownStrategy from the solve.
 		opts = append(opts, repro.WithStrategy(repro.Strategy(o.Strategy)))
 	}
 	if o.Parallelism != nil {
@@ -556,16 +555,14 @@ func (s *Server) runSolve(ctx context.Context, pg *repro.PreparedGraph, problem 
 }
 
 // validate front-loads the request checks shared by both solve paths, so
-// admission control only ever queues runnable work. Option ranges are
-// checked here rather than left to the solve: a streamed response commits
-// its 200 before the solve runs.
+// admission control only ever queues runnable work. Options (strategy name
+// and numeric ranges) are checked here rather than left to the solve: a
+// streamed response commits its 200 before the solve runs. They are checked
+// before the graph is resolved, so a rejected request never prepares an
+// inline graph into an engine's cache.
 func (s *Server) validate(req *SolveRequest) (*repro.PreparedGraph, []repro.SolveOption, error) {
 	if req.Problem != ProblemMatching && req.Problem != ProblemMIS {
 		return nil, nil, fmt.Errorf("%w: unknown problem %q", ErrBadRequest, req.Problem)
-	}
-	pg, err := s.prepared(req)
-	if err != nil {
-		return nil, nil, err
 	}
 	opts, err := req.Options.solveOptions()
 	if err != nil {
@@ -574,10 +571,14 @@ func (s *Server) validate(req *SolveRequest) (*repro.PreparedGraph, []repro.Solv
 	if err := repro.ValidateOptions(opts...); err != nil {
 		return nil, nil, err
 	}
+	pg, err := s.prepared(req)
+	if err != nil {
+		return nil, nil, err
+	}
 	return pg, opts, nil
 }
 
-// record classifies a finished solve for /v1/stats.
+// record classifies a finished solve for /v1/status.
 func (s *Server) record(err error) {
 	switch {
 	case err == nil:
@@ -636,11 +637,10 @@ type EngineStats struct {
 	PreparedGraphs int   `json:"prepared_graphs"`
 }
 
-// Stats is the /v1/status (and /v1/stats) snapshot. The top-level counters
-// aggregate across engines; PerEngine breaks admission down by home engine,
-// which is where it is decided — QueueDepth and Queued are per-engine
-// quantities, the top-level fields report the per-engine depth and the
-// total occupancy.
+// Stats is the /v1/status snapshot. The top-level counters aggregate across
+// engines; PerEngine breaks admission down by home engine, which is where it
+// is decided — QueueDepth and Queued are per-engine quantities, the
+// top-level fields report the per-engine depth and the total occupancy.
 type Stats struct {
 	Engines        int           `json:"engines"`
 	Workers        int           `json:"workers"`
@@ -743,7 +743,6 @@ func writeError(w http.ResponseWriter, err error) {
 //
 //	GET  /healthz     liveness
 //	GET  /v1/status   counters incl. per-engine queue state (Stats)
-//	GET  /v1/stats    alias of /v1/status (the pre-fairness name)
 //	POST /v1/graphs   upload a graph, get its fingerprint (UploadResponse)
 //	POST /v1/solve    run a solve (SolveRequest → SolveResponse);
 //	                  stream: true switches to NDJSON round events
@@ -752,11 +751,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	status := func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
-	}
-	mux.HandleFunc("GET /v1/status", status)
-	mux.HandleFunc("GET /v1/stats", status)
+	})
 	mux.HandleFunc("POST /v1/graphs", s.handleUpload)
 	mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	return mux

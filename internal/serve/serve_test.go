@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -488,7 +489,9 @@ func TestServeStreaming(t *testing.T) {
 // "epsilon":0.01 passes a plain (0,1] range check but gives 1/δ = 800 ≥
 // core.SlotMax, which used to panic on a worker goroutine and kill the
 // process. It must be a 400 at admission, streamed or not, and the server
-// must go on serving.
+// must go on serving. An unknown strategy is rejected the same way: before
+// admission, so no rejected request is accepted, fails or prepares its
+// inline graph.
 func TestServeInvalidOptions(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -508,16 +511,21 @@ func TestServeInvalidOptions(t *testing.T) {
 		}
 		return resp.StatusCode, out.String()
 	}
-	for _, body := range []string{
-		`{"problem":"matching",` + graphJSON + `,"options":{"epsilon":0.01}}`,
-		`{"problem":"matching",` + graphJSON + `,"options":{"epsilon":0.01},"stream":true}`,
-		`{"problem":"mis",` + graphJSON + `,"options":{"epsilon":0.12},"stream":true}`,
-		`{"problem":"mis",` + graphJSON + `,"options":{"slack":-1}}`,
-		`{"problem":"mis",` + graphJSON + `,"options":{"threshold_frac":2}}`,
+	for _, c := range []struct{ body, want string }{
+		{`{"problem":"matching",` + graphJSON + `,"options":{"epsilon":0.01}}`, "invalid option"},
+		{`{"problem":"matching",` + graphJSON + `,"options":{"epsilon":0.01},"stream":true}`, "invalid option"},
+		{`{"problem":"mis",` + graphJSON + `,"options":{"epsilon":0.12},"stream":true}`, "invalid option"},
+		{`{"problem":"mis",` + graphJSON + `,"options":{"slack":-1}}`, "invalid option"},
+		{`{"problem":"mis",` + graphJSON + `,"options":{"threshold_frac":2}}`, "invalid option"},
+		{`{"problem":"matching",` + graphJSON + `,"options":{"strategy":"bogus"}}`, `unknown strategy \"bogus\"`},
+		{`{"problem":"mis",` + graphJSON + `,"options":{"strategy":"bogus"},"stream":true}`, `unknown strategy \"bogus\"`},
 	} {
-		if status, out := post(body); status != http.StatusBadRequest || !strings.Contains(out, "invalid option") {
-			t.Errorf("%s: status %d (%s), want 400 invalid option", body, status, out)
+		if status, out := post(c.body); status != http.StatusBadRequest || !strings.Contains(out, c.want) {
+			t.Errorf("%s: status %d (%s), want 400 %s", c.body, status, out, c.want)
 		}
+	}
+	if st := s.Stats(); st.Accepted != 0 || st.Failed != 0 || st.PreparedGraphs != 0 {
+		t.Fatalf("after rejected requests: accepted %d, failed %d, prepared graphs %d; want all 0", st.Accepted, st.Failed, st.PreparedGraphs)
 	}
 	status, out := post(`{"problem":"matching",` + graphJSON + `}`)
 	if status != http.StatusOK {
@@ -537,6 +545,39 @@ func TestServeInvalidOptions(t *testing.T) {
 	}
 	if _, err := s.Solve(context.Background(), &req); !errors.Is(err, repro.ErrInvalidOption) {
 		t.Fatalf("Server.Solve err = %v, want repro.ErrInvalidOption", err)
+	}
+}
+
+// TestServeStatusEndpoint: GET /v1/status serves the Stats snapshot, and
+// the removed /v1/stats alias is a 404.
+func TestServeStatusEndpoint(t *testing.T) {
+	s := New(Config{Engines: 2, Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Stats
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/v1/status: status %d", resp.StatusCode)
+	}
+	if want := s.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("/v1/status = %+v, want %+v", got, want)
+	}
+	resp, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/v1/stats: status %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -386,6 +386,14 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := MaximalIndependentSet(g, &Options{Strategy: "bogus"}); !errors.Is(err, ErrUnknownStrategy) {
 		t.Fatalf("free-function unknown strategy: err = %v, want ErrUnknownStrategy", err)
 	}
+	// ValidateOptions rejects the same value without solving.
+	err = ValidateOptions(WithStrategy("bogus"))
+	if !errors.Is(err, ErrUnknownStrategy) {
+		t.Fatalf("ValidateOptions(unknown strategy) = %v, want ErrUnknownStrategy", err)
+	}
+	if !errors.As(err, &use) || use.Strategy != "bogus" {
+		t.Fatalf("errors.As(*UnknownStrategyError) failed on ValidateOptions' %v", err)
+	}
 
 	// The cancellation error chain: ErrCanceled AND the context cause.
 	ctx, cancel := context.WithCancel(context.Background())
