@@ -13,10 +13,13 @@ import (
 
 // IsMatching reports whether edges form a matching of g: every edge present
 // in g and no two edges sharing an endpoint. A descriptive reason is
-// returned on failure.
+// returned on failure, also for an endpoint outside g's node range.
 func IsMatching(g *graph.Graph, edges []graph.Edge) (bool, string) {
 	used := make([]bool, g.N())
 	for _, e := range edges {
+		if int(e.U) < 0 || int(e.U) >= g.N() || int(e.V) < 0 || int(e.V) >= g.N() {
+			return false, fmt.Sprintf("edge %v has an endpoint out of range", e)
+		}
 		if !g.HasEdge(e.U, e.V) {
 			return false, fmt.Sprintf("edge %v not in graph", e)
 		}
@@ -106,23 +109,4 @@ func IsMaximalIS(g *graph.Graph, nodes []graph.NodeID) (bool, string) {
 		}
 	}
 	return true, ""
-}
-
-// CoveredEdges returns how many edges of g have at least one endpoint in the
-// node set (used by progress assertions: removing I ∪ N(I) removes exactly
-// the edges counted here for I's closed neighbourhood).
-func CoveredEdges(g *graph.Graph, nodes []graph.NodeID) int {
-	in := make([]bool, g.N())
-	for _, v := range nodes {
-		in[v] = true
-	}
-	count := 0
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(graph.NodeID(u)) {
-			if graph.NodeID(u) < v && (in[u] || in[v]) {
-				count++
-			}
-		}
-	}
-	return count
 }

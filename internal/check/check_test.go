@@ -1,6 +1,7 @@
 package check
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -25,6 +26,14 @@ func TestIsMatching(t *testing.T) {
 	if ok, _ := IsMatching(g, nil); !ok {
 		t.Error("empty matching rejected")
 	}
+	// Out-of-range endpoints are reported, not indexed.
+	for _, e := range []graph.Edge{{U: 5, V: 1}, {U: -1, V: 0}} {
+		if ok, reason := IsMatching(g, []graph.Edge{e}); ok {
+			t.Errorf("edge %v with an out-of-range endpoint accepted", e)
+		} else if !strings.Contains(reason, "out of range") {
+			t.Errorf("edge %v: reason %q does not say out of range", e, reason)
+		}
+	}
 }
 
 func TestIsMaximalMatching(t *testing.T) {
@@ -41,6 +50,11 @@ func TestIsMaximalMatching(t *testing.T) {
 	// Empty graph: the empty matching is maximal.
 	if ok, _ := IsMaximalMatching(graph.Empty(5), nil); !ok {
 		t.Error("empty matching on empty graph rejected")
+	}
+	if ok, reason := IsMaximalMatching(g, []graph.Edge{{U: 1, V: 2}, {U: 9, V: 0}}); ok {
+		t.Error("matching with an out-of-range endpoint accepted")
+	} else if !strings.Contains(reason, "out of range") {
+		t.Errorf("reason %q does not say out of range", reason)
 	}
 }
 
@@ -77,21 +91,5 @@ func TestIsMaximalIS(t *testing.T) {
 	}
 	if ok, _ := IsMaximalIS(graph.Empty(3), []graph.NodeID{0, 1, 2}); !ok {
 		t.Error("full vertex set of empty graph rejected")
-	}
-}
-
-func TestCoveredEdges(t *testing.T) {
-	g := path4()
-	if got := CoveredEdges(g, []graph.NodeID{1}); got != 2 {
-		t.Errorf("CoveredEdges({1}) = %d, want 2", got)
-	}
-	if got := CoveredEdges(g, []graph.NodeID{0, 3}); got != 2 {
-		t.Errorf("CoveredEdges({0,3}) = %d, want 2", got)
-	}
-	if got := CoveredEdges(g, nil); got != 0 {
-		t.Errorf("CoveredEdges(nil) = %d", got)
-	}
-	if got := CoveredEdges(g, []graph.NodeID{0, 1, 2, 3}); got != g.M() {
-		t.Errorf("all nodes cover %d edges, want %d", got, g.M())
 	}
 }

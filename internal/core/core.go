@@ -1,8 +1,8 @@
 // Package core holds the shared vocabulary of the paper's algorithms: the
 // parameter set (ε, δ = ε/8, concentration slack, search thresholds), the
-// degree-class partition C_1, …, C_{1/δ} of Section 3, the good-node sets X
-// (matching) and A (MIS) from Luby's analysis, and the deterministic
-// local-minimum selection rules shared by the matching and MIS steps.
+// degree-class partition C_1, …, C_{1/δ} of Section 3, the good-node set X
+// of Luby's matching analysis, and the deterministic local-minimum
+// selection rules shared by the matching and MIS steps.
 package core
 
 import (
@@ -291,31 +291,6 @@ func ComputeXInto(dst []bool, g *graph.Graph, deg []int, workers int) []bool {
 			}
 		}
 		dst[v] = 3*cnt >= dv
-	})
-	return dst
-}
-
-// ComputeAInto writes the MIS good-node indicator (Corollary 15) into dst
-// (length N): v ∈ A iff Σ_{u∼v} 1/d(u) >= 1/3. The scan is sharded over
-// vertex ranges on up to `workers` host workers. Each vertex's
-// reciprocal-degree sum is accumulated left-to-right over its own (fixed)
-// neighbour list, so the floating-point result is bit-identical at any
-// worker count. Every slot is assigned, so a dirty destination cannot leak
-// into the result.
-func ComputeAInto(dst []bool, g *graph.Graph, deg []int, workers int) []bool {
-	if len(dst) != g.N() {
-		panic("core: ComputeAInto length mismatch")
-	}
-	parallel.ForEach(workers, g.N(), func(v int) {
-		if deg[v] == 0 {
-			dst[v] = false
-			return
-		}
-		var sum float64
-		for _, u := range g.Neighbors(graph.NodeID(v)) {
-			sum += 1 / float64(deg[u])
-		}
-		dst[v] = sum >= 1.0/3-1e-12
 	})
 	return dst
 }

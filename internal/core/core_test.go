@@ -176,31 +176,6 @@ func TestXWeightLemma3(t *testing.T) {
 	}
 }
 
-func TestComputeACorollary15(t *testing.T) {
-	// Corollary 15: Σ_{v∈A} d(v) >= |E|/2. Also X ⊆ A.
-	for _, g := range []*graph.Graph{
-		gen.GNM(300, 2000, 3),
-		gen.Star(50),
-		gen.Grid2D(10, 10),
-	} {
-		deg := g.Degrees()
-		a := ComputeAInto(make([]bool, g.N()), g, deg, 0)
-		x := computeX(g, deg)
-		var w int64
-		for v, in := range a {
-			if in {
-				w += int64(deg[v])
-			}
-			if x[v] && !in {
-				t.Errorf("%v: node %d in X but not A", g, v)
-			}
-		}
-		if w < int64(g.M())/2 {
-			t.Errorf("%v: A-weight %d < m/2", g, w)
-		}
-	}
-}
-
 func TestZKeyOrdering(t *testing.T) {
 	a := ZKey{1, 5}
 	b := ZKey{1, 6}

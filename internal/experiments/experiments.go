@@ -51,10 +51,6 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig returns the full-size configuration with the canonical
-// workload seed.
-func DefaultConfig() Config { return Config{Seed: 1} }
-
 // Runner produces one experiment's tables.
 type Runner func(Config) []*tablefmt.Table
 

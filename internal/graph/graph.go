@@ -186,16 +186,6 @@ func (g *Graph) DegreesInto(dst []int) []int {
 	return dst
 }
 
-// Clone returns a deep copy (useful when callers want to retain a snapshot;
-// Graph itself is immutable, so this is rarely needed outside tests).
-func (g *Graph) Clone() *Graph {
-	return &Graph{
-		offsets: append([]int32(nil), g.offsets...),
-		adj:     append([]NodeID(nil), g.adj...),
-		m:       g.m,
-	}
-}
-
 // String returns a short diagnostic description.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{n=%d m=%d Δ=%d}", g.N(), g.M(), g.MaxDegree())

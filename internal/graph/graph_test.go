@@ -140,16 +140,6 @@ func TestInducedNodes(t *testing.T) {
 	}
 }
 
-func TestSubgraphEdgesValidates(t *testing.T) {
-	g := Path(4)
-	defer func() {
-		if recover() == nil {
-			t.Error("SubgraphEdges with non-edge did not panic")
-		}
-	}()
-	g.SubgraphEdges([]Edge{{0, 3}})
-}
-
 func Path(n int) *Graph {
 	b := NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
@@ -337,16 +327,6 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestEdgeDegrees(t *testing.T) {
-	g := triangle()
-	edges := g.Edges()
-	for i, d := range g.EdgeDegrees(edges) {
-		if d != 2 {
-			t.Errorf("edge degree of %v = %d, want 2", edges[i], d)
-		}
-	}
-}
-
 func TestDegreeSumIsTwiceM(t *testing.T) {
 	f := func(raw []uint16) bool {
 		const n = 40
@@ -385,17 +365,5 @@ func TestAdjacencySymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	g := triangle()
-	h := g.Clone()
-	if h.N() != g.N() || h.M() != g.M() {
-		t.Error("clone differs")
-	}
-	h.adj[0] = 99 // mutate clone's storage
-	if g.adj[0] == 99 {
-		t.Error("clone shares storage with original")
 	}
 }

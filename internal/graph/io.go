@@ -28,7 +28,8 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // and SNAP-style comment headers pass through). The first data line must be
 // "n" or "n m"; every following data line is an edge "u v". Duplicate edges
 // and self loops are dropped, matching the Builder semantics. Node ids must
-// lie in [0, n).
+// lie in [0, n), and n may be at most 1<<31, the number of ids NodeID can
+// address.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -47,7 +48,7 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: header must be \"n\" or \"n m\"", line)
 			}
 			v, err := strconv.Atoi(fields[0])
-			if err != nil || v < 0 {
+			if err != nil || v < 0 || int64(v) > 1<<31 {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[0])
 			}
 			n = v

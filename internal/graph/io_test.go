@@ -70,6 +70,10 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"bad edge arity": "4\n1 2 3\n",
 		"bad endpoint":   "4\n1 x\n",
 		"out of range":   "4\n1 9\n",
+		// Node counts NodeID cannot address, each with an edge whose id is
+		// at least 2^31, which int32 would wrap negative.
+		"n above 2^32": "4294967296\n4294967295 0\n",
+		"n above 2^31": "2147483649\n2147483648 1\n",
 	}
 	for name, input := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(input)); err == nil {

@@ -14,15 +14,14 @@ import (
 //
 // Two builds fill it. The node-mask filters (WithoutNodesInto,
 // InducedNodesInto) copy the surviving slots of the source CSR, so they
-// never sort. The edge-list builds (FromEdgesInto, SubgraphEdgesInto) use
-// the buffer's edge scratch and per-node write cursors, and sort the edge
-// list only when it is not already in (U, V) order.
+// never sort. The edge-list build (FromEdgesInto) uses the buffer's edge
+// scratch and per-node write cursors, and sorts the edge list only when it
+// is not already in (U, V) order.
 //
 // The *Graph returned by an Into call aliases the buffer's storage and is
 // valid only until the next Into call on the same buffer; callers that need
 // a longer-lived snapshot use the allocating wrappers (WithoutNodes,
-// InducedNodes, SubgraphEdges, FromEdges), which are Into with a fresh
-// buffer.
+// InducedNodes, FromEdges), which are Into with a fresh buffer.
 type CSR struct {
 	offsets []int32
 	adj     []NodeID
@@ -136,28 +135,6 @@ func b2i(b bool) int32 {
 		return 1
 	}
 	return 0
-}
-
-// SubgraphEdges returns the graph on the same id space containing exactly
-// the given edges. Every edge must be an edge of g (checked), so the result
-// is a subgraph.
-func (g *Graph) SubgraphEdges(edges []Edge) *Graph {
-	dst := new(CSR)
-	g.SubgraphEdgesInto(edges, dst)
-	return dst.detach()
-}
-
-// SubgraphEdgesInto is SubgraphEdges writing into dst instead of allocating.
-// The returned graph aliases dst's storage (see CSR). edges must not alias
-// dst's internal scratch (i.e. must not come from a previous FromEdgesInto
-// on the same buffer).
-func (g *Graph) SubgraphEdgesInto(edges []Edge, dst *CSR) *Graph {
-	for _, e := range edges {
-		if !g.HasEdge(e.U, e.V) {
-			panic("graph: SubgraphEdges edge not present in graph")
-		}
-	}
-	return FromEdgesInto(g.N(), edges, dst)
 }
 
 // InducedNodes returns the subgraph induced on the nodes with keep[v]==true,
@@ -361,14 +338,4 @@ func (g *Graph) ConnectedComponents() ([]int, int) {
 		count++
 	}
 	return label, count
-}
-
-// EdgeDegrees returns, for each edge in the canonical list, the edge degree
-// d(e) = number of other edges sharing an endpoint = d(u)+d(v)-2.
-func (g *Graph) EdgeDegrees(edges []Edge) []int {
-	out := make([]int, len(edges))
-	for i, e := range edges {
-		out[i] = g.Degree(e.U) + g.Degree(e.V) - 2
-	}
-	return out
 }

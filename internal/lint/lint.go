@@ -49,10 +49,8 @@ var SolverPackages = []string{
 	"internal/graph",
 	"internal/hashfam",
 	"internal/mpc",
-	"internal/mpcgraph",
 	"internal/coloring",
 	"internal/cclique",
-	"internal/congest",
 }
 
 // goroutineExempt lists the module-relative path prefixes where raw

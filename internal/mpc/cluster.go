@@ -138,22 +138,12 @@ func NewCluster(cfg Config) *Cluster {
 	return c
 }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Stats returns a snapshot of the execution metrics.
 func (c *Cluster) Stats() Stats {
 	s := c.stats
 	s.Violations = append([]string(nil), c.stats.Violations...)
 	return s
 }
-
-// Store returns machine id's store (aliased; for loading input and reading
-// output between rounds).
-func (c *Cluster) Store(id int) []uint64 { return c.stores[id] }
-
-// SetStore assigns machine id's store directly (input loading).
-func (c *Cluster) SetStore(id int, data []uint64) { c.stores[id] = data }
 
 // wordsOf returns the total words across a message batch.
 func wordsOf(msgs [][]uint64) int {

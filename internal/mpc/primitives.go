@@ -7,7 +7,10 @@ import (
 
 // This file implements the Lemma 4 toolbox (Goodrich et al. [30]) on the
 // message-level cluster: deterministic constant-round sorting and prefix
-// sums, plus the broadcast/all-reduce helpers the seed-search voting uses.
+// sums, plus broadcast and all-reduce. No solver calls Broadcast or
+// AllReduceSum. They are the message-level form of the f-ary aggregation
+// tree whose depth internal/simcost charges for seed batches and scans,
+// and their tests assert its round counts.
 //
 // Round counts achieved (and asserted by tests):
 //

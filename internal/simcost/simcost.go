@@ -15,7 +15,6 @@ package simcost
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/mpc"
@@ -36,7 +35,6 @@ type Model struct {
 	violations []string
 
 	peakMachineWords int
-	peakTotalWords   int64
 	seedBatches      int
 	seedsEvaluated   int64
 }
@@ -99,7 +97,6 @@ type Stats struct {
 	RoundsByLabel    map[string]int
 	Violations       []string
 	PeakMachineWords int
-	PeakTotalWords   int64
 	SeedBatches      int
 	SeedsEvaluated   int64 // charged candidates (see ChargeSeedBatch), scored by the host or not
 	S                int
@@ -122,23 +119,11 @@ func (m *Model) Stats() Stats {
 		RoundsByLabel:    byLabel,
 		Violations:       append([]string(nil), m.violations...),
 		PeakMachineWords: m.peakMachineWords,
-		PeakTotalWords:   m.peakTotalWords,
 		SeedBatches:      m.seedBatches,
 		SeedsEvaluated:   m.seedsEvaluated,
 		S:                m.s,
 		Machines:         m.machines,
 	}
-}
-
-// LabelsSorted returns the labels of RoundsByLabel in sorted order (for
-// stable table output).
-func (s Stats) LabelsSorted() []string {
-	labels := make([]string, 0, len(s.RoundsByLabel))
-	for l := range s.RoundsByLabel {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	return labels
 }
 
 func (m *Model) charge(rounds int, label string) {
@@ -177,14 +162,6 @@ func (m *Model) ChargeScan(label string) {
 		return
 	}
 	m.charge(2*m.scanDepth(2)+1, label)
-}
-
-// ChargeBroadcast charges a tree broadcast of a k-word payload.
-func (m *Model) ChargeBroadcast(k int, label string) {
-	if m == nil {
-		return
-	}
-	m.charge(m.scanDepth(k)+1, label)
 }
 
 // ChargeSeedBatch charges one batched seed evaluation round-trip: every
@@ -234,24 +211,6 @@ func (m *Model) AssertMachineWords(words int, label string) bool {
 		return false
 	}
 	return true
-}
-
-// NoteTotalWords records a global space usage claim (e.g. all collected
-// neighbourhoods across machines) and checks it against the paper's
-// O(m + n^{1+ε}) total-space budget with a constant factor of 8.
-func (m *Model) NoteTotalWords(words int64, label string) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	if words > m.peakTotalWords {
-		m.peakTotalWords = words
-	}
-	m.mu.Unlock()
-	budget := 8 * (int64(m.machines) * int64(m.s))
-	if words > budget {
-		m.recordViolation(fmt.Sprintf("total space %d > budget %d [%s]", words, budget, label))
-	}
 }
 
 func (m *Model) recordViolation(v string) {

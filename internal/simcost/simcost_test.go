@@ -11,12 +11,10 @@ func TestNilModelIsNoOp(t *testing.T) {
 	m.ChargeRounds(5, "x")
 	m.ChargeSort("x")
 	m.ChargeScan("x")
-	m.ChargeBroadcast(3, "x")
 	m.ChargeSeedBatch(100, "x")
 	if !m.AssertMachineWords(1<<40, "x") {
 		t.Error("nil model must accept any assertion")
 	}
-	m.NoteTotalWords(1<<40, "x")
 	if m.Rounds() != 0 || m.S() != 0 || m.Machines() != 0 || m.Epsilon() != 0 {
 		t.Error("nil model getters must return zero")
 	}
@@ -131,20 +129,6 @@ func TestAssertMachineWords(t *testing.T) {
 	}
 }
 
-func TestNoteTotalWords(t *testing.T) {
-	m := New(1<<10, 1<<12, 0.5)
-	m.NoteTotalWords(100, "x")
-	budget := 8 * int64(m.Machines()) * int64(m.S())
-	m.NoteTotalWords(budget+1, "x")
-	s := m.Stats()
-	if s.PeakTotalWords != budget+1 {
-		t.Errorf("peak total = %d", s.PeakTotalWords)
-	}
-	if len(s.Violations) != 1 {
-		t.Errorf("violations = %v", s.Violations)
-	}
-}
-
 func TestConcurrentCharging(t *testing.T) {
 	m := New(1<<12, 1<<14, 0.5)
 	var wg sync.WaitGroup
@@ -161,16 +145,5 @@ func TestConcurrentCharging(t *testing.T) {
 	wg.Wait()
 	if m.Rounds() != 3200 {
 		t.Errorf("rounds = %d, want 3200", m.Rounds())
-	}
-}
-
-func TestLabelsSorted(t *testing.T) {
-	m := New(1024, 1024, 0.5)
-	m.ChargeRounds(1, "zeta")
-	m.ChargeRounds(1, "alpha")
-	m.ChargeRounds(1, "mid")
-	labels := m.Stats().LabelsSorted()
-	if len(labels) != 3 || labels[0] != "alpha" || labels[2] != "zeta" {
-		t.Errorf("labels = %v", labels)
 	}
 }

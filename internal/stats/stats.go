@@ -1,12 +1,7 @@
 // Package stats provides the small numeric summaries the experiment tables
-// report: means, medians, percentiles and least-squares slopes (used to fit
-// "iterations vs log n" and "stages vs log Δ" scaling lines).
+// report: means and least-squares fits (used to fit "iterations vs log n"
+// and "stages vs log Δ" scaling lines).
 package stats
-
-import (
-	"math"
-	"sort"
-)
 
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -18,59 +13,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Median returns the median (0 for empty input; lower middle for even n).
-func Median(xs []float64) float64 {
-	return Percentile(xs, 50)
-}
-
-// Percentile returns the p-th percentile (nearest-rank; p in [0,100]).
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
-// Min returns the minimum (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum (0 for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // LinearFit returns the least-squares slope and intercept of y against x.

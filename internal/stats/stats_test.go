@@ -17,33 +17,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestMedianAndPercentile(t *testing.T) {
-	xs := []float64{9, 1, 5, 3, 7}
-	if !almost(Median(xs), 5) {
-		t.Errorf("Median = %f", Median(xs))
-	}
-	if !almost(Percentile(xs, 0), 1) || !almost(Percentile(xs, 100), 9) {
-		t.Error("extreme percentiles wrong")
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("Percentile(nil) != 0")
-	}
-	// Percentile must not mutate the input.
-	if xs[0] != 9 {
-		t.Error("Percentile mutated input")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4}
-	if Min(xs) != -1 || Max(xs) != 4 {
-		t.Error("Min/Max wrong")
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty Min/Max wrong")
-	}
-}
-
 func TestLinearFitExactLine(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	y := []float64{5, 7, 9, 11} // y = 2x + 3
