@@ -48,10 +48,15 @@ build-cmds:
 # Cross-compile check: the hash kernel has a GOARCH-gated assembly path
 # (amd64 AVX2) with a pure-Go fallback, so both the asm-bearing and the
 # fallback-only builds must compile. arm64 exercises the generic path's
-# build tags without needing arm64 hardware.
+# build tags without needing arm64 hardware. 386 is the one 32-bit target:
+# int is 32 bits there, so a constant or bound that overflows int (a
+# `v > 1<<31` check once passed go test and both 64-bit builds) fails to
+# compile, and so would a narrowing of the Linial point tables' uint32
+# values.
 build-cross:
 	GOARCH=amd64 $(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
+	GOARCH=386 $(GO) build ./...
 
 # Fast feedback: full suite without the race detector.
 test:
@@ -75,8 +80,11 @@ race:
 # per-seed EvalKeys + selection, and the seed search's miss-path fan-out at
 # Parallelism 1/2/8; the probe-first seed search vs whole-batch scoring, and
 # its count of the candidates it scores; the implicit G² colouring vs Linial
-# on the materialised square at Parallelism 1/2/8, and the CSR-slot line
-# graph vs its map-indexed build) and the request-scoped API tables
+# on the materialised square at Parallelism 1/2/8, each tabulated Linial
+# round vs the walk-and-evaluate round, on real colourings and fuzzed
+# improper ones, the one r-ball walk vs the separate word and Δ(G²) walks,
+# and the CSR-slot line graph vs its map-indexed build) and the
+# request-scoped API tables
 # (cancellation at every Parallelism level against a shared engine,
 # per-solve override equivalence, observer-stream determinism): worker-count
 # independence of a REUSED engine (dirty scratch buffers, pooled contexts)
@@ -91,7 +99,7 @@ race:
 # checks, through `go test -list`, that every listed name is a test, fuzz
 # target or benchmark of its packages, and fails otherwise.
 ENGINE_TABLES := TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence
-EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissFanOut|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLineGraphMatchesMapReference
+EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissFanOut|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLinialRoundMatchesWalkReference|FuzzLinialRoundMatchesWalkReference|TestBallStatsMatchesSeparateWalks|TestLineGraphMatchesMapReference
 EQUIV_PKGS := ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/ ./internal/coloring/ ./internal/graph/
 # check-tests fails unless every name of the |-separated list $(1) is a
 # top-level test, fuzz target or benchmark of the packages $(2).
@@ -176,7 +184,7 @@ bench-compare:
 	@echo "bench-compare: diffing $(BENCH_OUT) against baseline $(BENCH_BASELINE)"
 	$(GO) run ./cmd/benchjson -input $(BENCH_OUT) -compare $(BENCH_BASELINE) -warn '$(BENCH_WARN)' -warn-pct 20
 
-# CPU profiles of four benchmarks into the git-ignored profiles/ directory,
+# CPU profiles of five benchmarks into the git-ignored profiles/ directory,
 # ready for `go tool pprof profiles/<name>.pprof`:
 #   - t2_mis: the whole Theorem 14 MIS solve (BenchmarkT2_MISRounds, G(n,m)
 #     n=4096 m=32768) on a fresh scratch context per solve. The Section 4.2
@@ -194,13 +202,21 @@ bench-compare:
 #     builds (graph.FromEdgesInto) ~13%. At ~15 ms per solve, 100
 #     iterations give ~1.5 s of samples.
 #   - t5_lowdeg: the Section 5 stage-compressed MIS on an 8-regular graph
-#     (BenchmarkT5_LowDegreeStages). It is bound by the 2-hop walks of its
-#     preprocessing (graph.BallUnsortedInto, ~55% of samples): the r-ball
-#     word sums in lowdeg.maxBallWords, the Δ(G²) pass of
-#     coloring.LinialG2 and its VerifyDistance2 pass. Its Linial colouring
-#     needs no reduction round on this graph, and the phases' CSR filters
-#     and seed searches take ~15%. At ~7 ms per solve, 60 iterations give
+#     (BenchmarkT5_LowDegreeStages). Its Linial colouring needs no
+#     reduction round on this graph, and it builds no line graph. The one
+#     r-ball walk of its preprocessing (lowdeg.ballStats over
+#     graph.BallUnsortedInto) is ~50% of samples, the 2-path scan of
+#     coloring.VerifyDistance2 ~18%, the phases' seed searches ~8% and
+#     their CSR filters ~4%. At ~3.6 ms per solve, 120 iterations give
 #     ~0.4 s of samples.
+#   - lowdeg: warm-Engine re-solves on the shapes of detbench's
+#     inproc-lowdeg (BenchmarkEngineReuseLowDegree: a matching and an MIS
+#     on a 64x64 grid and on a 3-regular graph, n = 4096). The matchings
+#     solve MIS on line graphs, where the Linial rounds do run. The one
+#     r-ball walk is ~43% of samples, the rounds' 2-path scans against the
+#     point tables ~11% and the table fills ~5%, VerifyDistance2 ~9%, the
+#     line-graph builds ~7% and the phases' CSR filters ~4%. At ~25 ms per
+#     iteration (four solves), 60 iterations give ~1.5 s of samples.
 #   - t7_seedsearch: the isolated seed-search terms: one missed 64-seed
 #     batch, every candidate through core.EdgeGroup.Select at one worker,
 #     and the edge- and node-side selection scans.
@@ -211,7 +227,8 @@ profile:
 	mkdir -p profiles
 	$(GO) test -bench 'BenchmarkT2_MISRounds' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/t2_mis.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkMatchingDeterministicParallel' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/mm_sparsify.pprof -o profiles/repro.test .
-	$(GO) test -bench 'BenchmarkT5_LowDegreeStages' -benchtime 60x -benchmem -run '^$$' -cpuprofile profiles/t5_lowdeg.pprof -o profiles/repro.test .
+	$(GO) test -bench 'BenchmarkT5_LowDegreeStages' -benchtime 120x -benchmem -run '^$$' -cpuprofile profiles/t5_lowdeg.pprof -o profiles/repro.test .
+	$(GO) test -bench 'BenchmarkEngineReuseLowDegree' -benchtime 60x -benchmem -run '^$$' -cpuprofile profiles/lowdeg.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeSelectionScan' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/t7_seedsearch.pprof -o profiles/repro.test .
 
 # Remove build leftovers: stray compiled test binaries (go test -c and

@@ -568,6 +568,45 @@ func BenchmarkEngineReuseMIS(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineReuseLowDegree times warm-Engine re-solves down the
+// Section 5 path on the shapes of detbench's inproc-lowdeg workload: a
+// matching and an MIS on a 64x64 grid and on a 3-regular graph, n = 4096.
+// A matching solves MIS on the line graph, so both the G² colouring's
+// Linial rounds and the r-ball walk run on every solve. It backs make
+// profile's lowdeg.pprof.
+func BenchmarkEngineReuseLowDegree(b *testing.B) {
+	var graphs []*Graph
+	for _, f := range []struct {
+		family string
+		avg    int
+	}{{"grid", 4}, {"regular", 3}} {
+		g, err := Generate(f.family, 1<<12, f.avg, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	// Cost tracking stays on, as in detbench: the model's machine budget
+	// sets ℓ and with it the radius of the walked balls.
+	eng := NewEngine(&Options{Strategy: StrategyLowDegree})
+	solve := func() {
+		for _, g := range graphs {
+			if _, err := eng.MaximalMatching(g); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.MaximalIndependentSet(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	solve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve()
+	}
+}
+
 // BenchmarkEngineOneShotMIS is the free-function counterpart of
 // BenchmarkEngineReuseMIS.
 func BenchmarkEngineOneShotMIS(b *testing.B) {

@@ -29,13 +29,14 @@ func engineOpts(strat Strategy) *Options {
 // budgets are one constant per strategy at every size and density; they
 // sit ~1.5x over the values measured with every sparsify stage hashing its
 // items once into Reset-surviving rows (sparsify: mm 417–542, mis 183–247
-// objects) and with the Section 5 preprocessing on the CSR (lowdeg: mm
-// ~0.18k, mis ~0.16k) — deliberately tight so that epoch state leaking out
-// of the Reset-surviving Context slots (or any new per-round allocation)
-// trips the assertion, while staying far below O(n+m) growth.
+// objects) and with the Section 5 preprocessing walking each ball once
+// (lowdeg: mm 155–160, mis 132–134) — deliberately tight so that epoch
+// state leaking out of the Reset-surviving Context slots (or any new
+// per-round allocation) trips the assertion, while staying far below
+// O(n+m) growth.
 var warmAllocBudget = map[Strategy]struct{ mm, mis float64 }{
 	StrategySparsify:  {mm: 820, mis: 380},
-	StrategyLowDegree: {mm: 300, mis: 260},
+	StrategyLowDegree: {mm: 240, mis: 200},
 }
 
 // warmWorkload is one graph a strategy's warm re-solves are measured on,
@@ -44,7 +45,7 @@ var warmAllocBudget = map[Strategy]struct{ mm, mis float64 }{
 // result slices scale with n, and the lowdeg matching path builds a line
 // graph per solve. The budgets sit ~1.5x over the measured values (KB,
 // mm/mis at n = 2048 and 4096: sparsify gnm avg 8 229/99 and 356/137,
-// avg 16 289/103 and 389/120; lowdeg 882/187 and 1736/332), so the stage
+// avg 16 289/103 and 389/120; lowdeg 832/168 and 1638/298), so the stage
 // chains' old per-group appends — 2.3 MB of a 3.0 MB matching solve at
 // avg 16 — cannot return unnoticed.
 type warmWorkload struct {
@@ -63,7 +64,7 @@ var warmWorkloads = map[Strategy][]warmWorkload{
 	// A bounded-degree graph (the regime), whose line graph stays
 	// affordable for the per-solve construction.
 	StrategyLowDegree: {
-		{"regular", 6, map[int]struct{ mm, mis float64 }{2048: {1320, 280}, 4096: {2600, 500}}},
+		{"regular", 6, map[int]struct{ mm, mis float64 }{2048: {1250, 250}, 4096: {2450, 450}}},
 	},
 }
 

@@ -14,11 +14,15 @@
 // out of q². Iterating reaches the fixpoint q² = O(Δ²) colours for the
 // coloured graph — O(Δ⁴) when that graph is G² — in O(log* C) rounds.
 //
-// G² itself is never built. A node's choice depends only on the set of
-// colours in its G²-neighbourhood N²(v), and a two-hop walk over g's CSR
-// (graph.BallUnsortedInto) yields exactly that set, so each round reads
-// N²(v) from a walk, and Δ(G²) and the final distance-2 check come from the
-// same walk.
+// G² itself is never built, and no ball is walked. A node's choice depends
+// only on the set of colours in its G²-neighbourhood N²(v), and the 2-paths
+// v–u and v–u–w (w ≠ v) of g's CSR end at exactly the nodes of N²(v); a node
+// reached twice is compared twice, which changes no outcome. Each round
+// tabulates every node's polynomial at the first tablePoints points, then
+// scans v's 2-paths against the table and evaluates directly only past it.
+// The final distance-2 check scans the same 2-paths. Δ(G²) comes from the
+// caller, which reads it off a walk it makes anyway (internal/lowdeg's
+// r-ball walk).
 package coloring
 
 import (
@@ -27,9 +31,17 @@ import (
 	"repro/internal/graph"
 	"repro/internal/intmath"
 	"repro/internal/parallel"
-	"repro/internal/scratch"
 	"repro/internal/simcost"
 )
+
+// tablePoints is how many evaluation points a Linial round tabulates for
+// every node before it scans the 2-paths; the few nodes whose point lies
+// past the table evaluate directly. It was picked by measurement: on grid
+// and 3-regular graphs with n = 4096 and on their line graphs, four points
+// cover 98.4–100% of a round's nodes, and two, three or four points time
+// the same within noise, while six are slower (the fill costs more than
+// the direct evaluations it saves).
+const tablePoints = 4
 
 // Result is a proper colouring with its round count.
 type Result struct {
@@ -40,11 +52,14 @@ type Result struct {
 
 // LinialG2 colours G² (a distance-2 proper colouring of g) with O(Δ⁴)
 // colours — the colouring χ of Section 5 — in O(log* n) iterations,
-// starting from the trivial n-colouring by node id. Every pass walks each
-// node's 2-ball in g instead of materialising G², and shards over vertex
-// ranges on up to `workers` host workers; the result is bit-identical at
-// any worker count.
-func LinialG2(g *graph.Graph, workers int, model *simcost.Model) *Result {
+// starting from the trivial n-colouring by node id. maxDeg2 must be Δ(G²)
+// of g, the largest |Ball(v, 2)| − 1 (0 when g has no nodes): the caller
+// reads it off a walk of its own, and a smaller value can leave a round
+// without a point for some node, which panics. Every pass scans 2-paths of
+// g's CSR instead of materialising G², and shards over vertex ranges on up
+// to `workers` host workers; the result is bit-identical at any worker
+// count.
+func LinialG2(g *graph.Graph, maxDeg2, workers int, model *simcost.Model) *Result {
 	model.ChargeRounds(1, "coloring.square") // neighbours exchange lists
 	n := g.N()
 	colors := make([]int, n)
@@ -54,29 +69,19 @@ func LinialG2(g *graph.Graph, workers int, model *simcost.Model) *Result {
 	if n == 0 {
 		return &Result{Colors: colors}
 	}
-	balls := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
-	maxDeg := parallel.MaxInt(workers, n, func(lo, hi int) int {
-		bs := balls.Get()
-		max := 0
-		for v := lo; v < hi; v++ {
-			if d := len(g.BallUnsortedInto(bs, graph.NodeID(v), 2)) - 1; d > max {
-				max = d
-			}
-		}
-		balls.Put(bs)
-		return max
-	})
 	numColors := n
 	next := make([]int, n)
-	var digits []uint64
+	var digits []uint32
+	var table []uint32
 	rounds := 0
 	for {
-		q, d := linialParams(numColors, maxDeg)
+		q, d := linialParams(numColors, maxDeg2)
 		if int(q*q) >= numColors {
 			break // fixpoint reached
 		}
 		digits = colourDigits(graph.Grow(digits, numColors*(d+1)), numColors, q, d)
-		if v := linialRound(g, colors, next, digits, q, d, workers, balls); v >= 0 {
+		table = graph.Grow(table, tablePoints*n)
+		if v := linialRound(g, colors, next, digits, table, q, d, workers); v >= 0 {
 			panic(fmt.Sprintf("coloring: input colouring not proper at node %d", v))
 		}
 		colors, next = next, colors
@@ -137,12 +142,13 @@ func degreeFor(numColors int, q uint64) int {
 }
 
 // colourDigits fills dst[c*(d+1)+t] with the t-th base-q digit of every
-// colour c < numColors: the coefficients of the polynomial p_c.
-func colourDigits(dst []uint64, numColors int, q uint64, d int) []uint64 {
+// colour c < numColors: the coefficients of the polynomial p_c. Digits are
+// below q, which fits in 32 bits wherever a round runs (see linialRound).
+func colourDigits(dst []uint32, numColors int, q uint64, d int) []uint32 {
 	for c := 0; c < numColors; c++ {
 		cc := uint64(c)
 		for t := 0; t <= d; t++ {
-			dst[c*(d+1)+t] = cc % q
+			dst[c*(d+1)+t] = uint32(cc % q)
 			cc /= q
 		}
 	}
@@ -154,44 +160,95 @@ func colourDigits(dst []uint64, numColors int, q uint64, d int) []uint64 {
 // is synchronous and shards over vertex ranges: a shard writes only its own
 // next[v]. It returns the lowest node that shares its colour with a
 // G²-neighbour (the input colouring is then not proper), or -1.
-func linialRound(g *graph.Graph, colors, next []int, digits []uint64, q uint64, d, workers int, balls *scratch.PerWorker[*graph.BallScratch]) int {
+//
+// The round first fills table (length >= tablePoints·n) point-major:
+// row x holds p_{colors[v]}(x) for every node v, so each polynomial is
+// evaluated once per tabulated point rather than once per G²-neighbour.
+// Values are below q, which fits in 32 bits: a round runs only while
+// q² < numColors <= n. Node v then takes the first row in which no 2-path
+// v–u or v–u–w (w ≠ v) ends at its own value, and only past the table
+// evaluates the polynomials at the ends of its 2-paths directly.
+func linialRound(g *graph.Graph, colors, next []int, digits, table []uint32, q uint64, d, workers int) int {
+	n := g.N()
 	r := intmath.NewReducer(q)
-	w := d + 1
+	k := d + 1 // digits per colour
+	// Horner needs no reduction until the end: for x < q every partial sum
+	// Σ_{t>=j} p_t·x^(t−j) is at most Σ_{t>=j} p_t·q^(t−j) = ⌊c/q^j⌋ <= c,
+	// so the unreduced value cannot overflow and one Mod gives p_c(x).
 	eval := func(c int, x uint64) uint64 {
-		p := digits[c*w : c*w+w]
-		acc := p[d]
+		p := digits[c*k : c*k+k]
+		acc := uint64(p[d])
 		for t := d - 1; t >= 0; t-- {
-			acc = r.AddMod(r.MulMod(acc, x), p[t])
+			acc = acc*x + uint64(p[t])
 		}
-		return acc
+		return r.Mod(acc)
 	}
-	return parallel.MapReduce(workers, g.N(), -1, func(lo, hi int) int {
-		bs := balls.Get()
-		defer balls.Put(bs)
+	pts := int(min(q, tablePoints))
+	parallel.For(workers, n, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
-			nbrs := g.BallUnsortedInto(bs, graph.NodeID(v), 2)[1:]
+			c := colors[v]
+			table[v] = digits[c*k] // p_c(0) is c's low base-q digit
+			for x := 1; x < pts; x++ {
+				table[x*n+v] = uint32(eval(c, uint64(x)))
+			}
+		}
+	})
+	return parallel.MapReduce(workers, n, -1, func(lo, hi int) int {
+		for v := lo; v < hi; v++ {
+			x := 0
+			for x < pts && clashes(g, graph.NodeID(v), table[x*n:x*n+n]) {
+				x++
+			}
+			if x < pts {
+				next[v] = x*int(q) + int(table[x*n+v])
+				continue
+			}
 			cv := colors[v]
-			x, val := uint64(0), uint64(0)
+			xq, val := uint64(x), uint64(0)
 		search:
-			for ; x < q; x++ {
-				val = eval(cv, x)
-				for _, u := range nbrs {
-					if eval(colors[u], x) == val {
+			for ; xq < q; xq++ {
+				val = eval(cv, xq)
+				for _, u := range g.Neighbors(graph.NodeID(v)) {
+					if eval(colors[u], xq) == val {
 						continue search
+					}
+					for _, w := range g.Neighbors(u) {
+						if int(w) != v && eval(colors[w], xq) == val {
+							continue search
+						}
 					}
 				}
 				break
 			}
-			if x == q {
+			if xq == q {
 				// Polynomials of distinct colours agree on at most d points
 				// and q > Δ(G²)·d, so only a G²-neighbour sharing v's colour
 				// can rule out every x.
 				return v
 			}
-			next[v] = int(x*q + val)
+			next[v] = int(xq*q + val)
 		}
 		return -1
 	}, firstFailure)
+}
+
+// clashes reports whether a 2-path from v, v–u or v–u–w with w ≠ v, ends at
+// a node holding v's own value in vals: whether some G²-neighbour of v
+// shares its value. It reads the CSR rows of v and its neighbours only, so
+// a node reached on two paths is compared twice.
+func clashes[T uint32 | int](g *graph.Graph, v graph.NodeID, vals []T) bool {
+	val := vals[v]
+	for _, u := range g.Neighbors(v) {
+		if vals[u] == val {
+			return true
+		}
+		for _, w := range g.Neighbors(u) {
+			if vals[w] == val && w != v {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // firstFailure folds per-shard failure reports (a node id, or -1) in shard
@@ -223,20 +280,15 @@ func compact(colors []int, numColors int) int {
 }
 
 // VerifyDistance2 returns an error unless colors is a distance-2 proper
-// colouring of g (proper on G²). It walks every node's 2-ball, sharded over
-// up to `workers` host workers, and reports the lowest failing node v with
-// the lowest node u within distance 2 of it sharing v's colour, so the
+// colouring of g (proper on G²). It scans every node's 2-paths, sharded
+// over up to `workers` host workers, and reports the lowest failing node v
+// with the lowest node u within distance 2 of it sharing v's colour, so the
 // error is the same at any worker count.
 func VerifyDistance2(g *graph.Graph, colors []int, workers int) error {
-	balls := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
 	v := parallel.MapReduce(workers, g.N(), -1, func(lo, hi int) int {
-		bs := balls.Get()
-		defer balls.Put(bs)
 		for v := lo; v < hi; v++ {
-			for _, u := range g.BallUnsortedInto(bs, graph.NodeID(v), 2)[1:] {
-				if colors[u] == colors[v] {
-					return v
-				}
+			if clashes(g, graph.NodeID(v), colors) {
+				return v
 			}
 		}
 		return -1

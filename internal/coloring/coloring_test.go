@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
-	"repro/internal/scratch"
 	"repro/internal/simcost"
 )
 
@@ -29,7 +28,7 @@ func TestLinialProperOnFixtures(t *testing.T) {
 		"gnm":   gen.GNM(300, 900, 2),
 		"star":  gen.Star(50),
 	} {
-		res := LinialG2(g, 1, nil)
+		res := LinialG2(g, maxDegreeG2(g), 1, nil)
 		if err := VerifyDistance2(g, res.Colors, 1); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -46,7 +45,7 @@ func TestLinialColourCountPolyDelta(t *testing.T) {
 	// independent of n.
 	for _, n := range []int{256, 1024, 4096} {
 		g := gen.RandomRegular(n, 6, uint64(n))
-		res := LinialG2(g, 2, nil)
+		res := LinialG2(g, maxDegreeG2(g), 2, nil)
 		d := maxDegreeG2(g)
 		bound := 64 * d * d
 		if res.NumColors > bound {
@@ -58,8 +57,9 @@ func TestLinialColourCountPolyDelta(t *testing.T) {
 func TestLinialRoundsLogStar(t *testing.T) {
 	// Round count grows extremely slowly with n (log* behaviour): going
 	// from n=2^8 to n=2^14 must add at most 2 iterations.
-	small := LinialG2(gen.RandomRegular(1<<8, 4, 1), 2, nil)
-	large := LinialG2(gen.RandomRegular(1<<14, 4, 1), 2, nil)
+	gs, gl := gen.RandomRegular(1<<8, 4, 1), gen.RandomRegular(1<<14, 4, 1)
+	small := LinialG2(gs, maxDegreeG2(gs), 2, nil)
+	large := LinialG2(gl, maxDegreeG2(gl), 2, nil)
 	if large.Rounds > small.Rounds+2 {
 		t.Errorf("rounds grew from %d to %d", small.Rounds, large.Rounds)
 	}
@@ -74,7 +74,7 @@ func TestLinialG2Distance2(t *testing.T) {
 		"tree": gen.RandomTree(300, 3),
 		"reg":  gen.RandomRegular(500, 8, 4),
 	} {
-		res := LinialG2(g, 2, nil)
+		res := LinialG2(g, maxDegreeG2(g), 2, nil)
 		if err := VerifyDistance2(g, res.Colors, 2); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -83,7 +83,7 @@ func TestLinialG2Distance2(t *testing.T) {
 
 func TestLinialG2ColourCountDelta4(t *testing.T) {
 	g := gen.RandomRegular(2048, 4, 9)
-	res := LinialG2(g, 2, nil)
+	res := LinialG2(g, maxDegreeG2(g), 2, nil)
 	d := g.MaxDegree()
 	bound := 256 * d * d * d * d // O(Δ⁴) with implementation constant
 	if res.NumColors > bound {
@@ -93,11 +93,11 @@ func TestLinialG2ColourCountDelta4(t *testing.T) {
 }
 
 func TestLinialEmptyAndTrivial(t *testing.T) {
-	res := LinialG2(graph.Empty(0), 1, nil)
+	res := LinialG2(graph.Empty(0), 0, 1, nil)
 	if res.NumColors != 0 {
 		t.Errorf("empty graph coloured with %d colours", res.NumColors)
 	}
-	res = LinialG2(graph.Empty(5), 1, nil)
+	res = LinialG2(graph.Empty(5), 0, 1, nil)
 	if err := VerifyDistance2(graph.Empty(5), res.Colors, 1); err != nil {
 		t.Error(err)
 	}
@@ -110,7 +110,7 @@ func TestLinialEmptyAndTrivial(t *testing.T) {
 func TestLinialChargesModel(t *testing.T) {
 	g := gen.Grid2D(20, 20)
 	model := simcost.New(g.N(), g.M(), 0.5)
-	LinialG2(g, 1, model)
+	LinialG2(g, maxDegreeG2(g), 1, model)
 	if model.Rounds() == 0 {
 		t.Error("no rounds charged")
 	}
@@ -118,9 +118,9 @@ func TestLinialChargesModel(t *testing.T) {
 
 func TestLinialDeterministic(t *testing.T) {
 	g := gen.GNM(200, 800, 5)
-	a := LinialG2(g, 1, nil)
+	a := LinialG2(g, maxDegreeG2(g), 1, nil)
 	for _, w := range []int{1, 2, 8} {
-		b := LinialG2(g, w, nil)
+		b := LinialG2(g, maxDegreeG2(g), w, nil)
 		if !slices.Equal(a.Colors, b.Colors) || a.NumColors != b.NumColors || a.Rounds != b.Rounds {
 			t.Fatalf("nondeterministic colouring at %d workers", w)
 		}
@@ -164,15 +164,15 @@ func TestLinialRoundRejectsImproperColouring(t *testing.T) {
 	}
 	colors[12], colors[33] = 10, 35 // 10~12 and 33~35 are at distance 2
 	q, d := linialParams(g.N(), maxDegreeG2(g))
-	digits := colourDigits(make([]uint64, g.N()*(d+1)), g.N(), q, d)
-	balls := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
+	digits := colourDigits(make([]uint32, g.N()*(d+1)), g.N(), q, d)
+	table := make([]uint32, tablePoints*g.N())
 	for _, w := range []int{1, 2, 8} {
-		if v := linialRound(g, colors, make([]int, g.N()), digits, q, d, w, balls); v != 10 {
+		if v := linialRound(g, colors, make([]int, g.N()), digits, table, q, d, w); v != 10 {
 			t.Errorf("workers=%d: round reported node %d, want 10", w, v)
 		}
 	}
 	colors[12], colors[33] = 12, 33
-	if v := linialRound(g, colors, make([]int, g.N()), digits, q, d, 2, balls); v != -1 {
+	if v := linialRound(g, colors, make([]int, g.N()), digits, table, q, d, 2); v != -1 {
 		t.Errorf("proper colouring: round reported node %d", v)
 	}
 }
@@ -226,7 +226,7 @@ func TestLinialG2MatchesSquareReference(t *testing.T) {
 					want := linialG2Reference(h, wantModel)
 					for _, w := range []int{1, 2, 8} {
 						model := simcost.New(h.N(), h.M(), 0.5)
-						got := LinialG2(h, w, model)
+						got := LinialG2(h, maxDegreeG2(h), w, model)
 						if !slices.Equal(got.Colors, want.Colors) || got.NumColors != want.NumColors || got.Rounds != want.Rounds {
 							t.Fatalf("%s workers=%d: colouring (%d colours, %d rounds) differs from the square reference (%d colours, %d rounds)",
 								name, w, got.NumColors, got.Rounds, want.NumColors, want.Rounds)
@@ -242,4 +242,114 @@ func TestLinialG2MatchesSquareReference(t *testing.T) {
 		}
 	}
 	t.Logf("%d graphs checked", checked)
+}
+
+// TestLinialRoundMatchesWalkReference pins the tabulated round to the
+// walk-and-evaluate reference round by round: every Linial round LinialG2
+// runs, on every generator family at TestLinialG2MatchesSquareReference's
+// sizes and average degrees, each graph together with its line graph, must
+// write the same next colours and report the same node at Parallelism 1, 2
+// and 8, into dirty buffers. It fails unless some node chooses a point past
+// the table, so the direct-evaluation branch stays covered.
+func TestLinialRoundMatchesWalkReference(t *testing.T) {
+	checked, pastTable := 0, 0
+	for _, family := range gen.Names() {
+		for _, n := range []int{0, 1, 2, 5, 17, 64, 300, 1024, 2048} {
+			for _, avg := range []int{2, 3, 6} {
+				g, err := gen.ByName(family, n, avg, uint64(n+avg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.MaxDegree() > 40 {
+					continue
+				}
+				lg, _ := g.LineGraph()
+				for _, h := range []*graph.Graph{g, lg} {
+					if h.MaxDegree() > 40 {
+						continue
+					}
+					name := fmt.Sprintf("%s/n%d/avg%d/N%d", family, n, avg, h.N())
+					maxDeg2 := maxDegreeG2(h)
+					colors := make([]int, h.N())
+					for v := range colors {
+						colors[v] = v
+					}
+					for numColors, round := h.N(), 1; ; round++ {
+						q, d := linialParams(numColors, maxDeg2)
+						if int(q*q) >= numColors {
+							break
+						}
+						digits := colourDigits(make([]uint32, numColors*(d+1)), numColors, q, d)
+						want := make([]int, h.N())
+						if v := linialRoundWalk(h, colors, want, digits, q, d, 1); v >= 0 {
+							t.Fatalf("%s round %d: reference reports node %d on LinialG2's own colouring", name, round, v)
+						}
+						for _, w := range []int{1, 2, 8} {
+							got := slices.Repeat([]int{-7}, h.N())
+							table := slices.Repeat([]uint32{^uint32(0)}, tablePoints*h.N())
+							if v := linialRound(h, colors, got, digits, table, q, d, w); v != -1 {
+								t.Fatalf("%s round %d workers=%d: round reported node %d, reference none", name, round, w, v)
+							}
+							if !slices.Equal(got, want) {
+								t.Fatalf("%s round %d workers=%d: next colours differ from the walk reference", name, round, w)
+							}
+						}
+						for _, c := range want {
+							if c/int(q) >= tablePoints {
+								pastTable++
+							}
+						}
+						colors, numColors = want, int(q*q)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if pastTable == 0 {
+		t.Fatalf("no node chose a point past the %d-point table in %d graphs: the direct-evaluation branch went unchecked", tablePoints, checked)
+	}
+	t.Logf("%d graphs checked, %d node rounds chose a point past the table", checked, pastTable)
+}
+
+// FuzzLinialRoundMatchesWalkReference holds linialRound to the walk
+// reference on small graphs (n <= 64, edges from byte pairs) under
+// arbitrary input colourings, proper or not, in a colour space of n + extra
+// colours: at Parallelism 1, 2 and 8 the round must report the reference's
+// node and, when neither reports one, write the reference's next colours.
+func FuzzLinialRoundMatchesWalkReference(f *testing.F) {
+	f.Add(uint8(5), []byte{0, 1, 1, 2, 2, 3, 3, 4}, []byte{}, uint8(0))
+	f.Add(uint8(12), []byte{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 5, 6, 6, 7}, []byte{3, 1, 4, 1, 5, 9, 2, 6}, uint8(7))
+	f.Add(uint8(63), []byte{1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 1, 7, 8, 8, 9}, []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, uint8(200))
+	f.Fuzz(func(t *testing.T, nb uint8, raw, cols []byte, extra uint8) {
+		n := int(nb%64) + 1
+		var edges []graph.Edge
+		for i := 0; i+1 < len(raw); i += 2 {
+			edges = append(edges, graph.Edge{U: graph.NodeID(int(raw[i]) % n), V: graph.NodeID(int(raw[i+1]) % n)})
+		}
+		g := graph.FromEdges(n, edges)
+		numColors := n + int(extra)
+		colors := make([]int, n)
+		for v := range colors {
+			colors[v] = v
+			if v < len(cols) {
+				colors[v] = int(cols[v]) % numColors
+			}
+		}
+		q, d := linialParams(numColors, maxDegreeG2(g))
+		digits := colourDigits(make([]uint32, numColors*(d+1)), numColors, q, d)
+		want := make([]int, n)
+		wantV := linialRoundWalk(g, colors, want, digits, q, d, 1)
+		for _, w := range []int{1, 2, 8} {
+			got := slices.Repeat([]int{-7}, n)
+			table := slices.Repeat([]uint32{^uint32(0)}, tablePoints*n)
+			v := linialRound(g, colors, got, digits, table, q, d, w)
+			if v != wantV {
+				t.Fatalf("workers=%d: round reported node %d, reference %d (colours %v)", w, v, wantV, colors)
+			}
+			if v < 0 && !slices.Equal(got, want) {
+				t.Fatalf("workers=%d: next colours %v, reference %v", w, got, want)
+			}
+		}
+	})
 }

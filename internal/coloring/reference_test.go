@@ -5,13 +5,18 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/intmath"
+	"repro/internal/parallel"
+	"repro/internal/scratch"
 	"repro/internal/simcost"
 )
 
 // This file keeps the materialised-G² colouring that LinialG2 replaced, as
 // the reference TestLinialG2MatchesSquareReference pins it to: square
 // builds G² through a dedup map and a sorting Builder, and linialReference
-// runs map-backed Linial rounds over its sorted adjacency.
+// runs map-backed Linial rounds over its sorted adjacency. It also keeps
+// the walk-and-evaluate round that the point tables replaced,
+// linialRoundWalk, as the reference TestLinialRoundMatchesWalkReference and
+// FuzzLinialRoundMatchesWalkReference pin linialRound to.
 
 // square returns G², the graph on the same nodes where u ~ v iff their
 // distance in g is 1 or 2.
@@ -171,4 +176,48 @@ func VerifyProper(g *graph.Graph, colors []int) error {
 		}
 	}
 	return nil
+}
+
+// linialRoundWalk is linialRound as it was before the point tables: each
+// node walks its 2-ball (graph.BallUnsortedInto, which deduplicates N²(v)
+// through a visited table) and, for each candidate point x in turn,
+// evaluates its own polynomial and that of every node of the ball. It
+// writes next and returns the lowest failing node, or -1, as linialRound
+// does.
+func linialRoundWalk(g *graph.Graph, colors, next []int, digits []uint32, q uint64, d, workers int) int {
+	balls := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
+	r := intmath.NewReducer(q)
+	w := d + 1
+	eval := func(c int, x uint64) uint64 {
+		p := digits[c*w : c*w+w]
+		acc := uint64(p[d])
+		for t := d - 1; t >= 0; t-- {
+			acc = r.AddMod(r.MulMod(acc, x), uint64(p[t]))
+		}
+		return acc
+	}
+	return parallel.MapReduce(workers, g.N(), -1, func(lo, hi int) int {
+		bs := balls.Get()
+		defer balls.Put(bs)
+		for v := lo; v < hi; v++ {
+			nbrs := g.BallUnsortedInto(bs, graph.NodeID(v), 2)[1:]
+			cv := colors[v]
+			x, val := uint64(0), uint64(0)
+		search:
+			for ; x < q; x++ {
+				val = eval(cv, x)
+				for _, u := range nbrs {
+					if eval(colors[u], x) == val {
+						continue search
+					}
+				}
+				break
+			}
+			if x == q {
+				return v
+			}
+			next[v] = int(x*q + val)
+		}
+		return -1
+	}, firstFailure)
 }

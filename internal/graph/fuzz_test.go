@@ -190,6 +190,12 @@ func FuzzBallWithinBounds(f *testing.F) {
 			if walk[0] != NodeID(v) {
 				t.Fatal("unsorted ball does not start at its centre")
 			}
+			// The walk's level ends size every smaller ball around v.
+			for d := 0; d <= radius; d++ {
+				if got, want := bs.Within(d), len(g.Ball(NodeID(v), d)); got != want {
+					t.Fatalf("Within(%d) = %d after a radius-%d walk from %d, |Ball| = %d", d, got, radius, v, want)
+				}
+			}
 			sorted := slices.Sorted(slices.Values(walk))
 			ball := g.Ball(NodeID(v), radius)
 			if !slices.Equal(sorted, ball) {

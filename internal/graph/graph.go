@@ -2,8 +2,9 @@
 // algorithm in this repository: compressed-sparse-row (CSR) undirected
 // graphs, builders, and the structural operations the paper needs (induced
 // subgraphs, node removal, line graphs for maximal matching via MIS, and
-// r-hop balls for Section 5, whose 2-hop walks stand in for the square
-// graph G² when colouring it).
+// r-hop balls for Section 5, walked once per node to size both the
+// collected neighbourhoods and the square graph G², whose colouring reads
+// 2-paths straight off the CSR rows).
 //
 // Graphs are immutable once built. Node ids are dense int32 values in
 // [0, N); algorithms that remove nodes produce a new Graph with the same id

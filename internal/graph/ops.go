@@ -233,13 +233,25 @@ func (g *Graph) EdgeIDsInto(dst, cursor []int32) []int32 {
 
 // BallScratch is the reusable working state of BallInto and
 // BallUnsortedInto: a visited table (touched entries are restored after
-// each call) and the ball buffer. The Section 5 preprocessing walks one
-// ball per node in each of its passes, so callers scanning many centres
-// keep one scratch per worker instead of allocating per centre. The zero
-// value is ready to use.
+// each call), the ball buffer and where each distance level of the last
+// walk ends. The Section 5 preprocessing walks one ball per node, so
+// callers scanning many centres keep one scratch per worker instead of
+// allocating per centre. The zero value is ready to use.
 type BallScratch struct {
 	dist []int32 // -1 = unvisited; sized lazily to the graph
 	ball []NodeID
+	ends []int32 // ends[d] = |Ball(v, d)| of the last walk, up to its last nonempty level
+}
+
+// Within returns |Ball(v, d)|, the number of nodes within distance d of the
+// centre v of the last walk on s, for 0 <= d <= r, that walk's radius. One
+// walk to radius r thus also sizes every smaller ball around v: after
+// BallUnsortedInto, ball[:Within(d)] is exactly Ball(v, d).
+func (s *BallScratch) Within(d int) int {
+	if d < len(s.ends) {
+		return int(s.ends[d])
+	}
+	return len(s.ball)
 }
 
 // Ball returns the set of nodes within distance r of v (including v),
@@ -259,9 +271,10 @@ func (g *Graph) BallInto(s *BallScratch, v NodeID, r int) []NodeID {
 
 // BallUnsortedInto is BallInto without the sort: the same node set in
 // breadth-first order, so ball[0] is v and ball[1:] the nodes at distance
-// 1..r. Callers that need only the set (its size, a sum or a scan over
-// it) skip the O(b log b) sort. The returned slice aliases s.ball and is
-// valid until the next call with the same scratch.
+// 1..r, level by level (s.Within gives where each level ends). Callers
+// that need only the set (its size, a sum or a scan over it) skip the
+// O(b log b) sort. The returned slice aliases s.ball and is valid until
+// the next call with the same scratch.
 func (g *Graph) BallUnsortedInto(s *BallScratch, v NodeID, r int) []NodeID {
 	n := g.N()
 	if len(s.dist) < n {
@@ -273,12 +286,13 @@ func (g *Graph) BallUnsortedInto(s *BallScratch, v NodeID, r int) []NodeID {
 	// BFS over the ball buffer itself: [head, tail) is the current
 	// frontier, appends build the next one.
 	ball := append(s.ball[:0], v)
+	ends := append(s.ends[:0], 1)
 	s.dist[v] = 0
 	head := 0
 	for d := 0; d < r; d++ {
 		tail := len(ball)
 		if head == tail {
-			break
+			break // every later level is empty: Within reads len(ball)
 		}
 		for ; head < tail; head++ {
 			for _, w := range g.Neighbors(ball[head]) {
@@ -288,11 +302,12 @@ func (g *Graph) BallUnsortedInto(s *BallScratch, v NodeID, r int) []NodeID {
 				}
 			}
 		}
+		ends = append(ends, int32(len(ball)))
 	}
 	for _, u := range ball {
 		s.dist[u] = -1
 	}
-	s.ball = ball
+	s.ball, s.ends = ball, ends
 	return ball
 }
 

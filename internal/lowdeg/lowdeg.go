@@ -8,6 +8,9 @@
 //     O(log* n) rounds) and collection of r-hop neighbourhoods with
 //     r = 2ℓ, ℓ = Θ(δ·log_Δ n) — O(log r) = O(log log n) rounds by
 //     doubling, sizes Δ^r = n^{O(δ)} asserted against the space budget.
+//     ℓ depends only on Δ, n and ε, so the host walks every node's r-ball
+//     once, before colouring, and reads both the ball sizes and Δ(G²) off
+//     that one walk (ballStats); the colouring itself walks no ball.
 //   - Stages: each stage runs ℓ Luby phases keyed by pairwise-independent
 //     hash functions over the colour space [Δ⁴] (seeds of O(log Δ) bits):
 //     in phase i, nodes whose (h_i(χ(v)), v) is a local minimum among
@@ -184,11 +187,8 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 	n := g.N()
 	res := &Result{}
 
-	// Preprocessing: colouring and r-hop collection.
-	col := coloring.LinialG2(g, p.Workers(), model)
-	res.Colors = col.NumColors
-	res.ColoringRounds = col.Rounds
-
+	// Preprocessing: colouring and r-hop collection, both reading one walk
+	// of every node's r-ball (see the package comment).
 	maxDeg := g.MaxDegree()
 	budget := model.MachineBudget()
 	if budget == 0 {
@@ -197,7 +197,13 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 	ell := Ell(maxDeg, budget)
 	res.Ell = ell
 	res.Radius = 2 * ell
-	res.MaxBallWords = maxBallWords(g, res.Radius, p.Workers())
+	words, maxDeg2 := ballStats(g, res.Radius, p.Workers())
+
+	col := coloring.LinialG2(g, maxDeg2, p.Workers(), model)
+	res.Colors = col.NumColors
+	res.ColoringRounds = col.Rounds
+
+	res.MaxBallWords = words
 	model.AssertMachineWords(res.MaxBallWords, "lowdeg.rball")
 	ballRounds := intmath.CeilLog2(uint64(res.Radius)) + 1
 	model.ChargeRounds(ballRounds, "lowdeg.collect")
@@ -388,27 +394,34 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, p core.Params, model
 	return out
 }
 
-// maxBallWords returns the largest r-hop ball size in words (2 per edge
-// endpoint entry), the quantity a machine must hold after collection: the
-// maximum over v of Σ (1 + deg u) over Ball(v, r). The sum needs the ball's
-// set, not its order, so it reads the unsorted walk. Each ball is
-// independent, so the scan map-reduces over vertex shards; each worker
-// reuses one walk scratch across its centres.
-func maxBallWords(g *graph.Graph, r, workers int) int {
+// ballStats walks every node's r-ball once (r >= 2) and returns the two
+// maxima Section 5 preprocessing reads off that walk: the largest r-ball in
+// words (2 per edge endpoint entry), Σ (1 + deg u) over Ball(v, r), which a
+// machine must hold after collection; and Δ(G²), the largest
+// |Ball(v, 2)| − 1, which sizes the colouring's field. Both need the
+// ball's set, not its order, so they read the unsorted walk and its level
+// ends. Each ball is independent, so the scan map-reduces over vertex
+// shards; each worker reuses one walk scratch across its centres.
+func ballStats(g *graph.Graph, r, workers int) (words, maxDeg2 int) {
 	pool := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
-	return parallel.MaxInt(workers, g.N(), func(lo, hi int) int {
+	st := parallel.MapReduce(workers, g.N(), ballMax{}, func(lo, hi int) ballMax {
 		bs := pool.Get()
-		max := 0
+		var m ballMax
 		for v := lo; v < hi; v++ {
-			words := 0
+			w := 0
 			for _, u := range g.BallUnsortedInto(bs, graph.NodeID(v), r) {
-				words += 1 + g.Degree(u)
+				w += 1 + g.Degree(u)
 			}
-			if words > max {
-				max = words
-			}
+			m.words = max(m.words, w)
+			m.deg2 = max(m.deg2, bs.Within(2)-1)
 		}
 		pool.Put(bs)
-		return max
+		return m
+	}, func(a, b ballMax) ballMax {
+		return ballMax{words: max(a.words, b.words), deg2: max(a.deg2, b.deg2)}
 	})
+	return st.words, st.deg2
 }
+
+// ballMax is a shard's partial of ballStats.
+type ballMax struct{ words, deg2 int }

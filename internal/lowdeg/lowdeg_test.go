@@ -10,6 +10,8 @@ import (
 	"repro/internal/detrand"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/parallel"
+	"repro/internal/scratch"
 	"repro/internal/simcost"
 )
 
@@ -280,6 +282,81 @@ func TestIncidentEdgesMatchesFullScan(t *testing.T) {
 			t.Fatalf("gen after wrap = %d, want a small positive generation", ev.gen)
 		}
 	})
+}
+
+// maxBallWords is the r-ball word pass as it was before ballStats fused it
+// with the Δ(G²) pass: the largest Σ (1 + deg u) over Ball(v, r), from a
+// walk of its own.
+func maxBallWords(g *graph.Graph, r, workers int) int {
+	pool := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
+	return parallel.MaxInt(workers, g.N(), func(lo, hi int) int {
+		bs := pool.Get()
+		max := 0
+		for v := lo; v < hi; v++ {
+			words := 0
+			for _, u := range g.BallUnsortedInto(bs, graph.NodeID(v), r) {
+				words += 1 + g.Degree(u)
+			}
+			if words > max {
+				max = words
+			}
+		}
+		pool.Put(bs)
+		return max
+	})
+}
+
+// maxDegreeG2 is the Δ(G²) pass coloring.LinialG2 made before it took the
+// value from its caller: the largest 2-ball minus its centre, from a
+// radius-2 walk of its own.
+func maxDegreeG2(g *graph.Graph, workers int) int {
+	pool := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
+	return parallel.MaxInt(workers, g.N(), func(lo, hi int) int {
+		bs := pool.Get()
+		max := 0
+		for v := lo; v < hi; v++ {
+			if d := len(g.BallUnsortedInto(bs, graph.NodeID(v), 2)) - 1; d > max {
+				max = d
+			}
+		}
+		pool.Put(bs)
+		return max
+	})
+}
+
+// TestBallStatsMatchesSeparateWalks pins the one r-ball walk to the two
+// walks it replaced: ballStats must return maxBallWords' word count and the
+// radius-2 walk's Δ(G²) at r = 2, 4 and 6 and Parallelism 1, 2 and 8, on
+// every generator family at several sizes and degrees, each graph together
+// with its line graph.
+func TestBallStatsMatchesSeparateWalks(t *testing.T) {
+	for _, family := range gen.Names() {
+		for _, n := range []int{0, 1, 2, 17, 150} {
+			for _, avg := range []int{2, 3, 6} {
+				g, err := gen.ByName(family, n, avg, uint64(n+avg))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.MaxDegree() > 40 {
+					continue // its line graph's 6-balls cost more than they add
+				}
+				lg, _ := g.LineGraph()
+				for _, h := range []*graph.Graph{g, lg} {
+					wantDeg2 := maxDegreeG2(h, 1)
+					for _, r := range []int{2, 4, 6} {
+						wantWords := maxBallWords(h, r, 1)
+						for _, w := range []int{1, 2, 8} {
+							words, deg2 := ballStats(h, r, w)
+							if words != wantWords || deg2 != wantDeg2 {
+								t.Fatalf("%s/n%d/avg%d/N%d r=%d workers=%d: ballStats = (%d words, Δ(G²) %d), separate walks (%d, %d)",
+									family, n, avg, h.N(), r, w, words, deg2, wantWords, wantDeg2)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 func BenchmarkMISGrid(b *testing.B) {
