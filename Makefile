@@ -75,8 +75,12 @@ race:
 # equivalence tables (sharded vs serial EvalKeys; the lowdeg incident-count
 # objective vs the full-graph scan; the sparsify stage fold vs its full-row
 # count, and the hashed-once stage items vs the expanded-key scoring at
-# Parallelism 1/2/8; the fold and stamped selections and the blocked kernel vs their
-# references; the core selections every candidate seed is scored through vs
+# Parallelism 1/2/8; the audit-free SparsifyEdgesIn/SparsifyNodesIn vs the
+# audited wrappers, the handed-over E* list vs EStar.Edges(), the stage
+# apply through the search's kept row vs EvalKeysW (probe win, fan-out win
+# and miss), the kept row's seed check, and the degree-class table vs
+# DegreeClasses.Class; the fold and stamped selections and the blocked
+# kernel vs their references; the core selections every candidate seed is scored through vs
 # per-seed EvalKeys + selection, and the seed search's miss-path fan-out at
 # Parallelism 1/2/8; the probe-first seed search vs whole-batch scoring, and
 # its count of the candidates it scores; the implicit G² colouring vs Linial
@@ -99,7 +103,7 @@ race:
 # checks, through `go test -list`, that every listed name is a test, fuzz
 # target or benchmark of its packages, and fails otherwise.
 ENGINE_TABLES := TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence
-EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissFanOut|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLinialRoundMatchesWalkReference|FuzzLinialRoundMatchesWalkReference|TestBallStatsMatchesSeparateWalks|TestLineGraphMatchesMapReference
+EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissFanOut|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestSparsifyInMatchesWrapper|TestEStarEdgesMatchEdges|TestStageApplyMatchesEvalKeysW|TestKeptRowSettlesOnWinner|TestClassTableMatchesClass|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLinialRoundMatchesWalkReference|FuzzLinialRoundMatchesWalkReference|TestBallStatsMatchesSeparateWalks|TestLineGraphMatchesMapReference
 EQUIV_PKGS := ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/ ./internal/coloring/ ./internal/graph/
 # check-tests fails unless every name of the |-separated list $(1) is a
 # top-level test, fuzz target or benchmark of the packages $(2).
@@ -184,23 +188,24 @@ bench-compare:
 	@echo "bench-compare: diffing $(BENCH_OUT) against baseline $(BENCH_BASELINE)"
 	$(GO) run ./cmd/benchjson -input $(BENCH_OUT) -compare $(BENCH_BASELINE) -warn '$(BENCH_WARN)' -warn-pct 20
 
-# CPU profiles of five benchmarks into the git-ignored profiles/ directory,
+# CPU profiles of four benchmarks into the git-ignored profiles/ directory,
 # ready for `go tool pprof profiles/<name>.pprof`:
-#   - t2_mis: the whole Theorem 14 MIS solve (BenchmarkT2_MISRounds, G(n,m)
-#     n=4096 m=32768) on a fresh scratch context per solve. The Section 4.2
-#     node-sparsification chain is ~40% of samples: the per-stage run
-#     layouts (sparsify.nodeStageItems) ~15-20%, the stage seed searches
-#     ~7-10%, the Lemma 17/18 audits ~5-12%. Allocating and zeroing the
-#     fresh scratch context is another ~10%. At ~9 ms per solve, 100
-#     iterations give ~1 s of samples.
-#   - mm_sparsify: the Theorem 2 matching solve on the same graph
-#     (BenchmarkMatchingDeterministicParallel), the in-process shape of
-#     detbench's inproc-sparsify matching solves. The Section 3.2
-#     edge-sparsification chain is ~50% of samples: the stage runs
-#     (sparsify.edgeStageItems) ~10%, the stage seed searches ~10-14%
-#     (intmath.Reducer.EvalPoly, the 4-wise hash, ~8%), the E0 and E_j CSR
-#     builds (graph.FromEdgesInto) ~13%. At ~15 ms per solve, 100
-#     iterations give ~1.5 s of samples.
+#   - sparsify: warm-Engine re-solves on the shapes of detbench's
+#     inproc-sparsify (BenchmarkEngineReuseSparsify: a matching and an MIS
+#     on each of four G(n,m) graphs, n = 4096, average degree 16, with cost
+#     tracking on and a counting observer). Unlike a fresh-scratch solve,
+#     which spent ~10% of its samples allocating and zeroing scratch, a
+#     warm solve pays ~2% in the allocator. The stage seed searches are
+#     ~14% of samples (the 4-wise hash, intmath.Reducer.EvalPoly, ~4%), the
+#     stage run layouts (sparsify.edgeStageItems/nodeStageItems) ~14%, the
+#     E0/E_j CSR builds (graph.FromEdgesInto) ~12%, and the outer loops'
+#     graph.WithoutNodesInto ~13%. Four costs no solve reads took ~13% of
+#     samples before SparsifyEdgesIn/SparsifyNodesIn dropped them: the
+#     Lemma 10/11/17/18 audits ~6%, the stage apply steps' second hash of
+#     the winner's items ~2%, rebuilding E*'s edge list from its CSR ~2%
+#     and the per-node parallel class closure ~2.4%. The class table that
+#     replaced the last one is ~0.7%; the other three are gone. At ~50 ms
+#     per iteration (eight solves), 60 iterations give ~3 s of samples.
 #   - t5_lowdeg: the Section 5 stage-compressed MIS on an 8-regular graph
 #     (BenchmarkT5_LowDegreeStages). Its Linial colouring needs no
 #     reduction round on this graph, and it builds no line graph. The one
@@ -225,8 +230,7 @@ bench-compare:
 # lands in profiles/ too (pprof wants it for symbolization).
 profile:
 	mkdir -p profiles
-	$(GO) test -bench 'BenchmarkT2_MISRounds' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/t2_mis.pprof -o profiles/repro.test .
-	$(GO) test -bench 'BenchmarkMatchingDeterministicParallel' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/mm_sparsify.pprof -o profiles/repro.test .
+	$(GO) test -bench 'BenchmarkEngineReuseSparsify' -benchtime 60x -benchmem -run '^$$' -cpuprofile profiles/sparsify.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkT5_LowDegreeStages' -benchtime 120x -benchmem -run '^$$' -cpuprofile profiles/t5_lowdeg.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkEngineReuseLowDegree' -benchtime 60x -benchmem -run '^$$' -cpuprofile profiles/lowdeg.pprof -o profiles/repro.test .
 	$(GO) test -bench 'BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeSelectionScan' -benchtime 100x -benchmem -run '^$$' -cpuprofile profiles/t7_seedsearch.pprof -o profiles/repro.test .

@@ -7,6 +7,7 @@ package repro
 // `go run ./cmd/experiments` regenerates the actual tables.
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -595,6 +596,49 @@ func BenchmarkEngineReuseLowDegree(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := eng.MaximalIndependentSet(g); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	solve()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		solve()
+	}
+}
+
+// roundCounter is an Observer that counts rounds: the solves build and
+// emit their round events, as they do for detbench's observer, at almost
+// no cost of its own.
+type roundCounter struct{ rounds int }
+
+func (c *roundCounter) OnRound(RoundEvent) { c.rounds++ }
+
+// BenchmarkEngineReuseSparsify times warm-Engine re-solves on the shapes of
+// detbench's inproc-sparsify workload: a matching and an MIS on each of the
+// G(n,m) graphs Generate("gnm", 4096, 16, s), s = 1..4, with cost tracking
+// on and a counting observer attached, as detbench solves them. Unlike a
+// fresh-scratch solve it pays no scratch allocation or zeroing, which no
+// warm solve pays. It backs make profile's sparsify.pprof.
+func BenchmarkEngineReuseSparsify(b *testing.B) {
+	var graphs []*Graph
+	for s := uint64(1); s <= 4; s++ {
+		g, err := Generate("gnm", 1<<12, 16, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	eng := NewEngine(&Options{Strategy: StrategySparsify})
+	var obs roundCounter
+	ctx := context.Background()
+	solve := func() {
+		for _, g := range graphs {
+			if _, err := eng.MaximalMatchingCtx(ctx, g, WithObserver(&obs)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.MaximalIndependentSetCtx(ctx, g, WithObserver(&obs)); err != nil {
 				b.Fatal(err)
 			}
 		}

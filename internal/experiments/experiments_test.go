@@ -129,6 +129,38 @@ func TestT9AblationShape(t *testing.T) {
 	}
 }
 
+// TestT4AuditsChecked fails when a T4 stage row reads 0 in both of its
+// worst-ratio columns, which is what a stage whose audits checked no node
+// prints: a zero InvariantCheck reads as satisfied.
+func TestT4AuditsChecked(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shape checks skipped in -short mode")
+	}
+	tables, err := Run("T4", quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range tables {
+		var worst []int
+		for i, c := range tb.Columns {
+			if strings.HasSuffix(c, " worst") {
+				worst = append(worst, i)
+			}
+		}
+		if len(worst) != 2 {
+			t.Fatalf("table %s has worst-ratio columns %v, want two", tb.ID, worst)
+		}
+		if len(tb.Rows) == 0 {
+			t.Errorf("table %s has no stage rows", tb.ID)
+		}
+		for _, row := range tb.Rows {
+			if mustFloat(t, row[worst[0]]) == 0 && mustFloat(t, row[worst[1]]) == 0 {
+				t.Errorf("table %s stage %s: both worst ratios are 0, so its audits checked nothing: %v", tb.ID, row[0], row)
+			}
+		}
+	}
+}
+
 func TestRunAllWritesOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite skipped in -short mode")

@@ -118,8 +118,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			res.Canceled = true
 			break
 		}
-		estar := sp.EStar
-		estarEdges := estar.EdgesAppend(sc.EdgesCap(estar.M()))
+		estar, estarEdges := sp.EStar, sp.EStarEdges
 		st.ClassIndex = sp.ClassIndex
 		st.Stages = len(sp.Stages)
 		st.SparsifyFallback = sp.UsedFallback

@@ -1,12 +1,9 @@
 package sparsify
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
-	"repro/internal/parallel"
 	"repro/internal/scratch"
 	"repro/internal/simcost"
 )
@@ -15,12 +12,13 @@ import (
 // degree class, the good-node set B, the initial edge set E0 = ∪_{v∈B} X(v)
 // and the final low-degree subgraph E*.
 //
-// Lifetime: when produced by SparsifyEdgesIn, the slices (B, Deg, E0) are
-// checked out of the caller's scratch context and EStar lives in its stage
-// CSR double-buffer, so the result is valid until the caller Resets the
-// context or runs the next sparsification on it — i.e. for the enclosing
-// outer-loop round, which is exactly how internal/matching consumes it. The
-// allocating SparsifyEdges wrapper has no such constraint.
+// Lifetime: when produced by SparsifyEdgesIn, the slices (B, Deg, E0,
+// EStarEdges) are checked out of the caller's scratch context and EStar
+// lives in its stage CSR double-buffer, so the result is valid until the
+// caller Resets the context or runs the next sparsification on it — i.e.
+// for the enclosing outer-loop round, which is exactly how
+// internal/matching consumes it. The allocating SparsifyEdges wrapper has
+// no such constraint.
 type EdgeResult struct {
 	ClassIndex int    // i of Corollary 8
 	B          []bool // good nodes B = C_i ∩ X
@@ -28,6 +26,10 @@ type EdgeResult struct {
 	Deg        []int  // degrees in the input graph (the d(·) of the analysis)
 	E0         []graph.Edge
 	EStar      *graph.Graph // subgraph on the same node ids
+	// EStarEdges is E*'s canonical edge list, the list EStar was built
+	// from: E0 is collected in canonical order and every stage filters it
+	// in order, so it equals EStar.Edges().
+	EStarEdges []graph.Edge
 	Stages     []StageReport
 	// UsedFallback is set when subsampling emptied the candidate set and
 	// E* was reset to E0 to preserve unconditional progress.
@@ -45,21 +47,50 @@ func MaxDegreeBound(n, invDelta int) int {
 // {{u,v} ∈ E : d(u) <= d(v)}.
 func inXof(deg []int, v, u graph.NodeID) bool { return deg[u] <= deg[v] }
 
+// classesInto returns every node's degree class, dc.Class(deg[v]), in a
+// slice from sc: Class once per degree 0..max into a table, then one serial
+// lookup per node.
+func classesInto(sc *scratch.Context, dc *core.DegreeClasses, deg []int) []int {
+	maxDeg := 0
+	for _, d := range deg {
+		maxDeg = max(maxDeg, d)
+	}
+	tab := sc.Ints(maxDeg + 1)
+	for d := range tab {
+		tab[d] = dc.Class(d)
+	}
+	classOf := sc.Ints(len(deg))
+	for v, d := range deg {
+		classOf[v] = tab[d]
+	}
+	return classOf
+}
+
 // SparsifyEdges runs the deterministic edge sparsification of Section 3.2 on
 // g. The model (optional) is charged the Lemma 4 rounds and seed batches.
-// g must have at least one edge. It is SparsifyEdgesIn with a private
-// scratch context; repeated callers (the matching round loop, the Engine)
-// use SparsifyEdgesIn to stay allocation-flat.
+// g must have at least one edge. Every stage report carries the Lemma 10/11
+// audits (InvariantI/InvariantII), which T4, the ablations and the tests
+// read. It runs on a private scratch context; repeated callers (the
+// matching round loop, the Engine) use SparsifyEdgesIn to stay
+// allocation-flat.
 func SparsifyEdges(g *graph.Graph, p core.Params, model *simcost.Model) *EdgeResult {
-	return SparsifyEdgesIn(scratch.New(), g, p, model)
+	return sparsifyEdges(scratch.New(), g, p, model, true)
 }
 
 // SparsifyEdgesIn is SparsifyEdges drawing every per-round buffer — masks,
 // degree and class tables, the E0 edge list, and the stage-chain CSR
-// rebuilds — from sc instead of the heap. See EdgeResult for the lifetime
-// of the returned slices. Results are bit-identical to SparsifyEdges at any
-// worker count and for any prior state of sc.
+// rebuilds — from sc instead of the heap, and without the Lemma 10/11
+// audits, which no solver reads: its stage reports carry zero InvariantI
+// and InvariantII fields. Everything else, and every model charge, is
+// what SparsifyEdges returns, at any worker count and for any prior state
+// of sc. See EdgeResult for the lifetime of the returned slices.
 func SparsifyEdgesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Model) *EdgeResult {
+	return sparsifyEdges(sc, g, p, model, false)
+}
+
+// sparsifyEdges is the body of both entry points; audit runs the Lemma
+// 10/11 audits of every stage and the two references only they read.
+func sparsifyEdges(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Model, audit bool) *EdgeResult {
 	p.Validate()
 	n := g.N()
 	deg := g.DegreesInto(sc.Ints(n))
@@ -70,10 +101,7 @@ func SparsifyEdgesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	model.ChargeSort("sparsify.X") // membership of X via sorted join
 
 	dc := core.NewDegreeClasses(n, p.InvDelta)
-	classOf := sc.Ints(n)
-	parallel.ForEach(workers, n, func(v int) {
-		classOf[v] = dc.Class(deg[v])
-	})
+	classOf := classesInto(sc, dc, deg)
 	// Corollary 8: pick i maximising Σ_{v∈B_i} d(v), B_i = C_i ∩ X.
 	weights := sc.Int64s(dc.K + 1)
 	for v := 0; v < n; v++ {
@@ -94,23 +122,16 @@ func SparsifyEdgesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	}
 
 	// E0 = ∪_{v∈B} X(v), collected straight off the CSR arrays in canonical
-	// order (no intermediate full edge list). The same pass counts |X(v)|
-	// for v ∈ B, the Lemma 11 reference: every X(v) edge of a B-node lies
-	// in E0, so the audits never re-walk g for it.
+	// order (no intermediate full edge list).
 	e0 := sc.EdgesCap(g.M())
-	xCount := sc.Ints(n)
 	for u := 0; u < n; u++ {
 		for _, v := range g.Neighbors(graph.NodeID(u)) {
 			if graph.NodeID(u) > v {
 				continue
 			}
-			inXu := b[u] && inXof(deg, graph.NodeID(u), v)
-			inXv := b[v] && inXof(deg, v, graph.NodeID(u))
-			if inXu || inXv {
+			if b[u] && inXof(deg, graph.NodeID(u), v) || b[v] && inXof(deg, v, graph.NodeID(u)) {
 				e0 = append(e0, graph.Edge{U: graph.NodeID(u), V: v})
 			}
-			xCount[u] += int(b2i(inXu))
-			xCount[v] += int(b2i(inXv))
 		}
 	}
 	res := &EdgeResult{
@@ -124,15 +145,21 @@ func SparsifyEdgesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	stages := core.StageCount(i)
 	cur := e0
 	curG := graph.FromEdgesInto(n, cur, sc.Stage().Next())
-	dE0 := curG.DegreesInto(sc.Ints(n)) // d_{E0}(v), the invariant's reference degrees
+	var dE0, xCount []int
+	if audit {
+		dE0, xCount = edgeAuditRefs(sc, curG, e0, b, deg)
+	}
 
 	// Stage boundaries are cancellation checkpoints: an abandoned request
 	// stops subsampling here and the (partial) result is discarded by the
 	// canceled outer round loop, so the early exit can never reach output.
 	for j := 1; j <= stages && len(cur) > 0 && !p.Canceled(); j++ {
-		report := runEdgeStage(sc, curG, cur, b, deg, dE0, xCount, dc, p, j, model)
+		report := runEdgeStage(sc, curG, cur, b, deg, dc, p, j, model)
 		if report.canceled {
 			break
+		}
+		if audit {
+			report.InvariantI, report.InvariantII = auditEdgeStage(report.nextG, b, deg, dE0, xCount, dc, p, j)
 		}
 		res.Stages = append(res.Stages, report.StageReport)
 		cur = report.next
@@ -147,6 +174,7 @@ func SparsifyEdgesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		res.UsedFallback = true
 	}
 	res.EStar = curG
+	res.EStarEdges = cur
 	return res
 }
 
@@ -161,10 +189,9 @@ type edgeStageOutcome struct {
 	canceled bool
 }
 
-func runEdgeStage(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b []bool, deg, dE0, xCount []int,
+func runEdgeStage(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b []bool, deg []int,
 	dc *core.DegreeClasses, p core.Params, j int, model *simcost.Model) edgeStageOutcome {
 
-	n := curG.N()
 	m := len(cur)
 	items := edgeStageItems(sc, curG, cur, b, deg, dc, p, j)
 	model.ChargeSort("sparsify.distribute") // spread incident edges over machines
@@ -174,74 +201,37 @@ func runEdgeStage(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b []
 		// there is nothing safe to apply — hand the cancellation up instead.
 		return edgeStageOutcome{canceled: true}
 	}
-
-	// Apply the selected seed: E_j = {e ∈ E_{j-1} : h(e) < th}, one sharded
-	// EvalKeysW pass over the stage's keys, then a branch-free serial
-	// filter into a scratch edge buffer (one spare slot for the last
-	// write), which keeps the canonical edge order.
-	z := items.ev.EvalKeysW(res.Seed, items.keys, sc.Uint64s(m), p.Workers())
-	next := sc.EdgesCap(m + 1)[:m+1]
-	size := 0
-	for t, e := range cur {
-		next[size] = e
-		size += int(b2i(z[t] < items.th))
-	}
-	next = next[:size]
+	next := applyEdgeStage(sc, items, res.Seed, cur, p.Workers())
 	model.ChargeScan("sparsify.apply")
 
 	out := edgeStageOutcome{next: next}
 	out.Stage = j
 	out.ItemsBefore = m
-	out.ItemsAfter = size
+	out.ItemsAfter = len(next)
 	out.Groups = items.groups
 	out.GoodGroups = int(res.Value)
 	out.SeedsTried = res.SeedsTried
 	out.SeedFound = res.Found
-
-	// Invariant (i), Lemma 10: d_{Ej}(v) <= (1+o(1)) n^{-jδ} d_E0(v) + n^{3δ},
-	// checked with the slack as the (1+o(1)) factor. Both audits shard over
-	// vertex ranges; per-shard partials merge in shard order. The stage
-	// graph is built once, into the other half of the stage double-buffer,
-	// and handed back as the next round's source.
-	nextG := graph.FromEdgesInto(n, next, sc.Stage().Next())
-	nJD := math.Pow(float64(n), -float64(j)/float64(dc.K))
-	n3d := math.Pow(float64(n), 3/float64(dc.K))
-	workers := p.Workers()
-	invI := InvariantCheck{Name: "Lemma10: d_Ej(v) <= (1+o(1))n^{-jδ}d_E0(v)+n^{3δ}"}
-	invI.merge(parallel.MapReduce(workers, n, InvariantCheck{}, func(lo, hi int) InvariantCheck {
-		var part InvariantCheck
-		for v := lo; v < hi; v++ {
-			if dE0[v] == 0 {
-				continue
-			}
-			bound := p.Slack * (nJD*float64(dE0[v]) + n3d)
-			part.observe(float64(nextG.Degree(graph.NodeID(v))) / bound)
-		}
-		return part
-	}, mergeChecks))
-	// Invariant (ii), Lemma 11, for v ∈ B against |X(v)| in E0.
-	invII := InvariantCheck{Name: "Lemma11: |X(v)∩Ej| >= (1-o(1))n^{-jδ}|X(v)|"}
-	invII.merge(parallel.MapReduce(workers, n, InvariantCheck{}, func(lo, hi int) InvariantCheck {
-		var part InvariantCheck
-		for v := lo; v < hi; v++ {
-			if !b[v] || xCount[v] == 0 {
-				continue
-			}
-			kept := 0
-			for _, u := range nextG.Neighbors(graph.NodeID(v)) {
-				kept += int(b2i(inXof(deg, graph.NodeID(v), u)))
-			}
-			// Lower-bound invariant: ratio = bound / measured, with the slack
-			// dividing the bound and an additive +1 absorbing integrality.
-			bound := nJD * float64(xCount[v]) / p.Slack
-			part.observe(bound / (float64(kept) + 1))
-		}
-		return part
-	}, mergeChecks))
-	out.InvariantI = invI
-	out.InvariantII = invII
-	out.nextG = nextG
+	// The stage graph is built once, into the other half of the stage
+	// double-buffer, and handed back as the next round's source.
+	out.nextG = graph.FromEdgesInto(curG.N(), next, sc.Stage().Next())
 	return out
+}
+
+// applyEdgeStage applies the stage's selected seed: E_j = {e ∈ E_{j-1} :
+// h(e) < th}, read off the seed's z row (items.row), then a branch-free
+// serial filter into a scratch edge buffer (one spare slot for the last
+// write), which keeps the canonical edge order.
+func applyEdgeStage(sc *scratch.Context, items *stageItems, seed []uint64, cur []graph.Edge, workers int) []graph.Edge {
+	z := items.row(sc, seed, workers)
+	next := sc.EdgesCap(len(cur) + 1)[:len(cur)+1]
+	size := 0
+	for t, e := range cur {
+		next[size] = e
+		size += int(b2i(z[t] < items.th))
+	}
+	items.release(sc.ZRows())
+	return next[:size]
 }
 
 // edgeStageItems lays out stage j of the edge chain: the items are the
@@ -257,7 +247,8 @@ func edgeStageItems(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b 
 	fam := core.KWiseFamily(n, p.KWise)
 	th := core.StageThreshold(fam.P(), n, dc.K)
 	sampleProb := float64(th) / float64(fam.P())
-	items := &stageItems{ev: hashfam.NewEvaluator(fam), th: th, gamma: gamma, keys: core.SlotKeysInto(sc.Uint64sCap(m), cur, j, n)}
+	items := &stageItems{ev: hashfam.NewEvaluator(fam), th: th, gamma: gamma, keys: core.SlotKeysInto(sc.Uint64sCap(m), cur, j, n),
+		keptSeed: sc.Uint64sCap(fam.SeedLen())}
 	// Type-A runs: each node's incident E_{j-1} edges, which are its curG
 	// row with every slot labeled by its edge id. Type-B runs: for v ∈ B,
 	// the X(v) ∩ E_{j-1} edges, picked out of v's labeled row branch-free.

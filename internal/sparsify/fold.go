@@ -2,6 +2,8 @@ package sparsify
 
 import (
 	"math/bits"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/condexp"
 	"repro/internal/core"
@@ -43,6 +45,13 @@ type stageItems struct {
 	w        []float64 // per-item weight of the weighted groups
 	wLo      []float64 // per weighted group, in run order
 	groups   int       // count groups + weighted groups
+
+	// kept is the z row of the search's result when the search kept it
+	// (see search), keptSeed the seed it was hashed under, and claimed
+	// marks the slot taken.
+	kept     []uint64
+	keptSeed []uint64
+	claimed  atomic.Bool
 }
 
 // good returns the number of groups that pass under the values z of the
@@ -95,15 +104,59 @@ func (s *stageItems) good(z []uint64) int64 {
 // candidate hashes each item once (Evaluator.EvalKeys) into a row checked
 // out of rows, so concurrent candidates never share one, and is scored by
 // good. The result's Value is the good-group count of its Seed.
+//
+// The first candidate to make every group good keeps its row out of rows,
+// and the stage's apply step reads it (row) when that candidate is the
+// result, so the winner's items are not hashed a second time. This depends
+// on condexp.SearchAtLeast scoring probe-first: a batch's first candidate
+// is scored alone, on the calling goroutine, before any other candidate
+// of its batch, so when it wins it is the only all-good candidate scored
+// and its row is the one kept. After a missed probe the fanned-out
+// candidates race for the slot and the row kept may be a later seed's;
+// settle then hands it back, and row hashes the winner's items again.
+// Every path returns the kept row to rows: settle when it is not the
+// result's (cancellation included), else release after the apply step.
 func (s *stageItems) search(rows *scratch.Rows, p core.Params, model *simcost.Model) condexp.Result {
 	objective := func(seed []uint64) int64 {
 		z := rows.Get(len(s.keys))
 		good := s.good(s.ev.EvalKeys(seed, s.keys, z))
-		rows.Put(z)
+		if good >= int64(s.groups) && s.claimed.CompareAndSwap(false, true) {
+			s.kept = z
+			s.keptSeed = append(s.keptSeed[:0], seed...)
+		} else {
+			rows.Put(z)
+		}
 		return good
 	}
 	res, _ := p.SeedSearch(s.ev.Family(), objective, int64(s.groups), "sparsify.seed", model)
+	s.settle(rows, res)
 	return res
+}
+
+// settle hands the kept row back to rows unless it is the row of
+// res.Seed; a canceled search applies no seed, so its row goes back too.
+func (s *stageItems) settle(rows *scratch.Rows, res condexp.Result) {
+	if s.kept != nil && (res.Canceled || !slices.Equal(s.keptSeed, res.Seed)) {
+		s.release(rows)
+	}
+}
+
+// row returns the z row of seed, the search's result: the row the search
+// kept when it is seed's, else one EvalKeysW pass into a buffer from sc.
+// EvalKeysW shards the loop of EvalKeys, so both give the same values.
+func (s *stageItems) row(sc *scratch.Context, seed []uint64, workers int) []uint64 {
+	if s.kept != nil {
+		return s.kept
+	}
+	return s.ev.EvalKeysW(seed, s.keys, sc.Uint64s(len(s.keys)), workers)
+}
+
+// release hands the kept row, if any, back to rows.
+func (s *stageItems) release(rows *scratch.Rows) {
+	if s.kept != nil {
+		rows.Put(s.kept)
+		s.kept = nil
+	}
 }
 
 // chunks returns the number of γ-chunks of a run of length l.

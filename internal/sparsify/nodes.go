@@ -39,17 +39,27 @@ type NodeResult struct {
 }
 
 // SparsifyNodes runs the deterministic node sparsification of Section 4.2.
-// It is SparsifyNodesIn with a private scratch context; repeated callers
-// (the MIS round loop, the Engine) use SparsifyNodesIn.
+// Every stage report carries the Lemma 17/18 audits (InvariantI/
+// InvariantII), which T4 and the tests read. It runs on a private scratch
+// context; repeated callers (the MIS round loop, the Engine) use
+// SparsifyNodesIn.
 func SparsifyNodes(g *graph.Graph, p core.Params, model *simcost.Model) *NodeResult {
-	return SparsifyNodesIn(scratch.New(), g, p, model)
+	return sparsifyNodes(scratch.New(), g, p, model, true)
 }
 
 // SparsifyNodesIn is SparsifyNodes drawing every per-round buffer from sc
-// instead of the heap. See NodeResult for the lifetime of the returned
-// slices. Results are bit-identical to SparsifyNodes at any worker count
-// and for any prior state of sc.
+// instead of the heap, and without the Lemma 17/18 audits, which no solver
+// reads: its stage reports carry zero InvariantI and InvariantII fields.
+// Everything else, and every model charge, is what SparsifyNodes returns,
+// at any worker count and for any prior state of sc. See NodeResult for
+// the lifetime of the returned slices.
 func SparsifyNodesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Model) *NodeResult {
+	return sparsifyNodes(sc, g, p, model, false)
+}
+
+// sparsifyNodes is the body of both entry points; audit runs the Lemma
+// 17/18 audits of every stage.
+func sparsifyNodes(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Model, audit bool) *NodeResult {
 	p.Validate()
 	n := g.N()
 	deg := g.DegreesInto(sc.Ints(n))
@@ -57,10 +67,7 @@ func SparsifyNodesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 
 	workers := p.Workers()
 	dc := core.NewDegreeClasses(n, p.InvDelta)
-	classOf := sc.Ints(n)
-	parallel.ForEach(workers, n, func(v int) {
-		classOf[v] = dc.Class(deg[v])
-	})
+	classOf := classesInto(sc, dc, deg)
 
 	// 1/d(u), read by the class sums, every stage's type-B groups and the
 	// Lemma 18 audit (+Inf at isolated nodes, which no neighbour sum reads).
@@ -138,6 +145,9 @@ func SparsifyNodesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			res.Q = cur
 			return res
 		}
+		if audit {
+			report.InvariantI, report.InvariantII = auditNodeStage(g, next, b, invDeg, dc, p, j)
+		}
 		res.Stages = append(res.Stages, report)
 		cur = next
 	}
@@ -176,7 +186,6 @@ func CountMask(mask []bool) int {
 func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg []float64,
 	dc *core.DegreeClasses, p core.Params, i, j int, model *simcost.Model) (StageReport, []bool, bool) {
 
-	n := g.N()
 	items, rank := nodeStageItems(sc, g, cur, b, invDeg, dc, p, i, j)
 	model.ChargeSort("sparsify.distribute")
 	res := items.search(sc.ZRows(), p, model)
@@ -184,15 +193,7 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg []f
 		// res.Seed may be nil; abandon the stage, the caller discards.
 		return StageReport{}, nil, true
 	}
-
-	// Apply the selected seed: one sharded EvalKeysW pass over the stage's
-	// keys, then a sharded mask update.
-	workers := p.Workers()
-	z := items.ev.EvalKeysW(res.Seed, items.keys, sc.Uint64s(len(items.keys)), workers)
-	next := sc.Bools(n)
-	parallel.ForEach(workers, n, func(v int) {
-		next[v] = cur[v] && z[rank[v]] < items.th
-	})
+	next := applyNodeStage(sc, items, res.Seed, cur, rank, p.Workers())
 	model.ChargeScan("sparsify.apply")
 
 	report := StageReport{
@@ -204,52 +205,20 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg []f
 		SeedsTried:  res.SeedsTried,
 		SeedFound:   res.Found,
 	}
-
-	// Invariant (i), Lemma 17: for v ∈ Qj, d_{Qj}(v) <= (1+o(1)) n^{-jδ} d(v).
-	// Both audits shard over vertex ranges with shard-ordered merges.
-	nJD := math.Pow(float64(n), -float64(j)/float64(dc.K))
-	n3d := math.Pow(float64(n), 3/float64(dc.K))
-	invI := InvariantCheck{Name: "Lemma17: d_Qj(v) <= (1+o(1))n^{-jδ}d(v)"}
-	invI.merge(parallel.MapReduce(workers, n, InvariantCheck{}, func(lo, hi int) InvariantCheck {
-		var part InvariantCheck
-		for v := lo; v < hi; v++ {
-			if !next[v] {
-				continue
-			}
-			dQ := 0
-			for _, u := range g.Neighbors(graph.NodeID(v)) {
-				dQ += int(b2i(next[u]))
-			}
-			// The additive n^{3δ} mirrors Lemma 10's small-degree regime (the
-			// proof of Lemma 17 stops shrinking once degrees fall below n^{3δ}).
-			bound := p.Slack * (nJD*float64(g.Degree(graph.NodeID(v))) + n3d)
-			part.observe(float64(dQ) / bound)
-		}
-		return part
-	}, mergeChecks))
-	delta := p.Delta()
-	boundII := delta / (3 * math.Pow(float64(n), float64(j)/float64(dc.K)) * p.Slack)
-	invII := InvariantCheck{Name: "Lemma18: Σ_{u∈Qj∼v}1/d(u) >= (δ-o(1))/(3n^{δj})"}
-	invII.merge(parallel.MapReduce(workers, n, InvariantCheck{}, func(lo, hi int) InvariantCheck {
-		var part InvariantCheck
-		for v := lo; v < hi; v++ {
-			if !b[v] {
-				continue
-			}
-			// Branchless, as in stageItems.good: adding invDeg[u]·0 leaves
-			// the sum unchanged, bit for bit.
-			var sum float64
-			for _, u := range g.Neighbors(graph.NodeID(v)) {
-				sum += invDeg[u] * float64(b2i(next[u]))
-			}
-			// +1/n absorbs integrality at laptop scale.
-			part.observe(boundII / (sum + 1/float64(n)))
-		}
-		return part
-	}, mergeChecks))
-	report.InvariantI = invI
-	report.InvariantII = invII
 	return report, next, false
+}
+
+// applyNodeStage applies the stage's selected seed: Q_j = {v ∈ Q_{j-1} :
+// h(v) < th}, read off the seed's z row (items.row; rank maps a node to its
+// item) in one sharded mask update.
+func applyNodeStage(sc *scratch.Context, items *stageItems, seed []uint64, cur []bool, rank []int32, workers int) []bool {
+	z := items.row(sc, seed, workers)
+	next := sc.Bools(len(cur))
+	parallel.ForEach(workers, len(cur), func(v int) {
+		next[v] = cur[v] && z[rank[v]] < items.th
+	})
+	items.release(sc.ZRows())
+	return next
 }
 
 // nodeStageItems lays out stage j of the node chain (class i): the items
@@ -279,7 +248,8 @@ func nodeStageItems(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg [
 			q++
 		}
 	}
-	items = &stageItems{ev: hashfam.NewEvaluator(fam), th: th, gamma: gamma, keys: keys[:q], w: w[:q]}
+	items = &stageItems{ev: hashfam.NewEvaluator(fam), th: th, gamma: gamma, keys: keys[:q], w: w[:q],
+		keptSeed: sc.Uint64sCap(fam.SeedLen())}
 	// One run per node v ∈ Q_{j-1} ∪ B with a neighbour in Q_{j-1}: the
 	// item indices of N(v) ∩ Q_{j-1}, in neighbour order, filled branch-free
 	// (the last write may land one slot past the runs, hence the spare).

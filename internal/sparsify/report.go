@@ -13,6 +13,11 @@
 // invariants of Lemmas 10/11 (resp. 17/18) then hold and the final
 // subsampled object E* (resp. Q') has maximum degree O(n^{4δ}), so 2-hop
 // neighbourhoods fit in a machine of S = O(n^{8δ}) = O(n^ε) words.
+//
+// SparsifyEdges and SparsifyNodes audit those invariants after every stage
+// (StageReport.InvariantI/InvariantII), for the experiments and tests. The
+// In entry points, which the solvers call, skip the audits and are
+// otherwise bit-identical to them.
 package sparsify
 
 import "fmt"

@@ -119,9 +119,25 @@ func TestSparsifyEdgesAllGroupsGood(t *testing.T) {
 	}
 }
 
+// requireAudited fails unless stages is non-empty and every stage's two
+// audits checked at least one node: a zero InvariantCheck reads Ok, so an
+// audit that never ran would otherwise pass the bounds below.
+func requireAudited(t *testing.T, stages []StageReport) {
+	t.Helper()
+	if len(stages) == 0 {
+		t.Fatal("no stage ran, so no audit was checked")
+	}
+	for _, st := range stages {
+		if st.InvariantI.Checked == 0 || st.InvariantII.Checked == 0 {
+			t.Errorf("stage %d: an audit checked no node: %s; %s", st.Stage, st.InvariantI, st.InvariantII)
+		}
+	}
+}
+
 func TestSparsifyEdgesInvariantsHold(t *testing.T) {
 	g := denseGraph()
 	res := SparsifyEdges(g, params(), nil)
+	requireAudited(t, res.Stages)
 	for _, st := range res.Stages {
 		if !st.InvariantI.Ok() {
 			t.Errorf("stage %d %s", st.Stage, st.InvariantI)
@@ -251,6 +267,7 @@ func TestSparsifyNodesStagesShrink(t *testing.T) {
 func TestSparsifyNodesInvariants(t *testing.T) {
 	g := denseGraph()
 	res := SparsifyNodes(g, params(), nil)
+	requireAudited(t, res.Stages)
 	for _, st := range res.Stages {
 		if !st.InvariantI.Ok() {
 			t.Errorf("stage %d %s", st.Stage, st.InvariantI)
