@@ -19,8 +19,8 @@ BENCH_BASELINE ?= $(shell ls BENCH_2*.json 2>/dev/null | LC_ALL=C sort | tail -1
 # Benchmarks whose ns/op regression beyond 20% draws a warning (never a
 # failure): the seed-search kernel, its isolated edge- and node-side
 # selection scans and blocked hash term, the warm-Engine reuse pairs, and
-# the sparsify stage-search pair, whose searches score each batch's first
-# candidate alone (a return to whole-batch scoring multiplies it).
+# the sparsify stage-search pair, whose searches stop at a batch's first
+# qualifying candidate (a return to whole-batch scoring multiplies it).
 BENCH_WARN ?= BenchmarkT7_SeedSearch|BenchmarkT7_SelectionScan|BenchmarkT7_NodeSelectionScan|BenchmarkLocalMinNodesSel|BenchmarkEvalSeedsBlocked|BenchmarkEngineReuse|BenchmarkSparsifySeedSearch
 # Repetitions per benchmark for bench-smoke/bench-save: benchjson -median
 # collapses the runs into per-benchmark medians, so one noisy-runner outlier
@@ -77,13 +77,14 @@ race:
 # count, and the hashed-once stage items vs the expanded-key scoring at
 # Parallelism 1/2/8; the audit-free SparsifyEdgesIn/SparsifyNodesIn vs the
 # audited wrappers, the handed-over E* list vs EStar.Edges(), the stage
-# apply through the search's kept row vs EvalKeysW (probe win, fan-out win
-# and miss), the kept row's seed check, and the degree-class table vs
-# DegreeClasses.Class; the fold and stamped selections and the blocked
-# kernel vs their references; the core selections every candidate seed is scored through vs
-# per-seed EvalKeys + selection, and the seed search's miss-path fan-out at
-# Parallelism 1/2/8; the probe-first seed search vs whole-batch scoring, and
-# its count of the candidates it scores; the implicit G² colouring vs Linial
+# apply through the row its search hashed last vs EvalKeysW (first
+# candidate wins, later candidate wins, no all-good seed), and the
+# degree-class table vs DegreeClasses.Class; the fold and stamped
+# selections and the blocked kernel vs their references; the core
+# selections every candidate seed is scored through vs per-seed EvalKeys +
+# selection, and the seed search's miss path vs a per-candidate reference;
+# the stop-at-the-winner seed search vs whole-batch scoring, and its count
+# of the candidates it scores; the implicit G² colouring vs Linial
 # on the materialised square at Parallelism 1/2/8, each tabulated Linial
 # round vs the walk-and-evaluate round, on real colourings and fuzzed
 # improper ones, the one r-ball walk vs the separate word and Δ(G²) walks,
@@ -103,7 +104,7 @@ race:
 # checks, through `go test -list`, that every listed name is a test, fuzz
 # target or benchmark of its packages, and fails otherwise.
 ENGINE_TABLES := TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence
-EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissFanOut|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestSparsifyInMatchesWrapper|TestEStarEdgesMatchEdges|TestStageApplyMatchesEvalKeysW|TestKeptRowSettlesOnWinner|TestClassTableMatchesClass|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLinialRoundMatchesWalkReference|FuzzLinialRoundMatchesWalkReference|TestBallStatsMatchesSeparateWalks|TestLineGraphMatchesMapReference
+EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissPath|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestSparsifyInMatchesWrapper|TestEStarEdgesMatchEdges|TestStageApplyMatchesEvalKeysW|TestClassTableMatchesClass|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLinialRoundMatchesWalkReference|FuzzLinialRoundMatchesWalkReference|TestBallStatsMatchesSeparateWalks|TestLineGraphMatchesMapReference
 EQUIV_PKGS := ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/ ./internal/coloring/ ./internal/graph/
 # check-tests fails unless every name of the |-separated list $(1) is a
 # top-level test, fuzz target or benchmark of the packages $(2).

@@ -80,10 +80,11 @@ type Options struct {
 	// is negligible.
 	SkipCostTracking bool
 	// Parallelism is the host-side worker count for the shared execution
-	// pool (internal/parallel): seed-search batches, per-vertex scans, and
-	// graph rebuilds all shard across it. 0 (the default) means one worker
-	// per logical CPU (GOMAXPROCS); 1 forces serial execution; larger
-	// values pin an explicit worker count. Results are bit-identical at
+	// pool (internal/parallel): hashing the selected seed's keys,
+	// per-vertex scans, and graph rebuilds all shard across it; seed
+	// searches score their candidates serially. 0 (the default) means one
+	// worker per logical CPU (GOMAXPROCS); 1 forces serial execution;
+	// larger values pin an explicit worker count. Results are bit-identical at
 	// every setting — the determinism contract, enforced by the
 	// worker-count-independence tests run under -race in CI — so this knob
 	// trades only wall-clock time, never output.

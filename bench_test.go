@@ -162,11 +162,12 @@ func BenchmarkT7_SelectionScan(b *testing.B) {
 	fam := core.PairwiseFamily(g.N())
 	evaluator := hashfam.NewEvaluator(fam)
 	var sel core.EdgeSel
+	keys := core.SlotKeysInto(make([]uint64, 0, len(edges)), edges, 0, g.N())
 	core.EdgeSelInit(&sel, g.N(), edges, make([]uint64, 0, len(edges)), fam.P()-1)
 	z := make([]uint64, len(edges))
 	e := fam.Enumerate()
 	e.Next()
-	evaluator.EvalKeys(e.Seed(), sel.Keys(), z)
+	evaluator.EvalKeys(e.Seed(), keys, z)
 	var lm core.EdgeMinScratch
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -233,8 +234,8 @@ func BenchmarkT7_NodeSelectionScan(b *testing.B) {
 	}
 	var sel core.NodeSel
 	sel.Init(n, inQ, func(v graph.NodeID) uint64 { return core.SlotKey(uint64(v), 0, n) }, fam.P()-1)
-	if !sel.Dense() {
-		b.Fatal("workload unexpectedly not dense")
+	if 4*len(sel.Live()) < n {
+		b.Fatal("workload below the dense gate, n <= 4|live|")
 	}
 	z := make([]uint64, len(sel.Keys()))
 	e := fam.Enumerate()
@@ -270,8 +271,8 @@ func BenchmarkLocalMinNodesSel(b *testing.B) {
 		}
 		var sel core.NodeSel
 		sel.Init(n, inQ, func(v graph.NodeID) uint64 { return core.SlotKey(uint64(v), 0, n) }, fam.P()-1)
-		if sel.Dense() != wantDense {
-			b.Fatalf("Dense() = %v, want %v", sel.Dense(), wantDense)
+		if dense := n <= 4*len(sel.Live()); dense != wantDense {
+			b.Fatalf("dense gate n <= 4|live| = %v, want %v", dense, wantDense)
 		}
 		z := make([]uint64, len(sel.Keys()))
 		e := fam.Enumerate()
@@ -340,7 +341,10 @@ func BenchmarkT9_SpaceAblation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		er := sparsify.SparsifyEdges(g, p, nil)
-		_ = er.EStar.BallSizeMax(2)
+		var bs graph.BallScratch
+		for v := 0; v < er.EStar.N(); v++ {
+			er.EStar.BallUnsortedInto(&bs, graph.NodeID(v), 2)
+		}
 	}
 }
 
@@ -435,8 +439,10 @@ func benchMISDeterministic(b *testing.B, parallelism int) {
 // sparsification — dominated by the condexp seed search — on one worker.
 func BenchmarkSparsifySeedSearchSerial(b *testing.B) { benchSparsifySeedSearch(b, 1) }
 
-// BenchmarkSparsifySeedSearchParallel is the same search with candidate
-// seeds evaluated across the pool.
+// BenchmarkSparsifySeedSearchParallel is the same sparsification at
+// GOMAXPROCS workers. The stage searches score their candidates serially
+// either way; the workers hash each stage's items again only when its
+// search finds no all-good seed, and run the rest of the stage chain.
 func BenchmarkSparsifySeedSearchParallel(b *testing.B) { benchSparsifySeedSearch(b, 0) }
 
 func benchSparsifySeedSearch(b *testing.B, parallelism int) {

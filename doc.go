@@ -64,15 +64,18 @@
 // chosen seed: scoring runs it at one worker per candidate, the apply step
 // at Options.Parallelism. The round loops add only their score, and the
 // search around it is core.Params.SeedSearch over condexp.SearchAtLeast,
-// which scores each charged batch probe-first: the batch's first candidate
-// alone, and the rest, fanned out over the workers, only when it misses,
-// while the cost model and every reported seed count still charge the whole
-// batch. The sparsify stage searches hash each of a stage's items — the
-// edges of E_{j-1} or the nodes of Q_{j-1} — once per candidate, into one
-// row per worker that the scratch context keeps across rounds, and every
-// logical machine is a γ-chunk of a run of item indices into that row: a
-// node's incident edges (its CSR row labeled with edge ids), its X(v)
-// edges, or its neighbours in Q_{j-1}. The fold gathers each chunk's values
+// which scores a charged batch's candidates one at a time, in enumeration
+// order, on the solve's goroutine and stops at the first that reaches the
+// threshold, while the cost model and every reported seed count still
+// charge the whole batch. So an objective keeps one working state per
+// solve, shared with the apply step. The sparsify stage searches hash each
+// of a stage's items — the edges of E_{j-1} or the nodes of Q_{j-1} — once
+// per candidate, into one row the stage checks out of the scratch context,
+// and every logical machine is a γ-chunk of a run of item indices into that
+// row: a node's incident edges (its CSR row labeled with edge ids), its
+// X(v) edges, or its neighbours in Q_{j-1}. When the search finds an
+// all-good seed, its last candidate was that seed, so the stage's apply
+// step reads the row as it stands; only a best-effort seed is hashed again. The fold gathers each chunk's values
 // in branchless scans judged against acceptance windows precomputed once
 // per stage (the deviation bounds depend only on each group's fixed size
 // and weight, never on the seed). The arithmetic is regime-dispatched per
@@ -86,9 +89,10 @@
 // Family.Eval, the blocked multi-seed kernel (which only benchmarks call) to
 // per-seed EvalKeys, and the fold selections to the epoch-stamped scans;
 // the core selections are pinned to per-seed EvalKeys + selection
-// (TestNodeGroupMatchesSel, TestEdgeGroupMatchesSel), the search's miss-path
-// fan-out to a serial reference at Parallelism 1, 2 and 8
-// (TestSeedSearchMissFanOut), TestStageFoldMatchesCountGood and
+// (TestNodeGroupMatchesSel, TestEdgeGroupMatchesSel), the search's miss
+// path to a per-candidate reference (TestSeedSearchMissPath),
+// TestStageApplyMatchesEvalKeysW pins the stage apply through the search's
+// row to EvalKeysW of the result's seed, TestStageFoldMatchesCountGood and
 // TestStageItemsMatchExpandedKeys pin the sparsify stage fold and its
 // hashed-once items to the expanded-key scoring (every group hashing its own
 // copy of its keys) at Parallelism 1, 2 and 8, and
@@ -305,9 +309,9 @@
 //     in a fixed enumeration order, S candidates per charged O(1)-round
 //     batch, and takes the first seed whose objective reaches a
 //     ThresholdFrac fraction of the proven expectation bound
-//     (condexp.SearchAtLeast), scoring each batch's first candidate alone
-//     and the rest only on a miss. The exact chunk-by-chunk method is
-//     condexp.SearchConditional; experiment A5 compares the two.
+//     (condexp.SearchAtLeast), scoring a batch's candidates one at a time
+//     and stopping at the first that qualifies. The exact chunk-by-chunk
+//     method is condexp.SearchConditional; experiment A5 compares the two.
 //  2. Low-degree seed sequences. Section 5 enumerates all |H*|^ℓ seed
 //     sequences of a stage locally and keeps the best. That is infeasible
 //     on a host, so internal/lowdeg picks each phase's seed greedily by the
@@ -332,12 +336,14 @@
 //
 // # Parallel execution
 //
-// The hot paths — candidate-seed batches in the conditional-expectations
-// searches, per-vertex objective and goodness scans, CSR graph rebuilds, and
-// the simulator's machine-step fan-out — all execute on a shared bounded
-// worker pool (internal/parallel) sized by Options.Parallelism: 0 (default)
-// means one worker per logical CPU, 1 forces serial execution, larger values
-// pin an explicit count.
+// The hot paths — hashing the selected seed's keys, per-vertex objective
+// and goodness scans, CSR graph rebuilds, and the simulator's machine-step
+// fan-out — all execute on a shared bounded worker pool (internal/parallel)
+// sized by Options.Parallelism: 0 (default) means one worker per logical
+// CPU, 1 forces serial execution, larger values pin an explicit count. The
+// conditional-expectations searches score their candidate seeds one at a
+// time on the solve's goroutine, each at one worker, and apply the winner
+// at Options.Parallelism.
 //
 // The determinism contract: every result is bit-identical at every
 // Parallelism setting. The pool guarantees it structurally — work is split

@@ -28,16 +28,17 @@ func engineOpts(strat Strategy) *Options {
 // slices, per-search seed-batch state and shard descriptors. The object
 // budgets are one constant per strategy at every size and density; they
 // sit ~1.5x over the values measured with every sparsify stage hashing its
-// items once into Reset-surviving rows, applying its seed through the
-// search's kept row and skipping the invariant audits (sparsify: mm
-// 357–450, mis 159–212 objects) and with the Section 5 preprocessing
-// walking each ball once (lowdeg: mm 155–160, mis 132–134) — deliberately
-// tight so that epoch state leaking out of the Reset-surviving Context
-// slots (or any new per-round allocation) trips the assertion, while
-// staying far below O(n+m) growth.
+// items once per candidate into one arena row, applying a found seed
+// through that row and skipping the invariant audits, every seed search
+// scoring serially on one selection state per solve (sparsify: mm
+// 305–384, mis 140–187 objects), and the Section 5 preprocessing walking
+// each ball once (lowdeg: mm 142–147, mis 119–121) — deliberately tight so
+// that epoch state leaking out of the Reset-surviving Context slots (or
+// any new per-round allocation) trips the assertion, while staying far
+// below O(n+m) growth.
 var warmAllocBudget = map[Strategy]struct{ mm, mis float64 }{
-	StrategySparsify:  {mm: 675, mis: 320},
-	StrategyLowDegree: {mm: 240, mis: 200},
+	StrategySparsify:  {mm: 575, mis: 280},
+	StrategyLowDegree: {mm: 220, mis: 180},
 }
 
 // warmWorkload is one graph a strategy's warm re-solves are measured on,
@@ -45,8 +46,8 @@ var warmAllocBudget = map[Strategy]struct{ mm, mis float64 }{
 // with the graph where objects do not: per-solve seed-search state and
 // result slices scale with n, and the lowdeg matching path builds a line
 // graph per solve. The budgets sit ~1.5x over the measured values (KB,
-// mm/mis at n = 2048 and 4096: sparsify gnm avg 8 202/86 and 335/125,
-// avg 16 237/82 and 353/99; lowdeg 832/168 and 1638/298), so the stage
+// mm/mis at n = 2048 and 4096: sparsify gnm avg 8 193/83 and 326/122,
+// avg 16 225/77 and 342/95; lowdeg 829/166 and 1635/295), so the stage
 // chains' old per-group appends — 2.3 MB of a 3.0 MB matching solve at
 // avg 16 — cannot return unnoticed.
 type warmWorkload struct {

@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/detrand"
 	"repro/internal/graph"
@@ -31,6 +32,7 @@ import (
 	"repro/internal/luby"
 	"repro/internal/matching"
 	"repro/internal/mis"
+	"repro/internal/scratch"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata/golden expectations from the current outputs")
@@ -117,7 +119,7 @@ func goldenRun(t *testing.T, family string, n, avg int, seed uint64, strat Strat
 		}
 		record(mm.Matching, is.IndependentSet, mmS, isS)
 	case StrategyLowDegree:
-		mm := lowdeg.MaximalMatching(g, p, nil)
+		mm := lowdeg.MaximalMatchingIn(scratch.New(), g, p, nil)
 		is := lowdeg.MIS(g, p, nil)
 		var mmS, isS []goldenSearch
 		for _, ph := range mm.MIS.Phases {
@@ -133,7 +135,12 @@ func goldenRun(t *testing.T, family string, n, avg int, seed uint64, strat Strat
 	src := detrand.New(seed)
 	lubyMIS := luby.MIS(g, src)
 	lubyMM := luby.MaximalMatching(g, src)
-	luby.Verify(g, lubyMIS.IndependentSet, lubyMM.Matching)
+	if ok, reason := check.IsMaximalIS(g, lubyMIS.IndependentSet); !ok {
+		t.Fatalf("golden: Luby MIS not maximal: %s", reason)
+	}
+	if ok, reason := check.IsMaximalMatching(g, lubyMM.Matching); !ok {
+		t.Fatalf("golden: Luby matching not maximal: %s", reason)
+	}
 	gf.LubyMISNodes = make([]int32, len(lubyMIS.IndependentSet))
 	for i, v := range lubyMIS.IndependentSet {
 		gf.LubyMISNodes[i] = int32(v)

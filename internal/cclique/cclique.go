@@ -24,7 +24,6 @@ package cclique
 
 import (
 	"fmt"
-	"maps"
 	"math"
 
 	"repro/internal/check"
@@ -76,16 +75,6 @@ func (m *Model) Rounds() int {
 		return 0
 	}
 	return m.rounds
-}
-
-// RoundsByLabel returns a copy of the per-label round counts.
-func (m *Model) RoundsByLabel() map[string]int {
-	if m == nil {
-		return map[string]int{}
-	}
-	out := make(map[string]int, len(m.byLabel))
-	maps.Copy(out, m.byLabel)
-	return out
 }
 
 // Violations returns the recorded capacity violations.

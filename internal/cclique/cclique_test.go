@@ -1,6 +1,7 @@
 package cclique
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -113,4 +114,14 @@ func TestDetMISDeterministic(t *testing.T) {
 	if len(a.IndependentSet) != len(b.IndependentSet) || a.RoundsDet != b.RoundsDet {
 		t.Fatal("nondeterministic CC MIS")
 	}
+}
+
+// RoundsByLabel returns a copy of the per-label round counts.
+func (m *Model) RoundsByLabel() map[string]int {
+	if m == nil {
+		return map[string]int{}
+	}
+	out := make(map[string]int, len(m.byLabel))
+	maps.Copy(out, m.byLabel)
+	return out
 }

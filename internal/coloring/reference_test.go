@@ -186,13 +186,12 @@ func VerifyProper(g *graph.Graph, colors []int) error {
 // does.
 func linialRoundWalk(g *graph.Graph, colors, next []int, digits []uint32, q uint64, d, workers int) int {
 	balls := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
-	r := intmath.NewReducer(q)
 	w := d + 1
 	eval := func(c int, x uint64) uint64 {
 		p := digits[c*w : c*w+w]
 		acc := uint64(p[d])
 		for t := d - 1; t >= 0; t-- {
-			acc = r.AddMod(r.MulMod(acc, x), uint64(p[t]))
+			acc = intmath.AddMod(intmath.MulMod(acc, x, q), uint64(p[t]), q)
 		}
 		return acc
 	}

@@ -16,26 +16,25 @@
 // tells everyone the first candidate meeting the threshold). The output is
 // deterministic — the first seed in enumeration order with q(seed) >= Q —
 // and termination is guaranteed whenever the expectation bound actually
-// holds for the finite family. The host scores a batch probe-first — its
-// first candidate alone, the rest only when that one misses — while the
-// model is still charged the whole batch, so the seed counts this package
-// reports are the model's, not the host's. This is substitution 1 of the
-// repro package documentation (doc.go); the exact chunk-by-chunk method is
-// also implemented (SearchConditional) and tested against SearchAtLeast on
-// small families.
+// holds for the finite family. The host scores a batch's candidates one at
+// a time, in enumeration order, and stops at the first that qualifies,
+// while the model is still charged the whole batch, so the seed counts this
+// package reports are the model's, not the host's. This is substitution 1
+// of the repro package documentation (doc.go); the exact chunk-by-chunk
+// method is also implemented (SearchConditional) and tested against
+// SearchAtLeast on small families.
 package condexp
 
 import (
 	"errors"
 
 	"repro/internal/hashfam"
-	"repro/internal/parallel"
 	"repro/internal/simcost"
 )
 
-// Objective evaluates the global objective for a full seed. Implementations
-// must be safe for concurrent calls (seed slices are never shared between
-// concurrent calls).
+// Objective evaluates the global objective for a full seed. A search calls
+// it on its own goroutine, one candidate at a time, so an objective may
+// keep its working state across calls.
 type Objective func(seed []uint64) int64
 
 // Options configure a search.
@@ -53,13 +52,6 @@ type Options struct {
 	Model *simcost.Model
 	// Label attributes charged rounds. Defaults to "condexp".
 	Label string
-	// Workers is the number of host workers evaluating candidate seeds
-	// within a batch on the shared internal/parallel pool, following the
-	// repo-wide convention of parallel.Workers: 0 (default) means one
-	// worker per logical CPU, 1 forces serial evaluation. The result is
-	// bit-identical at any worker count (the first qualifying seed in
-	// enumeration order is selected); only wall-clock time changes.
-	Workers int
 	// Done, when non-nil, is polled once per batch boundary — before each
 	// charged batch evaluation, never inside one — and a true return stops
 	// the scan: the search returns the best seed seen so far with
@@ -68,11 +60,9 @@ type Options struct {
 	// the round loops (core.Params.Done threads through here).
 	Done func() bool
 	// OnBatch, when non-nil, receives one BatchStat per charged batch
-	// evaluation, synchronously from the search's coordinating goroutine and
-	// in enumeration order — batches are flushed serially regardless of
-	// Workers, so the stat stream is bit-identical at any worker count. It
-	// is pure observation: the scan's selection rule, charges and results
-	// are unchanged, and a nil OnBatch costs nothing. This is the
+	// evaluation, synchronously and in enumeration order. It is pure
+	// observation: the scan's selection rule, charges and results are
+	// unchanged, and a nil OnBatch costs nothing. This is the
 	// seed-batch-granular seam the observer API (core.RoundEvent.Batches)
 	// threads through.
 	OnBatch func(BatchStat)
@@ -85,7 +75,7 @@ type BatchStat struct {
 	Batch int
 	// Seeds is the number of candidate seeds the batch charged: the model's
 	// S machines evaluate all of them before one AllReduce, even when the
-	// host scored only the first (see SearchAtLeast).
+	// host stopped at an earlier qualifying one (see SearchAtLeast).
 	Seeds int
 	// SeedsTried is the cumulative charged candidate count including this
 	// batch.
@@ -144,12 +134,13 @@ func (o *Options) defaults() {
 // returns the first seed whose objective is at least threshold. If no seed
 // qualifies within MaxSeeds, the best seed seen is returned with
 // Found == false (callers treat that as "take the progress you got", which
-// keeps the outer algorithms unconditionally correct). Each charged batch
-// is scored probe-first: its first candidate alone, and the rest, fanned
-// out over Options.Workers, only when that candidate misses. No candidate
-// after the first qualifying one can change the result, so the Result, the
-// OnBatch stream and the model's charges are those of scoring every batch
-// whole.
+// keeps the outer algorithms unconditionally correct). A charged batch's
+// candidates are scored one at a time, in enumeration order, on the
+// calling goroutine, and scoring stops at the first that qualifies. No
+// candidate after it can change the result, so the Result, the OnBatch
+// stream and the model's charges are those of scoring every batch whole.
+// When Found is set, the last objective call scored Result.Seed, so state
+// the objective left behind describes the winner.
 func SearchAtLeast(fam hashfam.Family, obj Objective, threshold int64, opts Options) (Result, error) {
 	opts.defaults()
 	enum := fam.Enumerate()
@@ -163,7 +154,6 @@ func SearchAtLeast(fam hashfam.Family, obj Objective, threshold int64, opts Opti
 	// Engine's allocation-flatness depends on them staying cheap.
 	seedBuf := make([]uint64, opts.BatchSize*seedLen)
 	batch := make([][]uint64, 0, opts.BatchSize)
-	values := make([]int64, opts.BatchSize)
 	tried := 0
 
 	flush := func() (done bool) {
@@ -174,14 +164,8 @@ func SearchAtLeast(fam hashfam.Family, obj Objective, threshold int64, opts Opti
 			opts.Model.ChargeSeedBatch(len(batch), opts.Label)
 		}
 		best.Batches++
-		// Probe first: when the first candidate qualifies, the scan below
-		// stops at it and never reads the rest, so they go unscored.
-		values[0] = obj(batch[0])
-		if values[0] < threshold {
-			evalBatch(batch[1:], values[1:len(batch)], obj, opts.Workers)
-		}
-		for i, seed := range batch {
-			v := values[i]
+		for _, seed := range batch {
+			v := obj(seed)
 			if v > best.Value {
 				best.Value = v
 				best.Seed = append(best.Seed[:0], seed...)
@@ -253,21 +237,6 @@ func SearchAtLeast(fam hashfam.Family, obj Objective, threshold int64, opts Opti
 		return best, ErrEmptyFamily
 	}
 	return best, nil
-}
-
-// evalBatch fills out[i] = obj(batch[i]) using up to `workers` goroutines of
-// the shared pool (0 = auto, per parallel.Workers). Each candidate writes
-// only its own slot, so the batch result is identical at any worker count.
-func evalBatch(batch [][]uint64, out []int64, obj Objective, workers int) {
-	if w := parallel.Workers(workers); w <= 1 || len(batch) < 4 {
-		for i, seed := range batch {
-			out[i] = obj(seed)
-		}
-		return
-	}
-	parallel.ForEach(workers, len(batch), func(i int) {
-		out[i] = obj(batch[i])
-	})
 }
 
 // SearchConditional runs the textbook method of conditional expectations:

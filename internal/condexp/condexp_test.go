@@ -54,20 +54,20 @@ func TestSearchAtLeastDeterministic(t *testing.T) {
 	fam := hashfam.New(211, 2)
 	points := testPoints(64, fam.P())
 	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 3))
-	run := func(workers int) Result {
-		res, err := SearchAtLeast(fam, obj, 20, Options{Workers: workers, BatchSize: 16})
+	run := func() Result {
+		res, err := SearchAtLeast(fam, obj, 20, Options{BatchSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b, c := run(1), run(1), run(8)
-	if a.Value != b.Value || a.Value != c.Value {
-		t.Fatalf("values differ: %d %d %d", a.Value, b.Value, c.Value)
+	a, b := run(), run()
+	if a.Value != b.Value {
+		t.Fatalf("values differ: %d %d", a.Value, b.Value)
 	}
 	for i := range a.Seed {
-		if a.Seed[i] != b.Seed[i] || a.Seed[i] != c.Seed[i] {
-			t.Fatalf("seeds differ: %v %v %v", a.Seed, b.Seed, c.Seed)
+		if a.Seed[i] != b.Seed[i] {
+			t.Fatalf("seeds differ: %v %v", a.Seed, b.Seed)
 		}
 	}
 }
@@ -213,31 +213,30 @@ func BenchmarkSearchAtLeast(b *testing.B) {
 	points := testPoints(1000, fam.P())
 	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
 	for i := 0; i < b.N; i++ {
-		if _, err := SearchAtLeast(fam, obj, 480, Options{BatchSize: 64, Workers: 8}); err != nil {
+		if _, err := SearchAtLeast(fam, obj, 480, Options{BatchSize: 64}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkSearchAtLeastMiss is BenchmarkSearchAtLeast on the miss path:
-// the threshold is unreachable, so every batch's first candidate misses and
-// the scan scores all MaxSeeds candidates, the probe plus the rest of each
-// batch. No production search misses often, so this row is where the
-// probe's extra single-seed call per batch shows.
+// the threshold is unreachable, so the scan scores all MaxSeeds candidates,
+// one at a time. No production search misses often, so this row is where
+// an exhausted search's cost shows.
 func BenchmarkSearchAtLeastMiss(b *testing.B) {
 	fam := hashfam.New(1<<20, 2)
 	points := testPoints(1000, fam.P())
 	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
 	for i := 0; i < b.N; i++ {
-		if _, err := SearchAtLeast(fam, obj, 1<<40, Options{BatchSize: 64, MaxSeeds: 512, Workers: 8}); err != nil {
+		if _, err := SearchAtLeast(fam, obj, 1<<40, Options{BatchSize: 64, MaxSeeds: 512}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // wholeBatchSearch is the reference SearchAtLeast is pinned to: the same
-// scan, but every candidate of a charged batch is scored, serially, before
-// the first qualifying one is looked for.
+// scan, but every candidate of a charged batch is scored before the first
+// qualifying one is looked for.
 func wholeBatchSearch(fam hashfam.Family, obj Objective, threshold int64, opts Options) (Result, error) {
 	opts.defaults()
 	enum := fam.Enumerate()
@@ -362,13 +361,16 @@ func (ps positionScan) value(i int) int64 {
 }
 
 // objective scores a seed by its position and records each scoring in
-// counts (indexed by position), when non-nil. Concurrent calls score
-// distinct seeds, so they touch distinct counts.
-func (ps positionScan) objective(counts []int) Objective {
+// counts (indexed by position), when non-nil, and the position last scored
+// in *last, when non-nil.
+func (ps positionScan) objective(counts []int, last *int) Objective {
 	return func(s []uint64) int64 {
 		p := ps.pos[[2]uint64{s[0], s[1]}]
 		if counts != nil {
 			counts[p]++
+		}
+		if last != nil {
+			*last = p
 		}
 		return ps.value(p)
 	}
@@ -384,10 +386,9 @@ type searchRun struct {
 }
 
 // runSearch runs search over scan with an S = 64 cost model and OnBatch
-// attached, on `workers` workers; cancelAtPoll > 0 makes Done fire from that
-// poll on.
+// attached; cancelAtPoll > 0 makes Done fire from that poll on.
 func runSearch(search func(hashfam.Family, Objective, int64, Options) (Result, error),
-	fam hashfam.Family, scan positionScan, batchSize, maxSeeds, workers, cancelAtPoll int) searchRun {
+	fam hashfam.Family, scan positionScan, batchSize, maxSeeds, cancelAtPoll int) searchRun {
 	var run searchRun
 	model := simcost.New(1<<12, 1<<13, 0.5)
 	opts := Options{
@@ -395,7 +396,6 @@ func runSearch(search func(hashfam.Family, Objective, int64, Options) (Result, e
 		MaxSeeds:  maxSeeds,
 		Model:     model,
 		Label:     "probe",
-		Workers:   workers,
 		OnBatch:   func(bs BatchStat) { run.stats = append(run.stats, bs) },
 	}
 	if cancelAtPoll > 0 {
@@ -405,19 +405,18 @@ func runSearch(search func(hashfam.Family, Objective, int64, Options) (Result, e
 			return polls >= cancelAtPoll
 		}
 	}
-	run.res, run.err = search(fam, scan.objective(nil), positionThreshold, opts)
+	run.res, run.err = search(fam, scan.objective(nil, nil), positionThreshold, opts)
 	run.model = model.Stats()
 	return run
 }
 
-// TestSearchAtLeastBatchMatchesWholeBatch pins SearchAtLeast's probe-first
-// batches to the whole-batch reference: with the first qualifying candidate
-// at the first, second, middle and last positions of a batch, or nowhere,
-// and batch sizes around the fan-out's serial cut-off, a MaxSeeds that cuts
-// the last batch short, a Done that cancels at the second or third batch
-// boundary, and 1 or 8 workers, the Result, the OnBatch stream, the charged
-// batches and the model's SeedsEvaluated are all those of scoring every
-// batch whole.
+// TestSearchAtLeastBatchMatchesWholeBatch pins SearchAtLeast's
+// stop-at-the-winner batches to the whole-batch reference: with the first
+// qualifying candidate at the first, second, middle and last positions of
+// a batch, or nowhere, batch sizes from 1 to 64, a MaxSeeds that cuts the
+// last batch short, and a Done that cancels at the second or third batch
+// boundary, the Result, the OnBatch stream, the charged batches and the
+// model's SeedsEvaluated are all those of scoring every batch whole.
 func TestSearchAtLeastBatchMatchesWholeBatch(t *testing.T) {
 	fam := hashfam.New(101, 2)
 	pos := seedPositions(fam, 504)
@@ -426,16 +425,14 @@ func TestSearchAtLeastBatchMatchesWholeBatch(t *testing.T) {
 			for _, first := range []int{0, 1, 7, 8, 9, maxSeeds - 1, -1} {
 				for _, cancelAt := range []int{0, 2, 3} {
 					scan := positionScan{pos: pos, first: first}
-					want := runSearch(wholeBatchSearch, fam, scan, bs, maxSeeds, 1, cancelAt)
-					for _, workers := range []int{1, 8} {
-						got := runSearch(SearchAtLeast, fam, scan, bs, maxSeeds, workers, cancelAt)
-						name := fmt.Sprintf("max=%d/bs=%d/first=%d/cancel=%d/workers=%d", maxSeeds, bs, first, cancelAt, workers)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: probe-first search\n got %+v\nwant %+v", name, got, want)
-						}
-						if cancelAt == 0 && got.res.Found != (first >= 0) {
-							t.Fatalf("%s: Found = %v", name, got.res.Found)
-						}
+					want := runSearch(wholeBatchSearch, fam, scan, bs, maxSeeds, cancelAt)
+					got := runSearch(SearchAtLeast, fam, scan, bs, maxSeeds, cancelAt)
+					name := fmt.Sprintf("max=%d/bs=%d/first=%d/cancel=%d", maxSeeds, bs, first, cancelAt)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: search\n got %+v\nwant %+v", name, got, want)
+					}
+					if cancelAt == 0 && got.res.Found != (first >= 0) {
+						t.Fatalf("%s: Found = %v", name, got.res.Found)
 					}
 				}
 			}
@@ -444,37 +441,39 @@ func TestSearchAtLeastBatchMatchesWholeBatch(t *testing.T) {
 }
 
 // TestSearchAtLeastBatchScoresLazily counts the host's work per candidate:
-// a batch whose first candidate qualifies has exactly that one candidate
-// scored; any other batch has every candidate scored exactly once, at 1 and
-// 8 workers. Nothing after the deciding batch is scored.
+// each batch is scored once per candidate up to and including its first
+// qualifying one, a batch with no qualifying candidate is scored whole, and
+// nothing after the deciding batch is scored. Whenever the result is Found,
+// the last objective call scored Result.Seed, which the sparsify stage
+// apply relies on to read the winner's values.
 func TestSearchAtLeastBatchScoresLazily(t *testing.T) {
 	fam := hashfam.New(101, 2)
 	const maxSeeds = 150
 	pos := seedPositions(fam, maxSeeds)
-	for _, workers := range []int{1, 8} {
-		for _, bs := range []int{1, 4, 5, 8, 9, 64} {
-			for _, first := range []int{0, 1, 7, 8, 9, maxSeeds - 1, -1} {
-				scan := positionScan{pos: pos, first: first}
-				counts := make([]int, maxSeeds)
-				res, err := SearchAtLeast(fam, scan.objective(counts), positionThreshold,
-					Options{BatchSize: bs, MaxSeeds: maxSeeds, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := make([]int, maxSeeds)
-				for b := 0; b < res.Batches; b++ {
-					lo, hi := b*bs, min((b+1)*bs, maxSeeds)
-					if scan.value(lo) >= positionThreshold {
-						hi = lo + 1
-					}
-					for i := lo; i < hi; i++ {
-						want[i] = 1
+	for _, bs := range []int{1, 4, 5, 8, 9, 64} {
+		for _, first := range []int{0, 1, 7, 8, 9, maxSeeds - 1, -1} {
+			scan := positionScan{pos: pos, first: first}
+			counts := make([]int, maxSeeds)
+			last := -1
+			res, err := SearchAtLeast(fam, scan.objective(counts, &last), positionThreshold,
+				Options{BatchSize: bs, MaxSeeds: maxSeeds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]int, maxSeeds)
+			for b := 0; b < res.Batches; b++ {
+				for i := b * bs; i < min((b+1)*bs, maxSeeds); i++ {
+					want[i] = 1
+					if scan.value(i) >= positionThreshold {
+						break
 					}
 				}
-				if !reflect.DeepEqual(counts, want) {
-					t.Fatalf("workers=%d bs=%d first=%d: scored per position %v,\nwant %v",
-						workers, bs, first, counts, want)
-				}
+			}
+			if !reflect.DeepEqual(counts, want) {
+				t.Fatalf("bs=%d first=%d: scored per position %v,\nwant %v", bs, first, counts, want)
+			}
+			if res.Found && last != pos[[2]uint64{res.Seed[0], res.Seed[1]}] {
+				t.Fatalf("bs=%d first=%d: the last call scored position %d, not the result's seed %v", bs, first, last, res.Seed)
 			}
 		}
 	}
@@ -548,7 +547,7 @@ func TestSearchAtLeastDoneStopsAtBatchBoundary(t *testing.T) {
 // charged batch, in enumeration order, with exact cumulative counts, a
 // best-value trajectory matching the scan, and the Found flag on the final
 // batch exactly when the search succeeded. The stream must not perturb the
-// search result and must be identical at any worker count.
+// search result.
 func TestOnBatchStats(t *testing.T) {
 	fam := hashfam.New(101, 2)
 	points := testPoints(40, fam.P())
@@ -563,46 +562,43 @@ func TestOnBatchStats(t *testing.T) {
 		plain = res
 	}
 
-	for _, workers := range []int{1, 2, 8} {
-		var stats []BatchStat
-		res, err := SearchAtLeast(fam, obj, 19, Options{
-			BatchSize: 16,
-			Workers:   workers,
-			OnBatch:   func(bs BatchStat) { stats = append(stats, bs) },
-		})
-		if err != nil {
-			t.Fatal(err)
+	var stats []BatchStat
+	res, err := SearchAtLeast(fam, obj, 19, Options{
+		BatchSize: 16,
+		OnBatch:   func(bs BatchStat) { stats = append(stats, bs) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Value != plain.Value || res.Found != plain.Found || res.SeedsTried != plain.SeedsTried {
+		t.Fatalf("observation changed the result: %+v vs %+v", res, plain)
+	}
+	if len(stats) != res.Batches {
+		t.Fatalf("%d stats for %d charged batches", len(stats), res.Batches)
+	}
+	sum := 0
+	best := int64(-1 << 62)
+	for i, bs := range stats {
+		if bs.Batch != i+1 {
+			t.Fatalf("stat %d has Batch %d", i, bs.Batch)
 		}
-		if res.Value != plain.Value || res.Found != plain.Found || res.SeedsTried != plain.SeedsTried {
-			t.Fatalf("workers=%d: observation changed the result: %+v vs %+v", workers, res, plain)
+		sum += bs.Seeds
+		if bs.SeedsTried != sum {
+			t.Fatalf("stat %d cumulative %d, want %d", i, bs.SeedsTried, sum)
 		}
-		if len(stats) != res.Batches {
-			t.Fatalf("workers=%d: %d stats for %d charged batches", workers, len(stats), res.Batches)
+		if bs.BestValue < best {
+			t.Fatalf("best value regressed at batch %d: %d < %d", i+1, bs.BestValue, best)
 		}
-		sum := 0
-		best := int64(-1 << 62)
-		for i, bs := range stats {
-			if bs.Batch != i+1 {
-				t.Fatalf("workers=%d: stat %d has Batch %d", workers, i, bs.Batch)
-			}
-			sum += bs.Seeds
-			if bs.SeedsTried != sum {
-				t.Fatalf("workers=%d: stat %d cumulative %d, want %d", workers, i, bs.SeedsTried, sum)
-			}
-			if bs.BestValue < best {
-				t.Fatalf("workers=%d: best value regressed at batch %d: %d < %d", workers, i+1, bs.BestValue, best)
-			}
-			best = bs.BestValue
-			if bs.Found != (i == len(stats)-1 && res.Found) {
-				t.Fatalf("workers=%d: Found misplaced at batch %d", workers, i+1)
-			}
+		best = bs.BestValue
+		if bs.Found != (i == len(stats)-1 && res.Found) {
+			t.Fatalf("Found misplaced at batch %d", i+1)
 		}
-		if sum != res.SeedsTried {
-			t.Fatalf("workers=%d: stats cover %d seeds, result says %d", workers, sum, res.SeedsTried)
-		}
-		if last := stats[len(stats)-1]; last.BestValue != res.Value {
-			t.Fatalf("workers=%d: final best %d, result value %d", workers, last.BestValue, res.Value)
-		}
+	}
+	if sum != res.SeedsTried {
+		t.Fatalf("stats cover %d seeds, result says %d", sum, res.SeedsTried)
+	}
+	if last := stats[len(stats)-1]; last.BestValue != res.Value {
+		t.Fatalf("final best %d, result value %d", last.BestValue, res.Value)
 	}
 }
 

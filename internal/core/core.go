@@ -44,8 +44,9 @@ type Params struct {
 	// so the algorithms remain unconditionally correct).
 	MaxSeedsPerSearch int
 	// Parallelism is the host-side worker count used by the shared
-	// internal/parallel pool for seed evaluation, per-vertex scans, and
-	// graph rebuilds: 0 (default) means GOMAXPROCS, 1 means serial, larger
+	// internal/parallel pool for hashing the selected seed's keys,
+	// per-vertex scans, and graph rebuilds (seed searches score their
+	// candidates serially): 0 (default) means GOMAXPROCS, 1 means serial, larger
 	// values pin an explicit worker count. Results are bit-identical at any
 	// setting (the determinism contract; see internal/parallel).
 	Parallelism int
@@ -314,10 +315,9 @@ func (a ZKey) Less(b ZKey) bool {
 // EdgeMinScratch is the reusable working state of the edge selection: the
 // flat fold tables of dense rounds, the epoch-stamped per-node minimum
 // tables of sparse ones, the per-edge key buffer, and the output buffer.
-// Seed searches evaluate the
-// selection once per candidate seed, so pooling this state (one per worker,
-// see scratch.PerWorker) removes the dominant per-seed allocations of the
-// matching path. The zero value is ready to use.
+// Seed searches evaluate the selection once per candidate seed, so keeping
+// this state for the whole solve (in an EdgeGroup) removes the dominant
+// per-seed allocations of the matching path. The zero value is ready to use.
 //
 // Epoch-stamp invariant: a min-table slot min1[v] (or pmin1[v]) is
 // meaningful only when stamp[v] == epoch, and epoch is advanced at the start
@@ -372,8 +372,7 @@ func (s *EdgeMinScratch) nextEpoch(n int) uint32 {
 // decision. Seed searches build it once per round (EdgeSelInit) and then
 // evaluate thousands of candidate seeds through LocalMinEdgesSel, so the
 // per-edge e.Key(n) computation and the packed-path feasibility check are
-// paid once instead of once per seed. After Init an EdgeSel is read-only
-// and safe to share across concurrent per-seed evaluations.
+// paid once instead of once per seed. After Init an EdgeSel is read-only.
 type EdgeSel struct {
 	edges  []graph.Edge
 	ekeys  []uint64 // ekeys[idx] = edges[idx].Key(n)
@@ -395,10 +394,6 @@ type EdgeSel struct {
 // epoch bookkeeping it replaces. Sparse or unpackable rounds keep the
 // epoch-stamped two-pass scan of LocalMinEdgesSel.
 func (sel *EdgeSel) Fold() bool { return sel.fold }
-
-// Keys returns the canonical edge keys e.Key(n), parallel to the round's
-// edge list: the slot-0 hash-key vector of the per-seed kernel passes.
-func (sel *EdgeSel) Keys() []uint64 { return sel.ekeys }
 
 // EdgeSelInit fills sel for one round: edges is the round's canonical edge
 // list over an n-id graph, ekeys is the caller's key buffer (typically a
@@ -552,8 +547,7 @@ func LocalMinEdgesSel(s *EdgeMinScratch, sel *EdgeSel, z []uint64) []graph.Edge 
 // hard-resets the stamp array over its full capacity with the counter
 // restarting at 1, so reuse across rounds (and across solves, when checked
 // out of a pooled scratch.Context) can never leak a stale position. After
-// Init a NodeSel is read-only and safe to share across concurrent per-seed
-// evaluations. The zero value is ready to use.
+// Init a NodeSel is read-only. The zero value is ready to use.
 type NodeSel struct {
 	live   []graph.NodeID
 	keys   []uint64
@@ -570,9 +564,12 @@ type NodeSel struct {
 	// "new round, rewipe" without the plan knowing its consumers.
 	gen uint64
 	// dense marks rounds that qualify for the flat-table selection
-	// (NodeFold): packed keys whose maximum stays strictly below the
-	// all-ones sentinel, over a live set covering at least a quarter of the
-	// id space. See Dense.
+	// (NodeFold + LocalMinNodesSelIn's dense branch): packed keys whose
+	// maximum stays strictly below the all-ones "dead slot" sentinel, over
+	// a live set covering at least a quarter of the id space (n <= 4|live|),
+	// so wiping a full table once per round beats stamp checks on every
+	// neighbour probe. Sparse rounds keep the epoch-stamped
+	// LocalMinNodesSel scan.
 	dense bool
 }
 
@@ -648,14 +645,6 @@ func (sel *NodeSel) finish(n int, zMax uint64) {
 	}
 }
 
-// Dense reports whether this round qualifies for the flat-table selection
-// (NodeFold + LocalMinNodesSelIn's dense branch): the round's packed keys
-// must stay strictly below the all-ones "dead slot" sentinel, and the live
-// set must be dense in the id space (n <= 4|live|) so wiping a full table
-// once per round beats stamp checks on every neighbour probe. Sparse rounds
-// keep the epoch-stamped LocalMinNodesSel scan.
-func (sel *NodeSel) Dense() bool { return sel.dense }
-
 // Live returns the candidate ids in ascending order, valid until the next
 // Init.
 func (sel *NodeSel) Live() []graph.NodeID { return sel.live }
@@ -713,21 +702,20 @@ func LocalMinNodesSel(dst []graph.NodeID, q *graph.Graph, sel *NodeSel, z []uint
 	return out
 }
 
-// NodeFold is the per-worker flat-table scratch of the dense node selection:
+// NodeFold is the flat-table scratch of the dense node selection:
 // one n-word table, tab[v] = z_v<<idBits | v for live v and the all-ones
 // sentinel for dead v. The selection scan then probes ONE word per neighbour
 // — where the stamped path loads stamp[u], pos[u] and z[pos[u]] and
 // reassembles the packed key per probe — while keeping the same early-exit
 // loop shape (a dead neighbour's sentinel can never disqualify a live key,
-// because Dense guarantees live keys sit strictly below it).
+// because a dense plan keeps live keys strictly below it).
 //
 // The table is wiped to the sentinel once per ROUND, not once per seed:
 // within a round the live set is fixed, every seed's scatter plainly
 // overwrites all live slots, and dead slots keep the sentinel — so after the
 // first wipe the table is reusable by construction. table keys the wipe on
-// the plan's (pointer, generation) pair. The zero value is ready to use; a
-// NodeFold belongs to one worker at a time (each pooled NodeGroup holds
-// one).
+// the plan's (pointer, generation) pair. The zero value is ready to use;
+// each NodeGroup holds one.
 type NodeFold struct {
 	tab   []uint64
 	owner *NodeSel
@@ -766,8 +754,8 @@ func NodeFoldScatter(tab []uint64, sel *NodeSel, z []uint64) {
 // NodeFoldSelect runs the dense selection scan against a fully scattered
 // table: a candidate joins I_h iff its packed key is strictly smaller than
 // every neighbour's table word. Dead neighbours read the all-ones sentinel,
-// which no live key can reach (Dense), so they are skipped without a stamp
-// check — the inner loop is one load and one compare per probed neighbour,
+// which no live key of a dense plan can reach, so they are skipped without a
+// stamp check — the inner loop is one load and one compare per probed neighbour,
 // early-exiting on the first disqualifier exactly like the stamped scan, so
 // the output is bit-identical to LocalMinNodesSel on the same z vector.
 // Output compaction is branchless (unconditional store, flag-advanced
@@ -795,8 +783,8 @@ func NodeFoldSelect(dst []graph.NodeID, q *graph.Graph, sel *NodeSel, tab []uint
 }
 
 // LocalMinNodesSelIn is LocalMinNodesSel with a caller-owned NodeFold: dense
-// rounds (sel.Dense()) scatter the full z vector into a flat table and run
-// the single-word-probe scan, sparse rounds fall through to the
+// rounds (see NodeSel.dense) scatter the full z vector into a flat table and
+// run the single-word-probe scan, sparse rounds fall through to the
 // epoch-stamped path. Results are bit-identical either way — the
 // dense/stamped/eager equivalence table in core's tests pins it — so every
 // full-vector node selection (NodeGroup.Select) goes through here and lets
@@ -815,7 +803,7 @@ func LocalMinNodesSelIn(f *NodeFold, dst []graph.NodeID, q *graph.Graph, sel *No
 	return NodeFoldSelect(dst, q, sel, tab)
 }
 
-// EdgeFold is the per-worker flat-table scratch of the fused edge selection:
+// EdgeFold is the flat-table scratch of the fused edge selection:
 // one n-word table per in-flight seed, tab[v] = min over v's incident edges
 // of z<<foldBits | (other endpoint), all-ones where no edge touched v. For a
 // fixed endpoint v the canonical edge key e.Key(n) is strictly increasing in
@@ -826,8 +814,8 @@ func LocalMinNodesSelIn(f *NodeFold, dst []graph.NodeID, q *graph.Graph, sel *No
 //
 // Unlike NodeFold's plain-overwrite table these are MIN accumulators, so
 // Begin wipes them per seed, not per round — which is why EdgeSel.Fold
-// carries a density gate. The zero value is ready to use; an EdgeFold
-// belongs to one worker at a time.
+// carries a density gate. The zero value is ready to use; each
+// EdgeMinScratch holds one.
 type EdgeFold struct {
 	buf  []uint64
 	rows [][]uint64

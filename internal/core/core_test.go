@@ -129,7 +129,7 @@ func TestComputeXCompleteGraph(t *testing.T) {
 	// In K_n all degrees are equal, so every node has d(v) neighbours with
 	// d(u) <= d(v): X = V.
 	g := gen.Complete(10)
-	x := computeX(g, g.Degrees())
+	x := computeX(g, g.DegreesInto(make([]int, g.N())))
 	for v, in := range x {
 		if !in {
 			t.Errorf("node %d of K10 not in X", v)
@@ -142,7 +142,7 @@ func TestComputeXStar(t *testing.T) {
 	// degree, so leaves are NOT in X; the centre has all n-1 neighbours with
 	// smaller degree, so it is.
 	g := gen.Star(10)
-	x := computeX(g, g.Degrees())
+	x := computeX(g, g.DegreesInto(make([]int, g.N())))
 	if !x[0] {
 		t.Error("star centre not in X")
 	}
@@ -163,7 +163,7 @@ func TestXWeightLemma3(t *testing.T) {
 		gen.Star(100),
 		gen.Grid2D(15, 20),
 	} {
-		deg := g.Degrees()
+		deg := g.DegreesInto(make([]int, g.N()))
 		var w int64 // Σ_{v∈X} d(v)
 		for v, in := range computeX(g, deg) {
 			if in {
@@ -357,12 +357,12 @@ func TestFieldAndFamilies(t *testing.T) {
 		t.Errorf("EdgeField floor missing: %d", EdgeField(2))
 	}
 	pf := PairwiseFamily(100)
-	if pf.K() != 2 || pf.P() < 64*10000 {
-		t.Errorf("pairwise family wrong: k=%d p=%d", pf.K(), pf.P())
+	if pf.SeedLen() != 2 || pf.P() < 64*10000 {
+		t.Errorf("pairwise family wrong: k=%d p=%d", pf.SeedLen(), pf.P())
 	}
 	kf := KWiseFamily(100, 4)
-	if kf.K() != 4 {
-		t.Errorf("kwise family wrong: k=%d", kf.K())
+	if kf.SeedLen() != 4 {
+		t.Errorf("kwise family wrong: k=%d", kf.SeedLen())
 	}
 }
 
@@ -391,3 +391,11 @@ func TestSlotKeyDisjoint(t *testing.T) {
 	}()
 	SlotKey(0, SlotMax, n)
 }
+
+// Keys returns the canonical edge keys e.Key(n), parallel to the round's
+// edge list: the slot-0 hash-key vector of the per-seed kernel passes.
+func (sel *EdgeSel) Keys() []uint64 { return sel.ekeys }
+
+// Dense reports whether the plan's round takes the flat-table selection
+// (see NodeSel.dense).
+func (sel *NodeSel) Dense() bool { return sel.dense }

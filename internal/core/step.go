@@ -25,7 +25,6 @@ func (p Params) SeedSearch(fam hashfam.Family, obj condexp.Objective, threshold 
 		Model:    model,
 		Label:    label,
 		MaxSeeds: p.MaxSeedsPerSearch,
-		Workers:  p.Workers(),
 		Done:     p.Done,
 	}
 	var batches []SeedBatchStat
@@ -39,11 +38,10 @@ func (p Params) SeedSearch(fam hashfam.Family, obj condexp.Objective, threshold 
 	return res, batches
 }
 
-// NodeGroup is the per-worker state of the node selection: the NodeFold
+// NodeGroup is the working state of the node selection: the NodeFold
 // table of dense rounds and the z vector of the selected seed. The zero
-// value is ready to use; a NodeGroup belongs to one worker at a time (round
-// loops pool them with scratch.PerWorker), and once warm it allocates
-// nothing per seed.
+// value is ready to use; a round loop keeps one per solve, for scoring and
+// apply alike, and once warm it allocates nothing per seed.
 type NodeGroup struct {
 	fold NodeFold
 	z    []uint64

@@ -2,11 +2,8 @@ package core
 
 import (
 	"fmt"
-	"reflect"
-	"sync"
 	"testing"
 
-	"repro/internal/condexp"
 	"repro/internal/detrand"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
@@ -128,16 +125,15 @@ func selectionHash(ids []uint64) int64 {
 	return int64(h >> 2)
 }
 
-// TestSeedSearchMissFanOut drives the miss path of Params.SeedSearch, which
+// TestSeedSearchMissPath drives the miss path of Params.SeedSearch, which
 // no production search takes on the golden corpus: the threshold is
-// unreachable, so every batch's probe misses and the other candidates fan
-// out over the workers, each scored through a pooled group's Select at one
-// worker as the round loops score. Over a dense and a sparse round of each
-// selection kind, and three full batches, the Result and the OnBatch stream
-// must be the same at Parallelism 1, 2 and 8, every candidate must be scored
-// exactly once, and its value must equal a serial EvalKeys + LocalMin*Sel
-// reference.
-func TestSeedSearchMissFanOut(t *testing.T) {
+// unreachable, so every candidate of every batch is scored, each through
+// one group's Select at one worker as the round loops score. Over a dense
+// and a sparse round of each selection kind, and three full batches, the
+// search must report a three-batch miss with one OnBatch stat per batch,
+// every candidate must be scored exactly once, and its value must equal an
+// EvalKeys + LocalMin*Sel reference.
+func TestSeedSearchMissPath(t *testing.T) {
 	const batches, batchSize = 3, 64 // SeedSearch's default batch without a model
 	const unreachable = int64(1) << 62
 	type round struct {
@@ -168,14 +164,12 @@ func TestSeedSearchMissFanOut(t *testing.T) {
 			}
 			return selectionHash(ids)
 		}
-		pool := sync.Pool{New: func() any { return new(EdgeGroup) }}
+		grp := new(EdgeGroup)
 		var lm EdgeMinScratch
 		rounds = append(rounds, round{
 			name: fmt.Sprintf("edges/dense=%v", dense),
 			fam:  fam,
 			score: func(seed []uint64) int64 {
-				grp := pool.Get().(*EdgeGroup)
-				defer pool.Put(grp)
 				return value(grp.Select(ev, sel, seed, 1))
 			},
 			ref: func(seed []uint64) int64 {
@@ -204,13 +198,11 @@ func TestSeedSearchMissFanOut(t *testing.T) {
 			}
 			return selectionHash(ids)
 		}
-		pool := sync.Pool{New: func() any { return new(NodeGroup) }}
+		grp := new(NodeGroup)
 		rounds = append(rounds, round{
 			name: fmt.Sprintf("nodes/dense=%v", dense),
 			fam:  fam,
 			score: func(seed []uint64) int64 {
-				grp := pool.Get().(*NodeGroup)
-				defer pool.Put(grp)
 				return value(grp.Select(nil, ev, sel, q, seed, 1))
 			},
 			ref: func(seed []uint64) int64 {
@@ -221,7 +213,7 @@ func TestSeedSearchMissFanOut(t *testing.T) {
 
 	for _, r := range rounds {
 		// The reference: every candidate of the three batches, in
-		// enumeration order, scored serially.
+		// enumeration order.
 		var seeds [][]uint64
 		pos := make(map[string]int)
 		e := r.fam.Enumerate()
@@ -234,36 +226,23 @@ func TestSeedSearchMissFanOut(t *testing.T) {
 			want[i] = r.ref(seed)
 		}
 
-		var firstRes condexp.Result
-		var firstStats []SeedBatchStat
-		for _, par := range []int{1, 2, 8} {
-			p := DefaultParams()
-			p.Parallelism = par
-			p.MaxSeedsPerSearch = batches * batchSize
-			p.Observe = func(RoundEvent) {}
-			// Concurrent calls score distinct candidates, so they write
-			// distinct slots.
-			got := make([]int64, len(seeds))
-			scored := make([]int, len(seeds))
-			res, stats := p.SeedSearch(r.fam, func(seed []uint64) int64 {
-				i := pos[fmt.Sprint(seed)]
-				got[i] = r.score(seed)
-				scored[i]++
-				return got[i]
-			}, unreachable, "test.seed", nil)
-			label := fmt.Sprintf("%s Parallelism=%d", r.name, par)
-			if res.Found || res.Batches != batches || res.SeedsTried != len(seeds) {
-				t.Fatalf("%s: %+v, want a %d-batch miss", label, res, batches)
-			}
-			for i := range seeds {
-				if scored[i] != 1 || got[i] != want[i] {
-					t.Fatalf("%s: candidate %d scored %d times, value %d, want once with %d", label, i, scored[i], got[i], want[i])
-				}
-			}
-			if par == 1 {
-				firstRes, firstStats = res, stats
-			} else if !reflect.DeepEqual(res, firstRes) || !reflect.DeepEqual(stats, firstStats) {
-				t.Fatalf("%s: search %+v, batches %+v\nwant (Parallelism 1) %+v, batches %+v", label, res, stats, firstRes, firstStats)
+		p := DefaultParams()
+		p.MaxSeedsPerSearch = batches * batchSize
+		p.Observe = func(RoundEvent) {}
+		got := make([]int64, len(seeds))
+		scored := make([]int, len(seeds))
+		res, stats := p.SeedSearch(r.fam, func(seed []uint64) int64 {
+			i := pos[fmt.Sprint(seed)]
+			got[i] = r.score(seed)
+			scored[i]++
+			return got[i]
+		}, unreachable, "test.seed", nil)
+		if res.Found || res.Batches != batches || res.SeedsTried != len(seeds) || len(stats) != batches {
+			t.Fatalf("%s: %+v with %d batch stats, want a %d-batch miss", r.name, res, len(stats), batches)
+		}
+		for i := range seeds {
+			if scored[i] != 1 || got[i] != want[i] {
+				t.Fatalf("%s: candidate %d scored %d times, value %d, want once with %d", r.name, i, scored[i], got[i], want[i])
 			}
 		}
 	}

@@ -151,3 +151,10 @@ func BenchmarkUint64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// Split returns a new Source whose stream is independent of the receiver's
+// future output, derived from the receiver's current state. Use it to hand
+// uncorrelated sub-streams to concurrent workers deterministically.
+func (r *Source) Split() *Source {
+	return New(r.Uint64() ^ 0xD1B54A32D192ED03)
+}

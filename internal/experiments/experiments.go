@@ -33,7 +33,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -86,22 +85,6 @@ func Run(id string, cfg Config) ([]*tablefmt.Table, error) {
 		return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 	}
 	return r(cfg), nil
-}
-
-// RunAll executes every experiment and writes the tables to w.
-func RunAll(cfg Config, w io.Writer) error {
-	for _, id := range IDs() {
-		tables, err := Run(id, cfg)
-		if err != nil {
-			return err
-		}
-		for _, t := range tables {
-			if err := t.Render(w); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // log2 returns log base 2 as float64 (guarding the x <= 1 corner so ratios

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -184,4 +185,20 @@ func mustFloat(t *testing.T, s string) float64 {
 		t.Fatalf("not a float: %q", s)
 	}
 	return f
+}
+
+// RunAll executes every experiment and writes the tables to w.
+func RunAll(cfg Config, w io.Writer) error {
+	for _, id := range IDs() {
+		tables, err := Run(id, cfg)
+		if err != nil {
+			return err
+		}
+		for _, t := range tables {
+			if err := t.Render(w); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

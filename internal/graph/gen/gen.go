@@ -342,9 +342,3 @@ func ByName(name string, n, avgDeg int, seed uint64) (*graph.Graph, error) {
 		return nil, fmt.Errorf("gen: unknown graph family %q", name)
 	}
 }
-
-// Names lists the families ByName accepts.
-func Names() []string {
-	return []string{"gnm", "gnp", "powerlaw", "regular", "grid", "complete",
-		"star", "path", "cycle", "tree", "caterpillar", "bipartite"}
-}

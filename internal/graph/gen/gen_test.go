@@ -147,8 +147,8 @@ func TestRandomTreeIsTree(t *testing.T) {
 	if g.M() != 199 {
 		t.Fatalf("tree edge count %d", g.M())
 	}
-	if _, count := g.ConnectedComponents(); count != 1 {
-		t.Errorf("tree has %d components", count)
+	if reached := len(g.Ball(0, g.N())); reached != g.N() {
+		t.Errorf("tree reaches %d of %d nodes from node 0", reached, g.N())
 	}
 }
 
@@ -177,4 +177,10 @@ func TestByNameAllFamilies(t *testing.T) {
 	if _, err := ByName("nope", 10, 2, 1); err == nil {
 		t.Error("unknown family did not error")
 	}
+}
+
+// Names lists the families ByName accepts.
+func Names() []string {
+	return []string{"gnm", "gnp", "powerlaw", "regular", "grid", "complete",
+		"star", "path", "cycle", "tree", "caterpillar", "bipartite"}
 }

@@ -170,13 +170,8 @@ func (g *Graph) EdgesAppend(dst []Edge) []Edge {
 	return dst
 }
 
-// Degrees returns the degree slice indexed by node.
-func (g *Graph) Degrees() []int {
-	return g.DegreesInto(make([]int, g.N()))
-}
-
 // DegreesInto fills dst (which must have length N) with the degree of each
-// node and returns it (the Into-style variant of Degrees for scratch reuse).
+// node and returns it.
 func (g *Graph) DegreesInto(dst []int) []int {
 	if len(dst) != g.N() {
 		panic("graph: DegreesInto length mismatch")

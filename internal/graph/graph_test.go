@@ -367,3 +367,62 @@ func TestAdjacencySymmetric(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// InducedNodes returns the subgraph induced on the nodes with keep[v]==true,
+// preserving node ids (nodes outside the set become isolated), at the
+// pool's automatic worker count.
+func (g *Graph) InducedNodes(keep []bool) *Graph { return g.InducedNodesW(keep, 0) }
+
+// InducedNodesW is InducedNodesInto into a fresh CSR.
+func (g *Graph) InducedNodesW(keep []bool, workers int) *Graph {
+	dst := new(CSR)
+	g.InducedNodesInto(keep, workers, dst)
+	return dst.detach()
+}
+
+// BallSizeMax returns the largest |Ball(v, r)| over all nodes.
+func (g *Graph) BallSizeMax(r int) int {
+	s := new(BallScratch)
+	max := 0
+	for v := 0; v < g.N(); v++ {
+		if l := len(g.BallUnsortedInto(s, NodeID(v), r)); l > max {
+			max = l
+		}
+	}
+	return max
+}
+
+// ConnectedComponents returns a component label per node and the component
+// count.
+func (g *Graph) ConnectedComponents() ([]int, int) {
+	label := make([]int, g.N())
+	for i := range label {
+		label[i] = -1
+	}
+	count := 0
+	var stack []NodeID
+	for s := 0; s < g.N(); s++ {
+		if label[s] != -1 {
+			continue
+		}
+		stack = append(stack[:0], NodeID(s))
+		label[s] = count
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, u := range g.Neighbors(v) {
+				if label[u] == -1 {
+					label[u] = count
+					stack = append(stack, u)
+				}
+			}
+		}
+		count++
+	}
+	return label, count
+}
+
+// Degrees returns the degree slice indexed by node.
+func (g *Graph) Degrees() []int {
+	return g.DegreesInto(make([]int, g.N()))
+}

@@ -8,22 +8,8 @@ import (
 	"strings"
 )
 
-// WriteEdgeList writes g in the plain edge-list format used by the CLI
-// tools: a header line "n m", then one "u v" line per canonical edge.
-func WriteEdgeList(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%d %d\n", g.N(), g.M()); err != nil {
-		return err
-	}
-	for _, e := range g.Edges() {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", e.U, e.V); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadEdgeList parses the edge-list format produced by WriteEdgeList.
+// ReadEdgeList parses the plain edge-list format of the CLI tools: a header
+// line "n m", then one "u v" line per edge.
 // Lines starting with '#' or '%' and blank lines are ignored (so DIMACS-ish
 // and SNAP-style comment headers pass through). The first data line must be
 // "n" or "n m"; every following data line is an edge "u v". Duplicate edges

@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -90,4 +93,19 @@ func TestReadEdgeListDropsDuplicatesAndLoops(t *testing.T) {
 	if g.M() != 1 {
 		t.Errorf("m = %d, want 1", g.M())
 	}
+}
+
+// WriteEdgeList writes g in the plain edge-list format ReadEdgeList parses:
+// a header line "n m", then one "u v" line per canonical edge.
+func WriteEdgeList(w io.Writer, g *Graph) error {
+	bw := bufio.NewWriter(w)
+	if _, err := fmt.Fprintf(bw, "%d %d\n", g.N(), g.M()); err != nil {
+		return err
+	}
+	for _, e := range g.Edges() {
+		if _, err := fmt.Fprintf(bw, "%d %d\n", e.U, e.V); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
 }

@@ -21,7 +21,7 @@ import (
 // The *Graph returned by an Into call aliases the buffer's storage and is
 // valid only until the next Into call on the same buffer; callers that need
 // a longer-lived snapshot use the allocating wrappers (WithoutNodes,
-// InducedNodes, FromEdges), which are Into with a fresh buffer.
+// FromEdges), which are Into with a fresh buffer.
 type CSR struct {
 	offsets []int32
 	adj     []NodeID
@@ -137,23 +137,12 @@ func b2i(b bool) int32 {
 	return 0
 }
 
-// InducedNodes returns the subgraph induced on the nodes with keep[v]==true,
-// preserving node ids (nodes outside the set become isolated). It runs at
-// the pool's automatic worker count; use InducedNodesW to pin one.
-func (g *Graph) InducedNodes(keep []bool) *Graph { return g.InducedNodesW(keep, 0) }
-
-// InducedNodesW is InducedNodes with the rebuild sharded over vertex ranges
-// on up to `workers` host workers. The result is identical at any worker
-// count.
-func (g *Graph) InducedNodesW(keep []bool, workers int) *Graph {
-	dst := new(CSR)
-	g.InducedNodesInto(keep, workers, dst)
-	return dst.detach()
-}
-
-// InducedNodesInto is InducedNodesW writing into dst instead of allocating.
-// The returned graph aliases dst's storage (see CSR). The result is
-// byte-identical to InducedNodesW for any prior contents of dst.
+// InducedNodesInto writes into dst the subgraph induced on the nodes with
+// keep[v]==true, preserving node ids (nodes outside the set become
+// isolated), with the rebuild sharded over vertex ranges on up to `workers`
+// host workers. The returned graph aliases dst's storage (see CSR). The
+// result is identical at any worker count and for any prior contents of
+// dst.
 func (g *Graph) InducedNodesInto(keep []bool, workers int, dst *CSR) *Graph {
 	if len(keep) != g.N() {
 		panic("graph: InducedNodes mask length mismatch")
@@ -309,48 +298,4 @@ func (g *Graph) BallUnsortedInto(s *BallScratch, v NodeID, r int) []NodeID {
 	}
 	s.ball, s.ends = ball, ends
 	return ball
-}
-
-// BallSizeMax returns the largest |Ball(v, r)| over all nodes. It backs
-// BenchmarkT9_SpaceAblation's check that 2-hop balls overflow machine
-// space before sparsification and fit after.
-func (g *Graph) BallSizeMax(r int) int {
-	s := new(BallScratch)
-	max := 0
-	for v := 0; v < g.N(); v++ {
-		if l := len(g.BallUnsortedInto(s, NodeID(v), r)); l > max {
-			max = l
-		}
-	}
-	return max
-}
-
-// ConnectedComponents returns a component label per node and the component
-// count (used by tests and examples).
-func (g *Graph) ConnectedComponents() ([]int, int) {
-	label := make([]int, g.N())
-	for i := range label {
-		label[i] = -1
-	}
-	count := 0
-	var stack []NodeID
-	for s := 0; s < g.N(); s++ {
-		if label[s] != -1 {
-			continue
-		}
-		stack = append(stack[:0], NodeID(s))
-		label[s] = count
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, u := range g.Neighbors(v) {
-				if label[u] == -1 {
-					label[u] = count
-					stack = append(stack, u)
-				}
-			}
-		}
-		count++
-	}
-	return label, count
 }

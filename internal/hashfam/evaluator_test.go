@@ -47,12 +47,12 @@ func TestEvaluatorMatchesEval(t *testing.T) {
 			}
 			got := ev.EvalKeys(seed, keys, out)
 			if len(got) != len(keys) {
-				t.Fatalf("p=%d k=%d: EvalKeys returned %d values, want %d", f.P(), f.K(), len(got), len(keys))
+				t.Fatalf("p=%d k=%d: EvalKeys returned %d values, want %d", f.P(), f.SeedLen(), len(got), len(keys))
 			}
 			for i, x := range keys {
 				want := f.Eval(seed, x)
 				if got[i] != want {
-					t.Fatalf("p=%d k=%d: key %d: EvalKeys = %d, Eval = %d", f.P(), f.K(), x, got[i], want)
+					t.Fatalf("p=%d k=%d: key %d: EvalKeys = %d, Eval = %d", f.P(), f.SeedLen(), x, got[i], want)
 				}
 			}
 		}
@@ -172,7 +172,7 @@ func TestEvalSeedsBlockedMatchesEvalKeys(t *testing.T) {
 					for i := 0; i < n; i++ {
 						if got[s][i] != want[s][i] {
 							t.Fatalf("p=%d k=%d S=%d n=%d: seed %d key %d: blocked = %d, EvalKeys = %d",
-								f.P(), f.K(), S, n, s, i, got[s][i], want[s][i])
+								f.P(), f.SeedLen(), S, n, s, i, got[s][i], want[s][i])
 						}
 					}
 				}

@@ -51,15 +51,8 @@ func New(minField uint64, k int) Family {
 // P returns the field size (prime), which is both domain and range bound.
 func (f Family) P() uint64 { return f.p }
 
-// K returns the independence of the family.
-func (f Family) K() int { return f.k }
-
 // SeedLen returns the number of field elements in a seed.
 func (f Family) SeedLen() int { return f.k }
-
-// SeedBits returns the seed length in bits, k*ceil(log2 p), matching the
-// O(k·log n) seed length of Lemma 6.
-func (f Family) SeedBits() int { return f.k * intmath.CeilLog2(f.p) }
 
 // NumSeeds returns the family size p^k, with ok=false if it overflows uint64
 // (the enumerator still works in that case; only direct indexing is lost).
@@ -85,23 +78,6 @@ func (f Family) Eval(seed []uint64, x uint64) uint64 {
 		acc = intmath.AddMod(intmath.MulMod(acc, x, f.p), seed[i]%f.p, f.p)
 	}
 	return acc
-}
-
-// SeedFromIndex writes into dst the seed with the given index in the
-// *unscrambled* base-p digit order (digit j = coefficient j). It is used by
-// the exact conditional-expectations search on small families, where indexing
-// must be arithmetic. It panics if the family size overflows uint64.
-func (f Family) SeedFromIndex(index uint64, dst []uint64) {
-	if _, ok := f.NumSeeds(); !ok {
-		panic("hashfam: SeedFromIndex on family larger than uint64")
-	}
-	if len(dst) != f.k {
-		panic("hashfam: bad dst length")
-	}
-	for j := 0; j < f.k; j++ {
-		dst[j] = index % f.p
-		index /= f.p
-	}
 }
 
 // Threshold returns floor(p·num/den), the largest field value t such that a
@@ -195,12 +171,3 @@ func (e *Enum) Next() bool {
 // Seed returns the current seed. The returned slice is reused by Next; copy
 // it if it must outlive the next call.
 func (e *Enum) Seed() []uint64 { return e.seed }
-
-// Reset rewinds the enumerator to the beginning of its order.
-func (e *Enum) Reset() {
-	for j := range e.counter {
-		e.counter[j] = 0
-	}
-	e.started = false
-	e.wrapped = false
-}

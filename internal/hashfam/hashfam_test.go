@@ -271,3 +271,33 @@ func BenchmarkEvalK8(b *testing.B) {
 	}
 	_ = sink
 }
+
+// SeedBits returns the seed length in bits, k*ceil(log2 p), matching the
+// O(k·log n) seed length of Lemma 6.
+func (f Family) SeedBits() int { return f.k * intmath.CeilLog2(f.p) }
+
+// SeedFromIndex writes into dst the seed with the given index in the
+// *unscrambled* base-p digit order (digit j = coefficient j), so the
+// independence tests can walk a small family arithmetically. It panics if
+// the family size overflows uint64.
+func (f Family) SeedFromIndex(index uint64, dst []uint64) {
+	if _, ok := f.NumSeeds(); !ok {
+		panic("hashfam: SeedFromIndex on family larger than uint64")
+	}
+	if len(dst) != f.k {
+		panic("hashfam: bad dst length")
+	}
+	for j := 0; j < f.k; j++ {
+		dst[j] = index % f.p
+		index /= f.p
+	}
+}
+
+// Reset rewinds the enumerator to the beginning of its order.
+func (e *Enum) Reset() {
+	for j := range e.counter {
+		e.counter[j] = 0
+	}
+	e.started = false
+	e.wrapped = false
+}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/luby"
 	"repro/internal/matching"
 	"repro/internal/mis"
+	"repro/internal/scratch"
 )
 
 func params() core.Params { return core.DefaultParams() }
@@ -40,9 +41,9 @@ func TestMaximalMatchingsWithinFactorTwo(t *testing.T) {
 	f := func(raw []byte) bool {
 		g := randomGraph(raw)
 		det := matching.Deterministic(g, params(), nil).Matching
-		greedy := luby.GreedyMatching(g)
+		ld := lowdeg.MaximalMatchingIn(scratch.New(), g, params(), nil).Matching
 		rand := luby.MaximalMatching(g, detrand.New(7)).Matching
-		sizes := []int{len(det), len(greedy), len(rand)}
+		sizes := []int{len(det), len(ld), len(rand)}
 		for _, a := range sizes {
 			for _, b := range sizes {
 				if a > 2*b {
@@ -110,7 +111,7 @@ func TestBothStrategiesMaximalOnFuzzedGraphs(t *testing.T) {
 	f := func(raw []byte) bool {
 		g := randomGraph(raw)
 		a := matching.Deterministic(g, params(), nil).Matching
-		bRes := lowdeg.MaximalMatching(g, params(), nil).Matching
+		bRes := lowdeg.MaximalMatchingIn(scratch.New(), g, params(), nil).Matching
 		if ok, _ := check.IsMaximalMatching(g, a); !ok {
 			return false
 		}

@@ -11,8 +11,9 @@ import "math/bits"
 //
 // Two regimes, chosen at construction:
 //
-//   - m <= 2^32: products of reduced operands fit in a uint64, so MulMod is
-//     one 64-bit multiply plus one Barrett step with rec = floor(2^64/m).
+//   - m <= 2^32: products of reduced operands fit in a uint64, so a modular
+//     product is one 64-bit multiply plus one Barrett step with
+//     rec = floor(2^64/m).
 //     This is the common case — the hash fields of this repository are
 //     ~SlotMax·n², below 2^32 for every laptop-scale n.
 //   - m > 2^32: the 128-bit product is reduced with the normalized-divisor
@@ -24,8 +25,7 @@ import "math/bits"
 // coefficient once per call (c̃1 = c1·2^64 mod m) turns each key into a
 // single branchless REDC (three multiplies), replacing the wide path's
 // longer, branchy Möller–Granlund chain; the per-call transform amortizes
-// to nothing over a key block. MulMod/Mod stay on the wide path, where a
-// one-shot call could not amortize the transform.
+// to nothing over a key block. Mod and EvalPoly stay on the wide path.
 //
 // Results are exactly (a·b) mod m and (a+b) mod m in every regime — the
 // Reducer is a speed change only, which is what lets the seed-search kernel
@@ -101,9 +101,6 @@ func (r Reducer) montMul(a, b uint64) uint64 {
 	return t
 }
 
-// M returns the modulus.
-func (r Reducer) M() uint64 { return r.m }
-
 // reduce64 returns n mod m for any n, on the small path (m <= 2^32):
 // one high-multiply estimates the quotient within 1, one conditional
 // subtraction corrects it.
@@ -151,30 +148,10 @@ func (r Reducer) Mod(n uint64) uint64 {
 	return r.reduceWide(0, n)
 }
 
-// MulMod returns (a·b) mod m. Both operands must already be < m (use Mod
-// first otherwise); the precondition is what lets the small path skip the
-// 128-bit product entirely.
-func (r Reducer) MulMod(a, b uint64) uint64 {
-	if r.small {
-		return r.reduce64(a * b)
-	}
-	hi, lo := bits.Mul64(a, b)
-	return r.reduceWide(hi, lo)
-}
-
-// AddMod returns (a+b) mod m for a, b < m, with no reduction at all — two
-// compares and an add or subtract, exactly like the free AddMod.
-func (r Reducer) AddMod(a, b uint64) uint64 {
-	if b != 0 && a >= r.m-b {
-		return a - (r.m - b)
-	}
-	return a + b
-}
-
 // EvalPoly2 writes out[i] = (c1·keys[i] + c0) mod m for every key: the
 // unrolled-Horner batch loop of the pairwise (k = 2) hash families behind
 // the matching/MIS selection steps. c0, c1 and all keys must be < m. The
-// loop bodies spell the reduction out inline (rather than calling MulMod)
+// loop bodies spell the reduction out inline (rather than calling a helper)
 // because the per-key arithmetic is below Go's call overhead — math/bits
 // intrinsics compile to single instructions either way, but method calls
 // would not inline.

@@ -16,20 +16,45 @@ var reducerModuli = []uint64{
 	^uint64(0) - 58, ^uint64(0), // 2^64-59 is the largest uint64 prime
 }
 
+// reducerProducts returns a·b and a+b mod r's modulus m as the Reducer
+// computes them: EvalPoly2 and EvalPoly on the one key b, with
+// coefficients (0, a) for the product and (a, 1) for the sum (1 mod m when
+// m = 1). Each pair of results must agree.
+func reducerProducts(t *testing.T, r Reducer, m, a, b uint64) (prod, sum uint64) {
+	t.Helper()
+	var out [1]uint64
+	one := uint64(1) % m
+	r.EvalPoly2(0, a, []uint64{b}, out[:])
+	prod = out[0]
+	r.EvalPoly([]uint64{0, a}, []uint64{b}, out[:])
+	if out[0] != prod {
+		t.Fatalf("m=%d: %d·%d is %d by EvalPoly2, %d by EvalPoly", m, a, b, prod, out[0])
+	}
+	r.EvalPoly2(a, one, []uint64{b}, out[:])
+	sum = out[0]
+	r.EvalPoly([]uint64{a, one}, []uint64{b}, out[:])
+	if out[0] != sum {
+		t.Fatalf("m=%d: %d+%d is %d by EvalPoly2, %d by EvalPoly", m, a, b, sum, out[0])
+	}
+	return prod, sum
+}
+
+// TestReducerMulModMatchesMulMod checks the Reducer's modular products and
+// sums, taken through EvalPoly2 and EvalPoly on one key, against the
+// scalar MulMod and AddMod on every boundary modulus: boundary operands and
+// random ones.
 func TestReducerMulModMatchesMulMod(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, m := range reducerModuli {
 		r := NewReducer(m)
-		if r.M() != m {
-			t.Fatalf("m=%d: M() = %d", m, r.M())
-		}
 		check := func(a, b uint64) {
 			t.Helper()
-			if got, want := r.MulMod(a, b), MulMod(a, b, m); got != want {
-				t.Fatalf("m=%d: Reducer.MulMod(%d, %d) = %d, want %d", m, a, b, got, want)
+			prod, sum := reducerProducts(t, r, m, a, b)
+			if want := MulMod(a, b, m); prod != want {
+				t.Fatalf("m=%d: Reducer product %d·%d = %d, want %d", m, a, b, prod, want)
 			}
-			if got, want := r.AddMod(a, b), AddMod(a, b, m); got != want {
-				t.Fatalf("m=%d: Reducer.AddMod(%d, %d) = %d, want %d", m, a, b, got, want)
+			if want := AddMod(a, b, m); sum != want {
+				t.Fatalf("m=%d: Reducer sum %d+%d = %d, want %d", m, a, b, sum, want)
 			}
 		}
 		// Boundary operands: 0, 1, m-1, m/2 and neighbours.
@@ -114,8 +139,9 @@ func TestNewReducerZeroPanics(t *testing.T) {
 	NewReducer(0)
 }
 
-// FuzzReducer cross-checks both Reducer operations against the generic
-// bits.Div64-based originals on arbitrary (m, a, b).
+// FuzzReducer cross-checks the Reducer's products, sums (both through
+// EvalPoly2 and EvalPoly) and Mod against the generic bits.Div64-based
+// originals on arbitrary (m, a, b).
 func FuzzReducer(f *testing.F) {
 	f.Add(uint64(3), uint64(1), uint64(2))
 	f.Add(uint64(1)<<32, uint64(1<<31), uint64((1<<32)-1))
@@ -127,11 +153,12 @@ func FuzzReducer(f *testing.F) {
 		}
 		a, b = a%m, b%m
 		r := NewReducer(m)
-		if got, want := r.MulMod(a, b), MulMod(a, b, m); got != want {
-			t.Fatalf("m=%d: MulMod(%d, %d) = %d, want %d", m, a, b, got, want)
+		prod, sum := reducerProducts(t, r, m, a, b)
+		if want := MulMod(a, b, m); prod != want {
+			t.Fatalf("m=%d: product %d·%d = %d, want %d", m, a, b, prod, want)
 		}
-		if got, want := r.AddMod(a, b), AddMod(a, b, m); got != want {
-			t.Fatalf("m=%d: AddMod(%d, %d) = %d, want %d", m, a, b, got, want)
+		if want := AddMod(a, b, m); sum != want {
+			t.Fatalf("m=%d: sum %d+%d = %d, want %d", m, a, b, sum, want)
 		}
 		if got, want := r.Mod(a+b), (a+b)%m; a+b >= a && got != want {
 			t.Fatalf("m=%d: Mod(%d) = %d, want %d", m, a+b, got, want)
@@ -155,24 +182,6 @@ func BenchmarkMulModDiv64(b *testing.B) {
 	acc := uint64(12345)
 	for i := 0; i < b.N; i++ {
 		acc = MulMod(acc, acc|1, m)
-	}
-	sinkU64 = acc
-}
-
-func BenchmarkReducerMulModWide(b *testing.B) {
-	r := NewReducer(1<<63 - 259)
-	acc := uint64(12345)
-	for i := 0; i < b.N; i++ {
-		acc = r.MulMod(acc, acc|1)
-	}
-	sinkU64 = acc
-}
-
-func BenchmarkReducerMulModSmall(b *testing.B) {
-	r := NewReducer(1<<31 - 1)
-	acc := uint64(12345)
-	for i := 0; i < b.N; i++ {
-		acc = r.MulMod(acc, acc|1)
 	}
 	sinkU64 = acc
 }

@@ -43,13 +43,8 @@ type Package struct {
 	TypesInfo *types.Info
 
 	importMap map[string]string // source import path -> resolved package path
-	typeErrs  []error
+	typeErrs  []error           // dep-only packages may keep some; targets must check clean
 }
-
-// TypeErrors returns the type-checker errors encountered in this
-// package, if any. Target packages must check clean; errors in dep-only
-// packages are tolerated by Load but surface here for diagnosis.
-func (p *Package) TypeErrors() []error { return p.typeErrs }
 
 // Result is the outcome of one Load call.
 type Result struct {
@@ -69,9 +64,6 @@ func (r *Result) Targets() []*Package {
 	}
 	return out
 }
-
-// Lookup returns the package with the given resolved import path.
-func (r *Result) Lookup(path string) *Package { return r.byPath[path] }
 
 // listJSON mirrors the subset of `go list -json` output we consume.
 type listJSON struct {

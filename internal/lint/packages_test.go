@@ -1,11 +1,15 @@
 package lint
 
 import (
+	"go/ast"
+	"go/types"
 	"os/exec"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/lint/load"
 )
 
 // module is the path of the module these tests list.
@@ -107,4 +111,142 @@ func TestScopeEntriesMatchPackages(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestNoOrphanFuncs fails on any exported function or method declared in a
+// non-test file of an internal package that no non-test code references
+// outside the function's own body, neither this module's nor
+// cmd/detbench's. cmd/detbench is a module of its own and is loaded as
+// one, only to read its references. A method that makes its receiver, or
+// a pointer to it, implement an interface declared in a loaded package is
+// exempt, since calls through the interface never name it, and so is
+// internal/lint/linttest, as in TestNoOrphanPackages. Only tests can call
+// an unreferenced function, so it is dead code or belongs in the test file
+// that calls it.
+func TestNoOrphanFuncs(t *testing.T) {
+	mod, err := load.Load("../..", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := load.Load("../../cmd/detbench", "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The candidates: exported functions and methods of internal packages,
+	// by key, with their declarations.
+	ifaces := interfaces(mod)
+	decls := make(map[string]*ast.FuncDecl)
+	var keys []string
+	for _, p := range mod.Targets() {
+		rel := strings.TrimPrefix(strings.TrimPrefix(p.PkgPath, mod.ModulePath), "/")
+		if !strings.HasPrefix(rel, "internal/") || slices.Contains(orphanAllowed, rel) {
+			continue
+		}
+		for _, f := range p.Syntax {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+					fn := p.TypesInfo.Defs[fd.Name].(*types.Func)
+					if !implementsInterface(ifaces, fn) {
+						decls[funcKey(fn)] = fd
+						keys = append(keys, funcKey(fn))
+					}
+				}
+			}
+		}
+	}
+
+	// The references: every use of a function in non-test code, outside
+	// the used function's own declaration.
+	used := make(map[string]bool)
+	for _, res := range []*load.Result{mod, bench} {
+		for _, p := range res.Targets() {
+			for id, obj := range p.TypesInfo.Uses {
+				fn, ok := obj.(*types.Func)
+				if !ok {
+					continue
+				}
+				k := funcKey(fn.Origin())
+				if d := decls[k]; res == mod && d != nil && d.Pos() <= id.Pos() && id.Pos() < d.End() {
+					continue
+				}
+				used[k] = true
+			}
+		}
+	}
+
+	slices.Sort(keys)
+	for _, k := range keys {
+		if !used[k] {
+			t.Errorf("%s: no non-test code in this module or cmd/detbench references it; delete it or move it into the tests that use it", k)
+		}
+	}
+}
+
+// funcKey names a function or method across separate loads, whose
+// types.Objects differ: its package path, its receiver's type name for a
+// method, and its name. Methods of unnamed interfaces, and the universe's
+// error.Error, keep go/types' own name; no candidate has one.
+func funcKey(fn *types.Func) string {
+	if named := recvNamed(fn); named != nil && fn.Pkg() != nil {
+		return fn.Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
+	}
+	return fn.FullName()
+}
+
+// recvNamed returns the named type of fn's receiver, through a pointer, or
+// nil when fn is a function or a method of an unnamed interface.
+func recvNamed(fn *types.Func) *types.Named {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// interfaces returns the interfaces declared in the packages of res that
+// a method can implement (method sets, not generic), and the predeclared
+// error.
+func interfaces(res *load.Result) []*types.Interface {
+	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	for _, p := range res.Packages {
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !types.IsInterface(tn.Type()) {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
+				continue
+			}
+			if iface := tn.Type().Underlying().(*types.Interface); iface.IsMethodSet() {
+				out = append(out, iface)
+			}
+		}
+	}
+	return out
+}
+
+// implementsInterface reports whether fn is a method that makes its
+// non-generic receiver type, or a pointer to it, implement one of ifaces
+// that has a method of fn's name.
+func implementsInterface(ifaces []*types.Interface, fn *types.Func) bool {
+	named := recvNamed(fn)
+	if named == nil || named.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, iface := range ifaces {
+		if m, _, _ := types.LookupFieldOrMethod(iface, false, fn.Pkg(), fn.Name()); m == nil {
+			continue
+		}
+		if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+			return true
+		}
+	}
+	return false
 }

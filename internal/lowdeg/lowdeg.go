@@ -123,15 +123,14 @@ func MIS(g *graph.Graph, p core.Params, model *simcost.Model) *Result {
 	return MISIn(scratch.New(), g, p, model)
 }
 
-// lowdegEval is the per-worker pooled state of one candidate-seed objective
-// evaluation: the selection state, the selected I_h, and the
+// lowdegEval is the selection state of a solve, shared by the objective
+// and the apply step: the selection scratch, the selected I_h, and the
 // generation-stamped membership mark and R-list of the incident-count
 // objective. An evaluation allocates nothing. The mark/gen
 // pair follows the repository's epoch-stamp invariant (core.NextEpoch):
 // mark[v] == gen means v ∈ I_h ∪ N(I_h) for the CURRENT evaluation only,
 // gen advances per evaluation, and a uint32 wrap hard-resets the mark
-// array, so pooled reuse across seeds and workers can never leak a stale
-// membership bit.
+// array, so reuse across seeds can never leak a stale membership bit.
 type lowdegEval struct {
 	core.NodeGroup
 	ih   []graph.NodeID
@@ -178,10 +177,10 @@ func incidentEdges(cur *graph.Graph, ih []graph.NodeID, ev *lowdegEval) int {
 
 // MISIn is MIS drawing every per-phase buffer from sc: the removal mask and
 // the shrinking graph, which ping-pongs between sc's two loop CSR buffers
-// instead of allocating a fresh graph per phase; per-seed selection state
-// inside the objective is pooled per worker. The output is bit-identical to
-// MIS at any worker count and for any prior state of sc; sc is Reset at
-// every phase boundary and left Reset on return.
+// instead of allocating a fresh graph per phase; one selection state serves
+// the objective and the apply step. The output is bit-identical to MIS at
+// any worker count and for any prior state of sc; sc is Reset at every
+// phase boundary and left Reset on return.
 func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Model) *Result {
 	p.Validate()
 	n := g.N()
@@ -245,7 +244,7 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 	// shrinks with the graph — followed by a live-list selection scan.
 	colorKeyOf := func(v graph.NodeID) uint64 { return uint64(col.Colors[v]) }
 	sel := sc.NodeSel()
-	evalPool := scratch.NewPerWorker(func() *lowdegEval { return &lowdegEval{mark: make([]uint32, n)} })
+	ev := &lowdegEval{mark: make([]uint32, n)}
 
 	joinIsolated := func() {
 		for _, v := range liveList {
@@ -275,20 +274,16 @@ loop:
 			st := PhaseStats{Stage: stage, Phase: phase, EdgesBefore: cur.M()}
 
 			curG := cur
-			// Per-phase selection plan over the surviving nodes, shared
-			// read-only by the concurrent per-seed evaluations below. The
-			// live list mirrors the alive mask (compacted after every
-			// removal), so the plan costs O(|alive|), not O(n).
+			// Per-phase selection plan over the surviving nodes, read by
+			// every per-seed evaluation below. The live list mirrors the
+			// alive mask (compacted after every removal), so the plan costs
+			// O(|alive|), not O(n).
 			sel.InitList(n, liveList, colorKeyOf, fam.P()-1)
 			// Each candidate is scored through the same selection that
-			// applies the winner below, at one worker on a pooled state of
-			// its own.
+			// applies the winner below, at one worker.
 			objective := func(seed []uint64) int64 {
-				ev := evalPool.Get()
 				ev.ih = ev.Select(ev.ih, evaluator, sel, curG, seed, 1)
-				v := int64(incidentEdges(curG, ev.ih, ev))
-				evalPool.Put(ev)
-				return v
+				return int64(incidentEdges(curG, ev.ih, ev))
 			}
 			// Luby's pairwise analysis guarantees E[removed] >= |E|/108
 			// (the Lemma 13 constant); demand the configured fraction.
@@ -305,9 +300,7 @@ loop:
 			st.SeedsTried = search.SeedsTried
 			st.SeedFound = search.Found
 
-			fin := evalPool.Get()
-			ih := fin.Select(sc.NodeIDsCap(n), evaluator, sel, cur, search.Seed, p.Workers())
-			evalPool.Put(fin)
+			ih := ev.Select(sc.NodeIDsCap(n), evaluator, sel, cur, search.Seed, p.Workers())
 			st.Selected = len(ih)
 			remove := sc.Bools(n)
 			core.Peel(cur, ih, inMIS, alive, remove)
@@ -364,20 +357,14 @@ type MatchingResult struct {
 	MIS      *Result // the underlying line-graph MIS run
 }
 
-// MaximalMatching computes a maximal matching by simulating MIS on the line
-// graph (§5: "we can perform maximal matching by simulating MIS on the line
-// graph of the input graph", feasible since Δ(L(G)) <= 2Δ-2 stays small in
-// this regime). It is MaximalMatchingIn with a private scratch context.
-func MaximalMatching(g *graph.Graph, p core.Params, model *simcost.Model) *MatchingResult {
-	return MaximalMatchingIn(scratch.New(), g, p, model)
-}
-
-// MaximalMatchingIn is MaximalMatching running the line-graph MIS on sc.
-// Observer events are relabeled Algorithm "matching"; their live counts
-// describe the line graph the MIS actually iterates on (LiveNodes are
-// surviving input edges). Cancellation (Params.Done) propagates through the
-// line-graph solve: MIS.Canceled marks an abandoned run whose Matching is
-// partial.
+// MaximalMatchingIn computes a maximal matching by simulating MIS on the
+// line graph (§5: "we can perform maximal matching by simulating MIS on the
+// line graph of the input graph", feasible since Δ(L(G)) <= 2Δ-2 stays
+// small in this regime), running the line-graph MIS on sc. Observer events
+// are relabeled Algorithm "matching"; their live counts describe the line
+// graph the MIS actually iterates on (LiveNodes are surviving input edges).
+// Cancellation (Params.Done) propagates through the line-graph solve:
+// MIS.Canceled marks an abandoned run whose Matching is partial.
 func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Model) *MatchingResult {
 	if inner := p.Observe; inner != nil {
 		p.Observe = func(ev core.RoundEvent) {

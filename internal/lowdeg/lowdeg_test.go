@@ -117,7 +117,7 @@ func TestModelAccountingAndSpace(t *testing.T) {
 	if ok, reason := check.IsMaximalIS(g, res.IndependentSet); !ok {
 		t.Fatal(reason)
 	}
-	if model.Rounds() == 0 {
+	if model.Stats().Rounds == 0 {
 		t.Error("no rounds charged")
 	}
 	for _, v := range model.Violations() {
@@ -147,7 +147,7 @@ func TestMaximalMatchingViaLineGraph(t *testing.T) {
 		"grid": gen.Grid2D(15, 15),
 		"reg6": gen.RandomRegular(400, 6, 13),
 	} {
-		res := MaximalMatching(g, params(), nil)
+		res := MaximalMatchingIn(scratch.New(), g, params(), nil)
 		if ok, reason := check.IsMaximalMatching(g, res.Matching); !ok {
 			t.Errorf("%s: %s", name, reason)
 		}
@@ -324,13 +324,17 @@ func maxDegreeG2(g *graph.Graph, workers int) int {
 	})
 }
 
+// families lists every generator family gen.ByName accepts.
+var families = []string{"gnm", "gnp", "powerlaw", "regular", "grid", "complete",
+	"star", "path", "cycle", "tree", "caterpillar", "bipartite"}
+
 // TestBallStatsMatchesSeparateWalks pins the one r-ball walk to the two
 // walks it replaced: ballStats must return maxBallWords' word count and the
 // radius-2 walk's Δ(G²) at r = 2, 4 and 6 and Parallelism 1, 2 and 8, on
 // every generator family at several sizes and degrees, each graph together
 // with its line graph.
 func TestBallStatsMatchesSeparateWalks(t *testing.T) {
-	for _, family := range gen.Names() {
+	for _, family := range families {
 		for _, n := range []int{0, 1, 2, 17, 150} {
 			for _, avg := range []int{2, 3, 6} {
 				g, err := gen.ByName(family, n, avg, uint64(n+avg))

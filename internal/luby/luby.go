@@ -1,13 +1,12 @@
 // Package luby provides the comparison baselines of the experiment suite:
 // Luby's classical randomized MIS algorithm (Section 2.1 of the paper), its
 // matching variant (MIS on edges, cf. Israeli–Itai), and the sequential
-// greedy references. The randomized algorithms consume a detrand source and
+// greedy MIS reference. The randomized algorithms consume a detrand source and
 // report per-round progress so experiment F1/F2 can overlay their edge-decay
 // and round curves against the deterministic algorithms'.
 package luby
 
 import (
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/detrand"
 	"repro/internal/graph"
@@ -26,9 +25,6 @@ type RoundStats struct {
 type MISResult struct {
 	IndependentSet []graph.NodeID
 	Rounds         []RoundStats
-	// Canceled is set when the done hook of MISIn stopped the run at a
-	// round boundary; IndependentSet is then partial and NOT maximal.
-	Canceled bool
 }
 
 // MIS runs Luby's algorithm: every round each surviving node draws a random
@@ -47,7 +43,7 @@ func MIS(g *graph.Graph, src *detrand.Source) *MISResult { return MISW(g, src, 0
 // fast path instead of the compare-two-words fallback that full 64-bit
 // draws force.
 func MISW(g *graph.Graph, src *detrand.Source, workers int) *MISResult {
-	return MISIn(scratch.New(), g, src, workers, nil)
+	return MISIn(scratch.New(), g, src, workers)
 }
 
 // MISIn is MISW drawing the per-round z table, candidate buffer and removal
@@ -59,13 +55,7 @@ func MISW(g *graph.Graph, src *detrand.Source, workers int) *MISResult {
 // selection is exactly Luby's rule. The
 // output is identical to MISW for any prior state of sc and any worker
 // count; sc is Reset at every round boundary and left Reset on return.
-//
-// done, when non-nil, follows the repository's cancellation convention
-// (core.Params.Done): it is polled once per round boundary and a true
-// return abandons the run with Canceled set — a baseline driven by the same
-// request machinery as the deterministic solvers stops on the same
-// checkpoints.
-func MISIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source, workers int, done func() bool) *MISResult {
+func MISIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source, workers int) *MISResult {
 	n := g.N()
 	res := &MISResult{}
 	cur := g
@@ -84,10 +74,6 @@ func MISIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source, workers int
 	idKey := func(v graph.NodeID) uint64 { return uint64(v) }
 
 	for round := 1; ; round++ {
-		if done != nil && done() {
-			res.Canceled = true
-			break
-		}
 		for v := 0; v < n; v++ {
 			if alive[v] && cur.Degree(graph.NodeID(v)) == 0 {
 				inMIS[v] = true
@@ -126,9 +112,6 @@ func MISIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source, workers int
 type MatchingResult struct {
 	Matching []graph.Edge
 	Rounds   []RoundStats
-	// Canceled is set when the done hook of MaximalMatchingIn stopped the
-	// run at a round boundary; Matching is then partial and NOT maximal.
-	Canceled bool
 }
 
 // MaximalMatching runs the Luby-style matching: every round each surviving
@@ -144,7 +127,7 @@ func MaximalMatching(g *graph.Graph, src *detrand.Source) *MatchingResult {
 // serial two-pass selection scan (core.LocalMinEdgesSel) in edge order, so
 // the output is identical at any worker count.
 func MaximalMatchingW(g *graph.Graph, src *detrand.Source, workers int) *MatchingResult {
-	return MaximalMatchingIn(scratch.New(), g, src, workers, nil)
+	return MaximalMatchingIn(scratch.New(), g, src, workers)
 }
 
 // MaximalMatchingIn is MaximalMatchingW drawing the per-round edge list, z
@@ -159,9 +142,8 @@ func MaximalMatchingW(g *graph.Graph, src *detrand.Source, workers int) *Matchin
 // per-round hash map — the selection compares (z, edge key) pairs
 // identically, so outputs are unchanged. The output is identical
 // to MaximalMatchingW for any prior state of sc and any worker count; sc is
-// Reset at every round boundary and left Reset on return. done follows the
-// round-boundary cancellation convention documented on MISIn.
-func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source, workers int, done func() bool) *MatchingResult {
+// Reset at every round boundary and left Reset on return.
+func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source, workers int) *MatchingResult {
 	res := &MatchingResult{}
 	cur := g
 	n := g.N()
@@ -174,10 +156,6 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source,
 	// LocalMinEdgesSel applies whenever the id width allows it.
 	p := core.PairwiseFamily(n).P()
 	for round := 1; cur.M() > 0; round++ {
-		if done != nil && done() {
-			res.Canceled = true
-			break
-		}
 		st := RoundStats{Round: round, EdgesBefore: cur.M()}
 		edges := cur.EdgesAppend(sc.EdgesCap(cur.M()))
 		z := sc.Uint64s(len(edges))
@@ -216,40 +194,4 @@ func GreedyMIS(g *graph.Graph) []graph.NodeID {
 		}
 	}
 	return out
-}
-
-// GreedyMatching returns the sequential greedy maximal matching in canonical
-// edge order.
-func GreedyMatching(g *graph.Graph) []graph.Edge {
-	var out []graph.Edge
-	used := make([]bool, g.N())
-	for u := 0; u < g.N(); u++ {
-		if used[u] {
-			continue
-		}
-		for _, v := range g.Neighbors(graph.NodeID(u)) {
-			if graph.NodeID(u) < v && !used[v] {
-				out = append(out, graph.Edge{U: graph.NodeID(u), V: v})
-				used[u] = true
-				used[v] = true
-				break
-			}
-		}
-	}
-	return out
-}
-
-// Verify panics if the given outputs are not maximal on g; used by the
-// experiment harness to guard every baseline run.
-func Verify(g *graph.Graph, is []graph.NodeID, mm []graph.Edge) {
-	if is != nil {
-		if ok, reason := check.IsMaximalIS(g, is); !ok {
-			panic("luby: baseline produced invalid MIS: " + reason)
-		}
-	}
-	if mm != nil {
-		if ok, reason := check.IsMaximalMatching(g, mm); !ok {
-			panic("luby: baseline produced invalid matching: " + reason)
-		}
-	}
 }

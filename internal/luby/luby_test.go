@@ -110,3 +110,38 @@ func TestVerifyPanicsOnBadInput(t *testing.T) {
 	}()
 	Verify(g, []graph.NodeID{0, 1}, nil)
 }
+
+// GreedyMatching returns the sequential greedy maximal matching in canonical
+// edge order.
+func GreedyMatching(g *graph.Graph) []graph.Edge {
+	var out []graph.Edge
+	used := make([]bool, g.N())
+	for u := 0; u < g.N(); u++ {
+		if used[u] {
+			continue
+		}
+		for _, v := range g.Neighbors(graph.NodeID(u)) {
+			if graph.NodeID(u) < v && !used[v] {
+				out = append(out, graph.Edge{U: graph.NodeID(u), V: v})
+				used[u] = true
+				used[v] = true
+				break
+			}
+		}
+	}
+	return out
+}
+
+// Verify panics if the given outputs are not maximal on g.
+func Verify(g *graph.Graph, is []graph.NodeID, mm []graph.Edge) {
+	if is != nil {
+		if ok, reason := check.IsMaximalIS(g, is); !ok {
+			panic("luby: baseline produced invalid MIS: " + reason)
+		}
+	}
+	if mm != nil {
+		if ok, reason := check.IsMaximalMatching(g, mm); !ok {
+			panic("luby: baseline produced invalid matching: " + reason)
+		}
+	}
+}

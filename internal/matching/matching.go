@@ -76,8 +76,8 @@ func Deterministic(g *graph.Graph, p core.Params, model *simcost.Model) *Result 
 // DeterministicIn is Deterministic drawing every per-round buffer from sc:
 // sparsification state, the E* edge list, the matched-node mask, and the
 // shrinking outer-loop graph, which ping-pongs between sc's two loop CSR
-// buffers instead of allocating a fresh graph per iteration. Per-seed
-// selection state inside the objective is pooled per worker. The output is
+// buffers instead of allocating a fresh graph per iteration. One selection
+// state serves the objective and the apply step. The output is
 // bit-identical to Deterministic at any worker count and for any prior
 // state of sc; sc is Reset at every round boundary and left Reset on
 // return.
@@ -88,10 +88,10 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	n := g.N()
 	fam := core.PairwiseFamily(n)
 	evaluator := hashfam.NewEvaluator(fam)
-	// One selection state per worker serves every candidate-seed
-	// evaluation of every round (buffers are sized by round 1, the
-	// largest), so an evaluation allocates nothing.
-	pool := scratch.NewPerWorker(func() *core.EdgeGroup { return new(core.EdgeGroup) })
+	// One selection state serves every candidate-seed evaluation and every
+	// apply of every round (buffers are sized by round 1, the largest), so
+	// an evaluation allocates nothing.
+	var grp core.EdgeGroup
 
 	for iter := 1; cur.M() > 0; iter++ {
 		// Round boundary: the first of the solve's cancellation checkpoints.
@@ -151,12 +151,9 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			return v
 		}
 		// Each candidate is scored through the same selection that applies
-		// the winner below, at one worker on a pooled group of its own.
+		// the winner below, at one worker.
 		objective := func(seed []uint64) int64 {
-			grp := pool.Get()
-			v := value(grp.Select(evaluator, &sel, seed, 1))
-			pool.Put(grp)
-			return v
+			return value(grp.Select(evaluator, &sel, seed, 1))
 		}
 		// Lemma 13 ⇒ E_h[Σ_{v∈N_h} d(v)] >= Σ_{v∈B} d(v)/109; we demand a
 		// ThresholdFrac fraction of that.
@@ -175,7 +172,6 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		st.SeedFound = search.Found
 		st.ObjectiveValue = search.Value
 
-		grp := pool.Get()
 		eh := grp.Select(evaluator, &sel, search.Seed, p.Workers())
 		if len(eh) == 0 {
 			// Unconditional-progress fallback: match the smallest-key edge.
@@ -190,7 +186,6 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			matched[e.U] = true
 			matched[e.V] = true
 		}
-		pool.Put(grp)
 		cur = cur.WithoutNodesInto(matched, p.Workers(), sc.Loop().Next())
 		model.ChargeScan("mm.apply")
 

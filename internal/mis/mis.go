@@ -68,10 +68,10 @@ func Deterministic(g *graph.Graph, p core.Params, model *simcost.Model) *Result 
 	return DeterministicIn(scratch.New(), g, p, model)
 }
 
-// misEval is the per-worker pooled state of one candidate-seed objective
-// evaluation: the selection state, the selected I_h and its membership mask
-// in the score (touched entries are reset after each use). An evaluation
-// allocates nothing.
+// misEval is the selection state of a solve, shared by the objective and
+// the apply step: the selection scratch, the selected I_h and its
+// membership mask in the score (touched entries are reset after each use).
+// An evaluation allocates nothing.
 type misEval struct {
 	core.NodeGroup
 	ih   []graph.NodeID
@@ -81,10 +81,10 @@ type misEval struct {
 // DeterministicIn is Deterministic drawing every per-round buffer from sc:
 // sparsification state, the flattened N_v tables, the removal mask, and the
 // shrinking outer-loop graph, which ping-pongs between sc's two loop CSR
-// buffers. Per-seed selection state inside the objective is pooled per
-// worker. The output is bit-identical to Deterministic at any worker count
-// and for any prior state of sc; sc is Reset at every round boundary and
-// left Reset on return.
+// buffers. One selection state serves the objective and the apply step.
+// The output is bit-identical to Deterministic at any worker count and for
+// any prior state of sc; sc is Reset at every round boundary and left Reset
+// on return.
 func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Model) *Result {
 	p.Validate()
 	n := g.N()
@@ -110,7 +110,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	sel := sc.NodeSel()
 	slotKeyOf := func(v graph.NodeID) uint64 { return core.SlotKey(uint64(v), 0, n) }
 	gamma := core.NewDegreeClasses(n, p.InvDelta).GroupSize()
-	evalPool := scratch.NewPerWorker(func() *misEval { return &misEval{inIh: make([]bool, n)} })
+	ev := &misEval{inIh: make([]bool, n)}
 
 	joinIsolated := func(st *IterStats) {
 		for v := 0; v < n; v++ {
@@ -203,14 +203,14 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 
 		deg := sp.Deg
 		// The selection plan for this round's candidate set, built once and
-		// then shared read-only by every concurrent per-seed evaluation. The
-		// sparsifier already produced Q' as an ascending list, so the plan is
-		// built from it directly — no second O(n) mask scan per round.
+		// then read by every per-seed evaluation. The sparsifier already
+		// produced Q' as an ascending list, so the plan is built from it
+		// directly — no second O(n) mask scan per round.
 		sel.InitList(n, sp.QList, slotKeyOf, fam.P()-1)
-		// score computes the round objective for one I_h through the pooled
+		// score computes the round objective for one I_h through the
 		// membership mask, resetting only the touched entries afterwards so
 		// the buffer is clean for the next evaluation at O(|I_h|) cost.
-		score := func(ev *misEval, ih []graph.NodeID) int64 {
+		score := func(ih []graph.NodeID) int64 {
 			for _, v := range ih {
 				ev.inIh[v] = true
 			}
@@ -229,13 +229,10 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			return value
 		}
 		// Each candidate is scored through the same selection that applies
-		// the winner below, at one worker on a pooled state of its own.
+		// the winner below, at one worker.
 		objective := func(seed []uint64) int64 {
-			ev := evalPool.Get()
 			ev.ih = ev.Select(ev.ih, evaluator, sel, q, seed, 1)
-			v := score(ev, ev.ih)
-			evalPool.Put(ev)
-			return v
+			return score(ev.ih)
 		}
 		// Lemma 21 ⇒ E[Σ_{v∈N_h} d(v)] >= 0.01δ·Σ_{v∈B} d(v).
 		st.Threshold = int64(p.ThresholdFrac * 0.01 * p.Delta() * float64(sp.BWeight))
@@ -252,9 +249,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		st.SeedFound = search.Found
 		st.ObjectiveValue = search.Value
 
-		fin := evalPool.Get()
-		ih := fin.Select(sc.NodeIDsCap(n), evaluator, sel, q, search.Seed, p.Workers())
-		evalPool.Put(fin)
+		ih := ev.Select(sc.NodeIDsCap(n), evaluator, sel, q, search.Seed, p.Workers())
 		st.Selected = len(ih)
 		remove := sc.Bools(n)
 		st.Removed = core.Peel(cur, ih, inMIS, alive, remove)

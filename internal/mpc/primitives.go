@@ -7,17 +7,16 @@ import (
 
 // This file implements the Lemma 4 toolbox (Goodrich et al. [30]) on the
 // message-level cluster: deterministic constant-round sorting and prefix
-// sums, plus broadcast and all-reduce. No solver calls Broadcast or
-// AllReduceSum. They are the message-level form of the f-ary aggregation
-// tree whose depth internal/simcost charges for seed batches and scans,
-// and their tests assert its round counts.
+// sums. The tests add a broadcast and an all-reduce over the same f-ary
+// aggregation tree, whose depth internal/simcost charges for seed batches
+// and scans; no solver calls them.
 //
 // Round counts achieved (and asserted by tests):
 //
 //	Sort        4 rounds (regular-sampling sample sort)
 //	PrefixSum   2*ceil(log_f M) + 1 rounds, f = max(2, S/4)
-//	Broadcast   ceil(log_f M) rounds
-//	AllReduce   2*ceil(log_f M) rounds
+//	Broadcast   ceil(log_f M) rounds (tests)
+//	AllReduce   2*ceil(log_f M) rounds (tests)
 //
 // With S = n^ε and M·S = Θ(n^{1+ε}) these are all O(1/ε) = O(1) rounds,
 // which is exactly the constant-round claim of Lemma 4. The algorithm layer
@@ -291,108 +290,6 @@ func PrefixSum(c *Cluster) (total uint64, err error) {
 	})
 	if err != nil {
 		return 0, err
-	}
-	return total, nil
-}
-
-// Broadcast sends the payload from machine 0 to every machine along an f-ary
-// tree in ceil(log_f M) rounds. Each machine's copy is returned. The payload
-// must satisfy f*len(payload) <= S to respect outbox bounds.
-func Broadcast(c *Cluster, payload []uint64) ([][]uint64, error) {
-	m := c.cfg.Machines
-	f := c.scanFanout(len(payload))
-	depth := TreeDepth(m, f)
-	got := make([][]uint64, m)
-	got[0] = append([]uint64(nil), payload...)
-
-	span := 1
-	for span < m {
-		span *= f
-	}
-	for l := depth - 1; l >= 0; l-- {
-		span /= f
-		if span == 0 {
-			span = 1
-		}
-		blk := span * f
-		err := c.Round("broadcast", func(ctx *MachineCtx) {
-			id := ctx.ID
-			if id%blk != 0 || got[id] == nil {
-				return
-			}
-			for j := 1; j < f; j++ {
-				child := id + j*span
-				if child >= m {
-					break
-				}
-				ctx.Send(child, append([]uint64(nil), got[id]...))
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		for id := 0; id < m; id++ {
-			for _, msg := range c.inboxes[id] {
-				got[id] = msg
-			}
-			c.inboxes[id] = nil
-		}
-	}
-	return got, nil
-}
-
-// AllReduceSum computes the elementwise sum of one equal-length vector per
-// machine (vec(id) supplied by the callback) and returns the total vector,
-// which is also delivered to every machine via Broadcast. Vector length k
-// must satisfy f*k <= S. Rounds: 2*ceil(log_f M).
-//
-// This primitive is the message-level realisation of one "voting" step of
-// the method of conditional expectations (Section 2.4): each machine
-// contributes its local objective value for each of k candidate seed
-// extensions, and the summed vector tells every machine which extension to
-// fix.
-func AllReduceSum(c *Cluster, k int, vec func(id int) []uint64) ([]uint64, error) {
-	m := c.cfg.Machines
-	f := c.scanFanout(k)
-	depth := TreeDepth(m, f)
-	acc := make([][]uint64, m)
-	for id := 0; id < m; id++ {
-		v := vec(id)
-		if len(v) != k {
-			return nil, fmt.Errorf("mpc: AllReduceSum vector length %d != %d on machine %d", len(v), k, id)
-		}
-		acc[id] = append([]uint64(nil), v...)
-	}
-	span := 1
-	for l := 0; l < depth; l++ {
-		blk := span * f
-		err := c.Round("allreduce", func(ctx *MachineCtx) {
-			id := ctx.ID
-			if id%span != 0 {
-				return
-			}
-			pos := (id / span) % f
-			if pos != 0 {
-				parent := id - pos*span
-				ctx.Send(parent, append([]uint64(nil), acc[id]...))
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		for id := 0; id < m; id += blk {
-			for _, msg := range c.inboxes[id] {
-				for i, w := range msg {
-					acc[id][i] += w
-				}
-			}
-			c.inboxes[id] = nil
-		}
-		span = blk
-	}
-	total := append([]uint64(nil), acc[0]...)
-	if _, err := Broadcast(c, total); err != nil {
-		return nil, err
 	}
 	return total, nil
 }

@@ -1,6 +1,7 @@
 // Package parallel is the shared host-parallel execution substrate of the
 // repository: a bounded worker pool plus deterministic sharded map-reduce
-// over index ranges (vertex ranges, seed batches, machine ids).
+// over index ranges (vertex ranges, hash keys, machine ids). The seed
+// searches score their candidates serially and start no shards here.
 //
 // Every algorithm in this module promises bit-identical results at any
 // worker count (the "determinism contract", see doc.go of the root package
@@ -44,9 +45,6 @@ func Workers(requested int) int {
 type Range struct {
 	Lo, Hi int
 }
-
-// Len returns the number of indices in the shard.
-func (r Range) Len() int { return r.Hi - r.Lo }
 
 // Shards splits [0, n) into at most `parts` contiguous ranges whose sizes
 // differ by at most one. The boundaries depend only on (n, parts): the first

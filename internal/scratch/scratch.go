@@ -108,7 +108,6 @@ type Context struct {
 
 	edgeMin core.EdgeMinScratch
 	nodeSel core.NodeSel
-	zRows   Rows
 }
 
 // New returns an empty Context.
@@ -180,46 +179,9 @@ func (c *Context) EdgeMin() *core.EdgeMinScratch { return &c.edgeMin }
 
 // NodeSel returns the Context's persistent node-selection plan, with the
 // same Reset-surviving lifetime and epoch-stamp rationale as EdgeMin. Round
-// loops re-Init it every round (advancing its generation) and share it
-// read-only across concurrent per-seed evaluations.
+// loops re-Init it every round (advancing its generation) and read it in
+// every per-seed evaluation.
 func (c *Context) NodeSel() *core.NodeSel { return &c.nodeSel }
-
-// ZRows returns the Context's rows for the sparsify stage searches, which
-// hash every item of a stage once per candidate seed into one row per
-// worker. Like EdgeMin and NodeSel the rows survive Reset, so warm solves
-// reuse them allocation-free.
-func (c *Context) ZRows() *Rows { return &c.zRows }
-
-// Rows is a free list of []uint64 rows for state needed inside concurrent
-// objective evaluations, where a single arena would race. Get and Put are
-// safe for concurrent use. A row's prior contents are arbitrary, so users
-// overwrite every slot they read, which keeps pooled evaluation inside the
-// determinism contract. The zero value is ready to use.
-type Rows struct {
-	mu   sync.Mutex
-	free [][]uint64
-}
-
-// Get checks out a row of length n: the most recently returned row, grown
-// when it is too short, or a fresh one.
-func (r *Rows) Get(n int) []uint64 {
-	var row []uint64
-	r.mu.Lock()
-	if k := len(r.free); k > 0 {
-		row = r.free[k-1]
-		r.free[k-1] = nil
-		r.free = r.free[:k-1]
-	}
-	r.mu.Unlock()
-	return graph.Grow(row, n)
-}
-
-// Put returns a row for reuse.
-func (r *Rows) Put(row []uint64) {
-	r.mu.Lock()
-	r.free = append(r.free, row)
-	r.mu.Unlock()
-}
 
 // BufPair is a pair of graph.CSR destination buffers used in alternation:
 // each Next call returns the buffer NOT written by the previous call, so a
@@ -238,11 +200,11 @@ func (p *BufPair) Next() *graph.CSR {
 }
 
 // PerWorker hands out per-goroutine scratch values around a sync.Pool; it is
-// the companion of Context for state needed INSIDE concurrent objective
-// evaluations (candidate-seed fan-out in internal/condexp), where a single
-// arena would race. Values must be fully overwritten (or reset) by each use
-// so that results never depend on which worker previously held a value —
-// that is what keeps pooled evaluation inside the determinism contract.
+// the companion of Context for state needed INSIDE internal/parallel shard
+// bodies (lowdeg's r-ball walk), where a single arena would race. Values
+// must be fully overwritten (or reset) by each use so that results never
+// depend on which worker previously held a value — that is what keeps
+// pooled evaluation inside the determinism contract.
 type PerWorker[T any] struct {
 	pool sync.Pool
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/parallel"
 )
 
 func TestSlabCheckoutIsZeroed(t *testing.T) {
@@ -83,36 +82,5 @@ func TestPerWorkerReuses(t *testing.T) {
 	}
 	if w.data[0] != 7 {
 		t.Fatal("pooled value not preserved")
-	}
-}
-
-// TestRowsConcurrentUse checks rows out of one Context from 8 workers at
-// once, as a missed stage search's fan-out does: every row is exclusively
-// its holder's until Put. The rows survive Reset, so a warm Get/Put
-// allocates nothing.
-func TestRowsConcurrentUse(t *testing.T) {
-	c := New()
-	pass := func() {
-		parallel.ForEach(8, 256, func(i int) {
-			row := c.ZRows().Get(100 + i%7)
-			for k := range row {
-				row[k] = uint64(i)
-			}
-			for k, v := range row {
-				if v != uint64(i) {
-					t.Errorf("row of item %d: slot %d holds %d, shared with another holder", i, k, v)
-					return
-				}
-			}
-			c.ZRows().Put(row)
-		})
-	}
-	pass()
-	c.Reset()
-	if allocs := testing.AllocsPerRun(5, func() {
-		row := c.ZRows().Get(106)
-		c.ZRows().Put(row)
-	}); allocs != 0 {
-		t.Errorf("warm Get/Put allocated %.0f times", allocs)
 	}
 }

@@ -75,22 +75,6 @@ func (m *Model) S() int {
 	return m.s
 }
 
-// Machines returns the simulated machine count.
-func (m *Model) Machines() int {
-	if m == nil {
-		return 0
-	}
-	return m.machines
-}
-
-// Epsilon returns the space exponent.
-func (m *Model) Epsilon() float64 {
-	if m == nil {
-		return 0
-	}
-	return m.epsilon
-}
-
 // Stats is a snapshot of accumulated accounting.
 type Stats struct {
 	Rounds           int
@@ -227,14 +211,4 @@ func (m *Model) Violations() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]string(nil), m.violations...)
-}
-
-// Rounds returns the total charged rounds so far.
-func (m *Model) Rounds() int {
-	if m == nil {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rounds
 }

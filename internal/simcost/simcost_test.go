@@ -147,3 +147,29 @@ func TestConcurrentCharging(t *testing.T) {
 		t.Errorf("rounds = %d, want 3200", m.Rounds())
 	}
 }
+
+// Machines returns the simulated machine count.
+func (m *Model) Machines() int {
+	if m == nil {
+		return 0
+	}
+	return m.machines
+}
+
+// Epsilon returns the space exponent.
+func (m *Model) Epsilon() float64 {
+	if m == nil {
+		return 0
+	}
+	return m.epsilon
+}
+
+// Rounds returns the total charged rounds so far.
+func (m *Model) Rounds() int {
+	if m == nil {
+		return 0
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.rounds
+}

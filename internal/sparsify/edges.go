@@ -1,6 +1,7 @@
 package sparsify
 
 import (
+	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
@@ -195,13 +196,13 @@ func runEdgeStage(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b []
 	m := len(cur)
 	items := edgeStageItems(sc, curG, cur, b, deg, dc, p, j)
 	model.ChargeSort("sparsify.distribute") // spread incident edges over machines
-	res := items.search(sc.ZRows(), p, model)
+	res := items.search(p, model)
 	if res.Canceled {
 		// Abandoned mid-search: res.Seed may be nil (no batch evaluated), so
 		// there is nothing safe to apply — hand the cancellation up instead.
 		return edgeStageOutcome{canceled: true}
 	}
-	next := applyEdgeStage(sc, items, res.Seed, cur, p.Workers())
+	next := applyEdgeStage(sc, items, res, cur, p.Workers())
 	model.ChargeScan("sparsify.apply")
 
 	out := edgeStageOutcome{next: next}
@@ -218,19 +219,18 @@ func runEdgeStage(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b []
 	return out
 }
 
-// applyEdgeStage applies the stage's selected seed: E_j = {e ∈ E_{j-1} :
-// h(e) < th}, read off the seed's z row (items.row), then a branch-free
-// serial filter into a scratch edge buffer (one spare slot for the last
-// write), which keeps the canonical edge order.
-func applyEdgeStage(sc *scratch.Context, items *stageItems, seed []uint64, cur []graph.Edge, workers int) []graph.Edge {
-	z := items.row(sc, seed, workers)
+// applyEdgeStage applies the seed of the stage's search result res:
+// E_j = {e ∈ E_{j-1} : h(e) < th}, read off the seed's z row (items.row),
+// then a branch-free serial filter into a scratch edge buffer (one spare
+// slot for the last write), which keeps the canonical edge order.
+func applyEdgeStage(sc *scratch.Context, items *stageItems, res condexp.Result, cur []graph.Edge, workers int) []graph.Edge {
+	z := items.row(res, workers)
 	next := sc.EdgesCap(len(cur) + 1)[:len(cur)+1]
 	size := 0
 	for t, e := range cur {
 		next[size] = e
 		size += int(b2i(z[t] < items.th))
 	}
-	items.release(sc.ZRows())
 	return next[:size]
 }
 
@@ -248,7 +248,7 @@ func edgeStageItems(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b 
 	th := core.StageThreshold(fam.P(), n, dc.K)
 	sampleProb := float64(th) / float64(fam.P())
 	items := &stageItems{ev: hashfam.NewEvaluator(fam), th: th, gamma: gamma, keys: core.SlotKeysInto(sc.Uint64sCap(m), cur, j, n),
-		keptSeed: sc.Uint64sCap(fam.SeedLen())}
+		z: sc.Uint64s(m)}
 	// Type-A runs: each node's incident E_{j-1} edges, which are its curG
 	// row with every slot labeled by its edge id. Type-B runs: for v ∈ B,
 	// the X(v) ∩ E_{j-1} edges, picked out of v's labeled row branch-free.

@@ -15,9 +15,9 @@ import (
 )
 
 // Tests of the path the solvers run: SparsifyEdgesIn/SparsifyNodesIn skip
-// the stage audits, apply each stage's seed through the row its search
-// kept, hand E* over as its edge list and map degrees to classes through a
-// table. Each is pinned here to what it replaces.
+// the stage audits, apply each stage's winning seed through the row its
+// search hashed last, hand E* over as its edge list and map degrees to
+// classes through a table. Each is pinned here to what it replaces.
 
 // edgeCase is one graph the SparsifyEdges pins run on.
 type edgeCase struct {
@@ -151,10 +151,10 @@ func TestEStarEdgesMatchEdges(t *testing.T) {
 	}
 }
 
-// applyTally counts the stage applies that read the search's kept row,
-// those that hashed the winner's items again, and the searches whose
-// winner came after a missed probe.
-type applyTally struct{ kept, rehashed, lateWins int }
+// applyTally counts the stage searches whose first candidate won, those
+// won by a later candidate after the first missed, and those that found no
+// all-good seed.
+type applyTally struct{ firstWins, lateWins, misses int }
 
 // filterEdges is E_j built from the winner's EvalKeysW row.
 func filterEdges(items *stageItems, seed []uint64, cur []graph.Edge, workers int) []graph.Edge {
@@ -178,51 +178,42 @@ func filterNodes(items *stageItems, seed []uint64, cur []bool, rank []int32, wor
 	return next
 }
 
-// checkApply runs the search of items under p and applies its seed, and
+// checkApply runs the search of items under p and applies its result, and
 // fails unless the applied set equals ref's, the set built from
-// EvalKeysW(res.Seed), and the kept row went back to the rows. It records
-// in tl which branch the apply took.
-func checkApply[T comparable](t *testing.T, tl *applyTally, what string, sc *scratch.Context, items *stageItems, p core.Params,
-	apply, ref func(seed []uint64) []T) []T {
+// EvalKeysW(res.Seed). It records in tl how the search ended.
+func checkApply[T comparable](t *testing.T, tl *applyTally, what string, items *stageItems, p core.Params,
+	apply func(res condexp.Result) []T, ref func(seed []uint64) []T) []T {
 
 	t.Helper()
 	enum := items.ev.Family().Enumerate()
 	enum.Next()
-	probeMissed := items.good(items.ev.EvalKeys(enum.Seed(), items.keys, make([]uint64, len(items.keys)))) < int64(items.groups)
-	res := items.search(sc.ZRows(), p, nil)
-	kept := items.kept != nil
-	if kept && !res.Found {
-		t.Fatalf("%s: a search that found no all-good seed kept a row", what)
-	}
-	got := apply(res.Seed)
-	if items.kept != nil {
-		t.Fatalf("%s: the kept row was not handed back", what)
-	}
+	firstMissed := items.good(items.ev.EvalKeys(enum.Seed(), items.keys, make([]uint64, len(items.keys)))) < int64(items.groups)
+	res := items.search(p, nil)
+	got := apply(res)
 	if want := ref(res.Seed); !slices.Equal(got, want) {
-		t.Fatalf("%s (kept row %v): the applied set differs from the EvalKeysW filter", what, kept)
+		t.Fatalf("%s (found %v): the applied set differs from the EvalKeysW filter", what, res.Found)
 	}
-	if kept {
-		tl.kept++
-	} else {
-		tl.rehashed++
-	}
-	if res.Found && probeMissed {
+	switch {
+	case !res.Found:
+		tl.misses++
+	case firstMissed:
 		tl.lateWins++
+	default:
+		tl.firstWins++
 	}
 	return got
 }
 
 // TestStageApplyMatchesEvalKeysW pins the stage apply step, which reads the
-// row the search kept for its winner, to the E_j and Q_j built from
-// EvalKeysW(res.Seed), on the real edge and node stage chains of three
-// generator families at Parallelism 1/2/8. Every stage is applied at the
-// default slack, where the probe wins and its row is read. The first stage
-// is applied twice more: under the windows compareMissSearch tightens
-// until no seed is all-good, where the apply hashes the winner's items
-// again, and at slack 1.2, where on some families the probe misses and a
-// fanned-out candidate wins, so candidates race for the kept row. Each
-// branch must run on edge and node stages alike, and the applied chain
-// must reproduce the stage reports.
+// winner's values off the row its search hashed last, to the E_j and Q_j
+// built from EvalKeysW(res.Seed), on the real edge and node stage chains
+// of three generator families at Parallelism 1/2/8. Every stage is applied
+// at the default slack, where the first candidate wins. The first stage is
+// applied twice more: under the windows compareMissSearch tightens until
+// no seed is all-good, where the apply hashes the best seed's items again,
+// and at slack 1.2, where on some families the first candidate misses and
+// a later one wins. Each of the three endings must occur on edge and node
+// stages alike, and the applied chain must reproduce the stage reports.
 func TestStageApplyMatchesEvalKeysW(t *testing.T) {
 	var edges, nodes applyTally
 	for _, family := range []string{"gnm", "powerlaw", "regular"} {
@@ -248,8 +239,8 @@ func TestStageApplyMatchesEvalKeysW(t *testing.T) {
 					curG := graph.FromEdges(n, cur)
 					run := func(what string, q core.Params) []graph.Edge {
 						items := edgeStageItems(sc, curG, cur, er.B, er.Deg, dc, q, j)
-						return checkApply(t, &edges, what, sc, items, q,
-							func(seed []uint64) []graph.Edge { return applyEdgeStage(sc, items, seed, cur, par) },
+						return checkApply(t, &edges, what, items, q,
+							func(res condexp.Result) []graph.Edge { return applyEdgeStage(sc, items, res, cur, par) },
 							func(seed []uint64) []graph.Edge { return filterEdges(items, seed, cur, par) })
 					}
 					if j == 1 {
@@ -274,8 +265,8 @@ func TestStageApplyMatchesEvalKeysW(t *testing.T) {
 					j++
 					run := func(what string, pp core.Params) []bool {
 						items, rank := nodeStageItems(sc, g, q, nr.B, invDeg, dc, pp, nr.ClassIndex, j)
-						return checkApply(t, &nodes, what, sc, items, pp,
-							func(seed []uint64) []bool { return applyNodeStage(sc, items, seed, q, rank, par) },
+						return checkApply(t, &nodes, what, items, pp,
+							func(res condexp.Result) []bool { return applyNodeStage(sc, items, res, q, rank, par) },
 							func(seed []uint64) []bool { return filterNodes(items, seed, q, rank, par) })
 					}
 					if j == 1 {
@@ -292,43 +283,11 @@ func TestStageApplyMatchesEvalKeysW(t *testing.T) {
 			})
 		}
 	}
-	t.Logf("edge applies: %d read the kept row, %d hashed again, %d wins after a missed probe; node applies: %d, %d and %d",
-		edges.kept, edges.rehashed, edges.lateWins, nodes.kept, nodes.rehashed, nodes.lateWins)
+	t.Logf("edge stages: %d won by the first candidate, %d by a later one, %d with no all-good seed; node stages: %d, %d and %d",
+		edges.firstWins, edges.lateWins, edges.misses, nodes.firstWins, nodes.lateWins, nodes.misses)
 	for _, tl := range []applyTally{edges, nodes} {
-		if tl.kept == 0 || tl.rehashed == 0 || tl.lateWins == 0 {
+		if tl.firstWins == 0 || tl.lateWins == 0 || tl.misses == 0 {
 			t.Fatal("an apply branch went unexercised")
-		}
-	}
-}
-
-// TestKeptRowSettlesOnWinner pins the seed comparison that lets the apply
-// step read the kept row. After a missed probe the fanned-out candidates
-// race for the slot, so the row kept can be a later candidate's than the
-// winner's, which no run can force; here the kept row is planted. It must
-// survive only a search that returned its seed, and otherwise go back to
-// the rows.
-func TestKeptRowSettlesOnWinner(t *testing.T) {
-	seed := []uint64{3, 1, 4, 1}
-	for _, c := range []struct {
-		name string
-		res  condexp.Result
-		keep bool
-	}{
-		{"winner", condexp.Result{Seed: []uint64{3, 1, 4, 1}, Found: true}, true},
-		{"later candidate", condexp.Result{Seed: []uint64{3, 1, 4, 2}, Found: true}, false},
-		{"canceled", condexp.Result{Seed: []uint64{3, 1, 4, 1}, Canceled: true}, false},
-		{"no seed", condexp.Result{Canceled: true}, false},
-	} {
-		var rows scratch.Rows
-		row := make([]uint64, 8)
-		items := &stageItems{kept: row, keptSeed: slices.Clone(seed)}
-		items.settle(&rows, c.res)
-		if got := items.kept != nil; got != c.keep {
-			t.Fatalf("%s: kept row survives %v, want %v", c.name, got, c.keep)
-		}
-		items.release(&rows)
-		if back := rows.Get(len(row)); &back[0] != &row[0] {
-			t.Fatalf("%s: the kept row did not go back to the rows", c.name)
 		}
 	}
 }
@@ -353,7 +312,7 @@ func TestClassTableMatchesClass(t *testing.T) {
 	}
 	for _, tc := range edgeCases() {
 		dc := core.NewDegreeClasses(tc.g.N(), p.InvDelta)
-		deg := tc.g.Degrees()
+		deg := tc.g.DegreesInto(make([]int, tc.g.N()))
 		classOf := classesInto(dirtyScratch(p), dc, deg)
 		for v, d := range deg {
 			if want := dc.Class(d); classOf[v] != want {

@@ -3,6 +3,7 @@ package sparsify
 import (
 	"math"
 
+	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
@@ -188,12 +189,12 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg []f
 
 	items, rank := nodeStageItems(sc, g, cur, b, invDeg, dc, p, i, j)
 	model.ChargeSort("sparsify.distribute")
-	res := items.search(sc.ZRows(), p, model)
+	res := items.search(p, model)
 	if res.Canceled {
 		// res.Seed may be nil; abandon the stage, the caller discards.
 		return StageReport{}, nil, true
 	}
-	next := applyNodeStage(sc, items, res.Seed, cur, rank, p.Workers())
+	next := applyNodeStage(sc, items, res, cur, rank, p.Workers())
 	model.ChargeScan("sparsify.apply")
 
 	report := StageReport{
@@ -208,16 +209,15 @@ func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg []f
 	return report, next, false
 }
 
-// applyNodeStage applies the stage's selected seed: Q_j = {v ∈ Q_{j-1} :
-// h(v) < th}, read off the seed's z row (items.row; rank maps a node to its
-// item) in one sharded mask update.
-func applyNodeStage(sc *scratch.Context, items *stageItems, seed []uint64, cur []bool, rank []int32, workers int) []bool {
-	z := items.row(sc, seed, workers)
+// applyNodeStage applies the seed of the stage's search result res:
+// Q_j = {v ∈ Q_{j-1} : h(v) < th}, read off the seed's z row (items.row;
+// rank maps a node to its item) in one sharded mask update.
+func applyNodeStage(sc *scratch.Context, items *stageItems, res condexp.Result, cur []bool, rank []int32, workers int) []bool {
+	z := items.row(res, workers)
 	next := sc.Bools(len(cur))
 	parallel.ForEach(workers, len(cur), func(v int) {
 		next[v] = cur[v] && z[rank[v]] < items.th
 	})
-	items.release(sc.ZRows())
 	return next
 }
 
@@ -249,7 +249,7 @@ func nodeStageItems(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg [
 		}
 	}
 	items = &stageItems{ev: hashfam.NewEvaluator(fam), th: th, gamma: gamma, keys: keys[:q], w: w[:q],
-		keptSeed: sc.Uint64sCap(fam.SeedLen())}
+		z: sc.Uint64s(q)}
 	// One run per node v ∈ Q_{j-1} ∪ B with a neighbour in Q_{j-1}: the
 	// item indices of N(v) ∩ Q_{j-1}, in neighbour order, filled branch-free
 	// (the last write may land one slot past the runs, hence the spare).

@@ -34,9 +34,6 @@ type InvariantCheck struct {
 	WorstRatio float64
 }
 
-// Ok reports whether no node violated the slack-adjusted bound.
-func (c InvariantCheck) Ok() bool { return c.Violated == 0 }
-
 func (c InvariantCheck) String() string {
 	return fmt.Sprintf("%s: %d/%d violated (worst ratio %.3f)", c.Name, c.Violated, c.Checked, c.WorstRatio)
 }

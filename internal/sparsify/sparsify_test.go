@@ -47,7 +47,7 @@ func inE0(b []bool, deg []int, e graph.Edge) bool {
 func TestSparsifyEdgesE0Membership(t *testing.T) {
 	g := denseGraph()
 	res := SparsifyEdges(g, params(), nil)
-	deg := g.Degrees()
+	deg := g.DegreesInto(make([]int, g.N()))
 	for _, e := range res.E0 {
 		if !g.HasEdge(e.U, e.V) {
 			t.Fatalf("E0 edge %v not in G", e)
@@ -553,15 +553,14 @@ func (tl *stageTally) compareItems(t *testing.T, what string, items *stageItems,
 	}
 }
 
-// compareMissSearch runs a stage search whose first candidate misses (p's
-// windows are tightened until groups fail), capped at one batch, so the
-// rest of the batch fans out over p.Parallelism workers, each candidate
-// hashing into its own row of the scratch context: the result must be the
-// expanded-key search's.
-func compareMissSearch(t *testing.T, what string, sc *scratch.Context, items *stageItems, ref *refStage, p core.Params) {
+// compareMissSearch runs a stage search that finds no all-good seed (p's
+// windows are tightened until groups fail), capped at one batch, so every
+// candidate of the batch is hashed into the stage's row and scored: the
+// result must be the expanded-key search's.
+func compareMissSearch(t *testing.T, what string, items *stageItems, ref *refStage, p core.Params) {
 	t.Helper()
 	p.MaxSeedsPerSearch = 64
-	got := items.search(sc.ZRows(), p, nil)
+	got := items.search(p, nil)
 	want, _ := p.SeedSearch(items.ev.Family(), func(seed []uint64) int64 { return ref.score(items.ev, seed) }, int64(len(ref.groups)), "ref", nil)
 	if got.Found {
 		t.Fatalf("%s: the tightened search found an all-good seed; the miss path went unexercised", what)
@@ -598,7 +597,7 @@ func (tl *stageTally) replayEdgeChain(t *testing.T, src *detrand.Source, g *grap
 		tightRef := refEdgeStage(curG, res.B, res.Deg, dc, tight, j)
 		tl.compareItems(t, what+" (tight)", tightItems, tightRef, seeds)
 		if j == 1 {
-			compareMissSearch(t, what, sc, tightItems, tightRef, tight)
+			compareMissSearch(t, what, tightItems, tightRef, tight)
 		}
 
 		found, _ := p.SeedSearch(fam, func(seed []uint64) int64 { return ref.score(ev, seed) }, int64(len(ref.groups)), "ref", nil)
@@ -647,7 +646,7 @@ func (tl *stageTally) replayNodeChain(t *testing.T, src *detrand.Source, g *grap
 		tightRef := refNodeStage(g, cur, res.B, res.Deg, dc, tight, res.ClassIndex, j)
 		tl.compareItems(t, what+" (tight)", items, tightRef, seeds)
 		if j == 1 {
-			compareMissSearch(t, what, sc, items, tightRef, tight)
+			compareMissSearch(t, what, items, tightRef, tight)
 		}
 
 		found, _ := p.SeedSearch(fam, func(seed []uint64) int64 { return ref.score(ev, seed) }, int64(len(ref.groups)), "ref", nil)
@@ -826,3 +825,6 @@ func BenchmarkSparsifyNodes(b *testing.B) {
 		SparsifyNodes(g, p, nil)
 	}
 }
+
+// Ok reports whether no node violated the slack-adjusted bound.
+func (c InvariantCheck) Ok() bool { return c.Violated == 0 }

@@ -207,7 +207,7 @@ func TestEvalKeysShardedMatchesSerial(t *testing.T) {
 					for i := range want {
 						if got[i] != want[i] {
 							t.Fatalf("p=%d k=%d size=%d workers=%d: slot %d = %d, serial %d",
-								fam.P(), fam.K(), size, workers, i, got[i], want[i])
+								fam.P(), fam.SeedLen(), size, workers, i, got[i], want[i])
 						}
 					}
 				}
