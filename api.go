@@ -84,8 +84,8 @@ type Options struct {
 	// per-vertex scans, and graph rebuilds all shard across it; seed
 	// searches score their candidates serially. 0 (the default) means one
 	// worker per logical CPU (GOMAXPROCS); 1 forces serial execution;
-	// larger values pin an explicit worker count. Results are bit-identical at
-	// every setting — the determinism contract, enforced by the
+	// larger values pin an explicit worker count. Results are bit-identical
+	// at every setting — the determinism contract, enforced by the
 	// worker-count-independence tests run under -race in CI — so this knob
 	// trades only wall-clock time, never output.
 	Parallelism int

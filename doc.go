@@ -75,13 +75,14 @@
 // row: a node's incident edges (its CSR row labeled with edge ids), its
 // X(v) edges, or its neighbours in Q_{j-1}. When the search finds an
 // all-good seed, its last candidate was that seed, so the stage's apply
-// step reads the row as it stands; only a best-effort seed is hashed again. The fold gathers each chunk's values
-// in branchless scans judged against acceptance windows precomputed once
-// per stage (the deviation bounds depend only on each group's fixed size
-// and weight, never on the seed). The arithmetic is regime-dispatched per
-// field prime (internal/intmath.Reducer): a single high-multiply Barrett
-// path for m ≤ 2^32 — with a GOARCH-gated AVX2 assembly inner loop on amd64
-// and a pure-Go fallback elsewhere — a branchless Montgomery path for odd
+// step reads the row as it stands; only a best-effort seed is hashed
+// again. The fold gathers each chunk's values in branchless scans judged
+// against acceptance windows precomputed once per stage (the deviation
+// bounds depend only on each group's fixed size and weight, never on the
+// seed). The arithmetic is regime-dispatched per field prime
+// (internal/intmath.Reducer): a single high-multiply Barrett path for
+// m ≤ 2^32 — with a GOARCH-gated AVX2 assembly inner loop on amd64 and a
+// pure-Go fallback elsewhere — a branchless Montgomery path for odd
 // m < 2^63, and Möller–Granlund wide reduction for the rest. Every regime
 // computes exactly the same field values as hashfam.Family.Eval. End to
 // end, the golden corpus under testdata/golden pins the derandomized outputs

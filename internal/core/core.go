@@ -46,9 +46,9 @@ type Params struct {
 	// Parallelism is the host-side worker count used by the shared
 	// internal/parallel pool for hashing the selected seed's keys,
 	// per-vertex scans, and graph rebuilds (seed searches score their
-	// candidates serially): 0 (default) means GOMAXPROCS, 1 means serial, larger
-	// values pin an explicit worker count. Results are bit-identical at any
-	// setting (the determinism contract; see internal/parallel).
+	// candidates serially): 0 (default) means GOMAXPROCS, 1 means serial,
+	// larger values pin an explicit worker count. Results are bit-identical
+	// at any setting (the determinism contract; see internal/parallel).
 	Parallelism int
 	// Done, when non-nil, reports whether the enclosing request has been
 	// abandoned (context canceled, deadline exceeded). The round loops poll
