@@ -88,10 +88,12 @@ race:
 # on the materialised square at Parallelism 1/2/8, each tabulated Linial
 # round vs the walk-and-evaluate round, on real colourings and fuzzed
 # improper ones, the one r-ball walk vs the separate word and Δ(G²) walks,
-# and the CSR-slot line graph vs its map-indexed build) and the
-# request-scoped API tables
+# the CSR-slot line graph vs its map-indexed build, the MIS node state vs
+# alive and in-set masks, and the Section 5 preprocessing stopping at its
+# cancellation polls) and the request-scoped API tables
 # (cancellation at every Parallelism level against a shared engine,
-# per-solve override equivalence, observer-stream determinism): worker-count
+# per-solve override equivalence, observer-stream determinism, every round
+# loop's events vs its round records): worker-count
 # independence of a REUSED engine (dirty scratch buffers, pooled contexts)
 # under the race detector. Part of `make race` too; this target mirrors the
 # dedicated CI job so an engine-reuse, equivalence or cancellation
@@ -103,8 +105,8 @@ race:
 # or deleted table would quietly drop out of the job: the target first
 # checks, through `go test -list`, that every listed name is a test, fuzz
 # target or benchmark of its packages, and fails otherwise.
-ENGINE_TABLES := TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence
-EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissPath|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestSparsifyInMatchesWrapper|TestEStarEdgesMatchEdges|TestStageApplyMatchesEvalKeysW|TestClassTableMatchesClass|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLinialRoundMatchesWalkReference|FuzzLinialRoundMatchesWalkReference|TestBallStatsMatchesSeparateWalks|TestLineGraphMatchesMapReference
+ENGINE_TABLES := TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence|TestObserverEventsMatchResults
+EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissPath|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestSparsifyInMatchesWrapper|TestEStarEdgesMatchEdges|TestStageApplyMatchesEvalKeysW|TestClassTableMatchesClass|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLinialRoundMatchesWalkReference|FuzzLinialRoundMatchesWalkReference|TestBallStatsMatchesSeparateWalks|TestLineGraphMatchesMapReference|TestMISNodesMatchesMasks|TestLinialG2StopsWhenDone|TestMISInCanceledInPreprocessing
 EQUIV_PKGS := ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/ ./internal/coloring/ ./internal/graph/
 # check-tests fails unless every name of the |-separated list $(1) is a
 # top-level test, fuzz target or benchmark of the packages $(2).

@@ -452,11 +452,13 @@ func ValidateOptions(opts ...SolveOption) error {
 // over the engine's base Options. The result is verified maximal before
 // returning and never aliases engine memory.
 //
-// Cancellation: the solve polls ctx only at round boundaries and between
-// seed batches of the conditional-expectations searches — never inside a
-// computation — so a solve that completes is bit-identical to an
-// uncancellable one, and abandoning a request costs at most one round of
-// residual work. A canceled solve returns an error matching both
+// Cancellation: the solve polls ctx only at round boundaries, between seed
+// batches of the conditional-expectations searches and, on the Section 5
+// path, between the shards and rounds of the preprocessing — never inside
+// a seed evaluation or a selection scan — so a solve that completes is
+// bit-identical to an uncancellable one, and abandoning a request costs at
+// most one round, or one preprocessing shard, of residual work. A canceled
+// solve returns an error matching both
 // ErrCanceled and the context's cause (context.Canceled or
 // context.DeadlineExceeded) under errors.Is; its scratch context is still
 // reset and re-pooled, so the engine stays warm and allocation-flat for
@@ -592,11 +594,11 @@ func solveMatching(ctx context.Context, sc *scratch.Context, g *Graph, cfg *solv
 	case StrategyLowDegree:
 		res := lowdeg.MaximalMatchingIn(sc, g, p, model)
 		canceled = res.MIS.Canceled
-		out = &MatchingResult{Edges: res.Matching, Iterations: len(res.MIS.Phases), Strategy: strat}
+		out = &MatchingResult{Edges: res.Matching, Iterations: len(res.MIS.Rounds), Strategy: strat}
 	case StrategySparsify:
 		res := matching.DeterministicIn(sc, g, p, model)
 		canceled = res.Canceled
-		out = &MatchingResult{Edges: res.Matching, Iterations: len(res.Iterations), Strategy: strat}
+		out = &MatchingResult{Edges: res.Matching, Iterations: len(res.Rounds), Strategy: strat}
 	}
 	if canceled {
 		// The partial matching is discarded: a canceled solve has no result.
@@ -620,11 +622,11 @@ func solveMIS(ctx context.Context, sc *scratch.Context, g *Graph, cfg *solveConf
 	case StrategyLowDegree:
 		res := lowdeg.MISIn(sc, g, p, model)
 		canceled = res.Canceled
-		out = &MISResult{Nodes: res.IndependentSet, Iterations: len(res.Phases), Strategy: strat}
+		out = &MISResult{Nodes: res.IndependentSet, Iterations: len(res.Rounds), Strategy: strat}
 	case StrategySparsify:
 		res := mis.DeterministicIn(sc, g, p, model)
 		canceled = res.Canceled
-		out = &MISResult{Nodes: res.IndependentSet, Iterations: len(res.Iterations), Strategy: strat}
+		out = &MISResult{Nodes: res.IndependentSet, Iterations: len(res.Rounds), Strategy: strat}
 	}
 	if canceled {
 		return nil, canceledError(ctx)

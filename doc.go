@@ -154,17 +154,23 @@
 //
 // Cancellation is checkpoint-based: the round loops poll ctx only at round
 // boundaries and between seed batches of the conditional-expectations
-// searches, never inside a seed evaluation or selection scan. That placement
-// is deliberate — a check anywhere finer would sit on the hash kernel's hot
-// path and, worse, could interact with the first-qualifying-seed semantics;
-// at boundaries, a solve that completes is bit-identical to an
-// uncancellable one (the golden corpus does not change when contexts are
-// threaded through), and abandoning a request costs at most one round of
-// residual work. A canceled solve returns an error matching ErrCanceled and
-// the context's cause (context.Canceled / context.DeadlineExceeded) under
-// errors.Is; its partial output is discarded, and its scratch context is
-// reset and re-pooled so the engine stays warm and allocation-flat — the
-// -race cancellation tables (make race-engine) cancel mid-solve at every
+// searches, never inside a seed evaluation or selection scan, and the
+// Section 5 preprocessing, which precedes the first round, also polls
+// between the shards of its r-ball walk and of its colouring's 2-path scans,
+// and between Linial rounds. That placement is deliberate — a check anywhere
+// finer would sit on the hash kernel's hot path and, worse, could interact
+// with the first-qualifying-seed semantics; a poll only decides whether to
+// go on, so a solve that completes is bit-identical to an uncancellable one
+// (the golden corpus does not change when contexts are threaded through),
+// and abandoning a request costs at most one round, or one preprocessing
+// shard, of residual work: a lowdeg matching on a 1,500-leaf star, whose
+// line graph is K_1500 and whose preprocessing alone takes seconds, meets a
+// 50 ms deadline within a second (TestForcedLowDegreeStarMeetsDeadline). A
+// canceled solve returns an error matching ErrCanceled and the context's
+// cause (context.Canceled / context.DeadlineExceeded) under errors.Is; its
+// partial output is discarded, and its scratch context is reset and
+// re-pooled so the engine stays warm and allocation-flat — the -race
+// cancellation tables (make race-engine) cancel mid-solve at every
 // Parallelism level and demand reference-identical bits from the very next
 // solve.
 //
@@ -180,9 +186,10 @@
 //     ThresholdFrac, and *UnknownStrategyError carries the offending
 //     strategy through errors.As. ValidateOptions reports both without
 //     solving.
-//   - ErrCanceled — the solve was abandoned at a round or seed-batch
-//     boundary because its context ended. The chain also matches the
-//     context's cause (context.Canceled or context.DeadlineExceeded).
+//   - ErrCanceled — the solve was abandoned at a round, seed-batch or
+//     preprocessing-shard boundary because its context ended. The chain
+//     also matches the context's cause (context.Canceled or
+//     context.DeadlineExceeded).
 //   - ErrDeadlineExceeded — a refinement of ErrCanceled: the context ended
 //     specifically because its deadline expired. Every error matching
 //     ErrDeadlineExceeded also matches ErrCanceled (and
@@ -214,7 +221,11 @@
 // Observation never changes results, and unobserved solves pay nothing:
 // the per-batch stats and cost snapshots are only materialized when an
 // observer is installed, which is what keeps the warm-engine allocation
-// budgets flat.
+// budgets flat. Every round loop records its rounds and emits their events
+// through one driver (core.Loop), so event i always reports the solver's
+// round record i (TestObserverEventsMatchResults); the one record without
+// an event is the search-less last one of a sparsify MIS that ends by
+// joining isolated nodes, which the result's Iterations counts.
 //
 // # Prepared graphs
 //

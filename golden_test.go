@@ -47,6 +47,20 @@ type goldenSearch struct {
 	Objective  int64 `json:"objective,omitempty"`
 }
 
+// goldenSearches records the searches of rounds, with their objective
+// values when objective is set.
+func goldenSearches(rounds []core.Round, objective bool) []goldenSearch {
+	var out []goldenSearch
+	for _, r := range rounds {
+		gs := goldenSearch{SeedsTried: r.SeedsTried, SeedFound: r.SeedFound}
+		if objective {
+			gs.Objective = r.Objective
+		}
+		out = append(out, gs)
+	}
+	return out
+}
+
 type goldenFile struct {
 	Family   string `json:"family"`
 	N        int    `json:"n"`
@@ -110,25 +124,12 @@ func goldenRun(t *testing.T, family string, n, avg int, seed uint64, strat Strat
 	case StrategySparsify:
 		mm := matching.Deterministic(g, p, nil)
 		is := mis.Deterministic(g, p, nil)
-		var mmS, isS []goldenSearch
-		for _, it := range mm.Iterations {
-			mmS = append(mmS, goldenSearch{SeedsTried: it.SeedsTried, SeedFound: it.SeedFound, Objective: it.ObjectiveValue})
-		}
-		for _, it := range is.Iterations {
-			isS = append(isS, goldenSearch{SeedsTried: it.SeedsTried, SeedFound: it.SeedFound, Objective: it.ObjectiveValue})
-		}
-		record(mm.Matching, is.IndependentSet, mmS, isS)
+		record(mm.Matching, is.IndependentSet, goldenSearches(mm.Rounds, true), goldenSearches(is.Rounds, true))
 	case StrategyLowDegree:
 		mm := lowdeg.MaximalMatchingIn(scratch.New(), g, p, nil)
 		is := lowdeg.MIS(g, p, nil)
-		var mmS, isS []goldenSearch
-		for _, ph := range mm.MIS.Phases {
-			mmS = append(mmS, goldenSearch{SeedsTried: ph.SeedsTried, SeedFound: ph.SeedFound})
-		}
-		for _, ph := range is.Phases {
-			isS = append(isS, goldenSearch{SeedsTried: ph.SeedsTried, SeedFound: ph.SeedFound})
-		}
-		record(mm.Matching, is.IndependentSet, mmS, isS)
+		// The corpus records no objective for the Section 5 searches.
+		record(mm.Matching, is.IndependentSet, goldenSearches(mm.MIS.Rounds, false), goldenSearches(is.Rounds, false))
 	default:
 		t.Fatalf("golden: unhandled strategy %q", strat)
 	}

@@ -126,10 +126,10 @@ func DetMIS(g *graph.Graph, p core.Params) *MISResult {
 	out := &MISResult{
 		IndependentSet: res.IndependentSet,
 		Stages:         res.Stages,
-		Phases:         len(res.Phases),
+		Phases:         len(res.Rounds),
 		Ell:            res.Ell,
 		RoundsDet:      m.Rounds(),
-		RoundsCH15:     CH15Rounds(n, len(res.Phases)),
+		RoundsCH15:     CH15Rounds(n, len(res.Rounds)),
 		Model:          m,
 	}
 	if ok, reason := check.IsMaximalIS(g, out.IndependentSet); !ok {

@@ -58,8 +58,13 @@ type Result struct {
 // without a point for some node, which panics. Every pass scans 2-paths of
 // g's CSR instead of materialising G², and shards over vertex ranges on up
 // to `workers` host workers; the result is bit-identical at any worker
-// count.
-func LinialG2(g *graph.Graph, maxDeg2, workers int, model *simcost.Model) *Result {
+// count. done (nil: never) is the solve's cancellation poll: LinialG2 polls
+// it before it starts and after each round, as does every shard of its
+// 2-path scans, and returns nil once it reports true.
+func LinialG2(g *graph.Graph, maxDeg2, workers int, done func() bool, model *simcost.Model) *Result {
+	if stopped(done) {
+		return nil
+	}
 	model.ChargeRounds(1, "coloring.square") // neighbours exchange lists
 	n := g.N()
 	colors := make([]int, n)
@@ -81,7 +86,11 @@ func LinialG2(g *graph.Graph, maxDeg2, workers int, model *simcost.Model) *Resul
 		}
 		digits = colourDigits(graph.Grow(digits, numColors*(d+1)), numColors, q, d)
 		table = graph.Grow(table, tablePoints*n)
-		if v := linialRound(g, colors, next, digits, table, q, d, workers); v >= 0 {
+		v := linialRound(g, colors, next, digits, table, q, d, workers, done)
+		if stopped(done) {
+			return nil // the round may have skipped shards
+		}
+		if v >= 0 {
 			panic(fmt.Sprintf("coloring: input colouring not proper at node %d", v))
 		}
 		colors, next = next, colors
@@ -103,11 +112,18 @@ func LinialG2(g *graph.Graph, maxDeg2, workers int, model *simcost.Model) *Resul
 	// every node can do locally after one Lemma 4 sort).
 	numColors = compact(colors, numColors)
 	model.ChargeSort("coloring.compact")
-	if err := VerifyDistance2(g, colors, workers); err != nil {
+	err := verifyDistance2(g, colors, workers, done)
+	if stopped(done) {
+		return nil
+	}
+	if err != nil {
 		panic(fmt.Sprintf("coloring: %v", err))
 	}
 	return &Result{Colors: colors, NumColors: numColors, Rounds: rounds}
 }
+
+// stopped reports whether the cancellation poll done (nil: never) is true.
+func stopped(done func() bool) bool { return done != nil && done() }
 
 // linialParams returns the prime field size q and polynomial degree d for
 // one reduction from numColors colours at maximum degree maxDeg.
@@ -167,8 +183,9 @@ func colourDigits(dst []uint32, numColors int, q uint64, d int) []uint32 {
 // Values are below q, which fits in 32 bits: a round runs only while
 // q² < numColors <= n. Node v then takes the first row in which no 2-path
 // v–u or v–u–w (w ≠ v) ends at its own value, and only past the table
-// evaluates the polynomials at the ends of its 2-paths directly.
-func linialRound(g *graph.Graph, colors, next []int, digits, table []uint32, q uint64, d, workers int) int {
+// evaluates the polynomials at the ends of its 2-paths directly. A scan
+// shard returns at once, its next[v] unwritten, when done reports true.
+func linialRound(g *graph.Graph, colors, next []int, digits, table []uint32, q uint64, d, workers int, done func() bool) int {
 	n := g.N()
 	r := intmath.NewReducer(q)
 	k := d + 1 // digits per colour
@@ -194,6 +211,9 @@ func linialRound(g *graph.Graph, colors, next []int, digits, table []uint32, q u
 		}
 	})
 	return parallel.MapReduce(workers, n, -1, func(lo, hi int) int {
+		if stopped(done) {
+			return -1
+		}
 		for v := lo; v < hi; v++ {
 			x := 0
 			for x < pts && clashes(g, graph.NodeID(v), table[x*n:x*n+n]) {
@@ -279,13 +299,17 @@ func compact(colors []int, numColors int) int {
 	return int(k)
 }
 
-// VerifyDistance2 returns an error unless colors is a distance-2 proper
+// verifyDistance2 returns an error unless colors is a distance-2 proper
 // colouring of g (proper on G²). It scans every node's 2-paths, sharded
 // over up to `workers` host workers, and reports the lowest failing node v
 // with the lowest node u within distance 2 of it sharing v's colour, so the
-// error is the same at any worker count.
-func VerifyDistance2(g *graph.Graph, colors []int, workers int) error {
+// error is the same at any worker count. A shard returns at once, finding
+// nothing, when done (nil: never) reports true.
+func verifyDistance2(g *graph.Graph, colors []int, workers int, done func() bool) error {
 	v := parallel.MapReduce(workers, g.N(), -1, func(lo, hi int) int {
+		if stopped(done) {
+			return -1
+		}
 		for v := lo; v < hi; v++ {
 			if clashes(g, graph.NodeID(v), colors) {
 				return v

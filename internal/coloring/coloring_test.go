@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -34,8 +35,8 @@ func TestLinialProperOnFixtures(t *testing.T) {
 		"gnm":   gen.GNM(300, 900, 2),
 		"star":  gen.Star(50),
 	} {
-		res := LinialG2(g, maxDegreeG2(g), 1, nil)
-		if err := VerifyDistance2(g, res.Colors, 1); err != nil {
+		res := LinialG2(g, maxDegreeG2(g), 1, nil, nil)
+		if err := verifyDistance2(g, res.Colors, 1, nil); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		for _, c := range res.Colors {
@@ -51,7 +52,7 @@ func TestLinialColourCountPolyDelta(t *testing.T) {
 	// independent of n.
 	for _, n := range []int{256, 1024, 4096} {
 		g := gen.RandomRegular(n, 6, uint64(n))
-		res := LinialG2(g, maxDegreeG2(g), 2, nil)
+		res := LinialG2(g, maxDegreeG2(g), 2, nil, nil)
 		d := maxDegreeG2(g)
 		bound := 64 * d * d
 		if res.NumColors > bound {
@@ -64,8 +65,8 @@ func TestLinialRoundsLogStar(t *testing.T) {
 	// Round count grows extremely slowly with n (log* behaviour): going
 	// from n=2^8 to n=2^14 must add at most 2 iterations.
 	gs, gl := gen.RandomRegular(1<<8, 4, 1), gen.RandomRegular(1<<14, 4, 1)
-	small := LinialG2(gs, maxDegreeG2(gs), 2, nil)
-	large := LinialG2(gl, maxDegreeG2(gl), 2, nil)
+	small := LinialG2(gs, maxDegreeG2(gs), 2, nil, nil)
+	large := LinialG2(gl, maxDegreeG2(gl), 2, nil, nil)
 	if large.Rounds > small.Rounds+2 {
 		t.Errorf("rounds grew from %d to %d", small.Rounds, large.Rounds)
 	}
@@ -80,8 +81,8 @@ func TestLinialG2Distance2(t *testing.T) {
 		"tree": gen.RandomTree(300, 3),
 		"reg":  gen.RandomRegular(500, 8, 4),
 	} {
-		res := LinialG2(g, maxDegreeG2(g), 2, nil)
-		if err := VerifyDistance2(g, res.Colors, 2); err != nil {
+		res := LinialG2(g, maxDegreeG2(g), 2, nil, nil)
+		if err := verifyDistance2(g, res.Colors, 2, nil); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -89,7 +90,7 @@ func TestLinialG2Distance2(t *testing.T) {
 
 func TestLinialG2ColourCountDelta4(t *testing.T) {
 	g := gen.RandomRegular(2048, 4, 9)
-	res := LinialG2(g, maxDegreeG2(g), 2, nil)
+	res := LinialG2(g, maxDegreeG2(g), 2, nil, nil)
 	d := g.MaxDegree()
 	bound := 256 * d * d * d * d // O(Δ⁴) with implementation constant
 	if res.NumColors > bound {
@@ -99,12 +100,12 @@ func TestLinialG2ColourCountDelta4(t *testing.T) {
 }
 
 func TestLinialEmptyAndTrivial(t *testing.T) {
-	res := LinialG2(graph.Empty(0), 0, 1, nil)
+	res := LinialG2(graph.Empty(0), 0, 1, nil, nil)
 	if res.NumColors != 0 {
 		t.Errorf("empty graph coloured with %d colours", res.NumColors)
 	}
-	res = LinialG2(graph.Empty(5), 0, 1, nil)
-	if err := VerifyDistance2(graph.Empty(5), res.Colors, 1); err != nil {
+	res = LinialG2(graph.Empty(5), 0, 1, nil, nil)
+	if err := verifyDistance2(graph.Empty(5), res.Colors, 1, nil); err != nil {
 		t.Error(err)
 	}
 	// With no edges a single colour suffices after compaction.
@@ -116,7 +117,7 @@ func TestLinialEmptyAndTrivial(t *testing.T) {
 func TestLinialChargesModel(t *testing.T) {
 	g := gen.Grid2D(20, 20)
 	model := simcost.New(g.N(), g.M(), 0.5)
-	LinialG2(g, maxDegreeG2(g), 1, model)
+	LinialG2(g, maxDegreeG2(g), 1, nil, model)
 	if model.Stats().Rounds == 0 {
 		t.Error("no rounds charged")
 	}
@@ -124,9 +125,9 @@ func TestLinialChargesModel(t *testing.T) {
 
 func TestLinialDeterministic(t *testing.T) {
 	g := gen.GNM(200, 800, 5)
-	a := LinialG2(g, maxDegreeG2(g), 1, nil)
+	a := LinialG2(g, maxDegreeG2(g), 1, nil, nil)
 	for _, w := range []int{1, 2, 8} {
-		b := LinialG2(g, maxDegreeG2(g), w, nil)
+		b := LinialG2(g, maxDegreeG2(g), w, nil, nil)
 		if !slices.Equal(a.Colors, b.Colors) || a.NumColors != b.NumColors || a.Rounds != b.Rounds {
 			t.Fatalf("nondeterministic colouring at %d workers", w)
 		}
@@ -139,10 +140,10 @@ func TestVerifyCatchesBadColouring(t *testing.T) {
 		t.Error("improper colouring accepted")
 	}
 	for _, w := range []int{1, 2, 8} {
-		if err := VerifyDistance2(g, []int{0, 1, 0}, w); err == nil {
+		if err := verifyDistance2(g, []int{0, 1, 0}, w, nil); err == nil {
 			t.Errorf("distance-2 violation accepted at %d workers", w)
 		}
-		if err := VerifyDistance2(g, []int{0, 1, 2}, w); err != nil {
+		if err := verifyDistance2(g, []int{0, 1, 2}, w, nil); err != nil {
 			t.Errorf("valid distance-2 colouring rejected at %d workers: %v", w, err)
 		}
 	}
@@ -153,7 +154,7 @@ func TestVerifyCatchesBadColouring(t *testing.T) {
 	colors := []int{5, 5, 2, 3, 4, 6, 7, 8, 0, 5}
 	want := "nodes 0 and 1 within distance 2 share colour 5"
 	for _, w := range []int{1, 2, 8} {
-		if err := VerifyDistance2(h, colors, w); err == nil || err.Error() != want {
+		if err := verifyDistance2(h, colors, w, nil); err == nil || err.Error() != want {
 			t.Errorf("workers=%d: got %v, want %q", w, err, want)
 		}
 	}
@@ -173,12 +174,12 @@ func TestLinialRoundRejectsImproperColouring(t *testing.T) {
 	digits := colourDigits(make([]uint32, g.N()*(d+1)), g.N(), q, d)
 	table := make([]uint32, tablePoints*g.N())
 	for _, w := range []int{1, 2, 8} {
-		if v := linialRound(g, colors, make([]int, g.N()), digits, table, q, d, w); v != 10 {
+		if v := linialRound(g, colors, make([]int, g.N()), digits, table, q, d, w, nil); v != 10 {
 			t.Errorf("workers=%d: round reported node %d, want 10", w, v)
 		}
 	}
 	colors[12], colors[33] = 12, 33
-	if v := linialRound(g, colors, make([]int, g.N()), digits, table, q, d, 2); v != -1 {
+	if v := linialRound(g, colors, make([]int, g.N()), digits, table, q, d, 2, nil); v != -1 {
 		t.Errorf("proper colouring: round reported node %d", v)
 	}
 }
@@ -232,7 +233,7 @@ func TestLinialG2MatchesSquareReference(t *testing.T) {
 					want := linialG2Reference(h, wantModel)
 					for _, w := range []int{1, 2, 8} {
 						model := simcost.New(h.N(), h.M(), 0.5)
-						got := LinialG2(h, maxDegreeG2(h), w, model)
+						got := LinialG2(h, maxDegreeG2(h), w, nil, model)
 						if !slices.Equal(got.Colors, want.Colors) || got.NumColors != want.NumColors || got.Rounds != want.Rounds {
 							t.Fatalf("%s workers=%d: colouring (%d colours, %d rounds) differs from the square reference (%d colours, %d rounds)",
 								name, w, got.NumColors, got.Rounds, want.NumColors, want.Rounds)
@@ -293,7 +294,7 @@ func TestLinialRoundMatchesWalkReference(t *testing.T) {
 						for _, w := range []int{1, 2, 8} {
 							got := slices.Repeat([]int{-7}, h.N())
 							table := slices.Repeat([]uint32{^uint32(0)}, tablePoints*h.N())
-							if v := linialRound(h, colors, got, digits, table, q, d, w); v != -1 {
+							if v := linialRound(h, colors, got, digits, table, q, d, w, nil); v != -1 {
 								t.Fatalf("%s round %d workers=%d: round reported node %d, reference none", name, round, w, v)
 							}
 							if !slices.Equal(got, want) {
@@ -349,7 +350,7 @@ func FuzzLinialRoundMatchesWalkReference(f *testing.F) {
 		for _, w := range []int{1, 2, 8} {
 			got := slices.Repeat([]int{-7}, n)
 			table := slices.Repeat([]uint32{^uint32(0)}, tablePoints*n)
-			v := linialRound(g, colors, got, digits, table, q, d, w)
+			v := linialRound(g, colors, got, digits, table, q, d, w, nil)
 			if v != wantV {
 				t.Fatalf("workers=%d: round reported node %d, reference %d (colours %v)", w, v, wantV, colors)
 			}
@@ -358,4 +359,38 @@ func FuzzLinialRoundMatchesWalkReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestLinialG2StopsWhenDone pins LinialG2's cancellation polls at 1, 2 and
+// 8 workers: a done that never reports true leaves the colouring as it is
+// without one, and a done that first reports true at any one of those
+// polls makes LinialG2 return nil, charging nothing when it is the first.
+// Every shard polls once, before its first node, so the number of polls
+// is the same at every worker count.
+func TestLinialG2StopsWhenDone(t *testing.T) {
+	g := gen.Cycle(3000)
+	d2 := maxDegreeG2(g)
+	want := LinialG2(g, d2, 1, nil, nil)
+	if want.Rounds < 2 {
+		t.Fatalf("%d Linial rounds: the table needs polls between rounds", want.Rounds)
+	}
+	for _, w := range []int{1, 2, 8} {
+		var polls atomic.Int64
+		never := func() bool { polls.Add(1); return false }
+		if got := LinialG2(g, d2, w, never, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: colouring with a never-true done differs", w)
+		}
+		total := polls.Load()
+		for k := int64(0); k < total; k++ {
+			var calls atomic.Int64
+			done := func() bool { return calls.Add(1) > k }
+			model := simcost.New(g.N(), g.M(), 0.5)
+			if got := LinialG2(g, d2, w, done, model); got != nil {
+				t.Fatalf("workers=%d: done true from poll %d of %d, yet LinialG2 returned a colouring", w, k+1, total)
+			}
+			if r := model.Stats().Rounds; k == 0 && r != 0 {
+				t.Fatalf("workers=%d: done true from the first poll, yet %d rounds charged", w, r)
+			}
+		}
+	}
 }

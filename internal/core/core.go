@@ -1,8 +1,9 @@
 // Package core holds the shared vocabulary of the paper's algorithms: the
 // parameter set (ε, δ = ε/8, concentration slack, search thresholds), the
 // degree-class partition C_1, …, C_{1/δ} of Section 3, the good-node set X
-// of Luby's matching analysis, and the deterministic local-minimum
-// selection rules shared by the matching and MIS steps.
+// of Luby's matching analysis, the deterministic local-minimum selection
+// rules shared by the matching and MIS steps, and the round driver (Loop)
+// and MIS node state (MISNodes) their loops share.
 package core
 
 import (
@@ -52,20 +53,21 @@ type Params struct {
 	Parallelism int
 	// Done, when non-nil, reports whether the enclosing request has been
 	// abandoned (context canceled, deadline exceeded). The round loops poll
-	// it ONLY at round boundaries and between condexp seed batches — never
-	// inside a seed evaluation or a selection scan — so a solve that runs to
-	// completion is bit-identical to one with Done == nil, and cancellation
-	// latency is bounded by one round's work. Once Done returns true it must
-	// keep returning true (context semantics); the loops re-check it at
-	// their own boundaries rather than trusting a single observation.
+	// it ONLY at round boundaries (Loop.Stop), between condexp seed
+	// batches and, in the Section 5 preprocessing, between shards and
+	// Linial rounds — never inside a seed evaluation or a selection scan —
+	// so a solve that runs to completion is bit-identical to one with
+	// Done == nil, and cancellation latency is bounded by one round's work
+	// or one shard's. Once Done returns true it must keep returning true
+	// (context semantics), so Loop.Stop sees any poll that stopped work.
 	Done func() bool
 	// Observe, when non-nil, receives one RoundEvent per completed round of
-	// the outer derandomization loops. Events are emitted from the solve's
+	// the outer derandomization loops (Loop.End), from the solve's
 	// coordinating goroutine, strictly in round order, after the round's
-	// seed search and peel have finished — host parallelism lives inside a
+	// seed search and apply have finished — host parallelism lives inside a
 	// round, never across rounds, so the event stream is identical at every
-	// Parallelism setting. Observation never changes outputs: the only extra
-	// work an observer costs is the live-node count of each round.
+	// Parallelism setting. Observation never changes outputs: an observer
+	// costs only the matching path's live-node count and a model snapshot.
 	Observe func(RoundEvent)
 }
 
@@ -602,9 +604,10 @@ func (sel *NodeSel) Init(n int, inQ []bool, keyOf func(graph.NodeID) uint64, zMa
 // scan would produce — and the plan it builds is bit-identical to Init with
 // the corresponding mask, without the O(n) scan over the id space. The round
 // loops use it where the candidate set arrives as a list anyway (the
-// sparsified Q' of the MIS path, the shrinking live list of the lowdeg
-// phases), which removes the last per-round term proportional to the full id
-// space from those paths. The list is copied; the caller may reuse it.
+// sparsified Q' of the MIS path, the MISNodes live list of the lowdeg
+// phases and of luby's MIS), which removes the last per-round term
+// proportional to the full id space from those paths. The list is copied;
+// the caller may reuse it.
 func (sel *NodeSel) InitList(n int, ids []graph.NodeID, keyOf func(graph.NodeID) uint64, zMax uint64) {
 	ep := sel.begin(n)
 	live := graph.Grow(sel.live, len(ids))[:0]

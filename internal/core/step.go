@@ -11,8 +11,8 @@ import (
 // (§3.3), MIS (§4.3) and low-degree (§5.2) loops share: the seed search, the
 // selection of one seed against the round's selection plan — which scores
 // every candidate at one worker and applies the chosen seed at p.Workers() —
-// and the peel of a selected independent set. The loops keep only their
-// objective's score and their bookkeeping.
+// and the MIS node state a selected independent set is peeled from. The
+// loops keep only their objective's score; loop.go holds their bookkeeping.
 
 // SeedSearch runs one conditional-expectations scan under p: the first seed
 // of fam, in enumeration order, whose objective value reaches threshold, or
@@ -74,26 +74,72 @@ func (g *EdgeGroup) Select(ev *hashfam.Evaluator, sel *EdgeSel, seed []uint64, w
 	return LocalMinEdgesSel(&g.lm, sel, ev.EvalKeysW(seed, sel.ekeys, g.z, workers))
 }
 
-// Peel applies a selected independent set ih of g (duplicate-free, as every
-// selection returns it): its nodes join inSet, every node of ih ∪ N(ih) is
-// marked in remove and cleared from alive, and the return value is
-// |ih ∪ N(ih)|. remove must hold no mark inside ih ∪ N(ih) on entry — the
-// round loops pass a freshly zeroed mask.
-func Peel(g *graph.Graph, ih []graph.NodeID, inSet, alive, remove []bool) int {
-	for _, v := range ih {
-		inSet[v] = true
-		alive[v] = false
-		remove[v] = true
+// MISNodes is the node state of an MIS round loop: the set built so far
+// and the live nodes as an ascending list, compacted as nodes leave, so
+// per-round scans cost the live set, not the id space. It outlives the
+// scratch arena, which the loops Reset every round.
+type MISNodes struct {
+	in   []bool
+	live []graph.NodeID
+}
+
+// NewMISNodes returns the state of an n-node graph: all live, none in the
+// set.
+func NewMISNodes(n int) MISNodes {
+	s := MISNodes{in: make([]bool, n), live: make([]graph.NodeID, n)}
+	for v := range s.live {
+		s.live[v] = graph.NodeID(v)
 	}
-	removed := len(ih)
-	for _, v := range ih {
-		for _, u := range g.Neighbors(v) {
-			if !remove[u] {
-				remove[u] = true
-				alive[u] = false
-				removed++
-			}
+	return s
+}
+
+// Live returns the live nodes in ascending order, valid until the next
+// JoinIsolated or Peel.
+func (s *MISNodes) Live() []graph.NodeID { return s.live }
+
+// Set returns the set in ascending order.
+func (s *MISNodes) Set() []graph.NodeID {
+	var out []graph.NodeID
+	for v, in := range s.in {
+		if in {
+			out = append(out, graph.NodeID(v))
 		}
 	}
-	return removed
+	return out
+}
+
+// JoinIsolated moves the live nodes that g leaves isolated into the set and
+// returns how many joined.
+func (s *MISNodes) JoinIsolated(g *graph.Graph) int {
+	keep := s.live[:0]
+	for _, v := range s.live {
+		if g.Degree(v) > 0 {
+			keep = append(keep, v)
+		} else {
+			s.in[v] = true
+		}
+	}
+	joined := len(s.live) - len(keep)
+	s.live = keep
+	return joined
+}
+
+// Peel applies a selected independent set ih of live nodes of g: ih joins
+// the set, and ih ∪ N(ih) is marked in remove, which must be all false on
+// entry, and leaves the live list.
+func (s *MISNodes) Peel(g *graph.Graph, ih []graph.NodeID, remove []bool) {
+	for _, v := range ih {
+		s.in[v] = true
+		remove[v] = true
+		for _, u := range g.Neighbors(v) {
+			remove[u] = true
+		}
+	}
+	keep := s.live[:0]
+	for _, v := range s.live {
+		if !remove[v] {
+			keep = append(keep, v)
+		}
+	}
+	s.live = keep
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/detrand"
@@ -244,6 +245,93 @@ func TestSeedSearchMissPath(t *testing.T) {
 			if scored[i] != 1 || got[i] != want[i] {
 				t.Fatalf("%s: candidate %d scored %d times, value %d, want once with %d", r.name, i, scored[i], got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestMISNodesMatchesMasks runs MISNodes through whole MIS loops on random
+// graphs, against an alive mask and an in-set mask kept here: every round
+// joins the isolated live nodes, then peels a random independent set of
+// the live nodes, in random order, and deletes ih ∪ N(ih) from the graph.
+// After every JoinIsolated and Peel, Live() must be the ascending alive
+// set and Set() the ascending in-set, JoinIsolated must count the nodes it
+// joined, and remove must mark exactly ih ∪ N(ih).
+func TestMISNodesMatchesMasks(t *testing.T) {
+	src := detrand.New(7)
+	for _, tc := range []struct{ n, m int }{{0, 0}, {1, 0}, {2, 1}, {40, 0}, {64, 80}, {300, 1200}, {500, 6000}} {
+		g := gen.GNM(tc.n, tc.m, uint64(tc.n+tc.m))
+		nodes := NewMISNodes(tc.n)
+		alive, in := make([]bool, tc.n), make([]bool, tc.n)
+		for v := range alive {
+			alive[v] = true
+		}
+		check := func(round int, step string) {
+			t.Helper()
+			var wantLive, wantSet []graph.NodeID
+			for v := range alive {
+				if alive[v] {
+					wantLive = append(wantLive, graph.NodeID(v))
+				}
+				if in[v] {
+					wantSet = append(wantSet, graph.NodeID(v))
+				}
+			}
+			if !slices.Equal(nodes.Live(), wantLive) {
+				t.Fatalf("n=%d m=%d round %d after %s: Live() = %v, want %v", tc.n, tc.m, round, step, nodes.Live(), wantLive)
+			}
+			if !slices.Equal(nodes.Set(), wantSet) {
+				t.Fatalf("n=%d m=%d round %d after %s: Set() = %v, want %v", tc.n, tc.m, round, step, nodes.Set(), wantSet)
+			}
+		}
+		cur := g
+		for round := 1; ; round++ {
+			wantJoined := 0
+			for v := range alive {
+				if alive[v] && cur.Degree(graph.NodeID(v)) == 0 {
+					alive[v], in[v] = false, true
+					wantJoined++
+				}
+			}
+			if joined := nodes.JoinIsolated(cur); joined != wantJoined {
+				t.Fatalf("n=%d m=%d round %d: JoinIsolated joined %d, want %d", tc.n, tc.m, round, joined, wantJoined)
+			}
+			check(round, "JoinIsolated")
+			if cur.M() == 0 {
+				break
+			}
+			// A random independent set of the live nodes, never empty, in
+			// random order.
+			var ih []graph.NodeID
+			taken := make([]bool, tc.n)
+			live := nodes.Live()
+			for i, k := range src.Perm(len(live)) {
+				v := live[k]
+				if taken[v] || (i > 0 && src.Intn(2) == 0) {
+					continue
+				}
+				ih = append(ih, v)
+				taken[v] = true
+				for _, u := range cur.Neighbors(v) {
+					taken[u] = true
+				}
+			}
+			want := make([]bool, tc.n)
+			for _, v := range ih {
+				in[v], want[v] = true, true
+				for _, u := range cur.Neighbors(v) {
+					want[u] = true
+				}
+			}
+			for v := range alive {
+				alive[v] = alive[v] && !want[v]
+			}
+			remove := make([]bool, tc.n)
+			nodes.Peel(cur, ih, remove)
+			if !slices.Equal(remove, want) {
+				t.Fatalf("n=%d m=%d round %d: Peel marked %v, want ih ∪ N(ih) = %v", tc.n, tc.m, round, remove, want)
+			}
+			check(round, "Peel")
+			cur = cur.WithoutNodes(remove)
 		}
 	}
 }

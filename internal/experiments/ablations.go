@@ -44,15 +44,15 @@ func RunA1(cfg Config) []*tablefmt.Table {
 		p.ThresholdFrac = frac
 		res := matching.Deterministic(g, p, nil)
 		seeds, met := 0, 0
-		for _, it := range res.Iterations {
+		for _, it := range res.Rounds {
 			seeds += it.SeedsTried
 			if it.SeedFound {
 				met++
 			}
 		}
-		t.AddRow(frac, len(res.Iterations),
-			float64(seeds)/float64(len(res.Iterations)),
-			fmt.Sprintf("%d/%d", met, len(res.Iterations)),
+		t.AddRow(frac, len(res.Rounds),
+			float64(seeds)/float64(len(res.Rounds)),
+			fmt.Sprintf("%d/%d", met, len(res.Rounds)),
 			len(res.Matching))
 	}
 	t.Notes = append(t.Notes,
@@ -80,7 +80,7 @@ func RunA2(cfg Config) []*tablefmt.Table {
 		model := simcost.New(g.N(), g.M(), eps)
 		res := matching.Deterministic(g, p, model)
 		st := model.Stats()
-		t.AddRow(eps, st.S, st.Machines, len(res.Iterations), st.Rounds,
+		t.AddRow(eps, st.S, st.Machines, len(res.Rounds), st.Rounds,
 			st.PeakMachineWords, len(st.Violations))
 	}
 	t.Notes = append(t.Notes,

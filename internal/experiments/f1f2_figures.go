@@ -34,29 +34,29 @@ func RunF1(cfg Config) []*tablefmt.Table {
 	mmRes := matching.Deterministic(g, p, nil)
 	var s tablefmt.Series
 	s.Name = "det-matching"
-	for _, it := range mmRes.Iterations {
-		s.Points = append(s.Points, [2]float64{float64(it.Iteration), float64(it.EdgesAfter)})
+	for i, it := range mmRes.Rounds {
+		s.Points = append(s.Points, [2]float64{float64(i + 1), float64(it.EdgesAfter)})
 	}
 	fig.Series = append(fig.Series, s)
 
 	misRes := mis.Deterministic(g, p, nil)
 	s = tablefmt.Series{Name: "det-mis"}
-	for _, it := range misRes.Iterations {
-		s.Points = append(s.Points, [2]float64{float64(it.Iteration), float64(it.EdgesAfter)})
+	for i, it := range misRes.Rounds {
+		s.Points = append(s.Points, [2]float64{float64(i + 1), float64(it.EdgesAfter)})
 	}
 	fig.Series = append(fig.Series, s)
 
 	lubyMIS := luby.MIS(g, detrand.New(cfg.Seed))
 	s = tablefmt.Series{Name: "luby-mis"}
-	for _, r := range lubyMIS.Rounds {
-		s.Points = append(s.Points, [2]float64{float64(r.Round), float64(r.EdgesAfter)})
+	for i, r := range lubyMIS.Rounds {
+		s.Points = append(s.Points, [2]float64{float64(i + 1), float64(r.EdgesAfter)})
 	}
 	fig.Series = append(fig.Series, s)
 
 	lubyMM := luby.MaximalMatching(g, detrand.New(cfg.Seed+1))
 	s = tablefmt.Series{Name: "luby-matching"}
-	for _, r := range lubyMM.Rounds {
-		s.Points = append(s.Points, [2]float64{float64(r.Round), float64(r.EdgesAfter)})
+	for i, r := range lubyMM.Rounds {
+		s.Points = append(s.Points, [2]float64{float64(i + 1), float64(r.EdgesAfter)})
 	}
 	fig.Series = append(fig.Series, s)
 
@@ -86,9 +86,9 @@ func RunF2(cfg Config) []*tablefmt.Table {
 		g := gen.GNM(n, 8*n, cfg.Seed)
 		x := log2(float64(n))
 		detMM.Points = append(detMM.Points,
-			[2]float64{x, float64(len(matching.Deterministic(g, p, nil).Iterations))})
+			[2]float64{x, float64(len(matching.Deterministic(g, p, nil).Rounds))})
 		detMIS.Points = append(detMIS.Points,
-			[2]float64{x, float64(len(mis.Deterministic(g, p, nil).Iterations))})
+			[2]float64{x, float64(len(mis.Deterministic(g, p, nil).Rounds))})
 		randMIS.Points = append(randMIS.Points,
 			[2]float64{x, float64(len(luby.MIS(g, detrand.New(cfg.Seed)).Rounds))})
 		randMM.Points = append(randMM.Points,
@@ -115,7 +115,7 @@ func RunF2(cfg Config) []*tablefmt.Table {
 		res := lowdeg.MIS(g, p, nil)
 		x := log2(float64(g.MaxDegree()))
 		stages.Points = append(stages.Points, [2]float64{x, float64(res.Stages)})
-		phases.Points = append(phases.Points, [2]float64{x, float64(len(res.Phases))})
+		phases.Points = append(phases.Points, [2]float64{x, float64(len(res.Rounds))})
 	}
 	dFig.Series = []tablefmt.Series{stages, phases}
 	db := dFig.Table()

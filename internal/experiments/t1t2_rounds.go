@@ -35,7 +35,7 @@ func RunT1(cfg Config) []*tablefmt.Table {
 			panic("T1: " + reason)
 		}
 		st := model.Stats()
-		iters := len(res.Iterations)
+		iters := len(res.Rounds)
 		xs = append(xs, log2(float64(g.M())))
 		ys = append(ys, float64(iters))
 		t.AddRow(n, g.M(), iters,
@@ -71,7 +71,7 @@ func RunT2(cfg Config) []*tablefmt.Table {
 			panic("T2: " + reason)
 		}
 		st := model.Stats()
-		iters := len(res.Iterations)
+		iters := len(res.Rounds)
 		if iters == 0 {
 			iters = 1
 		}

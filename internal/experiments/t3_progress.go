@@ -40,19 +40,19 @@ func RunT3(cfg Config) []*tablefmt.Table {
 	}
 	for _, w := range workloads {
 		res := matching.Deterministic(w.g, p, nil)
-		fracs := make([]float64, 0, len(res.Iterations))
-		for _, it := range res.Iterations {
-			fracs = append(fracs, it.RemovedFraction)
+		fracs := make([]float64, 0, len(res.Rounds))
+		for _, it := range res.Rounds {
+			fracs = append(fracs, it.RemovedFraction())
 		}
 		mn, md := minMedian(fracs)
 		t.AddRow("matching", w.name, len(fracs), mn, md, mmBound, mn/mmBound, allAbove(fracs, mmBound))
 	}
 	for _, w := range workloads {
 		res := mis.Deterministic(w.g, p, nil)
-		fracs := make([]float64, 0, len(res.Iterations))
-		for _, it := range res.Iterations {
+		fracs := make([]float64, 0, len(res.Rounds))
+		for _, it := range res.Rounds {
 			if it.EdgesBefore > 0 {
-				fracs = append(fracs, it.RemovedFraction)
+				fracs = append(fracs, it.RemovedFraction())
 			}
 		}
 		mn, md := minMedian(fracs)

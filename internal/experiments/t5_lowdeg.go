@@ -36,7 +36,7 @@ func RunT5(cfg Config) []*tablefmt.Table {
 			if ok, reason := check.IsMaximalIS(g, res.IndependentSet); !ok {
 				panic("T5: " + reason)
 			}
-			t.AddRow(n, g.MaxDegree(), res.Colors, res.Ell, len(res.Phases), res.Stages,
+			t.AddRow(n, g.MaxDegree(), res.Colors, res.Ell, len(res.Rounds), res.Stages,
 				float64(res.Stages)/log2(float64(g.MaxDegree())),
 				res.RoundsPaper, res.RoundsExecuted, len(model.Violations()))
 		}

@@ -32,7 +32,7 @@ func RunT7(cfg Config) []*tablefmt.Table {
 	model := simcost.New(g.N(), g.M(), p.Epsilon)
 	mmRes := matching.Deterministic(g, p, model)
 	searches, seeds, met := 0, 0, 0
-	for _, it := range mmRes.Iterations {
+	for _, it := range mmRes.Rounds {
 		searches++
 		seeds += it.SeedsTried
 		if it.SeedFound {
@@ -44,14 +44,14 @@ func RunT7(cfg Config) []*tablefmt.Table {
 	t.AddRow("matching (all searches)", searches, st.SeedsEvaluated,
 		float64(st.SeedsEvaluated)/float64(searches),
 		float64(st.SeedBatches)/float64(searches),
-		percent(met, len(mmRes.Iterations)), st.S)
+		percent(met, len(mmRes.Rounds)), st.S)
 
 	g2 := gen.GNM(n, 8*n, cfg.Seed)
 	model2 := simcost.New(g2.N(), g2.M(), p.Epsilon)
 	misRes := mis.Deterministic(g2, p, model2)
 	searches, met = 0, 0
 	selections := 0
-	for _, it := range misRes.Iterations {
+	for _, it := range misRes.Rounds {
 		if it.SeedsTried > 0 {
 			searches++
 			selections++

@@ -25,6 +25,10 @@
 // bound; stage counts (the paper's round proxy) are reported alongside
 // both round accountings (substitutions 2-3 of the repro package
 // documentation, and experiment T5).
+//
+// The phases keep their set and bookkeeping in core.MISNodes and core.Loop,
+// as the Section 3/4 loops do. The preprocessing polls cancellation between
+// shards, since on a star's line graph K_k each of its passes costs Θ(k³).
 package lowdeg
 
 import (
@@ -40,22 +44,12 @@ import (
 	"repro/internal/simcost"
 )
 
-// PhaseStats records one Luby phase.
-type PhaseStats struct {
-	Stage           int
-	Phase           int // phase index within the stage
-	EdgesBefore     int
-	EdgesAfter      int
-	Selected        int
-	SeedsTried      int
-	SeedFound       bool
-	RemovedFraction float64
-}
-
 // Result is the outcome of the Section 5 MIS.
 type Result struct {
 	IndependentSet []graph.NodeID
-	Phases         []PhaseStats
+	// Rounds holds one record per Luby phase; Objective is the number of
+	// edges the selected seed removes.
+	Rounds         []core.Round
 	Stages         int
 	Ell            int // phases per stage
 	Radius         int // collected neighbourhood radius r = 2ℓ
@@ -68,9 +62,9 @@ type Result struct {
 	// RoundsExecuted charges one aggregation per phase (what this
 	// implementation actually performs for greedy seed selection).
 	RoundsExecuted int
-	// Canceled is set when Params.Done stopped the solve at a phase (or
-	// seed-batch) boundary; IndependentSet is then partial and NOT maximal,
-	// and the caller must surface an error instead of the result.
+	// Canceled is set when Params.Done stopped the solve in preprocessing
+	// or at a phase (or seed-batch) boundary; IndependentSet is then partial
+	// and NOT maximal, and the caller must surface an error instead.
 	Canceled bool
 }
 
@@ -185,6 +179,7 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 	p.Validate()
 	n := g.N()
 	res := &Result{}
+	lp := core.NewLoop(p, model, "mis", "lowdeg")
 
 	// Preprocessing: colouring and r-hop collection, both reading one walk
 	// of every node's r-ball (see the package comment).
@@ -196,9 +191,15 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 	ell := Ell(maxDeg, budget)
 	res.Ell = ell
 	res.Radius = 2 * ell
-	words, maxDeg2 := ballStats(g, res.Radius, p.Workers())
-
-	col := coloring.LinialG2(g, maxDeg2, p.Workers(), model)
+	words, maxDeg2 := ballStats(g, res.Radius, p.Workers(), p.Done)
+	// A walk stopped by Done leaves maxDeg2 partial, but LinialG2 then
+	// returns nil at its first poll, before reading it.
+	col := coloring.LinialG2(g, maxDeg2, p.Workers(), p.Done, model)
+	if lp.Stop() {
+		sc.Reset()
+		res.Canceled = lp.Canceled
+		return res
+	}
 	res.Colors = col.NumColors
 	res.ColoringRounds = col.Rounds
 
@@ -215,70 +216,40 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 	fam := hashfam.New(minField, 2)
 
 	cur := g
-	// Solve-lifetime state stays off the arena (the arena is Reset each
-	// phase, these masks persist across phases). The live list mirrors the
-	// alive mask as an ascending id list, compacted as nodes leave: phases
-	// touch only the surviving set, so the O(n) id-space scans (isolated
-	// join, NodeSel construction) shrink with the graph instead of paying n
-	// every phase.
-	alive := make([]bool, n)
-	liveList := make([]graph.NodeID, n)
-	for v := range alive {
-		alive[v] = true
-		liveList[v] = graph.NodeID(v)
-	}
-	inMIS := make([]bool, n)
-	compactLive := func() {
-		keep := liveList[:0]
-		for _, v := range liveList {
-			if alive[v] {
-				keep = append(keep, v)
-			}
-		}
-		liveList = keep
-	}
+	// The live list shrinks with the graph, so the per-phase id-space scans
+	// (isolated join, NodeSel construction) cost the surviving set instead
+	// of n.
+	nodes := core.NewMISNodes(n)
 	evaluator := hashfam.NewEvaluator(fam)
 	// The per-node hash keys are the (solve-invariant) G² colours; every
 	// phase builds a NodeSel over the surviving nodes, so a
-	// candidate seed costs one EvalKeys pass of length |alive| — which
+	// candidate seed costs one EvalKeys pass of length |live| — which
 	// shrinks with the graph — followed by a live-list selection scan.
 	colorKeyOf := func(v graph.NodeID) uint64 { return uint64(col.Colors[v]) }
 	sel := sc.NodeSel()
 	ev := &lowdegEval{mark: make([]uint32, n)}
 
-	joinIsolated := func() {
-		for _, v := range liveList {
-			if alive[v] && cur.Degree(v) == 0 {
-				inMIS[v] = true
-				alive[v] = false
-			}
-		}
-	}
-
 	stage := 0
-	round := 0
 loop:
 	for {
-		joinIsolated()
-		compactLive()
+		nodes.JoinIsolated(cur)
 		if cur.M() == 0 {
 			break
 		}
 		stage++
 		for phase := 1; phase <= ell && cur.M() > 0; phase++ {
 			// Phase boundary: the solve's cancellation checkpoint.
-			if p.Canceled() {
-				res.Canceled = true
+			if lp.Stop() {
 				break loop
 			}
-			st := PhaseStats{Stage: stage, Phase: phase, EdgesBefore: cur.M()}
+			r := core.Round{EdgesBefore: cur.M()}
+			liveNodes := len(nodes.Live()) // the phase-start live set
 
 			curG := cur
 			// Per-phase selection plan over the surviving nodes, read by
-			// every per-seed evaluation below. The live list mirrors the
-			// alive mask (compacted after every removal), so the plan costs
-			// O(|alive|), not O(n).
-			sel.InitList(n, liveList, colorKeyOf, fam.P()-1)
+			// every per-seed evaluation below. The live list is compacted
+			// after every removal, so the plan costs O(|live|), not O(n).
+			sel.InitList(n, nodes.Live(), colorKeyOf, fam.P()-1)
 			// Each candidate is scored through the same selection that
 			// applies the winner below, at one worker.
 			objective := func(seed []uint64) int64 {
@@ -287,47 +258,19 @@ loop:
 			}
 			// Luby's pairwise analysis guarantees E[removed] >= |E|/108
 			// (the Lemma 13 constant); demand the configured fraction.
-			threshold := int64(p.ThresholdFrac * float64(cur.M()) / 108.0)
-			if threshold < 1 {
-				threshold = 1
-			}
-			search, batchStats := p.SeedSearch(fam, objective, threshold, "lowdeg.seed", model)
-			if search.Canceled {
-				// search.Seed may be nil; abandon the phase whole.
-				res.Canceled = true
+			seed := lp.Search(&r, fam, objective, int64(p.ThresholdFrac*float64(cur.M())/108.0), "lowdeg.seed")
+			if seed == nil {
 				break loop
 			}
-			st.SeedsTried = search.SeedsTried
-			st.SeedFound = search.Found
 
-			ih := ev.Select(sc.NodeIDsCap(n), evaluator, sel, cur, search.Seed, p.Workers())
-			st.Selected = len(ih)
+			ih := ev.Select(sc.NodeIDsCap(n), evaluator, sel, cur, seed, p.Workers())
+			r.Selected = len(ih)
 			remove := sc.Bools(n)
-			core.Peel(cur, ih, inMIS, alive, remove)
+			nodes.Peel(cur, ih, remove)
 			cur = cur.WithoutNodesInto(remove, p.Workers(), sc.Loop().Next())
-			compactLive()
-			st.EdgesAfter = cur.M()
-			st.RemovedFraction = float64(st.EdgesBefore-st.EdgesAfter) / float64(st.EdgesBefore)
-			res.Phases = append(res.Phases, st)
+			r.EdgesAfter = cur.M()
 			res.RoundsExecuted += 3 // evaluate + aggregate + apply
-			round++
-			if p.Observe != nil {
-				cs := model.Stats()
-				p.Observe(core.RoundEvent{
-					Algorithm:            "mis",
-					Strategy:             "lowdeg",
-					Round:                round,
-					LiveNodes:            len(sel.Live()), // the phase-start live set
-					LiveEdges:            st.EdgesBefore,
-					SeedsTried:           st.SeedsTried,
-					SeedFound:            st.SeedFound,
-					Selected:             st.Selected,
-					Batches:              batchStats,
-					CostRounds:           cs.Rounds,
-					CostSeedBatches:      cs.SeedBatches,
-					CostPeakMachineWords: cs.PeakMachineWords,
-				})
-			}
+			lp.End(r, liveNodes)
 			sc.Reset()
 		}
 		// Maintain r-hop neighbourhoods for the next stage (§5.2.2, one
@@ -341,13 +284,7 @@ loop:
 	sc.Reset()
 	res.Stages = stage
 	res.RoundsPaper = col.Rounds + ballRounds + 3*stage
-
-	// The output is the final membership mask, in id order.
-	for v := 0; v < n; v++ {
-		if inMIS[v] {
-			res.IndependentSet = append(res.IndependentSet, graph.NodeID(v))
-		}
-	}
+	res.IndependentSet, res.Rounds, res.Canceled = nodes.Set(), lp.Rounds, lp.Canceled
 	return res
 }
 
@@ -388,10 +325,14 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, p core.Params, model
 // |Ball(v, 2)| − 1, which sizes the colouring's field. Both need the
 // ball's set, not its order, so they read the unsorted walk and its level
 // ends. Each ball is independent, so the scan map-reduces over vertex
-// shards; each worker reuses one walk scratch across its centres.
-func ballStats(g *graph.Graph, r, workers int) (words, maxDeg2 int) {
+// shards; each worker reuses one walk scratch across its centres. A shard
+// returns at once, its maxima 0, when done (nil: never) reports true.
+func ballStats(g *graph.Graph, r, workers int, done func() bool) (words, maxDeg2 int) {
 	pool := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
 	st := parallel.MapReduce(workers, g.N(), ballMax{}, func(lo, hi int) ballMax {
+		if done != nil && done() {
+			return ballMax{}
+		}
 		bs := pool.Get()
 		var m ballMax
 		for v := lo; v < hi; v++ {

@@ -3,6 +3,7 @@ package lowdeg
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -46,9 +47,9 @@ func TestMISEmptyGraph(t *testing.T) {
 func TestPhasesMakeProgress(t *testing.T) {
 	g := gen.RandomRegular(1024, 6, 5)
 	res := MIS(g, params(), nil)
-	for _, ph := range res.Phases {
+	for i, ph := range res.Rounds {
 		if ph.EdgesAfter >= ph.EdgesBefore {
-			t.Fatalf("stage %d phase %d: no progress", ph.Stage, ph.Phase)
+			t.Fatalf("phase %d: no progress", i+1)
 		}
 	}
 }
@@ -63,8 +64,8 @@ func TestStageCompressionStructure(t *testing.T) {
 		t.Errorf("radius %d != 2ℓ = %d", res.Radius, 2*res.Ell)
 	}
 	// Stages must be fewer than phases when ℓ > 1 (that is the compression).
-	if res.Stages >= len(res.Phases) && len(res.Phases) > res.Ell {
-		t.Errorf("no compression: %d stages for %d phases", res.Stages, len(res.Phases))
+	if res.Stages >= len(res.Rounds) && len(res.Rounds) > res.Ell {
+		t.Errorf("no compression: %d stages for %d phases", res.Stages, len(res.Rounds))
 	}
 	if res.RoundsPaper <= 0 || res.RoundsExecuted < res.RoundsPaper {
 		t.Errorf("round accounting odd: paper=%d executed=%d", res.RoundsPaper, res.RoundsExecuted)
@@ -75,11 +76,11 @@ func TestPhaseCountLogarithmic(t *testing.T) {
 	g := gen.RandomRegular(2048, 4, 7)
 	res := MIS(g, params(), nil)
 	bound := int(6 * math.Log2(float64(g.M())))
-	if len(res.Phases) > bound {
-		t.Errorf("phases %d exceed 6·log2(m) = %d", len(res.Phases), bound)
+	if len(res.Rounds) > bound {
+		t.Errorf("phases %d exceed 6·log2(m) = %d", len(res.Rounds), bound)
 	}
 	t.Logf("n=%d Δ=%d phases=%d stages=%d ℓ=%d colors=%d",
-		g.N(), g.MaxDegree(), len(res.Phases), res.Stages, res.Ell, res.Colors)
+		g.N(), g.MaxDegree(), len(res.Rounds), res.Stages, res.Ell, res.Colors)
 }
 
 func TestStagesGrowWithDelta(t *testing.T) {
@@ -332,8 +333,9 @@ var families = []string{"gnm", "gnp", "powerlaw", "regular", "grid", "complete",
 // walks it replaced: ballStats must return maxBallWords' word count and the
 // radius-2 walk's Δ(G²) at r = 2, 4 and 6 and Parallelism 1, 2 and 8, on
 // every generator family at several sizes and degrees, each graph together
-// with its line graph.
+// with its line graph. Its shards poll a done that never reports true.
 func TestBallStatsMatchesSeparateWalks(t *testing.T) {
+	never := func() bool { return false }
 	for _, family := range families {
 		for _, n := range []int{0, 1, 2, 17, 150} {
 			for _, avg := range []int{2, 3, 6} {
@@ -350,7 +352,7 @@ func TestBallStatsMatchesSeparateWalks(t *testing.T) {
 					for _, r := range []int{2, 4, 6} {
 						wantWords := maxBallWords(h, r, 1)
 						for _, w := range []int{1, 2, 8} {
-							words, deg2 := ballStats(h, r, w)
+							words, deg2 := ballStats(h, r, w, never)
 							if words != wantWords || deg2 != wantDeg2 {
 								t.Fatalf("%s/n%d/avg%d/N%d r=%d workers=%d: ballStats = (%d words, Δ(G²) %d), separate walks (%d, %d)",
 									family, n, avg, h.N(), r, w, words, deg2, wantWords, wantDeg2)
@@ -369,5 +371,30 @@ func BenchmarkMISGrid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MIS(g, p, nil)
+	}
+}
+
+// TestMISInCanceledInPreprocessing: a Done that reports true from its first
+// call stops MISIn in the Section 5 preprocessing, before the colouring. On
+// a star's line graph, K_k, where every preprocessing pass costs Θ(k³),
+// MISIn returns Canceled at 1, 2 and 8 workers with no phase run, no node
+// in the set and no coloring.* round charged.
+func TestMISInCanceledInPreprocessing(t *testing.T) {
+	lg, _ := gen.Star(301).LineGraph()
+	for _, w := range []int{1, 2, 8} {
+		p := params()
+		p.Parallelism = w
+		p.Done = func() bool { return true }
+		model := simcost.New(lg.N(), lg.M(), p.Epsilon)
+		res := MISIn(scratch.New(), lg, p, model)
+		if !res.Canceled || len(res.Rounds) != 0 || len(res.IndependentSet) != 0 {
+			t.Fatalf("workers=%d: Canceled=%v with %d phases and %d nodes, want a canceled solve with none",
+				w, res.Canceled, len(res.Rounds), len(res.IndependentSet))
+		}
+		for label, r := range model.Stats().RoundsByLabel {
+			if strings.HasPrefix(label, "coloring.") {
+				t.Errorf("workers=%d: %d rounds charged to %s", w, r, label)
+			}
+		}
 	}
 }

@@ -13,18 +13,10 @@ import (
 	"repro/internal/scratch"
 )
 
-// RoundStats records one randomized round.
-type RoundStats struct {
-	Round       int
-	EdgesBefore int
-	EdgesAfter  int
-	Selected    int
-}
-
 // MISResult is the outcome of the randomized MIS.
 type MISResult struct {
 	IndependentSet []graph.NodeID
-	Rounds         []RoundStats
+	Rounds         []core.Round // edge counts and Selected; no search runs
 }
 
 // MIS runs Luby's algorithm: every round each surviving node draws a random
@@ -41,29 +33,15 @@ func MIS(g *graph.Graph, src *detrand.Source) *MISResult { return MISW(g, src, 0
 // selection kernels' hash field [p) — the same range the derandomized
 // solvers hash into — so the selection takes the packed single-word (z,id)
 // fast path instead of the compare-two-words fallback that full 64-bit
-// draws force.
+// draws force. After the isolated join every live node of core.MISNodes
+// has degree > 0 and every neighbour in cur is live, so the selection over
+// a plan of the live nodes is exactly Luby's rule.
 func MISW(g *graph.Graph, src *detrand.Source, workers int) *MISResult {
-	return MISIn(scratch.New(), g, src, workers)
-}
-
-// MISIn is MISW drawing the per-round z table, candidate buffer and removal
-// mask from sc and ping-ponging the shrinking graph between sc's two loop
-// CSR buffers. The per-round candidate set is the local-minimum selection
-// shared with the derandomized solvers (a core.NodeSel plan over the alive
-// nodes, scanned by core.LocalMinNodesSel) — after the isolated-join every
-// alive node has degree > 0 and every neighbour in cur is alive, so the
-// selection is exactly Luby's rule. The
-// output is identical to MISW for any prior state of sc and any worker
-// count; sc is Reset at every round boundary and left Reset on return.
-func MISIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source, workers int) *MISResult {
+	sc := scratch.New()
 	n := g.N()
 	res := &MISResult{}
 	cur := g
-	alive := make([]bool, n)
-	for v := range alive {
-		alive[v] = true
-	}
-	inMIS := make([]bool, n)
+	nodes := core.NewMISNodes(n)
 	// Draw z values from the pairwise selection field [p), like the
 	// derandomized solver's hashes, rather than full 64-bit words: bounded
 	// draws let LocalMinNodesSel pack (z, id) into single words and take its
@@ -73,45 +51,36 @@ func MISIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source, workers int
 	sel := sc.NodeSel()
 	idKey := func(v graph.NodeID) uint64 { return uint64(v) }
 
-	for round := 1; ; round++ {
-		for v := 0; v < n; v++ {
-			if alive[v] && cur.Degree(graph.NodeID(v)) == 0 {
-				inMIS[v] = true
-				alive[v] = false
-			}
-		}
+	for {
+		nodes.JoinIsolated(cur)
 		if cur.M() == 0 {
 			break
 		}
-		st := RoundStats{Round: round, EdgesBefore: cur.M()}
-		// z[i] belongs to the i-th alive node: the draws run in ascending
+		r := core.Round{EdgesBefore: cur.M()}
+		// z[i] belongs to the i-th live node: the draws run in ascending
 		// live-id order.
-		sel.Init(n, alive, idKey, p-1)
+		sel.InitList(n, nodes.Live(), idKey, p-1)
 		z := sc.Uint64s(len(sel.Live()))
 		for i := range z {
 			z[i] = src.Uint64n(p)
 		}
 		ih := core.LocalMinNodesSel(sc.NodeIDsCap(n), cur, sel, z)
-		st.Selected = len(ih)
+		r.Selected = len(ih)
 		remove := sc.Bools(n)
-		core.Peel(cur, ih, inMIS, alive, remove)
+		nodes.Peel(cur, ih, remove)
 		cur = cur.WithoutNodesInto(remove, workers, sc.Loop().Next())
-		st.EdgesAfter = cur.M()
-		res.Rounds = append(res.Rounds, st)
+		r.EdgesAfter = cur.M()
+		res.Rounds = append(res.Rounds, r)
 		sc.Reset()
 	}
-	for v := 0; v < n; v++ {
-		if inMIS[v] {
-			res.IndependentSet = append(res.IndependentSet, graph.NodeID(v))
-		}
-	}
+	res.IndependentSet = nodes.Set()
 	return res
 }
 
 // MatchingResult is the outcome of the randomized maximal matching.
 type MatchingResult struct {
 	Matching []graph.Edge
-	Rounds   []RoundStats
+	Rounds   []core.Round // as in MISResult
 }
 
 // MaximalMatching runs the Luby-style matching: every round each surviving
@@ -125,25 +94,11 @@ func MaximalMatching(g *graph.Graph, src *detrand.Source) *MatchingResult {
 // sharded over up to `workers` host workers (0 = GOMAXPROCS, 1 = serial).
 // The z draws stay serial in canonical edge order and winners come from the
 // serial two-pass selection scan (core.LocalMinEdgesSel) in edge order, so
-// the output is identical at any worker count.
+// the output is identical at any worker count. As in MISW, draws come from
+// the selection field [p), so the selection packs (z, edge key) into single
+// words.
 func MaximalMatchingW(g *graph.Graph, src *detrand.Source, workers int) *MatchingResult {
-	return MaximalMatchingIn(scratch.New(), g, src, workers)
-}
-
-// MaximalMatchingIn is MaximalMatchingW drawing the per-round edge list, z
-// vector and masks from sc and ping-ponging the shrinking graph between
-// sc's two loop CSR buffers. The per-round z values live in a vector
-// parallel to the canonical edge list (drawn in edge order, exactly as the
-// old per-edge map was filled) from the pairwise selection field [p) — the
-// bounded draws let the selection pack (z, edge-key) into single words and
-// take its branch-free fast path, as in MISIn — and winners come from the
-// same per-round plan and two-pass local-minimum scan the derandomized
-// solvers use (core.EdgeSelInit + core.LocalMinEdgesSel), which replaced a
-// per-round hash map — the selection compares (z, edge key) pairs
-// identically, so outputs are unchanged. The output is identical
-// to MaximalMatchingW for any prior state of sc and any worker count; sc is
-// Reset at every round boundary and left Reset on return.
-func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source, workers int) *MatchingResult {
+	sc := scratch.New()
 	res := &MatchingResult{}
 	cur := g
 	n := g.N()
@@ -152,11 +107,11 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source,
 	// the Context's persistent slot rather than checked out per round.
 	lm := sc.EdgeMin()
 	var sel core.EdgeSel
-	// Selection-field draws, as in MISIn: below p the packed edge path of
+	// Selection-field draws, as in MISW: below p the packed edge path of
 	// LocalMinEdgesSel applies whenever the id width allows it.
 	p := core.PairwiseFamily(n).P()
-	for round := 1; cur.M() > 0; round++ {
-		st := RoundStats{Round: round, EdgesBefore: cur.M()}
+	for cur.M() > 0 {
+		r := core.Round{EdgesBefore: cur.M()}
 		edges := cur.EdgesAppend(sc.EdgesCap(cur.M()))
 		z := sc.Uint64s(len(edges))
 		for i := range edges {
@@ -169,11 +124,11 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, src *detrand.Source,
 			matched[e.U] = true
 			matched[e.V] = true
 		}
-		st.Selected = len(picked)
+		r.Selected = len(picked)
 		res.Matching = append(res.Matching, picked...)
 		cur = cur.WithoutNodesInto(matched, workers, sc.Loop().Next())
-		st.EdgesAfter = cur.M()
-		res.Rounds = append(res.Rounds, st)
+		r.EdgesAfter = cur.M()
+		res.Rounds = append(res.Rounds, r)
 		sc.Reset()
 	}
 	return res

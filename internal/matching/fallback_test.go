@@ -21,8 +21,8 @@ func TestUnreachableThresholdStillMaximal(t *testing.T) {
 		t.Fatal(reason)
 	}
 	// Iterations may grow, but termination and maximality are unconditional.
-	if len(res.Iterations) > g.M() {
-		t.Errorf("pathological iteration count %d", len(res.Iterations))
+	if len(res.Rounds) > g.M() {
+		t.Errorf("pathological iteration count %d", len(res.Rounds))
 	}
 }
 
@@ -34,9 +34,9 @@ func TestSingleSeedBudget(t *testing.T) {
 	if ok, reason := check.IsMaximalMatching(g, res.Matching); !ok {
 		t.Fatal(reason)
 	}
-	for _, it := range res.Iterations {
+	for i, it := range res.Rounds {
 		if it.SeedsTried > 1 {
-			t.Errorf("iteration %d tried %d seeds over budget", it.Iteration, it.SeedsTried)
+			t.Errorf("iteration %d tried %d seeds over budget", i+1, it.SeedsTried)
 		}
 	}
 }
@@ -58,13 +58,13 @@ func TestTinySlackForcesBestEffortStages(t *testing.T) {
 func TestExtremeThresholdObjectiveValuesRecorded(t *testing.T) {
 	g := gen.GNM(300, 2400, 9)
 	res := Deterministic(g, params(), nil)
-	for _, it := range res.Iterations {
+	for i, it := range res.Rounds {
 		if it.Threshold < 1 {
-			t.Errorf("iteration %d threshold %d < 1", it.Iteration, it.Threshold)
+			t.Errorf("iteration %d threshold %d < 1", i+1, it.Threshold)
 		}
-		if it.SeedFound && it.ObjectiveValue < it.Threshold {
+		if it.SeedFound && it.Objective < it.Threshold {
 			t.Errorf("iteration %d claims success with value %d < threshold %d",
-				it.Iteration, it.ObjectiveValue, it.Threshold)
+				i+1, it.Objective, it.Threshold)
 		}
 	}
 }

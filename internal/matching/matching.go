@@ -20,6 +20,9 @@
 // thresholds because a non-empty E_h always makes progress and the final
 // matching is maximal by construction (edges only disappear when an
 // endpoint is matched).
+//
+// A core.Loop keeps each round's record, cancellation polls, seed search
+// and observer event; this package keeps the round's own work.
 package matching
 
 import (
@@ -32,29 +35,12 @@ import (
 	"repro/internal/sparsify"
 )
 
-// IterStats records one outer iteration.
-type IterStats struct {
-	Iteration        int
-	EdgesBefore      int
-	EdgesAfter       int
-	RemovedFraction  float64
-	ClassIndex       int
-	Stages           int
-	SparsifyFallback bool
-	EStarEdges       int
-	EStarMaxDegree   int
-	MaxBallWords     int // largest collected 2-hop neighbourhood (words)
-	SeedsTried       int
-	SeedFound        bool // progress threshold met (vs best-effort seed)
-	MatchedEdges     int
-	ObjectiveValue   int64 // Σ_{v∈B matched} d(v) under the selected seed
-	Threshold        int64
-}
-
 // Result is the outcome of the deterministic maximal matching.
 type Result struct {
-	Matching   []graph.Edge
-	Iterations []IterStats
+	Matching []graph.Edge
+	// Rounds holds one record per outer iteration; Objective is
+	// Σ_{v∈B matched} d(v) under the selected seed.
+	Rounds []core.Round
 	// FallbackPicks counts iterations that resorted to the single
 	// smallest-key edge because the candidate matching came back empty
 	// (never observed in practice; kept for unconditional correctness).
@@ -84,6 +70,7 @@ func Deterministic(g *graph.Graph, p core.Params, model *simcost.Model) *Result 
 func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Model) *Result {
 	p.Validate()
 	res := &Result{}
+	lp := core.NewLoop(p, model, "matching", "sparsify")
 	cur := g
 	n := g.N()
 	fam := core.PairwiseFamily(n)
@@ -93,13 +80,8 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	// an evaluation allocates nothing.
 	var grp core.EdgeGroup
 
-	for iter := 1; cur.M() > 0; iter++ {
-		// Round boundary: the first of the solve's cancellation checkpoints.
-		if p.Canceled() {
-			res.Canceled = true
-			break
-		}
-		st := IterStats{Iteration: iter, EdgesBefore: cur.M()}
+	for cur.M() > 0 && !lp.Stop() {
+		r := core.Round{EdgesBefore: cur.M()}
 		// The live-node count is observer-only work: skipped entirely when no
 		// observer is attached, so unobserved solves pay nothing.
 		liveNodes := 0
@@ -112,23 +94,16 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		}
 
 		sp := sparsify.SparsifyEdgesIn(sc, cur, p, model)
-		if p.Canceled() {
+		if lp.Stop() {
 			// The sparsification may have been abandoned mid-chain; its
 			// partial result must not reach a seed search.
-			res.Canceled = true
 			break
 		}
-		estar, estarEdges := sp.EStar, sp.EStarEdges
-		st.ClassIndex = sp.ClassIndex
-		st.Stages = len(sp.Stages)
-		st.SparsifyFallback = sp.UsedFallback
-		st.EStarEdges = len(estarEdges)
-		st.EStarMaxDegree = estar.MaxDegree()
+		r.Stages = len(sp.Stages)
 
 		// Collect 2-hop neighbourhoods in E* for the B-nodes: machine x_v
 		// holds v's incident E*-edges and their incident E*-edges.
-		st.MaxBallWords = maxTwoHopWords(estar, sp.B, p.Workers())
-		model.AssertMachineWords(st.MaxBallWords, "mm.2hop")
+		model.AssertMachineWords(maxTwoHopWords(sp.EStar, sp.B, p.Workers()), "mm.2hop")
 		model.ChargeRounds(2, "mm.collect") // sort + request round (§2.2)
 
 		// Derandomized Luby step on E* (Section 3.3). The hash keys (slot 0
@@ -137,7 +112,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		// computed once per round (EdgeSel).
 		deg := sp.Deg
 		var sel core.EdgeSel
-		core.EdgeSelInit(&sel, n, estarEdges, sc.Uint64sCap(len(estarEdges)), fam.P()-1)
+		core.EdgeSelInit(&sel, n, sp.EStarEdges, sc.Uint64sCap(len(sp.EStarEdges)), fam.P()-1)
 		value := func(eh []graph.Edge) int64 {
 			var v int64
 			for _, e := range eh {
@@ -157,28 +132,18 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		}
 		// Lemma 13 ⇒ E_h[Σ_{v∈N_h} d(v)] >= Σ_{v∈B} d(v)/109; we demand a
 		// ThresholdFrac fraction of that.
-		st.Threshold = int64(p.ThresholdFrac * float64(sp.BWeight) / 109.0)
-		if st.Threshold < 1 {
-			st.Threshold = 1
-		}
-		search, batchStats := p.SeedSearch(fam, objective, st.Threshold, "mm.seed", model)
-		if search.Canceled {
-			// search.Seed may be nil (canceled before any batch evaluated);
-			// there is no seed to apply, so the round is abandoned whole.
-			res.Canceled = true
+		seed := lp.Search(&r, fam, objective, int64(p.ThresholdFrac*float64(sp.BWeight)/109.0), "mm.seed")
+		if seed == nil {
 			break
 		}
-		st.SeedsTried = search.SeedsTried
-		st.SeedFound = search.Found
-		st.ObjectiveValue = search.Value
 
-		eh := grp.Select(evaluator, &sel, search.Seed, p.Workers())
+		eh := grp.Select(evaluator, &sel, seed, p.Workers())
 		if len(eh) == 0 {
 			// Unconditional-progress fallback: match the smallest-key edge.
 			eh = []graph.Edge{smallestEdge(cur)}
 			res.FallbackPicks++
 		}
-		st.MatchedEdges = len(eh)
+		r.Selected = len(eh)
 		res.Matching = append(res.Matching, eh...)
 
 		matched := sc.Bools(n)
@@ -189,26 +154,8 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 		cur = cur.WithoutNodesInto(matched, p.Workers(), sc.Loop().Next())
 		model.ChargeScan("mm.apply")
 
-		st.EdgesAfter = cur.M()
-		st.RemovedFraction = float64(st.EdgesBefore-st.EdgesAfter) / float64(st.EdgesBefore)
-		res.Iterations = append(res.Iterations, st)
-		if p.Observe != nil {
-			cs := model.Stats()
-			p.Observe(core.RoundEvent{
-				Algorithm:            "matching",
-				Strategy:             "sparsify",
-				Round:                iter,
-				LiveNodes:            liveNodes,
-				LiveEdges:            st.EdgesBefore,
-				SeedsTried:           st.SeedsTried,
-				SeedFound:            st.SeedFound,
-				Selected:             st.MatchedEdges,
-				Batches:              batchStats,
-				CostRounds:           cs.Rounds,
-				CostSeedBatches:      cs.SeedBatches,
-				CostPeakMachineWords: cs.PeakMachineWords,
-			})
-		}
+		r.EdgesAfter = cur.M()
+		lp.End(r, liveNodes)
 		sc.Reset()
 	}
 	// A cancellation break exits mid-round with live slab checkouts; the
@@ -216,6 +163,7 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	// "sc left Reset on return" contract, which is what lets the Engine
 	// re-pool the context after a canceled solve without leaking its slabs.
 	sc.Reset()
+	res.Rounds, res.Canceled = lp.Rounds, lp.Canceled
 	return res
 }
 

@@ -59,7 +59,7 @@ func TestDeterministicRandomGraphs(t *testing.T) {
 	} {
 		res := Deterministic(tc.g, params(), nil)
 		requireMaximal(t, tc.g, res)
-		if len(res.Iterations) == 0 {
+		if len(res.Rounds) == 0 {
 			t.Errorf("%s: no iterations recorded", tc.name)
 		}
 	}
@@ -70,7 +70,7 @@ func TestIterationCountLogarithmic(t *testing.T) {
 	// constant; the experiment harness reports the precise scaling.
 	g := gen.GNM(4096, 4096*8, 5)
 	res := Deterministic(g, params(), nil)
-	iters := len(res.Iterations)
+	iters := len(res.Rounds)
 	bound := int(8 * math.Log2(float64(g.M())))
 	if iters > bound {
 		t.Errorf("iterations %d exceed 8·log2(m) = %d", iters, bound)
@@ -81,10 +81,10 @@ func TestIterationCountLogarithmic(t *testing.T) {
 func TestPerIterationProgress(t *testing.T) {
 	g := gen.GNM(2048, 2048*16, 6)
 	res := Deterministic(g, params(), nil)
-	for _, st := range res.Iterations {
+	for i, st := range res.Rounds {
 		if st.EdgesAfter >= st.EdgesBefore {
 			t.Fatalf("iteration %d made no progress: %d -> %d",
-				st.Iteration, st.EdgesBefore, st.EdgesAfter)
+				i+1, st.EdgesBefore, st.EdgesAfter)
 		}
 	}
 	// The paper's analysis promises Ω(δ)|E| removal per iteration; with
@@ -92,10 +92,10 @@ func TestPerIterationProgress(t *testing.T) {
 	// search succeeded.
 	p := params()
 	minFrac := p.ThresholdFrac * p.Delta() / 536
-	for _, st := range res.Iterations {
-		if st.SeedFound && st.RemovedFraction < minFrac {
+	for i, st := range res.Rounds {
+		if st.SeedFound && st.RemovedFraction() < minFrac {
 			t.Errorf("iteration %d removed %.5f < %.5f of edges despite threshold success",
-				st.Iteration, st.RemovedFraction, minFrac)
+				i+1, st.RemovedFraction(), minFrac)
 		}
 	}
 }
@@ -134,8 +134,8 @@ func TestModelAccounting(t *testing.T) {
 	// scale-independent constant C (each iteration: O(1) sorts, scans,
 	// batches and stage loops bounded by 1/δ).
 	maxPerIter := 40 * (1 + core.StageCount(16))
-	if st.Rounds > len(res.Iterations)*maxPerIter {
-		t.Errorf("rounds %d too high for %d iterations", st.Rounds, len(res.Iterations))
+	if st.Rounds > len(res.Rounds)*maxPerIter {
+		t.Errorf("rounds %d too high for %d iterations", st.Rounds, len(res.Rounds))
 	}
 	for _, v := range model.Violations() {
 		t.Errorf("space violation: %s", v)
@@ -146,7 +146,7 @@ func TestSeedSearchUsuallyFast(t *testing.T) {
 	g := gen.GNM(2048, 2048*8, 13)
 	res := Deterministic(g, params(), nil)
 	totalSeeds, found := 0, 0
-	for _, st := range res.Iterations {
+	for _, st := range res.Rounds {
 		totalSeeds += st.SeedsTried
 		if st.SeedFound {
 			found++
@@ -155,7 +155,7 @@ func TestSeedSearchUsuallyFast(t *testing.T) {
 	if found == 0 {
 		t.Error("no iteration met its progress threshold")
 	}
-	if avg := float64(totalSeeds) / float64(len(res.Iterations)); avg > 512 {
+	if avg := float64(totalSeeds) / float64(len(res.Rounds)); avg > 512 {
 		t.Errorf("average seeds/iteration %.1f too high", avg)
 	}
 }

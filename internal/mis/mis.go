@@ -19,6 +19,9 @@
 // As with matching, correctness is unconditional: I_h is independent by
 // construction, non-empty whenever edges remain, and the loop ends with all
 // surviving nodes isolated and added to the MIS.
+//
+// core.MISNodes performs steps 1 and 5, and a core.Loop keeps each round's
+// record, cancellation polls, seed search and observer event.
 package mis
 
 import (
@@ -30,31 +33,13 @@ import (
 	"repro/internal/sparsify"
 )
 
-// IterStats records one outer iteration.
-type IterStats struct {
-	Iteration        int
-	EdgesBefore      int
-	EdgesAfter       int
-	RemovedFraction  float64
-	ClassIndex       int
-	Stages           int
-	SparsifyFallback bool
-	QSize            int
-	QMaxDegree       int
-	MaxMachineWords  int
-	SeedsTried       int
-	SeedFound        bool
-	Selected         int // |I_h|
-	Removed          int // |I_h ∪ N(I_h)|
-	ObjectiveValue   int64
-	Threshold        int64
-	IsolatedJoined   int
-}
-
 // Result is the outcome of the deterministic MIS computation.
 type Result struct {
 	IndependentSet []graph.NodeID
-	Iterations     []IterStats
+	// Rounds holds one record per outer iteration, ending with a
+	// search-less one when the last iteration left only isolated nodes,
+	// whose join it records.
+	Rounds []core.Round
 	// Canceled is set when Params.Done stopped the solve at a round (or
 	// seed-batch) boundary; IndependentSet is then partial and NOT maximal,
 	// and the caller must surface an error instead of the result.
@@ -92,14 +77,9 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	if n == 0 {
 		return res
 	}
+	lp := core.NewLoop(p, model, "mis", "sparsify")
 	cur := g
-	// Solve-lifetime state stays off the arena: the arena is Reset each
-	// round, while these masks accumulate across rounds.
-	alive := make([]bool, n)
-	for v := range alive {
-		alive[v] = true
-	}
-	inMIS := make([]bool, n)
+	nodes := core.NewMISNodes(n)
 	fam := core.PairwiseFamily(n)
 	evaluator := hashfam.NewEvaluator(fam)
 	// The slot-0 node keys are seed-independent, so every round builds a
@@ -112,54 +92,30 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 	gamma := core.NewDegreeClasses(n, p.InvDelta).GroupSize()
 	ev := &misEval{inIh: make([]bool, n)}
 
-	joinIsolated := func(st *IterStats) {
-		for v := 0; v < n; v++ {
-			if alive[v] && cur.Degree(graph.NodeID(v)) == 0 {
-				inMIS[v] = true
-				alive[v] = false
-				if st != nil {
-					st.IsolatedJoined++
-				}
-			}
-		}
-	}
-
-	for iter := 1; ; iter++ {
-		st := IterStats{Iteration: iter, EdgesBefore: cur.M()}
-		joinIsolated(&st)
+	for {
+		joined := nodes.JoinIsolated(cur)
 		if cur.M() == 0 {
-			if st.IsolatedJoined > 0 {
-				res.Iterations = append(res.Iterations, st)
+			if joined > 0 {
+				// The last iteration left only isolated nodes: their join is
+				// a search-less round, which emits no event.
+				lp.Rounds = append(lp.Rounds, core.Round{})
 			}
 			break
 		}
 		// Round boundary: the solve's cancellation checkpoint.
-		if p.Canceled() {
-			res.Canceled = true
+		if lp.Stop() {
 			break
 		}
-		// Observer-only live count; unobserved solves skip it.
-		liveNodes := 0
-		if p.Observe != nil {
-			for v := 0; v < n; v++ {
-				if alive[v] {
-					liveNodes++
-				}
-			}
-		}
+		r := core.Round{EdgesBefore: cur.M()}
+		liveNodes := len(nodes.Live())
 
 		sp := sparsify.SparsifyNodesIn(sc, cur, p, model)
-		if p.Canceled() {
+		if lp.Stop() {
 			// The node sparsification may have been abandoned mid-chain.
-			res.Canceled = true
 			break
 		}
 		q := sp.QGraph
-		st.ClassIndex = sp.ClassIndex
-		st.Stages = len(sp.Stages)
-		st.SparsifyFallback = sp.UsedFallback
-		st.QSize = len(sp.QList)
-		st.QMaxDegree = q.MaxDegree()
+		r.Stages = len(sp.Stages)
 
 		// N_v construction (Section 4.3): up to γ of v's Q'-neighbours (the
 		// smallest ids — "an arbitrary subset" — for determinism), plus
@@ -197,7 +153,6 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			nvStart = append(nvStart, len(nvFlat))
 			nvOwner = append(nvOwner, graph.NodeID(v))
 		}
-		st.MaxMachineWords = maxWords
 		model.AssertMachineWords(maxWords, "mis.Nv")
 		model.ChargeRounds(2, "mis.collect")
 
@@ -235,61 +190,26 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 			return score(ev.ih)
 		}
 		// Lemma 21 ⇒ E[Σ_{v∈N_h} d(v)] >= 0.01δ·Σ_{v∈B} d(v).
-		st.Threshold = int64(p.ThresholdFrac * 0.01 * p.Delta() * float64(sp.BWeight))
-		if st.Threshold < 1 {
-			st.Threshold = 1
-		}
-		search, batchStats := p.SeedSearch(fam, objective, st.Threshold, "mis.seed", model)
-		if search.Canceled {
-			// search.Seed may be nil; abandon the round whole.
-			res.Canceled = true
+		seed := lp.Search(&r, fam, objective, int64(p.ThresholdFrac*0.01*p.Delta()*float64(sp.BWeight)), "mis.seed")
+		if seed == nil {
 			break
 		}
-		st.SeedsTried = search.SeedsTried
-		st.SeedFound = search.Found
-		st.ObjectiveValue = search.Value
 
-		ih := ev.Select(sc.NodeIDsCap(n), evaluator, sel, q, search.Seed, p.Workers())
-		st.Selected = len(ih)
+		ih := ev.Select(sc.NodeIDsCap(n), evaluator, sel, q, seed, p.Workers())
+		r.Selected = len(ih)
 		remove := sc.Bools(n)
-		st.Removed = core.Peel(cur, ih, inMIS, alive, remove)
+		nodes.Peel(cur, ih, remove)
 		cur = cur.WithoutNodesInto(remove, p.Workers(), sc.Loop().Next())
 		model.ChargeScan("mis.apply")
 
-		st.EdgesAfter = cur.M()
-		if st.EdgesBefore > 0 {
-			st.RemovedFraction = float64(st.EdgesBefore-st.EdgesAfter) / float64(st.EdgesBefore)
-		}
-		res.Iterations = append(res.Iterations, st)
-		if p.Observe != nil {
-			cs := model.Stats()
-			p.Observe(core.RoundEvent{
-				Algorithm:            "mis",
-				Strategy:             "sparsify",
-				Round:                iter,
-				LiveNodes:            liveNodes,
-				LiveEdges:            st.EdgesBefore,
-				SeedsTried:           st.SeedsTried,
-				SeedFound:            st.SeedFound,
-				Selected:             st.Selected,
-				Batches:              batchStats,
-				CostRounds:           cs.Rounds,
-				CostSeedBatches:      cs.SeedBatches,
-				CostPeakMachineWords: cs.PeakMachineWords,
-			})
-		}
+		r.EdgesAfter = cur.M()
+		lp.End(r, liveNodes)
 		sc.Reset()
 	}
 	// A cancellation break exits mid-round; the extra Reset (no-op on the
 	// normal path) keeps the "sc left Reset on return" contract so a pooled
 	// context survives a canceled solve without leaking slabs.
 	sc.Reset()
-
-	// The output is the final membership mask, in id order.
-	for v := 0; v < n; v++ {
-		if inMIS[v] {
-			res.IndependentSet = append(res.IndependentSet, graph.NodeID(v))
-		}
-	}
+	res.IndependentSet, res.Rounds, res.Canceled = nodes.Set(), lp.Rounds, lp.Canceled
 	return res
 }

@@ -75,7 +75,7 @@ func TestDeterministicRandomGraphs(t *testing.T) {
 func TestIterationCountLogarithmic(t *testing.T) {
 	g := gen.GNM(4096, 4096*8, 5)
 	res := Deterministic(g, params(), nil)
-	iters := len(res.Iterations)
+	iters := len(res.Rounds)
 	bound := int(8 * math.Log2(float64(g.M())))
 	if iters > bound {
 		t.Errorf("iterations %d exceed 8·log2(m) = %d", iters, bound)
@@ -86,10 +86,10 @@ func TestIterationCountLogarithmic(t *testing.T) {
 func TestPerIterationProgress(t *testing.T) {
 	g := gen.GNM(2048, 2048*16, 6)
 	res := Deterministic(g, params(), nil)
-	for _, st := range res.Iterations {
+	for i, st := range res.Rounds {
 		if st.EdgesBefore > 0 && st.EdgesAfter >= st.EdgesBefore {
 			t.Fatalf("iteration %d made no progress: %d -> %d",
-				st.Iteration, st.EdgesBefore, st.EdgesAfter)
+				i+1, st.EdgesBefore, st.EdgesAfter)
 		}
 	}
 }
@@ -124,8 +124,8 @@ func TestModelAccounting(t *testing.T) {
 		t.Errorf("rounds/batches not charged: %+v", st)
 	}
 	maxPerIter := 40 * (1 + core.StageCount(16))
-	if st.Rounds > (len(res.Iterations)+1)*maxPerIter {
-		t.Errorf("rounds %d too high for %d iterations", st.Rounds, len(res.Iterations))
+	if st.Rounds > (len(res.Rounds)+1)*maxPerIter {
+		t.Errorf("rounds %d too high for %d iterations", st.Rounds, len(res.Rounds))
 	}
 	for _, v := range model.Violations() {
 		t.Errorf("space violation: %s", v)
@@ -165,7 +165,7 @@ func TestSeedSearchUsuallyFast(t *testing.T) {
 	g := gen.GNM(2048, 2048*8, 13)
 	res := Deterministic(g, params(), nil)
 	totalSeeds, considered := 0, 0
-	for _, st := range res.Iterations {
+	for _, st := range res.Rounds {
 		if st.SeedsTried > 0 {
 			totalSeeds += st.SeedsTried
 			considered++

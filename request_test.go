@@ -13,6 +13,12 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/lowdeg"
+	"repro/internal/matching"
+	"repro/internal/mis"
+	"repro/internal/scratch"
 )
 
 // eventLog collects observer events; it is used from one solve at a time so
@@ -581,33 +587,108 @@ func TestDeadlineErrorMapping(t *testing.T) {
 	}
 }
 
-// TestObserverEventsMatchResults cross-checks the observer stream against
-// the result's iteration stats: rounds and seed totals must agree, so the
-// telemetry seam reports the solve that actually happened.
+// TestObserverEventsMatchResults cross-checks the observer stream of every
+// derandomized round loop against the loop's own round records, on two
+// families: event i reports round i+1 with the record's search (SeedsTried,
+// SeedFound, and batches that sum to SeedsTried), its Selected and its
+// round-start edge count, so the telemetry seam reports the solve that
+// actually happened. The only record without an event is a trailing,
+// search-less one of mis, which records the last isolated join; the table
+// fails unless some solve ends with one.
 func TestObserverEventsMatchResults(t *testing.T) {
-	g, err := Generate("powerlaw", 512, 6, 3)
+	solvers := []struct {
+		name, algorithm, strategy string
+		trailing                  bool // may end with a search-less record
+		run                       func(*Graph, core.Params) []core.Round
+	}{
+		{"matching", "matching", "sparsify", false, func(g *Graph, p core.Params) []core.Round {
+			return matching.DeterministicIn(scratch.New(), g, p, nil).Rounds
+		}},
+		{"mis", "mis", "sparsify", true, func(g *Graph, p core.Params) []core.Round {
+			return mis.DeterministicIn(scratch.New(), g, p, nil).Rounds
+		}},
+		{"lowdeg-mis", "mis", "lowdeg", false, func(g *Graph, p core.Params) []core.Round {
+			return lowdeg.MISIn(scratch.New(), g, p, nil).Rounds
+		}},
+		{"lowdeg-matching", "matching", "lowdeg", false, func(g *Graph, p core.Params) []core.Round {
+			return lowdeg.MaximalMatchingIn(scratch.New(), g, p, nil).MIS.Rounds
+		}},
+	}
+	trailing := 0
+	for _, w := range []struct {
+		family string
+		n, avg int
+		seed   uint64
+	}{{"powerlaw", 512, 6, 1}, {"regular", 384, 6, 5}} {
+		g, err := Generate(w.family, w.n, w.avg, w.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range solvers {
+			t.Run(w.family+"/"+s.name, func(t *testing.T) {
+				var events []RoundEvent
+				p := core.DefaultParams()
+				p.Observe = func(ev RoundEvent) { events = append(events, ev) }
+				rounds := s.run(g, p)
+				if len(rounds) == 0 {
+					t.Fatal("no rounds recorded")
+				}
+				if last := len(rounds) - 1; s.trailing && len(events) == last && rounds[last] == (core.Round{}) {
+					rounds = rounds[:last]
+					trailing++
+				}
+				if len(events) != len(rounds) {
+					t.Fatalf("%d events for %d searched rounds", len(events), len(rounds))
+				}
+				for i, ev := range events {
+					r := rounds[i]
+					if ev.Round != i+1 || ev.Algorithm != s.algorithm || ev.Strategy != s.strategy {
+						t.Fatalf("event %d is round %d of %s/%s, want round %d of %s/%s",
+							i, ev.Round, ev.Algorithm, ev.Strategy, i+1, s.algorithm, s.strategy)
+					}
+					if r.SeedsTried <= 0 || ev.SeedsTried != r.SeedsTried || ev.SeedFound != r.SeedFound ||
+						ev.Selected != r.Selected || ev.LiveEdges != r.EdgesBefore {
+						t.Fatalf("event %d %+v does not match record %+v", i, ev, r)
+					}
+					if nb := len(ev.Batches); nb == 0 || ev.Batches[nb-1].SeedsTried != r.SeedsTried {
+						t.Fatalf("event %d: batches %+v do not sum to %d seeds", i, ev.Batches, r.SeedsTried)
+					}
+					if ev.LiveNodes <= 0 {
+						t.Fatalf("event %d: %d live nodes", i, ev.LiveNodes)
+					}
+				}
+			})
+		}
+	}
+	if trailing == 0 {
+		t.Error("no mis solve ended with a search-less record, so the table does not cover one")
+	}
+}
+
+// TestForcedLowDegreeStarMeetsDeadline: a matching forced onto the Section
+// 5 path on a star with k = 1500 leaves colours the line graph K_k, whose
+// every preprocessing pass costs Θ(k³) (several seconds in all). The
+// preprocessing polls the deadline between its shards, so a 50 ms deadline
+// ends the solve with ErrDeadlineExceeded well within a second. Race
+// instrumentation slows the shards past any such bound, so the test skips
+// under -race.
+func TestForcedLowDegreeStarMeetsDeadline(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation slows every shard past the latency bound")
+	}
+	g, err := Generate("star", 1501, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := &eventLog{}
-	res, err := NewEngine(nil).MaximalIndependentSetCtx(context.Background(), g,
-		WithStrategy(StrategySparsify), WithObserver(log))
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = NewEngine(nil).MaximalMatchingCtx(ctx, g, WithStrategy(StrategyLowDegree))
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
-	// The final isolated-join iteration performs no seed search and emits no
-	// event, so the stream length matches the searched rounds.
-	searched := 0
-	for _, ev := range log.events {
-		if ev.SeedsTried <= 0 {
-			t.Errorf("round %d: no seeds tried in event %+v", ev.Round, ev)
-		}
-		if ev.LiveEdges <= 0 || ev.LiveNodes <= 0 {
-			t.Errorf("round %d: empty live counts in event %+v", ev.Round, ev)
-		}
-		searched++
-	}
-	if searched > res.Iterations || searched == 0 {
-		t.Fatalf("%d observed rounds vs %d result iterations", searched, res.Iterations)
+	if elapsed > time.Second {
+		t.Fatalf("solve returned %v after its start, want under 1s", elapsed)
 	}
 }
