@@ -75,8 +75,10 @@ race:
 # equivalence tables (sharded vs serial EvalKeys; the lowdeg incident-count
 # objective vs the full-graph scan; the sparsify stage fold vs its full-row
 # count, and the hashed-once stage items vs the expanded-key scoring at
-# Parallelism 1/2/8; the audit-free SparsifyEdgesIn/SparsifyNodesIn vs the
-# audited wrappers, the handed-over E* list vs EStar.Edges(), the stage
+# Parallelism 1/2/8; the list stage chains' run layouts and audits vs the
+# CSR-slot and mask layouts and sharded audits they replaced, stage by
+# stage on the wrappers' chains; the audit-free
+# SparsifyEdgesIn/SparsifyNodesIn vs the audited wrappers, the handed-over E* list vs EStar.Edges(), the stage
 # apply through the row its search hashed last vs EvalKeysW (first
 # candidate wins, later candidate wins, no all-good seed), and the
 # degree-class table vs DegreeClasses.Class; the fold and stamped
@@ -106,7 +108,7 @@ race:
 # checks, through `go test -list`, that every listed name is a test, fuzz
 # target or benchmark of its packages, and fails otherwise.
 ENGINE_TABLES := TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence|TestObserverEventsMatchResults
-EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissPath|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestSparsifyInMatchesWrapper|TestEStarEdgesMatchEdges|TestStageApplyMatchesEvalKeysW|TestClassTableMatchesClass|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLinialRoundMatchesWalkReference|FuzzLinialRoundMatchesWalkReference|TestBallStatsMatchesSeparateWalks|TestLineGraphMatchesMapReference|TestMISNodesMatchesMasks|TestLinialG2StopsWhenDone|TestMISInCanceledInPreprocessing
+EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissPath|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestListChainMatchesCSRChain|TestSparsifyInMatchesWrapper|TestEStarEdgesMatchEdges|TestStageApplyMatchesEvalKeysW|TestClassTableMatchesClass|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLinialRoundMatchesWalkReference|FuzzLinialRoundMatchesWalkReference|TestBallStatsMatchesSeparateWalks|TestLineGraphMatchesMapReference|TestMISNodesMatchesMasks|TestLinialG2StopsWhenDone|TestMISInCanceledInPreprocessing
 EQUIV_PKGS := ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/ ./internal/coloring/ ./internal/graph/
 # check-tests fails unless every name of the |-separated list $(1) is a
 # top-level test, fuzz target or benchmark of the packages $(2).
@@ -199,16 +201,21 @@ bench-compare:
 #     tracking on and a counting observer). Unlike a fresh-scratch solve,
 #     which spent ~10% of its samples allocating and zeroing scratch, a
 #     warm solve pays ~2% in the allocator. The stage seed searches are
-#     ~14% of samples (the 4-wise hash, intmath.Reducer.EvalPoly, ~4%), the
-#     stage run layouts (sparsify.edgeStageItems/nodeStageItems) ~14%, the
-#     E0/E_j CSR builds (graph.FromEdgesInto) ~12%, and the outer loops'
-#     graph.WithoutNodesInto ~13%. Four costs no solve reads took ~13% of
-#     samples before SparsifyEdgesIn/SparsifyNodesIn dropped them: the
-#     Lemma 10/11/17/18 audits ~6%, the stage apply steps' second hash of
-#     the winner's items ~2%, rebuilding E*'s edge list from its CSR ~2%
-#     and the per-node parallel class closure ~2.4%. The class table that
-#     replaced the last one is ~0.7%; the other three are gone. At ~50 ms
-#     per iteration (eight solves), 60 iterations give ~3 s of samples.
+#     ~14% of samples (the 4-wise hash, intmath.Reducer.EvalPoly, 3-6%),
+#     the stage run layouts (sparsify.edgeStageItems/nodeStageItems) ~15%,
+#     the one CSR build per edge sparsification (E*, graph.FromEdgesInto)
+#     ~5%, and the CSR filters (graph.maskFilterInto: the outer loops'
+#     WithoutNodesInto and the graph induced on Q') ~14%. Building a CSR
+#     for every E_j and relabelling its slots (graph.EdgeIDsInto) took
+#     ~10% before the stage chains carried their items as lists, and the
+#     warm iteration went from ~54-65 to ~45-53 ms. Four costs no solve
+#     reads took ~13% of samples before SparsifyEdgesIn/SparsifyNodesIn
+#     dropped them: the Lemma 10/11/17/18 audits ~6%, the stage apply
+#     steps' second hash of the winner's items ~2%, rebuilding E*'s edge
+#     list from its CSR ~2% and the per-node parallel class closure ~2.4%.
+#     The class table that replaced the last one is ~0.7%; the other three
+#     are gone. At ~50 ms per iteration (eight solves), 60 iterations give
+#     ~3 s of samples.
 #   - t5_lowdeg: the Section 5 stage-compressed MIS on an 8-regular graph
 #     (BenchmarkT5_LowDegreeStages). Its Linial colouring needs no
 #     reduction round on this graph, and it builds no line graph. The one

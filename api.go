@@ -366,8 +366,8 @@ func WithObserver(o Observer) SolveOption {
 }
 
 // Engine is a reusable solver for the deterministic algorithms. It owns a
-// pool of per-solve scratch contexts (arena-backed masks, tables and CSR
-// double-buffers, see internal/scratch), so repeated solves on a warm
+// pool of per-solve scratch contexts (arena-backed masks and tables and
+// reusable CSR buffers, see internal/scratch), so repeated solves on a warm
 // Engine reuse the buffers of earlier ones instead of reallocating the
 // working set every round — the first solve pays the full allocation bill,
 // later solves of similar or smaller size run allocation-flat.
@@ -454,10 +454,11 @@ func ValidateOptions(opts ...SolveOption) error {
 //
 // Cancellation: the solve polls ctx only at round boundaries, between seed
 // batches of the conditional-expectations searches and, on the Section 5
-// path, between the shards and rounds of the preprocessing — never inside
-// a seed evaluation or a selection scan — so a solve that completes is
-// bit-identical to an uncancellable one, and abandoning a request costs at
-// most one round, or one preprocessing shard, of residual work. A canceled
+// path, between the rounds of the preprocessing and between its nodes once
+// per fixed budget of work — never inside a seed evaluation or a selection
+// scan — so a solve that completes is bit-identical to an uncancellable
+// one, and abandoning a request costs at most one round, or one budget of
+// preprocessing work plus one node's, of residual work. A canceled
 // solve returns an error matching both
 // ErrCanceled and the context's cause (context.Canceled or
 // context.DeadlineExceeded) under errors.Is; its scratch context is still

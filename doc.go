@@ -30,7 +30,8 @@
 // and the per-round working set shrinks geometrically, so buffers sized on
 // the first round serve every later one. Engine exploits that: it owns a
 // pool of per-solve scratch contexts (typed arenas for masks and tables,
-// plus CSR double-buffers that the shrinking graph ping-pongs between, see
+// a CSR double-buffer that the shrinking graph ping-pongs between and one
+// CSR buffer for the graph each sparsification builds, see
 // internal/scratch), so repeated solves on a warm Engine run
 // allocation-flat instead of reallocating the working set every round.
 //
@@ -186,9 +187,9 @@
 //     ThresholdFrac, and *UnknownStrategyError carries the offending
 //     strategy through errors.As. ValidateOptions reports both without
 //     solving.
-//   - ErrCanceled — the solve was abandoned at a round, seed-batch or
-//     preprocessing-shard boundary because its context ended. The chain
-//     also matches the context's cause (context.Canceled or
+//   - ErrCanceled — the solve was abandoned at a round or seed-batch
+//     boundary, or between preprocessing nodes, because its context ended.
+//     The chain also matches the context's cause (context.Canceled or
 //     context.DeadlineExceeded).
 //   - ErrDeadlineExceeded — a refinement of ErrCanceled: the context ended
 //     specifically because its deadline expired. Every error matching

@@ -59,8 +59,8 @@ type Result struct {
 // g's CSR instead of materialising G², and shards over vertex ranges on up
 // to `workers` host workers; the result is bit-identical at any worker
 // count. done (nil: never) is the solve's cancellation poll: LinialG2 polls
-// it before it starts and after each round, as does every shard of its
-// 2-path scans, and returns nil once it reports true.
+// it before it starts and after each round, and its 2-path scans poll it
+// within every shard (ShardPoll); it returns nil once done reports true.
 func LinialG2(g *graph.Graph, maxDeg2, workers int, done func() bool, model *simcost.Model) *Result {
 	if stopped(done) {
 		return nil
@@ -125,6 +125,42 @@ func LinialG2(g *graph.Graph, maxDeg2, workers int, done func() bool, model *sim
 // stopped reports whether the cancellation poll done (nil: never) is true.
 func stopped(done func() bool) bool { return done != nil && done() }
 
+// PollBudget is the work a Section 5 preprocessing shard does between two
+// polls of its cancellation hook: 2-path scan work (deg(v)² per node v) or
+// r-ball words. Polling once per shard is not enough: on a star's line
+// graph K_k one node's scan costs Θ(k²), and a shard holds ~k/64 nodes.
+const PollBudget = 1 << 16
+
+// ShardPoll budgets the cancellation polls of one shard of a preprocessing
+// scan.
+type ShardPoll struct {
+	done func() bool
+	work int
+}
+
+// NewShardPoll returns a ShardPoll of done (nil: never) that polls before
+// the shard's first node, so a shard on a sparse graph polls exactly once.
+func NewShardPoll(done func() bool) ShardPoll { return ShardPoll{done: done, work: PollBudget} }
+
+// Stop is called before each node: once the work counted since the last
+// poll reaches PollBudget, it polls done and reports whether the shard must
+// stop.
+func (s *ShardPoll) Stop() bool {
+	if s.work < PollBudget {
+		return false
+	}
+	s.work = 0
+	return s.done != nil && s.done()
+}
+
+// Add counts work done since the last poll; with a nil done it counts
+// nothing, so Stop never polls again.
+func (s *ShardPoll) Add(work int) {
+	if s.done != nil {
+		s.work += work
+	}
+}
+
 // linialParams returns the prime field size q and polynomial degree d for
 // one reduction from numColors colours at maximum degree maxDeg.
 func linialParams(numColors, maxDeg int) (uint64, int) {
@@ -184,7 +220,8 @@ func colourDigits(dst []uint32, numColors int, q uint64, d int) []uint32 {
 // q² < numColors <= n. Node v then takes the first row in which no 2-path
 // v–u or v–u–w (w ≠ v) ends at its own value, and only past the table
 // evaluates the polynomials at the ends of its 2-paths directly. A scan
-// shard returns at once, its next[v] unwritten, when done reports true.
+// shard polls done (nil: never) through a ShardPoll and returns at once,
+// its remaining next[v] unwritten, when done reports true.
 func linialRound(g *graph.Graph, colors, next []int, digits, table []uint32, q uint64, d, workers int, done func() bool) int {
 	n := g.N()
 	r := intmath.NewReducer(q)
@@ -211,10 +248,13 @@ func linialRound(g *graph.Graph, colors, next []int, digits, table []uint32, q u
 		}
 	})
 	return parallel.MapReduce(workers, n, -1, func(lo, hi int) int {
-		if stopped(done) {
-			return -1
-		}
+		poll := NewShardPoll(done)
 		for v := lo; v < hi; v++ {
+			if poll.Stop() {
+				return -1
+			}
+			dv := g.Degree(graph.NodeID(v))
+			poll.Add(dv * dv)
 			x := 0
 			for x < pts && clashes(g, graph.NodeID(v), table[x*n:x*n+n]) {
 				x++
@@ -303,14 +343,18 @@ func compact(colors []int, numColors int) int {
 // colouring of g (proper on G²). It scans every node's 2-paths, sharded
 // over up to `workers` host workers, and reports the lowest failing node v
 // with the lowest node u within distance 2 of it sharing v's colour, so the
-// error is the same at any worker count. A shard returns at once, finding
-// nothing, when done (nil: never) reports true.
+// error is the same at any worker count. A shard polls done (nil: never)
+// through a ShardPoll and returns at once, finding nothing, when it reports
+// true.
 func verifyDistance2(g *graph.Graph, colors []int, workers int, done func() bool) error {
 	v := parallel.MapReduce(workers, g.N(), -1, func(lo, hi int) int {
-		if stopped(done) {
-			return -1
-		}
+		poll := NewShardPoll(done)
 		for v := lo; v < hi; v++ {
+			if poll.Stop() {
+				return -1
+			}
+			dv := g.Degree(graph.NodeID(v))
+			poll.Add(dv * dv)
 			if clashes(g, graph.NodeID(v), colors) {
 				return v
 			}

@@ -34,7 +34,8 @@ import (
 
 // Objective evaluates the global objective for a full seed. A search calls
 // it on its own goroutine, one candidate at a time, so an objective may
-// keep its working state across calls.
+// keep its working state across calls. The seed slice is the enumerator's:
+// it is valid only during the call and must not be modified.
 type Objective func(seed []uint64) int64
 
 // Options configure a search.
@@ -134,106 +135,63 @@ func (o *Options) defaults() {
 // returns the first seed whose objective is at least threshold. If no seed
 // qualifies within MaxSeeds, the best seed seen is returned with
 // Found == false (callers treat that as "take the progress you got", which
-// keeps the outer algorithms unconditionally correct). A charged batch's
-// candidates are scored one at a time, in enumeration order, on the
-// calling goroutine, and scoring stops at the first that qualifies. No
-// candidate after it can change the result, so the Result, the OnBatch
-// stream and the model's charges are those of scoring every batch whole.
-// When Found is set, the last objective call scored Result.Seed, so state
-// the objective left behind describes the winner.
+// keeps the outer algorithms unconditionally correct). Candidates are
+// scored as the enumeration yields them, one at a time on the calling
+// goroutine, and scoring stops at the first that qualifies; the rest of its
+// batch is only counted. No candidate after it can change the result, so
+// the Result, the OnBatch stream and the model's charges are those of
+// scoring every batch whole. When Found is set, the last objective call
+// scored Result.Seed, so state the objective left behind describes the
+// winner. Done is polled before the first candidate of every batch, so a
+// search whose last batch was scored is never Canceled, even when Done
+// turns true after it.
 func SearchAtLeast(fam hashfam.Family, obj Objective, threshold int64, opts Options) (Result, error) {
 	opts.defaults()
 	enum := fam.Enumerate()
 	best := Result{Value: -1 << 62}
-	seedLen := fam.SeedLen()
-
-	// One backing array serves every candidate seed of every batch (batch
-	// slot i always reuses the same sub-slice), so the scan's allocation
-	// cost is a small constant per search instead of one make per seed —
-	// the searches run once per round of the outer algorithms, and the
-	// Engine's allocation-flatness depends on them staying cheap.
-	seedBuf := make([]uint64, opts.BatchSize*seedLen)
-	batch := make([][]uint64, 0, opts.BatchSize)
-	tried := 0
-
-	flush := func() (done bool) {
-		if len(batch) == 0 {
-			return false
-		}
-		if opts.Model != nil {
-			opts.Model.ChargeSeedBatch(len(batch), opts.Label)
-		}
-		best.Batches++
-		for _, seed := range batch {
+	for !best.Found && best.SeedsTried < opts.MaxSeeds {
+		size := 0
+		for size < opts.BatchSize && best.SeedsTried+size < opts.MaxSeeds && enum.Next() {
+			// The cancellation checkpoint, at a batch boundary only, so a
+			// completed search is bit-identical to an unobserved one.
+			if size == 0 && opts.Done != nil && opts.Done() {
+				best.Canceled = true
+				return best, nil
+			}
+			size++
+			if best.Found {
+				continue // charged with the batch, never scored
+			}
+			seed := enum.Seed()
 			v := obj(seed)
-			if v > best.Value {
+			if v > best.Value || v >= threshold {
 				best.Value = v
 				best.Seed = append(best.Seed[:0], seed...)
 			}
-			if v >= threshold {
-				// First qualifying seed in enumeration order wins.
-				best.Value = v
-				best.Seed = append(best.Seed[:0], seed...)
-				best.Found = true
-				break
-			}
+			// First qualifying seed in enumeration order wins.
+			best.Found = v >= threshold
+		}
+		if size == 0 {
+			break // the family is exhausted
+		}
+		// The model charges every candidate of the batch (one AllReduce per
+		// batch), whether or not the host scored it.
+		best.SeedsTried += size
+		best.Batches++
+		if opts.Model != nil {
+			opts.Model.ChargeSeedBatch(size, opts.Label)
 		}
 		if opts.OnBatch != nil {
-			// tried already counts this batch's seeds: the model charges all
-			// of them (one AllReduce per batch), whether or not the host
-			// scored them.
 			opts.OnBatch(BatchStat{
 				Batch:      best.Batches,
-				Seeds:      len(batch),
-				SeedsTried: tried,
+				Seeds:      size,
+				SeedsTried: best.SeedsTried,
 				BestValue:  best.Value,
 				Found:      best.Found,
 			})
 		}
-		if best.Found {
-			return true
-		}
-		batch = batch[:0]
-		return false
 	}
-
-	// The cancellation checkpoint: polled once per batch boundary, so a
-	// search never stops mid-batch and a completed search is bit-identical
-	// to an unobserved one.
-	canceled := func() bool {
-		if opts.Done != nil && opts.Done() {
-			best.Canceled = true
-			best.SeedsTried = tried - len(batch) // the pending batch never evaluated
-			return true
-		}
-		return false
-	}
-
-	for tried < opts.MaxSeeds && enum.Next() {
-		i := len(batch)
-		seed := seedBuf[i*seedLen : (i+1)*seedLen : (i+1)*seedLen]
-		copy(seed, enum.Seed())
-		batch = append(batch, seed)
-		tried++
-		if len(batch) == opts.BatchSize {
-			if canceled() {
-				return best, nil
-			}
-			if flush() {
-				best.SeedsTried = tried
-				return best, nil
-			}
-		}
-	}
-	if canceled() {
-		return best, nil
-	}
-	if flush() {
-		best.SeedsTried = tried
-		return best, nil
-	}
-	best.SeedsTried = tried
-	if tried == 0 {
+	if best.SeedsTried == 0 {
 		return best, ErrEmptyFamily
 	}
 	return best, nil

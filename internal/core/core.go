@@ -54,11 +54,12 @@ type Params struct {
 	// Done, when non-nil, reports whether the enclosing request has been
 	// abandoned (context canceled, deadline exceeded). The round loops poll
 	// it ONLY at round boundaries (Loop.Stop), between condexp seed
-	// batches and, in the Section 5 preprocessing, between shards and
-	// Linial rounds — never inside a seed evaluation or a selection scan —
-	// so a solve that runs to completion is bit-identical to one with
-	// Done == nil, and cancellation latency is bounded by one round's work
-	// or one shard's. Once Done returns true it must keep returning true
+	// batches and, in the Section 5 preprocessing, between Linial rounds
+	// and between nodes once per coloring.PollBudget of a shard's work —
+	// never inside a seed evaluation or a selection scan — so a solve that
+	// runs to completion is bit-identical to one with Done == nil, and
+	// cancellation latency is bounded by one round's work or one budget's
+	// plus one node's. Once Done returns true it must keep returning true
 	// (context semantics), so Loop.Stop sees any poll that stopped work.
 	Done func() bool
 	// Observe, when non-nil, receives one RoundEvent per completed round of

@@ -237,8 +237,8 @@ func FromEdges(n int, edges []Edge) *Graph {
 //
 // The canonicalised list is sorted by (U, V) only when it is not in that
 // order already: edge lists read off a CSR (Edges, EdgesAppend) and their
-// order-preserving subsets, such as the sparsify stage chain's E0 and E_j,
-// skip the sort. Every row then comes out sorted by construction (see the
+// order-preserving subsets, such as the sparsify edge chain's E*, skip the
+// sort. Every row then comes out sorted by construction (see the
 // placement loop), so no row is sorted either.
 func FromEdgesInto(n int, edges []Edge, dst *CSR) *Graph {
 	canon := Grow(dst.edges, len(edges))[:0]

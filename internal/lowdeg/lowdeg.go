@@ -27,8 +27,9 @@
 // documentation, and experiment T5).
 //
 // The phases keep their set and bookkeeping in core.MISNodes and core.Loop,
-// as the Section 3/4 loops do. The preprocessing polls cancellation between
-// shards, since on a star's line graph K_k each of its passes costs Θ(k³).
+// as the Section 3/4 loops do. The preprocessing polls cancellation within
+// its shards, once per coloring.PollBudget of work, since on a star's line
+// graph K_k each of its passes costs Θ(k³) and one node's share Θ(k²).
 package lowdeg
 
 import (
@@ -326,20 +327,20 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, p core.Params, model
 // ball's set, not its order, so they read the unsorted walk and its level
 // ends. Each ball is independent, so the scan map-reduces over vertex
 // shards; each worker reuses one walk scratch across its centres. A shard
-// returns at once, its maxima 0, when done (nil: never) reports true.
+// polls done (nil: never) through a coloring.ShardPoll, counting ball words
+// as its work, and stops, its maxima partial, when done reports true.
 func ballStats(g *graph.Graph, r, workers int, done func() bool) (words, maxDeg2 int) {
 	pool := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
 	st := parallel.MapReduce(workers, g.N(), ballMax{}, func(lo, hi int) ballMax {
-		if done != nil && done() {
-			return ballMax{}
-		}
+		poll := coloring.NewShardPoll(done)
 		bs := pool.Get()
 		var m ballMax
-		for v := lo; v < hi; v++ {
+		for v := lo; v < hi && !poll.Stop(); v++ {
 			w := 0
 			for _, u := range g.BallUnsortedInto(bs, graph.NodeID(v), r) {
 				w += 1 + g.Degree(u)
 			}
+			poll.Add(w)
 			m.words = max(m.words, w)
 			m.deg2 = max(m.deg2, bs.Within(2)-1)
 		}

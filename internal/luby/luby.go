@@ -102,10 +102,10 @@ func MaximalMatchingW(g *graph.Graph, src *detrand.Source, workers int) *Matchin
 	res := &MatchingResult{}
 	cur := g
 	n := g.N()
-	// The epoch-stamped selection scratch survives sc.Reset (its stamp
-	// array and generation counter must stay paired), so it is drawn from
-	// the Context's persistent slot rather than checked out per round.
-	lm := sc.EdgeMin()
+	// The epoch-stamped selection scratch lives for the whole solve (its
+	// stamp array and generation counter must stay paired), so it is
+	// declared here rather than checked out per round.
+	var lm core.EdgeMinScratch
 	var sel core.EdgeSel
 	// Selection-field draws, as in MISW: below p the packed edge path of
 	// LocalMinEdgesSel applies whenever the id width allows it.
@@ -118,7 +118,7 @@ func MaximalMatchingW(g *graph.Graph, src *detrand.Source, workers int) *Matchin
 			z[i] = src.Uint64n(p)
 		}
 		core.EdgeSelInit(&sel, n, edges, sc.Uint64sCap(len(edges)), p-1)
-		picked := core.LocalMinEdgesSel(lm, &sel, z)
+		picked := core.LocalMinEdgesSel(&lm, &sel, z)
 		matched := sc.Bools(n)
 		for _, e := range picked {
 			matched[e.U] = true

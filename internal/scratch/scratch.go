@@ -4,8 +4,10 @@
 // geometrically (cf. Ghaffari–Uitto, arXiv:1807.06251), so buffers sized on
 // the first round dominate every later round. A Context therefore checks out
 // typed, size-tagged slabs from free lists instead of calling make once per
-// round, and hands the CSR graph rebuilds a pair of destination buffers to
-// ping-pong between (internal/graph's Into variants).
+// round, and hands the CSR graph rebuilds reusable destination buffers
+// (internal/graph's Into variants): a pair to ping-pong between for the
+// outer loop's shrinking graph, and one for the graph a sparsification
+// builds.
 //
 // Contract:
 //
@@ -19,7 +21,8 @@
 //   - Reset returns every checked-out slab to the free lists. Callers
 //     invoke it at round boundaries; slices obtained before a Reset must
 //     not be read afterwards. Graph buffers (Loop, Stage) are not affected
-//     by Reset — their lifetime is the ping-pong discipline itself.
+//     by Reset — a Loop graph lives until the pair's next-but-one rebuild,
+//     a Stage graph until the next sparsification.
 //   - Contexts are cheap when cold and allocation-flat when warm, which is
 //     what the public Engine pools them for (sync.Pool in the root
 //     package).
@@ -91,9 +94,9 @@ func (s *slab[T]) release() {
 }
 
 // Context is the per-solve scratch state: one typed arena per element kind
-// plus two CSR double-buffers (outer loop and sparsify stage chain). The
-// zero value is ready to use; New exists for symmetry with the rest of the
-// repository.
+// plus the outer loop's CSR double-buffer and the sparsification's CSR
+// buffer. The zero value is ready to use; New exists for symmetry with the
+// rest of the repository.
 type Context struct {
 	ints    slab[int]
 	int32s  slab[int32]
@@ -104,9 +107,8 @@ type Context struct {
 	edges   slab[graph.Edge]
 
 	loop  BufPair
-	stage BufPair
+	stage graph.CSR
 
-	edgeMin core.EdgeMinScratch
 	nodeSel core.NodeSel
 }
 
@@ -146,8 +148,8 @@ func (c *Context) EdgesCap(n int) []graph.Edge { return c.edges.getCap(n) }
 
 // Reset returns every checked-out slab to the free lists. Call at round
 // boundaries; slices checked out before the Reset must not be used after.
-// The Loop/Stage graph buffers are unaffected (their contents follow the
-// ping-pong discipline, not the round scope).
+// The Loop/Stage graph buffers are unaffected (their contents follow their
+// own lifetimes, not the round scope).
 func (c *Context) Reset() {
 	c.ints.release()
 	c.int32s.release()
@@ -162,25 +164,21 @@ func (c *Context) Reset() {
 // shrinking G of the Luby-style iterations).
 func (c *Context) Loop() *BufPair { return &c.loop }
 
-// Stage returns the CSR double-buffer for the sparsification stage chain
-// (E_0 → E_1 → … → E*), kept separate from Loop because the stage result
-// must stay readable while the outer-loop graph is rebuilt.
-func (c *Context) Stage() *BufPair { return &c.stage }
+// Stage returns the CSR buffer of the sparsification's one graph (E* of
+// the edge chain, the graph induced on Q' of the node chain), kept apart
+// from Loop because it must stay readable while the outer-loop graph is
+// rebuilt. The next sparsification overwrites it.
+func (c *Context) Stage() *graph.CSR { return &c.stage }
 
-// EdgeMin returns the Context's persistent edge-selection scratch. Like the
-// CSR double-buffers it survives Reset: the epoch-stamped min tables inside
-// it pair a stamp array with a generation counter, and that pairing must
+// NodeSel returns the Context's persistent node-selection plan. Like the
+// CSR buffers it survives Reset: the epoch-stamped position index inside
+// it pairs a stamp array with a generation counter, and that pairing must
 // live as long as the buffers do (a recycled stamp array under a fresh
 // counter could alias a live generation). Keeping the pair here means warm
 // Engine re-solves reuse it allocation-free, and its self-invalidating
-// epochs make any prior contents unobservable — the selection results are
-// identical for any history of the Context.
-func (c *Context) EdgeMin() *core.EdgeMinScratch { return &c.edgeMin }
-
-// NodeSel returns the Context's persistent node-selection plan, with the
-// same Reset-surviving lifetime and epoch-stamp rationale as EdgeMin. Round
-// loops re-Init it every round (advancing its generation) and read it in
-// every per-seed evaluation.
+// epochs make any prior contents unobservable. Round loops re-Init it every
+// round (advancing its generation) and read it in every per-seed
+// evaluation.
 func (c *Context) NodeSel() *core.NodeSel { return &c.nodeSel }
 
 // BufPair is a pair of graph.CSR destination buffers used in alternation:

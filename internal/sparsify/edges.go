@@ -1,7 +1,6 @@
 package sparsify
 
 import (
-	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
@@ -15,11 +14,11 @@ import (
 //
 // Lifetime: when produced by SparsifyEdgesIn, the slices (B, Deg, E0,
 // EStarEdges) are checked out of the caller's scratch context and EStar
-// lives in its stage CSR double-buffer, so the result is valid until the
-// caller Resets the context or runs the next sparsification on it — i.e.
-// for the enclosing outer-loop round, which is exactly how
-// internal/matching consumes it. The allocating SparsifyEdges wrapper has
-// no such constraint.
+// lives in its stage CSR buffer, so the result is valid until the caller
+// Resets the context or runs the next sparsification on it — i.e. for the
+// enclosing outer-loop round, which is exactly how internal/matching
+// consumes it. The allocating SparsifyEdges wrapper has no such
+// constraint.
 type EdgeResult struct {
 	ClassIndex int    // i of Corollary 8
 	B          []bool // good nodes B = C_i ∩ X
@@ -79,12 +78,13 @@ func SparsifyEdges(g *graph.Graph, p core.Params, model *simcost.Model) *EdgeRes
 }
 
 // SparsifyEdgesIn is SparsifyEdges drawing every per-round buffer — masks,
-// degree and class tables, the E0 edge list, and the stage-chain CSR
-// rebuilds — from sc instead of the heap, and without the Lemma 10/11
+// degree and class tables, the stage chain's edge lists and run layouts,
+// and E*'s CSR — from sc instead of the heap, and without the Lemma 10/11
 // audits, which no solver reads: its stage reports carry zero InvariantI
 // and InvariantII fields. Everything else, and every model charge, is
 // what SparsifyEdges returns, at any worker count and for any prior state
-// of sc. See EdgeResult for the lifetime of the returned slices.
+// of sc. See EdgeResult for the lifetime of the returned slices; a chain
+// that Params.Done stops returns without EStar and EStarEdges.
 func SparsifyEdgesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Model) *EdgeResult {
 	return sparsifyEdges(sc, g, p, model, false)
 }
@@ -145,103 +145,52 @@ func sparsifyEdges(sc *scratch.Context, g *graph.Graph, p core.Params, model *si
 
 	stages := core.StageCount(i)
 	cur := e0
-	curG := graph.FromEdgesInto(n, cur, sc.Stage().Next())
 	var dE0, xCount []int
 	if audit {
-		dE0, xCount = edgeAuditRefs(sc, curG, e0, b, deg)
+		dE0, xCount = edgeCounts(sc, n, e0, b, deg)
 	}
 
 	// Stage boundaries are cancellation checkpoints: an abandoned request
-	// stops subsampling here and the (partial) result is discarded by the
-	// canceled outer round loop, so the early exit can never reach output.
-	for j := 1; j <= stages && len(cur) > 0 && !p.Canceled(); j++ {
-		report := runEdgeStage(sc, curG, cur, b, deg, dc, p, j, model)
-		if report.canceled {
-			break
+	// stops subsampling here and returns without E* (EStar and EStarEdges
+	// unset); the outer round loop re-checks Params.Done — monotone by
+	// contract — right after this call and discards the result, so the
+	// early exit can never reach output.
+	for j := 1; j <= stages && len(cur) > 0; j++ {
+		if p.Canceled() {
+			return res
+		}
+		items := edgeStageItems(sc, n, cur, b, deg, dc, p, j)
+		next, report, canceled := runStage(items, cur, sc.EdgesCap(len(cur)+1), p, j, model)
+		if canceled {
+			return res
 		}
 		if audit {
-			report.InvariantI, report.InvariantII = auditEdgeStage(report.nextG, b, deg, dE0, xCount, dc, p, j)
+			report.InvariantI, report.InvariantII = auditEdgeStage(sc, n, next, b, deg, dE0, xCount, dc, p, j)
 		}
-		res.Stages = append(res.Stages, report.StageReport)
-		cur = report.next
-		curG = report.nextG
+		res.Stages = append(res.Stages, report)
+		cur = next
 	}
 	if len(cur) == 0 && len(e0) > 0 {
 		// Subsampling emptied the set (possible at laptop scale); fall back
 		// to E0 so the outer loop always makes progress. Note that when
 		// this happens 2-hop balls may exceed S; the model records it.
 		cur = e0
-		curG = graph.FromEdgesInto(n, cur, sc.Stage().Next())
 		res.UsedFallback = true
 	}
-	res.EStar = curG
+	// The one CSR of the call: every stage filters the canonical E0 in
+	// order, so E* is canonical and its build skips the sort.
+	res.EStar = graph.FromEdgesInto(n, cur, sc.Stage())
 	res.EStarEdges = cur
 	return res
 }
 
-// edgeStageOutcome bundles a stage report with the surviving edges and their
-// graph (built once, in the stage double-buffer).
-type edgeStageOutcome struct {
-	StageReport
-	next  []graph.Edge
-	nextG *graph.Graph
-	// canceled marks a stage whose seed search was stopped by Params.Done;
-	// next/nextG are then unset and the caller abandons the stage chain.
-	canceled bool
-}
-
-func runEdgeStage(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b []bool, deg []int,
-	dc *core.DegreeClasses, p core.Params, j int, model *simcost.Model) edgeStageOutcome {
-
-	m := len(cur)
-	items := edgeStageItems(sc, curG, cur, b, deg, dc, p, j)
-	model.ChargeSort("sparsify.distribute") // spread incident edges over machines
-	res := items.search(p, model)
-	if res.Canceled {
-		// Abandoned mid-search: res.Seed may be nil (no batch evaluated), so
-		// there is nothing safe to apply — hand the cancellation up instead.
-		return edgeStageOutcome{canceled: true}
-	}
-	next := applyEdgeStage(sc, items, res, cur, p.Workers())
-	model.ChargeScan("sparsify.apply")
-
-	out := edgeStageOutcome{next: next}
-	out.Stage = j
-	out.ItemsBefore = m
-	out.ItemsAfter = len(next)
-	out.Groups = items.groups
-	out.GoodGroups = int(res.Value)
-	out.SeedsTried = res.SeedsTried
-	out.SeedFound = res.Found
-	// The stage graph is built once, into the other half of the stage
-	// double-buffer, and handed back as the next round's source.
-	out.nextG = graph.FromEdgesInto(curG.N(), next, sc.Stage().Next())
-	return out
-}
-
-// applyEdgeStage applies the seed of the stage's search result res:
-// E_j = {e ∈ E_{j-1} : h(e) < th}, read off the seed's z row (items.row),
-// then a branch-free serial filter into a scratch edge buffer (one spare
-// slot for the last write), which keeps the canonical edge order.
-func applyEdgeStage(sc *scratch.Context, items *stageItems, res condexp.Result, cur []graph.Edge, workers int) []graph.Edge {
-	z := items.row(res, workers)
-	next := sc.EdgesCap(len(cur) + 1)[:len(cur)+1]
-	size := 0
-	for t, e := range cur {
-		next[size] = e
-		size += int(b2i(z[t] < items.th))
-	}
-	return next[:size]
-}
-
 // edgeStageItems lays out stage j of the edge chain: the items are the
-// edges of E_{j-1}, which cur lists in canonical order, so edge t is
-// curG's t-th edge too. Stage j hashes them in domain-separation slot j so
-// that every stage sees fresh independent values (see core.SlotKey).
-func edgeStageItems(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b []bool, deg []int,
+// edges of E_{j-1}, which cur lists in canonical order. Stage j hashes them
+// in domain-separation slot j so that every stage sees fresh independent
+// values (see core.SlotKey).
+func edgeStageItems(sc *scratch.Context, n int, cur []graph.Edge, b []bool, deg []int,
 	dc *core.DegreeClasses, p core.Params, j int) *stageItems {
 
-	n := curG.N()
 	m := len(cur)
 	gamma := dc.GroupSize()
 	fam := core.KWiseFamily(n, p.KWise)
@@ -249,18 +198,32 @@ func edgeStageItems(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b 
 	sampleProb := float64(th) / float64(fam.P())
 	items := &stageItems{ev: hashfam.NewEvaluator(fam), th: th, gamma: gamma, keys: core.SlotKeysInto(sc.Uint64sCap(m), cur, j, n),
 		z: sc.Uint64s(m)}
-	// Type-A runs: each node's incident E_{j-1} edges, which are its curG
-	// row with every slot labeled by its edge id. Type-B runs: for v ∈ B,
-	// the X(v) ∩ E_{j-1} edges, picked out of v's labeled row branch-free.
-	// The last pick may write one slot past the runs, hence the spare.
+	// Type-A runs: each node's incident E_{j-1} edges. A counting sort
+	// places edge t at both of its endpoints: ends[v] first counts d(v),
+	// then holds the start of v's run and is advanced past each placed
+	// edge, so it ends where the run ends. cur is canonical, so v receives
+	// its lower neighbours' edges (as their V) before its higher ones' (as
+	// their U), each in ascending order: every run is in ascending-neighbour
+	// order. Type-B runs: for v ∈ B, the X(v) ∩ E_{j-1} edges, picked out of
+	// v's type-A run branch-free, the other endpoint read off the edge. The
+	// last pick may write one slot past the runs, hence the spare.
 	idx := sc.Int32s(4*m + 1)
-	eid := curG.EdgeIDsInto(idx[:2*m], sc.Int32s(n))
 	ends := sc.Int32s(2 * n)
+	for _, e := range cur {
+		ends[e.U]++
+		ends[e.V]++
+	}
 	w := int32(0)
-	for v := 0; v < n; v++ {
-		w += int32(curG.Degree(graph.NodeID(v)))
+	for v, d := range ends[:n] {
 		ends[v] = w
-		items.groups += chunks(curG.Degree(graph.NodeID(v)), gamma)
+		w += d
+		items.groups += chunks(int(d), gamma)
+	}
+	for t, e := range cur {
+		idx[ends[e.U]] = int32(t)
+		ends[e.U]++
+		idx[ends[e.V]] = int32(t)
+		ends[e.V]++
 	}
 	runs := n
 	for v := 0; v < n; v++ {
@@ -268,11 +231,14 @@ func edgeStageItems(sc *scratch.Context, curG *graph.Graph, cur []graph.Edge, b 
 			continue
 		}
 		start := w
-		s := ends[v] - int32(curG.Degree(graph.NodeID(v)))
-		for _, u := range curG.Neighbors(graph.NodeID(v)) {
-			idx[w] = eid[s]
-			w += b2i(inXof(deg, graph.NodeID(v), u))
-			s++
+		s := int32(0)
+		if v > 0 {
+			s = ends[v-1]
+		}
+		for _, t := range idx[s:ends[v]] {
+			e := cur[t]
+			idx[w] = t
+			w += b2i(inXof(deg, graph.NodeID(v), e.U^e.V^graph.NodeID(v)))
 		}
 		if w > start {
 			ends[runs] = w

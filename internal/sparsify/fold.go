@@ -103,6 +103,32 @@ func (s *stageItems) search(p core.Params, model *simcost.Model) condexp.Result 
 	return res
 }
 
+// runStage runs stage j of either chain on its laid-out items: the seed
+// search, the apply and the stage report. cur lists the stage's items — the
+// edges of E_{j-1} or the nodes of Q_{j-1} — in item order, and dst is a
+// buffer of capacity len(cur)+1 for the survivors. It returns the stage's
+// set E_j or Q_j, in cur's order, or canceled when Params.Done stopped the
+// search: res.Seed may then be nil, so nothing is applied and the caller
+// abandons the chain.
+func runStage[T any](items *stageItems, cur, dst []T, p core.Params, j int, model *simcost.Model) (next []T, report StageReport, canceled bool) {
+	model.ChargeSort("sparsify.distribute") // spread incident items over machines
+	res := items.search(p, model)
+	if res.Canceled {
+		return nil, StageReport{}, true
+	}
+	next = keep(dst, cur, items.row(res, p.Workers()), items.th)
+	model.ChargeScan("sparsify.apply")
+	return next, StageReport{
+		Stage:       j,
+		ItemsBefore: len(cur),
+		ItemsAfter:  len(next),
+		Groups:      items.groups,
+		GoodGroups:  int(res.Value),
+		SeedsTried:  res.SeedsTried,
+		SeedFound:   res.Found,
+	}, false
+}
+
 // row returns the z row of res.Seed, the search's result. When res.Found,
 // the search's last candidate was res.Seed (condexp.SearchAtLeast), so z
 // holds its values already; otherwise one EvalKeysW pass hashes the
@@ -113,6 +139,20 @@ func (s *stageItems) row(res condexp.Result, workers int) []uint64 {
 		return s.z
 	}
 	return s.ev.EvalKeysW(res.Seed, s.keys, s.z, workers)
+}
+
+// keep returns the items cur[t] with z[t] < th, in order, written into dst
+// (capacity at least len(cur)+1) by a branch-free serial filter: each item
+// is written to the next free slot and kept by advancing past it, so the
+// last write may land in the spare slot.
+func keep[T any](dst, cur []T, z []uint64, th uint64) []T {
+	dst = dst[:len(cur)+1]
+	size := 0
+	for t, x := range cur {
+		dst[size] = x
+		size += int(b2i(z[t] < th))
+	}
+	return dst[:size]
 }
 
 // chunks returns the number of γ-chunks of a run of length l.

@@ -169,11 +169,13 @@ func filterEdges(items *stageItems, seed []uint64, cur []graph.Edge, workers int
 }
 
 // filterNodes is Q_j built from the winner's EvalKeysW row.
-func filterNodes(items *stageItems, seed []uint64, cur []bool, rank []int32, workers int) []bool {
+func filterNodes(items *stageItems, seed []uint64, cur []graph.NodeID, workers int) []graph.NodeID {
 	z := items.ev.EvalKeysW(seed, items.keys, make([]uint64, len(items.keys)), workers)
-	next := make([]bool, len(cur))
-	for v := range cur {
-		next[v] = cur[v] && z[rank[v]] < items.th
+	var next []graph.NodeID
+	for t, v := range cur {
+		if z[t] < items.th {
+			next = append(next, v)
+		}
 	}
 	return next
 }
@@ -236,11 +238,12 @@ func TestStageApplyMatchesEvalKeysW(t *testing.T) {
 				cur := er.E0
 				for j, st := range er.Stages {
 					j++
-					curG := graph.FromEdges(n, cur)
 					run := func(what string, q core.Params) []graph.Edge {
-						items := edgeStageItems(sc, curG, cur, er.B, er.Deg, dc, q, j)
+						items := edgeStageItems(sc, n, cur, er.B, er.Deg, dc, q, j)
 						return checkApply(t, &edges, what, items, q,
-							func(res condexp.Result) []graph.Edge { return applyEdgeStage(sc, items, res, cur, par) },
+							func(res condexp.Result) []graph.Edge {
+								return keep(sc.EdgesCap(len(cur)+1), cur, items.row(res, par), items.th)
+							},
 							func(seed []uint64) []graph.Edge { return filterEdges(items, seed, cur, par) })
 					}
 					if j == 1 {
@@ -260,22 +263,24 @@ func TestStageApplyMatchesEvalKeysW(t *testing.T) {
 				for v := range invDeg {
 					invDeg[v] = 1 / float64(nr.Deg[v])
 				}
-				q := slices.Clone(nr.Q0)
+				q := maskList(nr.Q0)
 				for j, st := range nr.Stages {
 					j++
-					run := func(what string, pp core.Params) []bool {
-						items, rank := nodeStageItems(sc, g, q, nr.B, invDeg, dc, pp, nr.ClassIndex, j)
+					run := func(what string, pp core.Params) []graph.NodeID {
+						items := nodeStageItems(sc, g, q, nr.B, invDeg, dc, pp, nr.ClassIndex, j)
 						return checkApply(t, &nodes, what, items, pp,
-							func(res condexp.Result) []bool { return applyNodeStage(sc, items, res, q, rank, par) },
-							func(seed []uint64) []bool { return filterNodes(items, seed, q, rank, par) })
+							func(res condexp.Result) []graph.NodeID {
+								return keep(sc.NodeIDsCap(len(q)+1), q, items.row(res, par), items.th)
+							},
+							func(seed []uint64) []graph.NodeID { return filterNodes(items, seed, q, par) })
 					}
 					if j == 1 {
 						run("node stage 1 (tightened)", miss)
 						run("node stage 1 (slack 1.2)", late)
 					}
 					next := run(fmt.Sprintf("node stage %d", j), p)
-					if CountMask(next) != st.ItemsAfter {
-						t.Fatalf("node stage %d: applied |Q_j| = %d, the report says %d", j, CountMask(next), st.ItemsAfter)
+					if len(next) != st.ItemsAfter {
+						t.Fatalf("node stage %d: applied |Q_j| = %d, the report says %d", j, len(next), st.ItemsAfter)
 					}
 					q = slices.Clone(next)
 					sc.Reset()

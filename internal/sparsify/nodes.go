@@ -3,7 +3,6 @@ package sparsify
 import (
 	"math"
 
-	"repro/internal/condexp"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/hashfam"
@@ -14,11 +13,11 @@ import (
 
 // NodeResult is the outcome of the Section 4.2 sparsification: the chosen
 // class Q0 = C_i, the good-node set B (Corollary 16) and the subsampled
-// low-degree node set Q' (as a mask over g's nodes).
+// low-degree node set Q' (as a mask over g's nodes and as a list).
 //
-// Lifetime: when produced by SparsifyNodesIn, the slices (B, Deg, Q0, Q)
-// are checked out of the caller's scratch context and QGraph lives in its
-// stage CSR double-buffer, so the result is valid until the caller Resets
+// Lifetime: when produced by SparsifyNodesIn, the slices (B, Deg, Q0, Q,
+// QList) are checked out of the caller's scratch context and QGraph lives
+// in its stage CSR buffer, so the result is valid until the caller Resets
 // the context or runs the next sparsification on it — one outer-loop round,
 // which is how internal/mis consumes it. The allocating SparsifyNodes
 // wrapper has no such constraint.
@@ -29,10 +28,10 @@ type NodeResult struct {
 	Deg        []int
 	Q0         []bool
 	Q          []bool // Q' mask
-	// QList is Q as an ascending id list, built in the same pass that counts
-	// the final candidate set: callers that need the candidates as a list
+	// QList is Q' as an ascending id list, the list the stage chain
+	// carries: callers that need the candidates as a list
 	// (core.NodeSel.InitList on the MIS path) take it directly instead of
-	// re-scanning the O(n) mask every round. len(QList) == CountMask(Q).
+	// re-scanning the O(n) mask every round. Q[v] iff v is in QList.
 	QList        []graph.NodeID
 	QGraph       *graph.Graph // induced subgraph on Q' (same node ids)
 	Stages       []StageReport
@@ -53,7 +52,8 @@ func SparsifyNodes(g *graph.Graph, p core.Params, model *simcost.Model) *NodeRes
 // reads: its stage reports carry zero InvariantI and InvariantII fields.
 // Everything else, and every model charge, is what SparsifyNodes returns,
 // at any worker count and for any prior state of sc. See NodeResult for
-// the lifetime of the returned slices.
+// the lifetime of the returned slices; a chain that Params.Done stops
+// returns without Q, QList and QGraph.
 func SparsifyNodesIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Model) *NodeResult {
 	return sparsifyNodes(sc, g, p, model, false)
 }
@@ -114,9 +114,13 @@ func sparsifyNodes(sc *scratch.Context, g *graph.Graph, p core.Params, model *si
 	}
 	b := sc.Bools(n)
 	q0 := sc.Bools(n)
+	q0List := sc.NodeIDsCap(n) // Q0 as the ascending list the chain starts from
 	for v := 0; v < n; v++ {
 		b[v] = sums[v*(dc.K+1)+i] >= inB
 		q0[v] = classOf[v] == i
+		if q0[v] {
+			q0List = append(q0List, graph.NodeID(v))
+		}
 	}
 
 	res := &NodeResult{
@@ -128,127 +132,63 @@ func sparsifyNodes(sc *scratch.Context, g *graph.Graph, p core.Params, model *si
 	}
 
 	stages := core.StageCount(i)
-	cur := sc.Bools(n)
-	copy(cur, q0)
-	// Stage boundaries are cancellation checkpoints, as in SparsifyEdgesIn.
-	// A canceled chain returns immediately with only the pre-stage fields
-	// set (Q holds the current mask, QList/QGraph are unset): the outer MIS
-	// round re-checks Params.Done — monotone by contract — right after this
-	// call and discards the result, so there is no point paying the Q' list
-	// build or the induced-subgraph construction on the way out.
-	for j := 1; j <= stages && CountMask(cur) > 0; j++ {
+	cur := q0List
+	// Stage boundaries are cancellation checkpoints, as in sparsifyEdges:
+	// a canceled chain returns with only the pre-stage fields set (Q, QList
+	// and QGraph are unset), and the outer MIS round discards it.
+	for j := 1; j <= stages && len(cur) > 0; j++ {
 		if p.Canceled() {
-			res.Q = cur
 			return res
 		}
-		report, next, canceled := runNodeStage(sc, g, cur, b, invDeg, dc, p, i, j, model)
+		items := nodeStageItems(sc, g, cur, b, invDeg, dc, p, i, j)
+		next, report, canceled := runStage(items, cur, sc.NodeIDsCap(len(cur)+1), p, j, model)
 		if canceled {
-			res.Q = cur
 			return res
 		}
 		if audit {
-			report.InvariantI, report.InvariantII = auditNodeStage(g, next, b, invDeg, dc, p, j)
+			report.InvariantI, report.InvariantII = auditNodeStage(sc, g, next, b, invDeg, dc, p, j)
 		}
 		res.Stages = append(res.Stages, report)
 		cur = next
 	}
-	if CountMask(cur) == 0 && CountMask(q0) > 0 {
-		cur = sc.Bools(n)
-		copy(cur, q0)
+	if len(cur) == 0 && len(q0List) > 0 {
+		cur = q0List
 		res.UsedFallback = true
 	}
-	// One pass builds the Q' list for both the normal and fallback masks —
-	// the round's candidates as data, so the MIS loop never re-scans the
-	// mask (core.NodeSel.InitList).
-	qlist := sc.NodeIDsCap(n)
-	for v := 0; v < n; v++ {
-		if cur[v] {
-			qlist = append(qlist, graph.NodeID(v))
-		}
+	q := sc.Bools(n)
+	for _, v := range cur {
+		q[v] = true
 	}
-	res.Q = cur
-	res.QList = qlist
-	res.QGraph = g.InducedNodesInto(cur, workers, sc.Stage().Next())
+	res.Q = q
+	res.QList = cur
+	res.QGraph = g.InducedNodesInto(q, workers, sc.Stage())
 	return res
 }
 
-// CountMask returns the number of set entries (shared by the node-stage
-// loops here and the MIS round stats in internal/mis).
-func CountMask(mask []bool) int {
-	c := 0
-	for _, m := range mask {
-		if m {
-			c++
-		}
-	}
-	return c
-}
-
-func runNodeStage(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg []float64,
-	dc *core.DegreeClasses, p core.Params, i, j int, model *simcost.Model) (StageReport, []bool, bool) {
-
-	items, rank := nodeStageItems(sc, g, cur, b, invDeg, dc, p, i, j)
-	model.ChargeSort("sparsify.distribute")
-	res := items.search(p, model)
-	if res.Canceled {
-		// res.Seed may be nil; abandon the stage, the caller discards.
-		return StageReport{}, nil, true
-	}
-	next := applyNodeStage(sc, items, res, cur, rank, p.Workers())
-	model.ChargeScan("sparsify.apply")
-
-	report := StageReport{
-		Stage:       j,
-		ItemsBefore: len(items.keys),
-		ItemsAfter:  CountMask(next),
-		Groups:      items.groups,
-		GoodGroups:  int(res.Value),
-		SeedsTried:  res.SeedsTried,
-		SeedFound:   res.Found,
-	}
-	return report, next, false
-}
-
-// applyNodeStage applies the seed of the stage's search result res:
-// Q_j = {v ∈ Q_{j-1} : h(v) < th}, read off the seed's z row (items.row;
-// rank maps a node to its item) in one sharded mask update.
-func applyNodeStage(sc *scratch.Context, items *stageItems, res condexp.Result, cur []bool, rank []int32, workers int) []bool {
-	z := items.row(res, workers)
-	next := sc.Bools(len(cur))
-	parallel.ForEach(workers, len(cur), func(v int) {
-		next[v] = cur[v] && z[rank[v]] < items.th
-	})
-	return next
-}
-
 // nodeStageItems lays out stage j of the node chain (class i): the items
-// are the nodes of Q_{j-1} = cur, in id order, and rank[v] is node v's item
-// index (meaningful for v ∈ Q_{j-1} only).
-func nodeStageItems(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg []float64,
-	dc *core.DegreeClasses, p core.Params, i, j int) (items *stageItems, rank []int32) {
+// are the nodes of Q_{j-1}, which cur lists in ascending id order.
+func nodeStageItems(sc *scratch.Context, g *graph.Graph, cur []graph.NodeID, b []bool, invDeg []float64,
+	dc *core.DegreeClasses, p core.Params, i, j int) *stageItems {
 
 	n := g.N()
+	q := len(cur)
 	gamma := dc.GroupSize()
 	fam := core.KWiseFamily(n, p.KWise)
 	th := core.StageThreshold(fam.P(), n, dc.K)
 	sampleProb := float64(th) / float64(fam.P())
 
-	// The items are the nodes of Q_{j-1}, in id order: rank[v] is v's item
-	// index, keys its stage-j slot key and w its weight 1/d(v) for type-B
-	// groups.
-	rank = sc.Int32s(n)
-	keys := sc.Uint64s(n)
-	w := sc.Float64s(n)
-	q := 0
-	for v := 0; v < n; v++ {
-		if cur[v] {
-			rank[v] = int32(q)
-			keys[q] = core.SlotKey(uint64(v), j, n)
-			w[q] = invDeg[v]
-			q++
-		}
+	// Item t is node cur[t]: keys[t] is its stage-j slot key and w[t] its
+	// weight 1/d for type-B groups. rank[v] is v's item index + 1, and 0
+	// for v ∉ Q_{j-1}, so it doubles as the membership test.
+	rank := sc.Int32s(n)
+	keys := sc.Uint64s(q)
+	w := sc.Float64s(q)
+	for t, v := range cur {
+		rank[v] = int32(t) + 1
+		keys[t] = core.SlotKey(uint64(v), j, n)
+		w[t] = invDeg[v]
 	}
-	items = &stageItems{ev: hashfam.NewEvaluator(fam), th: th, gamma: gamma, keys: keys[:q], w: w[:q],
+	items := &stageItems{ev: hashfam.NewEvaluator(fam), th: th, gamma: gamma, keys: keys, w: w,
 		z: sc.Uint64s(q)}
 	// One run per node v ∈ Q_{j-1} ∪ B with a neighbour in Q_{j-1}: the
 	// item indices of N(v) ∩ Q_{j-1}, in neighbour order, filled branch-free
@@ -261,21 +201,22 @@ func nodeStageItems(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg [
 	weighted := sc.Bools(n)
 	at, runs, weightedGroups := int32(0), 0, 0
 	for v := 0; v < n; v++ {
-		if !cur[v] && !b[v] {
+		inQ := rank[v] != 0
+		if !inQ && !b[v] {
 			continue
 		}
 		start := at
 		for _, u := range g.Neighbors(graph.NodeID(v)) {
-			idx[at] = rank[u]
-			at += b2i(cur[u])
+			idx[at] = rank[u] - 1
+			at += b2i(rank[u] != 0)
 		}
 		if at == start {
 			continue
 		}
 		c := chunks(int(at-start), gamma)
-		ends[runs], count[runs], weighted[runs] = at, cur[v], b[v]
+		ends[runs], count[runs], weighted[runs] = at, inQ, b[v]
 		runs++
-		if cur[v] {
+		if inQ {
 			items.groups += c
 		}
 		if b[v] {
@@ -317,5 +258,5 @@ func nodeStageItems(sc *scratch.Context, g *graph.Graph, cur, b []bool, invDeg [
 		}
 		start = end
 	}
-	return items, rank
+	return items
 }

@@ -14,6 +14,12 @@
 // subsampled object E* (resp. Q') has maximum degree O(n^{4δ}), so 2-hop
 // neighbourhoods fit in a machine of S = O(n^{8δ}) = O(n^ε) words.
 //
+// Both chains carry their items as lists from start to end — E_j as its
+// canonical edge list, Q_j as its ascending id list. A stage lays out its
+// runs off the list, and one stage step serves both chains (runStage:
+// search, keep the items whose hash falls below the threshold, report). A
+// call builds one CSR, after the chain: E*, or the graph induced on Q'.
+//
 // SparsifyEdges and SparsifyNodes audit those invariants after every stage
 // (StageReport.InvariantI/InvariantII), for the experiments and tests. The
 // In entry points, which the solvers call, skip the audits and are
@@ -51,23 +57,6 @@ type StageReport struct {
 	SeedFound   bool // all-groups-good threshold met
 	InvariantI  InvariantCheck
 	InvariantII InvariantCheck
-}
-
-// merge folds a per-shard partial into c. Counts add and WorstRatio is a
-// max, so the sharded invariant audits produce the same summary as the
-// serial scan regardless of worker count.
-func (c *InvariantCheck) merge(part InvariantCheck) {
-	c.Checked += part.Checked
-	c.Violated += part.Violated
-	if part.WorstRatio > c.WorstRatio {
-		c.WorstRatio = part.WorstRatio
-	}
-}
-
-// mergeChecks is merge as a fold function for parallel.MapReduce.
-func mergeChecks(acc, part InvariantCheck) InvariantCheck {
-	acc.merge(part)
-	return acc
 }
 
 // observe folds a measured/bound comparison into an InvariantCheck; ratio

@@ -592,8 +592,8 @@ func (tl *stageTally) replayEdgeChain(t *testing.T, src *detrand.Source, g *grap
 		ref := refEdgeStage(curG, res.B, res.Deg, dc, p, j)
 		seeds := stageSeeds(src, fam)
 		what := fmt.Sprintf("edge stage %d", j)
-		tl.compareItems(t, what, edgeStageItems(sc, curG, cur, res.B, res.Deg, dc, p, j), ref, seeds)
-		tightItems := edgeStageItems(sc, curG, cur, res.B, res.Deg, dc, tight, j)
+		tl.compareItems(t, what, edgeStageItems(sc, n, cur, res.B, res.Deg, dc, p, j), ref, seeds)
+		tightItems := edgeStageItems(sc, n, cur, res.B, res.Deg, dc, tight, j)
 		tightRef := refEdgeStage(curG, res.B, res.Deg, dc, tight, j)
 		tl.compareItems(t, what+" (tight)", tightItems, tightRef, seeds)
 		if j == 1 {
@@ -640,9 +640,9 @@ func (tl *stageTally) replayNodeChain(t *testing.T, src *detrand.Source, g *grap
 		ref := refNodeStage(g, cur, res.B, res.Deg, dc, p, res.ClassIndex, j)
 		seeds := stageSeeds(src, fam)
 		what := fmt.Sprintf("node stage %d", j)
-		items, _ := nodeStageItems(sc, g, cur, res.B, invDeg, dc, p, res.ClassIndex, j)
+		items := nodeStageItems(sc, g, maskList(cur), res.B, invDeg, dc, p, res.ClassIndex, j)
 		tl.compareItems(t, what, items, ref, seeds)
-		items, _ = nodeStageItems(sc, g, cur, res.B, invDeg, dc, tight, res.ClassIndex, j)
+		items = nodeStageItems(sc, g, maskList(cur), res.B, invDeg, dc, tight, res.ClassIndex, j)
 		tightRef := refNodeStage(g, cur, res.B, res.Deg, dc, tight, res.ClassIndex, j)
 		tl.compareItems(t, what+" (tight)", items, tightRef, seeds)
 		if j == 1 {
@@ -828,3 +828,25 @@ func BenchmarkSparsifyNodes(b *testing.B) {
 
 // Ok reports whether no node violated the slack-adjusted bound.
 func (c InvariantCheck) Ok() bool { return c.Violated == 0 }
+
+// CountMask returns the number of set entries of mask.
+func CountMask(mask []bool) int {
+	c := 0
+	for _, m := range mask {
+		if m {
+			c++
+		}
+	}
+	return c
+}
+
+// maskList returns the ids v with mask[v] set, in ascending order.
+func maskList(mask []bool) []graph.NodeID {
+	var ids []graph.NodeID
+	for v, m := range mask {
+		if m {
+			ids = append(ids, graph.NodeID(v))
+		}
+	}
+	return ids
+}

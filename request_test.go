@@ -666,29 +666,36 @@ func TestObserverEventsMatchResults(t *testing.T) {
 }
 
 // TestForcedLowDegreeStarMeetsDeadline: a matching forced onto the Section
-// 5 path on a star with k = 1500 leaves colours the line graph K_k, whose
-// every preprocessing pass costs Θ(k³) (several seconds in all). The
-// preprocessing polls the deadline between its shards, so a 50 ms deadline
-// ends the solve with ErrDeadlineExceeded well within a second. Race
-// instrumentation slows the shards past any such bound, so the test skips
-// under -race.
+// 5 path on a star with k leaves colours the line graph K_k, whose every
+// preprocessing pass costs Θ(k³) (several seconds in all at k = 1500) and
+// one node's share of a pass Θ(k²). The preprocessing polls the deadline
+// within its shards, once per coloring.PollBudget of work, so a 50 ms
+// deadline ends the solve with ErrDeadlineExceeded soon after it passes:
+// at k = 2000 within 0.25 s, which a poll once per shard misses.
+// Race instrumentation slows the shards past any such bound, so the test
+// skips under -race.
 func TestForcedLowDegreeStarMeetsDeadline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation slows every shard past the latency bound")
 	}
-	g, err := Generate("star", 1501, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = NewEngine(nil).MaximalMatchingCtx(ctx, g, WithStrategy(StrategyLowDegree))
-	elapsed := time.Since(start)
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("solve returned %v after its start, want under 1s", elapsed)
+	for _, tc := range []struct {
+		k     int
+		bound time.Duration
+	}{{1500, time.Second}, {2000, 250 * time.Millisecond}} {
+		g, err := Generate("star", tc.k+1, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		_, err = NewEngine(nil).MaximalMatchingCtx(ctx, g, WithStrategy(StrategyLowDegree))
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("k=%d: err = %v, want ErrDeadlineExceeded", tc.k, err)
+		}
+		if elapsed > tc.bound {
+			t.Fatalf("k=%d: solve returned %v after its start, want under %v", tc.k, elapsed, tc.bound)
+		}
 	}
 }
