@@ -91,8 +91,10 @@ race:
 # round vs the walk-and-evaluate round, on real colourings and fuzzed
 # improper ones, the one r-ball walk vs the separate word and Δ(G²) walks,
 # the CSR-slot line graph vs its map-indexed build, the MIS node state vs
-# alive and in-set masks, and the Section 5 preprocessing stopping at its
-# cancellation polls) and the request-scoped API tables
+# alive and in-set masks, the Section 5 preprocessing stopping at its
+# cancellation polls, and the matching path's 2-hop word scan vs a plain
+# loop on both sides of internal/parallel's serial cutoff) and the
+# request-scoped API tables
 # (cancellation at every Parallelism level against a shared engine,
 # per-solve override equivalence, observer-stream determinism, every round
 # loop's events vs its round records): worker-count
@@ -102,14 +104,20 @@ race:
 # regression is attributable at a glance. The serve package rides along:
 # its tests byte-compare served responses against direct Engine solves
 # under concurrent mixed load, which is the same contract one layer up.
+# So do internal/parallel's serial-cutoff tables, ten times each: below
+# the cutoff every entry point runs its shards in ascending order on the
+# caller, one at a time, at 1, 2 and 8 workers; at the cutoff two shards
+# meet in flight; on both sides every index is visited once and a float
+# fold is bit-identical; and the serial path allocates nothing.
 #
 # `go test -run` silently skips a name that matches nothing, so a renamed
 # or deleted table would quietly drop out of the job: the target first
 # checks, through `go test -list`, that every listed name is a test, fuzz
 # target or benchmark of its packages, and fails otherwise.
 ENGINE_TABLES := TestEngineReuseWorkerCountIndependence|TestEngineConcurrentSolves|TestEvalKeysShardedMatchesSerial|TestEngineCancellationWorkerCountTable|TestEngineCancellationMidSolve|TestSolveOptionOverrideEquivalence|TestObserverDeterministicAcrossParallelism|TestObserverSeedBatchEvents|TestPreparedSolveEquivalence|TestObserverEventsMatchResults
-EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissPath|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestListChainMatchesCSRChain|TestSparsifyInMatchesWrapper|TestEStarEdgesMatchEdges|TestStageApplyMatchesEvalKeysW|TestClassTableMatchesClass|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLinialRoundMatchesWalkReference|FuzzLinialRoundMatchesWalkReference|TestBallStatsMatchesSeparateWalks|TestLineGraphMatchesMapReference|TestMISNodesMatchesMasks|TestLinialG2StopsWhenDone|TestMISInCanceledInPreprocessing
-EQUIV_PKGS := ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/ ./internal/coloring/ ./internal/graph/
+EQUIV_TABLES := TestNodeGroupMatchesSel|TestEdgeGroupMatchesSel|TestSeedSearchMissPath|TestLocalMinEdgesSelBranchEquivalence|TestLocalMinNodesSelBranchEquivalence|TestNodeFoldBlockedScatter|TestEdgeFoldMatchesLocalMinEdgesSel|TestEvalSeedsBlockedMatchesEvalKeys|FuzzLocalMinNodesFoldMatchesSel|FuzzEdgeFoldMatchesLocalMinEdgesSel|FuzzEvalSeedsBlockedMatchesEvalKeys|TestIncidentEdgesMatchesFullScan|TestStageFoldMatchesCountGood|TestStageItemsMatchExpandedKeys|TestListChainMatchesCSRChain|TestSparsifyInMatchesWrapper|TestEStarEdgesMatchEdges|TestStageApplyMatchesEvalKeysW|TestClassTableMatchesClass|TestSearchAtLeastBatchMatchesWholeBatch|TestSearchAtLeastBatchScoresLazily|TestLinialG2MatchesSquareReference|TestLinialRoundMatchesWalkReference|FuzzLinialRoundMatchesWalkReference|TestBallStatsMatchesSeparateWalks|TestLineGraphMatchesMapReference|TestMISNodesMatchesMasks|TestLinialG2StopsWhenDone|TestMISInCanceledInPreprocessing|TestMaxTwoHopWordsMatchesSerial
+EQUIV_PKGS := ./internal/core/ ./internal/hashfam/ ./internal/lowdeg/ ./internal/sparsify/ ./internal/condexp/ ./internal/coloring/ ./internal/graph/ ./internal/matching/
+PARALLEL_TABLES := TestSerialBelowCutoff|TestParallelAtCutoff|TestForCoversEveryIndexOnce|TestForEachWritesDisjointIndices|TestMapReduceDeterministicFloatFold|TestSerialPathAllocatesNothing
 # check-tests fails unless every name of the |-separated list $(1) is a
 # top-level test, fuzz target or benchmark of the packages $(2).
 check-tests = listed="$$($(GO) test -list '^($(1))$$' $(2))" || exit 1; \
@@ -120,9 +128,11 @@ check-tests = listed="$$($(GO) test -list '^($(1))$$' $(2))" || exit 1; \
 race-engine:
 	@$(call check-tests,$(ENGINE_TABLES),.)
 	@$(call check-tests,$(EQUIV_TABLES),$(EQUIV_PKGS))
+	@$(call check-tests,$(PARALLEL_TABLES),./internal/parallel/)
 	$(GO) test -race -timeout 30m -run '^($(ENGINE_TABLES))$$' .
 	$(GO) test -race -timeout 30m ./internal/serve/
 	$(GO) test -race -timeout 30m -run '^($(EQUIV_TABLES))$$' $(EQUIV_PKGS)
+	$(GO) test -race -count=10 -timeout 30m -run '^($(PARALLEL_TABLES))$$' ./internal/parallel/
 
 # Fuzz targets, each fuzzed for 30 s and named as package:target:
 # internal/serve's FuzzDecodeMatchesUnmarshal, the differential fuzzer that

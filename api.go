@@ -84,7 +84,11 @@ type Options struct {
 	// per-vertex scans, and graph rebuilds all shard across it; seed
 	// searches score their candidates serially. 0 (the default) means one
 	// worker per logical CPU (GOMAXPROCS); 1 forces serial execution;
-	// larger values pin an explicit worker count. Results are bit-identical
+	// larger values pin an explicit worker count. At any setting, a call
+	// whose work is below the pool's serial cutoff (parallel.SerialWork,
+	// about 2^17 CSR word reads: every call of the sparsify path at
+	// n = 4096 avg degree 16) runs on the calling goroutine, so the setting
+	// matters only for larger calls. Results are bit-identical
 	// at every setting — the determinism contract, enforced by the
 	// worker-count-independence tests run under -race in CI — so this knob
 	// trades only wall-clock time, never output.

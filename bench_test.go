@@ -389,9 +389,16 @@ func BenchmarkAblations_SlackSweep(b *testing.B) {
 
 // The *Serial / *Parallel benchmark pairs below time identical computations
 // with the shared execution pool (internal/parallel) pinned to one worker vs
-// one worker per logical CPU. Outputs are bit-identical by the determinism
-// contract, so any delta is pure wall-clock speedup; CI's benchmark smoke
-// job records both sides as a JSON artifact (cmd/benchjson).
+// one worker per logical CPU: the benchmark form of ROADMAP item 7's table.
+// Outputs are bit-identical by the determinism contract, so any delta is
+// pure wall-clock time; CI's benchmark smoke job records both sides as a
+// JSON artifact (cmd/benchjson). Every call whose work is below the pool's
+// serial cutoff (parallel.SerialWork) runs on the calling goroutine on both
+// sides, so at the sparsify shapes (n = 4096, avg degree 16) both sides run
+// one path and should time alike. The sides differ where calls exceed the
+// cutoff: the Section 5 preprocessing of the lowdeg pair, the first rounds
+// of the seed-search pair (avg degree 32), and the rebuilds of the
+// WithoutNodes, LubyMIS and MPCRoundFanout pairs.
 
 // BenchmarkMatchingDeterministicSerial times the Theorem 7 pipeline with the
 // pool pinned to a single worker.
@@ -453,6 +460,33 @@ func benchSparsifySeedSearch(b *testing.B, parallelism int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sparsify.SparsifyEdges(g, p, nil)
+	}
+}
+
+// BenchmarkLowDegreeMatchingSerial times a warm-Engine Section 5 matching
+// (MIS on the line graph, Linial colouring and r-ball walk included) on a
+// 64x64 grid, cost tracking on, with the pool pinned to one worker.
+func BenchmarkLowDegreeMatchingSerial(b *testing.B) { benchLowDegreeMatching(b, 1) }
+
+// BenchmarkLowDegreeMatchingParallel is the same solve at GOMAXPROCS
+// workers.
+func BenchmarkLowDegreeMatchingParallel(b *testing.B) { benchLowDegreeMatching(b, 0) }
+
+func benchLowDegreeMatching(b *testing.B, parallelism int) {
+	g, err := Generate("grid", 1<<12, 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := NewEngine(&Options{Strategy: StrategyLowDegree, Parallelism: parallelism})
+	if _, err := eng.MaximalMatching(g); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.MaximalMatching(g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -358,6 +358,19 @@
 // time on the solve's goroutine, each at one worker, and apply the winner
 // at Options.Parallelism.
 //
+// Every call into the pool states its work, in one unit for all callers
+// (about one CSR word read; a caller whose steps cost more weights its
+// count by a measured factor). At any Parallelism, a call whose work is
+// below parallel.SerialWork (2^17) runs all its shards on the calling
+// goroutine, in ascending shard order: starting goroutines cost more than
+// a second worker saves on such calls. Every call of the sparsify path on
+// G(n, m) with n = 4096 and average degree 16, and of the Section 5 round
+// loop on grids and 3-regular graphs with n = 4096, is below the cutoff;
+// their Section 5 preprocessing (r-ball walk, Linial rounds, distance-2
+// check), larger graph rebuilds and key vectors of 2^16 pairwise keys and
+// more run on the pool. The cutoff decides only where shards run, never
+// their boundaries, so it cannot change a result.
+//
 // The determinism contract: every result is bit-identical at every
 // Parallelism setting. The pool guarantees it structurally — work is split
 // into contiguous shards whose boundaries depend only on the problem size,
@@ -366,7 +379,9 @@
 // CI enforces the contract by running worker-count-independence tests
 // (outputs compared across Parallelism 1, 2 and 8 on several graph
 // families) under the race detector; see parallel_determinism_test.go and
-// .github/workflows/ci.yml.
+// .github/workflows/ci.yml. Each strategy's tables include an input whose
+// first-round calls exceed the serial cutoff, so the race detector still
+// sees shard bodies run concurrently.
 //
 // # Static enforcement
 //

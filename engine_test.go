@@ -25,20 +25,21 @@ func engineOpts(strat Strategy) *Options {
 // Allocation budgets for one warm re-solve. The cold working set of these
 // workloads is tens of thousands of objects (n+m >= 8184); a warm engine
 // re-solve measures in the hundreds — the remaining constant is result
-// slices, per-search seed-batch state and shard descriptors. The object
-// budgets are one constant per strategy at every size and density; they
-// sit ~1.5x over the values measured with every sparsify stage hashing its
-// items once per candidate into one arena row, applying a found seed
+// slices, per-search seed-batch state and the shard bodies' closures. The
+// object budgets are one constant per strategy at every size and density;
+// they sit ~1.5x over the values measured with every sparsify stage hashing
+// its items once per candidate into one arena row, applying a found seed
 // through that row and skipping the invariant audits, every seed search
-// scoring serially on one selection state per solve (sparsify: mm
-// 305–384, mis 140–187 objects), and the Section 5 preprocessing walking
-// each ball once (lowdeg: mm 142–147, mis 119–121) — deliberately tight so
+// scoring serially on one selection state per solve, the Section 5
+// preprocessing walking each ball once, and internal/parallel's serial
+// path allocating no shard descriptors or partials (sparsify: mm 169–218,
+// mis 82–110 objects; lowdeg: mm 111–116, mis 88–90) — deliberately tight so
 // that epoch state leaking out of the Reset-surviving Context slots (or
 // any new per-round allocation) trips the assertion, while staying far
 // below O(n+m) growth.
 var warmAllocBudget = map[Strategy]struct{ mm, mis float64 }{
-	StrategySparsify:  {mm: 575, mis: 280},
-	StrategyLowDegree: {mm: 220, mis: 180},
+	StrategySparsify:  {mm: 330, mis: 165},
+	StrategyLowDegree: {mm: 175, mis: 135},
 }
 
 // warmWorkload is one graph a strategy's warm re-solves are measured on,
@@ -46,10 +47,11 @@ var warmAllocBudget = map[Strategy]struct{ mm, mis float64 }{
 // with the graph where objects do not: per-solve seed-search state and
 // result slices scale with n, and the lowdeg matching path builds a line
 // graph per solve. The budgets sit ~1.5x over the measured values (KB,
-// mm/mis at n = 2048 and 4096: sparsify gnm avg 8 193/83 and 326/122,
-// avg 16 225/77 and 342/95; lowdeg 829/166 and 1635/295), so the stage
+// mm/mis at n = 2048 and 4096: sparsify gnm avg 8 101/51 and 230/96,
+// avg 16 107/32 and 240/56; lowdeg 800/141 and 1600/268), so the stage
 // chains' old per-group appends — 2.3 MB of a 3.0 MB matching solve at
-// avg 16 — cannot return unnoticed.
+// avg 16 — and internal/parallel's per-call shard descriptors (~1 KB a
+// call) cannot return unnoticed.
 type warmWorkload struct {
 	family string
 	avg    int
@@ -60,13 +62,13 @@ var warmWorkloads = map[Strategy][]warmWorkload{
 	// G(n,m) at two densities: the stage chains' group layouts grow with
 	// the degree.
 	StrategySparsify: {
-		{"gnm", 8, map[int]struct{ mm, mis float64 }{2048: {305, 130}, 4096: {505, 190}}},
-		{"gnm", 16, map[int]struct{ mm, mis float64 }{2048: {355, 125}, 4096: {530, 150}}},
+		{"gnm", 8, map[int]struct{ mm, mis float64 }{2048: {155, 80}, 4096: {345, 145}}},
+		{"gnm", 16, map[int]struct{ mm, mis float64 }{2048: {160, 50}, 4096: {360, 85}}},
 	},
 	// A bounded-degree graph (the regime), whose line graph stays
 	// affordable for the per-solve construction.
 	StrategyLowDegree: {
-		{"regular", 6, map[int]struct{ mm, mis float64 }{2048: {1250, 250}, 4096: {2450, 450}}},
+		{"regular", 6, map[int]struct{ mm, mis float64 }{2048: {1200, 215}, 4096: {2400, 405}}},
 	},
 }
 

@@ -43,6 +43,18 @@ import (
 // the direct evaluations it saves).
 const tablePoints = 4
 
+// The work factors of the Section 5 colouring scans for internal/parallel:
+// what one step costs in its serial-cutoff unit, about one CSR word read
+// (0.7–2.4 ns in graph's mask filter on the same graphs). Measured at
+// Parallelism 1 on grid and random regular graphs with n = 4096 and on
+// their line graphs; each factor is the slowest graph's, the regular one,
+// whose 2-paths miss the cache.
+const (
+	tabulateStepWork = 5 // one Horner step of a tabulated point: 4.1–5.1 ns
+	roundStepWork    = 8 // one 2-path of a Linial round's scan: 1.5–7.6 ns
+	verifyStepWork   = 5 // one 2-path of the distance-2 check: 1.4–5.3 ns
+)
+
 // Result is a proper colouring with its round count.
 type Result struct {
 	Colors    []int // colour per node, in [0, NumColors)
@@ -75,6 +87,7 @@ func LinialG2(g *graph.Graph, maxDeg2, workers int, done func() bool, model *sim
 		return &Result{Colors: colors}
 	}
 	numColors := n
+	paths := twoPaths(g)
 	next := make([]int, n)
 	var digits []uint32
 	var table []uint32
@@ -86,7 +99,7 @@ func LinialG2(g *graph.Graph, maxDeg2, workers int, done func() bool, model *sim
 		}
 		digits = colourDigits(graph.Grow(digits, numColors*(d+1)), numColors, q, d)
 		table = graph.Grow(table, tablePoints*n)
-		v := linialRound(g, colors, next, digits, table, q, d, workers, done)
+		v := linialRound(g, colors, next, digits, table, q, d, paths, workers, done)
 		if stopped(done) {
 			return nil // the round may have skipped shards
 		}
@@ -112,7 +125,7 @@ func LinialG2(g *graph.Graph, maxDeg2, workers int, done func() bool, model *sim
 	// every node can do locally after one Lemma 4 sort).
 	numColors = compact(colors, numColors)
 	model.ChargeSort("coloring.compact")
-	err := verifyDistance2(g, colors, workers, done)
+	err := verifyDistance2(g, colors, paths, workers, done)
 	if stopped(done) {
 		return nil
 	}
@@ -120,6 +133,18 @@ func LinialG2(g *graph.Graph, maxDeg2, workers int, done func() bool, model *sim
 		panic(fmt.Sprintf("coloring: %v", err))
 	}
 	return &Result{Colors: colors, NumColors: numColors, Rounds: rounds}
+}
+
+// twoPaths returns Σ deg(v)², the number of 2-paths v–u–w (w = v
+// included) a scan of g's CSR walks from every node, saturating at
+// math.MaxInt. It sizes the scans' work for internal/parallel.
+func twoPaths(g *graph.Graph) int {
+	sum := 0
+	for v := 0; v < g.N(); v++ {
+		d := g.Degree(graph.NodeID(v))
+		sum = intmath.SatAdd(sum, intmath.SatMul(d, d))
+	}
+	return sum
 }
 
 // stopped reports whether the cancellation poll done (nil: never) is true.
@@ -219,10 +244,11 @@ func colourDigits(dst []uint32, numColors int, q uint64, d int) []uint32 {
 // Values are below q, which fits in 32 bits: a round runs only while
 // q² < numColors <= n. Node v then takes the first row in which no 2-path
 // v–u or v–u–w (w ≠ v) ends at its own value, and only past the table
-// evaluates the polynomials at the ends of its 2-paths directly. A scan
-// shard polls done (nil: never) through a ShardPoll and returns at once,
-// its remaining next[v] unwritten, when done reports true.
-func linialRound(g *graph.Graph, colors, next []int, digits, table []uint32, q uint64, d, workers int, done func() bool) int {
+// evaluates the polynomials at the ends of its 2-paths directly. paths is
+// g's 2-path count (twoPaths). A scan shard polls done (nil: never) through
+// a ShardPoll and returns at once, its remaining next[v] unwritten, when
+// done reports true.
+func linialRound(g *graph.Graph, colors, next []int, digits, table []uint32, q uint64, d, paths, workers int, done func() bool) int {
 	n := g.N()
 	r := intmath.NewReducer(q)
 	k := d + 1 // digits per colour
@@ -238,7 +264,10 @@ func linialRound(g *graph.Graph, colors, next []int, digits, table []uint32, q u
 		return r.Mod(acc)
 	}
 	pts := int(min(q, tablePoints))
-	parallel.For(workers, n, func(_, lo, hi int) {
+	// The fill evaluates pts−1 points of every node, k Horner steps and one
+	// Mod each: n·pts·k steps of tabulateStepWork units.
+	fill := intmath.SatMul(intmath.SatMul(n, pts*k), tabulateStepWork)
+	parallel.For(workers, n, fill, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			c := colors[v]
 			table[v] = digits[c*k] // p_c(0) is c's low base-q digit
@@ -247,7 +276,10 @@ func linialRound(g *graph.Graph, colors, next []int, digits, table []uint32, q u
 			}
 		}
 	})
-	return parallel.MapReduce(workers, n, -1, func(lo, hi int) int {
+	// The scan walks every node's 2-paths once per table row it clashes
+	// in: roundStepWork units per 2-path.
+	scan := intmath.SatMul(paths, roundStepWork)
+	return parallel.MapReduce(workers, n, scan, -1, func(lo, hi int) int {
 		poll := NewShardPoll(done)
 		for v := lo; v < hi; v++ {
 			if poll.Stop() {
@@ -343,11 +375,12 @@ func compact(colors []int, numColors int) int {
 // colouring of g (proper on G²). It scans every node's 2-paths, sharded
 // over up to `workers` host workers, and reports the lowest failing node v
 // with the lowest node u within distance 2 of it sharing v's colour, so the
-// error is the same at any worker count. A shard polls done (nil: never)
-// through a ShardPoll and returns at once, finding nothing, when it reports
-// true.
-func verifyDistance2(g *graph.Graph, colors []int, workers int, done func() bool) error {
-	v := parallel.MapReduce(workers, g.N(), -1, func(lo, hi int) int {
+// error is the same at any worker count. paths is g's 2-path count
+// (twoPaths), each 2-path one colour compare: verifyStepWork units. A shard
+// polls done (nil: never) through a ShardPoll and returns at once, finding
+// nothing, when it reports true.
+func verifyDistance2(g *graph.Graph, colors []int, paths, workers int, done func() bool) error {
+	v := parallel.MapReduce(workers, g.N(), intmath.SatMul(paths, verifyStepWork), -1, func(lo, hi int) int {
 		poll := NewShardPoll(done)
 		for v := lo; v < hi; v++ {
 			if poll.Stop() {

@@ -9,8 +9,14 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
+	"repro/internal/parallel"
 	"repro/internal/simcost"
 )
+
+// parallelPaths is the 2-path count the scan tests hand linialRound and
+// verifyDistance2: at the serial cutoff, so at two or more workers their
+// shards run concurrently whatever the graph's size.
+const parallelPaths = parallel.SerialWork
 
 // families lists every generator family gen.ByName accepts.
 var families = []string{"gnm", "gnp", "powerlaw", "regular", "grid", "complete",
@@ -36,7 +42,7 @@ func TestLinialProperOnFixtures(t *testing.T) {
 		"star":  gen.Star(50),
 	} {
 		res := LinialG2(g, maxDegreeG2(g), 1, nil, nil)
-		if err := verifyDistance2(g, res.Colors, 1, nil); err != nil {
+		if err := verifyDistance2(g, res.Colors, parallelPaths, 1, nil); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		for _, c := range res.Colors {
@@ -82,7 +88,7 @@ func TestLinialG2Distance2(t *testing.T) {
 		"reg":  gen.RandomRegular(500, 8, 4),
 	} {
 		res := LinialG2(g, maxDegreeG2(g), 2, nil, nil)
-		if err := verifyDistance2(g, res.Colors, 2, nil); err != nil {
+		if err := verifyDistance2(g, res.Colors, parallelPaths, 2, nil); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -105,7 +111,7 @@ func TestLinialEmptyAndTrivial(t *testing.T) {
 		t.Errorf("empty graph coloured with %d colours", res.NumColors)
 	}
 	res = LinialG2(graph.Empty(5), 0, 1, nil, nil)
-	if err := verifyDistance2(graph.Empty(5), res.Colors, 1, nil); err != nil {
+	if err := verifyDistance2(graph.Empty(5), res.Colors, parallelPaths, 1, nil); err != nil {
 		t.Error(err)
 	}
 	// With no edges a single colour suffices after compaction.
@@ -140,10 +146,10 @@ func TestVerifyCatchesBadColouring(t *testing.T) {
 		t.Error("improper colouring accepted")
 	}
 	for _, w := range []int{1, 2, 8} {
-		if err := verifyDistance2(g, []int{0, 1, 0}, w, nil); err == nil {
+		if err := verifyDistance2(g, []int{0, 1, 0}, parallelPaths, w, nil); err == nil {
 			t.Errorf("distance-2 violation accepted at %d workers", w)
 		}
-		if err := verifyDistance2(g, []int{0, 1, 2}, w, nil); err != nil {
+		if err := verifyDistance2(g, []int{0, 1, 2}, parallelPaths, w, nil); err != nil {
 			t.Errorf("valid distance-2 colouring rejected at %d workers: %v", w, err)
 		}
 	}
@@ -154,7 +160,7 @@ func TestVerifyCatchesBadColouring(t *testing.T) {
 	colors := []int{5, 5, 2, 3, 4, 6, 7, 8, 0, 5}
 	want := "nodes 0 and 1 within distance 2 share colour 5"
 	for _, w := range []int{1, 2, 8} {
-		if err := verifyDistance2(h, colors, w, nil); err == nil || err.Error() != want {
+		if err := verifyDistance2(h, colors, parallelPaths, w, nil); err == nil || err.Error() != want {
 			t.Errorf("workers=%d: got %v, want %q", w, err, want)
 		}
 	}
@@ -174,12 +180,12 @@ func TestLinialRoundRejectsImproperColouring(t *testing.T) {
 	digits := colourDigits(make([]uint32, g.N()*(d+1)), g.N(), q, d)
 	table := make([]uint32, tablePoints*g.N())
 	for _, w := range []int{1, 2, 8} {
-		if v := linialRound(g, colors, make([]int, g.N()), digits, table, q, d, w, nil); v != 10 {
+		if v := linialRound(g, colors, make([]int, g.N()), digits, table, q, d, parallelPaths, w, nil); v != 10 {
 			t.Errorf("workers=%d: round reported node %d, want 10", w, v)
 		}
 	}
 	colors[12], colors[33] = 12, 33
-	if v := linialRound(g, colors, make([]int, g.N()), digits, table, q, d, 2, nil); v != -1 {
+	if v := linialRound(g, colors, make([]int, g.N()), digits, table, q, d, parallelPaths, 2, nil); v != -1 {
 		t.Errorf("proper colouring: round reported node %d", v)
 	}
 }
@@ -294,7 +300,7 @@ func TestLinialRoundMatchesWalkReference(t *testing.T) {
 						for _, w := range []int{1, 2, 8} {
 							got := slices.Repeat([]int{-7}, h.N())
 							table := slices.Repeat([]uint32{^uint32(0)}, tablePoints*h.N())
-							if v := linialRound(h, colors, got, digits, table, q, d, w, nil); v != -1 {
+							if v := linialRound(h, colors, got, digits, table, q, d, parallelPaths, w, nil); v != -1 {
 								t.Fatalf("%s round %d workers=%d: round reported node %d, reference none", name, round, w, v)
 							}
 							if !slices.Equal(got, want) {
@@ -350,7 +356,7 @@ func FuzzLinialRoundMatchesWalkReference(f *testing.F) {
 		for _, w := range []int{1, 2, 8} {
 			got := slices.Repeat([]int{-7}, n)
 			table := slices.Repeat([]uint32{^uint32(0)}, tablePoints*n)
-			v := linialRound(g, colors, got, digits, table, q, d, w, nil)
+			v := linialRound(g, colors, got, digits, table, q, d, parallelPaths, w, nil)
 			if v != wantV {
 				t.Fatalf("workers=%d: round reported node %d, reference %d (colours %v)", w, v, wantV, colors)
 			}

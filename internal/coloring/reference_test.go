@@ -183,7 +183,8 @@ func VerifyProper(g *graph.Graph, colors []int) error {
 // through a visited table) and, for each candidate point x in turn,
 // evaluates its own polynomial and that of every node of the ball. It
 // writes next and returns the lowest failing node, or -1, as linialRound
-// does.
+// does. Its shards run concurrently at two or more workers at every size
+// (work parallel.SerialWork).
 func linialRoundWalk(g *graph.Graph, colors, next []int, digits []uint32, q uint64, d, workers int) int {
 	balls := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
 	w := d + 1
@@ -195,7 +196,7 @@ func linialRoundWalk(g *graph.Graph, colors, next []int, digits []uint32, q uint
 		}
 		return acc
 	}
-	return parallel.MapReduce(workers, g.N(), -1, func(lo, hi int) int {
+	return parallel.MapReduce(workers, g.N(), parallel.SerialWork, -1, func(lo, hi int) int {
 		bs := balls.Get()
 		defer balls.Put(bs)
 		for v := lo; v < hi; v++ {

@@ -48,8 +48,10 @@ type Params struct {
 	// internal/parallel pool for hashing the selected seed's keys,
 	// per-vertex scans, and graph rebuilds (seed searches score their
 	// candidates serially): 0 (default) means GOMAXPROCS, 1 means serial,
-	// larger values pin an explicit worker count. Results are bit-identical
-	// at any setting (the determinism contract; see internal/parallel).
+	// larger values pin an explicit worker count. At any setting, a call
+	// below the pool's serial cutoff (parallel.SerialWork) runs on the
+	// calling goroutine. Results are bit-identical at any setting (the
+	// determinism contract; see internal/parallel).
 	Parallelism int
 	// Done, when non-nil, reports whether the enclosing request has been
 	// abandoned (context canceled, deadline exceeded). The round loops poll
@@ -273,16 +275,16 @@ func (c *DegreeClasses) DevTerm(ex int) float64 {
 
 // ComputeXInto writes the good-node indicator of Luby's matching analysis
 // (Lemma 3) into dst (length N): v ∈ X iff at least d(v)/3 neighbours u
-// have d(u) <= d(v). deg must be the degree slice of g. The scan is sharded
-// over vertex ranges on up to `workers` host workers; each vertex's
-// indicator is independent, so the result is identical at any worker
-// count. Every slot is assigned, so a dirty destination cannot leak into
-// the result.
+// have d(u) <= d(v). deg must be the degree slice of g. The scan, n + 2m
+// words, is sharded over vertex ranges on up to `workers` host workers;
+// each vertex's indicator is independent, so the result is identical at
+// any worker count. Every slot is assigned, so a dirty destination cannot
+// leak into the result.
 func ComputeXInto(dst []bool, g *graph.Graph, deg []int, workers int) []bool {
 	if len(dst) != g.N() {
 		panic("core: ComputeXInto length mismatch")
 	}
-	parallel.ForEach(workers, g.N(), func(v int) {
+	parallel.ForEach(workers, g.N(), g.N()+2*g.M(), func(v int) {
 		dv := deg[v]
 		if dv == 0 {
 			dst[v] = false

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+
 	"repro/internal/condexp"
 	"repro/internal/hashfam"
 	"repro/internal/simcost"
@@ -79,8 +81,13 @@ func (l *Loop) Search(r *Round, fam hashfam.Family, obj condexp.Objective, thres
 
 // End appends r to Rounds and, on observed solves, emits its RoundEvent,
 // numbered len(Rounds), with liveNodes, the search's batches and the
-// model's running totals.
+// model's running totals. It first yields the processor (runtime.Gosched):
+// internal/parallel runs small calls on the solve's goroutine, so a solve
+// may never park, and without a yield per round it would hold its
+// processor until it ends, keeping a server's other goroutines (admission,
+// queue accounting, other requests) off it.
 func (l *Loop) End(r Round, liveNodes int) {
+	runtime.Gosched()
 	l.Rounds = append(l.Rounds, r)
 	if l.p.Observe == nil {
 		return

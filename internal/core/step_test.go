@@ -9,13 +9,14 @@ import (
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/hashfam"
+	"repro/internal/parallel"
 )
 
 // groupKeyCounts straddle hashfam.BlockKeyGrain — one ragged block, one
 // exact block, a full block plus a one-key tail — then span several blocks,
-// and finally pass the EvalKeysW shard threshold so Select's sharded
-// hashing runs too.
-var groupKeyCounts = []int{511, 512, 513, 1500, 8500}
+// and finally pass EvalKeysW's serial cutoff (parallel.SerialWork/2
+// pairwise keys) so Select's sharded hashing runs too.
+var groupKeyCounts = []int{511, 512, 513, 1500, parallel.SerialWork/2 + 500}
 
 // groupSeeds is the number of seeds each plan of the group tables selects
 // with, back to back on the same dirty group.

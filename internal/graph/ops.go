@@ -85,17 +85,19 @@ func (g *Graph) WithoutNodesInto(remove []bool, workers int, dst *CSR) *Graph {
 // nodes are skipped, and kept rows are counted and compacted branch-free.
 // Both passes shard over vertex ranges and each node writes only its own
 // range, so the result is deterministic at any worker count, and rows stay
-// sorted because the source rows are. Every destination slot is written, so
-// a dirty dst (even one from a previous, larger graph) cannot leak into the
-// result.
+// sorted because the source rows are. Each pass reads n offsets and up to
+// 2m neighbour words, its work for internal/parallel. Every destination
+// slot is written, so a dirty dst (even one from a previous, larger graph)
+// cannot leak into the result.
 func (g *Graph) maskFilterInto(dst *CSR, workers int, mask []bool, want bool) *Graph {
 	if g == &dst.g {
 		panic("graph: Into destination buffer backs the source graph")
 	}
 	n := g.N()
+	work := n + 2*g.M()
 	offsets := Grow(dst.offsets, n+1)
 	offsets[0] = 0
-	parallel.For(workers, n, func(_, lo, hi int) {
+	parallel.For(workers, n, work, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			cnt := int32(0)
 			if mask[v] == want {
@@ -110,7 +112,7 @@ func (g *Graph) maskFilterInto(dst *CSR, workers int, mask []bool, want bool) *G
 		offsets[v+1] += offsets[v]
 	}
 	adj := Grow(dst.adj, int(offsets[n]))
-	parallel.For(workers, n, func(_, lo, hi int) {
+	parallel.For(workers, n, work, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			// Every slot is written and the cursor advances past survivors
 			// only. The loop stops once the row's survivors are all placed,

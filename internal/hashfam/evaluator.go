@@ -191,22 +191,19 @@ func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]ui
 	}
 }
 
-// evalKeysShardGrain is the minimum number of keys a shard must carry for
-// the EvalKeysW fan-out to pay for its goroutine handoffs. Shard boundaries
-// derive from len(keys) and this constant alone — never from the worker
-// count — per the repository's determinism contract (moot for EvalKeysW,
-// whose slots are written independently, but kept structural anyway).
-const evalKeysShardGrain = 4096
-
 // EvalKeysW is EvalKeys with the key vector sharded over up to `workers`
 // goroutines of the shared internal/parallel pool (0 = GOMAXPROCS, 1 =
 // serial). It exists for the apply filters and final selections that
 // evaluate ONE seed over a round's whole key vector, where no seed batch
-// is there to saturate the pool. Output is byte-identical to EvalKeys at
-// any worker count: the seed's coefficients are reduced once and shared
-// read-only, and each shard writes only its own out range.
+// is there to saturate the pool. Its work is len(keys)·k units, one per
+// coefficient step of a key's Horner evaluation (~0.9 ns on a 2-vCPU VM for
+// pairwise keys); below parallel.SerialWork it is one EvalKeys pass on the
+// calling goroutine. Output is byte-identical to EvalKeys at any worker
+// count: the seed's coefficients are reduced once and shared read-only, and
+// each shard writes only its own out range.
 func (e *Evaluator) EvalKeysW(seed, keys, out []uint64, workers int) []uint64 {
-	if parallel.Workers(workers) <= 1 || len(keys) < 2*evalKeysShardGrain {
+	work := len(keys) * e.fam.k
+	if parallel.Serial(workers, work) {
 		return e.EvalKeys(seed, keys, out)
 	}
 	if len(seed) != e.fam.k {
@@ -218,9 +215,7 @@ func (e *Evaluator) EvalKeysW(seed, keys, out []uint64, workers int) []uint64 {
 	out = out[:len(keys)]
 	var cbuf [8]uint64
 	c := e.reduceSeed(seed, &cbuf)
-	shards := parallel.Shards(len(keys), len(keys)/evalKeysShardGrain)
-	parallel.RunShards(workers, len(shards), func(s int) {
-		lo, hi := shards[s].Lo, shards[s].Hi
+	parallel.For(workers, len(keys), work, func(_, lo, hi int) {
 		e.evalReduced(c, keys[lo:hi], out[lo:hi])
 	})
 	return out

@@ -5,6 +5,7 @@
 package intmath
 
 import (
+	"math"
 	"math/big"
 	"math/bits"
 )
@@ -175,4 +176,24 @@ func SatPow(x uint64, e int) (uint64, bool) {
 		}
 	}
 	return result, overflow
+}
+
+// SatMul returns a·b for non-negative a and b, or math.MaxInt when the
+// product overflows int. The work estimates handed to internal/parallel
+// multiply sizes whose product can overflow a 32-bit int on dense graphs;
+// saturating keeps a heavy call's estimate above the serial cutoff.
+func SatMul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
+// SatAdd returns a+b for non-negative a and b, or math.MaxInt when the sum
+// overflows int.
+func SatAdd(a, b int) int {
+	if b > math.MaxInt-a {
+		return math.MaxInt
+	}
+	return a + b
 }

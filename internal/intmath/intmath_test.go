@@ -212,3 +212,24 @@ func TestSatPow(t *testing.T) {
 		t.Errorf("SatPow(10,0) = %d,%v", v, ov)
 	}
 }
+
+func TestSatMulSatAdd(t *testing.T) {
+	half := math.MaxInt/2 + 1
+	cases := []struct{ a, b, mul, add int }{
+		{0, 0, 0, 0},
+		{0, math.MaxInt, 0, math.MaxInt},
+		{3, 7, 21, 10},
+		{math.MaxInt, 1, math.MaxInt, math.MaxInt},
+		{half, 2, math.MaxInt, half + 2},
+		{half - 1, 2, math.MaxInt - 1, half + 1},
+		{half, half, math.MaxInt, math.MaxInt},
+	}
+	for _, c := range cases {
+		if got := SatMul(c.a, c.b); got != c.mul {
+			t.Errorf("SatMul(%d, %d) = %d, want %d", c.a, c.b, got, c.mul)
+		}
+		if got := SatAdd(c.a, c.b); got != c.add {
+			t.Errorf("SatAdd(%d, %d) = %d, want %d", c.a, c.b, got, c.add)
+		}
+	}
+}

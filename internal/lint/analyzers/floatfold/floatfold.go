@@ -52,7 +52,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // isParallelEntry reports whether call invokes an exported function of
-// internal/parallel (For, ForEach, RunShards, MapReduce, ...).
+// internal/parallel (For, ForEach, MapReduce, MaxInt).
 func isParallelEntry(pass *analysis.Pass, call *ast.CallExpr) bool {
 	fun := call.Fun
 	if idx, ok := fun.(*ast.IndexExpr); ok { // explicit instantiation: parallel.MapReduce[T]

@@ -8,7 +8,7 @@ import "repro/internal/parallel"
 
 func capturedSum(xs []float64) float64 {
 	var sum float64
-	parallel.For(4, len(xs), func(shard, lo, hi int) {
+	parallel.For(4, len(xs), parallel.SerialWork, func(shard, lo, hi int) {
 		for _, x := range xs[lo:hi] {
 			sum += x // want `float accumulation into captured sum`
 		}
@@ -18,7 +18,7 @@ func capturedSum(xs []float64) float64 {
 
 func capturedProduct(xs []float64) float64 {
 	prod := 1.0
-	parallel.RunShards(4, 8, func(s int) {
+	parallel.For(4, 8, parallel.SerialWork, func(s, _, _ int) {
 		prod *= float64(s) // want `float accumulation into captured prod`
 	})
 	return prod
@@ -26,7 +26,7 @@ func capturedProduct(xs []float64) float64 {
 
 func selfAssign(xs []float32) float32 {
 	var total float32
-	parallel.ForEach(4, len(xs), func(i int) {
+	parallel.ForEach(4, len(xs), parallel.SerialWork, func(i int) {
 		total = total + xs[i] // want `float accumulation into captured total`
 	})
 	return total
@@ -34,7 +34,7 @@ func selfAssign(xs []float32) float32 {
 
 func annotated(xs []float64) float64 {
 	var sum float64
-	parallel.For(1, len(xs), func(shard, lo, hi int) {
+	parallel.For(1, len(xs), 0, func(shard, lo, hi int) {
 		for _, x := range xs[lo:hi] {
 			sum += x //det:allow floatfold fixture: single-shard invocation, fold order is trivially fixed
 		}
@@ -46,7 +46,7 @@ func annotated(xs []float64) float64 {
 // deterministic fold pattern.
 func perShardSlots(xs []float64) []float64 {
 	out := make([]float64, 4)
-	parallel.For(4, len(xs), func(shard, lo, hi int) {
+	parallel.For(4, len(xs), parallel.SerialWork, func(shard, lo, hi int) {
 		for _, x := range xs[lo:hi] {
 			out[shard] += x
 		}
@@ -57,7 +57,7 @@ func perShardSlots(xs []float64) []float64 {
 // clean: shard-local accumulator declared inside the body, folded by
 // MapReduce in ascending shard order.
 func shardLocal(xs []float64) float64 {
-	return parallel.MapReduce(4, len(xs), 0.0,
+	return parallel.MapReduce(4, len(xs), parallel.SerialWork, 0.0,
 		func(lo, hi int) float64 {
 			local := 0.0
 			for _, x := range xs[lo:hi] {
@@ -72,7 +72,7 @@ func shardLocal(xs []float64) float64 {
 // analyzer's concern (nogoroutine/race detection handle the data race).
 func intCapture(xs []int) int {
 	n := 0
-	parallel.For(1, len(xs), func(shard, lo, hi int) {
+	parallel.For(1, len(xs), 0, func(shard, lo, hi int) {
 		n += hi - lo
 	})
 	return n

@@ -331,7 +331,7 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, p core.Params, model
 // as its work, and stops, its maxima partial, when done reports true.
 func ballStats(g *graph.Graph, r, workers int, done func() bool) (words, maxDeg2 int) {
 	pool := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
-	st := parallel.MapReduce(workers, g.N(), ballMax{}, func(lo, hi int) ballMax {
+	st := parallel.MapReduce(workers, g.N(), ballWork(g, r), ballMax{}, func(lo, hi int) ballMax {
 		poll := coloring.NewShardPoll(done)
 		bs := pool.Get()
 		var m ballMax
@@ -351,6 +351,28 @@ func ballStats(g *graph.Graph, r, workers int, done func() bool) (words, maxDeg2
 	})
 	return st.words, st.deg2
 }
+
+// ballWork bounds ballStats' walk for internal/parallel: n balls, each of
+// at most min(n, 1 + Δ·Σ_{i<r} (Δ−1)^i) nodes (the Moore bound) visited
+// with their rows of at most Δ+1 words, ballStepWork units per word.
+// MISIn picks r so that Δ^r fits the machine budget, which caps the bound
+// in the regime the path is meant for.
+func ballWork(g *graph.Graph, r int) int {
+	n, d := g.N(), g.MaxDegree()
+	ball, layer := 1, d
+	for i := 0; i < r && ball < n; i++ {
+		ball = intmath.SatAdd(ball, layer)
+		layer = intmath.SatMul(layer, max(d-1, 0))
+	}
+	return intmath.SatMul(intmath.SatMul(n, min(ball, n)), intmath.SatMul(d+1, ballStepWork))
+}
+
+// ballStepWork is what one word of the r-ball walk costs in
+// internal/parallel's work unit (about one CSR word read): a visit mark, a
+// level append and a degree read, measured up to ~2 units per bounded word
+// at Parallelism 1 on a random regular graph with n = 4096, whose balls
+// miss the cache (~0.4 on a grid, whose balls stay in it).
+const ballStepWork = 2
 
 // ballMax is a shard's partial of ballStats.
 type ballMax struct{ words, deg2 int }

@@ -287,10 +287,12 @@ func TestIncidentEdgesMatchesFullScan(t *testing.T) {
 
 // maxBallWords is the r-ball word pass as it was before ballStats fused it
 // with the Δ(G²) pass: the largest Σ (1 + deg u) over Ball(v, r), from a
-// walk of its own.
+// walk of its own. It and maxDegreeG2 state parallel.SerialWork as their
+// work, so at two or more workers their shards run concurrently at every
+// size.
 func maxBallWords(g *graph.Graph, r, workers int) int {
 	pool := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
-	return parallel.MaxInt(workers, g.N(), func(lo, hi int) int {
+	return parallel.MaxInt(workers, g.N(), parallel.SerialWork, func(lo, hi int) int {
 		bs := pool.Get()
 		max := 0
 		for v := lo; v < hi; v++ {
@@ -312,7 +314,7 @@ func maxBallWords(g *graph.Graph, r, workers int) int {
 // radius-2 walk of its own.
 func maxDegreeG2(g *graph.Graph, workers int) int {
 	pool := scratch.NewPerWorker(func() *graph.BallScratch { return new(graph.BallScratch) })
-	return parallel.MaxInt(workers, g.N(), func(lo, hi int) int {
+	return parallel.MaxInt(workers, g.N(), parallel.SerialWork, func(lo, hi int) int {
 		bs := pool.Get()
 		max := 0
 		for v := lo; v < hi; v++ {

@@ -170,9 +170,10 @@ func DeterministicIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *
 // maxTwoHopWords returns the largest number of words a machine holds when
 // the 2-hop E*-neighbourhood of a B-node is collected: the node's incident
 // edges plus its neighbours' incident edges (2 words per edge). The per-node
-// measurements are independent, so the scan map-reduces over vertex shards.
+// measurements are independent, so the scan map-reduces over vertex shards;
+// it reads n + 2|E*| words.
 func maxTwoHopWords(estar *graph.Graph, b []bool, workers int) int {
-	return parallel.MaxInt(workers, estar.N(), func(lo, hi int) int {
+	return parallel.MaxInt(workers, estar.N(), estar.N()+2*estar.M(), func(lo, hi int) int {
 		max := 0
 		for v := lo; v < hi; v++ {
 			if !b[v] {

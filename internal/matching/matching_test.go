@@ -195,3 +195,33 @@ func BenchmarkDeterministicGNM(b *testing.B) {
 		Deterministic(g, p, nil)
 	}
 }
+
+// TestMaxTwoHopWordsMatchesSerial pins maxTwoHopWords to a plain loop over
+// the B-nodes' 2-hop neighbourhoods at 1, 2 and 8 workers, on E* graphs on
+// both sides of internal/parallel's serial cutoff (n + 2|E*| = 4608 and
+// 135168): the solves' E* stays below it at the determinism tables' sizes,
+// so this is where its pool path runs under -race.
+func TestMaxTwoHopWordsMatchesSerial(t *testing.T) {
+	for _, estar := range []*graph.Graph{gen.GNM(512, 2048, 1), gen.GNM(4096, 65536, 2)} {
+		b := make([]bool, estar.N())
+		for v := range b {
+			b[v] = v%3 != 0
+		}
+		want := 0
+		for v := 0; v < estar.N(); v++ {
+			if !b[v] {
+				continue
+			}
+			words := 2 * estar.Degree(graph.NodeID(v))
+			for _, u := range estar.Neighbors(graph.NodeID(v)) {
+				words += 2 * estar.Degree(u)
+			}
+			want = max(want, words)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			if got := maxTwoHopWords(estar, b, workers); got != want {
+				t.Fatalf("n=%d m=%d workers=%d: %d words, want %d", estar.N(), estar.M(), workers, got, want)
+			}
+		}
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"maps"
 	"slices"
 
+	"repro/internal/intmath"
 	"repro/internal/parallel"
 )
 
@@ -154,6 +155,13 @@ func wordsOf(msgs [][]uint64) int {
 	return total
 }
 
+// stepWordWork is what a machine step costs per store or inbox word in
+// internal/parallel's work unit (about one CSR word read). It is the
+// heaviest step's: Sort's local sort took 38–65 ns per word at Parallelism
+// 1 on 4096–65536 words over 8 or 32 machines. Lighter steps (the prefix
+// sums, under 1 ns per word) are overstated, which keeps them on the pool.
+const stepWordWork = 64
+
 // Round executes one synchronous round: every machine runs step on its
 // (store, inbox), then messages are exchanged. The label attributes the
 // round in Stats.RoundsByLabel. Returns an error in Strict mode if any
@@ -164,8 +172,13 @@ func (c *Cluster) Round(label string, step StepFunc) error {
 	// Machine steps fan out over the bounded shared pool; each machine
 	// writes only its own (persistent, reset-in-place) ctx, and the
 	// collection pass below runs in deterministic machine order, so host
-	// scheduling is unobservable.
-	parallel.ForEach(c.workers, m, func(id int) {
+	// scheduling is unobservable. The round's work is its machines' store
+	// and inbox words, stepWordWork units each.
+	words := 0
+	for id := 0; id < m; id++ {
+		words += len(c.stores[id]) + wordsOf(c.inboxes[id])
+	}
+	parallel.ForEach(c.workers, m, intmath.SatMul(words, stepWordWork), func(id int) {
 		ctx := ctxs[id]
 		ctx.ID = id
 		ctx.Inbox = c.inboxes[id]

@@ -192,7 +192,9 @@ func csrEdgeAuditRefs(sc *scratch.Context, e0G *graph.Graph, e0 []graph.Edge, b 
 }
 
 // csrAuditEdgeStage is the sharded audit auditEdgeStage is pinned to: it
-// checks stage j's E_j, the graph nextG, against Lemmas 10 and 11.
+// checks stage j's E_j, the graph nextG, against Lemmas 10 and 11. It and
+// maskAuditNodeStage state parallel.SerialWork as their work, so at two or
+// more workers their shards run concurrently at every size.
 func csrAuditEdgeStage(nextG *graph.Graph, b []bool, deg, dE0, xCount []int,
 	dc *core.DegreeClasses, p core.Params, j int) (invI, invII InvariantCheck) {
 
@@ -203,7 +205,7 @@ func csrAuditEdgeStage(nextG *graph.Graph, b []bool, deg, dE0, xCount []int,
 	nJD := math.Pow(float64(n), -float64(j)/float64(dc.K))
 	n3d := math.Pow(float64(n), 3/float64(dc.K))
 	invI = InvariantCheck{Name: "Lemma10: d_Ej(v) <= (1+o(1))n^{-jδ}d_E0(v)+n^{3δ}"}
-	invI.merge(parallel.MapReduce(workers, n, InvariantCheck{}, func(lo, hi int) InvariantCheck {
+	invI.merge(parallel.MapReduce(workers, n, parallel.SerialWork, InvariantCheck{}, func(lo, hi int) InvariantCheck {
 		var part InvariantCheck
 		for v := lo; v < hi; v++ {
 			if dE0[v] == 0 {
@@ -216,7 +218,7 @@ func csrAuditEdgeStage(nextG *graph.Graph, b []bool, deg, dE0, xCount []int,
 	}, mergeChecks))
 	// Invariant (ii), Lemma 11, for v ∈ B against |X(v)| in E0.
 	invII = InvariantCheck{Name: "Lemma11: |X(v)∩Ej| >= (1-o(1))n^{-jδ}|X(v)|"}
-	invII.merge(parallel.MapReduce(workers, n, InvariantCheck{}, func(lo, hi int) InvariantCheck {
+	invII.merge(parallel.MapReduce(workers, n, parallel.SerialWork, InvariantCheck{}, func(lo, hi int) InvariantCheck {
 		var part InvariantCheck
 		for v := lo; v < hi; v++ {
 			if !b[v] || xCount[v] == 0 {
@@ -248,7 +250,7 @@ func maskAuditNodeStage(g *graph.Graph, next, b []bool, invDeg []float64,
 	nJD := math.Pow(float64(n), -float64(j)/float64(dc.K))
 	n3d := math.Pow(float64(n), 3/float64(dc.K))
 	invI = InvariantCheck{Name: "Lemma17: d_Qj(v) <= (1+o(1))n^{-jδ}d(v)"}
-	invI.merge(parallel.MapReduce(workers, n, InvariantCheck{}, func(lo, hi int) InvariantCheck {
+	invI.merge(parallel.MapReduce(workers, n, parallel.SerialWork, InvariantCheck{}, func(lo, hi int) InvariantCheck {
 		var part InvariantCheck
 		for v := lo; v < hi; v++ {
 			if !next[v] {
@@ -268,7 +270,7 @@ func maskAuditNodeStage(g *graph.Graph, next, b []bool, invDeg []float64,
 	delta := p.Delta()
 	boundII := delta / (3 * math.Pow(float64(n), float64(j)/float64(dc.K)) * p.Slack)
 	invII = InvariantCheck{Name: "Lemma18: Σ_{u∈Qj∼v}1/d(u) >= (δ-o(1))/(3n^{δj})"}
-	invII.merge(parallel.MapReduce(workers, n, InvariantCheck{}, func(lo, hi int) InvariantCheck {
+	invII.merge(parallel.MapReduce(workers, n, parallel.SerialWork, InvariantCheck{}, func(lo, hi int) InvariantCheck {
 		var part InvariantCheck
 		for v := lo; v < hi; v++ {
 			if !b[v] {

@@ -78,12 +78,12 @@ func sparsifyNodes(sc *scratch.Context, g *graph.Graph, p core.Params, model *si
 	}
 
 	// B_i = {v : Σ_{u∈C_i∼v} 1/d(u) >= δ/3}; one pass accumulates all the
-	// per-class reciprocal sums of every node. Each vertex owns its row and
-	// folds its (fixed, sorted) neighbour list left to right, so the float
-	// sums are bit-identical at any worker count.
+	// per-class reciprocal sums of every node, reading n + 2m words. Each
+	// vertex owns its row and folds its (fixed, sorted) neighbour list left
+	// to right, so the float sums are bit-identical at any worker count.
 	inB := p.Delta()/3 - 1e-12
 	sums := sc.Float64s(n * (dc.K + 1))
-	parallel.ForEach(workers, n, func(v int) {
+	parallel.ForEach(workers, n, n+2*g.M(), func(v int) {
 		row := sums[v*(dc.K+1):]
 		for _, u := range g.Neighbors(graph.NodeID(v)) {
 			row[classOf[u]] += invDeg[u]

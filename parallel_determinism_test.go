@@ -15,6 +15,7 @@ import (
 	"repro/internal/detrand"
 	"repro/internal/hashfam"
 	"repro/internal/luby"
+	"repro/internal/parallel"
 )
 
 var determinismWorkloads = []struct {
@@ -33,73 +34,103 @@ var determinismWorkloads = []struct {
 
 var parallelismLevels = []int{1, 2, 8}
 
-func TestMaximalMatchingWorkerCountIndependence(t *testing.T) {
+// determinismCase is one workload solved with one strategy.
+type determinismCase struct {
+	family string
+	n      int
+	avgDeg int
+	seed   uint64
+	strat  Strategy
+}
+
+// aboveCutoffCases are, per strategy, an input whose first-round calls into
+// internal/parallel exceed its serial cutoff, so that at Parallelism 2 and
+// 8 their shard bodies run concurrently and -race sees them: sparsify on
+// gnm n = 4096 avg 32 (n + 2m = 135168 > parallel.SerialWork in the first
+// round's graph rebuilds, X scan and class sums) and lowdeg on a 64x64
+// grid (its Section 5 preprocessing). Every call of determinismWorkloads
+// (n <= 512) runs below the cutoff.
+var aboveCutoffCases = []determinismCase{
+	{"gnm", 4096, 32, 1, StrategySparsify},
+	{"grid", 4096, 4, 2, StrategyLowDegree},
+}
+
+// determinismCases are the rows of the worker-count-independence tables:
+// every workload of determinismWorkloads under both strategies, then
+// aboveCutoffCases.
+func determinismCases() []determinismCase {
+	var cases []determinismCase
 	for _, w := range determinismWorkloads {
 		for _, strat := range []Strategy{StrategySparsify, StrategyLowDegree} {
-			t.Run(fmt.Sprintf("%s/n=%d/%s", w.family, w.n, strat), func(t *testing.T) {
-				g, err := Generate(w.family, w.n, w.avgDeg, w.seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var ref *MatchingResult
-				for _, par := range parallelismLevels {
-					res, err := MaximalMatching(g, &Options{Strategy: strat, Parallelism: par})
-					if err != nil {
-						t.Fatalf("Parallelism=%d: %v", par, err)
-					}
-					if ref == nil {
-						ref = res
-						continue
-					}
-					if len(res.Edges) != len(ref.Edges) {
-						t.Fatalf("Parallelism=%d: %d edges, want %d", par, len(res.Edges), len(ref.Edges))
-					}
-					for i := range res.Edges {
-						if res.Edges[i] != ref.Edges[i] {
-							t.Fatalf("Parallelism=%d: edge %d is %v, want %v", par, i, res.Edges[i], ref.Edges[i])
-						}
-					}
-					if res.Iterations != ref.Iterations {
-						t.Fatalf("Parallelism=%d: %d iterations, want %d", par, res.Iterations, ref.Iterations)
-					}
-				}
-			})
+			cases = append(cases, determinismCase{w.family, w.n, w.avgDeg, w.seed, strat})
 		}
+	}
+	return append(cases, aboveCutoffCases...)
+}
+
+func TestMaximalMatchingWorkerCountIndependence(t *testing.T) {
+	for _, w := range determinismCases() {
+		t.Run(fmt.Sprintf("%s/n=%d/%s", w.family, w.n, w.strat), func(t *testing.T) {
+			g, err := Generate(w.family, w.n, w.avgDeg, w.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ref *MatchingResult
+			for _, par := range parallelismLevels {
+				res, err := MaximalMatching(g, &Options{Strategy: w.strat, Parallelism: par})
+				if err != nil {
+					t.Fatalf("Parallelism=%d: %v", par, err)
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				if len(res.Edges) != len(ref.Edges) {
+					t.Fatalf("Parallelism=%d: %d edges, want %d", par, len(res.Edges), len(ref.Edges))
+				}
+				for i := range res.Edges {
+					if res.Edges[i] != ref.Edges[i] {
+						t.Fatalf("Parallelism=%d: edge %d is %v, want %v", par, i, res.Edges[i], ref.Edges[i])
+					}
+				}
+				if res.Iterations != ref.Iterations {
+					t.Fatalf("Parallelism=%d: %d iterations, want %d", par, res.Iterations, ref.Iterations)
+				}
+			}
+		})
 	}
 }
 
 func TestMaximalIndependentSetWorkerCountIndependence(t *testing.T) {
-	for _, w := range determinismWorkloads {
-		for _, strat := range []Strategy{StrategySparsify, StrategyLowDegree} {
-			t.Run(fmt.Sprintf("%s/n=%d/%s", w.family, w.n, strat), func(t *testing.T) {
-				g, err := Generate(w.family, w.n, w.avgDeg, w.seed)
+	for _, w := range determinismCases() {
+		t.Run(fmt.Sprintf("%s/n=%d/%s", w.family, w.n, w.strat), func(t *testing.T) {
+			g, err := Generate(w.family, w.n, w.avgDeg, w.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ref *MISResult
+			for _, par := range parallelismLevels {
+				res, err := MaximalIndependentSet(g, &Options{Strategy: w.strat, Parallelism: par})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("Parallelism=%d: %v", par, err)
 				}
-				var ref *MISResult
-				for _, par := range parallelismLevels {
-					res, err := MaximalIndependentSet(g, &Options{Strategy: strat, Parallelism: par})
-					if err != nil {
-						t.Fatalf("Parallelism=%d: %v", par, err)
-					}
-					if ref == nil {
-						ref = res
-						continue
-					}
-					if len(res.Nodes) != len(ref.Nodes) {
-						t.Fatalf("Parallelism=%d: %d nodes, want %d", par, len(res.Nodes), len(ref.Nodes))
-					}
-					for i := range res.Nodes {
-						if res.Nodes[i] != ref.Nodes[i] {
-							t.Fatalf("Parallelism=%d: node %d is %d, want %d", par, i, res.Nodes[i], ref.Nodes[i])
-						}
-					}
-					if res.Iterations != ref.Iterations {
-						t.Fatalf("Parallelism=%d: %d iterations, want %d", par, res.Iterations, ref.Iterations)
+				if ref == nil {
+					ref = res
+					continue
+				}
+				if len(res.Nodes) != len(ref.Nodes) {
+					t.Fatalf("Parallelism=%d: %d nodes, want %d", par, len(res.Nodes), len(ref.Nodes))
+				}
+				for i := range res.Nodes {
+					if res.Nodes[i] != ref.Nodes[i] {
+						t.Fatalf("Parallelism=%d: node %d is %d, want %d", par, i, res.Nodes[i], ref.Nodes[i])
 					}
 				}
-			})
-		}
+				if res.Iterations != ref.Iterations {
+					t.Fatalf("Parallelism=%d: %d iterations, want %d", par, res.Iterations, ref.Iterations)
+				}
+			}
+		})
 	}
 }
 
@@ -112,73 +143,73 @@ func TestMaximalIndependentSetWorkerCountIndependence(t *testing.T) {
 // CI runs this under -race via the dedicated engine-race job (make
 // race-engine).
 func TestEngineReuseWorkerCountIndependence(t *testing.T) {
-	for _, w := range determinismWorkloads {
-		for _, strat := range []Strategy{StrategySparsify, StrategyLowDegree} {
-			t.Run(fmt.Sprintf("%s/n=%d/%s", w.family, w.n, strat), func(t *testing.T) {
-				g, err := Generate(w.family, w.n, w.avgDeg, w.seed)
-				if err != nil {
-					t.Fatal(err)
+	for _, w := range determinismCases() {
+		strat := w.strat
+		t.Run(fmt.Sprintf("%s/n=%d/%s", w.family, w.n, strat), func(t *testing.T) {
+			g, err := Generate(w.family, w.n, w.avgDeg, w.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warmup, err := Generate("gnm", w.n+77, 12, w.seed+13)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refMM, err := MaximalMatching(g, &Options{Strategy: strat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			refIS, err := MaximalIndependentSet(g, &Options{Strategy: strat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, par := range parallelismLevels {
+				eng := NewEngine(&Options{Strategy: strat, Parallelism: par})
+				if _, err := eng.MaximalMatching(warmup); err != nil {
+					t.Fatalf("Parallelism=%d warmup: %v", par, err)
 				}
-				warmup, err := Generate("gnm", w.n+77, 12, w.seed+13)
-				if err != nil {
-					t.Fatal(err)
+				if _, err := eng.MaximalIndependentSet(warmup); err != nil {
+					t.Fatalf("Parallelism=%d warmup: %v", par, err)
 				}
-				refMM, err := MaximalMatching(g, &Options{Strategy: strat})
-				if err != nil {
-					t.Fatal(err)
-				}
-				refIS, err := MaximalIndependentSet(g, &Options{Strategy: strat})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, par := range parallelismLevels {
-					eng := NewEngine(&Options{Strategy: strat, Parallelism: par})
-					if _, err := eng.MaximalMatching(warmup); err != nil {
-						t.Fatalf("Parallelism=%d warmup: %v", par, err)
+				for round := 0; round < 2; round++ {
+					mm, err := eng.MaximalMatching(g)
+					if err != nil {
+						t.Fatalf("Parallelism=%d round %d: %v", par, round, err)
 					}
-					if _, err := eng.MaximalIndependentSet(warmup); err != nil {
-						t.Fatalf("Parallelism=%d warmup: %v", par, err)
+					if len(mm.Edges) != len(refMM.Edges) || mm.Iterations != refMM.Iterations {
+						t.Fatalf("Parallelism=%d round %d: matching %d edges/%d iters, want %d/%d",
+							par, round, len(mm.Edges), mm.Iterations, len(refMM.Edges), refMM.Iterations)
 					}
-					for round := 0; round < 2; round++ {
-						mm, err := eng.MaximalMatching(g)
-						if err != nil {
-							t.Fatalf("Parallelism=%d round %d: %v", par, round, err)
-						}
-						if len(mm.Edges) != len(refMM.Edges) || mm.Iterations != refMM.Iterations {
-							t.Fatalf("Parallelism=%d round %d: matching %d edges/%d iters, want %d/%d",
-								par, round, len(mm.Edges), mm.Iterations, len(refMM.Edges), refMM.Iterations)
-						}
-						for i := range mm.Edges {
-							if mm.Edges[i] != refMM.Edges[i] {
-								t.Fatalf("Parallelism=%d round %d: edge %d is %v, want %v",
-									par, round, i, mm.Edges[i], refMM.Edges[i])
-							}
-						}
-						is, err := eng.MaximalIndependentSet(g)
-						if err != nil {
-							t.Fatalf("Parallelism=%d round %d: %v", par, round, err)
-						}
-						if len(is.Nodes) != len(refIS.Nodes) || is.Iterations != refIS.Iterations {
-							t.Fatalf("Parallelism=%d round %d: MIS %d nodes/%d iters, want %d/%d",
-								par, round, len(is.Nodes), is.Iterations, len(refIS.Nodes), refIS.Iterations)
-						}
-						for i := range is.Nodes {
-							if is.Nodes[i] != refIS.Nodes[i] {
-								t.Fatalf("Parallelism=%d round %d: node %d is %d, want %d",
-									par, round, i, is.Nodes[i], refIS.Nodes[i])
-							}
+					for i := range mm.Edges {
+						if mm.Edges[i] != refMM.Edges[i] {
+							t.Fatalf("Parallelism=%d round %d: edge %d is %v, want %v",
+								par, round, i, mm.Edges[i], refMM.Edges[i])
 						}
 					}
+					is, err := eng.MaximalIndependentSet(g)
+					if err != nil {
+						t.Fatalf("Parallelism=%d round %d: %v", par, round, err)
+					}
+					if len(is.Nodes) != len(refIS.Nodes) || is.Iterations != refIS.Iterations {
+						t.Fatalf("Parallelism=%d round %d: MIS %d nodes/%d iters, want %d/%d",
+							par, round, len(is.Nodes), is.Iterations, len(refIS.Nodes), refIS.Iterations)
+					}
+					for i := range is.Nodes {
+						if is.Nodes[i] != refIS.Nodes[i] {
+							t.Fatalf("Parallelism=%d round %d: node %d is %d, want %d",
+								par, round, i, is.Nodes[i], refIS.Nodes[i])
+						}
+					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // TestEvalKeysShardedMatchesSerial is the sharded-vs-serial equality table
 // for the hash kernel: EvalKeysW must be byte-identical to EvalKeys for
-// every worker count, key-vector length (below and above the shard
-// threshold), family width and field size, on dirty output buffers.
+// every worker count, key-vector length (on both sides of its serial
+// cutoff, parallel.SerialWork/k keys for a family of width k), family width
+// and field size, on dirty output buffers.
 func TestEvalKeysShardedMatchesSerial(t *testing.T) {
 	families := []hashfam.Family{
 		core.PairwiseFamily(1 << 12),
@@ -186,7 +217,7 @@ func TestEvalKeysShardedMatchesSerial(t *testing.T) {
 		hashfam.New(97, 2),
 		hashfam.New(1<<33, 3), // wide-reduction path (p > 2^32)
 	}
-	sizes := []int{1, 100, 4095, 8192, 40000}
+	sizes := []int{1, 100, 4095, parallel.SerialWork/2 - 1, parallel.SerialWork / 2, 3 * parallel.SerialWork / 4}
 	for _, fam := range families {
 		ev := hashfam.NewEvaluator(fam)
 		enum := fam.Enumerate()

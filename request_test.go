@@ -158,15 +158,32 @@ func TestSolveOptionOverridesDoNotStick(t *testing.T) {
 // guarantee: the full event stream — order and every field — is identical at
 // Parallelism 1, 2 and 8, for both algorithms and both strategies.
 func TestObserverDeterministicAcrossParallelism(t *testing.T) {
-	g, err := Generate("gnm", 512, 8, 1)
+	small, err := Generate("gnm", 512, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	eng := NewEngine(nil)
-	for _, strat := range []Strategy{StrategySparsify, StrategyLowDegree} {
+	// Each strategy runs on the small graph, whose calls into
+	// internal/parallel all stay below its serial cutoff, and on its input
+	// of aboveCutoffCases, whose first-round calls exceed it.
+	type input struct {
+		name  string
+		strat Strategy
+		g     *Graph
+	}
+	inputs := []input{{"sparsify", StrategySparsify, small}, {"lowdeg", StrategyLowDegree, small}}
+	for _, c := range aboveCutoffCases {
+		g, err := Generate(c.family, c.n, c.avgDeg, c.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{fmt.Sprintf("%s-%s-n%d", c.strat, c.family, c.n), c.strat, g})
+	}
+	for _, in := range inputs {
+		strat, g := in.strat, in.g
 		for _, algo := range []string{"matching", "mis"} {
-			t.Run(fmt.Sprintf("%s/%s", strat, algo), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", in.name, algo), func(t *testing.T) {
 				var ref []RoundEvent
 				for _, par := range []int{1, 2, 8} {
 					log := &eventLog{}
