@@ -20,8 +20,8 @@
 // one unit for all callers (see SerialWork). A call whose work is below
 // SerialWork runs all its shards on the calling goroutine, in ascending
 // shard order, at any worker count: on a 2-vCPU VM, starting goroutines
-// cost more than they saved on every call of the sparsify path and of the
-// Section 5 round loop. Heavier calls start a bounded pool: at most
+// for the sparsify path's calls (up to ~2^16 units each) cost more than the
+// second worker saved. Heavier calls start a bounded pool: at most
 // `workers` goroutines run at once, and shards are handed out dynamically
 // so heterogeneous shard costs still balance. Worker counts come from
 // Options.Parallelism at the API layer and resolve through Workers.
