@@ -45,17 +45,14 @@ build-cmds:
 	$(GO) build ./examples/...
 	cd cmd/detbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
-# Cross-compile check: the hash kernel has a GOARCH-gated assembly path
-# (amd64 AVX2) with a pure-Go fallback, so both the asm-bearing and the
-# fallback-only builds must compile. arm64 exercises the generic path's
-# build tags without needing arm64 hardware. 386 is the one 32-bit target:
-# int is 32 bits there, so a constant or bound that overflows int (a
-# `v > 1<<31` check once passed go test and both 64-bit builds) fails to
-# compile, and so would a narrowing of the Linial point tables' uint32
-# values.
+# Cross-compile check. The repository is portable Go with no assembly and
+# no GOARCH-gated file, so the one build that can fail where the native one
+# passes is 386, the 32-bit target: int is 32 bits there, so a constant or
+# bound that overflows int (a `v > 1<<31` check once passed go test and the
+# 64-bit builds) fails to compile, and so would a narrowing of the Linial
+# point tables' uint32 values.
 build-cross:
 	GOARCH=amd64 $(GO) build ./...
-	GOARCH=arm64 $(GO) build ./...
 	GOARCH=386 $(GO) build ./...
 
 # Fast feedback: full suite without the race detector.
@@ -138,9 +135,10 @@ race-engine:
 # internal/serve's FuzzDecodeMatchesUnmarshal, the differential fuzzer that
 # pins the one-pass request-body reader to json.Unmarshal, and
 # FuzzServeHandlers, which sends raw bodies through Handler(); and the root
-# package's FuzzSolveValid, which solves arbitrary small graphs with both
-# strategies and fuzzed option values, checks every output with
-# internal/check and compares Parallelism 1 against 8. `go test ./...` only
+# package's FuzzSolveValid, which solves arbitrary small graphs under each
+# strategy (sparsify, lowdeg, auto) with fuzzed option values, checks every
+# output with internal/check and compares Parallelism 1 against 8 and cost
+# tracking off against on. `go test ./...` only
 # replays their seeds; this target makes them search. -fuzzminimizetime
 # caps the time a worker spends shrinking each new-coverage input (60 s by
 # default, long enough to stall a short run). As in race-engine, every

@@ -579,7 +579,7 @@ func resolve(ctx context.Context, g *Graph, cfg *solveConfig) (core.Params, *sim
 	}
 	strat := opts.strategy()
 	if strat == StrategyAuto {
-		if lowdeg.Suitable(g, p, model) {
+		if lowdeg.Suitable(g, p) {
 			strat = StrategyLowDegree
 		} else {
 			strat = StrategySparsify

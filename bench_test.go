@@ -180,9 +180,10 @@ func BenchmarkT7_SelectionScan(b *testing.B) {
 
 // BenchmarkEvalSeedsBlocked times the block-major multi-seed kernel at the
 // T7 shape: 64 pairwise seeds over E*'s slot keys in groups of eight, into
-// reused scratch rows. The seed searches hash one seed at a time through
-// EvalKeys, so this row tracks the kernel that detbench's hashfam rows time,
-// not a production path.
+// reused scratch rows, each seed through the same pairwise Barrett loop as
+// EvalKeys, one key block at a time. The seed searches hash one seed at a
+// time through EvalKeys, so this row tracks the kernel that detbench's
+// hashfam rows time, not a production path.
 func BenchmarkEvalSeedsBlocked(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
 	p := core.DefaultParams()

@@ -80,12 +80,12 @@
 // again. The fold gathers each chunk's values in branchless scans judged
 // against acceptance windows precomputed once per stage (the deviation
 // bounds depend only on each group's fixed size and weight, never on the
-// seed). The arithmetic is regime-dispatched per field prime
-// (internal/intmath.Reducer): a single high-multiply Barrett path for
-// m ≤ 2^32 — with a GOARCH-gated AVX2 assembly inner loop on amd64 and a
-// pure-Go fallback elsewhere — a branchless Montgomery path for odd
-// m < 2^63, and Möller–Granlund wide reduction for the rest. Every regime
-// computes exactly the same field values as hashfam.Family.Eval. End to
+// seed). The arithmetic has two regimes per field prime
+// (internal/intmath.Reducer), both portable Go: a single high-multiply
+// Barrett step for m ≤ 2^32, which every workload's fields use, and
+// Möller–Granlund wide reduction above it. Each kernel has one loop per
+// regime, and every regime computes exactly the same field values as
+// hashfam.Family.Eval. End to
 // end, the golden corpus under testdata/golden pins the derandomized outputs
 // and seed-search trajectories. Layer by layer, the fuzzers pin EvalKeys to
 // Family.Eval, the blocked multi-seed kernel (which only benchmarks call) to

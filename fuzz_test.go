@@ -36,15 +36,17 @@ var (
 const fuzzMaxEdges = 1024
 
 // FuzzSolveValid solves arbitrary small graphs, not only the generator
-// families, with both strategies and both problems. The input picks n ≤ 96
-// (n), ε, slack and ThresholdFrac (knobs), an optional invalid override
-// (bad, when it indexes fuzzInvalid) and the edge list (byte pairs taken
-// mod n; self loops and duplicates are dropped by FromEdges). Every output
-// must be a maximal matching or a maximal independent set by
-// internal/check, the results at Parallelism 1 and 8 on one reused Engine
-// must be equal in every field, and an invalid option must come back as
-// ErrInvalidOption or ErrUnknownStrategy, from ValidateOptions and from
-// the solve alike, never as a panic.
+// families, with both problems under each strategy: sparsify and lowdeg
+// forced, and auto. The input picks n ≤ 96 (n), ε, slack and ThresholdFrac
+// (knobs), an optional invalid override (bad, when it indexes fuzzInvalid)
+// and the edge list (byte pairs taken mod n; self loops and duplicates are
+// dropped by FromEdges). Every output must be a maximal matching or a
+// maximal independent set by internal/check, the results at Parallelism 1
+// and 8 on one reused Engine must be equal in every field, a solve with
+// cost tracking off must equal the tracked one in every field but Costs,
+// and an invalid option must come back as ErrInvalidOption or
+// ErrUnknownStrategy, from ValidateOptions and from the solve alike, never
+// as a panic.
 func FuzzSolveValid(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(255), []byte{})
 	f.Add(uint8(2), uint8(1), uint8(255), []byte{0, 1})
@@ -53,6 +55,17 @@ func FuzzSolveValid(f *testing.F) {
 	f.Add(uint8(6), uint8(27), uint8(255), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5})
 	f.Add(uint8(3), uint8(2), uint8(0), []byte{0, 1, 1, 2, 2, 0})
 	f.Add(uint8(6), uint8(5), uint8(6), []byte{0, 1, 1, 2, 2, 3, 3, 4, 4, 5})
+	// The 64-node Möbius ladder (edges {i, i+1 mod 64} and {i, i+32}) at
+	// ε = 0.5, slack 4 and ThresholdFrac 0.5: Δ⁴ = 81 fits the machine
+	// budget 8·S only with S floored at 16, above ⌈64^0.5⌉ = 8.
+	var ladder []byte
+	for i := 0; i < 64; i++ {
+		ladder = append(ladder, byte(i), byte((i+1)%64))
+		if i < 32 {
+			ladder = append(ladder, byte(i), byte(i+32))
+		}
+	}
+	f.Add(uint8(64), uint8(18), uint8(255), ladder)
 
 	eng := NewEngine(nil)
 	typed := func(err error) bool { return errors.Is(err, ErrInvalidOption) || errors.Is(err, ErrUnknownStrategy) }
@@ -80,7 +93,7 @@ func FuzzSolveValid(f *testing.F) {
 		}
 
 		ctx := context.Background()
-		for _, strat := range []Strategy{StrategySparsify, StrategyLowDegree} {
+		for _, strat := range []Strategy{StrategySparsify, StrategyLowDegree, StrategyAuto} {
 			// The override list is rebuilt per strategy so fuzzInvalid's
 			// strategy, applied last, still wins.
 			base := append([]SolveOption{WithStrategy(strat)}, opts...)
@@ -109,6 +122,15 @@ func FuzzSolveValid(f *testing.F) {
 			if !reflect.DeepEqual(mm1, mm8) {
 				t.Fatalf("%s matching differs between Parallelism 1 and 8:\n%+v\n%+v", strat, mm1, mm8)
 			}
+			mmOff, err := eng.MaximalMatchingCtx(ctx, g, append(at(1), WithCostTracking(false))...)
+			if err != nil {
+				t.Fatalf("%s matching without cost tracking: %v", strat, err)
+			}
+			mmOn := *mm1
+			mmOn.Costs = nil
+			if !reflect.DeepEqual(&mmOn, mmOff) {
+				t.Fatalf("%s matching differs with cost tracking off:\n%+v\n%+v", strat, mmOn, mmOff)
+			}
 
 			is1, err := eng.MaximalIndependentSetCtx(ctx, g, at(1)...)
 			if err != nil {
@@ -123,6 +145,15 @@ func FuzzSolveValid(f *testing.F) {
 			}
 			if !reflect.DeepEqual(is1, is8) {
 				t.Fatalf("%s MIS differs between Parallelism 1 and 8:\n%+v\n%+v", strat, is1, is8)
+			}
+			isOff, err := eng.MaximalIndependentSetCtx(ctx, g, append(at(1), WithCostTracking(false))...)
+			if err != nil {
+				t.Fatalf("%s MIS without cost tracking: %v", strat, err)
+			}
+			isOn := *is1
+			isOn.Costs = nil
+			if !reflect.DeepEqual(&isOn, isOff) {
+				t.Fatalf("%s MIS differs with cost tracking off:\n%+v\n%+v", strat, isOn, isOff)
 			}
 		}
 	})

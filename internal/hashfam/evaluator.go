@@ -22,8 +22,7 @@ import (
 // determinism contract (the equivalence is fuzz-tested in
 // evaluator_test.go).
 //
-// An Evaluator is immutable after construction and safe for concurrent use;
-// the per-worker objective states of the solvers share one per search.
+// An Evaluator is immutable after construction and safe for concurrent use.
 type Evaluator struct {
 	fam Family
 	red intmath.Reducer
@@ -48,6 +47,21 @@ func (e *Evaluator) Family() Family { return e.fam }
 //
 //det:hotpath
 func (e *Evaluator) EvalKeys(seed, keys, out []uint64) []uint64 {
+	var cbuf [8]uint64
+	c, out := e.prologue(seed, keys, out, &cbuf)
+	e.evalReduced(c, keys, out)
+	return out
+}
+
+// prologue checks the arguments of EvalKeys and EvalKeysW and returns the
+// seed's coefficients reduced mod p, once per seed rather than once per key,
+// together with out[:len(keys)]. The stack array cbuf covers every k used
+// in this repository (pairwise selection, KWise = 4 subsampling); larger
+// families fall back to one allocation per call, amortised over the whole
+// key vector.
+//
+//det:hotpath
+func (e *Evaluator) prologue(seed, keys, out []uint64, cbuf *[8]uint64) (c, outKeys []uint64) {
 	k := e.fam.k
 	if len(seed) != k {
 		panic(fmt.Sprintf("hashfam: seed length %d, want %d", len(seed), k))
@@ -55,23 +69,6 @@ func (e *Evaluator) EvalKeys(seed, keys, out []uint64) []uint64 {
 	if len(out) < len(keys) {
 		panic("hashfam: EvalKeys output shorter than key vector")
 	}
-	out = out[:len(keys)]
-	// Reduce the coefficients once per seed, not once per key. The stack
-	// array covers every k used in this repository (pairwise selection,
-	// KWise = 4 subsampling); larger families fall back to one allocation
-	// per batch, amortised over the whole key vector.
-	var cbuf [8]uint64
-	e.evalReduced(e.reduceSeed(seed, &cbuf), keys, out)
-	return out
-}
-
-// reduceSeed reduces the seed's coefficients mod p into cbuf (or a fresh
-// slice for families wider than the stack array).
-//
-//det:hotpath
-func (e *Evaluator) reduceSeed(seed []uint64, cbuf *[8]uint64) []uint64 {
-	k := e.fam.k
-	var c []uint64
 	if k <= len(cbuf) {
 		c = cbuf[:k]
 	} else {
@@ -80,7 +77,7 @@ func (e *Evaluator) reduceSeed(seed []uint64, cbuf *[8]uint64) []uint64 {
 	for i, s := range seed {
 		c[i] = e.red.Mod(s)
 	}
-	return c
+	return c, out[:len(keys)]
 }
 
 // evalReduced evaluates the family polynomial with pre-reduced coefficients
@@ -89,18 +86,12 @@ func (e *Evaluator) reduceSeed(seed []uint64, cbuf *[8]uint64) []uint64 {
 //
 //det:hotpath
 func (e *Evaluator) evalReduced(c, keys, out []uint64) {
-	red := e.red
-	switch len(c) {
-	case 1:
-		for i := range keys {
-			out[i] = c[0]
-		}
-	case 2:
+	if len(c) == 2 {
 		// Unrolled Horner for the pairwise family, coefficients in registers.
-		red.EvalPoly2(c[0], c[1], keys, out)
-	default:
-		red.EvalPoly(c, keys, out)
+		e.red.EvalPoly2(c[0], c[1], keys, out)
+		return
 	}
+	e.red.EvalPoly(c, keys, out)
 }
 
 // BlockKeyGrain is the key-block size of EvalSeedsBlocked: 512 keys = 4KB,
@@ -114,12 +105,10 @@ const BlockKeyGrain = 512
 // EvalSeedsBlocked writes out[s][i] = h_seeds[s](keys[i]) for every seed and
 // key: the block-major multi-seed kernel. Where EvalKeys is seed-major (one
 // seed re-streams the whole key vector), this walks the key vector once in
-// cache-resident blocks of BlockKeyGrain and evaluates all S seeds against
-// each block before advancing — the memory traffic of one pass, amortised
-// over the batch. Pairwise (k = 2) families additionally run four seeds per
-// inner loop through intmath.Reducer.EvalPoly2x4, which keeps four
-// independent Barrett chains (or, on AVX2 hardware, four-key vector sweeps)
-// in flight per block; wider families go seed by seed.
+// cache-resident blocks of BlockKeyGrain and evaluates every seed over each
+// block, one EvalKeys loop per seed, before advancing — the memory traffic
+// of one pass, amortised over the batch. No solver calls it; detbench's
+// per-layer replay times it.
 //
 // Results are byte-identical to calling EvalKeys(seeds[s], keys, out[s]) for
 // each s in order — fuzz-proven in evaluator_test.go. Every seed must have
@@ -146,7 +135,7 @@ func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]ui
 		return
 	}
 	// Reduce every seed's coefficients once up front (the per-seed analogue
-	// of EvalKeys' single reduceSeed). The stack array covers up to 32
+	// of EvalKeys' single reduction). The stack array covers up to 32
 	// pairwise or 16 4-wise seeds; larger requests fall back to one
 	// allocation amortised over S full key sweeps.
 	var cstack [64]uint64
@@ -162,31 +151,10 @@ func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]ui
 			c[i] = e.red.Mod(v)
 		}
 	}
-	pairwise := k == 2
 	for lo := 0; lo < len(keys); lo += BlockKeyGrain {
-		hi := lo + BlockKeyGrain
-		if hi > len(keys) {
-			hi = len(keys)
-		}
-		kb := keys[lo:hi]
-		if pairwise {
-			s := 0
-			for ; s+4 <= S; s += 4 {
-				var c0, c1 [4]uint64
-				for j := 0; j < 4; j++ {
-					c0[j] = cs[(s+j)*2]
-					c1[j] = cs[(s+j)*2+1]
-				}
-				e.red.EvalPoly2x4(&c0, &c1, kb,
-					out[s][lo:hi], out[s+1][lo:hi], out[s+2][lo:hi], out[s+3][lo:hi])
-			}
-			for ; s < S; s++ {
-				e.red.EvalPoly2(cs[s*2], cs[s*2+1], kb, out[s][lo:hi])
-			}
-		} else {
-			for s := 0; s < S; s++ {
-				e.evalReduced(cs[s*k:(s+1)*k], kb, out[s][lo:hi])
-			}
+		hi := min(lo+BlockKeyGrain, len(keys))
+		for s := 0; s < S; s++ {
+			e.evalReduced(cs[s*k:(s+1)*k], keys[lo:hi], out[s][lo:hi])
 		}
 	}
 }
@@ -196,7 +164,7 @@ func (e *Evaluator) EvalSeedsBlocked(seeds [][]uint64, keys []uint64, out [][]ui
 // serial). It exists for the apply filters and final selections that
 // evaluate ONE seed over a round's whole key vector, where no seed batch
 // is there to saturate the pool. Its work is len(keys)·k units, one per
-// coefficient step of a key's Horner evaluation (~0.9 ns on a 2-vCPU VM for
+// coefficient step of a key's Horner evaluation (~1.0 ns on a 2-vCPU VM for
 // pairwise keys); below parallel.SerialWork it is one EvalKeys pass on the
 // calling goroutine. Output is byte-identical to EvalKeys at any worker
 // count: the seed's coefficients are reduced once and shared read-only, and
@@ -206,15 +174,8 @@ func (e *Evaluator) EvalKeysW(seed, keys, out []uint64, workers int) []uint64 {
 	if parallel.Serial(workers, work) {
 		return e.EvalKeys(seed, keys, out)
 	}
-	if len(seed) != e.fam.k {
-		panic(fmt.Sprintf("hashfam: seed length %d, want %d", len(seed), e.fam.k))
-	}
-	if len(out) < len(keys) {
-		panic("hashfam: EvalKeys output shorter than key vector")
-	}
-	out = out[:len(keys)]
 	var cbuf [8]uint64
-	c := e.reduceSeed(seed, &cbuf)
+	c, out := e.prologue(seed, keys, out, &cbuf)
 	parallel.For(workers, len(keys), work, func(_, lo, hi int) {
 		e.evalReduced(c, keys[lo:hi], out[lo:hi])
 	})

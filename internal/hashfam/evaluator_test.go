@@ -135,7 +135,7 @@ func FuzzEvalKeysMatchesEval(f *testing.F) {
 // evaluating the whole seed matrix block-major over dirty output rows is
 // byte-identical to S independent seed-major EvalKeys sweeps. Key counts
 // straddle the block grain (empty, below, exact multiple, ragged tail) and
-// S covers the EvalPoly2x4 groups plus remainders.
+// S runs from 0 to 11 seeds.
 func TestEvalSeedsBlockedMatchesEvalKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tc := range evaluatorFamilies {

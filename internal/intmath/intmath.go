@@ -1,7 +1,9 @@
 // Package intmath provides deterministic integer arithmetic used across the
-// repository: primality testing, prime search, discrete logarithms and
-// saturating powers. All functions are pure and allocation-free so they are
-// safe to call from hot loops inside the MPC simulator.
+// repository: scalar modular arithmetic (MulMod, AddMod, PowMod), the
+// batched Reducer behind the hash kernels, primality testing and prime
+// search, exact rounded logarithms and powers (CeilLog2, CeilPow),
+// saturating arithmetic and a word fill. Nothing but CeilPow, which compares
+// in big integers, allocates, so the rest is safe to call from hot loops.
 package intmath
 
 import (
@@ -45,9 +47,10 @@ func PowMod(a, e, m uint64) uint64 {
 	return result
 }
 
-// millerRabinBases is a deterministic witness set: testing against these
-// seven bases decides primality exactly for all n < 3,317,044,064,679,887,385,961,981
-// (Sorenson & Webster), which covers the whole uint64 range.
+// millerRabinBases is a deterministic witness set: testing against the
+// first twelve primes decides primality exactly for all
+// n < 318,665,857,834,031,151,167,461 (Sorenson & Webster), which covers
+// the whole uint64 range. IsPrime's trial division uses the same list.
 var millerRabinBases = [...]uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}
 
 // IsPrime reports whether n is prime. It is deterministic for all uint64
@@ -56,7 +59,7 @@ func IsPrime(n uint64) bool {
 	if n < 2 {
 		return false
 	}
-	for _, p := range [...]uint64{2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37} {
+	for _, p := range millerRabinBases {
 		if n%p == 0 {
 			return n == p
 		}

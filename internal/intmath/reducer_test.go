@@ -7,7 +7,8 @@ import (
 
 // reducerModuli is the boundary set the Reducer's two regimes pivot on: the
 // small/wide switch at 2^32, the normalization shift hitting 0 at 2^63, and
-// the extremes of the uint64 range.
+// the extremes of the uint64 range. Every modulus above 2^32 takes
+// EvalPoly2 through its delegation to EvalPoly's wide loop.
 var reducerModuli = []uint64{
 	1, 2, 3, 5, 7, 1024,
 	(1 << 32) - 5, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 32) + 15,
@@ -164,8 +165,8 @@ func FuzzReducer(f *testing.F) {
 			t.Fatalf("m=%d: Mod(%d) = %d, want %d", m, a+b, got, want)
 		}
 		// EvalPoly2 with c0 = a, c1 = b over keys derived from the inputs:
-		// covers whichever of the three regimes (small Barrett, Montgomery
-		// medium, wide Möller–Granlund) m selects.
+		// covers whichever of the two regimes (small Barrett, wide
+		// Möller–Granlund) m selects.
 		keys := []uint64{0, a, b, m - 1, (a ^ b) % m, (a + b) % m}
 		out := make([]uint64, len(keys))
 		r.EvalPoly2(a, b, keys, out)

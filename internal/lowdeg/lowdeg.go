@@ -95,19 +95,15 @@ func Ell(maxDeg, budget int) int {
 }
 
 // Suitable reports whether the low-degree path applies: the colour space
-// Δ⁴ and the r-hop balls must fit the per-machine budget (the paper's
+// Δ⁴ must fit the per-machine budget simcost.Budget(n, ε) (the paper's
 // Δ <= n^δ regime). Used by the Theorem 1 dispatcher in the root package.
-func Suitable(g *graph.Graph, p core.Params, model *simcost.Model) bool {
+func Suitable(g *graph.Graph, p core.Params) bool {
 	d := g.MaxDegree()
 	if d < 2 {
 		return true
 	}
 	d4, overflow := intmath.SatPow(uint64(d), 4)
-	budget := model.MachineBudget()
-	if budget == 0 {
-		budget = 8 * int(math.Ceil(math.Pow(float64(g.N()), p.Epsilon)))
-	}
-	return !overflow && d4 <= uint64(budget)
+	return !overflow && d4 <= uint64(simcost.Budget(g.N(), p.Epsilon))
 }
 
 // MIS computes a maximal independent set with the stage-compressed
@@ -177,6 +173,12 @@ func incidentEdges(cur *graph.Graph, ih []graph.NodeID, ev *lowdegEval) int {
 // any worker count and for any prior state of sc; sc is Reset at every
 // phase boundary and left Reset on return.
 func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Model) *Result {
+	return misIn(sc, g, p, model, simcost.Budget(g.N(), p.Epsilon))
+}
+
+// misIn is MISIn with ℓ sized by a given machine budget: g's own for MISIn,
+// and the input graph's, not its line graph's, for MaximalMatchingIn.
+func misIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Model, budget int) *Result {
 	p.Validate()
 	n := g.N()
 	res := &Result{}
@@ -185,10 +187,6 @@ func MISIn(sc *scratch.Context, g *graph.Graph, p core.Params, model *simcost.Mo
 	// Preprocessing: colouring and r-hop collection, both reading one walk
 	// of every node's r-ball (see the package comment).
 	maxDeg := g.MaxDegree()
-	budget := model.MachineBudget()
-	if budget == 0 {
-		budget = 8 * int(math.Ceil(math.Pow(float64(n), p.Epsilon)))
-	}
 	ell := Ell(maxDeg, budget)
 	res.Ell = ell
 	res.Radius = 2 * ell
@@ -298,7 +296,8 @@ type MatchingResult struct {
 // MaximalMatchingIn computes a maximal matching by simulating MIS on the
 // line graph (§5: "we can perform maximal matching by simulating MIS on the
 // line graph of the input graph", feasible since Δ(L(G)) <= 2Δ-2 stays
-// small in this regime), running the line-graph MIS on sc. Observer events
+// small in this regime), running the line-graph MIS on sc with ℓ sized by
+// G's machine budget, the one a model of G enforces. Observer events
 // are relabeled Algorithm "matching"; their live counts describe the line
 // graph the MIS actually iterates on (LiveNodes are surviving input edges).
 // Cancellation (Params.Done) propagates through the line-graph solve:
@@ -311,7 +310,7 @@ func MaximalMatchingIn(sc *scratch.Context, g *graph.Graph, p core.Params, model
 		}
 	}
 	lg, edges := g.LineGraph()
-	misRes := MISIn(sc, lg, p, model)
+	misRes := misIn(sc, lg, p, model, simcost.Budget(g.N(), p.Epsilon))
 	out := &MatchingResult{MIS: misRes}
 	for _, v := range misRes.IndependentSet {
 		out.Matching = append(out.Matching, edges[v])

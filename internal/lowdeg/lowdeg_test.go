@@ -3,6 +3,7 @@ package lowdeg
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -130,15 +131,77 @@ func TestModelAccountingAndSpace(t *testing.T) {
 }
 
 func TestSuitable(t *testing.T) {
-	model := simcost.New(4096, 16384, 0.5) // S=64, budget=512
-	if !Suitable(gen.Grid2D(64, 64), params(), model) {
+	// n = 4096 at ε = 0.5: S = 64, budget 512.
+	if !Suitable(gen.Grid2D(64, 64), params()) {
 		t.Error("grid (Δ=4, Δ⁴=256) should be suitable")
 	}
-	if Suitable(gen.Star(4096), params(), model) {
+	if Suitable(gen.Star(4096), params()) {
 		t.Error("star (Δ=4095) should not be suitable")
 	}
-	if !Suitable(graph.Empty(10), params(), nil) {
+	if !Suitable(graph.Empty(10), params()) {
 		t.Error("empty graph should be suitable")
+	}
+}
+
+// TestUntrackedMatchesTracked requires MISIn and MaximalMatchingIn with a
+// nil model to size and run their stages exactly as with a model of the
+// input graph: the same ℓ, radius, stages, round accountings, per-phase
+// records and output. On the Möbius ladders (edges {i, i+1 mod n} and
+// {i, i+n/2}) ⌈n^ε⌉ lies below the model's floor S = 16. The matching
+// answers to the model of G, not of its line graph: on the 128-node path at
+// ε = 1 the line graph's own budget, 8·127, would give it ℓ = 4 for G's 5.
+// Each phase's SeedsTried is left out: it counts charged candidates in
+// whole batches, of S with a model and of 64 without (condexp's default),
+// while the scored candidates, and so the selected seed, are the same.
+func TestUntrackedMatchesTracked(t *testing.T) {
+	ladder := func(n int) *graph.Graph {
+		var edges []graph.Edge
+		for i := 0; i < n; i++ {
+			edges = append(edges, graph.Edge{U: graph.NodeID(i), V: graph.NodeID((i + 1) % n)})
+			if i < n/2 {
+				edges = append(edges, graph.Edge{U: graph.NodeID(i), V: graph.NodeID(i + n/2)})
+			}
+		}
+		return graph.FromEdges(n, edges)
+	}
+	same := func(t *testing.T, what string, untracked, tracked *Result) {
+		t.Helper()
+		if untracked.Ell != tracked.Ell || untracked.Radius != tracked.Radius || untracked.Stages != tracked.Stages ||
+			untracked.RoundsPaper != tracked.RoundsPaper || untracked.RoundsExecuted != tracked.RoundsExecuted {
+			t.Errorf("%s: untracked ℓ=%d r=%d stages=%d rounds %d/%d, tracked ℓ=%d r=%d stages=%d rounds %d/%d", what,
+				untracked.Ell, untracked.Radius, untracked.Stages, untracked.RoundsPaper, untracked.RoundsExecuted,
+				tracked.Ell, tracked.Radius, tracked.Stages, tracked.RoundsPaper, tracked.RoundsExecuted)
+		}
+		if len(untracked.Rounds) != len(tracked.Rounds) || !reflect.DeepEqual(untracked.IndependentSet, tracked.IndependentSet) {
+			t.Fatalf("%s: untracked %d phases and %d nodes, tracked %d and %d", what,
+				len(untracked.Rounds), len(untracked.IndependentSet), len(tracked.Rounds), len(tracked.IndependentSet))
+		}
+		for i, u := range untracked.Rounds {
+			tr := tracked.Rounds[i]
+			u.SeedsTried, tr.SeedsTried = 0, 0
+			if u != tr {
+				t.Errorf("%s: phase %d untracked %+v, tracked %+v", what, i, u, tr)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		eps  float64
+	}{
+		{"ladder64", ladder(64), 0.5},
+		{"ladder100", ladder(100), 0.5},
+		{"ladder4096", ladder(4096), 0.25},
+		{"grid", gen.Grid2D(20, 25), 0.5},
+		{"reg6", gen.RandomRegular(512, 6, 11), 0.5},
+		{"path", gen.Path(128), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, p := tc.g, params().WithEpsilon(tc.eps)
+			same(t, "MIS", MISIn(scratch.New(), g, p, nil), MISIn(scratch.New(), g, p, simcost.New(g.N(), g.M(), p.Epsilon)))
+			same(t, "matching", MaximalMatchingIn(scratch.New(), g, p, nil).MIS,
+				MaximalMatchingIn(scratch.New(), g, p, simcost.New(g.N(), g.M(), p.Epsilon)).MIS)
+		})
 	}
 }
 

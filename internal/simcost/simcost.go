@@ -40,10 +40,8 @@ type Model struct {
 }
 
 // New returns a model for a graph with n nodes and m edges and space
-// exponent epsilon. S is ceil(n^ε) but never below minSpace (the paper's
-// constants assume n^ε exceeds any fixed constant; at laptop scale a floor
-// keeps groups non-degenerate). The machine count is the paper's
-// M = Θ((m + n^{1+ε}) / S).
+// exponent epsilon, with per-machine space S = space(n, epsilon). The
+// machine count is the paper's M = Θ((m + n^{1+ε}) / S).
 func New(n, m int, epsilon float64) *Model {
 	if epsilon <= 0 || epsilon > 1 {
 		panic("simcost: epsilon must be in (0, 1]")
@@ -51,11 +49,7 @@ func New(n, m int, epsilon float64) *Model {
 	if n < 1 {
 		n = 1
 	}
-	const minSpace = 16
-	s := int(math.Ceil(math.Pow(float64(n), epsilon)))
-	if s < minSpace {
-		s = minSpace
-	}
+	s := space(n, epsilon)
 	total := int64(2*m) + int64(float64(n)*float64(s)) // input + n^{1+ε} slack
 	machines := int(total/int64(s)) + 1
 	return &Model{
@@ -65,6 +59,27 @@ func New(n, m int, epsilon float64) *Model {
 		machines: machines,
 		byLabel:  make(map[string]int),
 	}
+}
+
+// space returns the per-machine space S in words for a graph with n nodes
+// at space exponent epsilon: ceil(n^ε), but never below minSpace (the
+// paper's constants assume n^ε exceeds any fixed constant; at laptop scale
+// a floor keeps groups non-degenerate).
+func space(n int, epsilon float64) int {
+	const minSpace = 16
+	return max(minSpace, int(math.Ceil(math.Pow(float64(n), epsilon))))
+}
+
+// Budget returns the hard per-machine bound 8·S, S = space(n, epsilon),
+// that AssertMachineWords enforces and that internal/lowdeg sizes its
+// colour space and collected balls by. The paper's space claims are
+// O(n^{8δ}) with δ = ε/8, i.e. S up to a constant factor; 8 is the
+// constant all asserted structures (2-hop balls bounded by
+// (2n^{4δ})² = 4n^ε, seed batches, …) respect in the analysis. It depends
+// on (n, ε) alone, so a solve makes the same choices with cost tracking on
+// or off.
+func Budget(n int, epsilon float64) int {
+	return 8 * space(n, epsilon)
 }
 
 // S returns the per-machine space in words (0 for a nil model).
@@ -166,16 +181,12 @@ func (m *Model) ChargeSeedBatch(batch int, label string) {
 	m.charge(2*m.scanDepth(batch)+1, label)
 }
 
-// MachineBudget returns the hard per-machine bound used by
-// AssertMachineWords: 8·S. The paper's space claims are O(n^{8δ}) with
-// δ = ε/8, i.e. S up to a constant factor; 8 is the constant all asserted
-// structures (2-hop balls bounded by (2n^{4δ})² = 4n^ε, seed batches, …)
-// respect in the analysis.
+// MachineBudget returns Budget for the model's graph (0 for a nil model).
 func (m *Model) MachineBudget() int {
 	if m == nil {
 		return 0
 	}
-	return 8 * m.s
+	return Budget(m.n, m.epsilon)
 }
 
 // AssertMachineWords asserts that a single machine is asked to hold `words`
@@ -190,8 +201,8 @@ func (m *Model) AssertMachineWords(words int, label string) bool {
 		m.peakMachineWords = words
 	}
 	m.mu.Unlock()
-	if words > 8*m.s {
-		m.recordViolation(fmt.Sprintf("machine holds %d words > budget 8S=%d [%s]", words, 8*m.s, label))
+	if budget := m.MachineBudget(); words > budget {
+		m.recordViolation(fmt.Sprintf("machine holds %d words > budget 8S=%d [%s]", words, budget, label))
 		return false
 	}
 	return true

@@ -109,6 +109,22 @@ func TestSeedBatchTooLargeIsViolation(t *testing.T) {
 	}
 }
 
+// TestBudgetMatchesModel pins Budget, which lowdeg reads with or without a
+// model, to 8·S of a model of the same graph, the floor S >= 16 included.
+func TestBudgetMatchesModel(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		eps  float64
+		want int
+	}{{0, 0.5, 128}, {64, 0.5, 128}, {100, 0.5, 128}, {4096, 0.25, 128}, {4096, 0.5, 512}, {1 << 16, 0.5, 2048}} {
+		m := New(tc.n, 0, tc.eps)
+		if got := Budget(tc.n, tc.eps); got != tc.want || m.MachineBudget() != got || 8*m.S() != got {
+			t.Errorf("n=%d ε=%v: Budget = %d, model budget %d and 8·S = %d, want %d",
+				tc.n, tc.eps, got, m.MachineBudget(), 8*m.S(), tc.want)
+		}
+	}
+}
+
 func TestAssertMachineWords(t *testing.T) {
 	m := New(1<<16, 1<<18, 0.5) // S = 256, budget 8S = 2048
 	if m.MachineBudget() != 2048 {
