@@ -137,11 +137,11 @@ race-engine:
 # FuzzServeHandlers, which sends raw bodies through Handler(); and the root
 # package's FuzzSolveValid, which solves arbitrary small graphs under each
 # strategy (sparsify, lowdeg, auto) with fuzzed option values, checks every
-# output with internal/check and compares Parallelism 1 against 8 and cost
-# tracking off against on. `go test ./...` only
-# replays their seeds; this target makes them search. -fuzzminimizetime
-# caps the time a worker spends shrinking each new-coverage input (60 s by
-# default, long enough to stall a short run). As in race-engine, every
+# output with internal/check and for its cost report, and compares
+# Parallelism 1 against 8. `go test ./...` only replays their seeds; this
+# target makes them search. -fuzzminimizetime caps the time a worker spends
+# shrinking each new-coverage input (60 s by default, long enough to stall
+# a short run). As in race-engine, every
 # listed name must be a fuzz target of its package: `go test -fuzz` with a
 # pattern that matches nothing passes.
 FUZZ_TARGETS := ./internal/serve/:FuzzDecodeMatchesUnmarshal ./internal/serve/:FuzzServeHandlers .:FuzzSolveValid
@@ -205,10 +205,10 @@ bench-compare:
 # ready for `go tool pprof profiles/<name>.pprof`:
 #   - sparsify: warm-Engine re-solves on the shapes of detbench's
 #     inproc-sparsify (BenchmarkEngineReuseSparsify: a matching and an MIS
-#     on each of four G(n,m) graphs, n = 4096, average degree 16, with cost
-#     tracking on and a counting observer). Unlike a fresh-scratch solve,
-#     which spent ~10% of its samples allocating and zeroing scratch, a
-#     warm solve pays ~2% in the allocator. The stage seed searches are
+#     on each of four G(n,m) graphs, n = 4096, average degree 16, with a
+#     counting observer). Unlike a fresh-scratch solve, which spent ~10% of
+#     its samples allocating and zeroing scratch, a warm solve pays ~2% in
+#     the allocator. The stage seed searches are
 #     ~14% of samples (the 4-wise hash, intmath.Reducer.EvalPoly, 3-6%),
 #     the stage run layouts (sparsify.edgeStageItems/nodeStageItems) ~15%,
 #     the one CSR build per edge sparsification (E*, graph.FromEdgesInto)

@@ -62,8 +62,9 @@ const (
 )
 
 // Options configure the algorithms. The zero value (and nil) mean: ε = 0.5,
-// the paper's δ = ε/8 coupling, slack 4, half-expectation thresholds,
-// automatic strategy, cost tracking on.
+// the paper's δ = ε/8 coupling, slack 4, half-expectation thresholds and
+// automatic strategy. Every solve is costed: its result carries the
+// CostReport of the MPC cost model its seed searches batch by.
 type Options struct {
 	// Epsilon is the per-machine space exponent (S = Θ(n^ε)), in (0, 1].
 	Epsilon float64
@@ -75,10 +76,6 @@ type Options struct {
 	ThresholdFrac float64
 	// Strategy picks the algorithm; default StrategyAuto.
 	Strategy Strategy
-	// SkipCostTracking disables the MPC round/space cost model (the result
-	// then has a nil CostReport). Tracking is on by default; its overhead
-	// is negligible.
-	SkipCostTracking bool
 	// Parallelism is the host-side worker count for the shared execution
 	// pool (internal/parallel): hashing the selected seed's keys,
 	// per-vertex scans, and graph rebuilds all shard across it; seed
@@ -160,13 +157,9 @@ func (o *Options) strategy() Strategy {
 	return o.Strategy
 }
 
-func (o *Options) trackCosts() bool {
-	return o == nil || !o.SkipCostTracking
-}
-
 // CostReport summarises the MPC execution costs of a run under the paper's
 // accounting (see internal/simcost and the Substitutions section of the
-// package documentation).
+// package documentation). Every result carries one.
 type CostReport struct {
 	Rounds           int
 	Machines         int
@@ -177,9 +170,6 @@ type CostReport struct {
 }
 
 func report(m *simcost.Model) *CostReport {
-	if m == nil {
-		return nil
-	}
 	st := m.Stats()
 	return &CostReport{
 		Rounds:           st.Rounds,
@@ -356,11 +346,6 @@ func WithThresholdFrac(frac float64) SolveOption {
 	return func(c *solveConfig) { c.ThresholdFrac = frac }
 }
 
-// WithCostTracking enables or disables the MPC cost model for this solve.
-func WithCostTracking(on bool) SolveOption {
-	return func(c *solveConfig) { c.SkipCostTracking = !on }
-}
-
 // WithObserver attaches a per-round observer to this solve. Observation
 // never changes results: events are emitted at round boundaries from state
 // the solve computes anyway (plus a live-node count), and the golden corpus
@@ -381,9 +366,9 @@ func WithObserver(o Observer) SolveOption {
 // request goroutines — that is the intended lifecycle: construct once,
 // reuse for ALL traffic. Heterogeneous requests do not need one engine per
 // configuration: the Ctx entry points take per-solve SolveOption overrides
-// (strategy, parallelism, thresholds, cost tracking, observer) layered over
-// the base Options, with results bit-identical to a dedicated engine built
-// with the overridden Options. The determinism contract is unchanged:
+// (strategy, parallelism, thresholds, observer) layered over the base
+// Options, with results bit-identical to a dedicated engine built with the
+// overridden Options. The determinism contract is unchanged:
 // results are bit-identical to the free functions at every Parallelism
 // setting, whether the engine is cold, warm, or shared.
 //
@@ -552,8 +537,8 @@ func oneShotConfig(opts *Options) *solveConfig {
 }
 
 // resolve computes the per-solve parameterisation: core params (including
-// the request's cancellation hook and observer), optional cost model and the
-// concrete strategy for g.
+// the request's cancellation hook and observer), the cost model of g and
+// the concrete strategy for g.
 func resolve(ctx context.Context, g *Graph, cfg *solveConfig) (core.Params, *simcost.Model, Strategy, error) {
 	opts := &cfg.Options
 	if err := opts.validate(); err != nil {
@@ -573,10 +558,7 @@ func resolve(ctx context.Context, g *Graph, cfg *solveConfig) (core.Params, *sim
 	if cfg.observer != nil {
 		p.Observe = cfg.observer.OnRound
 	}
-	var model *simcost.Model
-	if opts.trackCosts() {
-		model = simcost.New(g.N(), g.M(), p.Epsilon)
-	}
+	model := simcost.New(g.N(), g.M(), p.Epsilon)
 	strat := opts.strategy()
 	if strat == StrategyAuto {
 		if lowdeg.Suitable(g, p) {

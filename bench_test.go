@@ -29,6 +29,12 @@ import (
 
 func quickCfg() experiments.Config { return experiments.Config{Quick: true, Seed: 1} }
 
+// costModel returns the cost model of a solve of g under p: every solve
+// charges one, and its S sets the batch size of the solve's seed searches.
+func costModel(g *graph.Graph, p core.Params) *simcost.Model {
+	return simcost.New(g.N(), g.M(), p.Epsilon)
+}
+
 // BenchmarkT1_MatchingRounds times the Theorem 7 pipeline (deterministic
 // maximal matching with full MPC accounting) on the T1 workload.
 func BenchmarkT1_MatchingRounds(b *testing.B) {
@@ -63,7 +69,7 @@ func BenchmarkT3_ProgressPerIteration(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sparsify.SparsifyEdges(g, p, nil)
+		sparsify.SparsifyEdges(g, p, costModel(g, p))
 	}
 }
 
@@ -75,7 +81,7 @@ func BenchmarkT4_SparsifyInvariants(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sparsify.SparsifyNodes(g, p, nil)
+		sparsify.SparsifyNodes(g, p, costModel(g, p))
 	}
 }
 
@@ -87,7 +93,7 @@ func BenchmarkT5_LowDegreeStages(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lowdeg.MIS(g, p, nil)
+		lowdeg.MIS(g, p, costModel(g, p))
 	}
 }
 
@@ -115,7 +121,7 @@ func BenchmarkT6_CongestedClique(b *testing.B) {
 func BenchmarkT7_SeedSearch(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
 	p := core.DefaultParams()
-	sp := sparsify.SparsifyEdges(g, p, nil)
+	sp := sparsify.SparsifyEdges(g, p, costModel(g, p))
 	edges := sp.EStar.Edges()
 	fam := core.PairwiseFamily(g.N())
 	evaluator := hashfam.NewEvaluator(fam)
@@ -157,7 +163,7 @@ func BenchmarkT7_SeedSearch(b *testing.B) {
 func BenchmarkT7_SelectionScan(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
 	p := core.DefaultParams()
-	sp := sparsify.SparsifyEdges(g, p, nil)
+	sp := sparsify.SparsifyEdges(g, p, costModel(g, p))
 	edges := sp.EStar.Edges()
 	fam := core.PairwiseFamily(g.N())
 	evaluator := hashfam.NewEvaluator(fam)
@@ -187,7 +193,7 @@ func BenchmarkT7_SelectionScan(b *testing.B) {
 func BenchmarkEvalSeedsBlocked(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
 	p := core.DefaultParams()
-	sp := sparsify.SparsifyEdges(g, p, nil)
+	sp := sparsify.SparsifyEdges(g, p, costModel(g, p))
 	edges := sp.EStar.Edges()
 	fam := core.PairwiseFamily(g.N())
 	evaluator := hashfam.NewEvaluator(fam)
@@ -341,7 +347,7 @@ func BenchmarkT9_SpaceAblation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		er := sparsify.SparsifyEdges(g, p, nil)
+		er := sparsify.SparsifyEdges(g, p, costModel(g, p))
 		var bs graph.BallScratch
 		for v := 0; v < er.EStar.N(); v++ {
 			er.EStar.BallUnsortedInto(&bs, graph.NodeID(v), 2)
@@ -357,7 +363,7 @@ func BenchmarkF1_EdgeDecay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mis.Deterministic(g, p, nil)
+		mis.Deterministic(g, p, costModel(g, p))
 		luby.MIS(g, detrand.New(1))
 	}
 }
@@ -384,7 +390,7 @@ func BenchmarkAblations_SlackSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sparsify.SparsifyEdges(g, p, nil)
+		sparsify.SparsifyEdges(g, p, costModel(g, p))
 	}
 }
 
@@ -420,7 +426,7 @@ func benchMatchingDeterministic(b *testing.B, parallelism int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matching.Deterministic(g, p, nil)
+		matching.Deterministic(g, p, costModel(g, p))
 	}
 }
 
@@ -439,7 +445,7 @@ func benchMISDeterministic(b *testing.B, parallelism int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mis.Deterministic(g, p, nil)
+		mis.Deterministic(g, p, costModel(g, p))
 	}
 }
 
@@ -460,13 +466,13 @@ func benchSparsifySeedSearch(b *testing.B, parallelism int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sparsify.SparsifyEdges(g, p, nil)
+		sparsify.SparsifyEdges(g, p, costModel(g, p))
 	}
 }
 
 // BenchmarkLowDegreeMatchingSerial times a warm-Engine Section 5 matching
 // (MIS on the line graph, Linial colouring and r-ball walk included) on a
-// 64x64 grid, cost tracking on, with the pool pinned to one worker.
+// 64x64 grid, with the pool pinned to one worker.
 func BenchmarkLowDegreeMatchingSerial(b *testing.B) { benchLowDegreeMatching(b, 1) }
 
 // BenchmarkLowDegreeMatchingParallel is the same solve at GOMAXPROCS
@@ -568,7 +574,7 @@ func benchMPCRoundFanout(b *testing.B, workers int) {
 // BenchmarkEngineReuseMatching times a warm-Engine matching re-solve.
 func BenchmarkEngineReuseMatching(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
-	eng := NewEngine(&Options{Strategy: StrategySparsify, SkipCostTracking: true})
+	eng := NewEngine(&Options{Strategy: StrategySparsify})
 	if _, err := eng.MaximalMatching(g); err != nil {
 		b.Fatal(err)
 	}
@@ -588,7 +594,7 @@ func BenchmarkEngineOneShotMatching(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MaximalMatching(g, &Options{Strategy: StrategySparsify, SkipCostTracking: true}); err != nil {
+		if _, err := MaximalMatching(g, &Options{Strategy: StrategySparsify}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -597,7 +603,7 @@ func BenchmarkEngineOneShotMatching(b *testing.B) {
 // BenchmarkEngineReuseMIS times a warm-Engine MIS re-solve.
 func BenchmarkEngineReuseMIS(b *testing.B) {
 	g := gen.GNM(1<<12, 8<<12, 1)
-	eng := NewEngine(&Options{Strategy: StrategySparsify, SkipCostTracking: true})
+	eng := NewEngine(&Options{Strategy: StrategySparsify})
 	if _, err := eng.MaximalIndependentSet(g); err != nil {
 		b.Fatal(err)
 	}
@@ -628,8 +634,6 @@ func BenchmarkEngineReuseLowDegree(b *testing.B) {
 		}
 		graphs = append(graphs, g)
 	}
-	// Cost tracking stays on, as in detbench: the model's machine budget
-	// sets ℓ and with it the radius of the walked balls.
 	eng := NewEngine(&Options{Strategy: StrategyLowDegree})
 	solve := func() {
 		for _, g := range graphs {
@@ -658,10 +662,9 @@ func (c *roundCounter) OnRound(RoundEvent) { c.rounds++ }
 
 // BenchmarkEngineReuseSparsify times warm-Engine re-solves on the shapes of
 // detbench's inproc-sparsify workload: a matching and an MIS on each of the
-// G(n,m) graphs Generate("gnm", 4096, 16, s), s = 1..4, with cost tracking
-// on and a counting observer attached, as detbench solves them. Unlike a
-// fresh-scratch solve it pays no scratch allocation or zeroing, which no
-// warm solve pays. It backs make profile's sparsify.pprof.
+// G(n,m) graphs Generate("gnm", 4096, 16, s), s = 1..4, with a counting
+// observer attached, as detbench solves them. Unlike a fresh-scratch solve
+// it pays no scratch allocation or zeroing, which no warm solve pays. It backs make profile's sparsify.pprof.
 func BenchmarkEngineReuseSparsify(b *testing.B) {
 	var graphs []*Graph
 	for s := uint64(1); s <= 4; s++ {
@@ -699,7 +702,7 @@ func BenchmarkEngineOneShotMIS(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MaximalIndependentSet(g, &Options{Strategy: StrategySparsify, SkipCostTracking: true}); err != nil {
+		if _, err := MaximalIndependentSet(g, &Options{Strategy: StrategySparsify}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -59,7 +59,6 @@ func main() {
 		eps        = flag.Float64("eps", 0, "default space exponent ε (0 = library default)")
 		strategy   = flag.String("strategy", "auto", "default strategy: auto | sparsify | lowdeg")
 		par        = flag.Int("par", 0, "default host parallelism per solve (0 = one per CPU); results identical at any setting")
-		skipCost   = flag.Bool("skip-cost", false, "disable MPC cost tracking by default")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -72,10 +71,9 @@ func main() {
 
 	s := serve.New(serve.Config{
 		Options: &repro.Options{
-			Epsilon:          *eps,
-			Strategy:         repro.Strategy(*strategy),
-			Parallelism:      *par,
-			SkipCostTracking: *skipCost,
+			Epsilon:     *eps,
+			Strategy:    repro.Strategy(*strategy),
+			Parallelism: *par,
 		},
 		Engines:        *engines,
 		Workers:        *workers,

@@ -20,9 +20,10 @@
 // small enough that Δ⁴ and the 2ℓ-hop neighbourhoods fit within a machine's
 // space budget take the Section 5 stage-compressed path
 // (O(log Δ + log log n) rounds); all others take the Section 3/4
-// sparsification path (O(log n) rounds). Options selects ε, the
-// derandomization thresholds, and whether to track MPC round/space costs;
-// results carry the output, iteration counts and an optional CostReport.
+// sparsification path (O(log n) rounds). Options selects ε and the
+// derandomization thresholds; results carry the output, iteration counts
+// and the CostReport of the MPC round/space cost model every solve charges,
+// whose S sets the batch size of every seed search.
 //
 // # The Engine
 //
@@ -147,11 +148,11 @@
 //		repro.WithObserver(metrics))
 //
 // Overrides (WithStrategy, WithParallelism, WithEpsilon, WithSlack,
-// WithThresholdFrac, WithCostTracking, WithObserver) are bit-identical to a
-// dedicated engine constructed with the overridden Options — enforced per
-// (strategy, family) cell by TestSolveOptionOverrideEquivalence — so a
-// server shares one warm scratch pool across heterogeneous traffic instead
-// of holding one engine per configuration.
+// WithThresholdFrac, WithObserver) are bit-identical to a dedicated engine
+// constructed with the overridden Options — enforced per (strategy,
+// family) cell by TestSolveOptionOverrideEquivalence — so a server shares
+// one warm scratch pool across heterogeneous traffic instead of holding one
+// engine per configuration.
 //
 // Cancellation is checkpoint-based: the round loops poll ctx only at round
 // boundaries and between seed batches of the conditional-expectations

@@ -15,25 +15,27 @@ import (
 
 // engineOpts pins Parallelism to 1: AllocsPerRun demands a deterministic
 // allocation count, and the serial path is the one with no goroutine
-// bookkeeping. Cost tracking is off so the measurement sees only solver
-// allocations. The determinism contract makes the outputs identical to any
-// other Parallelism setting, so nothing is hidden by measuring serially.
+// bookkeeping. The measurement includes the cost model and the CostReport
+// every solve builds. The determinism contract makes the outputs identical
+// to any other Parallelism setting, so nothing is hidden by measuring
+// serially.
 func engineOpts(strat Strategy) *Options {
-	return &Options{Strategy: strat, Parallelism: 1, SkipCostTracking: true}
+	return &Options{Strategy: strat, Parallelism: 1}
 }
 
 // Allocation budgets for one warm re-solve. The cold working set of these
 // workloads is tens of thousands of objects (n+m >= 8184); a warm engine
 // re-solve measures in the hundreds — the remaining constant is result
-// slices, per-search seed-batch state and the shard bodies' closures. The
-// object budgets are one constant per strategy at every size and density;
-// they sit ~1.5x over the values measured with every sparsify stage hashing
-// its items once per candidate into one arena row, applying a found seed
-// through that row and skipping the invariant audits, every seed search
-// scoring serially on one selection state per solve, the Section 5
+// slices, the cost model and its report, per-search seed state and the
+// shard bodies' closures. The object budgets are one constant per strategy
+// at every size and density; they sit ~1.5x over the values measured with
+// every sparsify stage hashing its items once per candidate into one arena
+// row, applying a found seed through that row and skipping the invariant
+// audits, every seed search scoring serially on one selection state per
+// solve and collecting batch stats only on observed solves, the Section 5
 // preprocessing walking each ball once, and internal/parallel's serial
-// path allocating no shard descriptors or partials (sparsify: mm 169–218,
-// mis 82–110 objects; lowdeg: mm 111–116, mis 88–90) — deliberately tight so
+// path allocating no shard descriptors or partials (sparsify: mm 158–202,
+// mis 79–105 objects; lowdeg: mm 115–120, mis 86–88) — deliberately tight so
 // that epoch state leaking out of the Reset-surviving Context slots (or
 // any new per-round allocation) trips the assertion, while staying far
 // below O(n+m) growth.
@@ -48,7 +50,7 @@ var warmAllocBudget = map[Strategy]struct{ mm, mis float64 }{
 // result slices scale with n, and the lowdeg matching path builds a line
 // graph per solve. The budgets sit ~1.5x over the measured values (KB,
 // mm/mis at n = 2048 and 4096: sparsify gnm avg 8 101/51 and 230/96,
-// avg 16 107/32 and 240/56; lowdeg 800/141 and 1600/268), so the stage
+// avg 16 107/32 and 239/56; lowdeg 800/141 and 1600/268), so the stage
 // chains' old per-group appends — 2.3 MB of a 3.0 MB matching solve at
 // avg 16 — and internal/parallel's per-call shard descriptors (~1 KB a
 // call) cannot return unnoticed.

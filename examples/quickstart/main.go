@@ -45,12 +45,11 @@ func main() {
 	}
 	fmt.Printf("\nmaximal independent set (%d nodes): %v\n", len(is.Nodes), is.Nodes)
 
-	// The cost report shows what this run would have cost on a real MPC
-	// cluster with S = n^ε words per machine.
-	if c := is.Costs; c != nil {
-		fmt.Printf("\nMPC accounting: %d rounds, %d machines × %d words, %d seed batches\n",
-			c.Rounds, c.Machines, c.SpacePerMachine, c.SeedBatches)
-	}
+	// The cost report, which every result carries, shows what this run
+	// would have cost on a real MPC cluster with S = n^ε words per machine.
+	c := is.Costs
+	fmt.Printf("\nMPC accounting: %d rounds, %d machines × %d words, %d seed batches\n",
+		c.Rounds, c.Machines, c.SpacePerMachine, c.SeedBatches)
 
 	// Scaling up: larger synthetic workloads through a reusable Engine.
 	// The free functions above are one-shot wrappers; when solving

@@ -41,10 +41,9 @@ const fuzzMaxEdges = 1024
 // (knobs), an optional invalid override (bad, when it indexes fuzzInvalid)
 // and the edge list (byte pairs taken mod n; self loops and duplicates are
 // dropped by FromEdges). Every output must be a maximal matching or a
-// maximal independent set by internal/check, the results at Parallelism 1
-// and 8 on one reused Engine must be equal in every field, a solve with
-// cost tracking off must equal the tracked one in every field but Costs,
-// and an invalid option must come back as ErrInvalidOption or
+// maximal independent set by internal/check and carry its Costs, the
+// results at Parallelism 1 and 8 on one reused Engine must be equal in
+// every field, and an invalid option must come back as ErrInvalidOption or
 // ErrUnknownStrategy, from ValidateOptions and from the solve alike, never
 // as a panic.
 func FuzzSolveValid(f *testing.F) {
@@ -115,21 +114,15 @@ func FuzzSolveValid(f *testing.F) {
 			if ok, reason := check.IsMaximalMatching(g, mm1.Edges); !ok {
 				t.Fatalf("%s matching not maximal: %s", strat, reason)
 			}
+			if mm1.Costs == nil {
+				t.Fatalf("%s matching carries no Costs", strat)
+			}
 			mm8, err := eng.MaximalMatchingCtx(ctx, g, at(8)...)
 			if err != nil {
 				t.Fatalf("%s matching at Parallelism 8: %v", strat, err)
 			}
 			if !reflect.DeepEqual(mm1, mm8) {
 				t.Fatalf("%s matching differs between Parallelism 1 and 8:\n%+v\n%+v", strat, mm1, mm8)
-			}
-			mmOff, err := eng.MaximalMatchingCtx(ctx, g, append(at(1), WithCostTracking(false))...)
-			if err != nil {
-				t.Fatalf("%s matching without cost tracking: %v", strat, err)
-			}
-			mmOn := *mm1
-			mmOn.Costs = nil
-			if !reflect.DeepEqual(&mmOn, mmOff) {
-				t.Fatalf("%s matching differs with cost tracking off:\n%+v\n%+v", strat, mmOn, mmOff)
 			}
 
 			is1, err := eng.MaximalIndependentSetCtx(ctx, g, at(1)...)
@@ -139,21 +132,15 @@ func FuzzSolveValid(f *testing.F) {
 			if ok, reason := check.IsMaximalIS(g, is1.Nodes); !ok {
 				t.Fatalf("%s MIS not maximal: %s", strat, reason)
 			}
+			if is1.Costs == nil {
+				t.Fatalf("%s MIS carries no Costs", strat)
+			}
 			is8, err := eng.MaximalIndependentSetCtx(ctx, g, at(8)...)
 			if err != nil {
 				t.Fatalf("%s MIS at Parallelism 8: %v", strat, err)
 			}
 			if !reflect.DeepEqual(is1, is8) {
 				t.Fatalf("%s MIS differs between Parallelism 1 and 8:\n%+v\n%+v", strat, is1, is8)
-			}
-			isOff, err := eng.MaximalIndependentSetCtx(ctx, g, append(at(1), WithCostTracking(false))...)
-			if err != nil {
-				t.Fatalf("%s MIS without cost tracking: %v", strat, err)
-			}
-			isOn := *is1
-			isOn.Costs = nil
-			if !reflect.DeepEqual(&isOn, isOff) {
-				t.Fatalf("%s MIS differs with cost tracking off:\n%+v\n%+v", strat, isOn, isOff)
 			}
 		}
 	})

@@ -122,12 +122,12 @@ func goldenRun(t *testing.T, family string, n, avg int, seed uint64, strat Strat
 	}
 	switch strat {
 	case StrategySparsify:
-		mm := matching.Deterministic(g, p, nil)
-		is := mis.Deterministic(g, p, nil)
+		mm := matching.Deterministic(g, p, costModel(g, p))
+		is := mis.Deterministic(g, p, costModel(g, p))
 		record(mm.Matching, is.IndependentSet, goldenSearches(mm.Rounds, true), goldenSearches(is.Rounds, true))
 	case StrategyLowDegree:
-		mm := lowdeg.MaximalMatchingIn(scratch.New(), g, p, nil)
-		is := lowdeg.MIS(g, p, nil)
+		mm := lowdeg.MaximalMatchingIn(scratch.New(), g, p, costModel(g, p))
+		is := lowdeg.MIS(g, p, costModel(g, p))
 		// The corpus records no objective for the Section 5 searches.
 		record(mm.Matching, is.IndependentSet, goldenSearches(mm.MIS.Rounds, false), goldenSearches(is.Rounds, false))
 	default:

@@ -30,6 +30,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/lowdeg"
+	"repro/internal/scratch"
+	"repro/internal/simcost"
 )
 
 // Model accounts rounds and message-capacity constraints in the CONGESTED
@@ -37,22 +39,20 @@ import (
 type Model struct {
 	N          int
 	rounds     int
-	byLabel    map[string]int
 	violations []string
 }
 
 // NewModel returns a CC accountant for n nodes.
 func NewModel(n int) *Model {
-	return &Model{N: n, byLabel: map[string]int{}}
+	return &Model{N: n}
 }
 
-// ChargeRounds charges k rounds under a label.
+// ChargeRounds charges k rounds for the labelled step.
 func (m *Model) ChargeRounds(k int, label string) {
 	if m == nil {
 		return
 	}
 	m.rounds += k
-	m.byLabel[label] += k
 }
 
 // Lenzen charges one routing phase (2 rounds) after validating that no node
@@ -102,10 +102,17 @@ type MISResult struct {
 
 // DetMIS runs the deterministic MIS in the CONGESTED CLIQUE model.
 func DetMIS(g *graph.Graph, p core.Params) *MISResult {
-	n := g.N()
-	m := NewModel(n)
-	res := lowdeg.MIS(g, p, nil)
+	out := account(lowdeg.MIS(g, p, simcost.New(g.N(), g.M(), p.Epsilon)), g.N())
+	if ok, reason := check.IsMaximalIS(g, out.IndependentSet); !ok {
+		panic("cclique: invalid MIS: " + reason)
+	}
+	return out
+}
 
+// account charges the Corollary 2 accounting of a Section 5 MIS run on an
+// n-node graph to a fresh CC model.
+func account(res *lowdeg.Result, n int) *MISResult {
+	m := NewModel(n)
 	// Preprocessing: Linial colouring (1 round per iteration: colours fit
 	// single messages) and ball collection by doubling; each doubling step
 	// is one Lenzen phase and ball sizes must stay within the n-word budget.
@@ -123,7 +130,7 @@ func DetMIS(g *graph.Graph, p core.Params) *MISResult {
 	// computation is free); one aggregation announces winners: O(1)/stage.
 	m.ChargeRounds(3*res.Stages, "cc.stages")
 
-	out := &MISResult{
+	return &MISResult{
 		IndependentSet: res.IndependentSet,
 		Stages:         res.Stages,
 		Phases:         len(res.Rounds),
@@ -132,10 +139,6 @@ func DetMIS(g *graph.Graph, p core.Params) *MISResult {
 		RoundsCH15:     CH15Rounds(n, len(res.Rounds)),
 		Model:          m,
 	}
-	if ok, reason := check.IsMaximalIS(g, out.IndependentSet); !ok {
-		panic("cclique: invalid MIS: " + reason)
-	}
-	return out
 }
 
 // MatchingResult is the outcome of the deterministic CC maximal matching.
@@ -149,17 +152,17 @@ type MatchingResult struct {
 // DetMatching runs the deterministic maximal matching in the CONGESTED
 // CLIQUE by simulating MIS on the line graph (Corollary 2; feasible for
 // Δ = O(n^{1/3}) since 2-hop line-graph neighbourhoods fit the routing
-// budget).
+// budget). It is the Section 5 matching (lowdeg.MaximalMatchingIn, charged
+// to a model of g), with DetMIS's accounting applied to its line-graph MIS
+// over the line graph's m nodes.
 func DetMatching(g *graph.Graph, p core.Params) *MatchingResult {
-	lg, edges := g.LineGraph()
-	misRes := DetMIS(lg, p)
+	res := lowdeg.MaximalMatchingIn(scratch.New(), g, p, simcost.New(g.N(), g.M(), p.Epsilon))
+	misRes := account(res.MIS, g.M())
 	out := &MatchingResult{
+		Matching:   res.Matching,
 		MIS:        misRes,
 		RoundsDet:  misRes.RoundsDet,
 		RoundsCH15: misRes.RoundsCH15,
-	}
-	for _, v := range misRes.IndependentSet {
-		out.Matching = append(out.Matching, edges[v])
 	}
 	if ok, reason := check.IsMaximalMatching(g, out.Matching); !ok {
 		panic("cclique: invalid matching: " + reason)

@@ -1,7 +1,6 @@
 package cclique
 
 import (
-	"maps"
 	"math"
 	"testing"
 
@@ -15,12 +14,12 @@ func params() core.Params { return core.DefaultParams() }
 func TestModelAccounting(t *testing.T) {
 	m := NewModel(100)
 	m.ChargeRounds(3, "a")
+	if m.Rounds() != 3 {
+		t.Errorf("rounds = %d, want 3", m.Rounds())
+	}
 	m.Lenzen(50, 80, "route")
 	if m.Rounds() != 5 {
-		t.Errorf("rounds = %d, want 5", m.Rounds())
-	}
-	if m.RoundsByLabel()["route"] != 2 {
-		t.Errorf("labels = %v", m.RoundsByLabel())
+		t.Errorf("rounds after one routing phase = %d, want 5", m.Rounds())
 	}
 	if len(m.Violations()) != 0 {
 		t.Errorf("violations = %v", m.Violations())
@@ -114,14 +113,4 @@ func TestDetMISDeterministic(t *testing.T) {
 	if len(a.IndependentSet) != len(b.IndependentSet) || a.RoundsDet != b.RoundsDet {
 		t.Fatal("nondeterministic CC MIS")
 	}
-}
-
-// RoundsByLabel returns a copy of the per-label round counts.
-func (m *Model) RoundsByLabel() map[string]int {
-	if m == nil {
-		return map[string]int{}
-	}
-	out := make(map[string]int, len(m.byLabel))
-	maps.Copy(out, m.byLabel)
-	return out
 }

@@ -22,6 +22,10 @@ const parallelPaths = parallel.SerialWork
 var families = []string{"gnm", "gnp", "powerlaw", "regular", "grid", "complete",
 	"star", "path", "cycle", "tree", "caterpillar", "bipartite"}
 
+// costModel returns the cost model of a solve of g at ε = 0.5, the one the
+// solve's colouring charges.
+func costModel(g *graph.Graph) *simcost.Model { return simcost.New(g.N(), g.M(), 0.5) }
+
 // maxDegreeG2 returns Δ(G²) of g: the largest 2-ball minus its centre.
 func maxDegreeG2(g *graph.Graph) int {
 	var bs graph.BallScratch
@@ -41,7 +45,7 @@ func TestLinialProperOnFixtures(t *testing.T) {
 		"gnm":   gen.GNM(300, 900, 2),
 		"star":  gen.Star(50),
 	} {
-		res := LinialG2(g, maxDegreeG2(g), 1, nil, nil)
+		res := LinialG2(g, maxDegreeG2(g), 1, nil, costModel(g))
 		if err := verifyDistance2(g, res.Colors, parallelPaths, 1, nil); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -58,7 +62,7 @@ func TestLinialColourCountPolyDelta(t *testing.T) {
 	// independent of n.
 	for _, n := range []int{256, 1024, 4096} {
 		g := gen.RandomRegular(n, 6, uint64(n))
-		res := LinialG2(g, maxDegreeG2(g), 2, nil, nil)
+		res := LinialG2(g, maxDegreeG2(g), 2, nil, costModel(g))
 		d := maxDegreeG2(g)
 		bound := 64 * d * d
 		if res.NumColors > bound {
@@ -71,8 +75,8 @@ func TestLinialRoundsLogStar(t *testing.T) {
 	// Round count grows extremely slowly with n (log* behaviour): going
 	// from n=2^8 to n=2^14 must add at most 2 iterations.
 	gs, gl := gen.RandomRegular(1<<8, 4, 1), gen.RandomRegular(1<<14, 4, 1)
-	small := LinialG2(gs, maxDegreeG2(gs), 2, nil, nil)
-	large := LinialG2(gl, maxDegreeG2(gl), 2, nil, nil)
+	small := LinialG2(gs, maxDegreeG2(gs), 2, nil, costModel(gs))
+	large := LinialG2(gl, maxDegreeG2(gl), 2, nil, costModel(gl))
 	if large.Rounds > small.Rounds+2 {
 		t.Errorf("rounds grew from %d to %d", small.Rounds, large.Rounds)
 	}
@@ -87,7 +91,7 @@ func TestLinialG2Distance2(t *testing.T) {
 		"tree": gen.RandomTree(300, 3),
 		"reg":  gen.RandomRegular(500, 8, 4),
 	} {
-		res := LinialG2(g, maxDegreeG2(g), 2, nil, nil)
+		res := LinialG2(g, maxDegreeG2(g), 2, nil, costModel(g))
 		if err := verifyDistance2(g, res.Colors, parallelPaths, 2, nil); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -96,7 +100,7 @@ func TestLinialG2Distance2(t *testing.T) {
 
 func TestLinialG2ColourCountDelta4(t *testing.T) {
 	g := gen.RandomRegular(2048, 4, 9)
-	res := LinialG2(g, maxDegreeG2(g), 2, nil, nil)
+	res := LinialG2(g, maxDegreeG2(g), 2, nil, costModel(g))
 	d := g.MaxDegree()
 	bound := 256 * d * d * d * d // O(Δ⁴) with implementation constant
 	if res.NumColors > bound {
@@ -106,11 +110,11 @@ func TestLinialG2ColourCountDelta4(t *testing.T) {
 }
 
 func TestLinialEmptyAndTrivial(t *testing.T) {
-	res := LinialG2(graph.Empty(0), 0, 1, nil, nil)
+	res := LinialG2(graph.Empty(0), 0, 1, nil, costModel(graph.Empty(0)))
 	if res.NumColors != 0 {
 		t.Errorf("empty graph coloured with %d colours", res.NumColors)
 	}
-	res = LinialG2(graph.Empty(5), 0, 1, nil, nil)
+	res = LinialG2(graph.Empty(5), 0, 1, nil, costModel(graph.Empty(5)))
 	if err := verifyDistance2(graph.Empty(5), res.Colors, parallelPaths, 1, nil); err != nil {
 		t.Error(err)
 	}
@@ -131,9 +135,9 @@ func TestLinialChargesModel(t *testing.T) {
 
 func TestLinialDeterministic(t *testing.T) {
 	g := gen.GNM(200, 800, 5)
-	a := LinialG2(g, maxDegreeG2(g), 1, nil, nil)
+	a := LinialG2(g, maxDegreeG2(g), 1, nil, costModel(g))
 	for _, w := range []int{1, 2, 8} {
-		b := LinialG2(g, maxDegreeG2(g), w, nil, nil)
+		b := LinialG2(g, maxDegreeG2(g), w, nil, costModel(g))
 		if !slices.Equal(a.Colors, b.Colors) || a.NumColors != b.NumColors || a.Rounds != b.Rounds {
 			t.Fatalf("nondeterministic colouring at %d workers", w)
 		}
@@ -376,14 +380,14 @@ func FuzzLinialRoundMatchesWalkReference(f *testing.F) {
 func TestLinialG2StopsWhenDone(t *testing.T) {
 	g := gen.Cycle(3000)
 	d2 := maxDegreeG2(g)
-	want := LinialG2(g, d2, 1, nil, nil)
+	want := LinialG2(g, d2, 1, nil, costModel(g))
 	if want.Rounds < 2 {
 		t.Fatalf("%d Linial rounds: the table needs polls between rounds", want.Rounds)
 	}
 	for _, w := range []int{1, 2, 8} {
 		var polls atomic.Int64
 		never := func() bool { polls.Add(1); return false }
-		if got := LinialG2(g, d2, w, never, nil); !reflect.DeepEqual(got, want) {
+		if got := LinialG2(g, d2, w, never, costModel(g)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: colouring with a never-true done differs", w)
 		}
 		total := polls.Load()

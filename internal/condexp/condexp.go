@@ -11,9 +11,11 @@
 //
 // On a laptop local computation is not free, so the default procedure is
 // SearchAtLeast: scan the family in its fixed enumeration order, evaluating
-// batches of up to S candidate seeds per charged O(1)-round AllReduce (each
-// machine evaluates every candidate on its local data; the summed vector
-// tells everyone the first candidate meeting the threshold). The output is
+// batches of BatchSize candidate seeds per charged O(1)-round AllReduce
+// (each machine evaluates every candidate on its local data; the summed
+// vector tells everyone the first candidate meeting the threshold). Every
+// solve batches by its model's S (core.Params.SeedSearch); only standalone
+// callers, which pass no model, pick another size. The output is
 // deterministic — the first seed in enumeration order with q(seed) >= Q —
 // and termination is guaranteed whenever the expectation bound actually
 // holds for the finite family. The host scores a batch's candidates one at
@@ -41,17 +43,19 @@ type Objective func(seed []uint64) int64
 // Options configure a search.
 type Options struct {
 	// BatchSize is the number of candidate seeds evaluated per charged
-	// O(1)-round batch. Defaults to the model's S (or 64 without a model),
-	// and is clamped to S when a model is present: a machine must be able
-	// to hold the per-candidate partial objectives.
+	// O(1)-round batch, at least 1. Solves pass their model's S: a machine
+	// must be able to hold the per-candidate partial objectives, and the
+	// model records a violation for a batch above S.
 	BatchSize int
 	// MaxSeeds bounds the scan. 0 means DefaultMaxSeeds. When the bound is
 	// hit the best seed seen so far is returned with Found == false.
 	MaxSeeds int
 	// Model, when non-nil, is charged one seed batch per batch of
-	// evaluations under Label.
+	// evaluations under Label. Every solve passes one; only standalone
+	// callers leave it nil.
 	Model *simcost.Model
-	// Label attributes charged rounds. Defaults to "condexp".
+	// Label names the search in the model's violation messages. Defaults
+	// to "condexp".
 	Label string
 	// Done, when non-nil, is polled once per batch boundary — before each
 	// charged batch evaluation, never inside one — and a true return stops
@@ -115,16 +119,8 @@ func (o *Options) defaults() {
 	if o.Label == "" {
 		o.Label = "condexp"
 	}
-	if o.BatchSize <= 0 {
-		if o.Model != nil {
-			o.BatchSize = o.Model.S()
-		}
-		if o.BatchSize <= 0 {
-			o.BatchSize = 64
-		}
-	}
-	if o.Model != nil && o.BatchSize > o.Model.S() {
-		o.BatchSize = o.Model.S()
+	if o.BatchSize < 1 {
+		panic("condexp: BatchSize < 1")
 	}
 	if o.MaxSeeds <= 0 {
 		o.MaxSeeds = DefaultMaxSeeds

@@ -38,7 +38,7 @@ func TestSearchAtLeastFindsMeanValueSeed(t *testing.T) {
 	th := hashfam.Threshold(fam.P(), 1, 2)
 	obj := countBelow(fam, points, th)
 	// Family mean = 40 * th / p ≈ 19.8, so some seed reaches >= 19.
-	res, err := SearchAtLeast(fam, obj, 19, Options{})
+	res, err := SearchAtLeast(fam, obj, 19, Options{BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSearchAtLeastUnreachableThresholdReturnsBest(t *testing.T) {
 	fam := hashfam.New(17, 2)
 	points := testPoints(10, fam.P())
 	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
-	res, err := SearchAtLeast(fam, obj, 1<<40, Options{MaxSeeds: 100})
+	res, err := SearchAtLeast(fam, obj, 1<<40, Options{BatchSize: 64, MaxSeeds: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,28 +98,19 @@ func TestSearchAtLeastUnreachableThresholdReturnsBest(t *testing.T) {
 	}
 }
 
-func TestBatchAccountingAgainstModel(t *testing.T) {
-	fam := hashfam.New(1009, 2)
-	points := testPoints(100, fam.P())
-	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
-	model := simcost.New(1<<12, 1<<13, 0.5) // S = 64
-	res, err := SearchAtLeast(fam, obj, 1<<40, Options{Model: model, MaxSeeds: 300, Label: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := model.Stats()
-	if st.SeedsEvaluated != int64(res.SeedsTried) {
-		t.Errorf("model saw %d seeds, search tried %d", st.SeedsEvaluated, res.SeedsTried)
-	}
-	if st.SeedBatches != res.Batches {
-		t.Errorf("model batches %d, search batches %d", st.SeedBatches, res.Batches)
-	}
-	// Batch size clamps to S=64: 300 seeds => 5 batches.
-	if res.Batches != 5 {
-		t.Errorf("batches = %d, want 5", res.Batches)
-	}
-	if st.RoundsByLabel["test"] == 0 {
-		t.Error("no rounds charged under label")
+// TestBatchSizeRequired: a search has no batch default, so a BatchSize
+// below 1 is a programmer error.
+func TestBatchSizeRequired(t *testing.T) {
+	fam := hashfam.New(17, 2)
+	for _, bs := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BatchSize %d did not panic", bs)
+				}
+			}()
+			SearchAtLeast(fam, func([]uint64) int64 { return 1 }, 1, Options{BatchSize: bs})
+		}()
 	}
 }
 
@@ -162,7 +153,7 @@ func TestSearchConditionalMatchesSearchAtLeast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := SearchAtLeast(fam, obj, int64(mean), Options{})
+	scan, err := SearchAtLeast(fam, obj, int64(mean), Options{BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +193,7 @@ func TestEmptyFamilyImpossible(t *testing.T) {
 	// via MaxSeeds smaller than 1 is not possible (defaults). Instead verify
 	// the scan handles a tiny family without error.
 	fam := hashfam.New(2, 1)
-	res, err := SearchAtLeast(fam, func([]uint64) int64 { return 1 }, 1, Options{})
+	res, err := SearchAtLeast(fam, func([]uint64) int64 { return 1 }, 1, Options{BatchSize: 64})
 	if err != nil || !res.Found {
 		t.Errorf("tiny family scan failed: %+v, %v", res, err)
 	}
@@ -599,34 +590,5 @@ func TestOnBatchStats(t *testing.T) {
 	}
 	if last := stats[len(stats)-1]; last.BestValue != res.Value {
 		t.Fatalf("final best %d, result value %d", last.BestValue, res.Value)
-	}
-}
-
-// TestOnBatchModelAgreement cross-checks the stat stream against the cost
-// model: charged seed batches and evaluated seeds must match exactly.
-func TestOnBatchModelAgreement(t *testing.T) {
-	fam := hashfam.New(211, 2)
-	points := testPoints(64, fam.P())
-	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 3))
-	model := simcost.New(64, 128, 0.5)
-	var stats []BatchStat
-	res, err := SearchAtLeast(fam, obj, 1<<40, Options{ // unreachable: full scan
-		BatchSize: 8,
-		MaxSeeds:  64,
-		Model:     model,
-		OnBatch:   func(bs BatchStat) { stats = append(stats, bs) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Found {
-		t.Fatal("threshold 2^40 cannot be met")
-	}
-	st := model.Stats()
-	if st.SeedBatches != len(stats) || st.SeedBatches != res.Batches {
-		t.Fatalf("model charged %d batches, %d stats, result %d", st.SeedBatches, len(stats), res.Batches)
-	}
-	if int(st.SeedsEvaluated) != res.SeedsTried {
-		t.Fatalf("model evaluated %d seeds, result tried %d", st.SeedsEvaluated, res.SeedsTried)
 	}
 }

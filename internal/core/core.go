@@ -113,9 +113,9 @@ type RoundEvent struct {
 	// CostRounds, CostSeedBatches and CostPeakMachineWords export the
 	// solve's simcost accounting incrementally: the cumulative charged MPC
 	// rounds, charged seed batches and peak per-machine words at the moment
-	// this event was emitted. They are zero when cost tracking is off or no
-	// observer is attached, and — like every other field — deterministic at
-	// any Parallelism: the model's charges depend only on problem sizes and
+	// this event was emitted. Every solve is costed, so every event carries
+	// them, and — like every other field — they are deterministic at any
+	// Parallelism: the model's charges depend only on problem sizes and
 	// batch shapes, never on host scheduling.
 	CostRounds           int
 	CostSeedBatches      int

@@ -69,13 +69,19 @@ func (l *Loop) Stop() bool {
 // no seed: the round is then abandoned whole.
 func (l *Loop) Search(r *Round, fam hashfam.Family, obj condexp.Objective, threshold int64, label string) []uint64 {
 	r.Threshold = max(threshold, 1)
-	res, batches := l.p.SeedSearch(fam, obj, r.Threshold, label, l.model)
+	var stats *[]SeedBatchStat
+	if l.p.Observe != nil {
+		stats = new([]SeedBatchStat)
+	}
+	res := l.p.SeedSearch(fam, obj, r.Threshold, label, l.model, stats)
 	if res.Canceled {
 		l.Canceled = true
 		return nil
 	}
 	r.SeedsTried, r.SeedFound, r.Objective = res.SeedsTried, res.Found, res.Value
-	l.batches = batches
+	if stats != nil {
+		l.batches = *stats
+	}
 	return res.Seed
 }
 

@@ -16,26 +16,26 @@ import (
 
 // SeedSearch runs one conditional-expectations scan under p: the first seed
 // of fam, in enumeration order, whose objective value reaches threshold, or
-// the best seed seen within MaxSeedsPerSearch. Charged batches go to model
-// under label, and p.Done is polled between batches. The per-batch stats
-// are collected only on observed solves (p.Observe set); each call returns
-// a fresh slice, so a RoundEvent may own it, and nil when unobserved.
-func (p Params) SeedSearch(fam hashfam.Family, obj condexp.Objective, threshold int64, label string, model *simcost.Model) (condexp.Result, []SeedBatchStat) {
+// the best seed seen within MaxSeedsPerSearch. It scores batches of the
+// model's S candidates, charges each to model under label, and polls p.Done
+// between batches. When stats is non-nil, each batch's stat is appended to
+// *stats; Loop.Search asks for them on observed solves only.
+func (p Params) SeedSearch(fam hashfam.Family, obj condexp.Objective, threshold int64, label string, model *simcost.Model, stats *[]SeedBatchStat) condexp.Result {
 	opts := condexp.Options{
-		Model:    model,
-		Label:    label,
-		MaxSeeds: p.MaxSeedsPerSearch,
-		Done:     p.Done,
+		BatchSize: model.S(),
+		Model:     model,
+		Label:     label,
+		MaxSeeds:  p.MaxSeedsPerSearch,
+		Done:      p.Done,
 	}
-	var batches []SeedBatchStat
-	if p.Observe != nil {
-		opts.OnBatch = func(bs SeedBatchStat) { batches = append(batches, bs) }
+	if stats != nil {
+		opts.OnBatch = func(bs SeedBatchStat) { *stats = append(*stats, bs) }
 	}
 	res, err := condexp.SearchAtLeast(fam, obj, threshold, opts)
 	if err != nil {
 		panic(err) // only an empty family fails, and every field here has p >= 2
 	}
-	return res, batches
+	return res
 }
 
 // NodeGroup is the working state of the node selection: the NodeFold

@@ -2,14 +2,17 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
+	"repro/internal/condexp"
 	"repro/internal/detrand"
 	"repro/internal/graph"
 	"repro/internal/graph/gen"
 	"repro/internal/hashfam"
 	"repro/internal/parallel"
+	"repro/internal/simcost"
 )
 
 // groupKeyCounts straddle hashfam.BlockKeyGrain — one ragged block, one
@@ -132,11 +135,11 @@ func selectionHash(ids []uint64) int64 {
 // unreachable, so every candidate of every batch is scored, each through
 // one group's Select at one worker as the round loops score. Over a dense
 // and a sparse round of each selection kind, and three full batches, the
-// search must report a three-batch miss with one OnBatch stat per batch,
+// search must report a three-batch miss with one batch stat per batch,
 // every candidate must be scored exactly once, and its value must equal an
 // EvalKeys + LocalMin*Sel reference.
 func TestSeedSearchMissPath(t *testing.T) {
-	const batches, batchSize = 3, 64 // SeedSearch's default batch without a model
+	const batches, batchSize = 3, 64 // S of a model of n = 4096 at ε = 0.5
 	const unreachable = int64(1) << 62
 	type round struct {
 		name string
@@ -230,21 +233,87 @@ func TestSeedSearchMissPath(t *testing.T) {
 
 		p := DefaultParams()
 		p.MaxSeedsPerSearch = batches * batchSize
-		p.Observe = func(RoundEvent) {}
 		got := make([]int64, len(seeds))
 		scored := make([]int, len(seeds))
-		res, stats := p.SeedSearch(r.fam, func(seed []uint64) int64 {
+		var stats []SeedBatchStat
+		res := p.SeedSearch(r.fam, func(seed []uint64) int64 {
 			i := pos[fmt.Sprint(seed)]
 			got[i] = r.score(seed)
 			scored[i]++
 			return got[i]
-		}, unreachable, "test.seed", nil)
+		}, unreachable, "test.seed", simcost.New(1<<12, 0, p.Epsilon), &stats)
 		if res.Found || res.Batches != batches || res.SeedsTried != len(seeds) || len(stats) != batches {
 			t.Fatalf("%s: %+v with %d batch stats, want a %d-batch miss", r.name, res, len(stats), batches)
 		}
 		for i := range seeds {
 			if scored[i] != 1 || got[i] != want[i] {
 				t.Fatalf("%s: candidate %d scored %d times, value %d, want once with %d", r.name, i, scored[i], got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestSeedSearchBatchesByModelS pins Params.SeedSearch's batches to its
+// model, at n = 256, 625 and 4096 (ε = 0.5: S = 16, 25 and 64): a search
+// that misses scores all MaxSeedsPerSearch = 300 candidates in batches of
+// S, the last one shorter, and one that qualifies at the 40th candidate
+// charges that candidate's whole batch. The model charges exactly the
+// search's Batches and SeedsTried, and batch stats are collected only when
+// asked for: one per charged batch, with the result unchanged.
+func TestSeedSearchBatchesByModelS(t *testing.T) {
+	fam := hashfam.New(101, 2)
+	const maxSeeds, winner = 300, 40
+	for _, tc := range []struct{ n, s int }{{256, 16}, {625, 25}, {4096, 64}} {
+		for _, found := range []bool{false, true} {
+			name := fmt.Sprintf("S=%d/found=%v", tc.s, found)
+			p := DefaultParams()
+			p.MaxSeedsPerSearch = maxSeeds
+			// calls counts the candidates scored, so one search's objective
+			// qualifies exactly at its winner-th candidate.
+			calls := 0
+			obj := func([]uint64) int64 {
+				calls++
+				if found && calls == winner {
+					return 1
+				}
+				return 0
+			}
+			search := func(stats *[]SeedBatchStat) (condexp.Result, simcost.Stats) {
+				calls = 0
+				model := simcost.New(tc.n, 0, p.Epsilon)
+				if model.S() != tc.s {
+					t.Fatalf("%s: model S = %d", name, model.S())
+				}
+				return p.SeedSearch(fam, obj, 1, "test.seed", model, stats), model.Stats()
+			}
+
+			res, st := search(nil)
+			tried := maxSeeds
+			if found {
+				tried = (winner + tc.s - 1) / tc.s * tc.s
+			}
+			if res.Found != found || res.SeedsTried != tried || res.Batches != (tried+tc.s-1)/tc.s {
+				t.Fatalf("%s: Found=%v after %d seeds in %d batches, want Found=%v after %d in batches of %d",
+					name, res.Found, res.SeedsTried, res.Batches, found, tried, tc.s)
+			}
+			if st.SeedBatches != res.Batches || st.SeedsEvaluated != int64(res.SeedsTried) {
+				t.Fatalf("%s: model charged %d batches and %d seeds, search %d and %d",
+					name, st.SeedBatches, st.SeedsEvaluated, res.Batches, res.SeedsTried)
+			}
+
+			var stats []SeedBatchStat
+			observed, _ := search(&stats)
+			if !reflect.DeepEqual(observed, res) {
+				t.Fatalf("%s: collecting stats changed the result: %+v, want %+v", name, observed, res)
+			}
+			if len(stats) != res.Batches {
+				t.Fatalf("%s: %d batch stats for %d batches", name, len(stats), res.Batches)
+			}
+			for i, b := range stats {
+				want := min(tc.s, tried-i*tc.s)
+				if b.Batch != i+1 || b.Seeds != want || b.SeedsTried != min(tried, (i+1)*tc.s) {
+					t.Fatalf("%s: batch stat %d = %+v, want %d seeds", name, i, b, want)
+				}
 			}
 		}
 	}

@@ -70,7 +70,7 @@ func RunA5(cfg Config) []*tablefmt.Table {
 		}
 		// ceil(mean): the integral objective must reach the next integer to
 		// be ">= mean" (plain int64 truncation would under-demand).
-		scan, err := condexp.SearchAtLeast(fam, obj, int64(math.Ceil(mean-1e-9)), condexp.Options{})
+		scan, err := condexp.SearchAtLeast(fam, obj, int64(math.Ceil(mean-1e-9)), condexp.Options{BatchSize: 64})
 		if err != nil {
 			panic(err)
 		}

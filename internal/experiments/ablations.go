@@ -42,7 +42,7 @@ func RunA1(cfg Config) []*tablefmt.Table {
 	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
 		p := core.DefaultParams()
 		p.ThresholdFrac = frac
-		res := matching.Deterministic(g, p, nil)
+		res := matching.Deterministic(g, p, costModel(g, p))
 		seeds, met := 0, 0
 		for _, it := range res.Rounds {
 			seeds += it.SeedsTried
@@ -108,7 +108,7 @@ func RunA3(cfg Config) []*tablefmt.Table {
 	for _, c := range []int{2, 4, 8} {
 		p := core.DefaultParams()
 		p.KWise = c
-		res := sparsify.SparsifyEdges(g, p, nil)
+		res := sparsify.SparsifyEdges(g, p, costModel(g, p))
 		worstI, worstII := 0.0, 0.0
 		violI, violII := 0, 0
 		found := true
@@ -151,7 +151,7 @@ func RunA4(cfg Config) []*tablefmt.Table {
 		p := core.DefaultParams()
 		p.Slack = slack
 		p.MaxSeedsPerSearch = 2048
-		res := sparsify.SparsifyEdges(g, p, nil)
+		res := sparsify.SparsifyEdges(g, p, costModel(g, p))
 		seeds := 0
 		found := true
 		worstI, worstII := 0.0, 0.0

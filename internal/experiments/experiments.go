@@ -36,6 +36,9 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/simcost"
 	"repro/internal/tablefmt"
 )
 
@@ -94,6 +97,12 @@ func log2(x float64) float64 {
 		return 1
 	}
 	return math.Log2(x)
+}
+
+// costModel returns the cost model of a solve of g under p, which every
+// solve charges: its S sets the batch size of the solve's seed searches.
+func costModel(g *graph.Graph, p core.Params) *simcost.Model {
+	return simcost.New(g.N(), g.M(), p.Epsilon)
 }
 
 // nGrid returns the node-count grid for the config.

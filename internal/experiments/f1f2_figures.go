@@ -31,7 +31,7 @@ func RunF1(cfg Config) []*tablefmt.Table {
 		YLabel: "edges remaining",
 	}
 
-	mmRes := matching.Deterministic(g, p, nil)
+	mmRes := matching.Deterministic(g, p, costModel(g, p))
 	var s tablefmt.Series
 	s.Name = "det-matching"
 	for i, it := range mmRes.Rounds {
@@ -39,7 +39,7 @@ func RunF1(cfg Config) []*tablefmt.Table {
 	}
 	fig.Series = append(fig.Series, s)
 
-	misRes := mis.Deterministic(g, p, nil)
+	misRes := mis.Deterministic(g, p, costModel(g, p))
 	s = tablefmt.Series{Name: "det-mis"}
 	for i, it := range misRes.Rounds {
 		s.Points = append(s.Points, [2]float64{float64(i + 1), float64(it.EdgesAfter)})
@@ -86,9 +86,9 @@ func RunF2(cfg Config) []*tablefmt.Table {
 		g := gen.GNM(n, 8*n, cfg.Seed)
 		x := log2(float64(n))
 		detMM.Points = append(detMM.Points,
-			[2]float64{x, float64(len(matching.Deterministic(g, p, nil).Rounds))})
+			[2]float64{x, float64(len(matching.Deterministic(g, p, costModel(g, p)).Rounds))})
 		detMIS.Points = append(detMIS.Points,
-			[2]float64{x, float64(len(mis.Deterministic(g, p, nil).Rounds))})
+			[2]float64{x, float64(len(mis.Deterministic(g, p, costModel(g, p)).Rounds))})
 		randMIS.Points = append(randMIS.Points,
 			[2]float64{x, float64(len(luby.MIS(g, detrand.New(cfg.Seed)).Rounds))})
 		randMM.Points = append(randMM.Points,
@@ -112,7 +112,7 @@ func RunF2(cfg Config) []*tablefmt.Table {
 	stages.Name, phases.Name = "lowdeg-stages", "lowdeg-phases"
 	for _, d := range cfg.degGrid() {
 		g := gen.RandomRegular(n, d, cfg.Seed+uint64(d))
-		res := lowdeg.MIS(g, p, nil)
+		res := lowdeg.MIS(g, p, costModel(g, p))
 		x := log2(float64(g.MaxDegree()))
 		stages.Points = append(stages.Points, [2]float64{x, float64(res.Stages)})
 		phases.Points = append(phases.Points, [2]float64{x, float64(len(res.Rounds))})

@@ -39,7 +39,7 @@ func RunT3(cfg Config) []*tablefmt.Table {
 			"paper bound", "min/bound", "all above"},
 	}
 	for _, w := range workloads {
-		res := matching.Deterministic(w.g, p, nil)
+		res := matching.Deterministic(w.g, p, costModel(w.g, p))
 		fracs := make([]float64, 0, len(res.Rounds))
 		for _, it := range res.Rounds {
 			fracs = append(fracs, it.RemovedFraction())
@@ -48,7 +48,7 @@ func RunT3(cfg Config) []*tablefmt.Table {
 		t.AddRow("matching", w.name, len(fracs), mn, md, mmBound, mn/mmBound, allAbove(fracs, mmBound))
 	}
 	for _, w := range workloads {
-		res := mis.Deterministic(w.g, p, nil)
+		res := mis.Deterministic(w.g, p, costModel(w.g, p))
 		fracs := make([]float64, 0, len(res.Rounds))
 		for _, it := range res.Rounds {
 			if it.EdgesBefore > 0 {

@@ -30,7 +30,7 @@ func RunT4(cfg Config) []*tablefmt.Table {
 		Columns: []string{"stage", "edges before", "edges after", "good machines",
 			"seed found", "Lem10 worst", "Lem10 viol", "Lem11 worst", "Lem11 viol"},
 	}
-	er := sparsify.SparsifyEdges(g, p, nil)
+	er := sparsify.SparsifyEdges(g, p, costModel(g, p))
 	for _, st := range er.Stages {
 		edge.AddRow(st.Stage, st.ItemsBefore, st.ItemsAfter,
 			fmt.Sprintf("%d/%d", st.GoodGroups, st.Groups),
@@ -50,7 +50,7 @@ func RunT4(cfg Config) []*tablefmt.Table {
 		Columns: []string{"stage", "|Q| before", "|Q| after", "good machines",
 			"seed found", "Lem17 worst", "Lem17 viol", "Lem18 worst", "Lem18 viol"},
 	}
-	nr := sparsify.SparsifyNodes(g, p, nil)
+	nr := sparsify.SparsifyNodes(g, p, costModel(g, p))
 	for _, st := range nr.Stages {
 		node.AddRow(st.Stage, st.ItemsBefore, st.ItemsAfter,
 			fmt.Sprintf("%d/%d", st.GoodGroups, st.Groups),

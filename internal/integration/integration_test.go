@@ -21,9 +21,16 @@ import (
 	"repro/internal/matching"
 	"repro/internal/mis"
 	"repro/internal/scratch"
+	"repro/internal/simcost"
 )
 
 func params() core.Params { return core.DefaultParams() }
+
+// costModel returns the cost model of a solve of g under p, the one every
+// solve charges.
+func costModel(g *graph.Graph, p core.Params) *simcost.Model {
+	return simcost.New(g.N(), g.M(), p.Epsilon)
+}
 
 // randomGraph builds a graph from raw fuzz bytes: n in [2, 120], edges from
 // byte pairs.
@@ -40,8 +47,8 @@ func TestMaximalMatchingsWithinFactorTwo(t *testing.T) {
 	// For any graph, |M1| <= 2|M2| for maximal matchings M1, M2.
 	f := func(raw []byte) bool {
 		g := randomGraph(raw)
-		det := matching.Deterministic(g, params(), nil).Matching
-		ld := lowdeg.MaximalMatchingIn(scratch.New(), g, params(), nil).Matching
+		det := matching.Deterministic(g, params(), costModel(g, params())).Matching
+		ld := lowdeg.MaximalMatchingIn(scratch.New(), g, params(), costModel(g, params())).Matching
 		rand := luby.MaximalMatching(g, detrand.New(7)).Matching
 		sizes := []int{len(det), len(ld), len(rand)}
 		for _, a := range sizes {
@@ -64,8 +71,8 @@ func TestISNeverExceedsNMinusMatching(t *testing.T) {
 	// |I| <= n - |M|.
 	f := func(raw []byte) bool {
 		g := randomGraph(raw)
-		is := mis.Deterministic(g, params(), nil).IndependentSet
-		mm := matching.Deterministic(g, params(), nil).Matching
+		is := mis.Deterministic(g, params(), costModel(g, params())).IndependentSet
+		mm := matching.Deterministic(g, params(), costModel(g, params())).Matching
 		return len(is) <= g.N()-len(mm)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -76,7 +83,7 @@ func TestISNeverExceedsNMinusMatching(t *testing.T) {
 func TestMISComplementIsVertexCover(t *testing.T) {
 	f := func(raw []byte) bool {
 		g := randomGraph(raw)
-		is := mis.Deterministic(g, params(), nil).IndependentSet
+		is := mis.Deterministic(g, params(), costModel(g, params())).IndependentSet
 		inIS := make([]bool, g.N())
 		for _, v := range is {
 			inIS[v] = true
@@ -99,7 +106,7 @@ func TestMISSizeLowerBound(t *testing.T) {
 	// |MIS| >= n / (Δ+1) for every maximal independent set.
 	f := func(raw []byte) bool {
 		g := randomGraph(raw)
-		is := mis.Deterministic(g, params(), nil).IndependentSet
+		is := mis.Deterministic(g, params(), costModel(g, params())).IndependentSet
 		return len(is)*(g.MaxDegree()+1) >= g.N()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -110,8 +117,8 @@ func TestMISSizeLowerBound(t *testing.T) {
 func TestBothStrategiesMaximalOnFuzzedGraphs(t *testing.T) {
 	f := func(raw []byte) bool {
 		g := randomGraph(raw)
-		a := matching.Deterministic(g, params(), nil).Matching
-		bRes := lowdeg.MaximalMatchingIn(scratch.New(), g, params(), nil).Matching
+		a := matching.Deterministic(g, params(), costModel(g, params())).Matching
+		bRes := lowdeg.MaximalMatchingIn(scratch.New(), g, params(), costModel(g, params())).Matching
 		if ok, _ := check.IsMaximalMatching(g, a); !ok {
 			return false
 		}
@@ -129,8 +136,8 @@ func TestBothStrategiesMaximalOnFuzzedGraphs(t *testing.T) {
 func TestBothMISStrategiesMaximalOnFuzzedGraphs(t *testing.T) {
 	f := func(raw []byte) bool {
 		g := randomGraph(raw)
-		a := mis.Deterministic(g, params(), nil).IndependentSet
-		b := lowdeg.MIS(g, params(), nil).IndependentSet
+		a := mis.Deterministic(g, params(), costModel(g, params())).IndependentSet
+		b := lowdeg.MIS(g, params(), costModel(g, params())).IndependentSet
 		okA, _ := check.IsMaximalIS(g, a)
 		okB, _ := check.IsMaximalIS(g, b)
 		return okA && okB
@@ -162,11 +169,11 @@ func TestRegimeBoundaryGraphs(t *testing.T) {
 	}
 	g := b.Build()
 
-	mm := matching.Deterministic(g, p, nil)
+	mm := matching.Deterministic(g, p, costModel(g, p))
 	if ok, reason := check.IsMaximalMatching(g, mm.Matching); !ok {
 		t.Errorf("boundary union matching: %s", reason)
 	}
-	is := mis.Deterministic(g, p, nil)
+	is := mis.Deterministic(g, p, costModel(g, p))
 	if ok, reason := check.IsMaximalIS(g, is.IndependentSet); !ok {
 		t.Errorf("boundary union MIS: %s", reason)
 	}
@@ -184,15 +191,15 @@ func TestTinyGraphsAllAlgorithms(t *testing.T) {
 			default:
 				g = gen.Complete(n)
 			}
-			mm := matching.Deterministic(g, params(), nil).Matching
+			mm := matching.Deterministic(g, params(), costModel(g, params())).Matching
 			if ok, reason := check.IsMaximalMatching(g, mm); !ok {
 				t.Errorf("n=%d density=%d matching: %s", n, density, reason)
 			}
-			is := mis.Deterministic(g, params(), nil).IndependentSet
+			is := mis.Deterministic(g, params(), costModel(g, params())).IndependentSet
 			if ok, reason := check.IsMaximalIS(g, is); !ok {
 				t.Errorf("n=%d density=%d MIS: %s", n, density, reason)
 			}
-			ld := lowdeg.MIS(g, params(), nil).IndependentSet
+			ld := lowdeg.MIS(g, params(), costModel(g, params())).IndependentSet
 			if ok, reason := check.IsMaximalIS(g, ld); !ok {
 				t.Errorf("n=%d density=%d lowdeg: %s", n, density, reason)
 			}
@@ -211,7 +218,7 @@ func TestDisconnectedComponentsIndependence(t *testing.T) {
 		b.AddEdge(e.U+200, e.V+200) // component 2 on [200,400)
 	}
 	g := b.Build()
-	is := mis.Deterministic(g, params(), nil).IndependentSet
+	is := mis.Deterministic(g, params(), costModel(g, params())).IndependentSet
 	if ok, reason := check.IsMaximalIS(g, is); !ok {
 		t.Fatal(reason)
 	}

@@ -16,7 +16,7 @@ func TestUnreachableThresholdStillMaximal(t *testing.T) {
 	p := params()
 	p.ThresholdFrac = 1.0   // demand the full Lemma 13 bound...
 	p.MaxSeedsPerSearch = 2 // ...with almost no budget to find it
-	res := Deterministic(g, p, nil)
+	res := Deterministic(g, p, costModel(g, p))
 	if ok, reason := check.IsMaximalMatching(g, res.Matching); !ok {
 		t.Fatal(reason)
 	}
@@ -30,7 +30,7 @@ func TestSingleSeedBudget(t *testing.T) {
 	g := gen.PowerLaw(300, 1200, 2.5, 5)
 	p := params()
 	p.MaxSeedsPerSearch = 1 // always take the first enumerated seed
-	res := Deterministic(g, p, nil)
+	res := Deterministic(g, p, costModel(g, p))
 	if ok, reason := check.IsMaximalMatching(g, res.Matching); !ok {
 		t.Fatal(reason)
 	}
@@ -49,7 +49,7 @@ func TestTinySlackForcesBestEffortStages(t *testing.T) {
 	p := params()
 	p.Slack = 0.1
 	p.MaxSeedsPerSearch = 64
-	res := Deterministic(g, p, nil)
+	res := Deterministic(g, p, costModel(g, p))
 	if ok, reason := check.IsMaximalMatching(g, res.Matching); !ok {
 		t.Fatal(reason)
 	}
@@ -57,7 +57,7 @@ func TestTinySlackForcesBestEffortStages(t *testing.T) {
 
 func TestExtremeThresholdObjectiveValuesRecorded(t *testing.T) {
 	g := gen.GNM(300, 2400, 9)
-	res := Deterministic(g, params(), nil)
+	res := Deterministic(g, params(), costModel(g, params()))
 	for i, it := range res.Rounds {
 		if it.Threshold < 1 {
 			t.Errorf("iteration %d threshold %d < 1", i+1, it.Threshold)

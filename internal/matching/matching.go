@@ -52,7 +52,7 @@ type Result struct {
 }
 
 // Deterministic computes a maximal matching of g with the derandomized
-// algorithm of Section 3. The model, when non-nil, is charged all MPC
+// algorithm of Section 3. The model, a model of g, is charged all MPC
 // rounds and validates all machine-space claims. It is DeterministicIn with
 // a private scratch context; repeated solvers (the Engine) share one.
 func Deterministic(g *graph.Graph, p core.Params, model *simcost.Model) *Result {

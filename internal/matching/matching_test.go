@@ -13,6 +13,12 @@ import (
 
 func params() core.Params { return core.DefaultParams() }
 
+// costModel returns the cost model of a solve of g under p, the one every
+// solve charges.
+func costModel(g *graph.Graph, p core.Params) *simcost.Model {
+	return simcost.New(g.N(), g.M(), p.Epsilon)
+}
+
 func requireMaximal(t *testing.T, g *graph.Graph, res *Result) {
 	t.Helper()
 	if ok, reason := check.IsMaximalMatching(g, res.Matching); !ok {
@@ -33,7 +39,7 @@ func TestDeterministicOnFixtures(t *testing.T) {
 		"tree":      gen.RandomTree(300, 4),
 	}
 	for name, g := range fixtures {
-		res := Deterministic(g, params(), nil)
+		res := Deterministic(g, params(), costModel(g, params()))
 		requireMaximal(t, g, res)
 		if name == "complete" && len(res.Matching) != 30 {
 			t.Errorf("K60 matching size %d, want 30", len(res.Matching))
@@ -57,7 +63,7 @@ func TestDeterministicRandomGraphs(t *testing.T) {
 		{"powerlaw", gen.PowerLaw(1000, 5000, 2.5, 3)},
 		{"regular", gen.RandomRegular(900, 12, 4)},
 	} {
-		res := Deterministic(tc.g, params(), nil)
+		res := Deterministic(tc.g, params(), costModel(tc.g, params()))
 		requireMaximal(t, tc.g, res)
 		if len(res.Rounds) == 0 {
 			t.Errorf("%s: no iterations recorded", tc.name)
@@ -69,7 +75,7 @@ func TestIterationCountLogarithmic(t *testing.T) {
 	// Theorem 7 shape: iterations = O(log m). Measured against a generous
 	// constant; the experiment harness reports the precise scaling.
 	g := gen.GNM(4096, 4096*8, 5)
-	res := Deterministic(g, params(), nil)
+	res := Deterministic(g, params(), costModel(g, params()))
 	iters := len(res.Rounds)
 	bound := int(8 * math.Log2(float64(g.M())))
 	if iters > bound {
@@ -80,7 +86,7 @@ func TestIterationCountLogarithmic(t *testing.T) {
 
 func TestPerIterationProgress(t *testing.T) {
 	g := gen.GNM(2048, 2048*16, 6)
-	res := Deterministic(g, params(), nil)
+	res := Deterministic(g, params(), costModel(g, params()))
 	for i, st := range res.Rounds {
 		if st.EdgesAfter >= st.EdgesBefore {
 			t.Fatalf("iteration %d made no progress: %d -> %d",
@@ -102,8 +108,8 @@ func TestPerIterationProgress(t *testing.T) {
 
 func TestDeterministicIsDeterministic(t *testing.T) {
 	g := gen.GNM(512, 4096, 9)
-	a := Deterministic(g, params(), nil)
-	b := Deterministic(g, params(), nil)
+	a := Deterministic(g, params(), costModel(g, params()))
+	b := Deterministic(g, params(), costModel(g, params()))
 	if len(a.Matching) != len(b.Matching) {
 		t.Fatalf("matching sizes differ: %d vs %d", len(a.Matching), len(b.Matching))
 	}
@@ -115,7 +121,7 @@ func TestDeterministicIsDeterministic(t *testing.T) {
 	// Parallel seed evaluation must not change the result.
 	pp := params()
 	pp.Parallelism = 1
-	c := Deterministic(g, pp, nil)
+	c := Deterministic(g, pp, costModel(g, pp))
 	if len(a.Matching) != len(c.Matching) {
 		t.Fatal("parallel vs serial results differ")
 	}
@@ -144,7 +150,7 @@ func TestModelAccounting(t *testing.T) {
 
 func TestSeedSearchUsuallyFast(t *testing.T) {
 	g := gen.GNM(2048, 2048*8, 13)
-	res := Deterministic(g, params(), nil)
+	res := Deterministic(g, params(), costModel(g, params()))
 	totalSeeds, found := 0, 0
 	for _, st := range res.Rounds {
 		totalSeeds += st.SeedsTried
@@ -162,7 +168,7 @@ func TestSeedSearchUsuallyFast(t *testing.T) {
 
 func TestNoFallbacksOnReasonableInputs(t *testing.T) {
 	g := gen.GNM(1024, 4096, 17)
-	res := Deterministic(g, params(), nil)
+	res := Deterministic(g, params(), costModel(g, params()))
 	if res.FallbackPicks > 0 {
 		t.Errorf("%d fallback picks on a benign graph", res.FallbackPicks)
 	}
@@ -170,7 +176,7 @@ func TestNoFallbacksOnReasonableInputs(t *testing.T) {
 
 func TestMatchedEdgesComeFromGraph(t *testing.T) {
 	g := gen.PowerLaw(600, 2400, 2.3, 19)
-	res := Deterministic(g, params(), nil)
+	res := Deterministic(g, params(), costModel(g, params()))
 	for _, e := range res.Matching {
 		if !g.HasEdge(e.U, e.V) {
 			t.Fatalf("matched edge %v not in input graph", e)
@@ -183,7 +189,7 @@ func TestSmallEpsilon(t *testing.T) {
 	// be correct, with space pressure surfacing only as model violations.
 	g := gen.GNM(700, 4200, 23)
 	p := params().WithEpsilon(0.25)
-	res := Deterministic(g, p, nil)
+	res := Deterministic(g, p, costModel(g, p))
 	requireMaximal(t, g, res)
 }
 
@@ -192,7 +198,7 @@ func BenchmarkDeterministicGNM(b *testing.B) {
 	p := params()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Deterministic(g, p, nil)
+		Deterministic(g, p, costModel(g, p))
 	}
 }
 

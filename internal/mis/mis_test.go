@@ -13,6 +13,12 @@ import (
 
 func params() core.Params { return core.DefaultParams() }
 
+// costModel returns the cost model of a solve of g under p, the one every
+// solve charges.
+func costModel(g *graph.Graph, p core.Params) *simcost.Model {
+	return simcost.New(g.N(), g.M(), p.Epsilon)
+}
+
 func requireMaximal(t *testing.T, g *graph.Graph, res *Result) {
 	t.Helper()
 	if ok, reason := check.IsMaximalIS(g, res.IndependentSet); !ok {
@@ -33,7 +39,7 @@ func TestDeterministicOnFixtures(t *testing.T) {
 		"tree":      gen.RandomTree(300, 4),
 	}
 	for name, g := range fixtures {
-		res := Deterministic(g, params(), nil)
+		res := Deterministic(g, params(), costModel(g, params()))
 		requireMaximal(t, g, res)
 		switch name {
 		case "empty":
@@ -67,14 +73,14 @@ func TestDeterministicRandomGraphs(t *testing.T) {
 		{"powerlaw", gen.PowerLaw(1000, 5000, 2.5, 3)},
 		{"regular", gen.RandomRegular(900, 12, 4)},
 	} {
-		res := Deterministic(tc.g, params(), nil)
+		res := Deterministic(tc.g, params(), costModel(tc.g, params()))
 		requireMaximal(t, tc.g, res)
 	}
 }
 
 func TestIterationCountLogarithmic(t *testing.T) {
 	g := gen.GNM(4096, 4096*8, 5)
-	res := Deterministic(g, params(), nil)
+	res := Deterministic(g, params(), costModel(g, params()))
 	iters := len(res.Rounds)
 	bound := int(8 * math.Log2(float64(g.M())))
 	if iters > bound {
@@ -85,7 +91,7 @@ func TestIterationCountLogarithmic(t *testing.T) {
 
 func TestPerIterationProgress(t *testing.T) {
 	g := gen.GNM(2048, 2048*16, 6)
-	res := Deterministic(g, params(), nil)
+	res := Deterministic(g, params(), costModel(g, params()))
 	for i, st := range res.Rounds {
 		if st.EdgesBefore > 0 && st.EdgesAfter >= st.EdgesBefore {
 			t.Fatalf("iteration %d made no progress: %d -> %d",
@@ -96,8 +102,8 @@ func TestPerIterationProgress(t *testing.T) {
 
 func TestDeterministicIsDeterministic(t *testing.T) {
 	g := gen.GNM(512, 4096, 9)
-	a := Deterministic(g, params(), nil)
-	b := Deterministic(g, params(), nil)
+	a := Deterministic(g, params(), costModel(g, params()))
+	b := Deterministic(g, params(), costModel(g, params()))
 	if len(a.IndependentSet) != len(b.IndependentSet) {
 		t.Fatalf("sizes differ: %d vs %d", len(a.IndependentSet), len(b.IndependentSet))
 	}
@@ -108,7 +114,7 @@ func TestDeterministicIsDeterministic(t *testing.T) {
 	}
 	pp := params()
 	pp.Parallelism = 1
-	c := Deterministic(g, pp, nil)
+	c := Deterministic(g, pp, costModel(g, pp))
 	if len(a.IndependentSet) != len(c.IndependentSet) {
 		t.Fatal("parallel vs serial results differ")
 	}
@@ -134,7 +140,7 @@ func TestModelAccounting(t *testing.T) {
 
 func TestIndependentSetIsSortedAndUnique(t *testing.T) {
 	g := gen.GNM(700, 3000, 13)
-	res := Deterministic(g, params(), nil)
+	res := Deterministic(g, params(), costModel(g, params()))
 	for i := 1; i < len(res.IndependentSet); i++ {
 		if res.IndependentSet[i-1] >= res.IndependentSet[i] {
 			t.Fatal("IndependentSet not sorted/unique")
@@ -148,7 +154,7 @@ func TestIsolatedNodesAlwaysJoin(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	g := b.Build()
-	res := Deterministic(g, params(), nil)
+	res := Deterministic(g, params(), costModel(g, params()))
 	requireMaximal(t, g, res)
 	in := map[graph.NodeID]bool{}
 	for _, v := range res.IndependentSet {
@@ -163,7 +169,7 @@ func TestIsolatedNodesAlwaysJoin(t *testing.T) {
 
 func TestSeedSearchUsuallyFast(t *testing.T) {
 	g := gen.GNM(2048, 2048*8, 13)
-	res := Deterministic(g, params(), nil)
+	res := Deterministic(g, params(), costModel(g, params()))
 	totalSeeds, considered := 0, 0
 	for _, st := range res.Rounds {
 		if st.SeedsTried > 0 {
@@ -182,7 +188,7 @@ func TestSeedSearchUsuallyFast(t *testing.T) {
 func TestSmallEpsilon(t *testing.T) {
 	g := gen.GNM(700, 4200, 23)
 	p := params().WithEpsilon(0.25)
-	res := Deterministic(g, p, nil)
+	res := Deterministic(g, p, costModel(g, p))
 	requireMaximal(t, g, res)
 }
 
@@ -191,6 +197,6 @@ func BenchmarkDeterministicGNM(b *testing.B) {
 	p := params()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Deterministic(g, p, nil)
+		Deterministic(g, p, costModel(g, p))
 	}
 }

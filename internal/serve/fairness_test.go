@@ -223,7 +223,7 @@ func TestServeStarvationColdFingerprint(t *testing.T) {
 // serves the next request warm and bit-identical.
 func TestServeStreamingDisconnectCancels(t *testing.T) {
 	s := New(Config{
-		Options: &repro.Options{Strategy: repro.StrategySparsify, Parallelism: 1, SkipCostTracking: true},
+		Options: &repro.Options{Strategy: repro.StrategySparsify, Parallelism: 1},
 		Engines: 1,
 		Workers: 1,
 	})

@@ -386,22 +386,23 @@ func (s *Server) Upload(u *GraphUpload) (*UploadResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp := repro.FingerprintOf(g)
-	eng := s.engineFor(fp)
-	_, hit := eng.Prepared(fp)
-	pg, err := eng.Prepare(g)
+	pg, err := s.engineFor(repro.FingerprintOf(g)).Prepare(g)
 	if err != nil {
 		return nil, err
 	}
+	// g was built above, so the handle holds it exactly when nothing was
+	// shared: a new cache entry, or a private handle for a graph whose
+	// fingerprint collides with a different cached one.
+	shared := pg.Graph() != g
 	s.uploads.Add(1)
-	if hit {
+	if shared {
 		s.shared.Add(1)
 	}
 	return &UploadResponse{
 		Fingerprint: pg.Fingerprint().String(),
 		N:           pg.N(),
 		M:           pg.M(),
-		Shared:      hit,
+		Shared:      shared,
 	}, nil
 }
 
@@ -413,7 +414,6 @@ type SolveOptions struct {
 	Epsilon       float64 `json:"epsilon,omitempty"`
 	Slack         float64 `json:"slack,omitempty"`
 	ThresholdFrac float64 `json:"threshold_frac,omitempty"`
-	CostTracking  *bool   `json:"cost_tracking,omitempty"`
 }
 
 // solveOptions converts to repro.SolveOption. The strategy name and the
@@ -442,9 +442,6 @@ func (o *SolveOptions) solveOptions() ([]repro.SolveOption, error) {
 	if o.ThresholdFrac != 0 {
 		opts = append(opts, repro.WithThresholdFrac(o.ThresholdFrac))
 	}
-	if o.CostTracking != nil {
-		opts = append(opts, repro.WithCostTracking(*o.CostTracking))
-	}
 	return opts, nil
 }
 
@@ -461,7 +458,7 @@ type SolveRequest struct {
 }
 
 // SolveResponse is a completed solve. Edges is set for matching, Nodes for
-// MIS; Costs mirrors repro.CostReport when cost tracking was on.
+// MIS; Costs mirrors the solve's repro.CostReport, which every solve has.
 type SolveResponse struct {
 	Problem     string            `json:"problem"`
 	Fingerprint string            `json:"fingerprint"`
@@ -469,7 +466,7 @@ type SolveResponse struct {
 	Iterations  int               `json:"iterations"`
 	Edges       [][2]int32        `json:"edges,omitempty"`
 	Nodes       []int32           `json:"nodes,omitempty"`
-	Costs       *repro.CostReport `json:"costs,omitempty"`
+	Costs       *repro.CostReport `json:"costs"`
 	DurationMS  float64           `json:"duration_ms"`
 }
 

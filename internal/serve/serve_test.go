@@ -256,6 +256,41 @@ func TestServeUploadDedup(t *testing.T) {
 	}
 }
 
+// TestServeUploadConcurrentShared: of N concurrent uploads of one graph,
+// whichever prepares it first reports Shared false and every other one
+// true, because Shared comes from the handle each upload got back, not from
+// a separate cache lookup that a concurrent upload can overtake.
+func TestServeUploadConcurrentShared(t *testing.T) {
+	const uploads = 8
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	g := mustGraph(t, "gnm", 128, 6, 7)
+	resps := make([]*UploadResponse, uploads)
+	errs := make([]error, uploads)
+	var wg sync.WaitGroup
+	for i := range resps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resps[i], errs[i] = s.Upload(wireGraph(g))
+		}()
+	}
+	wg.Wait()
+	private := 0
+	for i, r := range resps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !r.Shared {
+			private++
+		}
+	}
+	if st := s.Stats(); private != 1 || st.SharedUploads != uploads-1 || st.PreparedGraphs != 1 {
+		t.Fatalf("%d uploads reported Shared false, want 1; stats %+v, want %d shared uploads of 1 graph",
+			private, st, uploads-1)
+	}
+}
+
 // TestServeOverload fills a Workers=1/QueueDepth=1 server with a parked job
 // and asserts the next request is rejected with repro.ErrOverloaded (HTTP
 // 429) before touching any engine — and that the pooled solve state is
@@ -322,7 +357,7 @@ func TestServeOverload(t *testing.T) {
 // skipped under -race and -short like those).
 func TestServeDeadlineKeepsEngineWarm(t *testing.T) {
 	s := New(Config{
-		Options: &repro.Options{Strategy: repro.StrategySparsify, Parallelism: 1, SkipCostTracking: true},
+		Options: &repro.Options{Strategy: repro.StrategySparsify, Parallelism: 1},
 		Engines: 1,
 		Workers: 1,
 	})
@@ -369,7 +404,7 @@ func TestServeDeadlineKeepsEngineWarm(t *testing.T) {
 	}
 
 	// The served path must still produce the reference bits.
-	want, err := repro.NewEngine(&repro.Options{Strategy: repro.StrategySparsify, Parallelism: 1, SkipCostTracking: true}).MaximalMatching(g)
+	want, err := repro.NewEngine(&repro.Options{Strategy: repro.StrategySparsify, Parallelism: 1}).MaximalMatching(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,6 +517,29 @@ func TestServeStreaming(t *testing.T) {
 	bad, body := postJSON(t, ts.URL+"/v1/solve", &SolveRequest{Problem: "nope", Graph: wireGraph(g), Stream: true})
 	if bad.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad streamed problem: status %d (%s)", bad.StatusCode, body)
+	}
+}
+
+// TestServeCostsAlways: every served solve is costed, and no option turns
+// it off: an unknown option key is ignored, and the response carries the
+// solve's costs.
+func TestServeCostsAlways(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := []byte(`{"problem":"matching","graph":{"n":4,"edges":[[0,1],[1,2],[2,3]]},"options":{"costs":false}}`)
+	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got SolveResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || got.Costs == nil || got.Costs.SpacePerMachine != 16 {
+		t.Fatalf("status %d, costs %+v: want 200 with the costs of a model with S = 16", resp.StatusCode, got.Costs)
 	}
 }
 

@@ -8,8 +8,9 @@
 // internal/mpc achieve, and every machine-space claim is asserted against
 // S = ceil(n^ε).
 //
-// All methods are safe on a nil *Model, so algorithm code can be run without
-// accounting (e.g. in micro-benchmarks) at zero cost.
+// Every solve charges one Model of its input graph, so every seed search
+// batches by the model's S. Labels name each charge at its call site and in
+// the violation messages the model records.
 package simcost
 
 import (
@@ -31,7 +32,6 @@ type Model struct {
 	machines int
 
 	rounds     int
-	byLabel    map[string]int
 	violations []string
 
 	peakMachineWords int
@@ -57,7 +57,6 @@ func New(n, m int, epsilon float64) *Model {
 		epsilon:  epsilon,
 		s:        s,
 		machines: machines,
-		byLabel:  make(map[string]int),
 	}
 }
 
@@ -76,24 +75,18 @@ func space(n int, epsilon float64) int {
 // O(n^{8δ}) with δ = ε/8, i.e. S up to a constant factor; 8 is the
 // constant all asserted structures (2-hop balls bounded by
 // (2n^{4δ})² = 4n^ε, seed batches, …) respect in the analysis. It depends
-// on (n, ε) alone, so a solve makes the same choices with cost tracking on
-// or off.
+// on (n, ε) alone, so lowdeg.Suitable can read it before a solve builds its
+// model.
 func Budget(n int, epsilon float64) int {
 	return 8 * space(n, epsilon)
 }
 
-// S returns the per-machine space in words (0 for a nil model).
-func (m *Model) S() int {
-	if m == nil {
-		return 0
-	}
-	return m.s
-}
+// S returns the per-machine space in words.
+func (m *Model) S() int { return m.s }
 
 // Stats is a snapshot of accumulated accounting.
 type Stats struct {
 	Rounds           int
-	RoundsByLabel    map[string]int
 	Violations       []string
 	PeakMachineWords int
 	SeedBatches      int
@@ -102,20 +95,13 @@ type Stats struct {
 	Machines         int
 }
 
-// Stats returns a snapshot (zero value for a nil model).
+// Stats returns a snapshot. It copies the violation list only when one was
+// recorded, so a snapshot of a model without violations allocates nothing.
 func (m *Model) Stats() Stats {
-	if m == nil {
-		return Stats{}
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	byLabel := make(map[string]int, len(m.byLabel))
-	for k, v := range m.byLabel {
-		byLabel[k] = v
-	}
 	return Stats{
 		Rounds:           m.rounds,
-		RoundsByLabel:    byLabel,
 		Violations:       append([]string(nil), m.violations...),
 		PeakMachineWords: m.peakMachineWords,
 		SeedBatches:      m.seedBatches,
@@ -125,22 +111,18 @@ func (m *Model) Stats() Stats {
 	}
 }
 
-func (m *Model) charge(rounds int, label string) {
-	if m == nil {
-		return
-	}
+func (m *Model) charge(rounds int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.rounds += rounds
-	m.byLabel[label] += rounds
 }
 
-// ChargeRounds charges k generic rounds under the label.
-func (m *Model) ChargeRounds(k int, label string) { m.charge(k, label) }
+// ChargeRounds charges k generic rounds for the labelled step.
+func (m *Model) ChargeRounds(k int, label string) { m.charge(k) }
 
 // ChargeSort charges one Lemma 4 sort: 4 rounds, the constant the
 // message-level sample sort in internal/mpc achieves.
-func (m *Model) ChargeSort(label string) { m.charge(4, label) }
+func (m *Model) ChargeSort(label string) { m.charge(4) }
 
 // scanDepth returns the aggregation-tree depth for payload k on this model.
 func (m *Model) scanDepth(k int) int {
@@ -156,21 +138,13 @@ func (m *Model) scanDepth(k int) int {
 
 // ChargeScan charges one Lemma 4 prefix-sum/aggregation: 2*depth+1 rounds
 // with an S/8-ary tree over M machines, matching mpc.PrefixSum.
-func (m *Model) ChargeScan(label string) {
-	if m == nil {
-		return
-	}
-	m.charge(2*m.scanDepth(2)+1, label)
-}
+func (m *Model) ChargeScan(label string) { m.charge(2*m.scanDepth(2) + 1) }
 
 // ChargeSeedBatch charges one batched seed evaluation round-trip: every
 // machine evaluates its local objective for each of batch candidate seeds
 // and one AllReduce of the batch-length vector selects the winner
 // (2*depth + 1 rounds). The batch must fit one machine: batch <= S.
 func (m *Model) ChargeSeedBatch(batch int, label string) {
-	if m == nil {
-		return
-	}
 	if batch > m.s {
 		m.recordViolation(fmt.Sprintf("seed batch %d > S=%d [%s]", batch, m.s, label))
 	}
@@ -178,24 +152,16 @@ func (m *Model) ChargeSeedBatch(batch int, label string) {
 	m.seedBatches++
 	m.seedsEvaluated += int64(batch)
 	m.mu.Unlock()
-	m.charge(2*m.scanDepth(batch)+1, label)
+	m.charge(2*m.scanDepth(batch) + 1)
 }
 
-// MachineBudget returns Budget for the model's graph (0 for a nil model).
-func (m *Model) MachineBudget() int {
-	if m == nil {
-		return 0
-	}
-	return Budget(m.n, m.epsilon)
-}
+// MachineBudget returns Budget for the model's graph.
+func (m *Model) MachineBudget() int { return Budget(m.n, m.epsilon) }
 
 // AssertMachineWords asserts that a single machine is asked to hold `words`
 // words (e.g. a collected 2-hop neighbourhood); a violation is recorded if
 // it exceeds MachineBudget. Returns true when the assertion holds.
 func (m *Model) AssertMachineWords(words int, label string) bool {
-	if m == nil {
-		return true
-	}
 	m.mu.Lock()
 	if words > m.peakMachineWords {
 		m.peakMachineWords = words
@@ -214,11 +180,8 @@ func (m *Model) recordViolation(v string) {
 	m.violations = append(m.violations, v)
 }
 
-// Violations returns the recorded violations (nil for a nil model).
+// Violations returns the recorded violations.
 func (m *Model) Violations() []string {
-	if m == nil {
-		return nil
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]string(nil), m.violations...)

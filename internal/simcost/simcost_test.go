@@ -6,26 +6,6 @@ import (
 	"testing"
 )
 
-func TestNilModelIsNoOp(t *testing.T) {
-	var m *Model
-	m.ChargeRounds(5, "x")
-	m.ChargeSort("x")
-	m.ChargeScan("x")
-	m.ChargeSeedBatch(100, "x")
-	if !m.AssertMachineWords(1<<40, "x") {
-		t.Error("nil model must accept any assertion")
-	}
-	if m.Rounds() != 0 || m.S() != 0 || m.Machines() != 0 || m.Epsilon() != 0 {
-		t.Error("nil model getters must return zero")
-	}
-	if s := m.Stats(); s.Rounds != 0 {
-		t.Error("nil model stats must be zero")
-	}
-	if m.Violations() != nil {
-		t.Error("nil model has violations")
-	}
-}
-
 func TestSpaceComputation(t *testing.T) {
 	m := New(1<<16, 1<<18, 0.5)
 	if m.S() != 256 {
@@ -57,13 +37,16 @@ func TestChargeAccumulates(t *testing.T) {
 	m := New(1024, 4096, 0.5)
 	m.ChargeSort("degrees")
 	m.ChargeSort("degrees")
-	m.ChargeScan("sums")
-	m.ChargeRounds(1, "collect")
-	s := m.Stats()
-	if s.RoundsByLabel["degrees"] != 8 {
-		t.Errorf("degrees rounds = %d, want 8", s.RoundsByLabel["degrees"])
+	if got := m.Rounds(); got != 8 {
+		t.Errorf("two sorts charged %d rounds, want 8", got)
 	}
-	if s.Rounds != 8+s.RoundsByLabel["sums"]+1 {
+	m.ChargeScan("sums")
+	scan := m.Rounds() - 8
+	if scan < 3 {
+		t.Errorf("scan charged %d rounds, want at least 3 (2·depth+1)", scan)
+	}
+	m.ChargeRounds(1, "collect")
+	if s := m.Stats(); s.Rounds != 8+scan+1 {
 		t.Errorf("total rounds inconsistent: %+v", s)
 	}
 }
@@ -109,8 +92,8 @@ func TestSeedBatchTooLargeIsViolation(t *testing.T) {
 	}
 }
 
-// TestBudgetMatchesModel pins Budget, which lowdeg reads with or without a
-// model, to 8·S of a model of the same graph, the floor S >= 16 included.
+// TestBudgetMatchesModel pins Budget, which lowdeg.Suitable reads before a
+// solve builds its model, to 8·S of a model of the same graph, the floor S >= 16 included.
 func TestBudgetMatchesModel(t *testing.T) {
 	for _, tc := range []struct {
 		n    int
@@ -165,26 +148,10 @@ func TestConcurrentCharging(t *testing.T) {
 }
 
 // Machines returns the simulated machine count.
-func (m *Model) Machines() int {
-	if m == nil {
-		return 0
-	}
-	return m.machines
-}
-
-// Epsilon returns the space exponent.
-func (m *Model) Epsilon() float64 {
-	if m == nil {
-		return 0
-	}
-	return m.epsilon
-}
+func (m *Model) Machines() int { return m.machines }
 
 // Rounds returns the total charged rounds so far.
 func (m *Model) Rounds() int {
-	if m == nil {
-		return 0
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.rounds

@@ -365,7 +365,7 @@ func TestListChainMatchesCSRChain(t *testing.T) {
 				dc := core.NewDegreeClasses(n, p.InvDelta)
 				sc, ref := scratch.New(), scratch.New()
 
-				er := SparsifyEdges(g, p, nil)
+				er := SparsifyEdges(g, p, costModel(g, p))
 				dE0, xCount := edgeCounts(sc, n, er.E0, er.B, er.Deg)
 				wantD, wantX := csrEdgeAuditRefs(ref, graph.FromEdges(n, er.E0), er.E0, er.B, er.Deg)
 				if !slices.Equal(dE0, wantD) || !slices.Equal(xCount, wantX) {
@@ -378,7 +378,7 @@ func TestListChainMatchesCSRChain(t *testing.T) {
 					items := edgeStageItems(sc, n, cur, er.B, er.Deg, dc, p, j)
 					sameLayout(t, what, items, csrEdgeStageItems(ref, graph.FromEdges(n, cur), cur, er.B, er.Deg, dc, p, j))
 					typeB += len(items.ends) - n
-					next, report, canceled := runStage(items, cur, sc.EdgesCap(len(cur)+1), p, j, nil)
+					next, report, canceled := runStage(items, cur, sc.EdgesCap(len(cur)+1), p, j, costModel(g, p))
 					if canceled {
 						t.Fatalf("%s: canceled", what)
 					}
@@ -396,7 +396,7 @@ func TestListChainMatchesCSRChain(t *testing.T) {
 					t.Fatal("the replayed edge chain does not end at E*")
 				}
 
-				nr := SparsifyNodes(g, p, nil)
+				nr := SparsifyNodes(g, p, costModel(g, p))
 				invDeg := make([]float64, n)
 				for v := range invDeg {
 					invDeg[v] = 1 / float64(nr.Deg[v])
@@ -411,7 +411,7 @@ func TestListChainMatchesCSRChain(t *testing.T) {
 					}
 					items := nodeStageItems(sc, g, q, nr.B, invDeg, dc, p, nr.ClassIndex, j)
 					sameLayout(t, what, items, maskNodeStageItems(ref, g, mask, nr.B, invDeg, dc, p, nr.ClassIndex, j))
-					next, report, canceled := runStage(items, q, sc.NodeIDsCap(len(q)+1), p, j, nil)
+					next, report, canceled := runStage(items, q, sc.NodeIDsCap(len(q)+1), p, j, costModel(g, p))
 					if canceled {
 						t.Fatalf("%s: canceled", what)
 					}

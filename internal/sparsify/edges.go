@@ -67,7 +67,8 @@ func classesInto(sc *scratch.Context, dc *core.DegreeClasses, deg []int) []int {
 }
 
 // SparsifyEdges runs the deterministic edge sparsification of Section 3.2 on
-// g. The model (optional) is charged the Lemma 4 rounds and seed batches.
+// g. The model, the solve's, is charged the Lemma 4 rounds and seed
+// batches, and its S sets the stage searches' batch size.
 // g must have at least one edge. Every stage report carries the Lemma 10/11
 // audits (InvariantI/InvariantII), which T4, the ablations and the tests
 // read. It runs on a private scratch context; repeated callers (the

@@ -99,8 +99,7 @@ func (s *stageItems) search(p core.Params, model *simcost.Model) condexp.Result 
 	objective := func(seed []uint64) int64 {
 		return s.good(s.ev.EvalKeys(seed, s.keys, s.z))
 	}
-	res, _ := p.SeedSearch(s.ev.Family(), objective, int64(s.groups), "sparsify.seed", model)
-	return res
+	return p.SeedSearch(s.ev.Family(), objective, int64(s.groups), "sparsify.seed", model, nil)
 }
 
 // runStage runs stage j of either chain on its laid-out items: the seed

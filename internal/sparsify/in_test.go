@@ -45,8 +45,8 @@ func edgeCases() []edgeCase {
 func dirtyScratch(p core.Params) *scratch.Context {
 	sc := scratch.New()
 	g := gen.GNM(700, 700*20, 5)
-	SparsifyEdgesIn(sc, g, p, nil)
-	SparsifyNodesIn(sc, g, p, nil)
+	SparsifyEdgesIn(sc, g, p, costModel(g, p))
+	SparsifyNodesIn(sc, g, p, costModel(g, p))
 	sc.Reset()
 	return sc
 }
@@ -133,7 +133,7 @@ func TestEStarEdgesMatchEdges(t *testing.T) {
 		for _, par := range []int{1, 2, 8} {
 			p := params()
 			p.Parallelism = par
-			for _, res := range []*EdgeResult{SparsifyEdges(tc.g, p, nil), SparsifyEdgesIn(dirtyScratch(p), tc.g, p, nil)} {
+			for _, res := range []*EdgeResult{SparsifyEdges(tc.g, p, costModel(tc.g, p)), SparsifyEdgesIn(dirtyScratch(p), tc.g, p, costModel(tc.g, p))} {
 				if want := res.EStar.Edges(); !slices.Equal(res.EStarEdges, want) {
 					t.Fatalf("%s p%d: handed-over E* list has %d edges, EStar.Edges() %d, or they differ",
 						tc.name, par, len(res.EStarEdges), len(want))
@@ -180,17 +180,18 @@ func filterNodes(items *stageItems, seed []uint64, cur []graph.NodeID, workers i
 	return next
 }
 
-// checkApply runs the search of items under p and applies its result, and
-// fails unless the applied set equals ref's, the set built from
-// EvalKeysW(res.Seed). It records in tl how the search ended.
-func checkApply[T comparable](t *testing.T, tl *applyTally, what string, items *stageItems, p core.Params,
+// checkApply runs the search of items under p, charged to model, and
+// applies its result, and fails unless the applied set equals ref's, the
+// set built from EvalKeysW(res.Seed). It records in tl how the search
+// ended.
+func checkApply[T comparable](t *testing.T, tl *applyTally, what string, items *stageItems, p core.Params, model *simcost.Model,
 	apply func(res condexp.Result) []T, ref func(seed []uint64) []T) []T {
 
 	t.Helper()
 	enum := items.ev.Family().Enumerate()
 	enum.Next()
 	firstMissed := items.good(items.ev.EvalKeys(enum.Seed(), items.keys, make([]uint64, len(items.keys)))) < int64(items.groups)
-	res := items.search(p, nil)
+	res := items.search(p, model)
 	got := apply(res)
 	if want := ref(res.Seed); !slices.Equal(got, want) {
 		t.Fatalf("%s (found %v): the applied set differs from the EvalKeysW filter", what, res.Found)
@@ -234,13 +235,13 @@ func TestStageApplyMatchesEvalKeysW(t *testing.T) {
 				dc := core.NewDegreeClasses(n, p.InvDelta)
 				sc := dirtyScratch(p)
 
-				er := SparsifyEdges(g, p, nil)
+				er := SparsifyEdges(g, p, costModel(g, p))
 				cur := er.E0
 				for j, st := range er.Stages {
 					j++
 					run := func(what string, q core.Params) []graph.Edge {
 						items := edgeStageItems(sc, n, cur, er.B, er.Deg, dc, q, j)
-						return checkApply(t, &edges, what, items, q,
+						return checkApply(t, &edges, what, items, q, costModel(g, q),
 							func(res condexp.Result) []graph.Edge {
 								return keep(sc.EdgesCap(len(cur)+1), cur, items.row(res, par), items.th)
 							},
@@ -258,7 +259,7 @@ func TestStageApplyMatchesEvalKeysW(t *testing.T) {
 					sc.Reset()
 				}
 
-				nr := SparsifyNodes(g, p, nil)
+				nr := SparsifyNodes(g, p, costModel(g, p))
 				invDeg := make([]float64, n)
 				for v := range invDeg {
 					invDeg[v] = 1 / float64(nr.Deg[v])
@@ -268,7 +269,7 @@ func TestStageApplyMatchesEvalKeysW(t *testing.T) {
 					j++
 					run := func(what string, pp core.Params) []graph.NodeID {
 						items := nodeStageItems(sc, g, q, nr.B, invDeg, dc, pp, nr.ClassIndex, j)
-						return checkApply(t, &nodes, what, items, pp,
+						return checkApply(t, &nodes, what, items, pp, costModel(g, pp),
 							func(res condexp.Result) []graph.NodeID {
 								return keep(sc.NodeIDsCap(len(q)+1), q, items.row(res, par), items.th)
 							},

@@ -130,10 +130,10 @@ func TestSolveOptionOverridesDoNotStick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An override solve in between must not leak its strategy or
-	// cost-tracking choice into the engine.
+	// An override solve in between must not leak its strategy, space
+	// exponent or threshold into the engine.
 	if _, err := eng.MaximalIndependentSetCtx(context.Background(), g,
-		WithStrategy(StrategyLowDegree), WithCostTracking(false), WithThresholdFrac(0.9)); err != nil {
+		WithStrategy(StrategyLowDegree), WithEpsilon(0.25), WithThresholdFrac(0.9)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := eng.MaximalIndependentSet(g)
@@ -149,8 +149,9 @@ func TestSolveOptionOverridesDoNotStick(t *testing.T) {
 			t.Fatalf("node %d differs after override solve", i)
 		}
 	}
-	if got.Costs == nil {
-		t.Fatal("WithCostTracking(false) leaked into the engine's base Options")
+	if got.Costs.SpacePerMachine != want.Costs.SpacePerMachine {
+		t.Fatalf("WithEpsilon(0.25) leaked into the engine's base Options: S = %d, want %d",
+			got.Costs.SpacePerMachine, want.Costs.SpacePerMachine)
 	}
 }
 
@@ -494,9 +495,10 @@ func TestInvalidOptionsRejected(t *testing.T) {
 // TestObserverSeedBatchEvents pins the seed-batch-granular sub-events and
 // the incremental cost fields of the extended RoundEvent: per round, the
 // batch stats must tile the round's search exactly (cumulative counts,
-// batch sizes summing to SeedsTried, the Found flag landing on the last
-// batch iff the round found its seed), and the cost counters must be
-// cumulative across the event stream.
+// batches of the model's S, only the last one shorter, summing to
+// SeedsTried, the Found flag landing on the last batch iff the round found
+// its seed), and the cost counters must be cumulative across the event
+// stream.
 func TestObserverSeedBatchEvents(t *testing.T) {
 	g, err := Generate("gnm", 512, 8, 1)
 	if err != nil {
@@ -506,13 +508,15 @@ func TestObserverSeedBatchEvents(t *testing.T) {
 	for _, strat := range []Strategy{StrategySparsify, StrategyLowDegree} {
 		t.Run(string(strat), func(t *testing.T) {
 			log := &eventLog{}
-			if _, err := eng.MaximalMatchingCtx(context.Background(), g,
-				WithStrategy(strat), WithObserver(log)); err != nil {
+			res, err := eng.MaximalMatchingCtx(context.Background(), g,
+				WithStrategy(strat), WithObserver(log))
+			if err != nil {
 				t.Fatal(err)
 			}
 			if len(log.events) == 0 {
 				t.Fatal("no observer events")
 			}
+			s := res.Costs.SpacePerMachine
 			prevRounds, prevBatches := 0, 0
 			for _, ev := range log.events {
 				if len(ev.Batches) == 0 {
@@ -523,8 +527,8 @@ func TestObserverSeedBatchEvents(t *testing.T) {
 					if b.Batch != i+1 {
 						t.Fatalf("round %d: batch %d has index %d", ev.Round, i, b.Batch)
 					}
-					if b.Seeds <= 0 {
-						t.Fatalf("round %d batch %d: %d seeds", ev.Round, b.Batch, b.Seeds)
+					if b.Seeds <= 0 || b.Seeds > s || b.Seeds < s && i < len(ev.Batches)-1 {
+						t.Fatalf("round %d batch %d of %d: %d seeds, want S = %d", ev.Round, b.Batch, len(ev.Batches), b.Seeds, s)
 					}
 					sum += b.Seeds
 					cum = b.SeedsTried
@@ -546,22 +550,6 @@ func TestObserverSeedBatchEvents(t *testing.T) {
 				prevRounds, prevBatches = ev.CostRounds, ev.CostSeedBatches
 			}
 		})
-	}
-
-	// With cost tracking off the sub-events still flow, but the cost
-	// counters stay zero (there is no model to snapshot).
-	log := &eventLog{}
-	if _, err := eng.MaximalIndependentSetCtx(context.Background(), g,
-		WithCostTracking(false), WithObserver(log)); err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range log.events {
-		if ev.CostRounds != 0 || ev.CostSeedBatches != 0 || ev.CostPeakMachineWords != 0 {
-			t.Fatalf("round %d: nonzero cost fields without a model: %+v", ev.Round, ev)
-		}
-		if len(ev.Batches) == 0 {
-			t.Fatalf("round %d: no sub-events with cost tracking off", ev.Round)
-		}
 	}
 }
 
@@ -619,16 +607,16 @@ func TestObserverEventsMatchResults(t *testing.T) {
 		run                       func(*Graph, core.Params) []core.Round
 	}{
 		{"matching", "matching", "sparsify", false, func(g *Graph, p core.Params) []core.Round {
-			return matching.DeterministicIn(scratch.New(), g, p, nil).Rounds
+			return matching.DeterministicIn(scratch.New(), g, p, costModel(g, p)).Rounds
 		}},
 		{"mis", "mis", "sparsify", true, func(g *Graph, p core.Params) []core.Round {
-			return mis.DeterministicIn(scratch.New(), g, p, nil).Rounds
+			return mis.DeterministicIn(scratch.New(), g, p, costModel(g, p)).Rounds
 		}},
 		{"lowdeg-mis", "mis", "lowdeg", false, func(g *Graph, p core.Params) []core.Round {
-			return lowdeg.MISIn(scratch.New(), g, p, nil).Rounds
+			return lowdeg.MISIn(scratch.New(), g, p, costModel(g, p)).Rounds
 		}},
 		{"lowdeg-matching", "matching", "lowdeg", false, func(g *Graph, p core.Params) []core.Round {
-			return lowdeg.MaximalMatchingIn(scratch.New(), g, p, nil).MIS.Rounds
+			return lowdeg.MaximalMatchingIn(scratch.New(), g, p, costModel(g, p)).MIS.Rounds
 		}},
 	}
 	trailing := 0
