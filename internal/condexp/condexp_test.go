@@ -98,6 +98,38 @@ func TestSearchAtLeastUnreachableThresholdReturnsBest(t *testing.T) {
 	}
 }
 
+// TestBatchAccountingAgainstModel: the search charges its model one seed
+// batch per batch it evaluates, and nothing else, so the model's seed
+// counts and rounds are exactly those of the batches in the result.
+func TestBatchAccountingAgainstModel(t *testing.T) {
+	fam := hashfam.New(1009, 2)
+	points := testPoints(100, fam.P())
+	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 2))
+	model := simcost.New(1<<12, 1<<13, 0.5) // S = 64
+	res, err := SearchAtLeast(fam, obj, 1<<40, Options{BatchSize: model.S(), Model: model, MaxSeeds: 300, Label: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := model.Stats()
+	if st.SeedsEvaluated != int64(res.SeedsTried) {
+		t.Errorf("model saw %d seeds, search tried %d", st.SeedsEvaluated, res.SeedsTried)
+	}
+	if st.SeedBatches != res.Batches {
+		t.Errorf("model batches %d, search batches %d", st.SeedBatches, res.Batches)
+	}
+	// Batches of S = 64: 300 seeds => 5 batches, the last of 44.
+	if res.Batches != 5 {
+		t.Errorf("batches = %d, want 5", res.Batches)
+	}
+	ref := simcost.New(1<<12, 1<<13, 0.5)
+	for _, size := range []int{64, 64, 64, 64, 44} {
+		ref.ChargeSeedBatch(size, "test")
+	}
+	if want := ref.Stats().Rounds; st.Rounds != want || len(st.Violations) != 0 {
+		t.Errorf("model charged %d rounds with violations %q, want %d rounds and none", st.Rounds, st.Violations, want)
+	}
+}
+
 // TestBatchSizeRequired: a search has no batch default, so a BatchSize
 // below 1 is a programmer error.
 func TestBatchSizeRequired(t *testing.T) {
@@ -590,5 +622,34 @@ func TestOnBatchStats(t *testing.T) {
 	}
 	if last := stats[len(stats)-1]; last.BestValue != res.Value {
 		t.Fatalf("final best %d, result value %d", last.BestValue, res.Value)
+	}
+}
+
+// TestOnBatchModelAgreement cross-checks the stat stream against the cost
+// model: charged seed batches and evaluated seeds must match exactly.
+func TestOnBatchModelAgreement(t *testing.T) {
+	fam := hashfam.New(211, 2)
+	points := testPoints(64, fam.P())
+	obj := countBelow(fam, points, hashfam.Threshold(fam.P(), 1, 3))
+	model := simcost.New(64, 128, 0.5)
+	var stats []BatchStat
+	res, err := SearchAtLeast(fam, obj, 1<<40, Options{ // unreachable: full scan
+		BatchSize: 8,
+		MaxSeeds:  64,
+		Model:     model,
+		OnBatch:   func(bs BatchStat) { stats = append(stats, bs) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Found {
+		t.Fatal("threshold 2^40 cannot be met")
+	}
+	st := model.Stats()
+	if st.SeedBatches != len(stats) || st.SeedBatches != res.Batches {
+		t.Fatalf("model charged %d batches, %d stats, result %d", st.SeedBatches, len(stats), res.Batches)
+	}
+	if int(st.SeedsEvaluated) != res.SeedsTried {
+		t.Fatalf("model evaluated %d seeds, result tried %d", st.SeedsEvaluated, res.SeedsTried)
 	}
 }
